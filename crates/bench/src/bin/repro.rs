@@ -1058,7 +1058,7 @@ fn fault_matrix(jobs: usize, engine_threads: usize) {
 }
 
 // ---------------------------------------------------------------------------
-// bench-engine: the perf gate. Runs the two hot-path engine workloads
+// bench-engine: the perf gate. Runs the hot-path engine workloads
 // in-process and writes events/sec + ns/event to a JSON file.
 // ---------------------------------------------------------------------------
 
@@ -1082,6 +1082,22 @@ struct Sink;
 struct Fin;
 impl Actor for Sink {
     fn handle(&mut self, _msg: BoxMsg, _ctx: &mut Ctx<'_>) {}
+}
+
+/// A CPU hog that runs `left` bursts back to back, then stops.
+struct Spin {
+    thread: ThreadId,
+    burst: u64,
+    left: u32,
+}
+impl Actor for Spin {
+    fn handle(&mut self, _msg: BoxMsg, ctx: &mut Ctx<'_>) {
+        if self.left > 0 {
+            self.left -= 1;
+            let me = ctx.me();
+            ctx.cpu(self.thread, self.burst, CpuCategory::Lookbusy, me, Fin);
+        }
+    }
 }
 
 struct BenchResult {
@@ -1260,6 +1276,37 @@ fn bench_engine(out: &str) {
         extras: Vec::new(),
     };
 
+    // Core-timer scale: 20 hosts x 4 cores, six hogs per host so every
+    // core is contended and re-arms its timer on every burst end and
+    // slice expiry. The cost of finding the earliest of 80 timers shows
+    // up here as ns/event.
+    let (events, ns) = measure(5, || {
+        let mut w = World::new(1);
+        for h in 0..20u64 {
+            let host = w.add_host(&format!("h{h}"), 4, 2.0);
+            for k in 0..6u64 {
+                let thread = w.add_thread(host, &format!("hog{h}.{k}"));
+                let a = w.add_actor(
+                    "hog",
+                    Spin {
+                        thread,
+                        burst: 200_000 + 10_000 * k + 1_000 * h,
+                        left: 200,
+                    },
+                );
+                w.send_now(a, Start);
+            }
+        }
+        w
+    });
+    let timers = BenchResult {
+        name: "core_timers_80core",
+        events,
+        ns_per_event: ns,
+        parallel: None,
+        extras: Vec::new(),
+    };
+
     // Multi-host parallel bench: 8 independent host shards on the engine
     // pool. ns/event is taken from the 1-thread run (comparable with the
     // sequential benches above); speedup is 1-thread wall over 4-thread
@@ -1311,7 +1358,7 @@ fn bench_engine(out: &str) {
         )],
     };
 
-    let benches = [&pingpong, &chain, &cluster, &cas];
+    let benches = [&pingpong, &chain, &timers, &cluster, &cas];
     let mut json = String::from("{\n  \"benches\": [\n");
     for (i, b) in benches.iter().enumerate() {
         json.push_str(&b.to_json_entry());

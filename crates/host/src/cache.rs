@@ -3,7 +3,8 @@
 //! Both guest kernels and the host kernel cache file data. The cache
 //! tracks fixed-size chunks of *objects* (an object is a disk image; the
 //! offset space of a VM's files lives inside its image), evicting least
-//! recently used chunks when capacity is exceeded.
+//! recently used chunks when capacity is exceeded. Recency order is an
+//! [`Lru`] list, so every chunk touch, insert and eviction is O(1).
 //!
 //! Whether a read hits DRAM or the SSD is the entire difference between
 //! the paper's *read* and *re-read* experiments, and host-cache hits are
@@ -14,9 +15,8 @@
 //! default `lru` host-cache mode, by hosts; the content-addressed
 //! alternative is [`crate::cas::CasStore`].
 
-use std::collections::{BTreeMap, HashMap};
-
 use crate::fs::ObjectId;
+use crate::lru::Lru;
 use crate::store::{Admission, BlockStore, CacheStats, Lookup};
 
 /// Key of one cached chunk: `(object, chunk index)`.
@@ -39,12 +39,8 @@ type ChunkKey = (u64, u64);
 pub struct PageCache {
     capacity: u64,
     chunk: u64,
-    used: u64,
-    tick: u64,
-    /// chunk -> last-use tick
-    map: HashMap<ChunkKey, u64>,
-    /// last-use tick -> chunk (ticks are unique)
-    order: BTreeMap<u64, ChunkKey>,
+    /// Resident chunks, least recently used first.
+    lru: Lru<ChunkKey, ()>,
     stats: CacheStats,
 }
 
@@ -61,10 +57,7 @@ impl PageCache {
         PageCache {
             capacity,
             chunk,
-            used: 0,
-            tick: 0,
-            map: HashMap::new(),
-            order: BTreeMap::new(),
+            lru: Lru::new(),
             stats: CacheStats::default(),
         }
     }
@@ -78,25 +71,11 @@ impl PageCache {
         first..last + 1
     }
 
-    fn touch(&mut self, key: ChunkKey) {
-        let old = self.map[&key];
-        self.order.remove(&old);
-        self.tick += 1;
-        self.map.insert(key, self.tick);
-        self.order.insert(self.tick, key);
-    }
-
     fn insert_chunk(&mut self, key: ChunkKey) {
-        while self.used + self.chunk > self.capacity {
-            let (&tick, &victim) = self.order.iter().next().expect("cache over-full but empty");
-            self.order.remove(&tick);
-            self.map.remove(&victim);
-            self.used -= self.chunk;
+        while self.used_bytes() + self.chunk > self.capacity {
+            self.lru.pop_oldest().expect("cache over-full but empty");
         }
-        self.tick += 1;
-        self.map.insert(key, self.tick);
-        self.order.insert(self.tick, key);
-        self.used += self.chunk;
+        self.lru.insert(key, ());
     }
 }
 
@@ -108,9 +87,7 @@ impl BlockStore for PageCache {
     fn lookup(&mut self, obj: ObjectId, offset: u64, len: u64) -> Lookup {
         let mut out = Lookup::default();
         for ci in self.chunks_of(offset, len) {
-            let key = (obj.raw(), ci);
-            if self.map.contains_key(&key) {
-                self.touch(key);
+            if self.lru.touch(&(obj.raw(), ci)).is_some() {
                 self.stats.hits += 1;
                 out.hit_bytes += self.chunk;
             } else {
@@ -123,7 +100,7 @@ impl BlockStore for PageCache {
 
     fn probe(&self, obj: ObjectId, offset: u64, len: u64) -> bool {
         self.chunks_of(offset, len)
-            .all(|ci| self.map.contains_key(&(obj.raw(), ci)))
+            .all(|ci| self.lru.contains(&(obj.raw(), ci)))
     }
 
     /// Inserts (or refreshes) the chunks covering the range, evicting LRU
@@ -132,9 +109,7 @@ impl BlockStore for PageCache {
         let mut any_miss = false;
         for ci in self.chunks_of(offset, len) {
             let key = (obj.raw(), ci);
-            if self.map.contains_key(&key) {
-                self.touch(key);
-            } else {
+            if self.lru.touch(&key).is_none() {
                 any_miss = true;
                 self.insert_chunk(key);
             }
@@ -148,47 +123,34 @@ impl BlockStore for PageCache {
 
     fn evict_to_fit(&mut self, bytes: u64) {
         let budget = self.capacity.saturating_sub(bytes);
-        while self.used > budget {
-            let Some((&tick, &victim)) = self.order.iter().next() else {
-                return;
-            };
-            self.order.remove(&tick);
-            self.map.remove(&victim);
-            self.used -= self.chunk;
-        }
+        while self.used_bytes() > budget && self.lru.pop_oldest().is_some() {}
     }
 
-    /// Drops every cached chunk of `obj` (e.g. `fadvise DONTNEED`).
-    ///
-    /// Walks the ordered LRU index rather than the hash map so the
-    /// drop order is deterministic (and lint-clean by construction).
+    /// Drops every cached chunk of `obj` (e.g. `fadvise DONTNEED`),
+    /// walking the recency list so the drop order is deterministic.
     fn evict_object(&mut self, obj: ObjectId) {
-        let victims: Vec<(u64, ChunkKey)> = self
-            .order
+        let victims: Vec<ChunkKey> = self
+            .lru
             .iter()
-            .filter(|(_, k)| k.0 == obj.raw())
-            .map(|(&tick, &k)| (tick, k))
+            .map(|(k, ())| k)
+            .filter(|k| k.0 == obj.raw())
             .collect();
-        for (tick, k) in victims {
-            self.order.remove(&tick);
-            self.map.remove(&k).expect("order/map out of sync");
-            self.used -= self.chunk;
+        for k in victims {
+            self.lru.remove(&k);
         }
     }
 
     /// Empties the cache (the paper's `drop_caches` between runs).
     fn clear(&mut self) {
-        self.map.clear();
-        self.order.clear();
-        self.used = 0;
+        self.lru.clear();
     }
 
     fn used_bytes(&self) -> u64 {
-        self.used
+        self.lru.len() as u64 * self.chunk
     }
 
     fn logical_bytes(&self) -> u64 {
-        self.used
+        self.used_bytes()
     }
 
     fn capacity_bytes(&self) -> u64 {
@@ -268,14 +230,14 @@ mod tests {
         assert_eq!(c.used_bytes(), 3 * 4096);
     }
 
-    /// Regression test pinning eviction order exactly: ticks are unique
-    /// (the tick counter increments on every touch/insert), so LRU ties
-    /// are impossible by construction and the eviction sequence is fully
-    /// determined by the access sequence. If `insert_range`-era tie
-    /// behavior ever resurfaces (multiple chunks sharing a tick, order
-    /// then depending on BTreeMap key layout), this test fails.
+    /// Regression test pinning eviction order exactly: every touch or
+    /// insert moves one chunk to the newest end of the recency list, so
+    /// LRU ties are impossible by construction and the eviction sequence
+    /// is fully determined by the access sequence. If chunks admitted by
+    /// one call ever stop entering the list in chunk order, this test
+    /// fails.
     #[test]
-    fn eviction_order_is_pinned_by_unique_ticks() {
+    fn eviction_order_is_pinned_by_access_order() {
         let mut c = PageCache::new(4 * 4096, 4096);
         // Admit chunks 0..4 in one call: internal order must be 0,1,2,3.
         c.admit(obj(1), 0, 4 * 4096);

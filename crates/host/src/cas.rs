@@ -13,17 +13,20 @@
 //! Chunking happens in **content space** (from offset 0 of each bound
 //! byte sequence), so replicas laid out at different — even differently
 //! aligned — image offsets still share chunks. Eviction is one global
-//! LRU over physical chunks; every map the store keeps is a `BTreeMap`,
-//! so iteration order, eviction order and statistics are deterministic.
+//! LRU over physical chunks, kept in an [`Lru`] list. Statistics and
+//! eviction order are deterministic: bindings live in a `BTreeMap`,
+//! recency order is the list, and the list's hash index is only ever
+//! probed by key, never iterated.
 
 use std::collections::BTreeMap;
 
 use crate::fs::ObjectId;
+use crate::lru::Lru;
 use crate::store::{Admission, BlockStore, CacheStats, ContentId, Lookup};
 
 /// Key of one physical chunk: content space for bound ranges, object
 /// space for everything else.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 enum ChunkKey {
     /// Chunk `idx` of content `cid` (shared across objects).
     Content { cid: u64, idx: u64 },
@@ -40,28 +43,17 @@ struct BindExtent {
     content_offset: u64,
 }
 
-/// A resident physical chunk: recency tick plus the object that first
-/// admitted it (distinguishes own hits from dedup hits).
-#[derive(Debug, Clone, Copy)]
-struct Resident {
-    tick: u64,
-    owner: u64,
-}
-
 /// The content-addressed store. See the module docs.
 #[derive(Debug, Clone)]
 pub struct CasStore {
     capacity: u64,
     chunk: u64,
-    used: u64,
-    tick: u64,
     /// `(object, image_offset)` -> binding; range-queried to segment
     /// object ranges into content/object pieces.
     bindings: BTreeMap<(u64, u64), BindExtent>,
-    /// chunk -> residency record.
-    resident: BTreeMap<ChunkKey, Resident>,
-    /// last-use tick -> chunk (ticks are unique): the global LRU order.
-    order: BTreeMap<u64, ChunkKey>,
+    /// Resident chunks, least recently used first, each with the object
+    /// that first admitted it (distinguishes own hits from dedup hits).
+    resident: Lru<ChunkKey, u64>,
     stats: CacheStats,
 }
 
@@ -77,11 +69,8 @@ impl CasStore {
         CasStore {
             capacity,
             chunk,
-            used: 0,
-            tick: 0,
             bindings: BTreeMap::new(),
-            resident: BTreeMap::new(),
-            order: BTreeMap::new(),
+            resident: Lru::new(),
             stats: CacheStats::default(),
         }
     }
@@ -137,32 +126,13 @@ impl CasStore {
         keys
     }
 
-    fn touch(&mut self, key: ChunkKey) {
-        let r = self.resident.get_mut(&key).expect("touch of absent chunk");
-        let old = r.tick;
-        self.tick += 1;
-        r.tick = self.tick;
-        self.order.remove(&old);
-        self.order.insert(self.tick, key);
-    }
-
     fn insert_chunk(&mut self, key: ChunkKey, owner: u64) {
-        while self.used + self.chunk > self.capacity {
-            let (&tick, &victim) = self.order.iter().next().expect("store over-full but empty");
-            self.order.remove(&tick);
-            self.resident.remove(&victim);
-            self.used -= self.chunk;
+        while self.used_bytes() + self.chunk > self.capacity {
+            self.resident
+                .pop_oldest()
+                .expect("store over-full but empty");
         }
-        self.tick += 1;
-        self.resident.insert(
-            key,
-            Resident {
-                tick: self.tick,
-                owner,
-            },
-        );
-        self.order.insert(self.tick, key);
-        self.used += self.chunk;
+        self.resident.insert(key, owner);
     }
 }
 
@@ -170,10 +140,9 @@ impl BlockStore for CasStore {
     fn lookup(&mut self, obj: ObjectId, offset: u64, len: u64) -> Lookup {
         let mut out = Lookup::default();
         for key in self.keys_for(obj.raw(), offset, len) {
-            match self.resident.get(&key) {
-                Some(r) => {
-                    let dedup = matches!(key, ChunkKey::Content { .. }) && r.owner != obj.raw();
-                    self.touch(key);
+            match self.resident.touch(&key) {
+                Some(owner) => {
+                    let dedup = matches!(key, ChunkKey::Content { .. }) && owner != obj.raw();
                     self.stats.hits += 1;
                     if dedup {
                         self.stats.dedup_hits += 1;
@@ -194,17 +163,16 @@ impl BlockStore for CasStore {
     fn probe(&self, obj: ObjectId, offset: u64, len: u64) -> bool {
         self.keys_for(obj.raw(), offset, len)
             .iter()
-            .all(|k| self.resident.contains_key(k))
+            .all(|k| self.resident.contains(k))
     }
 
     fn admit(&mut self, obj: ObjectId, offset: u64, len: u64) -> Admission {
         let mut any_miss = false;
         let mut any_dedup = false;
         for key in self.keys_for(obj.raw(), offset, len) {
-            match self.resident.get(&key) {
-                Some(r) => {
-                    any_dedup |= matches!(key, ChunkKey::Content { .. }) && r.owner != obj.raw();
-                    self.touch(key);
+            match self.resident.touch(&key) {
+                Some(owner) => {
+                    any_dedup |= matches!(key, ChunkKey::Content { .. }) && owner != obj.raw();
                 }
                 None => {
                     any_miss = true;
@@ -223,14 +191,7 @@ impl BlockStore for CasStore {
 
     fn evict_to_fit(&mut self, bytes: u64) {
         let budget = self.capacity.saturating_sub(bytes);
-        while self.used > budget {
-            let Some((&tick, &victim)) = self.order.iter().next() else {
-                return;
-            };
-            self.order.remove(&tick);
-            self.resident.remove(&victim);
-            self.used -= self.chunk;
-        }
+        while self.used_bytes() > budget && self.resident.pop_oldest().is_some() {}
     }
 
     fn bind(
@@ -257,40 +218,34 @@ impl BlockStore for CasStore {
     /// Drops `obj`'s private chunks and the shared content chunks it
     /// admitted (co-sharers of evicted content refault deterministically).
     fn evict_object(&mut self, obj: ObjectId) {
-        let victims: Vec<(u64, ChunkKey)> = self
-            .order
+        let victims: Vec<ChunkKey> = self
+            .resident
             .iter()
-            .filter(|(_, k)| match k {
-                ChunkKey::Object { obj: o, .. } => *o == obj.raw(),
-                ChunkKey::Content { .. } => self.resident[k].owner == obj.raw(),
+            .filter(|&(k, owner)| match k {
+                ChunkKey::Object { obj: o, .. } => o == obj.raw(),
+                ChunkKey::Content { .. } => owner == obj.raw(),
             })
-            .map(|(&tick, &k)| (tick, k))
+            .map(|(k, _)| k)
             .collect();
-        for (tick, k) in victims {
-            self.order.remove(&tick);
-            self.resident
-                .remove(&k)
-                .expect("order/resident out of sync");
-            self.used -= self.chunk;
+        for k in victims {
+            self.resident.remove(&k);
         }
     }
 
     fn clear(&mut self) {
         self.resident.clear();
-        self.order.clear();
-        self.used = 0;
     }
 
     fn used_bytes(&self) -> u64 {
-        self.used
+        self.resident.len() as u64 * self.chunk
     }
 
     fn logical_bytes(&self) -> u64 {
         // Private chunks serve exactly one object...
         let mut logical = self
             .resident
-            .keys()
-            .filter(|k| matches!(k, ChunkKey::Object { .. }))
+            .iter()
+            .filter(|(k, _)| matches!(k, ChunkKey::Object { .. }))
             .count() as u64
             * self.chunk;
         // ...while a content chunk serves every binding that covers it.
@@ -298,7 +253,7 @@ impl BlockStore for CasStore {
             let c0 = be.content_offset / self.chunk;
             let c1 = (be.content_offset + be.len - 1) / self.chunk;
             for idx in c0..=c1 {
-                if self.resident.contains_key(&ChunkKey::Content {
+                if self.resident.contains(&ChunkKey::Content {
                     cid: be.content,
                     idx,
                 }) {

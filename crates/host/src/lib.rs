@@ -16,6 +16,8 @@
 //! * [`cas::CasStore`] — the content-addressed shared host store: ranges
 //!   bound to a [`store::ContentId`] (HDFS replicas, shared files) occupy
 //!   physical capacity once and dedup hits are served by mapping;
+//! * [`lru::Lru`] — the index-linked recency list both stores evict by,
+//!   with O(1) touch, insert and eviction;
 //! * [`fs::GuestFs`] — a small extent-based filesystem inside each VM's
 //!   disk image, plus [`fs::FsSnapshot`], the hypervisor-side mounted view
 //!   whose staleness/refresh implements the paper's `vRead_update`
@@ -35,6 +37,7 @@ pub mod cluster;
 pub mod costs;
 pub mod fault;
 pub mod fs;
+pub mod lru;
 pub mod store;
 pub mod virtio;
 

@@ -8,7 +8,7 @@
 //!
 //! # Hot-path layout
 //!
-//! Three structures carry nearly all of the run-loop cost, and each is
+//! Four structures carry nearly all of the run-loop cost, and each is
 //! shaped to avoid per-event work:
 //!
 //! * **Same-time fast lane** — events scheduled for the current instant
@@ -17,6 +17,10 @@
 //!   anything pushed "at now" sorts after every pending same-time heap
 //!   entry, so FIFO order *is* `(time, seq)` order; RPC-style message
 //!   ping-pong never touches the `BinaryHeap` at all.
+//! * **Core-timer tree** — each core's single valid timer lives in a
+//!   per-core slot table with a tournament tree over it
+//!   (`crate::timers`), so the earliest core timer is read in O(1) and
+//!   arming one costs O(log cores), however many hosts the world has.
 //! * **Chain slab** — in-flight chains live in a free-list slab indexed
 //!   directly by [`ChainId`] (generation-tagged against stale resumes)
 //!   rather than a hash map; see [`crate::slab`].
@@ -42,6 +46,7 @@ use crate::slab::ChainSlab;
 use crate::span::{SpanId, SpanRecorder};
 use crate::time::{SimDuration, SimTime};
 use crate::timeline::Timeline;
+use crate::timers::CoreTimers;
 use crate::trace::{TraceDetail, TraceKind, TraceRef, Tracer};
 
 /// A component that receives messages and reacts by scheduling work,
@@ -121,18 +126,6 @@ pub(crate) struct Outbound {
     pub(crate) msg: BoxMsg,
 }
 
-/// Armed-timer slot of one core. Each core has at most one *valid*
-/// pending [`EvKind::CoreTimer`] at any time (re-arming always bumps the
-/// core's generation, invalidating the previous timer), so core timers
-/// live in a flat per-core table instead of the heap: arming is a slot
-/// overwrite and stale timers vanish instead of firing as no-ops.
-struct CoreTimerSlot {
-    host: HostId,
-    core: u32,
-    /// `(fire_time, seq, gen)` when armed.
-    armed: Option<(SimTime, u64, u64)>,
-}
-
 /// The simulation world. See the crate docs for an end-to-end example.
 pub struct World {
     now: SimTime,
@@ -148,10 +141,9 @@ pub struct World {
     /// same-time heap entry pushed before time advanced to `now`.
     fifo: VecDeque<(u64, EvKind)>,
     heap: BinaryHeap<HeapEv>,
-    /// One slot per core across all hosts (see [`CoreTimerSlot`]).
-    core_timers: Vec<CoreTimerSlot>,
-    /// Number of currently armed `core_timers` slots.
-    armed_timers: usize,
+    /// One armed-timer slot per core across all hosts, with a
+    /// tournament tree for the earliest (see `crate::timers`).
+    timers: CoreTimers,
     actors: Vec<ActorSlot>,
     pub(crate) sched: Sched,
     chains: ChainSlab,
@@ -190,13 +182,7 @@ impl std::fmt::Debug for World {
         f.debug_struct("World")
             .field("now", &self.now)
             .field("actors", &self.actors.len())
-            .field(
-                "pending_events",
-                &(self.heap.len()
-                    + self.fifo.len()
-                    + usize::from(self.next_now.is_some())
-                    + self.armed_timers),
-            )
+            .field("pending_events", &self.pending_events())
             .field("events_processed", &self.events_processed)
             .finish()
     }
@@ -214,8 +200,7 @@ impl World {
             next_now: None,
             fifo: VecDeque::new(),
             heap: BinaryHeap::new(),
-            core_timers: Vec::new(),
-            armed_timers: 0,
+            timers: CoreTimers::default(),
             actors: Vec::new(),
             sched: Sched::default(),
             chains: ChainSlab::new(),
@@ -260,15 +245,9 @@ impl World {
         ghz: f64,
         params: SchedParams,
     ) -> HostId {
-        let core_base = self.core_timers.len();
+        let core_base = self.timers.len();
         let id = self.sched.add_host(name, cores, ghz, params, core_base);
-        for c in 0..cores {
-            self.core_timers.push(CoreTimerSlot {
-                host: id,
-                core: c.try_into().expect("core count fits u32"),
-                armed: None,
-            });
-        }
+        self.timers.add_host(id, cores);
         id
     }
 
@@ -436,24 +415,15 @@ impl World {
     pub(crate) fn push_core_timer(&mut self, t: SimTime, host: HostId, core: usize, gen: u64) {
         let slot = self.sched.hosts[host.index()].core_base + core;
         self.seq += 1;
-        let s = &mut self.core_timers[slot];
-        if s.armed.is_none() {
-            self.armed_timers += 1;
-        }
-        s.armed = Some((t, self.seq, gen));
+        self.timers.arm(slot, t, self.seq, gen);
     }
 
-    /// Earliest armed core timer as `(time, seq, slot)`, if any.
-    fn min_timer(&self) -> Option<(SimTime, u64, usize)> {
-        let mut best: Option<(SimTime, u64, usize)> = None;
-        for (i, s) in self.core_timers.iter().enumerate() {
-            if let Some((t, seq, _)) = s.armed {
-                if best.is_none_or(|(bt, bs, _)| (t, seq) < (bt, bs)) {
-                    best = Some((t, seq, i));
-                }
-            }
-        }
-        best
+    /// Events waiting to run: heap, fast lane and armed core timers.
+    fn pending_events(&self) -> usize {
+        self.heap.len()
+            + self.fifo.len()
+            + usize::from(self.next_now.is_some())
+            + self.timers.armed()
     }
 
     // -- chains -------------------------------------------------------------
@@ -590,10 +560,7 @@ impl World {
             return Some(self.now);
         }
         let heap = self.heap.peek().map(|ev| ev.t);
-        if self.armed_timers == 0 {
-            return heap;
-        }
-        let timer = self.min_timer().map(|(t, _, _)| t);
+        let timer = self.timers.min().map(|(t, _, _)| t);
         match (heap, timer) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -616,12 +583,10 @@ impl World {
             }
         }
         let mut slot = 0usize;
-        if self.armed_timers > 0 {
-            if let Some((t, seq, i)) = self.min_timer() {
-                if best.is_none_or(|b| (t, seq) < b) {
-                    src = 3;
-                    slot = i;
-                }
+        if let Some((t, seq, i)) = self.timers.min() {
+            if best.is_none_or(|b| (t, seq) < b) {
+                src = 3;
+                slot = i;
             }
         }
         match src {
@@ -636,10 +601,7 @@ impl World {
                 Some((ev.t, ev.kind))
             }
             3 => {
-                let s = &mut self.core_timers[slot];
-                let (t, _, gen) = s.armed.take().expect("scanned");
-                self.armed_timers -= 1;
-                let (host, core) = (s.host, s.core as usize);
+                let (t, host, core, gen) = self.timers.pop(slot);
                 Some((t, EvKind::CoreTimer { host, core, gen }))
             }
             _ => None,
@@ -799,7 +761,7 @@ impl World {
             out,
             "now={} pending_events={} chains={}",
             self.now,
-            self.heap.len() + self.fifo.len() + usize::from(self.next_now.is_some()),
+            self.pending_events(),
             self.chains.len()
         );
         for (id, ch) in self.chains.iter() {
@@ -1230,6 +1192,104 @@ mod tests {
         );
         assert!(rendered.contains("chain-done"));
         assert!(!w.tracer.is_empty(), "tracer recorded nothing");
+    }
+
+    /// Short CPU bursts on an I/O thread, `left` times, `every` apart.
+    struct Burst {
+        thread: ThreadId,
+        every: SimDuration,
+        left: u32,
+    }
+    struct Tick;
+    impl Actor for Burst {
+        fn handle(&mut self, msg: BoxMsg, ctx: &mut Ctx<'_>) {
+            let me = ctx.me();
+            if msg.is::<Start>() || msg.is::<Tick>() {
+                ctx.cpu(self.thread, 20_000, CpuCategory::Other, me, Done);
+            } else if msg.is::<Done>() && self.left > 0 {
+                self.left -= 1;
+                ctx.timer(Tick, self.every);
+            }
+        }
+    }
+
+    /// 20 hosts × 4 cores, every core contended by hogs of uneven burst
+    /// lengths, plus an I/O thread per host waking up on its own period.
+    fn timer_heavy_world() -> World {
+        let mut w = World::new(7);
+        for h in 0..20u64 {
+            let host = w.add_host(&format!("h{h}"), 4, 2.0);
+            for k in 0..6u64 {
+                let thread = w.add_thread(host, &format!("hog{h}.{k}"));
+                let a = w.add_actor(
+                    "hog",
+                    Hog {
+                        thread,
+                        burst: 300_000 + 70_000 * k + 1_000 * h,
+                        cat: CpuCategory::Lookbusy,
+                    },
+                );
+                w.send_now(a, Start);
+            }
+            let thread = w.add_thread(host, &format!("io{h}"));
+            let a = w.add_actor(
+                "io",
+                Burst {
+                    thread,
+                    every: SimDuration::from_micros(150 + 10 * h),
+                    left: 100,
+                },
+            );
+            w.send_now(a, Start);
+        }
+        w
+    }
+
+    #[test]
+    fn timer_tree_matches_scan_at_scale() {
+        let end = SimTime::from_nanos(30_000_000);
+        let mut ran = timer_heavy_world();
+        ran.run_until(end);
+        // The same world driven one event at a time, checking the tree's
+        // root against a scan of every core before each event.
+        let mut stepped = timer_heavy_world();
+        while let Some(t) = stepped.next_event_time() {
+            if t > end {
+                break;
+            }
+            #[cfg(debug_assertions)]
+            assert_eq!(stepped.timers.min(), stepped.timers.scan_min());
+            stepped.step();
+        }
+        stepped.run_until(end);
+        assert!(ran.events_processed() > 10_000, "too few events to matter");
+        assert_eq!(
+            (ran.now(), ran.events_processed()),
+            (stepped.now(), stepped.events_processed())
+        );
+        for t in 0..ran.sched.threads.len() {
+            assert_eq!(ran.acct.busy_ns(t), stepped.acct.busy_ns(t), "thread {t}");
+        }
+    }
+
+    #[test]
+    fn dump_state_counts_armed_timers() {
+        let mut w = World::new(1);
+        let h = w.add_host("h", 1, 1.0);
+        let thread = w.add_thread(h, "hog");
+        let hog = w.add_actor(
+            "hog",
+            Hog {
+                thread,
+                burst: 1_000_000,
+                cat: CpuCategory::Other,
+            },
+        );
+        w.send_now(hog, Start);
+        w.step(); // the hog's first burst arms the core timer
+        assert_eq!(w.timers.armed(), 1);
+        assert!(w.dump_state().contains("pending_events=1 "));
+        assert!(format!("{w:?}").contains("pending_events: 1,"));
     }
 
     #[test]

@@ -66,6 +66,7 @@ mod slab;
 pub mod span;
 pub mod time;
 pub mod timeline;
+mod timers;
 pub mod trace;
 
 pub use chain::{Stage, StageList};
