@@ -125,11 +125,7 @@ impl TestDfsio {
         let vcpu = self.vcpu(ctx);
         let me = ctx.me();
         ctx.chain(
-            vec![Stage::cpu(
-                vcpu,
-                self.cfg.task_setup_cycles,
-                CpuCategory::MapReduce,
-            )],
+            Stage::cpu(vcpu, self.cfg.task_setup_cycles, CpuCategory::MapReduce),
             me,
             TaskReady,
         );

@@ -211,7 +211,7 @@ impl HbaseClient {
         let vcpu = self.vcpu(ctx);
         let me = ctx.me();
         ctx.chain(
-            vec![Stage::cpu(vcpu, rows * per_row, CpuCategory::ClientApp)],
+            Stage::cpu(vcpu, rows * per_row, CpuCategory::ClientApp),
             me,
             RowsCpuDone { rows },
         );

@@ -131,11 +131,7 @@ impl Actor for HiveQuery {
             let vcpu = self.vcpu(ctx);
             let me = ctx.me();
             ctx.chain(
-                vec![Stage::cpu(
-                    vcpu,
-                    self.cfg.setup_cycles,
-                    CpuCategory::MapReduce,
-                )],
+                Stage::cpu(vcpu, self.cfg.setup_cycles, CpuCategory::MapReduce),
                 me,
                 SetupDone,
             );
@@ -155,11 +151,7 @@ impl Actor for HiveQuery {
                 let vcpu = self.vcpu(ctx);
                 let me = ctx.me();
                 ctx.chain(
-                    vec![Stage::cpu(
-                        vcpu,
-                        rows * self.cfg.row_cycles,
-                        CpuCategory::MapReduce,
-                    )],
+                    Stage::cpu(vcpu, rows * self.cfg.row_cycles, CpuCategory::MapReduce),
                     me,
                     FilterDone {
                         rows,

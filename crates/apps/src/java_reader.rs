@@ -104,16 +104,16 @@ impl JavaReader {
                 let vm = self.vm;
                 let offset = self.offset;
                 let stages = with_cluster(ctx.world, |cl, _| {
-                    let (extents, vcpu) = {
+                    let (mut extents, vcpu) = {
                         let fs = &cl.vm(vm).fs;
                         let f = fs.lookup(&path).expect("local file missing");
                         (
-                            fs.resolve(f, offset, len).expect("read within file"),
+                            fs.cursor(f, offset, len).expect("read within file"),
                             cl.vm(vm).vcpu,
                         )
                     };
-                    let mut st = Vec::new();
-                    for e in extents {
+                    let mut st = StageList::new();
+                    while let Some(e) = extents.advance(&cl.vm(vm).fs) {
                         st.extend(guest_disk_read(
                             cl,
                             vm,

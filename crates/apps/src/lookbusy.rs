@@ -76,7 +76,7 @@ impl Lookbusy {
         let cycles = (busy_ns * ghz) as u64;
         let me = ctx.me();
         ctx.chain(
-            vec![Stage::cpu(self.thread, cycles, CpuCategory::Lookbusy)],
+            Stage::cpu(self.thread, cycles, CpuCategory::Lookbusy),
             me,
             BurstDone,
         );

@@ -43,7 +43,7 @@ impl Actor for NetperfServer {
             };
             // server-side request handling, then respond
             ctx.chain(
-                vec![Stage::cpu(vcpu, APP_CYCLES, CpuCategory::ClientApp)],
+                Stage::cpu(vcpu, APP_CYCLES, CpuCategory::ClientApp),
                 r.conn,
                 resp,
             );

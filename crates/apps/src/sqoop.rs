@@ -66,11 +66,7 @@ impl Actor for MysqlServer {
                 let rows = (r.bytes / 100).max(1);
                 let me = ctx.me();
                 ctx.chain(
-                    vec![Stage::cpu(
-                        self.thread,
-                        rows * self.row_cycles,
-                        CpuCategory::Mysql,
-                    )],
+                    Stage::cpu(self.thread, rows * self.row_cycles, CpuCategory::Mysql),
                     me,
                     InsertDone {
                         conn: r.conn,
@@ -229,11 +225,11 @@ impl Actor for SqoopExport {
                 let vcpu = self.vcpu(ctx);
                 let me = ctx.me();
                 ctx.chain(
-                    vec![Stage::cpu(
+                    Stage::cpu(
                         vcpu,
                         rows * self.cfg.serialize_row_cycles,
                         CpuCategory::MapReduce,
-                    )],
+                    ),
                     me,
                     SerializeDone { rows },
                 );

@@ -150,7 +150,7 @@ impl WordCount {
         let vcpu = self.vcpu(ctx);
         let me = ctx.me();
         ctx.chain(
-            vec![Stage::cpu(vcpu, cycles, CpuCategory::MapReduce)],
+            Stage::cpu(vcpu, cycles, CpuCategory::MapReduce),
             me,
             PhaseCpuDone,
         );
@@ -163,7 +163,7 @@ impl WordCount {
         let vcpu = self.vcpu(ctx);
         let me = ctx.me();
         ctx.chain(
-            vec![Stage::cpu(vcpu, cycles, CpuCategory::MapReduce)],
+            Stage::cpu(vcpu, cycles, CpuCategory::MapReduce),
             me,
             PhaseCpuDone,
         );
@@ -204,7 +204,7 @@ impl Actor for WordCount {
                 let vcpu = self.vcpu(ctx);
                 let me = ctx.me();
                 ctx.chain(
-                    vec![Stage::cpu(vcpu, cycles, CpuCategory::MapReduce)],
+                    Stage::cpu(vcpu, cycles, CpuCategory::MapReduce),
                     me,
                     MapCpuDone { bytes: d.bytes },
                 );

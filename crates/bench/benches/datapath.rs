@@ -79,7 +79,7 @@ fn bench_ring_stage_build(c: &mut Criterion) {
         b.iter(|| {
             let mut st = ring.daemon_push_stages(&costs, t, 256 * 1024);
             st.extend(ring.guest_pop_stages(&costs, t, 256 * 1024));
-            st.len()
+            st.remaining()
         });
     });
 }

@@ -366,13 +366,12 @@ impl VreadDaemon {
         self.next_id
     }
 
-    fn costs(ctx: &Ctx<'_>) -> vread_host::Costs {
-        ctx.world
+    fn costs<'a>(ctx: &'a Ctx<'_>) -> &'a vread_host::Costs {
+        &ctx.world
             .ext
             .get::<Cluster>()
             .expect("Cluster missing")
             .costs
-            .clone()
     }
 
     /// Opens `block` on a *local* datanode VM through the mounted view.
@@ -432,71 +431,68 @@ impl VreadDaemon {
         conn
     }
 
-    /// Stage list for the daemon reading `len` bytes at `offset` of a
-    /// mounted image file (loop device + host block store + SSD), plus
-    /// what the host store said about the range — `pump_local` uses the
-    /// outcome to pick the map-serve fast path for pure dedup hits.
+    /// Pushes the stages of the daemon reading `len` bytes at `offset`
+    /// of a mounted image file (loop device + host block store + SSD)
+    /// onto `st`, and returns what the host store said about the range —
+    /// `pump_local` uses the outcome to pick the map-serve fast path for
+    /// pure dedup hits.
     fn image_read_stages(
         &self,
-        ctx: &mut Ctx<'_>,
+        cl: &mut Cluster,
         dn_vm: VmId,
         file: FileId,
         offset: u64,
         len: u64,
-    ) -> (Vec<Stage>, ImageReadOutcome) {
+        st: &mut StageList,
+    ) -> ImageReadOutcome {
         let thread = self.thread;
-        let bypass = self.bypass_host_fs;
-        with_cluster(ctx.world, |cl, _w| {
-            let c = cl.costs.clone();
-            let mut st = Vec::with_capacity(6);
-            let mut out = ImageReadOutcome::default();
-            st.push(Stage::cpu(
-                thread,
-                c.loop_request_cycles + c.daemon_lookup_cycles,
-                CpuCategory::LoopDevice,
-            ));
-            let obj = cl.vm(dn_vm).fs.image();
-            let extents = cl
-                .vm(dn_vm)
-                .fs
-                .resolve(file, offset, len)
-                .expect("vfd read within snapshot size");
-            let host = cl.vm(dn_vm).host;
-            for e in &extents {
-                if bypass {
-                    // §6 variant: raw device read, manual 3-level address
-                    // translation, no host page cache benefit.
-                    st.push(Stage::cpu(
-                        thread,
-                        3 * c.fs_lookup_cycles,
-                        CpuCategory::LoopDevice,
-                    ));
+        let c = &cl.costs;
+        let mut out = ImageReadOutcome::default();
+        st.push(Stage::cpu(
+            thread,
+            c.loop_request_cycles + c.daemon_lookup_cycles,
+            CpuCategory::LoopDevice,
+        ));
+        let vm = &cl.vms[dn_vm.0];
+        let obj = vm.fs.image();
+        let hw = &mut cl.hosts[vm.host.0];
+        let mut extents = vm
+            .fs
+            .cursor(file, offset, len)
+            .expect("vfd read within snapshot size");
+        while let Some(e) = extents.advance(&vm.fs) {
+            if self.bypass_host_fs {
+                // §6 variant: raw device read, manual 3-level address
+                // translation, no host page cache benefit.
+                st.push(Stage::cpu(
+                    thread,
+                    3 * c.fs_lookup_cycles,
+                    CpuCategory::LoopDevice,
+                ));
+                st.push(Stage::cpu(thread, c.blk_host_cycles, CpuCategory::DiskRead));
+                st.push(Stage::disk(hw.dev, e.len));
+                out.miss_bytes += e.len;
+            } else {
+                let look = hw.cache.lookup(obj, e.image_offset, e.len);
+                out.miss_bytes += look.miss_bytes;
+                out.dedup_bytes += look.dedup_bytes;
+                if look.miss_bytes > 0 {
                     st.push(Stage::cpu(thread, c.blk_host_cycles, CpuCategory::DiskRead));
-                    st.push(Stage::disk(cl.hosts[host.0].dev, e.len));
-                    out.miss_bytes += e.len;
-                } else {
-                    let store = &mut cl.hosts[host.0].cache;
-                    let look = store.lookup(obj, e.image_offset, e.len);
-                    out.miss_bytes += look.miss_bytes;
-                    out.dedup_bytes += look.dedup_bytes;
-                    if look.miss_bytes > 0 {
-                        st.push(Stage::cpu(thread, c.blk_host_cycles, CpuCategory::DiskRead));
-                        st.push(Stage::disk(cl.hosts[host.0].dev, look.miss_bytes));
-                        if cl.hosts[host.0].cache.content_addressed() {
-                            // Content-addressed admission fingerprints the
-                            // bytes it pulls from disk.
-                            st.push(Stage::cpu(
-                                thread,
-                                (look.miss_bytes as f64 * c.cas_hash_cyc_per_byte).round() as u64,
-                                CpuCategory::Daemon,
-                            ));
-                        }
+                    st.push(Stage::disk(hw.dev, look.miss_bytes));
+                    if hw.cache.content_addressed() {
+                        // Content-addressed admission fingerprints the
+                        // bytes it pulls from disk.
+                        st.push(Stage::cpu(
+                            thread,
+                            (look.miss_bytes as f64 * c.cas_hash_cyc_per_byte).round() as u64,
+                            CpuCategory::Daemon,
+                        ));
                     }
-                    cl.hosts[host.0].cache.admit(obj, e.image_offset, e.len);
                 }
+                hw.cache.admit(obj, e.image_offset, e.len);
             }
-            (st, out)
-        })
+        }
+        out
     }
 
     // -- local read streaming -------------------------------------------------
@@ -510,34 +506,37 @@ impl VreadDaemon {
             if r.inflight >= DAEMON_WINDOW || r.remaining == 0 {
                 return;
             }
-            let costs = Self::costs(ctx);
-            let ring = RingSpec::from_costs(&costs);
-            let chunk = costs
-                .stream_chunk_bytes
-                .min(ring.max_chunk_for_window(DAEMON_WINDOW as u64));
-            let (dn_vm, file, offset, take, client_vm, span) = {
-                let r = self.local_reads.get_mut(&read).expect("read vanished");
+            let (dn_vm, file, offset, client_vm, span) =
+                (r.dn_vm, r.file, r.next_offset, r.client_vm, r.span);
+            let (stages, take) = with_cluster(ctx.world, |cl, _w| {
+                let ring = RingSpec::from_costs(&cl.costs);
+                let chunk = cl
+                    .costs
+                    .stream_chunk_bytes
+                    .min(ring.max_chunk_for_window(DAEMON_WINDOW as u64));
                 let take = r.remaining.min(chunk);
-                let off = r.next_offset;
+                let mut stages = StageList::new();
+                let outcome = self.image_read_stages(cl, dn_vm, file, offset, take, &mut stages);
+                let costs = &cl.costs;
+                if outcome.miss_bytes == 0 && outcome.dedup_bytes > 0 {
+                    // Pure dedup hit in a content-addressed host store:
+                    // the daemon maps the resident pages into the ring
+                    // instead of copying — one copy per read (the guest
+                    // pop) remains.
+                    stages.extend(ring.daemon_map_stages(costs, self.thread, take));
+                } else {
+                    stages.extend(ring.daemon_push_stages(costs, self.thread, take));
+                }
+                let vcpu = cl.vm(client_vm).vcpu;
+                stages.extend(ring.guest_pop_stages(costs, vcpu, take));
+                (stages, take)
+            });
+            {
+                let r = self.local_reads.get_mut(&read).expect("read vanished");
                 r.next_offset += take;
                 r.remaining -= take;
                 r.inflight += 1;
-                (r.dn_vm, r.file, off, take, r.client_vm, r.span)
-            };
-            let (mut stages, outcome) = self.image_read_stages(ctx, dn_vm, file, offset, take);
-            if outcome.miss_bytes == 0 && outcome.dedup_bytes > 0 {
-                // Pure dedup hit in a content-addressed host store: the
-                // daemon maps the resident pages into the ring instead of
-                // copying — one copy per read (the guest pop) remains.
-                stages.extend(ring.daemon_map_stages(&costs, self.thread, take));
-            } else {
-                stages.extend(ring.daemon_push_stages(&costs, self.thread, take));
             }
-            let vcpu = {
-                let cl = ctx.world.ext.get::<Cluster>().expect("cluster");
-                cl.vm(client_vm).vcpu
-            };
-            stages.extend(ring.guest_pop_stages(&costs, vcpu, take));
             ctx.world.metrics.gauge_add_to(self.ring_gauge, take as f64);
             ctx.chain_on(stages, me, LocalChunkDone { read, bytes: take }, span);
         }
@@ -554,32 +553,35 @@ impl VreadDaemon {
             if s.inflight >= DAEMON_WINDOW || s.remaining == 0 {
                 return;
             }
-            let costs = Self::costs(ctx);
             let transport = ctx
                 .world
                 .ext
                 .get::<VreadRegistry>()
                 .expect("registry")
                 .transport;
-            let (dn_vm, file, offset, take, span) = {
+            let (dn_vm, file, offset, span) = (s.dn_vm, s.file, s.next_offset, s.span);
+            let (stages, take) = with_cluster(ctx.world, |cl, _w| {
+                let take = s.remaining.min(cl.costs.stream_chunk_bytes);
+                let mut stages = StageList::new();
+                self.image_read_stages(cl, dn_vm, file, offset, take, &mut stages);
+                if transport == RemoteTransport::Rdma {
+                    // Copy into the registered memory region the NIC
+                    // pushes from (the paper's "active model" on the
+                    // datanode side).
+                    stages.push(Stage::copy(
+                        self.thread,
+                        cl.costs.copy_cycles(take) / 2,
+                        CpuCategory::Rdma,
+                        take,
+                    ));
+                }
+                (stages, take)
+            });
+            {
                 let s = self.serves.get_mut(&key).expect("serve vanished");
-                let take = s.remaining.min(costs.stream_chunk_bytes);
-                let off = s.next_offset;
                 s.next_offset += take;
                 s.remaining -= take;
                 s.inflight += 1;
-                (s.dn_vm, s.file, off, take, s.span)
-            };
-            let (mut stages, _outcome) = self.image_read_stages(ctx, dn_vm, file, offset, take);
-            if transport == RemoteTransport::Rdma {
-                // Copy into the registered memory region the NIC pushes
-                // from (the paper's "active model" on the datanode side).
-                stages.push(Stage::copy(
-                    self.thread,
-                    costs.copy_cycles(take) / 2,
-                    CpuCategory::Rdma,
-                    take,
-                ));
             }
             ctx.chain_on(stages, me, ServeChunkReady { key, bytes: take }, span);
         }
@@ -607,13 +609,13 @@ impl Actor for VreadDaemon {
                         position: 0,
                     });
                     ctx.chain_on(
-                        vec![Stage::cpu(
+                        Stage::cpu(
                             self.thread,
                             costs.eventfd_cycles
                                 + costs.daemon_lookup_cycles
                                 + costs.fs_lookup_cycles,
                             CpuCategory::Daemon,
-                        )],
+                        ),
                         req.reply_to,
                         VreadOpenResp {
                             token: req.token,
@@ -632,11 +634,11 @@ impl Actor for VreadDaemon {
                         reg.daemons[&dn_host.0].0
                     };
                     ctx.chain_on(
-                        vec![Stage::cpu(
+                        Stage::cpu(
                             self.thread,
                             costs.eventfd_cycles + costs.rdma_post_cycles,
                             CpuCategory::Daemon,
-                        )],
+                        ),
                         peer,
                         ROpen {
                             from: me,
@@ -705,11 +707,11 @@ impl Actor for VreadDaemon {
                         };
                         let costs = Self::costs(ctx);
                         ctx.chain_on(
-                            vec![Stage::cpu(
+                            Stage::cpu(
                                 self.thread,
                                 costs.eventfd_cycles + costs.rdma_post_cycles,
                                 CpuCategory::Daemon,
-                            )],
+                            ),
                             peer,
                             RRead {
                                 from: ctx.me(),
@@ -790,11 +792,11 @@ impl Actor for VreadDaemon {
                 let costs = Self::costs(ctx);
                 let opened = self.open_local(ctx, op.dn, op.block);
                 ctx.chain(
-                    vec![Stage::cpu(
+                    Stage::cpu(
                         self.thread,
                         costs.fs_lookup_cycles + costs.daemon_lookup_cycles,
                         CpuCategory::Daemon,
-                    )],
+                    ),
                     op.from,
                     ROpenResp {
                         tag: op.tag,
@@ -890,11 +892,11 @@ impl Actor for VreadDaemon {
                     let costs = Self::costs(ctx);
                     let me = ctx.me();
                     ctx.chain(
-                        vec![Stage::cpu(
+                        Stage::cpu(
                             self.thread,
                             costs.mount_refresh_cycles + costs.fs_lookup_cycles,
                             CpuCategory::Daemon,
-                        )],
+                        ),
                         me,
                         MountRefreshed { vm_ix: mig.vm.0 },
                     );
@@ -957,8 +959,6 @@ impl Actor for VreadDaemon {
                 let Some(&read) = self.data_waits.get(&key) else {
                     return;
                 };
-                let costs = Self::costs(ctx);
-                let ring = RingSpec::from_costs(&costs);
                 let (client_vm, span) = {
                     let Some(rr) = self.remote_reads.get_mut(&read) else {
                         return;
@@ -967,12 +967,14 @@ impl Actor for VreadDaemon {
                     (rr.client_vm, rr.span)
                 };
                 let me = ctx.me();
-                let vcpu = {
+                let stages = {
                     let cl = ctx.world.ext.get::<Cluster>().expect("cluster");
-                    cl.vm(client_vm).vcpu
+                    let ring = RingSpec::from_costs(&cl.costs);
+                    let vcpu = cl.vm(client_vm).vcpu;
+                    let mut stages = ring.daemon_push_stages(&cl.costs, self.thread, r.bytes);
+                    stages.extend(ring.guest_pop_stages(&cl.costs, vcpu, r.bytes));
+                    stages
                 };
-                let mut stages = ring.daemon_push_stages(&costs, self.thread, r.bytes);
-                stages.extend(ring.guest_pop_stages(&costs, vcpu, r.bytes));
                 ctx.world
                     .metrics
                     .gauge_add_to(self.ring_gauge, r.bytes as f64);
@@ -1036,11 +1038,7 @@ impl Actor for VreadDaemon {
                     // Refresh the mount point's dentry/inode info — only
                     // the added inodes need updating (paper §3.2).
                     ctx.chain(
-                        vec![Stage::cpu(
-                            self.thread,
-                            costs.mount_refresh_cycles,
-                            CpuCategory::Daemon,
-                        )],
+                        Stage::cpu(self.thread, costs.mount_refresh_cycles, CpuCategory::Daemon),
                         me,
                         MountRefreshed { vm_ix: vm.0 },
                     );

@@ -8,14 +8,13 @@
 //! the datanode is unknown), the path **falls back to the original HDFS
 //! read** (`read_buffer`/`fetchBlocks`) — exactly Algorithm 1 line 22.
 
-use std::collections::{HashMap, HashSet};
-
 use vread_hdfs::client::{
     BlockReadPath, BlockReq, ClientShared, PathEvent, TimeoutAdvice, VanillaPath,
 };
 use vread_hdfs::meta::{DatanodeIx, HdfsMeta};
 use vread_host::cluster::Cluster;
 use vread_sim::fault::FaultTrace;
+use vread_sim::hash::{IdHashMap, IdHashSet};
 use vread_sim::prelude::*;
 
 use crate::api::VfdTable;
@@ -39,16 +38,16 @@ pub struct VreadPath {
     vfds: VfdTable,
     fallback: VanillaPath,
     /// Fetches waiting on `vRead_open`, with their `vread_open` span.
-    pending_open: HashMap<u64, (BlockReq, SpanId)>,
-    active: HashMap<u64, ActiveRead>,
-    fallback_tokens: HashSet<u64>,
+    pending_open: IdHashMap<u64, (BlockReq, SpanId)>,
+    active: IdHashMap<u64, ActiveRead>,
+    fallback_tokens: IdHashSet<u64>,
     /// Failure counts per fetch token (a stale descriptor is retried once
     /// through a fresh open before falling back to vanilla).
-    attempts: HashMap<u64, u8>,
+    attempts: IdHashMap<u64, u8>,
     /// Blocks whose vread leg stalled out (daemon crash mid-stream): the
     /// next fetch of such a block goes straight to the vanilla fallback
     /// instead of probing vread again. One-shot — later blocks re-probe.
-    degraded_blocks: HashSet<vread_hdfs::meta::BlockId>,
+    degraded_blocks: IdHashSet<vread_hdfs::meta::BlockId>,
     m_vfd_hits: LazyCounter,
     m_opens: LazyCounter,
 }
@@ -65,11 +64,11 @@ impl VreadPath {
         VreadPath {
             vfds: VfdTable::new(),
             fallback: VanillaPath::new(),
-            pending_open: HashMap::new(),
-            active: HashMap::new(),
-            fallback_tokens: HashSet::new(),
-            attempts: HashMap::new(),
-            degraded_blocks: HashSet::new(),
+            pending_open: IdHashMap::default(),
+            active: IdHashMap::default(),
+            fallback_tokens: IdHashSet::default(),
+            attempts: IdHashMap::default(),
+            degraded_blocks: IdHashSet::default(),
             m_vfd_hits: LazyCounter::new("vread_vfd_hits"),
             m_opens: LazyCounter::new("vread_opens"),
         }
@@ -123,7 +122,7 @@ impl VreadPath {
         self.fallback.start(ctx, shared, req, out);
     }
 
-    fn request_stages(ctx: &Ctx<'_>, shared: &ClientShared) -> Vec<Stage> {
+    fn request_stages(ctx: &Ctx<'_>, shared: &ClientShared) -> StageList {
         let cl = ctx.world.ext.get::<Cluster>().expect("Cluster missing");
         let ring = RingSpec::from_costs(&cl.costs);
         ring.guest_request_stages(&cl.costs, cl.vm(shared.vm).vcpu)

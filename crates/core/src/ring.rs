@@ -56,8 +56,8 @@ impl RingSpec {
 
     /// Stage: the daemon copies `bytes` from the (page-cached) image into
     /// ring slots and rings the guest's doorbell.
-    pub fn daemon_push_stages(&self, c: &Costs, daemon: ThreadId, bytes: u64) -> Vec<Stage> {
-        vec![
+    pub fn daemon_push_stages(&self, c: &Costs, daemon: ThreadId, bytes: u64) -> StageList {
+        [
             Stage::copy(
                 daemon,
                 c.copy_cycles(bytes) + self.slot_cycles(c, bytes),
@@ -66,6 +66,7 @@ impl RingSpec {
             ),
             Stage::cpu(daemon, c.eventfd_cycles, CpuCategory::Daemon),
         ]
+        .into()
     }
 
     /// Stages: the daemon serves a fully-resident dedup hit by *mapping*
@@ -74,8 +75,8 @@ impl RingSpec {
     /// Replaces [`RingSpec::daemon_push_stages`] on the map-serve fast
     /// path, eliminating the daemon-side copy — dedup hits land at one
     /// copy per read (the guest pop).
-    pub fn daemon_map_stages(&self, c: &Costs, daemon: ThreadId, bytes: u64) -> Vec<Stage> {
-        vec![
+    pub fn daemon_map_stages(&self, c: &Costs, daemon: ThreadId, bytes: u64) -> StageList {
+        [
             Stage::map(
                 daemon,
                 self.slots_for(bytes) * c.cas_map_cycles + self.slot_cycles(c, bytes),
@@ -84,13 +85,14 @@ impl RingSpec {
             ),
             Stage::cpu(daemon, c.eventfd_cycles, CpuCategory::Daemon),
         ]
+        .into()
     }
 
     /// Stages: the guest driver turns the eventfd into a virtual
     /// interrupt and libvread copies the payload out of the ring into the
     /// application buffer.
-    pub fn guest_pop_stages(&self, c: &Costs, vcpu: ThreadId, bytes: u64) -> Vec<Stage> {
-        vec![
+    pub fn guest_pop_stages(&self, c: &Costs, vcpu: ThreadId, bytes: u64) -> StageList {
+        [
             Stage::cpu(vcpu, c.eventfd_irq_cycles, CpuCategory::Other),
             Stage::copy(
                 vcpu,
@@ -99,25 +101,28 @@ impl RingSpec {
                 bytes,
             ),
         ]
+        .into()
     }
 
     /// Stages: the guest posts a request descriptor into the ring and
     /// rings the daemon's doorbell (the control direction).
-    pub fn guest_request_stages(&self, c: &Costs, vcpu: ThreadId) -> Vec<Stage> {
-        vec![Stage::cpu(
+    pub fn guest_request_stages(&self, c: &Costs, vcpu: ThreadId) -> StageList {
+        Stage::cpu(
             vcpu,
             c.ring_slot_cycles + c.eventfd_cycles,
             CpuCategory::Daemon,
-        )]
+        )
+        .into()
     }
 
     /// Stage: the daemon wakes on its eventfd and reads the request slot.
-    pub fn daemon_wake_stages(&self, c: &Costs, daemon: ThreadId) -> Vec<Stage> {
-        vec![Stage::cpu(
+    pub fn daemon_wake_stages(&self, c: &Costs, daemon: ThreadId) -> StageList {
+        Stage::cpu(
             daemon,
             c.ring_slot_cycles + c.eventfd_cycles,
             CpuCategory::Daemon,
-        )]
+        )
+        .into()
     }
 }
 
@@ -163,8 +168,8 @@ mod tests {
     fn map_stages_move_no_copy_bytes_and_cost_less() {
         let (r, c) = spec();
         let d = ThreadId::from_raw(0);
-        let push = r.daemon_push_stages(&c, d, 1 << 20);
-        let map = r.daemon_map_stages(&c, d, 1 << 20);
+        let push: Vec<Stage> = r.daemon_push_stages(&c, d, 1 << 20).into_iter().collect();
+        let map: Vec<Stage> = r.daemon_map_stages(&c, d, 1 << 20).into_iter().collect();
         assert_eq!(map.len(), 2);
         assert!(matches!(map[0], Stage::Map { bytes, .. } if bytes == 1 << 20));
         assert!(
@@ -191,8 +196,8 @@ mod tests {
     fn push_pop_stage_costs_scale_with_bytes() {
         let (r, c) = spec();
         let d = ThreadId::from_raw(0);
-        let small = r.daemon_push_stages(&c, d, 4096);
-        let big = r.daemon_push_stages(&c, d, 1 << 20);
+        let small: Vec<Stage> = r.daemon_push_stages(&c, d, 4096).into_iter().collect();
+        let big: Vec<Stage> = r.daemon_push_stages(&c, d, 1 << 20).into_iter().collect();
         let cyc = |st: &[Stage]| -> u64 {
             st.iter()
                 .map(|s| match s {
@@ -208,7 +213,7 @@ mod tests {
         // exactly two copies on the local path: push + pop
         let pop = r.guest_pop_stages(&c, d, 1 << 20);
         assert_eq!(
-            small.len() + pop.len(),
+            small.len() + pop.remaining(),
             4,
             "local data path is push(2 stages) + pop(2 stages)"
         );

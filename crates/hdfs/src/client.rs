@@ -10,10 +10,11 @@
 //! that replaces `read_buffer`/`fetchBlocks` with `vRead_read` and falls
 //! back to vanilla when no descriptor can be opened.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use vread_host::cluster::{with_cluster, Cluster, VmId};
 use vread_net::conn::{add_conn, ConnRecv, ConnSend, ConnSpec, Endpoint, Flavor, Side};
+use vread_sim::hash::{IdHashMap, IdHashSet};
 use vread_sim::prelude::*;
 
 use crate::datanode::{DnReadReq, DnWriteChunk};
@@ -213,12 +214,12 @@ struct VStream {
 /// The unmodified HDFS read path of Figure 1.
 #[derive(Default)]
 pub struct VanillaPath {
-    conns: HashMap<usize, ActorId>,
-    streams: HashMap<u64, VStream>,
+    conns: IdHashMap<usize, ActorId>,
+    streams: IdHashMap<u64, VStream>,
     /// Sequential-stream positions per `(datanode, block)`: a fetch that
     /// continues where the previous one ended rides the existing
     /// DataXceiver stream (read1); anything else pays stream setup.
-    positions: HashMap<(usize, u64), u64>,
+    positions: IdHashMap<(usize, u64), u64>,
 }
 
 impl VanillaPath {
@@ -317,7 +318,7 @@ impl BlockReadPath for VanillaPath {
                 (cl.vm(shared.vm).vcpu, cl.costs.client_stream_setup_cycles)
             };
             ctx.chain_on(
-                vec![Stage::cpu(vcpu, cycles, CpuCategory::ClientApp)],
+                Stage::cpu(vcpu, cycles, CpuCategory::ClientApp),
                 conn,
                 send,
                 req.span,
@@ -334,24 +335,19 @@ impl BlockReadPath for VanillaPath {
         msg: BoxMsg,
         out: &mut Vec<PathEvent>,
     ) -> Result<(), BoxMsg> {
-        match downcast::<ConnRecv>(msg) {
-            Ok(r) => {
-                let Some(st) = self.streams.get_mut(&r.tag) else {
-                    return Err(Box::new(*r));
-                };
-                st.got += r.bytes;
-                out.push(PathEvent::Chunk {
-                    token: r.tag,
-                    bytes: r.bytes,
-                });
-                if st.got >= st.expected {
-                    self.streams.remove(&r.tag);
-                    out.push(PathEvent::Done { token: r.tag });
-                }
-                Ok(())
-            }
-            Err(m) => Err(m),
+        let Some(&ConnRecv { tag, bytes, .. }) = msg.downcast_ref::<ConnRecv>() else {
+            return Err(msg);
+        };
+        let Some(st) = self.streams.get_mut(&tag) else {
+            return Err(msg);
+        };
+        st.got += bytes;
+        out.push(PathEvent::Chunk { token: tag, bytes });
+        if st.got >= st.expected {
+            self.streams.remove(&tag);
+            out.push(PathEvent::Done { token: tag });
         }
+        Ok(())
     }
 }
 
@@ -447,17 +443,22 @@ pub struct DfsClient {
     vm: VmId,
     path_impl: Box<dyn BlockReadPath>,
     next_id: u64,
+    /// Keyed by file paths from the scenario, not simulator ids, so it
+    /// keeps std's collision-resistant hasher.
     loc_cache: HashMap<String, Vec<LocatedBlock>>,
-    reads: HashMap<u64, ReadReq>,
+    reads: IdHashMap<u64, ReadReq>,
     tokens: std::collections::BTreeMap<u64, u64>,
-    nn_tokens: HashMap<u64, u64>,
-    writes: HashMap<u64, WriteReq>,
-    write_tags: HashMap<u64, u64>,
-    write_conns: HashMap<usize, ActorId>,
+    nn_tokens: IdHashMap<u64, u64>,
+    writes: IdHashMap<u64, WriteReq>,
+    write_tags: IdHashMap<u64, u64>,
+    write_conns: IdHashMap<usize, ActorId>,
     /// Datanodes that timed out on us (crashed or unreachable). Replica
     /// selection avoids them while any alternative exists, but still
     /// retries them as a last resort — never silently dropping data.
-    dead_nodes: HashSet<usize>,
+    dead_nodes: IdHashSet<usize>,
+    /// Scratch buffer for the events a read path reports, reused so a
+    /// chunk arrival allocates nothing (empty while lent out).
+    events: Vec<PathEvent>,
     m_bytes_read: LazyCounter,
     /// Level gauge of in-flight `DfsRead` requests (timeline source).
     m_outstanding: LazyGauge,
@@ -472,13 +473,14 @@ pub fn add_client(w: &mut World, vm: VmId, path_impl: Box<dyn BlockReadPath>) ->
             path_impl,
             next_id: 0,
             loc_cache: HashMap::new(),
-            reads: HashMap::new(),
+            reads: IdHashMap::default(),
             tokens: std::collections::BTreeMap::new(),
-            nn_tokens: HashMap::new(),
-            writes: HashMap::new(),
-            write_tags: HashMap::new(),
-            write_conns: HashMap::new(),
-            dead_nodes: HashSet::new(),
+            nn_tokens: IdHashMap::default(),
+            writes: IdHashMap::default(),
+            write_tags: IdHashMap::default(),
+            write_conns: IdHashMap::default(),
+            dead_nodes: IdHashSet::default(),
+            events: Vec::new(),
             m_bytes_read: LazyCounter::new("hdfs_bytes_read"),
             m_outstanding: LazyGauge::new("hdfs.outstanding_reads"),
         },
@@ -625,16 +627,18 @@ impl DfsClient {
             }
         };
         if let Some(req) = req {
-            let mut out = Vec::new();
+            let mut out = std::mem::take(&mut self.events);
             self.path_impl.start(ctx, &shared, req, &mut out);
-            self.process_events(ctx, out);
+            self.process_events(ctx, &mut out);
+            self.events = out;
         } else if done {
             self.maybe_finish_read(ctx, rid);
         }
     }
 
-    fn process_events(&mut self, ctx: &mut Ctx<'_>, events: Vec<PathEvent>) {
-        for ev in events {
+    /// Acts on (and drains) the events a read path reported.
+    fn process_events(&mut self, ctx: &mut Ctx<'_>, events: &mut Vec<PathEvent>) {
+        for ev in events.drain(..) {
             match ev {
                 PathEvent::Chunk { token, bytes } => {
                     let Some(&rid) = self.tokens.get(&token) else {
@@ -649,7 +653,7 @@ impl DfsClient {
                     let cycles = self.client_cycles(ctx, bytes);
                     let me = ctx.me();
                     ctx.chain_on(
-                        vec![Stage::cpu(vcpu, cycles, CpuCategory::ClientApp)],
+                        Stage::cpu(vcpu, cycles, CpuCategory::ClientApp),
                         me,
                         ChunkCpu { rid, token, bytes },
                         span,
@@ -714,27 +718,24 @@ impl DfsClient {
     }
 
     fn begin_read(&mut self, ctx: &mut Ctx<'_>, rid: u64) {
-        let (blocks, offset, len) = {
-            let r = self.reads.get(&rid).expect("read vanished");
-            let blocks = self.loc_cache.get(&r.path).cloned().unwrap_or_default();
-            (blocks, r.offset, r.len)
-        };
-        let mut selected: Vec<LocatedBlock> = Vec::new();
-        let mut expected = 0u64;
-        let end = offset + len;
-        for b in &blocks {
-            if b.offset < end && b.offset + b.len > offset {
-                let s = offset.max(b.offset);
-                let e = end.min(b.offset + b.len);
-                expected += e - s;
-                selected.push(b.clone());
-            }
-        }
-        {
+        let expected = {
             let r = self.reads.get_mut(&rid).expect("read vanished");
+            let blocks = self.loc_cache.get(&r.path).map_or(&[][..], Vec::as_slice);
+            let mut selected: Vec<LocatedBlock> = Vec::new();
+            let mut expected = 0u64;
+            let end = r.offset + r.len;
+            for b in blocks {
+                if b.offset < end && b.offset + b.len > r.offset {
+                    let s = r.offset.max(b.offset);
+                    let e = end.min(b.offset + b.len);
+                    expected += e - s;
+                    selected.push(b.clone());
+                }
+            }
             r.blocks = selected;
             r.expected = expected;
-        }
+            expected
+        };
         if expected == 0 {
             let r = self.reads.get_mut(&rid).expect("read vanished");
             r.all_sent = true;
@@ -861,11 +862,7 @@ impl DfsClient {
                     let vcpu = self.vcpu(ctx);
                     let cycles = Self::write_cycles(ctx, cpu.bytes);
                     let me = ctx.me();
-                    ctx.chain(
-                        vec![Stage::cpu(vcpu, cycles, CpuCategory::ClientApp)],
-                        me,
-                        cpu,
-                    );
+                    ctx.chain(Stage::cpu(vcpu, cycles, CpuCategory::ClientApp), me, cpu);
                 }
             }
         }
@@ -1152,25 +1149,22 @@ impl Actor for DfsClient {
         };
 
         // -- connection arrivals: write acks first, then the read path ----------
-        let msg = match downcast::<ConnRecv>(msg) {
-            Ok(r) => {
-                if let Some(&rid) = self.write_tags.get(&r.tag) {
-                    if let Some(wr) = self.writes.get_mut(&rid) {
-                        wr.inflight -= 1;
-                    }
-                    self.pump_write(ctx, rid);
-                    return;
+        if let Some(r) = msg.downcast_ref::<ConnRecv>() {
+            if let Some(&rid) = self.write_tags.get(&r.tag) {
+                if let Some(wr) = self.writes.get_mut(&rid) {
+                    wr.inflight -= 1;
                 }
-                Box::new(*r) as BoxMsg
+                self.pump_write(ctx, rid);
+                return;
             }
-            Err(m) => m,
-        };
+        }
 
         // -- everything else belongs to the read path ----------------------------
         let shared = self.shared(ctx);
-        let mut out = Vec::new();
+        let mut out = std::mem::take(&mut self.events);
         if self.path_impl.on_msg(ctx, &shared, msg, &mut out).is_ok() {
-            self.process_events(ctx, out);
+            self.process_events(ctx, &mut out);
         }
+        self.events = out;
     }
 }

@@ -9,11 +9,13 @@
 //! performs it in a real KVM host, which is what makes the CPU breakdowns
 //! of Figure 6 and the 4-VM scheduling collapse of Figure 9 reproducible.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use vread_host::cluster::{with_cluster, Cluster, VmId};
+use vread_host::fs::FileId;
 use vread_host::virtio::{guest_disk_read, guest_disk_write};
 use vread_net::conn::{ConnRecv, ConnSend, ConnSent, Side};
+use vread_sim::hash::IdHashMap;
 use vread_sim::prelude::*;
 
 use crate::meta::{BlockId, DatanodeIx, HdfsMeta};
@@ -73,6 +75,8 @@ struct ReadStream {
     remaining: u64,
     inflight: usize,
     setup_pending: bool,
+    /// The block's file, looked up by path on the first chunk.
+    file: Option<FileId>,
     /// This stream's `dn_read` span.
     span: SpanId,
 }
@@ -80,6 +84,9 @@ struct ReadStream {
 struct WriteStream {
     side: Side,
     queued: VecDeque<DnWriteChunk>,
+    /// The block being appended and its file (looked up or created by
+    /// path when a chunk of a new block arrives).
+    file: Option<(BlockId, FileId)>,
 }
 
 struct ChunkRead {
@@ -96,13 +103,13 @@ struct ChunkWritten {
 pub struct Datanode {
     ix: DatanodeIx,
     vm: VmId,
-    pending_reads: HashMap<(u32, u64), DnReadReq>,
-    reads: HashMap<(u32, u64), ReadStream>,
-    writes: HashMap<(u32, u64), WriteStream>,
+    pending_reads: IdHashMap<(u32, u64), DnReadReq>,
+    reads: IdHashMap<(u32, u64), ReadStream>,
+    writes: IdHashMap<(u32, u64), WriteStream>,
     /// Cached pipeline connections to downstream datanodes.
-    fwd_conns: HashMap<usize, ActorId>,
+    fwd_conns: IdHashMap<usize, ActorId>,
     /// Forward-stream tags: (upstream conn, upstream tag) -> downstream tag.
-    fwd_tags: HashMap<(u32, u64), u64>,
+    fwd_tags: IdHashMap<(u32, u64), u64>,
     next_tag: u64,
 }
 
@@ -123,11 +130,11 @@ pub fn add_datanode(w: &mut World, vm: VmId) -> (ActorId, DatanodeIx) {
         Datanode {
             ix,
             vm,
-            pending_reads: HashMap::new(),
-            reads: HashMap::new(),
-            writes: HashMap::new(),
-            fwd_conns: HashMap::new(),
-            fwd_tags: HashMap::new(),
+            pending_reads: IdHashMap::default(),
+            reads: IdHashMap::default(),
+            writes: IdHashMap::default(),
+            fwd_conns: IdHashMap::default(),
+            fwd_tags: IdHashMap::default(),
             next_tag: 0,
         },
     );
@@ -182,32 +189,37 @@ impl Datanode {
 
     fn pump_read(&mut self, key: (u32, u64), ctx: &mut Ctx<'_>) {
         let me = ctx.me();
+        let vm = self.vm;
         loop {
-            let (offset, chunk) = {
-                let Some(st) = self.reads.get(&key) else {
-                    return;
-                };
-                if st.inflight >= READ_WINDOW || st.remaining == 0 {
-                    break;
-                }
-                (st.next_offset, 0u64)
+            let Some(st) = self.reads.get_mut(&key) else {
+                return;
             };
-            let _ = chunk;
+            if st.inflight >= READ_WINDOW || st.remaining == 0 {
+                break;
+            }
+            let offset = st.next_offset;
             let (stages, take) = with_cluster(ctx.world, |cl, _w| {
-                let st = self.reads.get(&key).expect("stream vanished");
                 let take = st.remaining.min(cl.costs.stream_chunk_bytes);
-                let vm = self.vm;
-                let fs_file =
-                    cl.vm(vm).fs.lookup(&st.block.path()).unwrap_or_else(|| {
-                        panic!("datanode missing block file {}", st.block.path())
-                    });
-                let extents = cl
+                let file = match st.file {
+                    Some(file) => file,
+                    None => {
+                        let path = st.block.path();
+                        let file = cl
+                            .vm(vm)
+                            .fs
+                            .lookup(&path)
+                            .unwrap_or_else(|| panic!("datanode missing block file {path}"));
+                        st.file = Some(file);
+                        file
+                    }
+                };
+                let mut extents = cl
                     .vm(vm)
                     .fs
-                    .resolve(fs_file, offset, take)
+                    .cursor(file, offset, take)
                     .expect("block read past end");
-                let mut stages = Vec::new();
-                for e in extents {
+                let mut stages = StageList::new();
+                while let Some(e) = extents.advance(&cl.vm(vm).fs) {
                     stages.extend(guest_disk_read(
                         cl,
                         vm,
@@ -217,8 +229,7 @@ impl Datanode {
                     ));
                 }
                 let vcpu = cl.vm(vm).vcpu;
-                let setup = self.reads.get(&key).expect("stream").setup_pending;
-                let setup_cycles = if setup {
+                let setup_cycles = if st.setup_pending {
                     cl.costs.dn_stream_setup_cycles
                 } else {
                     0
@@ -230,14 +241,11 @@ impl Datanode {
                 ));
                 (stages, take)
             });
-            let span = {
-                let st = self.reads.get_mut(&key).expect("stream vanished");
-                st.setup_pending = false;
-                st.next_offset += take;
-                st.remaining -= take;
-                st.inflight += 1;
-                st.span
-            };
+            st.setup_pending = false;
+            st.next_offset += take;
+            st.remaining -= take;
+            st.inflight += 1;
+            let span = st.span;
             ctx.chain_on(stages, me, ChunkRead { key, bytes: take }, span);
         }
     }
@@ -261,6 +269,7 @@ impl Actor for Datanode {
                     .or_insert_with(|| WriteStream {
                         side: Side::B, // fixed up on first ConnRecv
                         queued: VecDeque::new(),
+                        file: None,
                     })
                     .queued
                     .push_back(*wc);
@@ -287,6 +296,7 @@ impl Actor for Datanode {
                             remaining: req.len,
                             inflight: 0,
                             setup_pending: req.setup,
+                            file: None,
                             span,
                         },
                     );
@@ -304,10 +314,17 @@ impl Actor for Datanode {
                         let vm = self.vm;
                         let stages = with_cluster(ctx.world, |cl, _w| {
                             let fs = &mut cl.vm_mut(vm).fs;
-                            let path = meta.block.path();
-                            let file = match fs.lookup(&path) {
-                                Some(f) => f,
-                                None => fs.create(&path).expect("fresh block file"),
+                            let file = match st.file {
+                                Some((block, file)) if block == meta.block => file,
+                                _ => {
+                                    let path = meta.block.path();
+                                    let file = match fs.lookup(&path) {
+                                        Some(f) => f,
+                                        None => fs.create(&path).expect("fresh block file"),
+                                    };
+                                    st.file = Some((meta.block, file));
+                                    file
+                                }
                             };
                             let ext = fs.append(file, meta.bytes);
                             let mut stages = guest_disk_write(

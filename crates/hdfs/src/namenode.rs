@@ -166,7 +166,7 @@ impl Actor for Namenode {
                     .file(&req.path)
                     .map(|f| f.blocks.clone());
                 ctx.chain(
-                    vec![Stage::cpu(vcpu, rpc_cycles, CpuCategory::Namenode)],
+                    Stage::cpu(vcpu, rpc_cycles, CpuCategory::Namenode),
                     req.reply_to,
                     NnLocations {
                         token: req.token,
@@ -191,7 +191,7 @@ impl Actor for Namenode {
                     (meta.alloc_block(), replicas, meta.block_bytes)
                 };
                 ctx.chain(
-                    vec![Stage::cpu(vcpu, rpc_cycles, CpuCategory::Namenode)],
+                    Stage::cpu(vcpu, rpc_cycles, CpuCategory::Namenode),
                     req.reply_to,
                     NnBlockAllocated {
                         token: req.token,
@@ -224,11 +224,7 @@ impl Actor for Namenode {
             // notification per replica location (the vRead daemons'
             // mount-refresh trigger).
             let me = ctx.me();
-            ctx.chain(
-                vec![Stage::cpu(vcpu, rpc_cycles, CpuCategory::Namenode)],
-                me,
-                (),
-            );
+            ctx.chain(Stage::cpu(vcpu, rpc_cycles, CpuCategory::Namenode), me, ());
             for obs in observers {
                 for &dn in &fin.replicas {
                     ctx.send(

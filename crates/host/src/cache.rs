@@ -4,7 +4,10 @@
 //! tracks fixed-size chunks of *objects* (an object is a disk image; the
 //! offset space of a VM's files lives inside its image), evicting least
 //! recently used chunks when capacity is exceeded. Recency order is an
-//! [`Lru`] list, so every chunk touch, insert and eviction is O(1).
+//! [`Lru`] list whose index space is the object id: a guest filesystem
+//! lays its image out densely from offset 0, so chunk indices are dense
+//! and every chunk touch, insert and eviction is an O(1) table probe
+//! with no hashing.
 //!
 //! Whether a read hits DRAM or the SSD is the entire difference between
 //! the paper's *read* and *re-read* experiments, and host-cache hits are
@@ -16,11 +19,15 @@
 //! alternative is [`crate::cas::CasStore`].
 
 use crate::fs::ObjectId;
-use crate::lru::Lru;
+use crate::lru::{ChunkKey, Lru};
 use crate::store::{Admission, BlockStore, CacheStats, Lookup};
 
-/// Key of one cached chunk: `(object, chunk index)`.
-type ChunkKey = (u64, u64);
+/// The [`Lru`] space of an object's chunks: the object id itself.
+/// [`crate::Cluster`] mints object ids densely from 1, so the table of
+/// spaces stays as small as the number of images.
+fn space(obj: ObjectId) -> u32 {
+    u32::try_from(obj.raw()).expect("object id fits u32")
+}
 
 /// An LRU page cache with byte capacity.
 ///
@@ -40,7 +47,7 @@ pub struct PageCache {
     capacity: u64,
     chunk: u64,
     /// Resident chunks, least recently used first.
-    lru: Lru<ChunkKey, ()>,
+    lru: Lru<()>,
     stats: CacheStats,
 }
 
@@ -86,8 +93,9 @@ impl BlockStore for PageCache {
     /// `dedup_bytes` is always 0.
     fn lookup(&mut self, obj: ObjectId, offset: u64, len: u64) -> Lookup {
         let mut out = Lookup::default();
+        let sp = space(obj);
         for ci in self.chunks_of(offset, len) {
-            if self.lru.touch(&(obj.raw(), ci)).is_some() {
+            if self.lru.touch((sp, ci)).is_some() {
                 self.stats.hits += 1;
                 out.hit_bytes += self.chunk;
             } else {
@@ -99,17 +107,19 @@ impl BlockStore for PageCache {
     }
 
     fn probe(&self, obj: ObjectId, offset: u64, len: u64) -> bool {
+        let sp = space(obj);
         self.chunks_of(offset, len)
-            .all(|ci| self.lru.contains(&(obj.raw(), ci)))
+            .all(|ci| self.lru.contains((sp, ci)))
     }
 
     /// Inserts (or refreshes) the chunks covering the range, evicting LRU
     /// chunks as needed.
     fn admit(&mut self, obj: ObjectId, offset: u64, len: u64) -> Admission {
         let mut any_miss = false;
+        let sp = space(obj);
         for ci in self.chunks_of(offset, len) {
-            let key = (obj.raw(), ci);
-            if self.lru.touch(&key).is_none() {
+            let key = (sp, ci);
+            if self.lru.touch(key).is_none() {
                 any_miss = true;
                 self.insert_chunk(key);
             }
@@ -129,14 +139,15 @@ impl BlockStore for PageCache {
     /// Drops every cached chunk of `obj` (e.g. `fadvise DONTNEED`),
     /// walking the recency list so the drop order is deterministic.
     fn evict_object(&mut self, obj: ObjectId) {
+        let sp = space(obj);
         let victims: Vec<ChunkKey> = self
             .lru
             .iter()
             .map(|(k, ())| k)
-            .filter(|k| k.0 == obj.raw())
+            .filter(|k| k.0 == sp)
             .collect();
         for k in victims {
-            self.lru.remove(&k);
+            self.lru.remove(k);
         }
     }
 

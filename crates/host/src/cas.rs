@@ -13,10 +13,14 @@
 //! Chunking happens in **content space** (from offset 0 of each bound
 //! byte sequence), so replicas laid out at different — even differently
 //! aligned — image offsets still share chunks. Eviction is one global
-//! LRU over physical chunks, kept in an [`Lru`] list. Statistics and
-//! eviction order are deterministic: bindings live in a `BTreeMap`,
-//! recency order is the list, and the list's hash index is only ever
-//! probed by key, never iterated.
+//! LRU over physical chunks, kept in an [`Lru`] list. Each content
+//! sequence gets a dense [`Lru`] space id when it is first bound, and
+//! each object one when it first admits, so a chunk lookup is a table
+//! probe with no hashing. Statistics and eviction order are
+//! deterministic: bindings live in a `BTreeMap`, recency order is the
+//! list, chunks of one call are visited in `(content before object, id,
+//! index)` order, and the list's tables are only ever probed by key,
+//! never iterated.
 
 use std::collections::BTreeMap;
 
@@ -24,14 +28,31 @@ use crate::fs::ObjectId;
 use crate::lru::Lru;
 use crate::store::{Admission, BlockStore, CacheStats, ContentId, Lookup};
 
-/// Key of one physical chunk: content space for bound ranges, object
-/// space for everything else.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-enum ChunkKey {
-    /// Chunk `idx` of content `cid` (shared across objects).
-    Content { cid: u64, idx: u64 },
-    /// Chunk `idx` of unbound object `obj` (private, LRU-equivalent).
-    Object { obj: u64, idx: u64 },
+/// An [`Lru`] space id no space ever gets: probing it finds nothing.
+const NO_SPACE: u32 = u32::MAX;
+
+/// What one [`Lru`] space holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Space {
+    /// Chunks of one content sequence (shared across objects).
+    Content,
+    /// Chunks of unbound ranges of object `obj` (private,
+    /// LRU-equivalent).
+    Object(u64),
+}
+
+/// One physical chunk a range touches. The derived order — content
+/// chunks before object chunks, then by id, then by index — is the
+/// order a call visits them in, which fixes their recency order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct ChunkRef {
+    /// False for a content chunk, true for a private object chunk.
+    private: bool,
+    /// Content id or object id.
+    id: u64,
+    idx: u64,
+    /// The [`Lru`] space of `(private, id)`.
+    space: u32,
 }
 
 /// One binding: `[image_offset, image_offset+len)` of an object holds
@@ -40,6 +61,8 @@ enum ChunkKey {
 struct BindExtent {
     len: u64,
     content: u64,
+    /// The content's [`Lru`] space.
+    space: u32,
     content_offset: u64,
 }
 
@@ -51,9 +74,17 @@ pub struct CasStore {
     /// `(object, image_offset)` -> binding; range-queried to segment
     /// object ranges into content/object pieces.
     bindings: BTreeMap<(u64, u64), BindExtent>,
+    /// Space id -> what it holds.
+    spaces: Vec<Space>,
+    /// Content id -> space id (assigned at bind time).
+    content_spaces: BTreeMap<u64, u32>,
+    /// Object id -> space id ([`NO_SPACE`] until the object admits).
+    object_spaces: Vec<u32>,
     /// Resident chunks, least recently used first, each with the object
     /// that first admitted it (distinguishes own hits from dedup hits).
-    resident: Lru<ChunkKey, u64>,
+    resident: Lru<u64>,
+    /// The chunks of the current call, reused across calls.
+    scratch: Vec<ChunkRef>,
     stats: CacheStats,
 }
 
@@ -70,19 +101,52 @@ impl CasStore {
             capacity,
             chunk,
             bindings: BTreeMap::new(),
+            spaces: Vec::new(),
+            content_spaces: BTreeMap::new(),
+            object_spaces: Vec::new(),
             resident: Lru::new(),
+            scratch: Vec::new(),
             stats: CacheStats::default(),
         }
     }
 
-    /// The physical chunk keys backing `[offset, offset+len)` of `obj`,
-    /// in key order and without duplicates (a sub-chunk binding can
-    /// split one object chunk into pieces that share a key).
-    fn keys_for(&self, obj: u64, offset: u64, len: u64) -> Vec<ChunkKey> {
-        let mut keys: Vec<ChunkKey> = Vec::new();
-        if len == 0 {
-            return keys;
+    fn new_space(&mut self, holds: Space) -> u32 {
+        let id = u32::try_from(self.spaces.len())
+            .ok()
+            .filter(|&id| id != NO_SPACE)
+            .expect("store spaces fit u32");
+        self.spaces.push(holds);
+        id
+    }
+
+    /// The space of `obj`'s private chunks, or [`NO_SPACE`] if it has
+    /// never admitted.
+    fn object_space(&self, obj: u64) -> u32 {
+        usize::try_from(obj)
+            .ok()
+            .and_then(|o| self.object_spaces.get(o))
+            .copied()
+            .unwrap_or(NO_SPACE)
+    }
+
+    /// Assigns `obj` a space for its private chunks if it has none.
+    fn ensure_object_space(&mut self, obj: u64) {
+        let o = usize::try_from(obj).expect("object id fits usize");
+        if o >= self.object_spaces.len() {
+            self.object_spaces.resize(o + 1, NO_SPACE);
         }
+        if self.object_spaces[o] == NO_SPACE {
+            self.object_spaces[o] = self.new_space(Space::Object(obj));
+        }
+    }
+
+    /// Calls `f` on every physical chunk backing `[offset, offset+len)`
+    /// of `obj`, piece by piece, so in no particular order and possibly
+    /// more than once (a sub-chunk binding can split one object chunk
+    /// into pieces that share it). Stops, returning false, as soon as
+    /// `f` does.
+    fn visit(&self, obj: u64, offset: u64, len: u64, mut f: impl FnMut(ChunkRef) -> bool) -> bool {
+        let obj_space = self.object_space(obj);
         let end = offset + len;
         let mut pos = offset;
         while pos < end {
@@ -98,10 +162,15 @@ impl CasStore {
                     let c0 = be.content_offset + (pos - start);
                     let c1 = be.content_offset + (piece_end - start);
                     for idx in c0 / self.chunk..=(c1 - 1) / self.chunk {
-                        keys.push(ChunkKey::Content {
-                            cid: be.content,
+                        let key = ChunkRef {
+                            private: false,
+                            id: be.content,
                             idx,
-                        });
+                            space: be.space,
+                        };
+                        if !f(key) {
+                            return false;
+                        }
                     }
                     pos = piece_end;
                 }
@@ -115,34 +184,55 @@ impl CasStore {
                         .unwrap_or(u64::MAX);
                     let piece_end = end.min(next_start.max(pos + 1));
                     for idx in pos / self.chunk..=(piece_end - 1) / self.chunk {
-                        keys.push(ChunkKey::Object { obj, idx });
+                        let key = ChunkRef {
+                            private: true,
+                            id: obj,
+                            idx,
+                            space: obj_space,
+                        };
+                        if !f(key) {
+                            return false;
+                        }
                     }
                     pos = piece_end;
                 }
             }
         }
-        keys.sort_unstable();
-        keys.dedup();
-        keys
+        true
     }
 
-    fn insert_chunk(&mut self, key: ChunkKey, owner: u64) {
+    /// Fills `keys` with the physical chunks backing `[offset,
+    /// offset+len)` of `obj`, in [`ChunkRef`] order and without
+    /// duplicates.
+    fn keys_for(&self, obj: u64, offset: u64, len: u64, keys: &mut Vec<ChunkRef>) {
+        keys.clear();
+        self.visit(obj, offset, len, |k| {
+            keys.push(k);
+            true
+        });
+        keys.sort_unstable();
+        keys.dedup();
+    }
+
+    fn insert_chunk(&mut self, key: ChunkRef, owner: u64) {
         while self.used_bytes() + self.chunk > self.capacity {
             self.resident
                 .pop_oldest()
                 .expect("store over-full but empty");
         }
-        self.resident.insert(key, owner);
+        self.resident.insert((key.space, key.idx), owner);
     }
 }
 
 impl BlockStore for CasStore {
     fn lookup(&mut self, obj: ObjectId, offset: u64, len: u64) -> Lookup {
         let mut out = Lookup::default();
-        for key in self.keys_for(obj.raw(), offset, len) {
-            match self.resident.touch(&key) {
+        let mut keys = std::mem::take(&mut self.scratch);
+        self.keys_for(obj.raw(), offset, len, &mut keys);
+        for &key in &keys {
+            match self.resident.touch((key.space, key.idx)) {
                 Some(owner) => {
-                    let dedup = matches!(key, ChunkKey::Content { .. }) && owner != obj.raw();
+                    let dedup = !key.private && owner != obj.raw();
                     self.stats.hits += 1;
                     if dedup {
                         self.stats.dedup_hits += 1;
@@ -157,22 +247,27 @@ impl BlockStore for CasStore {
                 }
             }
         }
+        self.scratch = keys;
         out
     }
 
     fn probe(&self, obj: ObjectId, offset: u64, len: u64) -> bool {
-        self.keys_for(obj.raw(), offset, len)
-            .iter()
-            .all(|k| self.resident.contains(k))
+        self.visit(obj.raw(), offset, len, |k| {
+            self.resident.contains((k.space, k.idx))
+        })
     }
 
     fn admit(&mut self, obj: ObjectId, offset: u64, len: u64) -> Admission {
         let mut any_miss = false;
         let mut any_dedup = false;
-        for key in self.keys_for(obj.raw(), offset, len) {
-            match self.resident.touch(&key) {
+        // Unbound chunks this call inserts need the object's space.
+        self.ensure_object_space(obj.raw());
+        let mut keys = std::mem::take(&mut self.scratch);
+        self.keys_for(obj.raw(), offset, len, &mut keys);
+        for &key in &keys {
+            match self.resident.touch((key.space, key.idx)) {
                 Some(owner) => {
-                    any_dedup |= matches!(key, ChunkKey::Content { .. }) && owner != obj.raw();
+                    any_dedup |= !key.private && owner != obj.raw();
                 }
                 None => {
                     any_miss = true;
@@ -180,6 +275,7 @@ impl BlockStore for CasStore {
                 }
             }
         }
+        self.scratch = keys;
         if any_miss {
             Admission::Miss
         } else if any_dedup {
@@ -205,11 +301,20 @@ impl BlockStore for CasStore {
         if len == 0 {
             return;
         }
+        let space = match self.content_spaces.get(&content.raw()) {
+            Some(&space) => space,
+            None => {
+                let space = self.new_space(Space::Content);
+                self.content_spaces.insert(content.raw(), space);
+                space
+            }
+        };
         self.bindings.insert(
             (obj.raw(), image_offset),
             BindExtent {
                 len,
                 content: content.raw(),
+                space,
                 content_offset,
             },
         );
@@ -218,17 +323,17 @@ impl BlockStore for CasStore {
     /// Drops `obj`'s private chunks and the shared content chunks it
     /// admitted (co-sharers of evicted content refault deterministically).
     fn evict_object(&mut self, obj: ObjectId) {
-        let victims: Vec<ChunkKey> = self
+        let victims: Vec<(u32, u64)> = self
             .resident
             .iter()
-            .filter(|&(k, owner)| match k {
-                ChunkKey::Object { obj: o, .. } => o == obj.raw(),
-                ChunkKey::Content { .. } => owner == obj.raw(),
+            .filter(|&((space, _), owner)| match self.spaces[space as usize] {
+                Space::Object(o) => o == obj.raw(),
+                Space::Content => owner == obj.raw(),
             })
             .map(|(k, _)| k)
             .collect();
         for k in victims {
-            self.resident.remove(&k);
+            self.resident.remove(k);
         }
     }
 
@@ -245,7 +350,7 @@ impl BlockStore for CasStore {
         let mut logical = self
             .resident
             .iter()
-            .filter(|(k, _)| matches!(k, ChunkKey::Object { .. }))
+            .filter(|&((space, _), _)| matches!(self.spaces[space as usize], Space::Object(_)))
             .count() as u64
             * self.chunk;
         // ...while a content chunk serves every binding that covers it.
@@ -253,10 +358,7 @@ impl BlockStore for CasStore {
             let c0 = be.content_offset / self.chunk;
             let c1 = (be.content_offset + be.len - 1) / self.chunk;
             for idx in c0..=c1 {
-                if self.resident.contains(&ChunkKey::Content {
-                    cid: be.content,
-                    idx,
-                }) {
+                if self.resident.contains((be.space, idx)) {
                     logical += self.chunk;
                 }
             }
@@ -399,7 +501,8 @@ mod tests {
         let mut s = CasStore::new(1 << 20, 4096);
         // A binding strictly inside chunk 0 of object 1.
         s.bind(obj(1), 1000, 2000, cid(4), 0);
-        let keys = s.keys_for(1, 0, 4096);
+        let mut keys = Vec::new();
+        s.keys_for(1, 0, 4096, &mut keys);
         // object chunk 0 (before + after the binding, deduped) + content chunk 0
         assert_eq!(keys.len(), 2);
         s.admit(obj(1), 0, 4096);

@@ -292,16 +292,19 @@ impl Cluster {
 /// Borrows the cluster out of the world's extension blackboard and runs
 /// `f` with simultaneous access to both.
 ///
+/// The cluster stays in its box while out, and the same box goes back,
+/// so the round trip moves one pointer and allocates nothing.
+///
 /// # Panics
 ///
 /// Panics if no [`Cluster`] was installed (scenario builders insert one).
 pub fn with_cluster<R>(w: &mut World, f: impl FnOnce(&mut Cluster, &mut World) -> R) -> R {
     let mut cl = w
         .ext
-        .remove::<Cluster>()
+        .take_box::<Cluster>()
         .expect("Cluster not installed in world extensions");
     let r = f(&mut cl, w);
-    w.ext.insert(cl);
+    w.ext.put_box(cl);
     r
 }
 

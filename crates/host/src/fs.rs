@@ -193,33 +193,35 @@ impl GuestFs {
     ///
     /// Returns [`FsError::BeyondEof`] if the range extends past the file.
     pub fn resolve(&self, file: FileId, offset: u64, len: u64) -> Result<Vec<Extent>, FsError> {
-        let inode = &self.inodes[file.0 as usize];
-        if offset + len > inode.size {
-            return Err(FsError::BeyondEof(offset + len, inode.size));
-        }
+        let mut cursor = self.cursor(file, offset, len)?;
         let mut out = Vec::new();
-        let mut pos = 0u64; // logical position of current extent start
-        let mut need_off = offset;
-        let mut need_len = len;
-        for ext in &inode.extents {
-            if need_len == 0 {
-                break;
-            }
-            let ext_end = pos + ext.len;
-            if need_off < ext_end {
-                let inner = need_off - pos;
-                let take = (ext.len - inner).min(need_len);
-                out.push(Extent {
-                    image_offset: ext.image_offset + inner,
-                    len: take,
-                });
-                need_off += take;
-                need_len -= take;
-            }
-            pos = ext_end;
+        while let Some(e) = cursor.advance(self) {
+            out.push(e);
         }
-        debug_assert_eq!(need_len, 0, "extent bookkeeping out of sync with size");
         Ok(out)
+    }
+
+    /// Like [`GuestFs::resolve`], but hands the extents out one at a
+    /// time through a cursor instead of collecting them: no allocation,
+    /// and the filesystem is borrowed only for each step, so the caller
+    /// may mutate the rest of the cluster between steps (per-chunk read
+    /// paths).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FsError::BeyondEof`] if the range extends past the file.
+    pub fn cursor(&self, file: FileId, offset: u64, len: u64) -> Result<ExtentCursor, FsError> {
+        let size = self.inodes[file.0 as usize].size;
+        if offset + len > size {
+            return Err(FsError::BeyondEof(offset + len, size));
+        }
+        Ok(ExtentCursor {
+            file,
+            next_ext: 0,
+            pos: 0,
+            need_off: offset,
+            need_len: len,
+        })
     }
 
     /// Deletes a path (the inode's storage is not reclaimed — HDFS blocks
@@ -272,6 +274,47 @@ impl GuestFs {
                 .map(|(p, id)| (p.clone(), (*id, self.inodes[id.0 as usize].size)))
                 .collect(),
         }
+    }
+}
+
+/// Walks the image extents backing a file range, in file order; see
+/// [`GuestFs::cursor`].
+#[derive(Debug, Clone, Copy)]
+pub struct ExtentCursor {
+    file: FileId,
+    /// Index of the next inode extent to examine.
+    next_ext: usize,
+    /// Logical position of that extent's start.
+    pos: u64,
+    need_off: u64,
+    need_len: u64,
+}
+
+impl ExtentCursor {
+    /// The next extent of the range, or `None` when it is exhausted.
+    /// `fs` must be the filesystem the cursor came from.
+    pub fn advance(&mut self, fs: &GuestFs) -> Option<Extent> {
+        let extents = &fs.inodes[self.file.0 as usize].extents;
+        while self.need_len > 0 {
+            let Some(ext) = extents.get(self.next_ext) else {
+                debug_assert_eq!(self.need_len, 0, "extent bookkeeping out of sync with size");
+                return None;
+            };
+            self.next_ext += 1;
+            let start = self.pos;
+            self.pos += ext.len;
+            if self.need_off < self.pos {
+                let inner = self.need_off - start;
+                let take = (ext.len - inner).min(self.need_len);
+                self.need_off += take;
+                self.need_len -= take;
+                return Some(Extent {
+                    image_offset: ext.image_offset + inner,
+                    len: take,
+                });
+            }
+        }
+        None
     }
 }
 
@@ -339,6 +382,15 @@ mod tests {
         f.append(a, 1000); // a: [2000,3000)
         let exts = f.resolve(a, 500, 1000).unwrap();
         assert_eq!(exts.len(), 2);
+        // The cursor hands out the same extents one at a time.
+        let mut cursor = f.cursor(a, 500, 1000).unwrap();
+        assert_eq!(cursor.advance(&f), Some(exts[0]));
+        assert_eq!(cursor.advance(&f), Some(exts[1]));
+        assert_eq!(cursor.advance(&f), None);
+        assert!(matches!(
+            f.cursor(a, 1500, 600),
+            Err(FsError::BeyondEof(2100, 2000))
+        ));
         assert_eq!(
             exts[0],
             Extent {

@@ -3,82 +3,54 @@
 //!
 //! Entries live in a `Vec` slab of nodes doubly linked by `u32` indices,
 //! oldest at the head and newest at the tail, with vacated nodes kept on
-//! a free list for reuse. A `HashMap` from key to node index makes
-//! [`Lru::touch`], [`Lru::insert`], [`Lru::remove`] and
-//! [`Lru::pop_oldest`] O(1).
+//! a free list for reuse.
+//!
+//! A key is a chunk `(space, index)`: a *space* is a dense `u32` id the
+//! store assigns (an object id, or a content sequence's slot), and the
+//! index is the chunk's position inside it. Images and content sequences
+//! are laid out densely from offset 0, so the index is a table per
+//! space — `space → chunk index → node` — and [`Lru::touch`],
+//! [`Lru::insert`], [`Lru::remove`] and [`Lru::pop_oldest`] are O(1)
+//! array probes with no hashing. A space's table grows when a chunk
+//! beyond its end is first inserted, so building a deployment does no
+//! index work.
 //!
 //! Determinism: the order of entries is the linked list, which depends
-//! only on the sequence of calls. The hash index is only ever probed by
+//! only on the sequence of calls. The tables are only ever probed by
 //! key, never iterated; the one iteration, [`Lru::iter`], walks the list
 //! from oldest to newest.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
-
-/// Link value meaning "no node".
+/// Link (and table) value meaning "no node".
 const NIL: u32 = u32::MAX;
 
-/// Multiply-rotate hasher for the index (the FxHash scheme). Chunk keys
-/// are a few small integers, so this beats SipHash by a wide margin, and
-/// it is seedless: the same keys hash the same way in every run. The
-/// keys are chunk indices and ids the simulator derives itself, so
-/// SipHash's protection against crafted collisions buys nothing here.
-#[derive(Debug, Clone, Copy, Default)]
-struct KeyHasher(u64);
-
-impl KeyHasher {
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-impl Hasher for KeyHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.add(u64::from(b));
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
+/// Key of one chunk: `(space, chunk index)` (see the module docs).
+pub type ChunkKey = (u32, u64);
 
 #[derive(Debug, Clone)]
-struct Node<K, V> {
-    key: K,
+struct Node<V> {
+    key: ChunkKey,
     value: V,
     prev: u32,
     next: u32,
 }
 
-/// Keys in recency order, each with a value (see the module docs).
+/// Chunk keys in recency order, each with a value (see the module docs).
 ///
 /// ```rust
 /// use vread_host::lru::Lru;
 ///
 /// let mut lru = Lru::new();
-/// lru.insert('a', 1);
-/// lru.insert('b', 2);
-/// assert_eq!(lru.touch(&'a'), Some(1)); // 'a' is now the newest
-/// assert_eq!(lru.pop_oldest(), Some(('b', 2)));
+/// lru.insert((0, 7), 1);
+/// lru.insert((2, 0), 2);
+/// assert_eq!(lru.touch((0, 7)), Some(1)); // (0, 7) is now the newest
+/// assert_eq!(lru.pop_oldest(), Some(((2, 0), 2)));
 /// ```
 #[derive(Debug, Clone)]
-pub struct Lru<K, V> {
-    nodes: Vec<Node<K, V>>,
-    index: HashMap<K, u32, BuildHasherDefault<KeyHasher>>,
+pub struct Lru<V> {
+    nodes: Vec<Node<V>>,
+    /// `space -> chunk index -> node` ([`NIL`] where absent).
+    index: Vec<Vec<u32>>,
+    len: usize,
     /// Oldest entry.
     head: u32,
     /// Newest entry.
@@ -87,18 +59,19 @@ pub struct Lru<K, V> {
     free: u32,
 }
 
-impl<K: Copy + Eq + Hash, V: Copy> Default for Lru<K, V> {
+impl<V: Copy> Default for Lru<V> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<K: Copy + Eq + Hash, V: Copy> Lru<K, V> {
+impl<V: Copy> Lru<V> {
     /// An empty list.
     pub fn new() -> Self {
         Lru {
             nodes: Vec::new(),
-            index: HashMap::default(),
+            index: Vec::new(),
+            len: 0,
             head: NIL,
             tail: NIL,
             free: NIL,
@@ -107,23 +80,45 @@ impl<K: Copy + Eq + Hash, V: Copy> Lru<K, V> {
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.len
     }
 
     /// Whether the list is empty.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.len == 0
+    }
+
+    /// The node holding `key`, if present.
+    #[inline]
+    fn node_of(&self, (space, idx): ChunkKey) -> Option<u32> {
+        let table = self.index.get(space as usize)?;
+        let n = *table.get(usize::try_from(idx).ok()?)?;
+        (n != NIL).then_some(n)
+    }
+
+    /// The table slot of `key`, growing the tables to reach it.
+    fn slot_mut(&mut self, (space, idx): ChunkKey) -> &mut u32 {
+        let space = space as usize;
+        if space >= self.index.len() {
+            self.index.resize_with(space + 1, Vec::new);
+        }
+        let table = &mut self.index[space];
+        let idx = usize::try_from(idx).expect("chunk index fits usize");
+        if idx >= table.len() {
+            table.resize(idx + 1, NIL);
+        }
+        &mut table[idx]
     }
 
     /// Whether `key` is present (no recency change).
-    pub fn contains(&self, key: &K) -> bool {
-        self.index.contains_key(key)
+    pub fn contains(&self, key: ChunkKey) -> bool {
+        self.node_of(key).is_some()
     }
 
     /// Moves `key` to the newest position and returns its value, or
     /// `None` when absent.
-    pub fn touch(&mut self, key: &K) -> Option<V> {
-        let n = *self.index.get(key)?;
+    pub fn touch(&mut self, key: ChunkKey) -> Option<V> {
+        let n = self.node_of(key)?;
         if n != self.tail {
             self.unlink(n);
             self.link_newest(n);
@@ -136,7 +131,7 @@ impl<K: Copy + Eq + Hash, V: Copy> Lru<K, V> {
     /// # Panics
     ///
     /// Panics if `key` is already present.
-    pub fn insert(&mut self, key: K, value: V) {
+    pub fn insert(&mut self, key: ChunkKey, value: V) {
         let node = Node {
             key,
             value,
@@ -156,43 +151,46 @@ impl<K: Copy + Eq + Hash, V: Copy> Lru<K, V> {
             self.nodes[n as usize] = node;
             n
         };
-        let old = self.index.insert(key, n);
-        assert!(old.is_none(), "LRU insert of a present key");
+        let slot = self.slot_mut(key);
+        assert!(*slot == NIL, "LRU insert of a present key");
+        *slot = n;
+        self.len += 1;
         self.link_newest(n);
     }
 
     /// Removes `key`, returning its value.
-    pub fn remove(&mut self, key: &K) -> Option<V> {
-        let n = self.index.remove(key)?;
-        self.unlink(n);
-        self.release(n);
+    pub fn remove(&mut self, key: ChunkKey) -> Option<V> {
+        let n = self.node_of(key)?;
+        self.detach(n);
         Some(self.nodes[n as usize].value)
     }
 
     /// Removes and returns the oldest entry.
-    pub fn pop_oldest(&mut self) -> Option<(K, V)> {
+    pub fn pop_oldest(&mut self) -> Option<(ChunkKey, V)> {
         if self.head == NIL {
             return None;
         }
         let n = self.head;
-        let Node { key, value, .. } = self.nodes[n as usize];
-        self.index.remove(&key);
-        self.unlink(n);
-        self.release(n);
-        Some((key, value))
+        self.detach(n);
+        let node = &self.nodes[n as usize];
+        Some((node.key, node.value))
     }
 
-    /// Removes every entry.
+    /// Removes every entry. The tables keep their memory, so refilling
+    /// after `drop_caches` does not regrow them.
     pub fn clear(&mut self) {
         self.nodes.clear();
-        self.index.clear();
+        for table in &mut self.index {
+            table.fill(NIL);
+        }
+        self.len = 0;
         self.head = NIL;
         self.tail = NIL;
         self.free = NIL;
     }
 
     /// Entries from oldest to newest.
-    pub fn iter(&self) -> impl Iterator<Item = (K, V)> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = (ChunkKey, V)> + '_ {
         let mut n = self.head;
         std::iter::from_fn(move || {
             if n == NIL {
@@ -202,6 +200,17 @@ impl<K: Copy + Eq + Hash, V: Copy> Lru<K, V> {
             n = node.next;
             Some((node.key, node.value))
         })
+    }
+
+    /// Unindexes, unlinks and frees node `n` (its contents stay readable
+    /// until the node is reused).
+    fn detach(&mut self, n: u32) {
+        let (space, idx) = self.nodes[n as usize].key;
+        self.index[space as usize][idx as usize] = NIL;
+        self.len -= 1;
+        self.unlink(n);
+        self.nodes[n as usize].next = self.free;
+        self.free = n;
     }
 
     fn unlink(&mut self, n: u32) {
@@ -235,32 +244,30 @@ impl<K: Copy + Eq + Hash, V: Copy> Lru<K, V> {
         }
         self.tail = n;
     }
-
-    /// Puts an unlinked node on the free list.
-    fn release(&mut self, n: u32) {
-        self.nodes[n as usize].next = self.free;
-        self.free = n;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn keys(lru: &Lru<u32, ()>) -> Vec<u32> {
-        lru.iter().map(|(k, ())| k).collect()
+    fn keys(lru: &Lru<()>) -> Vec<u64> {
+        lru.iter().map(|((_, k), ())| k).collect()
+    }
+
+    fn k(i: u64) -> ChunkKey {
+        (0, i)
     }
 
     #[test]
     fn touch_moves_to_newest() {
         let mut lru = Lru::new();
-        for k in 0..4 {
-            lru.insert(k, ());
+        for i in 0..4 {
+            lru.insert(k(i), ());
         }
-        assert_eq!(lru.touch(&3), Some(())); // already newest
-        assert_eq!(lru.touch(&1), Some(()));
-        assert_eq!(lru.touch(&0), Some(()));
-        assert_eq!(lru.touch(&9), None);
+        assert_eq!(lru.touch(k(3)), Some(())); // already newest
+        assert_eq!(lru.touch(k(1)), Some(()));
+        assert_eq!(lru.touch(k(0)), Some(()));
+        assert_eq!(lru.touch(k(9)), None);
         assert_eq!(keys(&lru), [2, 3, 1, 0]);
         assert_eq!(lru.len(), 4);
     }
@@ -268,43 +275,62 @@ mod tests {
     #[test]
     fn remove_and_pop_relink_and_reuse_nodes() {
         let mut lru = Lru::new();
-        for k in 0..5 {
-            lru.insert(k, ());
+        for i in 0..5 {
+            lru.insert(k(i), ());
         }
-        assert_eq!(lru.remove(&2), Some(()));
-        assert_eq!(lru.remove(&2), None);
-        assert_eq!(lru.remove(&4), Some(())); // the tail
-        assert_eq!(lru.pop_oldest(), Some((0, ())));
+        assert_eq!(lru.remove(k(2)), Some(()));
+        assert_eq!(lru.remove(k(2)), None);
+        assert_eq!(lru.remove(k(4)), Some(())); // the tail
+        assert_eq!(lru.pop_oldest(), Some((k(0), ())));
         assert_eq!(keys(&lru), [1, 3]);
         // Vacated nodes are reused before the slab grows.
-        lru.insert(7, ());
-        lru.insert(8, ());
-        lru.insert(9, ());
+        lru.insert(k(7), ());
+        lru.insert(k(8), ());
+        lru.insert(k(9), ());
         assert_eq!(lru.nodes.len(), 5);
         assert_eq!(keys(&lru), [1, 3, 7, 8, 9]);
-        assert!(lru.contains(&8) && !lru.contains(&0));
+        assert!(lru.contains(k(8)) && !lru.contains(k(0)));
     }
 
     #[test]
     fn values_survive_touch_and_pop() {
-        let mut lru: Lru<u32, u64> = Lru::new();
-        lru.insert(1, 10);
-        lru.insert(2, 20);
-        assert_eq!(lru.touch(&1), Some(10));
-        assert_eq!(lru.pop_oldest(), Some((2, 20)));
-        assert_eq!(lru.pop_oldest(), Some((1, 10)));
+        let mut lru: Lru<u64> = Lru::new();
+        lru.insert(k(1), 10);
+        lru.insert(k(2), 20);
+        assert_eq!(lru.touch(k(1)), Some(10));
+        assert_eq!(lru.pop_oldest(), Some((k(2), 20)));
+        assert_eq!(lru.pop_oldest(), Some((k(1), 10)));
         assert_eq!(lru.pop_oldest(), None);
         assert!(lru.is_empty());
     }
 
     #[test]
+    fn spaces_are_disjoint_and_tables_grow_on_insert() {
+        let mut lru: Lru<u8> = Lru::new();
+        assert_eq!(lru.touch((5, 1 << 20)), None, "probing does not grow");
+        assert!(lru.index.is_empty());
+        lru.insert((3, 1 << 20), 1);
+        lru.insert((0, 0), 2);
+        lru.insert((3, 0), 3);
+        assert_eq!(lru.index.len(), 4);
+        assert_eq!(lru.index[3].len(), (1 << 20) + 1);
+        assert!(!lru.contains((0, 1 << 20)) && !lru.contains((1, 0)));
+        assert_eq!(lru.touch((3, 1 << 20)), Some(1));
+        assert_eq!(lru.remove((0, 0)), Some(2));
+        assert_eq!(lru.pop_oldest(), Some(((3, 0), 3)));
+        assert_eq!(lru.len(), 1);
+        assert_eq!(lru.touch((u32::MAX - 1, u64::MAX)), None);
+    }
+
+    #[test]
     fn clear_empties() {
         let mut lru = Lru::new();
-        lru.insert(1u32, ());
+        lru.insert(k(1), ());
         lru.clear();
         assert!(lru.is_empty());
-        assert_eq!(keys(&lru), Vec::<u32>::new());
-        lru.insert(1, ());
+        assert!(!lru.contains(k(1)));
+        assert_eq!(keys(&lru), Vec::<u64>::new());
+        lru.insert(k(1), ());
         assert_eq!(keys(&lru), [1]);
     }
 
@@ -312,7 +338,7 @@ mod tests {
     #[should_panic(expected = "present key")]
     fn double_insert_panics() {
         let mut lru = Lru::new();
-        lru.insert(1u32, ());
-        lru.insert(1, ());
+        lru.insert(k(1), ());
+        lru.insert(k(1), ());
     }
 }

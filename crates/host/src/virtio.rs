@@ -33,13 +33,13 @@ pub fn guest_disk_read(
     offset: u64,
     len: u64,
     user_cat: CpuCategory,
-) -> Vec<Stage> {
-    let costs = cl.costs.clone();
+) -> StageList {
+    let costs = &cl.costs;
     let obj = cl.vms[vm.0].fs.image();
     let guest_missing = cl.vms[vm.0].cache.lookup(obj, offset, len).miss_bytes;
     let vcpu = cl.vms[vm.0].vcpu;
     let vhost = cl.vms[vm.0].vhost;
-    let mut stages = Vec::with_capacity(8);
+    let mut stages = StageList::new();
 
     if guest_missing == 0 {
         // Served from the guest page cache: read() syscall + copy to user.
@@ -110,8 +110,8 @@ pub fn guest_disk_write(
     offset: u64,
     len: u64,
     user_cat: CpuCategory,
-) -> Vec<Stage> {
-    let costs = cl.costs.clone();
+) -> StageList {
+    let costs = &cl.costs;
     let obj = cl.vms[vm.0].fs.image();
     let vcpu = cl.vms[vm.0].vcpu;
     let vhost = cl.vms[vm.0].vhost;
@@ -126,7 +126,7 @@ pub fn guest_disk_write(
     // reflects the (slower) effective write bandwidth.
     let dev_bytes = (len as f64 * costs.ssd_bw_bps / costs.ssd_write_bw_bps).round() as u64;
 
-    vec![
+    [
         // user -> kernel copy + submission + kick
         Stage::copy(
             vcpu,
@@ -147,12 +147,37 @@ pub fn guest_disk_write(
         Stage::cpu(vhost, costs.irq_inject_cycles, CpuCategory::Other),
         Stage::cpu(vcpu, costs.blk_complete_cycles, CpuCategory::DiskRead),
     ]
+    .into()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::costs::Costs;
+
+    fn guest_disk_read(
+        cl: &mut Cluster,
+        vm: VmId,
+        offset: u64,
+        len: u64,
+        user_cat: CpuCategory,
+    ) -> Vec<Stage> {
+        super::guest_disk_read(cl, vm, offset, len, user_cat)
+            .into_iter()
+            .collect()
+    }
+
+    fn guest_disk_write(
+        cl: &mut Cluster,
+        vm: VmId,
+        offset: u64,
+        len: u64,
+        user_cat: CpuCategory,
+    ) -> Vec<Stage> {
+        super::guest_disk_write(cl, vm, offset, len, user_cat)
+            .into_iter()
+            .collect()
+    }
 
     fn setup() -> (World, Cluster, VmId) {
         let mut w = World::new(1);

@@ -439,8 +439,34 @@ enum StoreOp {
     Clear,
 }
 
+/// Objects and content ids the store ops draw from.
+const ORACLE_OBJECTS: u64 = 4;
+const ORACLE_CONTENTS: u64 = 4;
+
+/// Chunk indices far from 0 and from each other (the last just under
+/// 2^20), so the stores' dense per-space tables must grow to reach
+/// them, while ops near one anchor still overlap.
+const SPARSE_ANCHORS: [u64; 3] = [1 << 10, 1 << 16, (1 << 20) - 8];
+
+/// A byte offset: mostly within the first 12 chunks, otherwise within
+/// 4 chunks of a sparse anchor.
+fn store_offset() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        0u64..12 * ORACLE_CHUNK,
+        0u64..12 * ORACLE_CHUNK,
+        (0usize..SPARSE_ANCHORS.len(), 0u64..4 * ORACLE_CHUNK)
+            .prop_map(|(a, d)| SPARSE_ANCHORS[a] * ORACLE_CHUNK + d),
+    ]
+}
+
 fn store_range() -> impl Strategy<Value = (u64, u64, u64)> {
-    (0u64..3, 0u64..12 * ORACLE_CHUNK, 0u64..4 * ORACLE_CHUNK)
+    (0u64..ORACLE_OBJECTS, store_offset(), 0u64..4 * ORACLE_CHUNK)
+}
+
+/// Every chunk index the ops can reach: the dense prefix and the
+/// neighbourhood of each anchor.
+fn reachable_chunks() -> impl Iterator<Item = u64> {
+    (0..16).chain(SPARSE_ANCHORS.iter().flat_map(|&a| a..a + 8))
 }
 
 fn store_op() -> impl Strategy<Value = StoreOp> {
@@ -450,7 +476,7 @@ fn store_op() -> impl Strategy<Value = StoreOp> {
         store_range().prop_map(|(obj, off, len)| StoreOp::Admit { obj, off, len }),
         store_range().prop_map(|(obj, off, len)| StoreOp::Admit { obj, off, len }),
         store_range().prop_map(|(obj, off, len)| StoreOp::Probe { obj, off, len }),
-        (store_range(), (0u64..3, 0u64..4 * ORACLE_CHUNK)).prop_map(
+        (store_range(), (0u64..ORACLE_CONTENTS, store_offset())).prop_map(
             |((obj, off, len), (cid, coff))| StoreOp::Bind {
                 obj,
                 off,
@@ -459,7 +485,7 @@ fn store_op() -> impl Strategy<Value = StoreOp> {
                 coff
             }
         ),
-        (0u64..3).prop_map(|obj| StoreOp::EvictObject { obj }),
+        (0u64..ORACLE_OBJECTS).prop_map(|obj| StoreOp::EvictObject { obj }),
         (0u64..10 * ORACLE_CHUNK).prop_map(|bytes| StoreOp::EvictToFit { bytes }),
         Just(StoreOp::Clear),
     ]
@@ -519,8 +545,8 @@ fn apply_both(
     prop_assert_eq!(real.used_bytes(), reference.used_bytes());
     prop_assert_eq!(real.logical_bytes(), reference.logical_bytes());
     // Residency of every chunk the ops can reach (probe never touches).
-    for obj in 0..3 {
-        for ci in 0..16 {
+    for obj in 0..ORACLE_OBJECTS {
+        for ci in reachable_chunks() {
             let (off, len) = (ci * ORACLE_CHUNK, ORACLE_CHUNK);
             prop_assert_eq!(
                 real.probe(o(obj), off, len),
@@ -652,7 +678,10 @@ proptest! {
 
     /// Both stores agree with their tick-ordered reference model on
     /// every lookup, admission, probe, statistic and byte count, with
-    /// capacities of 2–8 chunks so most admissions evict.
+    /// capacities of 2–8 chunks so most admissions evict. Four objects
+    /// and four content ids, with ranges and content offsets near
+    /// sparse chunk indices up to 2^20, exercise the dense tables'
+    /// growth and the CAS store's content-id-to-space mapping.
     #[test]
     fn stores_match_tick_lru_model(
         cap_chunks in 2u64..9,

@@ -77,9 +77,21 @@ const ITER_METHODS: &[&str] = &[
     "retain",
 ];
 
+/// Whether `t` names a hash-ordered collection type: `HashMap`/`HashSet`
+/// themselves or any alias spelled `…HashMap`/`…HashSet`, such as the
+/// seedless-hasher maps `vread_sim::hash::IdHashMap`/`IdHashSet`. A
+/// seedless hasher repeats its order from run to run, but that order
+/// still follows the hash function and the table's growth history, not
+/// the program's logic, so anything derived from it shifts when either
+/// changes.
+fn is_hash_type(t: &Tok<'_>) -> bool {
+    t.kind == TokKind::Ident && (t.text.ends_with("HashMap") || t.text.ends_with("HashSet"))
+}
+
 /// Collects identifiers that this file declares (or ascribes) with a
-/// `HashMap`/`HashSet` type: struct fields, `let` bindings with type
-/// ascriptions, and `let x = HashMap::new()`-style initializers.
+/// hash-ordered collection type (see [`is_hash_type`]): struct fields,
+/// `let` bindings with type ascriptions, and `let x = HashMap::new()`-
+/// style initializers.
 fn hash_named(code: &[Tok<'_>]) -> BTreeSet<String> {
     let mut names = BTreeSet::new();
     for i in 0..code.len() {
@@ -109,7 +121,7 @@ fn hash_named(code: &[Tok<'_>]) -> BTreeSet<String> {
                     depth += 1;
                 } else if u.is_punct('>') || u.is_punct(')') || u.is_punct(']') {
                     depth -= 1;
-                } else if u.is_ident("HashMap") || u.is_ident("HashSet") {
+                } else if is_hash_type(u) {
                     names.insert(t.text.to_owned());
                     break;
                 }
@@ -128,7 +140,7 @@ fn hash_named(code: &[Tok<'_>]) -> BTreeSet<String> {
                 if u.is_punct(';') {
                     break;
                 }
-                if u.is_ident("HashMap") || u.is_ident("HashSet") {
+                if is_hash_type(u) {
                     names.insert(name.text.to_owned());
                     break;
                 }
@@ -159,7 +171,7 @@ fn unordered_iter(code: &[Tok<'_>], out: &mut Vec<Candidate>) {
                         "unordered-iter",
                         t,
                         format!(
-                            "`{}.{}()` iterates a HashMap/HashSet in RandomState order; \
+                            "`{}.{}()` iterates a HashMap/HashSet in hash order; \
                              use BTreeMap/BTreeSet or drain through a sorted buffer",
                             t.text, m.text
                         ),
@@ -216,8 +228,8 @@ fn unordered_iter(code: &[Tok<'_>], out: &mut Vec<Candidate>) {
                         "unordered-iter",
                         x,
                         format!(
-                            "`for … in {}` iterates a HashMap/HashSet in RandomState \
-                             order; use BTreeMap/BTreeSet or drain through a sorted buffer",
+                            "`for … in {}` iterates a HashMap/HashSet in hash order; \
+                             use BTreeMap/BTreeSet or drain through a sorted buffer",
                             x.text
                         ),
                     ));

@@ -62,6 +62,14 @@ fn unordered_iter_fixtures() {
 }
 
 #[test]
+fn unordered_iter_flags_seedless_hasher_maps() {
+    check(
+        "unordered_iter_seedless_pos.rs",
+        "crates/core/src/fixture.rs",
+    );
+}
+
+#[test]
 fn ambient_entropy_fixtures() {
     check("ambient_entropy_pos.rs", "crates/core/src/fixture.rs");
     check("ambient_entropy_neg.rs", "crates/core/src/fixture.rs");

@@ -239,12 +239,12 @@ pub fn add_conn(w: &mut World, cl: &Cluster, a: Endpoint, b: Endpoint, spec: Con
 
 impl Conn {
     /// Builds the stage chain for one chunk travelling `from` → `to`.
-    fn chunk_stages(&self, from: usize, bytes: u64) -> Vec<Stage> {
+    fn chunk_stages(&self, from: usize, bytes: u64) -> StageList {
         let to = 1 - from;
         let c = &self.costs;
         let snd = &self.ends[from];
         let rcv = &self.ends[to];
-        let mut st = Vec::with_capacity(10);
+        let mut st = StageList::new();
 
         // --- sender side ---
         let sriov_direct = self.spec.sriov && self.inter_host;

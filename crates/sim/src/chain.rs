@@ -255,6 +255,42 @@ impl From<Vec<Stage>> for StageList {
     }
 }
 
+impl Extend<Stage> for StageList {
+    fn extend<I: IntoIterator<Item = Stage>>(&mut self, iter: I) {
+        for s in iter {
+            self.push(s);
+        }
+    }
+}
+
+impl IntoIterator for StageList {
+    type Item = Stage;
+    type IntoIter = IntoIter;
+
+    fn into_iter(self) -> IntoIter {
+        IntoIter(self)
+    }
+}
+
+/// The unconsumed stages of a [`StageList`], in order.
+#[derive(Debug, Clone)]
+pub struct IntoIter(StageList);
+
+impl Iterator for IntoIter {
+    type Item = Stage;
+
+    fn next(&mut self) -> Option<Stage> {
+        self.0.pop_front()
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.0.remaining();
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for IntoIter {}
+
 /// An in-flight chain owned by the engine.
 #[derive(Debug)]
 pub(crate) struct Chain {
@@ -341,5 +377,20 @@ mod tests {
 
         let vec: StageList = vec![Stage::delay(SimDuration::ZERO); 12].into();
         assert_eq!(vec.remaining(), 12);
+    }
+
+    #[test]
+    fn stage_list_extends_and_iterates_in_order() {
+        let d = |n| Stage::delay(SimDuration::from_nanos(n));
+        let mut a: StageList = [d(0), d(1)].into();
+        let mut b = StageList::new();
+        b.extend((2..INLINE_STAGES as u64 + 4).map(d));
+        assert_eq!(a.pop_front(), Some(d(0)), "consumed stages are not carried");
+        a.extend(b);
+        let it = a.into_iter();
+        assert_eq!(it.len(), INLINE_STAGES + 3);
+        let got: Vec<Stage> = it.collect();
+        let want: Vec<Stage> = (1..INLINE_STAGES as u64 + 4).map(d).collect();
+        assert_eq!(got, want);
     }
 }

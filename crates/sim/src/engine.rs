@@ -26,8 +26,11 @@
 //!   rather than a hash map; see [`crate::slab`].
 //! * **Unboxed internal events** — engine-internal events (core timers,
 //!   chain resumes) are plain enum variants, and a boxed zero-sized
-//!   completion message does not allocate, so steady-state event traffic
-//!   is allocation-free.
+//!   completion message does not allocate. A message that carries data
+//!   is a `Box<dyn Any>` and costs one heap allocation; those boxes are
+//!   the only steady-state allocations left (about 0.4 per event on a
+//!   contended vanilla read workload — stage lists, the run queue and
+//!   the host block-store indices allocate nothing).
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};

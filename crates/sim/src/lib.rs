@@ -54,6 +54,7 @@ pub mod cpu;
 pub mod engine;
 pub mod ext;
 pub mod fault;
+pub mod hash;
 pub mod ids;
 pub mod job;
 pub mod metrics;

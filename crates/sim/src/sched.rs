@@ -26,7 +26,7 @@
 //! cores, wakeups stop finding idle cores and inter-VM round trips absorb
 //! run-queue latency.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 use crate::cpu::CpuCategory;
 use crate::engine::World;
@@ -71,10 +71,84 @@ impl Default for SchedParams {
     }
 }
 
-/// Converts cycles to wall nanoseconds at `ghz` (cycles per ns).
+/// Converts cycles to wall nanoseconds at `ghz` (cycles per ns),
+/// rounding up: the value of `(cycles / ghz).ceil().max(0.0) as u64`.
+///
+/// Baseline x86-64 has no SSE4.1 rounding instruction, so `f64::ceil`
+/// is a libm call; this runs on every core-timer reprogram. The
+/// saturating `as u64` cast truncates instead (NaN and negatives to 0,
+/// 2^64 and up to `u64::MAX`), and one comparison adds the missing unit
+/// when a fraction was cut off. Every `f64` from 2^53 up is an integer,
+/// so the comparison only ever fires below that, where `t as f64` is
+/// exact.
 #[inline]
 pub(crate) fn cycles_to_ns(cycles: f64, ghz: f64) -> u64 {
-    (cycles / ghz).ceil().max(0.0) as u64
+    let ns = cycles / ghz;
+    let t = ns as u64;
+    t.saturating_add(u64::from((t as f64) < ns))
+}
+
+/// A host's runnable-but-not-running threads, ordered by
+/// `(vruntime, thread id)` — the order a `BTreeSet<(u64, u32)>` keeps.
+///
+/// The queue holds at most a host's thread count, a few dozen entries,
+/// so a `Vec` kept sorted in *descending* order beats a tree: the
+/// minimum pops from the back, an insert or removal is a binary search
+/// plus a short shift, and once the `Vec` has grown to the host's
+/// high-water mark nothing allocates.
+#[derive(Debug, Default)]
+pub(crate) struct RunQueue {
+    /// Sorted descending; the minimum is last.
+    desc: Vec<(u64, u32)>,
+}
+
+impl RunQueue {
+    /// Where `key` sits (or would sit) in the descending order.
+    fn search(&self, key: &(u64, u32)) -> Result<usize, usize> {
+        self.desc.binary_search_by(|probe| key.cmp(probe))
+    }
+
+    /// Adds `key`; returns whether it was absent.
+    pub fn insert(&mut self, key: (u64, u32)) -> bool {
+        match self.search(&key) {
+            Ok(_) => false,
+            Err(i) => {
+                self.desc.insert(i, key);
+                true
+            }
+        }
+    }
+
+    /// Removes `key`; returns whether it was present.
+    pub fn remove(&mut self, key: &(u64, u32)) -> bool {
+        match self.search(key) {
+            Ok(i) => {
+                self.desc.remove(i);
+                true
+            }
+            Err(_) => false,
+        }
+    }
+
+    /// Removes and returns the minimum.
+    pub fn pop_first(&mut self) -> Option<(u64, u32)> {
+        self.desc.pop()
+    }
+
+    /// The minimum.
+    pub fn first(&self) -> Option<&(u64, u32)> {
+        self.desc.last()
+    }
+
+    /// Number of queued threads.
+    pub fn len(&self) -> usize {
+        self.desc.len()
+    }
+
+    /// Whether no thread is queued.
+    pub fn is_empty(&self) -> bool {
+        self.desc.is_empty()
+    }
 }
 
 /// One queued unit of CPU work (a CPU stage of a chain).
@@ -138,7 +212,7 @@ pub(crate) struct HostSched {
     pub ghz: f64,
     pub cores: Vec<Core>,
     /// Runnable (not running) threads, ordered by `(vruntime, id)`.
-    pub runq: BTreeSet<(u64, u32)>,
+    pub runq: RunQueue,
     /// Monotonic minimum vruntime reference for wake-up placement.
     pub min_vr: u64,
     pub params: SchedParams,
@@ -185,7 +259,7 @@ impl Sched {
             name: name.to_owned(),
             ghz,
             cores: (0..cores).map(|_| Core::default()).collect(),
-            runq: BTreeSet::new(),
+            runq: RunQueue::default(),
             min_vr: 0,
             params,
             cache_pressure: 1.0,
@@ -263,7 +337,7 @@ impl World {
             // Reference vruntime: the smallest among currently runnable /
             // running threads (CFS's cfs_rq->min_vruntime), falling back
             // to the monotonic watermark when the host is idle.
-            let mut ref_vr = h.runq.iter().next().map(|&(vr, _)| vr);
+            let mut ref_vr = h.runq.first().map(|&(vr, _)| vr);
             for core in &h.cores {
                 if let Some(r) = core.running {
                     let vvr = self.sched.threads[r.thread as usize].vr;
@@ -635,5 +709,128 @@ impl World {
             .map(|th| now.since(th.queued_at))
             .max()
             .unwrap_or(SimDuration::ZERO)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeSet;
+
+    use proptest::prelude::*;
+
+    use super::*;
+
+    /// The value `cycles_to_ns` must reproduce.
+    fn ceil_ns(cycles: f64, ghz: f64) -> u64 {
+        (cycles / ghz).ceil().max(0.0) as u64
+    }
+
+    #[test]
+    fn cycles_to_ns_matches_ceil_on_edge_cases() {
+        let two53 = 9_007_199_254_740_992.0_f64; // 2^53
+        let two64 = 18_446_744_073_709_551_616.0_f64; // 2^64
+        let cases = [
+            0.0,
+            -0.0,
+            -1.0,
+            -0.5,
+            -1e300,
+            f64::MIN,
+            f64::NAN,
+            -f64::NAN,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            0.5,
+            1.0,
+            1.000_000_000_000_000_2,
+            2.0,
+            3_000.0,
+            3_000.000_1,
+            two53 - 1.0,
+            two53 - 0.5,
+            two53,
+            two53 + 2.0, // 2^53 + 1 is not an f64; its neighbours are
+            two64 - 2048.0,
+            two64,
+            two64 * 2.0,
+            1e300,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        for &x in &cases {
+            assert_eq!(cycles_to_ns(x, 1.0), ceil_ns(x, 1.0), "cycles {x:e}");
+        }
+        // 2^53 - 1 and 2^53 + 1 as integer cycle counts, as the callers
+        // pass them (`u64 as f64` rounds 2^53 + 1 to 2^53).
+        for c in [(1u64 << 53) - 1, (1u64 << 53) + 1, u64::MAX] {
+            assert_eq!(cycles_to_ns(c as f64, 1.0), ceil_ns(c as f64, 1.0), "{c}");
+        }
+        assert_eq!(cycles_to_ns(two64, 1.0), u64::MAX);
+        assert_eq!(cycles_to_ns(f64::INFINITY, 2.0), u64::MAX);
+        assert_eq!(cycles_to_ns(f64::NAN, 2.0), 0);
+        assert_eq!(cycles_to_ns(-5.0, 2.0), 0);
+        assert_eq!(cycles_to_ns(3_001.0, 3.0), 1_001);
+        assert_eq!(cycles_to_ns(3_000.0, 3.0), 1_000);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Arbitrary cycle counts and clock rates round like `ceil`.
+        #[test]
+        fn cycles_to_ns_matches_ceil(cycles in 0u64..u64::MAX, scale in 0u32..64, ghz_milli in 1u64..8_000) {
+            let c = (cycles >> scale) as f64 + (cycles & 0xff) as f64 / 256.0;
+            let ghz = ghz_milli as f64 / 1000.0;
+            prop_assert_eq!(cycles_to_ns(c, ghz), ceil_ns(c, ghz));
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum RqOp {
+        Insert(u64, u32),
+        Remove(u64, u32),
+        PopFirst,
+        First,
+    }
+
+    /// Few distinct vruntimes and ids, so duplicates and removals of
+    /// present keys are common.
+    fn rq_op() -> impl Strategy<Value = RqOp> {
+        prop_oneof![
+            (0u64..6, 0u32..8).prop_map(|(vr, id)| RqOp::Insert(vr, id)),
+            (0u64..6, 0u32..8).prop_map(|(vr, id)| RqOp::Insert(vr * 1_000_000, id)),
+            (0u64..6, 0u32..8).prop_map(|(vr, id)| RqOp::Remove(vr, id)),
+            Just(RqOp::PopFirst),
+            Just(RqOp::First),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The run queue answers every call exactly as the
+        /// `BTreeSet<(u64, u32)>` it replaced.
+        #[test]
+        fn run_queue_matches_btreeset(ops in proptest::collection::vec(rq_op(), 1..120)) {
+            let mut rq = RunQueue::default();
+            let mut oracle: BTreeSet<(u64, u32)> = BTreeSet::new();
+            for op in &ops {
+                match *op {
+                    RqOp::Insert(vr, id) => {
+                        prop_assert_eq!(rq.insert((vr, id)), oracle.insert((vr, id)));
+                    }
+                    RqOp::Remove(vr, id) => {
+                        prop_assert_eq!(rq.remove(&(vr, id)), oracle.remove(&(vr, id)));
+                    }
+                    RqOp::PopFirst => prop_assert_eq!(rq.pop_first(), oracle.pop_first()),
+                    RqOp::First => prop_assert_eq!(rq.first(), oracle.first()),
+                }
+                prop_assert_eq!(rq.len(), oracle.len());
+                prop_assert_eq!(rq.is_empty(), oracle.is_empty());
+            }
+            let rest: Vec<(u64, u32)> = std::iter::from_fn(|| rq.pop_first()).collect();
+            let want: Vec<(u64, u32)> = oracle.into_iter().collect();
+            prop_assert_eq!(rest, want);
+        }
     }
 }
