@@ -4,9 +4,7 @@
 //! harnesses can't just `run()` the world dry. The drive layer is
 //! event-driven: workloads signal a [`JobHandle`] when they finish and
 //! [`run_jobs`] / [`run_jobs_settled`] advance the world until every
-//! registered job completes (or a simulated-time cap fires). The legacy
-//! [`run_until_counter`] slice-poller is retained only for its own tests
-//! as a reference for what the job primitives replaced.
+//! registered job completes (or a simulated-time cap fires).
 
 use vread_sim::prelude::*;
 
@@ -62,27 +60,6 @@ pub fn complete_job_after(w: &mut World, job: JobHandle, delay: SimDuration) {
     w.send_after(a, Start, delay);
 }
 
-/// Runs the world until metric counter `key` reaches `target`, advancing
-/// in `slice` steps, up to `cap` of simulated time. Returns `true` if the
-/// target was reached.
-pub fn run_until_counter(
-    w: &mut World,
-    key: &str,
-    target: f64,
-    slice: SimDuration,
-    cap: SimDuration,
-) -> bool {
-    let deadline = w.now() + cap;
-    while w.metrics.counter(key) < target {
-        if w.now() >= deadline {
-            return false;
-        }
-        let next = (w.now() + slice).min(deadline);
-        w.run_until(next);
-    }
-    true
-}
-
 /// Elapsed seconds between two timestamp samples recorded with
 /// `metrics.sample("<k>_start_at_s" / "<k>_done_at_s", …)`.
 pub fn elapsed_secs(w: &World, prefix: &str) -> f64 {
@@ -104,37 +81,6 @@ mod tests {
                 ctx.timer(Tick, SimDuration::from_millis(1));
             }
         }
-    }
-
-    #[test]
-    fn reaches_target() {
-        let mut w = World::new(1);
-        let a = w.add_actor("t", Ticker);
-        w.send_now(a, Start);
-        let ok = run_until_counter(
-            &mut w,
-            "ticks",
-            5.0,
-            SimDuration::from_millis(1),
-            SimDuration::from_secs(1),
-        );
-        assert!(ok);
-        assert!(w.metrics.counter("ticks") >= 5.0);
-    }
-
-    #[test]
-    fn caps_out() {
-        let mut w = World::new(1);
-        let a = w.add_actor("t", Ticker);
-        w.send_now(a, Start);
-        let ok = run_until_counter(
-            &mut w,
-            "never",
-            1.0,
-            SimDuration::from_millis(1),
-            SimDuration::from_millis(10),
-        );
-        assert!(!ok);
     }
 
     /// Completes a job after `ticks` 1 ms timer ticks, then keeps

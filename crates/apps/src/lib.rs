@@ -31,7 +31,7 @@ pub mod sqoop;
 pub mod wordcount;
 
 pub use dfsio::{DfsioConfig, DfsioMode, TestDfsio};
-pub use driver::{complete_job_after, elapsed_secs, run_jobs, run_jobs_settled, run_until_counter};
+pub use driver::{complete_job_after, elapsed_secs, run_jobs, run_jobs_settled};
 pub use hbase::{HbaseClient, HbaseConfig, HbaseOp};
 pub use hive::{HiveConfig, HiveQuery};
 pub use java_reader::{JavaReader, ReaderMode};

@@ -2,22 +2,20 @@
 //!
 //! Usage:
 //! ```text
-//! repro [--json DIR] [--jobs N] [--engine-threads N] <experiment>... | all | list
-//! repro scenario <file.json> [--spans] [--jobs N] [--engine-threads N]
-//! repro trace [vanilla|vread-rdma|vread-tcp|cas-dedup|all] [--trace-out FILE] [--jobs N] [--engine-threads N]
-//! repro timeline [<file.json>... | ramp] [--sample-ms N] [--trace-out FILE] [--jobs N] [--engine-threads N]
-//! repro fault-matrix [--jobs N] [--engine-threads N]
+//! repro [--json DIR] [--jobs N] <experiment>... | all | list
+//! repro scenario <file.json> [--spans] [--jobs N]
+//! repro trace [vanilla|vread-rdma|vread-tcp|cas-dedup|all] [--trace-out FILE] [--jobs N]
+//! repro timeline [<file.json>... | ramp] [--sample-ms N] [--trace-out FILE] [--jobs N]
+//! repro fault-matrix [--jobs N]
 //! repro bench-engine [--out FILE]
 //! repro lint [--format text|json|sarif] [--update-baseline]
 //! ```
 //!
 //! Experiments run in parallel across `--jobs` worker threads (default:
 //! available cores), fanned out through the engine's deterministic
-//! `run_indexed` pool. `--engine-threads N` additionally drives each
-//! scenario *world* through the conservative parallel engine
-//! (`vread_sim::par`). Every world builds from a fixed seed and the
-//! window protocol is thread-count-invariant, so results — and the JSON
-//! written with `--json` — are byte-identical regardless of either knob.
+//! `run_indexed` pool. Every world builds from a fixed seed and runs on
+//! one worker, so results — and the JSON written with `--json` — are
+//! byte-identical at any job count.
 
 use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -31,7 +29,6 @@ fn main() {
 
     let mut json_dir: Option<String> = None;
     let mut jobs: Option<usize> = None;
-    let mut engine_threads: usize = 1;
     let mut wanted: Vec<String> = Vec::new();
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
@@ -56,30 +53,18 @@ fn main() {
                     }
                 }
             }
-            "--engine-threads" => {
-                let parsed = it.next().and_then(|v| v.parse::<usize>().ok());
-                match parsed {
-                    Some(n) if n >= 1 => engine_threads = n,
-                    _ => {
-                        eprintln!("--engine-threads needs a positive integer");
-                        std::process::exit(2);
-                    }
-                }
-            }
             "list" => {
                 for (id, _) in &registry {
                     println!("{id}");
                 }
-                println!("scenario <file.json> [--spans] [--jobs N] [--engine-threads N]");
+                println!("scenario <file.json> [--spans] [--jobs N]");
                 println!(
-                    "trace [vanilla|vread-rdma|vread-tcp|cas-dedup|all] [--trace-out FILE] [--jobs N] \
-                     [--engine-threads N]"
+                    "trace [vanilla|vread-rdma|vread-tcp|cas-dedup|all] [--trace-out FILE] [--jobs N]"
                 );
                 println!(
-                    "timeline [<file.json>... | ramp] [--sample-ms N] [--trace-out FILE] \
-                     [--jobs N] [--engine-threads N]"
+                    "timeline [<file.json>... | ramp] [--sample-ms N] [--trace-out FILE] [--jobs N]"
                 );
-                println!("fault-matrix [--jobs N] [--engine-threads N]");
+                println!("fault-matrix [--jobs N]");
                 println!("bench-engine [--out FILE]");
                 println!("lint [--format text|json|sarif] [--update-baseline]");
                 return;
@@ -113,7 +98,6 @@ fn main() {
                 let mut files: Vec<String> = Vec::new();
                 let mut spans = false;
                 let mut s_jobs = jobs;
-                let mut s_engine = engine_threads;
                 while let Some(a) = it.next() {
                     match a.as_str() {
                         "--spans" => spans = true,
@@ -123,16 +107,6 @@ fn main() {
                                 Some(n) if n >= 1 => s_jobs = Some(n),
                                 _ => {
                                     eprintln!("--jobs needs a positive integer");
-                                    std::process::exit(2);
-                                }
-                            }
-                        }
-                        "--engine-threads" => {
-                            let parsed = it.next().and_then(|v| v.parse::<usize>().ok());
-                            match parsed {
-                                Some(n) if n >= 1 => s_engine = n,
-                                _ => {
-                                    eprintln!("--engine-threads needs a positive integer");
                                     std::process::exit(2);
                                 }
                             }
@@ -148,14 +122,13 @@ fn main() {
                     eprintln!("scenario needs a JSON file argument");
                     std::process::exit(2);
                 }
-                scenario_cmd(&files, spans, s_jobs.unwrap_or(1), s_engine);
+                scenario_cmd(&files, spans, s_jobs.unwrap_or(1));
                 return;
             }
             "trace" => {
                 let mut which: Vec<TraceCell> = Vec::new();
                 let mut trace_out: Option<String> = None;
                 let mut t_jobs = jobs;
-                let mut t_engine = engine_threads;
                 while let Some(a) = it.next() {
                     match a.as_str() {
                         "--trace-out" => match it.next() {
@@ -171,16 +144,6 @@ fn main() {
                                 Some(n) if n >= 1 => t_jobs = Some(n),
                                 _ => {
                                     eprintln!("--jobs needs a positive integer");
-                                    std::process::exit(2);
-                                }
-                            }
-                        }
-                        "--engine-threads" => {
-                            let parsed = it.next().and_then(|v| v.parse::<usize>().ok());
-                            match parsed {
-                                Some(n) if n >= 1 => t_engine = n,
-                                _ => {
-                                    eprintln!("--engine-threads needs a positive integer");
                                     std::process::exit(2);
                                 }
                             }
@@ -206,7 +169,7 @@ fn main() {
                     which.extend(vread_bench::ReadPath::ALL.map(TraceCell::Path));
                     which.push(TraceCell::CasDedup);
                 }
-                trace_cmd(&which, trace_out.as_deref(), t_jobs.unwrap_or(1), t_engine);
+                trace_cmd(&which, trace_out.as_deref(), t_jobs.unwrap_or(1));
                 return;
             }
             "timeline" => {
@@ -214,7 +177,6 @@ fn main() {
                 let mut sample_ms: Option<u64> = None;
                 let mut trace_out: Option<String> = None;
                 let mut tl_jobs = jobs;
-                let mut tl_engine = engine_threads;
                 while let Some(a) = it.next() {
                     match a.as_str() {
                         "--sample-ms" => {
@@ -244,16 +206,6 @@ fn main() {
                                 }
                             }
                         }
-                        "--engine-threads" => {
-                            let parsed = it.next().and_then(|v| v.parse::<usize>().ok());
-                            match parsed {
-                                Some(n) if n >= 1 => tl_engine = n,
-                                _ => {
-                                    eprintln!("--engine-threads needs a positive integer");
-                                    std::process::exit(2);
-                                }
-                            }
-                        }
                         "ramp" => {
                             cells.push(TimelineCell::Ramp(vread_bench::ReadPath::Vanilla));
                             cells.push(TimelineCell::Ramp(vread_bench::ReadPath::VreadRdma));
@@ -274,13 +226,11 @@ fn main() {
                     sample_ms,
                     trace_out.as_deref(),
                     tl_jobs.unwrap_or(1),
-                    tl_engine,
                 );
                 return;
             }
             "fault-matrix" => {
                 let mut fm_jobs = jobs;
-                let mut fm_engine = engine_threads;
                 while let Some(a) = it.next() {
                     match a.as_str() {
                         "--jobs" => {
@@ -293,23 +243,13 @@ fn main() {
                                 }
                             }
                         }
-                        "--engine-threads" => {
-                            let parsed = it.next().and_then(|v| v.parse::<usize>().ok());
-                            match parsed {
-                                Some(n) if n >= 1 => fm_engine = n,
-                                _ => {
-                                    eprintln!("--engine-threads needs a positive integer");
-                                    std::process::exit(2);
-                                }
-                            }
-                        }
                         other => {
                             eprintln!("fault-matrix: unknown argument {other:?}");
                             std::process::exit(2);
                         }
                     }
                 }
-                fault_matrix(fm_jobs.unwrap_or(1), fm_engine);
+                fault_matrix(fm_jobs.unwrap_or(1));
                 return;
             }
             "bench-engine" => {
@@ -331,6 +271,10 @@ fn main() {
                 }
                 bench_engine(&out);
                 return;
+            }
+            other if other.starts_with("--") => {
+                eprintln!("unknown option {other:?}");
+                std::process::exit(2);
             }
             _ => wanted.push(a),
         }
@@ -426,16 +370,13 @@ fn run_parallel(
 /// reports strictly in input order — each world is independent, so the
 /// job count cannot change any output. A single file prints just its
 /// report; multiple files are separated by `== <file> ==` headers.
-/// `engine_threads > 1` additionally drives each scenario's world through
-/// the conservative parallel engine; the window protocol is
-/// thread-count-invariant, so the reports stay byte-identical.
-fn scenario_cmd(files: &[String], spans: bool, jobs: usize, engine_threads: usize) {
+fn scenario_cmd(files: &[String], spans: bool, jobs: usize) {
     let run_one = |file: &str| -> Result<String, String> {
         let json = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
         let report = vread_bench::ScenarioSpec::from_json(&json)
             .and_then(|mut s| {
                 s.spans |= spans;
-                s.run_with_engine(engine_threads)
+                s.run()
             })
             .map_err(|e| format!("scenario failed: {e}"))?;
         Ok(report.to_json())
@@ -584,7 +525,7 @@ fn trace_spec(path: vread_bench::ReadPath) -> vread_bench::ScenarioSpec {
 }
 
 /// Runs one trace cell: returns (pass, report text, chrome JSON).
-fn trace_one(cell: TraceCell, engine_threads: usize) -> (bool, String, String) {
+fn trace_one(cell: TraceCell) -> (bool, String, String) {
     use std::fmt::Write as _;
     let path = match cell {
         TraceCell::Path(p) => p,
@@ -596,7 +537,7 @@ fn trace_one(cell: TraceCell, engine_threads: usize) -> (bool, String, String) {
         "== trace {} — co-located 16 MB reader, 1 MB requests ==",
         path.as_str()
     );
-    let report = match trace_spec(path).run_with_engine(engine_threads) {
+    let report = match trace_spec(path).run() {
         Ok(r) => r,
         Err(e) => {
             let _ = writeln!(out, "FAILED: {e}");
@@ -732,9 +673,9 @@ fn trace_out_name(base: &str, path: &str, multi: bool) -> String {
     }
 }
 
-fn trace_cmd(which: &[TraceCell], trace_out: Option<&str>, jobs: usize, engine_threads: usize) {
+fn trace_cmd(which: &[TraceCell], trace_out: Option<&str>, jobs: usize) {
     let n = which.len();
-    let cells = run_indexed(n, jobs, |i| trace_one(which[i], engine_threads));
+    let cells = run_indexed(n, jobs, |i| trace_one(which[i]));
     let mut failed = 0usize;
     for (i, cell) in cells.into_iter().enumerate() {
         let (ok, text, chrome) = cell;
@@ -819,7 +760,6 @@ fn timeline_one(
     cell: &TimelineCell,
     sample_ms: Option<u64>,
     want_trace: bool,
-    engine_threads: usize,
 ) -> Result<(String, String), String> {
     use std::fmt::Write as _;
     use vread_bench::TimelineSpec;
@@ -840,9 +780,7 @@ fn timeline_one(
         }
     }
     spec.spans |= want_trace;
-    let report = spec
-        .run_with_engine(engine_threads)
-        .map_err(|e| format!("scenario failed: {e}"))?;
+    let report = spec.run().map_err(|e| format!("scenario failed: {e}"))?;
     let tl = report
         .timeline
         .as_ref()
@@ -866,12 +804,11 @@ fn timeline_cmd(
     sample_ms: Option<u64>,
     trace_out: Option<&str>,
     jobs: usize,
-    engine_threads: usize,
 ) {
     let n = cells.len();
     let results = run_indexed(n, jobs, |i| {
         catch_unwind(AssertUnwindSafe(|| {
-            timeline_one(&cells[i], sample_ms, trace_out.is_some(), engine_threads)
+            timeline_one(&cells[i], sample_ms, trace_out.is_some())
         }))
         .unwrap_or_else(|_| Err("timeline cell panicked".to_owned()))
     });
@@ -986,7 +923,6 @@ fn fault_cell(
     path: vread_bench::ReadPath,
     name: &str,
     faults: &[(u64, vread_bench::FaultKind)],
-    engine_threads: usize,
 ) -> String {
     use vread_bench::spec::WorkloadSpec;
     let mut b = vread_bench::ScenarioSpec::builder()
@@ -1005,7 +941,7 @@ fn fault_cell(
     for (at_ms, kind) in faults {
         b = b.fault(*at_ms, kind.clone());
     }
-    let report = b.build().and_then(|s| s.run_with_engine(engine_threads));
+    let report = b.build().and_then(|s| s.run());
     let kind = name;
     match report {
         Ok(r) => {
@@ -1034,7 +970,7 @@ fn fault_cell(
     }
 }
 
-fn fault_matrix(jobs: usize, engine_threads: usize) {
+fn fault_matrix(jobs: usize) {
     let timelines = fault_timelines();
     let cells: Vec<_> = vread_bench::ReadPath::ALL
         .iter()
@@ -1042,7 +978,7 @@ fn fault_matrix(jobs: usize, engine_threads: usize) {
         .collect();
     let lines = run_indexed(cells.len(), jobs, |i| {
         let (path, name, faults) = &cells[i];
-        fault_cell(*path, name, faults, engine_threads)
+        fault_cell(*path, name, faults)
     });
     let mut failed = 0usize;
     for line in lines {
@@ -1104,10 +1040,6 @@ struct BenchResult {
     name: &'static str,
     events: u64,
     ns_per_event: f64,
-    /// Engine-pool extras (multi-host benches only): worker threads, the
-    /// measured wall-clock speedup at that thread count, and the host's
-    /// CPU count for context (speedup is bounded by real cores).
-    parallel: Option<(usize, f64, usize)>,
     /// Extra deterministic figures appended to the JSON entry (simulated
     /// quantities, not wall time — safe to compare across CI runs).
     extras: Vec<(&'static str, f64)>,
@@ -1127,12 +1059,6 @@ impl BenchResult {
             self.ns_per_event,
             self.events_per_sec()
         );
-        if let Some((threads, speedup, host_cpus)) = self.parallel {
-            s.push_str(&format!(
-                ",\n      \"threads\": {threads},\n      \"speedup_x{threads}\": {speedup:.2},\n      \
-                 \"host_cpus\": {host_cpus}"
-            ));
-        }
         for (k, v) in &self.extras {
             s.push_str(&format!(",\n      \"{k}\": {v:.2}"));
         }
@@ -1157,26 +1083,6 @@ fn measure(reps: usize, build: impl Fn() -> World) -> (u64, f64) {
         }
     }
     (events, best / events as f64)
-}
-
-/// Best-of-`reps` wall time of the 8-host fan-out at `threads` engine
-/// threads, as (rendered reports, events, best wall ns).
-fn measure_fanout(reps: usize, threads: usize) -> (Vec<String>, u64, f64) {
-    let mut best = f64::INFINITY;
-    let mut reports = Vec::new();
-    let mut events = 0u64;
-    for _ in 0..reps {
-        // vread-lint: allow(wall-clock, "bench-engine measures real host wall time of the run; the sim itself stays virtual-time only")
-        let t0 = std::time::Instant::now();
-        let (r, e) = vread_bench::run_fanout_bench(8, threads);
-        let dt = t0.elapsed().as_nanos() as f64;
-        reports = r;
-        events = e;
-        if dt < best {
-            best = dt;
-        }
-    }
-    (reports, events, best)
 }
 
 /// One cold reader pass over a 2-way co-located replicated file through
@@ -1250,7 +1156,6 @@ fn bench_engine(out: &str) {
         name: "message_pingpong_1m",
         events,
         ns_per_event: ns,
-        parallel: None,
         extras: Vec::new(),
     };
 
@@ -1272,7 +1177,6 @@ fn bench_engine(out: &str) {
         name: "chain_5stage_x2000",
         events,
         ns_per_event: ns,
-        parallel: None,
         extras: Vec::new(),
     };
 
@@ -1303,27 +1207,6 @@ fn bench_engine(out: &str) {
         name: "core_timers_80core",
         events,
         ns_per_event: ns,
-        parallel: None,
-        extras: Vec::new(),
-    };
-
-    // Multi-host parallel bench: 8 independent host shards on the engine
-    // pool. ns/event is taken from the 1-thread run (comparable with the
-    // sequential benches above); speedup is 1-thread wall over 4-thread
-    // wall, and the byte-identity of the two runs is asserted here so the
-    // perf gate doubles as a determinism check.
-    let (seq_reports, events, wall1) = measure_fanout(3, 1);
-    let (par_reports, _, wall4) = measure_fanout(3, 4);
-    assert_eq!(
-        seq_reports, par_reports,
-        "cluster_8host_fanout reports must be byte-identical at 1 and 4 engine threads"
-    );
-    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let cluster = BenchResult {
-        name: "cluster_8host_fanout",
-        events,
-        ns_per_event: wall1 / events as f64,
-        parallel: Some((4, wall1 / wall4, host_cpus)),
         extras: Vec::new(),
     };
 
@@ -1351,30 +1234,23 @@ fn bench_engine(out: &str) {
         name: "cas_dedup_cold_pass",
         events,
         ns_per_event: best / events as f64,
-        parallel: None,
         extras: vec![(
             "hash_overhead_pct",
             (secs_hashed - secs_free) / secs_free * 100.0,
         )],
     };
 
-    let benches = [&pingpong, &chain, &timers, &cluster, &cas];
+    let benches = [&pingpong, &chain, &timers, &cas];
     let mut json = String::from("{\n  \"benches\": [\n");
     for (i, b) in benches.iter().enumerate() {
         json.push_str(&b.to_json_entry());
         json.push_str(if i + 1 < benches.len() { ",\n" } else { "\n" });
-        print!(
+        println!(
             "{:<24} {:>10.2} ns/event  {:>12.0} events/sec",
             b.name,
             b.ns_per_event,
             b.events_per_sec()
         );
-        match b.parallel {
-            Some((threads, speedup, cpus)) => {
-                println!("  speedup x{threads}: {speedup:.2} (host_cpus={cpus})");
-            }
-            None => println!(),
-        }
     }
     json.push_str("  ]\n}\n");
     std::fs::write(out, json).unwrap_or_else(|e| {

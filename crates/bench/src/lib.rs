@@ -15,7 +15,6 @@
 #![forbid(unsafe_code)]
 
 pub mod deploy;
-pub mod engine;
 pub mod experiments;
 pub mod faults;
 pub mod json;
@@ -26,7 +25,6 @@ pub mod spec;
 pub mod timeline;
 
 pub use deploy::{make_read_client, DeployPlan, Deployment};
-pub use engine::{cluster_fanout_spec, partition, run_fanout_bench, run_partitioned};
 pub use faults::{collect_fault_report, random_plan, FaultKind, FaultReport, FaultSpec};
 pub use report::{improvement_pct, reduction_pct, Row, Table};
 pub use scenarios::{Locality, ReadPath, Testbed, TestbedOpts};

@@ -51,11 +51,16 @@ use vread_sim::prelude::*;
 pub struct HostSpec {
     /// Host name (referenced by VMs).
     pub name: String,
-    /// Cores (default 4).
+    /// Cores (default 4; 1 to [`MAX_HOST_CORES`]).
     pub cores: usize,
-    /// Clock in GHz (default 2.0).
+    /// Clock in GHz (default 2.0; finite and positive).
     pub ghz: f64,
 }
+
+/// Largest core count a host may declare. The scheduler allocates
+/// per-core state up front, so an unbounded count would exhaust memory
+/// before the run starts.
+pub const MAX_HOST_CORES: usize = 1024;
 
 /// What a VM runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,7 +84,8 @@ pub struct VmSpec {
     pub host: String,
     /// Role.
     pub role: VmRole,
-    /// Lookbusy duty cycle (only for `lookbusy` VMs; default 0.85).
+    /// Lookbusy duty cycle (only for `lookbusy` VMs; in (0, 1], default
+    /// 0.85).
     pub busy: Option<f64>,
 }
 
@@ -144,7 +150,7 @@ pub enum WorkloadSpec {
     Reader {
         /// File to read.
         path: String,
-        /// Request size in KiB.
+        /// Request size in KiB (at least 1).
         request_kb: u64,
     },
     /// netperf TCP_RR between the client VM and the first datanode VM.
@@ -614,6 +620,48 @@ fn check_unique_names(
     Ok(())
 }
 
+/// Rejects numbers the deployment cannot run: core counts outside
+/// `1..=MAX_HOST_CORES`, non-finite or non-positive clocks, lookbusy duty
+/// cycles outside (0, 1] and zero-sized reader requests.
+fn check_ranges(
+    hosts: &[HostSpec],
+    vms: &[VmSpec],
+    workloads: &[WorkloadBinding],
+) -> Result<(), SpecError> {
+    for h in hosts {
+        if !(1..=MAX_HOST_CORES).contains(&h.cores) {
+            return Err(SpecError::Invalid(format!(
+                "host {:?}: cores must be in 1..={MAX_HOST_CORES}, got {}",
+                h.name, h.cores
+            )));
+        }
+        if !(h.ghz.is_finite() && h.ghz > 0.0) {
+            return Err(SpecError::Invalid(format!(
+                "host {:?}: ghz must be finite and positive, got {}",
+                h.name, h.ghz
+            )));
+        }
+    }
+    for v in vms {
+        if let (VmRole::Lookbusy, Some(busy)) = (&v.role, v.busy) {
+            if !(busy > 0.0 && busy <= 1.0) {
+                return Err(SpecError::Invalid(format!(
+                    "vm {:?}: busy must be in (0, 1], got {busy}",
+                    v.name
+                )));
+            }
+        }
+    }
+    for b in workloads {
+        if let WorkloadSpec::Reader { request_kb: 0, .. } = b.kind {
+            return Err(SpecError::Invalid(
+                "reader workload: request_kb must be at least 1".to_owned(),
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Descending sort by busy time that tolerates NaN (a NaN would have
 /// panicked the old `partial_cmp().expect()` formulation; `total_cmp`
 /// orders it deterministically instead).
@@ -650,7 +698,8 @@ impl ScenarioSpec {
     ///
     /// Returns [`SpecError::Parse`] on malformed JSON, missing/mistyped
     /// fields or unknown top-level keys, and [`SpecError::Invalid`] for
-    /// duplicate host/VM/file names.
+    /// duplicate host/VM/file names or out-of-range numbers (see
+    /// [`HostSpec`], [`VmSpec`] and [`WorkloadSpec::Reader`]).
     pub fn from_json(json: &str) -> Result<Self, SpecError> {
         let j = Json::parse(json).map_err(|e| parse_err(e.to_string()))?;
 
@@ -794,6 +843,7 @@ impl ScenarioSpec {
         };
 
         check_unique_names(&hosts, &vms, &files)?;
+        check_ranges(&hosts, &vms, &workloads)?;
 
         Ok(ScenarioSpec {
             seed: opt_u64(&j, "seed", 42, "scenario")?,
@@ -833,75 +883,6 @@ impl ScenarioSpec {
                 return Err(SpecError::Invalid("workload did not finish".to_owned()));
             }
             self.aggregate_multi(&mut d, &armed)
-        }
-    }
-
-    /// Like [`ScenarioSpec::run`], but drives the scenario's world through
-    /// the conservative parallel engine's worker pool
-    /// (`vread_sim::par::run_sharded`) when `threads > 1`.
-    ///
-    /// A scenario's hosts are causally fused — every datanode talks to the
-    /// single HDFS namenode and cross-host connections exchange messages
-    /// at actor granularity — so the deployment executes as **one shard**;
-    /// the windowed drive is byte-identical to the sequential
-    /// `run_jobs_for` by construction, and the report therefore matches
-    /// `--engine-threads 1` exactly. Single-workload scenarios use the
-    /// legacy slice-aligned measurement drive and always run sequentially.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`ScenarioSpec::run`].
-    pub fn run_with_engine(&self, threads: usize) -> Result<ScenarioReport, SpecError> {
-        if threads <= 1 || self.workloads.len() <= 1 {
-            return self.run();
-        }
-        let cap = SimDuration::from_secs(3_000);
-        let spec = self.clone();
-        let shard = Shard::staged("scenario", move || spec.stage_for_engine());
-        let mut out = run_sharded(
-            EngineOpts {
-                threads,
-                lookahead: None,
-                cap,
-            },
-            vec![shard],
-        );
-        out.pop().expect("one shard, one report")
-    }
-
-    /// Build half of the engine-pool drive: deploy, bind and arm on the
-    /// owning worker thread, handing the world to the window runner and a
-    /// finish closure (capturing the non-`Send` deployment sidecar) that
-    /// aggregates once the run completes. Setup errors surface through the
-    /// finish closure of an empty world.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn stage_for_engine(
-        self,
-    ) -> (
-        World,
-        Box<dyn FnOnce(World) -> Result<ScenarioReport, SpecError>>,
-    ) {
-        let staged = (|| {
-            let mut d = self.deploy()?;
-            let bound = self.bind(&d)?;
-            let armed = self.arm_multi(&mut d, &bound)?;
-            Ok((d, armed))
-        })();
-        match staged {
-            Err(e) => (World::new(0), Box::new(move |_| Err(e))),
-            Ok((mut d, armed)) => {
-                let w = std::mem::replace(&mut d.w, World::new(0));
-                (
-                    w,
-                    Box::new(move |w: World| {
-                        d.w = w;
-                        if d.w.jobs.pending() > 0 {
-                            return Err(SpecError::Invalid("workload did not finish".to_owned()));
-                        }
-                        self.aggregate_multi(&mut d, &armed)
-                    }),
-                )
-            }
         }
     }
 
@@ -1053,8 +1034,7 @@ impl ScenarioSpec {
     }
 
     /// Arms two or more concurrent workloads: every job registers a
-    /// completion token so the drive (sequential `run_jobs` or the
-    /// engine-pool window runner) can stop once all of them finish.
+    /// completion token so `run_jobs` can stop once all of them finish.
     fn arm_multi(
         &self,
         d: &mut Deployment,
@@ -1500,7 +1480,8 @@ impl ScenarioBuilder {
     ///
     /// [`SpecError::Invalid`] when the shape is wrong (no workload, no
     /// client/datanode VM, duplicate host/VM/file names, a workload
-    /// bound to a non-client VM, vm-crash against a non-datanode);
+    /// bound to a non-client VM, vm-crash against a non-datanode, or
+    /// out-of-range numbers as in [`ScenarioSpec::from_json`]);
     /// [`SpecError::Unresolved`] when a host, datanode, file, workload
     /// client or fault target name doesn't refer to anything added
     /// before `build`.
@@ -1509,6 +1490,7 @@ impl ScenarioBuilder {
             return Err(SpecError::Invalid("no workload".to_owned()));
         }
         check_unique_names(&self.hosts, &self.vms, &self.files)?;
+        check_ranges(&self.hosts, &self.vms, &self.workloads)?;
         let host_names: std::collections::HashSet<&str> =
             self.hosts.iter().map(|h| h.name.as_str()).collect();
         let mut datanodes = std::collections::HashSet::new();
@@ -1744,6 +1726,69 @@ mod tests {
             builder().file("/d", 8, &["dn1"]).build(),
             Err(SpecError::Invalid(_))
         ));
+    }
+
+    #[test]
+    fn out_of_range_numbers_are_spec_errors() {
+        // (cores, ghz, busy, request_kb) for one host, one lookbusy VM
+        // and one reader; each row breaks exactly one of them.
+        const VALID: [&str; 4] = ["4", "2.0", "0.5", "64"];
+        let json = |v: [&str; 4]| {
+            format!(
+                r#"{{
+                    "path": "vanilla",
+                    "hosts": [ {{ "name": "h1", "cores": {}, "ghz": {} }} ],
+                    "vms": [
+                        {{ "name": "client", "host": "h1", "role": "client" }},
+                        {{ "name": "dn1", "host": "h1", "role": "datanode" }},
+                        {{ "name": "bg", "host": "h1", "role": "lookbusy", "busy": {} }}
+                    ],
+                    "files": [ {{ "path": "/d", "mb": 4, "placement": ["dn1"] }} ],
+                    "workload": {{ "kind": "reader", "path": "/d", "request_kb": {} }}
+                }}"#,
+                v[0], v[1], v[2], v[3]
+            )
+        };
+        let built = |v: [&str; 4]| {
+            ScenarioSpec::builder()
+                .host("h1", v[0].parse().unwrap(), v[1].parse().unwrap())
+                .client("client", "h1")
+                .datanode("dn1", "h1")
+                .lookbusy("bg", "h1", v[2].parse().unwrap())
+                .file("/d", 4, &["dn1"])
+                .workload(WorkloadSpec::Reader {
+                    path: "/d".to_owned(),
+                    request_kb: v[3].parse().unwrap(),
+                })
+                .build()
+        };
+        assert!(ScenarioSpec::from_json(&json(VALID)).is_ok());
+        assert!(built(VALID).is_ok());
+        let rows = [
+            (0, "0"),
+            (0, "4294967296"),
+            (1, "0"),
+            (1, "-1"),
+            (2, "0"),
+            (2, "-1"),
+            (2, "1.5"),
+            (3, "0"),
+        ];
+        for (field, value) in rows {
+            let mut v = VALID;
+            v[field] = value;
+            assert!(
+                matches!(
+                    ScenarioSpec::from_json(&json(v)),
+                    Err(SpecError::Invalid(_))
+                ),
+                "from_json accepted {v:?}"
+            );
+            assert!(
+                matches!(built(v), Err(SpecError::Invalid(_))),
+                "builder accepted {v:?}"
+            );
+        }
     }
 
     #[test]

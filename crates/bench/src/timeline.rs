@@ -128,7 +128,7 @@ impl TimelineSummary {
     }
 
     /// The per-window table plus the saturation verdict, as deterministic
-    /// fixed-point text (diffable across `--jobs` / `--engine-threads`).
+    /// fixed-point text (diffable across `--jobs` counts).
     pub fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(

@@ -57,7 +57,7 @@ fn scenario_reports_match_goldens() {
         let name = file.file_stem().unwrap().to_string_lossy().into_owned();
         let json = std::fs::read_to_string(&file).expect("scenario is readable");
         let report = ScenarioSpec::from_json(&json)
-            .and_then(|s| s.run_with_engine(1))
+            .and_then(|s| s.run())
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         // `repro scenario` prints the report with a trailing newline.
         let got = format!("{}\n", report.to_json());

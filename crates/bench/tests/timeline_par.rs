@@ -1,11 +1,9 @@
-//! Determinism of the telemetry timeline across execution knobs.
+//! Shape of the telemetry timeline report block.
 //!
-//! The sampler runs as ordinary engine events and the latency windows
-//! are log-bucket histograms whose merge is associative, so a scenario's
-//! `timeline` report block must be byte-identical whether the world is
-//! driven sequentially or through the conservative parallel engine —
-//! and scenarios without a `timeline` block must serialize exactly as
-//! they did before the timeline existed.
+//! A scenario with a `timeline` block reports per-window histograms and
+//! sampled series that re-parse as JSON and splice into the Perfetto
+//! trace as counter tracks; scenarios without a `timeline` block must
+//! serialize exactly as they did before the timeline existed.
 
 use vread_bench::spec::WorkloadSpec;
 use vread_bench::{ReadPath, ScenarioBuilder};
@@ -42,44 +40,13 @@ fn staggered(timeline: bool) -> ScenarioBuilder {
 }
 
 #[test]
-fn timeline_report_is_engine_thread_invariant() {
-    let seq = staggered(true)
-        .build()
-        .expect("spec builds")
-        .run_with_engine(1)
-        .expect("sequential run");
-    let par = staggered(true)
-        .build()
-        .expect("spec builds")
-        .run_with_engine(4)
-        .expect("parallel run");
-    let (a, b) = (seq.to_json(), par.to_json());
-    assert!(
-        a.contains("\"timeline\""),
-        "timeline block present when enabled"
-    );
-    assert!(
-        a.contains("\"windows\"") && a.contains("\"series\""),
-        "timeline block carries windows and series"
-    );
-    assert_eq!(
-        a, b,
-        "timeline-bearing report must be byte-identical at 1 and 4 engine threads"
-    );
-    let tl = seq.timeline.expect("summary collected");
-    assert!(tl.reads > 0, "readers were observed");
-    assert!(tl.ticks > 0, "sampler ticked");
-    assert!(!tl.series.is_empty(), "providers were sampled");
-}
-
-#[test]
 fn timeline_report_and_spliced_trace_reparse() {
     use vread_bench::json::Json;
     let report = staggered(true)
         .spans(true)
         .build()
         .expect("spec builds")
-        .run_with_engine(1)
+        .run()
         .expect("run");
     let parsed = Json::parse(&report.to_json()).expect("report JSON re-parses");
     let tl = parsed.get("timeline").expect("timeline block");
@@ -87,12 +54,12 @@ fn timeline_report_and_spliced_trace_reparse() {
     assert!(!tl.get("windows").unwrap().as_array().unwrap().is_empty());
     assert!(!tl.get("series").unwrap().as_array().unwrap().is_empty());
 
+    let summary = report.timeline.as_ref().expect("summary collected");
+    assert!(summary.reads > 0, "readers were observed");
+    assert!(summary.ticks > 0, "sampler ticked");
+
     let sp = report.spans.as_ref().expect("spans enabled");
-    let trace = report
-        .timeline
-        .as_ref()
-        .expect("summary collected")
-        .splice_into_chrome_trace(&sp.report.chrome_trace_json());
+    let trace = summary.splice_into_chrome_trace(&sp.report.chrome_trace_json());
     let parsed = Json::parse(&trace).expect("spliced Perfetto trace is valid JSON");
     let events = parsed.get("traceEvents").unwrap().as_array().unwrap();
     let counters = events
@@ -107,7 +74,7 @@ fn timeline_off_report_has_no_block() {
     let report = staggered(false)
         .build()
         .expect("spec builds")
-        .run_with_engine(4)
+        .run()
         .expect("run");
     assert!(report.timeline.is_none());
     assert!(

@@ -16,7 +16,7 @@
 //!
 //! Everything is deterministic: no wall clock, no unordered iteration,
 //! and the stores live per-host inside [`crate::Cluster`], i.e. inside
-//! one shard of the parallel engine.
+//! the one world that drives the scenario.
 
 use crate::fs::ObjectId;
 

@@ -72,13 +72,6 @@ pub const RULES: &[RuleInfo] = &[
                   cycle-conservation proptest; charge through the scheduler.",
     },
     RuleInfo {
-        id: "shard-send",
-        summary: "raw cross-shard machinery (take_outbox/deliver_remote/Outbound, \
-                  .outbox, World::post_remote) outside vread_sim::par + engine.rs \
-                  skips the canonical (time, shard, seq) barrier order; handlers \
-                  must send via ctx.post_remote.",
-    },
-    RuleInfo {
         id: "sealed-match",
         summary: "wildcard `_` arm in a match over a load-bearing enum (Stage, \
                   Admission, FaultKind, ReadPath, HostCacheMode, TraceKind); list \
@@ -126,7 +119,7 @@ pub(crate) fn cand(rule: &'static str, t: &Tok<'_>, message: String) -> Candidat
 /// Runs every rule — token family then syntax family — over `code`
 /// (comment- and whitespace-free tokens of one file). `path` uses `/`
 /// separators and is consulted by the path-scoped rules (checked-cast,
-/// charge-confine, shard-send).
+/// charge-confine, timeline-confine).
 pub fn check_all(path: &str, code: &[Tok<'_>]) -> Vec<Candidate> {
     let mut out = Vec::new();
     crate::token_rules::check_token_rules(path, code, &mut out);

@@ -8,23 +8,17 @@
 //!   charge flows through the scheduler's charge wrapper in
 //!   `crates/sim/src/sched.rs`. A new `acct.add(…)` call site anywhere
 //!   else would bypass span attribution silently.
-//! * `shard-send` — byte-identical replay at any `--engine-threads N`
-//!   (DESIGN.md §14) holds because cross-shard traffic moves only via
-//!   `post_remote` with lookahead, and the raw outbox/delivery
-//!   machinery is confined to `vread_sim::par` + `engine.rs`. Handler
-//!   code touching the outbox directly would skip the canonical
-//!   `(time, shard, seq)` barrier order.
 //! * `sealed-match` — the workspace's load-bearing enums may not be
 //!   matched with a wildcard `_` arm: adding a variant (PR 7's
 //!   `Stage::Map`) must force every consumer — ledger, report rollups,
 //!   Perfetto export — to handle it instead of silently falling
 //!   through.
-//! * `timeline-confine` — timeline reports are byte-identical at any
-//!   `--engine-threads N` because every series point and histogram
-//!   sample flows through `vread_sim::timeline`'s deterministic sinks
-//!   (`Timeline::push` via the sim-tick sampler, `Hist::record_raw` via
-//!   `observe_read`). A raw push or record anywhere else would inject
-//!   host-order-dependent points past the merge discipline.
+//! * `timeline-confine` — timeline reports are byte-identical on every
+//!   run because every series point and histogram sample flows through
+//!   `vread_sim::timeline`'s deterministic sinks (`Timeline::push` via
+//!   the sim-tick sampler, `Hist::record_raw` via `observe_read`). A raw
+//!   push or record anywhere else would inject points outside the
+//!   sampler's tick discipline.
 //!
 //! All of these are path-scoped over-approximations in the house style:
 //! the `allow(rule, "reason")` annotation is the pressure valve, and
@@ -40,7 +34,6 @@ pub fn check_syntax_rules(path: &str, code: &[Tok<'_>], out: &mut Vec<Candidate>
     let items = syntax::parse_items(code);
     let calls = syntax::call_paths(code);
     charge_confine(path, code, &items, &calls, out);
-    shard_send(path, code, &items, &calls, out);
     sealed_match(code, out);
     timeline_confine(path, code, &items, &calls, out);
 }
@@ -87,94 +80,6 @@ fn charge_confine(
                      the scheduler so span + unattributed == engine total holds{}",
                     c.segments.join("."),
                     fn_context(items, c.callee_ix)
-                ),
-            ));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// shard-send
-// ---------------------------------------------------------------------------
-
-/// Files that own the cross-shard machinery.
-const SHARD_FILES: &[&str] = &["crates/sim/src/par.rs", "crates/sim/src/engine.rs"];
-
-/// The raw machinery: outbox drain/delivery entry points and the
-/// in-flight message types. `Ctx::post_remote` is the sanctioned API
-/// and is deliberately *not* in this list.
-const SHARD_CALLEES: &[&str] = &["take_outbox", "deliver_remote"];
-const SHARD_TYPES: &[&str] = &["Outbound"];
-
-fn shard_send(
-    path: &str,
-    code: &[Tok<'_>],
-    items: &[syntax::Item],
-    calls: &[syntax::CallPath],
-    out: &mut Vec<Candidate>,
-) {
-    if SHARD_FILES.iter().any(|f| path.ends_with(f)) {
-        return;
-    }
-    for c in calls {
-        if SHARD_CALLEES.contains(&c.callee()) {
-            let t = &code[c.callee_ix];
-            out.push(cand(
-                "shard-send",
-                t,
-                format!(
-                    "`{}` touches the raw cross-shard outbox; handler code must send \
-                     via `ctx.post_remote(…)` so deliveries keep the canonical \
-                     (time, shard, seq) barrier order{}",
-                    c.segments.join("."),
-                    fn_context(items, c.callee_ix)
-                ),
-            ));
-            continue;
-        }
-        // `world.post_remote(…)` / `World::post_remote(…)`: the
-        // engine-side entry point, below the seq-stamping Ctx wrapper.
-        let raw_post = c.callee() == "post_remote"
-            && ((c.via == CallVia::Method && c.ends_with(&["world", "post_remote"]))
-                || (c.via == CallVia::Path && c.ends_with(&["World", "post_remote"])));
-        if raw_post {
-            let t = &code[c.callee_ix];
-            out.push(cand(
-                "shard-send",
-                t,
-                format!(
-                    "`{}` posts to the outbox below the Ctx wrapper; handler code \
-                     must use `ctx.post_remote(…)`{}",
-                    c.segments.join("."),
-                    fn_context(items, c.callee_ix)
-                ),
-            ));
-        }
-    }
-    // Type mentions and field access: `Outbound`, `.outbox`.
-    for (i, t) in code.iter().enumerate() {
-        if SHARD_TYPES.iter().any(|ty| t.is_ident(ty)) {
-            out.push(cand(
-                "shard-send",
-                t,
-                format!(
-                    "`{}` is the raw in-flight cross-shard message type, owned by \
-                     vread_sim::par; handler code must not construct or inspect it{}",
-                    t.text,
-                    fn_context(items, i)
-                ),
-            ));
-        }
-        if t.is_ident("outbox")
-            && matches!(i.checked_sub(1).and_then(|p| code.get(p)), Some(p) if p.is_punct('.'))
-        {
-            out.push(cand(
-                "shard-send",
-                t,
-                format!(
-                    "`.outbox` reaches into the raw cross-shard queue; handler code \
-                     must send via `ctx.post_remote(…)`{}",
-                    fn_context(items, i)
                 ),
             ));
         }
@@ -229,7 +134,7 @@ fn timeline_confine(
                 format!(
                     "`{}` records into a latency histogram directly; observations \
                      must flow through `timeline.observe_read(start, end)` so window \
-                     assignment and shard merge stay byte-identical{}",
+                     assignment stays byte-identical{}",
                     c.segments.join("."),
                     fn_context(items, c.callee_ix)
                 ),

@@ -137,32 +137,6 @@ fn timeline_confine_sanctioned_path_is_silent() {
 }
 
 #[test]
-fn shard_send_fixtures() {
-    check("shard_send_pos.rs", "crates/sim/src/handlers.rs");
-    check("shard_send_neg.rs", "crates/sim/src/handlers.rs");
-}
-
-#[test]
-fn shard_send_sanctioned_paths_are_silent() {
-    let src = fixture("shard_send_pos.rs");
-    for path in ["crates/sim/src/par.rs", "crates/sim/src/engine.rs"] {
-        let v = vread_lint::lint_source(path, &src);
-        assert!(v.is_empty(), "{path}: {v:?}");
-    }
-}
-
-#[test]
-fn shard_send_bench_engine_is_not_sanctioned() {
-    // Suffix matching must not leak to crates/bench/src/engine.rs.
-    let src = fixture("shard_send_pos.rs");
-    let v = vread_lint::lint_source("crates/bench/src/engine.rs", &src);
-    assert!(
-        v.iter().any(|v| v.rule == "shard-send"),
-        "bench's engine.rs is not the sim engine: {v:?}"
-    );
-}
-
-#[test]
 fn sealed_match_fixtures() {
     check("sealed_match_pos.rs", "crates/core/src/fixture.rs");
     check("sealed_match_neg.rs", "crates/core/src/fixture.rs");

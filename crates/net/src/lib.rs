@@ -24,8 +24,6 @@
 
 pub mod conn;
 pub mod fault;
-pub mod horizon;
 
 pub use conn::{add_conn, Conn, ConnRecv, ConnSend, ConnSent, ConnSpec, Endpoint, Flavor, Side};
 pub use fault::DegradeLink;
-pub use horizon::{link_horizon, world_horizon};

@@ -38,7 +38,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use crate::chain::{Chain, Stage, StageList};
 use crate::cpu::{CpuAccounting, CpuCategory};
 use crate::ext::Extensions;
-use crate::ids::{ActorId, BlockDevId, ChainId, HostId, LinkId, ShardId, ThreadId};
+use crate::ids::{ActorId, BlockDevId, ChainId, HostId, LinkId, ThreadId};
 use crate::job::{JobHandle, Jobs};
 use crate::metrics::Metrics;
 use crate::msg::BoxMsg;
@@ -78,7 +78,7 @@ enum EvKind {
     },
     /// Timeline sampler tick (see [`crate::timeline`]). An ordinary
     /// `(time, seq)`-keyed event, so sampling instants replay
-    /// identically at any `--engine-threads N`.
+    /// identically on every run.
     TimelineTick,
 }
 
@@ -109,24 +109,6 @@ impl Ord for HeapEv {
 struct ActorSlot {
     actor: Option<Box<dyn Actor>>,
     name: String,
-}
-
-/// A cross-shard message posted with [`World::post_remote`], waiting in
-/// the source world's outbox until the engine exchanges it at the next
-/// lookahead boundary (see [`crate::par`]).
-pub(crate) struct Outbound {
-    /// Arrival time at the target shard (source `now` + delay).
-    pub(crate) at: SimTime,
-    /// Source-shard sequence number — with the source shard id this is
-    /// the canonical exchange-order key that keeps delivery order (and
-    /// therefore target-side `(time, seq)` tie-breaks) independent of
-    /// the worker-thread count.
-    pub(crate) seq: u64,
-    /// Target shard.
-    pub(crate) shard: ShardId,
-    /// Target actor, addressed in the target shard's id space.
-    pub(crate) to: ActorId,
-    pub(crate) msg: BoxMsg,
 }
 
 /// The simulation world. See the crate docs for an end-to-end example.
@@ -175,9 +157,6 @@ pub struct World {
     /// Optional telemetry timeline (see [`crate::timeline`]). Disabled
     /// by default; [`World::start_timeline`] turns sampling on.
     pub timeline: Timeline,
-    /// Cross-shard messages awaiting exchange at the next lookahead
-    /// boundary (see [`crate::par`]). Always empty outside sharded runs.
-    outbox: Vec<Outbound>,
 }
 
 impl std::fmt::Debug for World {
@@ -218,7 +197,6 @@ impl World {
             spans: SpanRecorder::new(),
             jobs: Jobs::default(),
             timeline: Timeline::default(),
-            outbox: Vec::new(),
         }
     }
 
@@ -371,48 +349,6 @@ impl World {
                 kind,
             });
         }
-    }
-
-    /// Posts `msg` to actor `to` **in another shard's world**, arriving
-    /// after `delay`. Only meaningful under [`crate::par::run_sharded`]:
-    /// the message waits in this world's outbox until the engine
-    /// exchanges outboxes at the next lookahead boundary, so `delay`
-    /// must be at least the engine's lookahead window (the worker
-    /// asserts this). `to` is an actor id in the *target* shard's id
-    /// space.
-    pub fn post_remote<M: Send + 'static>(
-        &mut self,
-        shard: ShardId,
-        to: ActorId,
-        msg: M,
-        delay: SimDuration,
-    ) {
-        self.seq += 1;
-        self.outbox.push(Outbound {
-            at: self.now + delay,
-            seq: self.seq,
-            shard,
-            to,
-            msg: Box::new(msg),
-        });
-    }
-
-    /// Drains the cross-shard outbox (engine-side of the lookahead
-    /// exchange).
-    pub(crate) fn take_outbox(&mut self) -> Vec<Outbound> {
-        std::mem::take(&mut self.outbox)
-    }
-
-    /// Injects a message exchanged from another shard. `at` must not be
-    /// in this world's past — the conservative window guarantees it
-    /// (arrivals land at or after the window end that capped execution).
-    pub(crate) fn deliver_remote(&mut self, at: SimTime, to: ActorId, msg: BoxMsg) {
-        assert!(
-            at >= self.now,
-            "cross-shard delivery at {at} is in the past (now {})",
-            self.now
-        );
-        self.push_event(at, EvKind::Deliver { to, msg });
     }
 
     pub(crate) fn push_core_timer(&mut self, t: SimTime, host: HostId, core: usize, gen: u64) {
@@ -714,47 +650,6 @@ impl World {
         self.jobs.pending() == 0
     }
 
-    /// Runs every event strictly before `end` — one conservative window
-    /// of a sharded run. Unlike [`World::run_until`] the clock is *not*
-    /// fast-forwarded: between windows `now` stays at the last executed
-    /// event so partial CPU charges materialize exactly as they would in
-    /// an uninterrupted run (charging a running core in different chunks
-    /// changes f64 rounding and cascades — see
-    /// `vread_apps::driver::run_jobs_settled`).
-    pub(crate) fn run_window(&mut self, end: SimTime) {
-        while let Some(t) = self.next_event_time() {
-            if t >= end {
-                break;
-            }
-            self.step();
-        }
-    }
-
-    /// Job-driven window: like [`World::run_window`], but stops at the
-    /// event that completes the last registered job — the windowed
-    /// equivalent of [`World::run_jobs_for`]'s exact stop.
-    pub(crate) fn run_window_jobs(&mut self, end: SimTime) {
-        while self.jobs.pending() > 0 {
-            match self.next_event_time() {
-                Some(t) if t < end => {
-                    self.step();
-                }
-                _ => break,
-            }
-        }
-    }
-
-    /// Final barrier of a sharded run: replicate [`World::run_jobs_for`]'s
-    /// tail so sharded and solo drives leave identical world state — on a
-    /// cap miss the clock fast-forwards to the deadline, and accounting is
-    /// synced either way.
-    pub(crate) fn finalize_shard(&mut self, deadline: SimTime) {
-        if !self.jobs.is_empty() && self.jobs.pending() > 0 && self.now < deadline {
-            self.now = deadline;
-        }
-        self.sync_accounting();
-    }
-
     /// Diagnostic dump of in-flight chains, per-thread work queues and
     /// run-queue depths (for debugging stuck protocols).
     pub fn dump_state(&self) -> String {
@@ -857,19 +752,6 @@ impl<'a> Ctx<'a> {
     pub fn timer<M: Send + 'static>(&mut self, msg: M, delay: SimDuration) {
         let me = self.me;
         self.world.send_after(me, msg, delay);
-    }
-
-    /// Posts `msg` to an actor in another shard's world, arriving after
-    /// `delay` (see [`World::post_remote`]; `delay` must cover the
-    /// engine's lookahead window).
-    pub fn post_remote<M: Send + 'static>(
-        &mut self,
-        shard: ShardId,
-        to: ActorId,
-        msg: M,
-        delay: SimDuration,
-    ) {
-        self.world.post_remote(shard, to, msg, delay);
     }
 
     /// Starts a stage chain completing with `msg` to `to`.

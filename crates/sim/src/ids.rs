@@ -74,13 +74,6 @@ id_type!(
     ChainId,
     u64
 );
-id_type!(
-    /// One shard of a sharded run: a [`crate::World`] owning one host
-    /// subtree under the conservative parallel engine (see
-    /// [`crate::par`]).
-    ShardId,
-    u16
-);
 
 #[cfg(test)]
 mod tests {

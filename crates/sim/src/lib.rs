@@ -74,13 +74,13 @@ pub use chain::{Stage, StageList};
 pub use cpu::{CpuAccounting, CpuCategory};
 pub use engine::{Actor, Ctx, World};
 pub use fault::{schedule_faults, FaultAction, FaultScheduler, FaultTrace, SlowDisk, StallThread};
-pub use ids::{ActorId, BlockDevId, ChainId, CoreId, HostId, LinkId, ShardId, ThreadId};
+pub use ids::{ActorId, BlockDevId, ChainId, CoreId, HostId, LinkId, ThreadId};
 pub use job::{JobHandle, Jobs};
 pub use metrics::{
     CounterId, GaugeId, LazyCounter, LazyGauge, LazySamples, Metrics, SampleId, Samples,
 };
 pub use msg::{downcast, BoxMsg, Start};
-pub use par::{run_indexed, run_indexed_streamed, run_sharded, EngineOpts, Shard};
+pub use par::{run_indexed, run_indexed_streamed};
 pub use rng::SimRng;
 pub use sched::SchedParams;
 pub use span::{Span, SpanId, SpanMark, SpanRecorder, SpanReport};
@@ -94,11 +94,11 @@ pub mod prelude {
     pub use crate::cpu::{CpuAccounting, CpuCategory};
     pub use crate::engine::{Actor, Ctx, World};
     pub use crate::fault::{schedule_faults, FaultAction, FaultTrace};
-    pub use crate::ids::{ActorId, BlockDevId, ChainId, CoreId, HostId, LinkId, ShardId, ThreadId};
+    pub use crate::ids::{ActorId, BlockDevId, ChainId, CoreId, HostId, LinkId, ThreadId};
     pub use crate::job::JobHandle;
     pub use crate::metrics::{CounterId, GaugeId, LazyCounter, LazyGauge, LazySamples, SampleId};
     pub use crate::msg::{downcast, BoxMsg, Start};
-    pub use crate::par::{run_indexed, run_indexed_streamed, run_sharded, EngineOpts, Shard};
+    pub use crate::par::{run_indexed, run_indexed_streamed};
     pub use crate::rng::SimRng;
     pub use crate::sched::SchedParams;
     pub use crate::span::{SpanId, SpanRecorder};

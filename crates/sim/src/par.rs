@@ -1,497 +1,25 @@
-//! Conservative parallel execution: host-sharded worlds on a worker pool.
+//! Deterministic fan-out of independent tasks over a thread pool.
 //!
 //! This module is the **one sanctioned site** for OS threading in the
 //! workspace (the `threading` vread-lint rule flags `std::thread`,
-//! channels, locks and atomics everywhere else). It provides two
-//! facilities:
-//!
-//! * [`run_sharded`] — run a set of [`Shard`]s (each an independent
-//!   [`World`] owning one host subtree) under conservative synchronization.
-//!   Cross-shard messages travel only via [`Ctx::post_remote`] /
-//!   [`World::post_remote`] with a delay no smaller than the configured
-//!   lookahead, so every shard may safely execute all events strictly
-//!   before the global window end `min(next_event) + lookahead` between
-//!   barriers.
-//! * [`run_indexed`] / [`run_indexed_streamed`] — deterministic fan-out of
-//!   `n` independent tasks over a thread pool, with results surfaced in
-//!   index order (used by `repro --jobs N`).
+//! channels, locks and atomics everywhere else). [`run_indexed`] and
+//! [`run_indexed_streamed`] run `n` independent tasks on a worker pool and
+//! surface the results in index order; `repro --jobs N` drives every
+//! experiment, scenario, trace, timeline and fault-matrix cell through
+//! them.
 //!
 //! # Determinism
 //!
-//! Byte-identical output at any thread count is a property of the
-//! *protocol*, not of scheduling luck:
-//!
-//! * Every shard is built **and** driven on exactly one worker thread; no
-//!   simulation state is shared. Only boxed messages and final results
-//!   cross threads.
-//! * The coordinator's decisions (window ends, termination) depend only on
-//!   the *merged* per-shard reports — a fold over data that is itself a
-//!   deterministic function of each shard's event history.
-//! * At each barrier, pending cross-shard deliveries are applied to their
-//!   target shard in the canonical `(arrival time, source shard id, source
-//!   seq)` order before any window event runs. The target stamps fresh
-//!   local `seq` numbers in that order, so the existing `(time, seq)`
-//!   tie-break yields one global order that does not depend on how shards
-//!   were assigned to OS threads.
-//!
-//! `EngineOpts { threads: 1 }` runs the *same* window algorithm on a
-//! single worker; thread count changes wall-clock time only.
-//!
-//! [`Ctx::post_remote`]: crate::Ctx::post_remote
+//! Each task builds and drives its own [`World`](crate::World) on the
+//! worker that picked it up; no simulation state is shared, and only the
+//! finished results cross threads. Results are surfaced strictly in index
+//! order, so output is byte-identical at any thread count: the count
+//! changes wall-clock time only.
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering}; // vread-lint: allow(threading, "sanctioned worker pool")
 use std::sync::mpsc; // vread-lint: allow(threading, "sanctioned worker pool")
 use std::thread;
-
-use crate::engine::World;
-use crate::ids::ActorId;
-use crate::msg::BoxMsg;
-use crate::time::{SimDuration, SimTime};
-
-/// Finish closure: runs on the owning worker thread, so it need not be
-/// `Send` — it may capture deployment sidecar state built alongside the
-/// world.
-type FinishFn<R> = Box<dyn FnOnce(World) -> R>;
-type BuildFn<R> = Box<dyn FnOnce() -> (World, FinishFn<R>) + Send>;
-
-/// One shard of a sharded run: a closure that builds a [`World`] (on the
-/// worker thread that will own it) and returns it together with a finish
-/// closure that extracts the result once the run completes. Worlds never
-/// cross threads, so actors need not be `Send`; the finish closure runs on
-/// the same worker and need not be `Send` either.
-pub struct Shard<R> {
-    /// Human-readable label, used in panic messages.
-    pub label: String,
-    build: BuildFn<R>,
-}
-
-impl<R> Shard<R> {
-    /// Creates a shard from separate build and finish closures.
-    pub fn new(
-        label: impl Into<String>,
-        build: impl FnOnce() -> World + Send + 'static,
-        finish: impl FnOnce(World) -> R + Send + 'static,
-    ) -> Self {
-        Self::staged(label, move || {
-            let w = build();
-            (w, finish)
-        })
-    }
-
-    /// Creates a shard whose build closure also produces the finish
-    /// closure, letting the latter capture worker-local sidecar state
-    /// (actor handles, deployment tables) that is not `Send`.
-    pub fn staged<F>(
-        label: impl Into<String>,
-        build: impl FnOnce() -> (World, F) + Send + 'static,
-    ) -> Self
-    where
-        F: FnOnce(World) -> R + 'static,
-    {
-        Shard {
-            label: label.into(),
-            build: Box::new(move || {
-                let (w, f) = build();
-                (w, Box::new(f) as FinishFn<R>)
-            }),
-        }
-    }
-}
-
-/// Options for [`run_sharded`].
-#[derive(Debug, Clone, Copy)]
-pub struct EngineOpts {
-    /// Worker threads; clamped to `[1, shards]`. `1` runs the identical
-    /// protocol on a single worker.
-    pub threads: usize,
-    /// Conservative lookahead window. `None` means the shards are fully
-    /// isolated (no cross-shard messages allowed) and each runs to the cap
-    /// in a single window. `Some(d)` requires `d > 0`; every
-    /// `post_remote` delay must be `>= d`.
-    pub lookahead: Option<SimDuration>,
-    /// Job deadline, measured from `SimTime::ZERO` (mirrors
-    /// [`World::run_jobs_for`]). Shards with registered jobs that miss the
-    /// cap are fast-forwarded to it, exactly like the sequential runner.
-    pub cap: SimDuration,
-}
-
-impl EngineOpts {
-    /// Defaults: isolated shards, one-hour cap.
-    pub fn new(threads: usize) -> Self {
-        EngineOpts {
-            threads,
-            lookahead: None,
-            cap: SimDuration::from_secs(3_600),
-        }
-    }
-
-    /// Sets the conservative lookahead window (must be positive).
-    pub fn with_lookahead(mut self, d: SimDuration) -> Self {
-        self.lookahead = Some(d);
-        self
-    }
-
-    /// Sets the job deadline.
-    pub fn with_cap(mut self, cap: SimDuration) -> Self {
-        self.cap = cap;
-        self
-    }
-}
-
-/// A cross-shard message in flight, keyed for canonical delivery order.
-struct Delivery {
-    at: SimTime,
-    src_shard: u16,
-    src_seq: u64,
-    to: ActorId,
-    msg: BoxMsg,
-}
-
-/// Per-shard state snapshot sent to the coordinator at each barrier.
-struct ShardStatus {
-    /// Earliest pending event, or `None` when the shard is done (job
-    /// shards stop reporting events once all jobs completed, mirroring
-    /// [`World::run_jobs_for`]).
-    next_event: Option<SimTime>,
-    done: bool,
-}
-
-struct Report {
-    shard: usize,
-    status: ShardStatus,
-    /// `(target shard index, delivery)` pairs harvested from the world's
-    /// outbox this window.
-    outbox: Vec<(usize, Delivery)>,
-}
-
-enum Cmd {
-    /// Run one window: apply the inboxes, execute events strictly before
-    /// `end`, report back.
-    Window {
-        end: SimTime,
-        inboxes: Vec<(usize, Vec<Delivery>)>,
-    },
-    /// Finalize all owned shards and send their results.
-    Finish,
-}
-
-enum WorkerEvent {
-    Report(Report),
-    /// The worker panicked; the coordinator must stop waiting for its
-    /// shards (the panic payload is re-raised on join).
-    Down,
-}
-
-struct OwnedShard<R> {
-    ix: usize,
-    label: String,
-    world: World,
-    finish: FinishFn<R>,
-}
-
-/// Runs `shards` to completion under conservative synchronization and
-/// returns their results in shard-index order.
-///
-/// Termination mirrors the sequential runners: a shard with registered
-/// jobs is done when all its jobs completed; a pure-event shard is done
-/// when its queue drains. The run ends when every shard is done and no
-/// cross-shard delivery is in flight, or when the earliest remaining event
-/// lies beyond the cap (job shards are then fast-forwarded to the cap).
-///
-/// # Panics
-///
-/// Panics if `lookahead` is `Some(0)`, if a shard posts a cross-shard
-/// message arriving inside the current window (delay below the lookahead),
-/// if a message targets an unknown shard, or if shards message each other
-/// with no lookahead configured. Worker panics are propagated with their
-/// original payload.
-// vread-lint: allow(threading, "sanctioned worker pool")
-pub fn run_sharded<R: Send>(opts: EngineOpts, shards: Vec<Shard<R>>) -> Vec<R> {
-    let n = shards.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    if let Some(la) = opts.lookahead {
-        assert!(
-            la > SimDuration::ZERO,
-            "EngineOpts::lookahead must be positive (zero lookahead cannot make progress)"
-        );
-    }
-    let threads = opts.threads.clamp(1, n);
-    let deadline = SimTime::ZERO + opts.cap;
-
-    // Round-robin shard ownership: worker k owns shards {i : i % threads == k},
-    // each driven in ascending index order within its worker.
-    let mut buckets: Vec<Vec<(usize, Shard<R>)>> = (0..threads).map(|_| Vec::new()).collect();
-    for (ix, sh) in shards.into_iter().enumerate() {
-        buckets[ix % threads].push((ix, sh));
-    }
-
-    let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    thread::scope(|s| {
-        let (report_tx, report_rx) = mpsc::channel::<WorkerEvent>();
-        let (result_tx, result_rx) = mpsc::channel::<(usize, R)>();
-        let mut cmd_txs = Vec::with_capacity(threads);
-        let mut handles = Vec::with_capacity(threads);
-        for bucket in buckets {
-            let (cmd_tx, cmd_rx) = mpsc::channel::<Cmd>();
-            cmd_txs.push(cmd_tx);
-            let report_tx = report_tx.clone();
-            let result_tx = result_tx.clone();
-            let lookahead = opts.lookahead;
-            handles.push(s.spawn(move || {
-                let body = AssertUnwindSafe(|| {
-                    worker_loop(bucket, &cmd_rx, &report_tx, &result_tx, deadline, lookahead);
-                });
-                if let Err(payload) = catch_unwind(body) {
-                    // Unblock the coordinator before re-raising: without
-                    // this, it would wait forever for this worker's
-                    // reports while other workers keep the channel open.
-                    let _ = report_tx.send(WorkerEvent::Down);
-                    resume_unwind(payload);
-                }
-            }));
-        }
-        drop(report_tx);
-        drop(result_tx);
-
-        let finished = coordinate(n, threads, deadline, opts.lookahead, &cmd_txs, &report_rx);
-        if finished {
-            for tx in &cmd_txs {
-                let _ = tx.send(Cmd::Finish);
-            }
-        }
-        drop(cmd_txs);
-        while let Ok((ix, r)) = result_rx.recv() {
-            out[ix] = Some(r);
-        }
-        for h in handles {
-            if let Err(payload) = h.join() {
-                resume_unwind(payload);
-            }
-        }
-    });
-    out.into_iter()
-        .enumerate()
-        .map(|(ix, r)| r.unwrap_or_else(|| panic!("shard {ix} produced no result")))
-        .collect()
-}
-
-/// Coordinator: merges per-shard reports, routes cross-shard deliveries in
-/// canonical order, and picks each window end. Returns `true` when the run
-/// completed (workers should finalize), `false` when a worker hung up
-/// (its panic will be propagated by the caller's join).
-// vread-lint: allow(threading, "sanctioned worker pool")
-fn coordinate(
-    n: usize,
-    threads: usize,
-    deadline: SimTime,
-    lookahead: Option<SimDuration>,
-    cmd_txs: &[mpsc::Sender<Cmd>],
-    report_rx: &mpsc::Receiver<WorkerEvent>,
-) -> bool {
-    let ns = SimDuration::from_nanos(1);
-    let mut statuses: Vec<ShardStatus> = (0..n)
-        .map(|_| ShardStatus {
-            next_event: None,
-            done: false,
-        })
-        .collect();
-    // Pending cross-shard deliveries, keyed by target shard.
-    let mut pending: Vec<Vec<Delivery>> = (0..n).map(|_| Vec::new()).collect();
-
-    loop {
-        // One report per shard per round (workers send the initial round
-        // unprompted after building their worlds).
-        for _ in 0..n {
-            let report = match report_rx.recv() {
-                Ok(WorkerEvent::Report(r)) => r,
-                Ok(WorkerEvent::Down) | Err(_) => return false,
-            };
-            for (target, d) in report.outbox {
-                assert!(
-                    target < n,
-                    "shard {} posted a message for unknown shard {target} ({n} shards)",
-                    report.shard
-                );
-                pending[target].push(d);
-            }
-            statuses[report.shard] = report.status;
-        }
-
-        let mut t_min: Option<SimTime> = None;
-        for t in statuses
-            .iter()
-            .filter_map(|st| st.next_event)
-            .chain(pending.iter().flatten().map(|d| d.at))
-        {
-            t_min = Some(t_min.map_or(t, |m| m.min(t)));
-        }
-        let all_done = statuses.iter().all(|st| st.done);
-        let in_flight = pending.iter().any(|q| !q.is_empty());
-        if all_done && !in_flight {
-            return true;
-        }
-        // Nothing runnable but not all done (a job shard stalled), or the
-        // earliest remaining event lies beyond the cap: stop, mirroring
-        // `run_jobs_for` (finalize fast-forwards capped job shards).
-        let Some(t_min) = t_min else {
-            return true;
-        };
-        if t_min > deadline {
-            return true;
-        }
-
-        let end = match lookahead {
-            // Isolated shards: one window covering the whole run (events at
-            // the deadline itself still execute, like `run_jobs_for`).
-            None => deadline + ns,
-            Some(la) => (t_min + la).min(deadline + ns),
-        };
-
-        // Route pending deliveries, canonically ordered per target.
-        let mut inboxes: Vec<Vec<(usize, Vec<Delivery>)>> =
-            (0..threads).map(|_| Vec::new()).collect();
-        for (target, q) in pending.iter_mut().enumerate() {
-            if q.is_empty() {
-                continue;
-            }
-            let mut q = std::mem::take(q);
-            q.sort_by_key(|d| (d.at, d.src_shard, d.src_seq));
-            inboxes[target % threads].push((target, q));
-        }
-        for (k, tx) in cmd_txs.iter().enumerate() {
-            let inboxes = std::mem::take(&mut inboxes[k]);
-            if tx.send(Cmd::Window { end, inboxes }).is_err() {
-                return false;
-            }
-        }
-    }
-}
-
-/// Worker: builds its owned worlds, then repeatedly applies inboxes, runs
-/// one window, and reports. On `Finish`, finalizes each world and sends
-/// its result.
-// vread-lint: allow(threading, "sanctioned worker pool")
-fn worker_loop<R: Send>(
-    bucket: Vec<(usize, Shard<R>)>,
-    cmd_rx: &mpsc::Receiver<Cmd>,
-    report_tx: &mpsc::Sender<WorkerEvent>,
-    result_tx: &mpsc::Sender<(usize, R)>,
-    deadline: SimTime,
-    lookahead: Option<SimDuration>,
-) {
-    let mut owned: Vec<OwnedShard<R>> = Vec::with_capacity(bucket.len());
-    for (ix, sh) in bucket {
-        let (world, finish) = (sh.build)();
-        owned.push(OwnedShard {
-            ix,
-            label: sh.label,
-            world,
-            finish,
-        });
-    }
-    // Initial round: report build-time state (including any outbox filled
-    // during construction) so the coordinator can pick the first window.
-    for o in &mut owned {
-        let report = harvest(o, SimTime::ZERO, lookahead);
-        if report_tx.send(WorkerEvent::Report(report)).is_err() {
-            return;
-        }
-    }
-    while let Ok(cmd) = cmd_rx.recv() {
-        match cmd {
-            Cmd::Window { end, inboxes } => {
-                let mut inboxes = inboxes.into_iter().peekable();
-                for o in &mut owned {
-                    if let Some(&(target, _)) = inboxes.peek() {
-                        if target == o.ix {
-                            let (_, q) = inboxes.next().expect("peeked");
-                            for d in q {
-                                o.world.deliver_remote(d.at, d.to, d.msg);
-                            }
-                        }
-                    }
-                    if o.world.jobs.is_empty() {
-                        o.world.run_window(end);
-                    } else {
-                        o.world.run_window_jobs(end);
-                    }
-                    let report = harvest(o, end, lookahead);
-                    if report_tx.send(WorkerEvent::Report(report)).is_err() {
-                        return;
-                    }
-                }
-            }
-            Cmd::Finish => {
-                for o in owned {
-                    let mut w = o.world;
-                    w.finalize_shard(deadline);
-                    if result_tx.send((o.ix, (o.finish)(w))).is_err() {
-                        return;
-                    }
-                }
-                return;
-            }
-        }
-    }
-}
-
-/// Snapshots a shard's status and drains its outbox, enforcing the
-/// conservative contract: every outgoing message must arrive at or after
-/// the window end the shard just executed up to.
-fn harvest<R>(
-    o: &mut OwnedShard<R>,
-    window_end: SimTime,
-    lookahead: Option<SimDuration>,
-) -> Report {
-    let w = &mut o.world;
-    let done = if w.jobs.is_empty() {
-        w.next_event_time().is_none()
-    } else {
-        w.jobs.pending() == 0
-    };
-    let next_event = if done { None } else { w.next_event_time() };
-    let raw = w.take_outbox();
-    if !raw.is_empty() {
-        assert!(
-            lookahead.is_some(),
-            "shard {} ('{}') posted cross-shard messages but EngineOpts::lookahead is None \
-             (isolated shards cannot communicate)",
-            o.ix,
-            o.label
-        );
-    }
-    let outbox = raw
-        .into_iter()
-        .map(|ob| {
-            assert!(
-                ob.at >= window_end,
-                "shard {} ('{}') posted a cross-shard message arriving at {} inside the \
-                 current window (end {window_end}); post_remote delay must be >= the lookahead",
-                o.ix,
-                o.label,
-                ob.at
-            );
-            (
-                ob.shard.index(),
-                Delivery {
-                    at: ob.at,
-                    src_shard: u16::try_from(o.ix).expect("shard index fits u16"),
-                    src_seq: ob.seq,
-                    to: ob.to,
-                    msg: ob.msg,
-                },
-            )
-        })
-        .collect();
-    Report {
-        shard: o.ix,
-        status: ShardStatus { next_event, done },
-        outbox,
-    }
-}
 
 /// Runs `n` independent tasks on `threads` workers, invoking `on_ready`
 /// for every result **in index order** (streaming: a result is surfaced as
@@ -569,193 +97,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cpu::CpuCategory;
-    use crate::engine::{Actor, Ctx};
-    use crate::ids::{ShardId, ThreadId};
-    use crate::msg::Start;
-
-    /// Local ping-pong within one shard: burns CPU, bounces a counter.
-    struct Ping {
-        thread: ThreadId,
-        left: u32,
-    }
-    impl Actor for Ping {
-        fn handle(&mut self, msg: BoxMsg, ctx: &mut Ctx<'_>) {
-            if (msg.is::<Start>() || msg.is::<u32>()) && self.left > 0 {
-                self.left -= 1;
-                let me = ctx.me();
-                ctx.cpu(self.thread, 10_000, CpuCategory::Other, me, self.left);
-            }
-        }
-    }
-
-    fn ping_world(seed: u64, rounds: u32) -> World {
-        let mut w = World::new(seed);
-        let h = w.add_host("h", 2, 3.0);
-        let t = w.add_thread(h, "ping");
-        let a = w.add_actor(
-            "ping",
-            Ping {
-                thread: t,
-                left: rounds,
-            },
-        );
-        w.send_now(a, Start);
-        w
-    }
-
-    fn run_ping_fleet(threads: usize, shards: usize) -> Vec<(SimTime, u64)> {
-        let specs = (0..shards)
-            .map(|i| {
-                Shard::new(
-                    format!("s{i}"),
-                    move || {
-                        ping_world(
-                            7 + i as u64,
-                            40 + u32::try_from(i).expect("shard ix fits u32"),
-                        )
-                    },
-                    |w: World| (w.now(), w.events_processed()),
-                )
-            })
-            .collect();
-        run_sharded(EngineOpts::new(threads), specs)
-    }
-
-    #[test]
-    fn isolated_shards_match_any_thread_count() {
-        let seq = run_ping_fleet(1, 5);
-        for threads in [2, 3, 5, 8] {
-            assert_eq!(run_ping_fleet(threads, 5), seq, "threads={threads}");
-        }
-        // And each shard matches a plain sequential run of the same world.
-        for (i, (now, events)) in seq.iter().enumerate() {
-            let mut w = ping_world(
-                7 + i as u64,
-                40 + u32::try_from(i).expect("shard ix fits u32"),
-            );
-            w.run();
-            assert_eq!((*now, w.events_processed()), (*now, *events));
-            assert_eq!(*now, w.now());
-        }
-    }
-
-    /// Cross-shard relay: forwards `left` hops to the peer shard, each hop
-    /// travelling one full lookahead.
-    struct Relay {
-        peer_shard: ShardId,
-        peer: ActorId,
-        hop: SimDuration,
-        left: u32,
-    }
-    impl Actor for Relay {
-        fn handle(&mut self, msg: BoxMsg, ctx: &mut Ctx<'_>) {
-            if (msg.is::<Start>() || msg.is::<u32>()) && self.left > 0 {
-                self.left -= 1;
-                ctx.post_remote(self.peer_shard, self.peer, self.left, self.hop);
-            }
-        }
-    }
-
-    fn relay_world(kick: bool, peer_shard: usize, hop: SimDuration, left: u32) -> World {
-        let mut w = World::new(1);
-        w.add_host("h", 1, 3.0);
-        let a = w.add_actor(
-            "relay",
-            Relay {
-                peer_shard: ShardId::from_raw(
-                    u16::try_from(peer_shard).expect("peer shard fits u16"),
-                ),
-                peer: ActorId::from_raw(0),
-                hop,
-                left,
-            },
-        );
-        assert_eq!(a, ActorId::from_raw(0));
-        if kick {
-            w.send_now(a, Start);
-        }
-        w
-    }
-
-    fn run_relay(threads: usize) -> Vec<(SimTime, u64)> {
-        let hop = SimDuration::from_micros(30);
-        let opts = EngineOpts::new(threads).with_lookahead(hop);
-        let shards = vec![
-            Shard::new(
-                "a",
-                move || relay_world(true, 1, hop, 6),
-                |w: World| (w.now(), w.events_processed()),
-            ),
-            Shard::new(
-                "b",
-                move || relay_world(false, 0, hop, 6),
-                |w: World| (w.now(), w.events_processed()),
-            ),
-        ];
-        run_sharded(opts, shards)
-    }
-
-    #[test]
-    fn windowed_cross_shard_relay_is_thread_invariant() {
-        let seq = run_relay(1);
-        assert_eq!(seq, run_relay(2));
-        assert_eq!(seq, run_relay(4));
-        // 12 hops total (6 initiated per side, alternating): the last
-        // delivery lands at 12 * 30us on shard A... actually hop 12 lands
-        // on shard A at 360us only if both sides forward. Just pin the
-        // observable: deterministic, non-zero progress on both shards.
-        assert!(
-            seq[0].1 > 1 && seq[1].1 > 1,
-            "both shards ran events: {seq:?}"
-        );
-        assert!(seq[1].0 >= SimTime::ZERO + SimDuration::from_micros(30));
-    }
-
-    #[test]
-    #[should_panic(expected = "inside the current window")]
-    fn lookahead_violation_panics() {
-        let hop = SimDuration::from_micros(30);
-        let opts = EngineOpts::new(2).with_lookahead(hop);
-        let shards = vec![
-            Shard::new(
-                "a",
-                move || relay_world(true, 1, SimDuration::from_nanos(1), 2),
-                |_| (),
-            ),
-            Shard::new("b", move || relay_world(false, 0, hop, 2), |_| ()),
-        ];
-        run_sharded(opts, shards);
-    }
-
-    #[test]
-    #[should_panic(expected = "isolated shards cannot communicate")]
-    fn cross_shard_send_without_lookahead_panics() {
-        let hop = SimDuration::from_micros(30);
-        let shards = vec![
-            Shard::new("a", move || relay_world(true, 1, hop, 2), |_| ()),
-            Shard::new("b", move || relay_world(false, 0, hop, 2), |_| ()),
-        ];
-        run_sharded(EngineOpts::new(2), shards);
-    }
-
-    #[test]
-    fn job_shards_respect_cap() {
-        // A world whose only job never completes: the shard must be
-        // fast-forwarded to the cap, exactly like run_jobs_for.
-        let cap = SimDuration::from_millis(5);
-        let build = move || {
-            let mut w = World::new(3);
-            w.add_host("h", 1, 3.0);
-            w.register_job("stuck");
-            w
-        };
-        let out = run_sharded(
-            EngineOpts::new(1).with_cap(cap),
-            vec![Shard::new("stuck", build, |w: World| w.now())],
-        );
-        assert_eq!(out, vec![SimTime::ZERO + cap]);
-    }
 
     #[test]
     fn run_indexed_preserves_order_and_streams_in_order() {
@@ -770,8 +111,6 @@ mod tests {
 
     #[test]
     fn empty_and_degenerate_inputs() {
-        let out: Vec<()> = run_sharded(EngineOpts::new(4), Vec::new());
-        assert!(out.is_empty());
         let out: Vec<usize> = run_indexed(0, 4, |i| i);
         assert!(out.is_empty());
     }

@@ -62,14 +62,6 @@ impl Link {
             self.free_at.since(now).as_secs_f64() * self.bandwidth_bps
         }
     }
-
-    /// The conservative lookahead this link grants a sharded run: no
-    /// message travelling over it can arrive at the far side sooner than
-    /// its one-way propagation latency, so the parallel engine (see
-    /// [`crate::par`]) may execute that far ahead between barriers.
-    pub fn lookahead(&self) -> SimDuration {
-        self.latency
-    }
 }
 
 /// A queued block device (SSD).

@@ -14,10 +14,9 @@
 //! timeline ([`World::start_timeline`](crate::World::start_timeline))
 //! schedules a tick at `now + sample_every`, and each tick re-schedules
 //! the next while the world still has work. Ticks therefore carry
-//! `(time, seq)` keys like every other event and replay identically at
-//! any `--engine-threads N` — the sharded engine (see [`crate::par`])
-//! runs the same protocol at every thread count, so each tick observes
-//! the same world state. There is no wall-clock, no background thread,
+//! `(time, seq)` keys like every other event and replay identically on
+//! every run, so each tick observes the same world state at any
+//! `--jobs N`. There is no wall-clock, no background thread,
 //! and no sampling skew: a tick at `t` sees the world exactly as of the
 //! last event executed at or before `t`.
 //!
@@ -25,9 +24,9 @@
 //!
 //! Per-window latency lives in [`Hist`], a fixed log-bucket (HDR-style)
 //! histogram with **integer bucket counts**. Unlike a sorted `Vec<f64>`,
-//! element-wise `u64` addition is associative and commutative, so
-//! merging shard histograms in any grouping is bit-exact — the property
-//! the `--engine-threads` byte-identity gate rests on.
+//! its memory is bounded however many reads land in a window, and its
+//! quantiles depend only on the multiset of recorded values, never on
+//! the order they arrived in.
 //!
 //! # Mutation discipline
 //!
@@ -87,9 +86,6 @@ fn bucket_high(idx: usize) -> u64 {
 
 /// A fixed log-bucket latency histogram over `u64` nanoseconds.
 ///
-/// Integer bucket counts make [`Hist::merge`] element-wise `u64`
-/// addition: associative, commutative, and therefore bit-exact however
-/// shard results are grouped (property-tested in `timeline_props`).
 /// Quantiles are nearest-rank over the cumulative counts and return the
 /// bucket's highest contained value, so the reported p99 never
 /// under-states the true p99 and is off by at most 1/32 relative.
@@ -136,22 +132,6 @@ impl Hist {
     /// Whether nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.total == 0
-    }
-
-    /// Adds every bucket of `other` into `self`. Element-wise integer
-    /// addition — associative and commutative, so shard merge order
-    /// cannot change the result.
-    pub fn merge(&mut self, other: &Hist) {
-        if other.counts.is_empty() {
-            return;
-        }
-        if self.counts.is_empty() {
-            self.counts = vec![0; BUCKETS];
-        }
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.total += other.total;
     }
 
     /// The `q`-quantile (0 ≤ q ≤ 1) by nearest-rank, or 0 when empty.
@@ -368,49 +348,6 @@ impl Timeline {
     pub fn run_hist(&self) -> &Hist {
         &self.run_hist
     }
-
-    /// Merges another shard's timeline into this one (barrier-side of a
-    /// partitioned run). Histograms add bucket-wise (order-independent);
-    /// series points interleave by time with ties keeping `self` first,
-    /// so merging shards in canonical shard order is deterministic.
-    pub fn merge(&mut self, other: &Timeline) {
-        for (win, h) in &other.windows {
-            self.windows.entry(*win).or_default().merge(h);
-        }
-        self.run_hist.merge(&other.run_hist);
-        for s in &other.series {
-            match self.series_index.get(&s.name) {
-                Some(&ix) => {
-                    let mine = &mut self.series[ix].points;
-                    let mut merged = Vec::with_capacity(mine.len() + s.points.len());
-                    let mut a = mine.drain(..).peekable();
-                    let mut b = s.points.iter().copied().peekable();
-                    loop {
-                        match (a.peek(), b.peek()) {
-                            (Some(&(ta, _)), Some(&(tb, _))) => {
-                                if ta <= tb {
-                                    merged.push(a.next().expect("peeked"));
-                                } else {
-                                    merged.push(b.next().expect("peeked"));
-                                }
-                            }
-                            (Some(_), None) => merged.push(a.next().expect("peeked")),
-                            (None, Some(_)) => merged.push(b.next().expect("peeked")),
-                            (None, None) => break,
-                        }
-                    }
-                    drop(a);
-                    self.series[ix].points = merged;
-                }
-                None => {
-                    let ix = self.series.len();
-                    self.series_index.insert(s.name.clone(), ix);
-                    self.series.push(s.clone());
-                }
-            }
-        }
-        self.ticks += other.ticks;
-    }
 }
 
 #[cfg(test)]
@@ -470,28 +407,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_buckets() {
-        let mut a = Hist::new();
-        let mut b = Hist::new();
-        for v in [5u64, 100, 1_000_000] {
-            a.record_raw(v);
-        }
-        for v in [7u64, 100, 40] {
-            b.record_raw(v);
-        }
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba, "merge is commutative");
-        assert_eq!(ab.count(), 6);
-        // merging an empty hist is the identity
-        let mut c = ab.clone();
-        c.merge(&Hist::new());
-        assert_eq!(c, ab);
-    }
-
-    #[test]
     fn observe_read_windows_by_completion_time() {
         let mut tl = Timeline::default();
         tl.enable(SimDuration::from_millis(10));
@@ -512,91 +427,5 @@ mod tests {
         tl.observe_read(SimTime::ZERO, SimTime::from_nanos(100));
         assert!(tl.run_hist().is_empty());
         assert_eq!(tl.windows().count(), 0);
-    }
-
-    #[test]
-    fn merge_interleaves_series_by_time() {
-        let mut a = Timeline::default();
-        a.enable(SimDuration::from_millis(1));
-        let mut b = Timeline::default();
-        b.enable(SimDuration::from_millis(1));
-        a.push("s", SimTime::from_nanos(10), 1.0);
-        a.push("s", SimTime::from_nanos(30), 3.0);
-        b.push("s", SimTime::from_nanos(20), 2.0);
-        b.push("other", SimTime::from_nanos(5), 9.0);
-        a.merge(&b);
-        let all: BTreeMap<&str, &[(SimTime, f64)]> = a.series().collect();
-        let s: Vec<f64> = all["s"].iter().map(|&(_, v)| v).collect();
-        assert_eq!(s, vec![1.0, 2.0, 3.0]);
-        assert_eq!(all["other"].len(), 1);
-    }
-}
-
-/// Property tests of the histogram's merge algebra: element-wise
-/// integer addition must be associative and commutative, and recording
-/// a value stream split across any shard boundaries then merging must
-/// reproduce the single-shard histogram bit-exactly. This is the
-/// invariant that makes timeline reports independent of
-/// `--engine-threads`.
-#[cfg(test)]
-mod timeline_props {
-    use super::Hist;
-    use proptest::prelude::*;
-
-    /// Values spanning the linear region, the log octaves, and the
-    /// extremes of the `u64` range.
-    fn values() -> impl Strategy<Value = Vec<u64>> {
-        proptest::collection::vec(
-            prop_oneof![0u64..64, 1u64..1_000_000_000, 0u64..u64::MAX],
-            0..64,
-        )
-    }
-
-    fn hist(vals: &[u64]) -> Hist {
-        let mut h = Hist::new();
-        for &v in vals {
-            h.record_raw(v);
-        }
-        h
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        #[test]
-        fn merge_is_commutative(a in values(), b in values()) {
-            let (ha, hb) = (hist(&a), hist(&b));
-            let mut ab = ha.clone();
-            ab.merge(&hb);
-            let mut ba = hb.clone();
-            ba.merge(&ha);
-            prop_assert_eq!(ab, ba);
-        }
-
-        #[test]
-        fn merge_is_associative(a in values(), b in values(), c in values()) {
-            let (ha, hb, hc) = (hist(&a), hist(&b), hist(&c));
-            let mut left = ha.clone();
-            left.merge(&hb);
-            left.merge(&hc);
-            let mut bc = hb.clone();
-            bc.merge(&hc);
-            let mut right = ha.clone();
-            right.merge(&bc);
-            prop_assert_eq!(left, right);
-        }
-
-        #[test]
-        fn sharded_merge_equals_single_shard(vals in values(), cut in 0usize..64) {
-            let at = if vals.is_empty() { 0 } else { cut % vals.len() };
-            let whole = hist(&vals);
-            let mut sharded = hist(&vals[..at]);
-            sharded.merge(&hist(&vals[at..]));
-            prop_assert_eq!(&whole, &sharded);
-            prop_assert_eq!(whole.count(), vals.len() as u64);
-            for q in [0.0, 0.5, 0.99, 0.999, 1.0] {
-                prop_assert_eq!(whole.quantile(q), sharded.quantile(q));
-            }
-        }
     }
 }

@@ -112,7 +112,7 @@ fn zero_cycle_stages_complete_instantly() {
 }
 
 #[test]
-fn run_until_counter_sees_partial_charges() {
+fn run_until_sees_partial_charges() {
     // run_until must charge running cores so snapshots between events are
     // exact (the accounting-truncation regression).
     let mut w = World::new(1);
