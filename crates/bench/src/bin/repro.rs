@@ -576,7 +576,7 @@ fn trace_one(cell: TraceCell) -> (bool, String, String) {
 /// show those reads at 1 copy/read, strictly below vread-local's 2.
 fn trace_cas_one() -> (bool, String, String) {
     use std::fmt::Write as _;
-    use vread_apps::driver::run_jobs_settled;
+    use vread_apps::driver::run_jobs;
     use vread_apps::java_reader::{JavaReader, ReaderMode};
     use vread_bench::spec::{FileSpec, HostCacheSpec, VmRole};
     use vread_bench::SpanSummary;
@@ -598,11 +598,7 @@ fn trace_cas_one() -> (bool, String, String) {
         .with_job(job);
         let a = d.w.add_actor("reader", rdr);
         d.w.send_now(a, Start);
-        let ok = run_jobs_settled(
-            &mut d.w,
-            SimDuration::from_secs(3_000),
-            SimDuration::from_millis(50),
-        );
+        let ok = run_jobs(&mut d.w, SimDuration::from_secs(3_000));
         assert!(ok, "cas trace pass did not finish within the cap");
     }
 
@@ -1090,7 +1086,7 @@ fn measure(reps: usize, build: impl Fn() -> World) -> (u64, f64) {
 /// (engine events, simulated seconds). Mirrors the `ablate-cas`
 /// experiment's topology at bench scale.
 fn cas_cold_run(hash: f64) -> (u64, f64) {
-    use vread_apps::driver::run_jobs_settled;
+    use vread_apps::driver::run_jobs;
     use vread_apps::java_reader::{JavaReader, ReaderMode};
     use vread_bench::spec::{FileSpec, HostCacheSpec, VmRole};
     use vread_host::cluster::HostCacheMode;
@@ -1135,11 +1131,7 @@ fn cas_cold_run(hash: f64) -> (u64, f64) {
     .with_job(job);
     let a = d.w.add_actor("reader", rdr);
     d.w.send_now(a, Start);
-    let ok = run_jobs_settled(
-        &mut d.w,
-        SimDuration::from_secs(3_000),
-        SimDuration::from_millis(50),
-    );
+    let ok = run_jobs(&mut d.w, SimDuration::from_secs(3_000));
     assert!(ok, "cas cold pass did not finish within the cap");
     let secs = d.w.metrics.mean("reader_done_at_s") - d.w.metrics.mean("reader_start_at_s");
     (d.w.events_processed(), secs)

@@ -8,7 +8,7 @@
 //! * content-addressed host store — dedup across co-located replicas vs
 //!   the per-VM LRU page cache, sweeping the hash admission cost.
 
-use vread_apps::driver::run_jobs_settled;
+use vread_apps::driver::run_jobs;
 use vread_apps::java_reader::{JavaReader, ReaderMode};
 use vread_core::daemon::SetBypassHostFs;
 use vread_core::VreadRegistry;
@@ -156,7 +156,7 @@ fn deployment_read_mbps(
     .with_job(job);
     let a = d.w.add_actor("reader", reader);
     d.w.send_now(a, Start);
-    let ok = run_jobs_settled(&mut d.w, CAP, SimDuration::from_millis(50));
+    let ok = run_jobs(&mut d.w, CAP);
     assert!(ok, "cas reader pass did not finish within the cap");
     let secs = d.w.metrics.mean("reader_done_at_s") - d.w.metrics.mean("reader_start_at_s");
     CAS_FILE as f64 / 1e6 / secs

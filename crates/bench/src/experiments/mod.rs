@@ -18,7 +18,7 @@ pub mod table2;
 pub mod table3;
 
 use vread_apps::dfsio::{DfsioConfig, DfsioMode, TestDfsio};
-use vread_apps::driver::run_jobs_settled;
+use vread_apps::driver::run_jobs;
 use vread_apps::java_reader::{JavaReader, ReaderMode};
 use vread_sim::prelude::*;
 
@@ -77,7 +77,7 @@ pub(crate) fn reader_pass(
     .with_job(job);
     let a = tb.w.add_actor("reader", reader);
     tb.w.send_now(a, Start);
-    let ok = run_jobs_settled(&mut tb.w, CAP, SimDuration::from_millis(50));
+    let ok = run_jobs(&mut tb.w, CAP);
     assert!(ok, "reader pass did not finish within the cap");
     tb.w.metrics.mean("reader_delay_ms")
 }
@@ -97,7 +97,7 @@ pub(crate) fn local_reader_pass(tb: &mut Testbed, path: &str, request: u64, tota
     .with_job(job);
     let a = tb.w.add_actor("reader", reader);
     tb.w.send_now(a, Start);
-    let ok = run_jobs_settled(&mut tb.w, CAP, SimDuration::from_millis(50));
+    let ok = run_jobs(&mut tb.w, CAP);
     assert!(ok, "local reader pass did not finish within the cap");
     tb.w.metrics.mean("reader_delay_ms")
 }
@@ -134,7 +134,7 @@ pub(crate) fn dfsio_pass(
     .with_job(job);
     let a = tb.w.add_actor("dfsio", d);
     tb.w.send_now(a, Start);
-    let ok = run_jobs_settled(&mut tb.w, CAP, SimDuration::from_millis(100));
+    let ok = run_jobs(&mut tb.w, CAP);
     assert!(ok, "dfsio pass did not finish within the cap");
     let secs = tb.w.metrics.mean("dfsio_done_at_s") - tb.w.metrics.mean("dfsio_start_at_s");
     let bytes = tb.w.metrics.counter("dfsio_bytes");

@@ -2,7 +2,7 @@
 //! random read throughput (MB/s), vanilla vs vRead, on the hybrid 4-VM
 //! setup at 2.0 GHz.
 
-use vread_apps::driver::run_jobs_settled;
+use vread_apps::driver::run_jobs;
 use vread_apps::hbase::{HbaseClient, HbaseConfig, HbaseOp};
 use vread_sim::prelude::*;
 
@@ -42,7 +42,7 @@ fn mbps(path: ReadPath, op: HbaseOp) -> f64 {
     .with_job(job);
     let a = tb.w.add_actor("hbase", hb);
     tb.w.send_now(a, Start);
-    let ok = run_jobs_settled(&mut tb.w, CAP, SimDuration::from_millis(200));
+    let ok = run_jobs(&mut tb.w, CAP);
     assert!(ok, "hbase run did not finish");
     let secs = tb.w.metrics.mean("hbase_done_at_s") - tb.w.metrics.mean("hbase_start_at_s");
     tb.w.metrics.counter("hbase_bytes") / 1e6 / secs.max(1e-9)

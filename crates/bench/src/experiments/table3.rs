@@ -1,7 +1,7 @@
 //! Table 3 — Hive select query time and Sqoop export time, vanilla vs
 //! vRead, on the hybrid 4-VM setup at 2.0 GHz.
 
-use vread_apps::driver::run_jobs_settled;
+use vread_apps::driver::run_jobs;
 use vread_apps::hive::{HiveConfig, HiveQuery};
 use vread_apps::sqoop::{deploy_sqoop_with_job, SqoopConfig, SqoopExport};
 use vread_sim::prelude::*;
@@ -29,7 +29,7 @@ fn hive_secs(path: ReadPath) -> f64 {
     let q = HiveQuery::new(client, tb.client_vm, "/hive/test".into(), ROWS, cfg).with_job(job);
     let a = tb.w.add_actor("hive", q);
     tb.w.send_now(a, Start);
-    let ok = run_jobs_settled(&mut tb.w, CAP, SimDuration::from_millis(200));
+    let ok = run_jobs(&mut tb.w, CAP);
     assert!(ok, "hive query did not finish");
     let secs = tb.w.metrics.mean("hive_done_at_s") - tb.w.metrics.mean("hive_start_at_s");
     // Project to the paper's 30M rows: scan scales, plan setup does not.
@@ -59,7 +59,7 @@ fn sqoop_secs(path: ReadPath) -> f64 {
         Some(job),
     );
     tb.w.send_now(export, Start);
-    let ok = run_jobs_settled(&mut tb.w, CAP, SimDuration::from_millis(200));
+    let ok = run_jobs(&mut tb.w, CAP);
     assert!(ok, "sqoop export did not finish");
     let secs = tb.w.metrics.mean("sqoop_done_at_s") - tb.w.metrics.mean("sqoop_start_at_s");
     secs * (PAPER_ROWS as f64 / ROWS as f64)

@@ -38,9 +38,9 @@ use crate::spans::SpanSummary;
 use crate::timeline::TimelineSummary;
 
 use vread_apps::dfsio::{DfsioConfig, DfsioMode, TestDfsio};
-use vread_apps::driver::{complete_job_after, run_jobs, run_jobs_settled};
+use vread_apps::driver::{complete_job_after, run_jobs};
 use vread_apps::java_reader::{JavaReader, ReaderMode};
-use vread_apps::netperf::{deploy_netperf, deploy_netperf_with_job};
+use vread_apps::netperf::deploy_netperf_with_job;
 use vread_hdfs::HdfsMeta;
 use vread_host::cluster::{Cluster, HostCacheMode, VmId};
 use vread_host::costs::Costs;
@@ -286,8 +286,7 @@ pub struct ScenarioReport {
     /// deployment, lookbusy excluded).
     pub cpu_by_category_ms: Vec<(String, f64)>,
     /// Per-job breakdown — present only when the scenario ran two or
-    /// more workloads, so single-workload reports serialize exactly as
-    /// before.
+    /// more workloads (a lone workload's row would repeat the headline).
     pub per_workload: Vec<WorkloadReport>,
     /// Degradation summary — present only when the scenario planned
     /// faults, so fault-free reports serialize exactly as before.
@@ -622,7 +621,8 @@ fn check_unique_names(
 
 /// Rejects numbers the deployment cannot run: core counts outside
 /// `1..=MAX_HOST_CORES`, non-finite or non-positive clocks, lookbusy duty
-/// cycles outside (0, 1] and zero-sized reader requests.
+/// cycles outside (0, 1], zero-sized reader requests, dfsio buffers and
+/// write sizes, empty dfsio file lists and zero-length netperf windows.
 fn check_ranges(
     hosts: &[HostSpec],
     vms: &[VmSpec],
@@ -653,11 +653,26 @@ fn check_ranges(
         }
     }
     for b in workloads {
-        if let WorkloadSpec::Reader { request_kb: 0, .. } = b.kind {
-            return Err(SpecError::Invalid(
-                "reader workload: request_kb must be at least 1".to_owned(),
-            ));
-        }
+        let bad = match &b.kind {
+            WorkloadSpec::Reader { request_kb: 0, .. } => {
+                "reader workload: request_kb must be at least 1"
+            }
+            WorkloadSpec::DfsioRead { files, .. } if files.is_empty() => {
+                "dfsio-read workload: files must not be empty"
+            }
+            WorkloadSpec::DfsioRead { buffer_kb: 0, .. } => {
+                "dfsio-read workload: buffer_kb must be at least 1"
+            }
+            WorkloadSpec::DfsioWrite { files, .. } if files.is_empty() => {
+                "dfsio-write workload: files must not be empty"
+            }
+            WorkloadSpec::DfsioWrite { mb: 0, .. } => "dfsio-write workload: mb must be at least 1",
+            WorkloadSpec::Netperf { duration_ms: 0, .. } => {
+                "netperf workload: duration_ms must be at least 1"
+            }
+            _ => continue,
+        };
+        return Err(SpecError::Invalid(bad.to_owned()));
     }
     Ok(())
 }
@@ -874,16 +889,11 @@ impl ScenarioSpec {
     pub fn run(&self) -> Result<ScenarioReport, SpecError> {
         let mut d = self.deploy()?;
         let bound = self.bind(&d)?;
-        let cap = SimDuration::from_secs(3_000);
-        if let [(client_vm, _, binding)] = bound.as_slice() {
-            self.run_single(&mut d, *client_vm, binding, cap)
-        } else {
-            let armed = self.arm_multi(&mut d, &bound)?;
-            if !run_jobs(&mut d.w, cap) {
-                return Err(SpecError::Invalid("workload did not finish".to_owned()));
-            }
-            self.aggregate_multi(&mut d, &armed)
+        let armed = self.arm(&mut d, &bound)?;
+        if !run_jobs(&mut d.w, SimDuration::from_secs(3_000)) {
+            return Err(SpecError::Invalid("workload did not finish".to_owned()));
         }
+        self.aggregate(&mut d, &armed)
     }
 
     /// Resolves the topology into a deployment and validates it has a
@@ -923,119 +933,10 @@ impl ScenarioSpec {
             .collect()
     }
 
-    /// Drives a single workload with the legacy measurement math (the
-    /// settled drive keeps whole-world accounting byte-identical to the
-    /// polling-era reports).
-    fn run_single(
-        &self,
-        d: &mut Deployment,
-        client_vm: VmId,
-        binding: &WorkloadBinding,
-        cap: SimDuration,
-    ) -> Result<ScenarioReport, SpecError> {
-        let client = d.add_client_on(client_vm);
-        d.start_background();
-        d.arm_faults(&self.faults)?;
-
-        let start_delay = SimDuration::from_millis(binding.start_ms);
-        let (elapsed_s, bytes, rate) = match &binding.kind {
-            WorkloadSpec::DfsioRead { files, buffer_kb } => {
-                let file_bytes = dfsio_read_size(&d.w, files)?;
-                let cfg = DfsioConfig {
-                    buffer_bytes: buffer_kb << 10,
-                    ..Default::default()
-                };
-                let job = d.w.register_job("dfsio");
-                let app = TestDfsio::new(
-                    client,
-                    client_vm,
-                    DfsioMode::Read,
-                    files.clone(),
-                    file_bytes,
-                    cfg,
-                )
-                .with_job(job);
-                let a = d.w.add_actor("dfsio", app);
-                launch(&mut d.w, a, start_delay);
-                if !run_jobs_settled(&mut d.w, cap, SimDuration::from_millis(100)) {
-                    return Err(SpecError::Invalid("workload did not finish".to_owned()));
-                }
-                let secs =
-                    d.w.metrics.mean("dfsio_done_at_s") - d.w.metrics.mean("dfsio_start_at_s");
-                let b = d.w.metrics.counter("dfsio_bytes") as u64;
-                (secs, b, b as f64 / 1e6 / secs)
-            }
-            WorkloadSpec::DfsioWrite { files, mb } => {
-                let job = d.w.register_job("dfsio");
-                let app = TestDfsio::new(
-                    client,
-                    client_vm,
-                    DfsioMode::Write,
-                    files.clone(),
-                    mb << 20,
-                    DfsioConfig::default(),
-                )
-                .with_job(job);
-                let a = d.w.add_actor("dfsio", app);
-                launch(&mut d.w, a, start_delay);
-                if !run_jobs_settled(&mut d.w, cap, SimDuration::from_millis(100)) {
-                    return Err(SpecError::Invalid("workload did not finish".to_owned()));
-                }
-                let secs =
-                    d.w.metrics.mean("dfsio_done_at_s") - d.w.metrics.mean("dfsio_start_at_s");
-                let b = d.w.metrics.counter("dfsio_bytes") as u64;
-                (secs, b, b as f64 / 1e6 / secs)
-            }
-            WorkloadSpec::Reader { path, request_kb } => {
-                let total = hdfs_file_size(&d.w, path)?;
-                let job = d.w.register_job("reader");
-                let rdr = JavaReader::new(
-                    client_vm,
-                    ReaderMode::Dfs {
-                        client,
-                        path: path.clone(),
-                    },
-                    request_kb << 10,
-                    total,
-                )
-                .with_job(job);
-                let a = d.w.add_actor("reader", rdr);
-                launch(&mut d.w, a, start_delay);
-                if !run_jobs_settled(&mut d.w, cap, SimDuration::from_millis(50)) {
-                    return Err(SpecError::Invalid("workload did not finish".to_owned()));
-                }
-                let secs =
-                    d.w.metrics.mean("reader_done_at_s") - d.w.metrics.mean("reader_start_at_s");
-                (secs, total, total as f64 / 1e6 / secs)
-            }
-            WorkloadSpec::Netperf {
-                request_kb,
-                duration_ms,
-            } => {
-                let server_vm = d.datanode_vms[0].1;
-                let measure_from = d.w.now() + start_delay;
-                let np = deploy_netperf(
-                    &mut d.w,
-                    client_vm,
-                    server_vm,
-                    request_kb << 10,
-                    measure_from,
-                );
-                launch(&mut d.w, np, start_delay);
-                let dur = SimDuration::from_millis(*duration_ms);
-                let t = d.w.now() + start_delay + dur;
-                d.w.run_until(t);
-                let txns = d.w.metrics.counter("netperf_txns");
-                (dur.as_secs_f64(), 0, txns / dur.as_secs_f64())
-            }
-        };
-
-        Ok(self.finish_report(d, elapsed_s, bytes, rate, Vec::new()))
-    }
-
-    /// Arms two or more concurrent workloads: every job registers a
-    /// completion token so `run_jobs` can stop once all of them finish.
-    fn arm_multi(
+    /// Arms every workload, then the background load and the fault plan:
+    /// each job registers a completion token so `run_jobs` can stop once
+    /// all of them finish.
+    fn arm(
         &self,
         d: &mut Deployment,
         bound: &[(VmId, String, WorkloadBinding)],
@@ -1043,15 +944,15 @@ impl ScenarioSpec {
         let mut armed: Vec<Armed> = Vec::new();
         for (vm, cname, b) in bound {
             let start_delay = SimDuration::from_millis(b.start_ms);
-            let job = match &b.kind {
+            let job = d.w.register_job(b.kind.kind_str());
+            let actor = match &b.kind {
                 WorkloadSpec::DfsioRead { files, buffer_kb } => {
                     let file_bytes = dfsio_read_size(&d.w, files)?;
-                    let client = d.add_client_on(*vm);
                     let cfg = DfsioConfig {
                         buffer_bytes: buffer_kb << 10,
                         ..Default::default()
                     };
-                    let job = d.w.register_job("dfsio");
+                    let client = d.add_client_on(*vm);
                     let app = TestDfsio::new(
                         client,
                         *vm,
@@ -1059,45 +960,25 @@ impl ScenarioSpec {
                         files.clone(),
                         file_bytes,
                         cfg,
-                    )
-                    .with_job(job);
-                    let a = d.w.add_actor("dfsio", app);
-                    launch(&mut d.w, a, start_delay);
-                    job
+                    );
+                    d.w.add_actor("dfsio", app.with_job(job))
                 }
                 WorkloadSpec::DfsioWrite { files, mb } => {
                     let client = d.add_client_on(*vm);
-                    let job = d.w.register_job("dfsio");
-                    let app = TestDfsio::new(
-                        client,
-                        *vm,
-                        DfsioMode::Write,
-                        files.clone(),
-                        mb << 20,
-                        DfsioConfig::default(),
-                    )
-                    .with_job(job);
-                    let a = d.w.add_actor("dfsio", app);
-                    launch(&mut d.w, a, start_delay);
-                    job
+                    let cfg = DfsioConfig::default();
+                    let app =
+                        TestDfsio::new(client, *vm, DfsioMode::Write, files.clone(), mb << 20, cfg);
+                    d.w.add_actor("dfsio", app.with_job(job))
                 }
                 WorkloadSpec::Reader { path, request_kb } => {
                     let total = hdfs_file_size(&d.w, path)?;
                     let client = d.add_client_on(*vm);
-                    let job = d.w.register_job("reader");
-                    let rdr = JavaReader::new(
-                        *vm,
-                        ReaderMode::Dfs {
-                            client,
-                            path: path.clone(),
-                        },
-                        request_kb << 10,
-                        total,
-                    )
-                    .with_job(job);
-                    let a = d.w.add_actor("reader", rdr);
-                    launch(&mut d.w, a, start_delay);
-                    job
+                    let mode = ReaderMode::Dfs {
+                        client,
+                        path: path.clone(),
+                    };
+                    let rdr = JavaReader::new(*vm, mode, request_kb << 10, total);
+                    d.w.add_actor("reader", rdr.with_job(job))
                 }
                 WorkloadSpec::Netperf {
                     request_kb,
@@ -1105,7 +986,9 @@ impl ScenarioSpec {
                 } => {
                     let server_vm = d.datanode_vms[0].1;
                     let measure_from = d.w.now() + start_delay;
-                    let job = d.w.register_job("netperf");
+                    // netperf never finishes on its own: bound its
+                    // measurement window with a completion timer
+                    let window = start_delay + SimDuration::from_millis(*duration_ms);
                     let np = deploy_netperf_with_job(
                         &mut d.w,
                         *vm,
@@ -1114,17 +997,11 @@ impl ScenarioSpec {
                         measure_from,
                         Some(job),
                     );
-                    launch(&mut d.w, np, start_delay);
-                    // netperf never finishes on its own: bound its
-                    // measurement window with a completion timer
-                    complete_job_after(
-                        &mut d.w,
-                        job,
-                        start_delay + SimDuration::from_millis(*duration_ms),
-                    );
-                    job
+                    complete_job_after(&mut d.w, job, window);
+                    np
                 }
             };
+            launch(&mut d.w, actor, start_delay);
             armed.push(Armed {
                 kind: b.kind.kind_str(),
                 client: cname.clone(),
@@ -1141,13 +1018,10 @@ impl ScenarioSpec {
         Ok(armed)
     }
 
-    /// Aggregates a finished multi-workload run from the job table
-    /// (per-job figures land in `per_workload`).
-    fn aggregate_multi(
-        &self,
-        d: &mut Deployment,
-        armed: &[Armed],
-    ) -> Result<ScenarioReport, SpecError> {
+    /// Aggregates a finished run from the job table. With two or more
+    /// workloads the per-job figures land in `per_workload`; a single
+    /// workload's row would only repeat the headline, so it is dropped.
+    fn aggregate(&self, d: &mut Deployment, armed: &[Armed]) -> Result<ScenarioReport, SpecError> {
         let mut first_start: Option<SimTime> = None;
         let mut last_done: Option<SimTime> = None;
         let mut total_bytes = 0u64;
@@ -1180,6 +1054,9 @@ impl ScenarioSpec {
                 bytes: job_bytes,
                 rate,
             });
+        }
+        if per_workload.len() == 1 {
+            per_workload.clear();
         }
         let elapsed_s = last_done
             .expect("at least one job")
@@ -1730,9 +1607,10 @@ mod tests {
 
     #[test]
     fn out_of_range_numbers_are_spec_errors() {
-        // (cores, ghz, busy, request_kb) for one host, one lookbusy VM
-        // and one reader; each row breaks exactly one of them.
-        const VALID: [&str; 4] = ["4", "2.0", "0.5", "64"];
+        // (cores, ghz, busy, workload) for one host, one lookbusy VM and
+        // one workload; each row breaks exactly one of them.
+        const READER: &str = r#"{ "kind": "reader", "path": "/d", "request_kb": 64 }"#;
+        const VALID: [&str; 4] = ["4", "2.0", "0.5", READER];
         let json = |v: [&str; 4]| {
             format!(
                 r#"{{
@@ -1744,7 +1622,7 @@ mod tests {
                         {{ "name": "bg", "host": "h1", "role": "lookbusy", "busy": {} }}
                     ],
                     "files": [ {{ "path": "/d", "mb": 4, "placement": ["dn1"] }} ],
-                    "workload": {{ "kind": "reader", "path": "/d", "request_kb": {} }}
+                    "workload": {}
                 }}"#,
                 v[0], v[1], v[2], v[3]
             )
@@ -1756,14 +1634,20 @@ mod tests {
                 .datanode("dn1", "h1")
                 .lookbusy("bg", "h1", v[2].parse().unwrap())
                 .file("/d", 4, &["dn1"])
-                .workload(WorkloadSpec::Reader {
-                    path: "/d".to_owned(),
-                    request_kb: v[3].parse().unwrap(),
-                })
+                .workload(workload_from_json(&Json::parse(v[3]).unwrap()).unwrap())
                 .build()
         };
-        assert!(ScenarioSpec::from_json(&json(VALID)).is_ok());
-        assert!(built(VALID).is_ok());
+        let valid_workloads = [
+            READER,
+            r#"{ "kind": "dfsio-read", "files": ["/d"], "buffer_kb": 1024 }"#,
+            r#"{ "kind": "dfsio-write", "files": ["/out"], "mb": 4 }"#,
+            r#"{ "kind": "netperf", "request_kb": 1, "duration_ms": 10 }"#,
+        ];
+        for w in valid_workloads {
+            let v = [VALID[0], VALID[1], VALID[2], w];
+            assert!(ScenarioSpec::from_json(&json(v)).is_ok(), "{w}");
+            assert!(built(v).is_ok(), "{w}");
+        }
         let rows = [
             (0, "0"),
             (0, "4294967296"),
@@ -1772,7 +1656,23 @@ mod tests {
             (2, "0"),
             (2, "-1"),
             (2, "1.5"),
-            (3, "0"),
+            // zero-sized work that used to panic, print NaN or
+            // "succeed" having moved nothing
+            (3, r#"{ "kind": "reader", "path": "/d", "request_kb": 0 }"#),
+            (3, r#"{ "kind": "dfsio-read", "files": [] }"#),
+            (
+                3,
+                r#"{ "kind": "dfsio-read", "files": ["/d"], "buffer_kb": 0 }"#,
+            ),
+            (3, r#"{ "kind": "dfsio-write", "files": [], "mb": 4 }"#),
+            (
+                3,
+                r#"{ "kind": "dfsio-write", "files": ["/out"], "mb": 0 }"#,
+            ),
+            (
+                3,
+                r#"{ "kind": "netperf", "request_kb": 1, "duration_ms": 0 }"#,
+            ),
         ];
         for (field, value) in rows {
             let mut v = VALID;

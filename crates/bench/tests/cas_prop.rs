@@ -10,7 +10,7 @@
 //! strictly better than the LRU: dedup hits where the LRU re-reads disk.
 
 use proptest::prelude::*;
-use vread_apps::driver::run_jobs_settled;
+use vread_apps::driver::run_jobs;
 use vread_apps::java_reader::{JavaReader, ReaderMode};
 use vread_bench::spec::{FileSpec, VmRole};
 use vread_bench::{
@@ -39,11 +39,7 @@ fn read_pass(d: &mut Deployment, client: ActorId, vm: VmId, path: &str) {
     let a = d.w.add_actor("reader", rdr);
     d.w.send_now(a, Start);
     assert!(
-        run_jobs_settled(
-            &mut d.w,
-            SimDuration::from_secs(3_000),
-            SimDuration::from_millis(50),
-        ),
+        run_jobs(&mut d.w, SimDuration::from_secs(3_000)),
         "reader pass finishes",
     );
 }

@@ -5,7 +5,7 @@
 //! experiment builds its own `World`, so the job count cannot change
 //! any output.
 
-use vread_apps::driver::run_jobs_settled;
+use vread_apps::driver::run_jobs;
 use vread_apps::java_reader::{JavaReader, ReaderMode};
 use vread_bench::experiments;
 use vread_bench::{Locality, Testbed, TestbedOpts};
@@ -37,11 +37,7 @@ fn fig2_pass(seed: u64) -> Fingerprint {
     .with_job(job);
     let a = tb.w.add_actor("reader", reader);
     tb.w.send_now(a, Start);
-    let ok = run_jobs_settled(
-        &mut tb.w,
-        SimDuration::from_secs(300),
-        SimDuration::from_millis(50),
-    );
+    let ok = run_jobs(&mut tb.w, SimDuration::from_secs(300));
     assert!(ok, "reader pass did not finish");
 
     let mut metrics: Vec<(String, String)> = Vec::new();

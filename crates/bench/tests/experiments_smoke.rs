@@ -3,16 +3,60 @@
 
 use vread_bench::experiments;
 
-fn table(id: &str) -> vread_bench::Table {
+use vread_bench::Table;
+
+/// Every table the experiment `id` renders, in runner order.
+fn tables(id: &str) -> Vec<Table> {
     let registry = experiments::registry();
     let (_, runner) = registry
         .iter()
         .find(|(i, _)| *i == id)
         .unwrap_or_else(|| panic!("experiment {id} not registered"));
     runner()
+}
+
+fn table(id: &str) -> Table {
+    tables(id)
         .into_iter()
         .find(|t| t.id.starts_with(id))
         .expect("runner returned its table")
+}
+
+/// Index into `Row::values` of the column headed `name`.
+fn col(t: &Table, name: &str) -> usize {
+    t.columns
+        .iter()
+        .position(|c| c == name)
+        .unwrap_or_else(|| panic!("{}: no column {name:?} in {:?}", t.id, t.columns))
+        - 1
+}
+
+/// Asserts vRead beats vanilla in every `vanilla-Nvms` / `vRead-Nvms`
+/// cell of the `n` tables experiment `id` renders (Figures 9, 11, 12):
+/// a higher value when `higher_wins`, a lower one otherwise.
+fn vread_wins_every_cell(id: &str, n: usize, higher_wins: bool) -> Vec<Table> {
+    let ts = tables(id);
+    assert_eq!(ts.len(), n, "{id}: table count");
+    for t in &ts {
+        for vms in [2, 4] {
+            let van = col(t, &format!("vanilla-{vms}vms"));
+            let vr = col(t, &format!("vRead-{vms}vms"));
+            for row in &t.rows {
+                let (vanilla, vread) = (row.values[van], row.values[vr]);
+                assert!(
+                    if higher_wins {
+                        vread > vanilla
+                    } else {
+                        vread < vanilla
+                    },
+                    "{} {} {vms}vms: vRead {vread} vs vanilla {vanilla}",
+                    t.id,
+                    row.label
+                );
+            }
+        }
+    }
+    ts
 }
 
 #[test]
@@ -67,6 +111,73 @@ fn ablate_bypass_shape_loses_page_cache() {
         (bypass.values[1] / bypass.values[0] - 1.0).abs() < 0.1,
         "bypass re-read must look like a cold read"
     );
+}
+
+#[test]
+fn fig9_vread_cuts_delay_and_the_gap_widens_at_4vms() {
+    for t in vread_wins_every_cell("fig9", 2, false) {
+        let (v2, r2) = (col(&t, "vanilla-2vms"), col(&t, "vRead-2vms"));
+        let (v4, r4) = (col(&t, "vanilla-4vms"), col(&t, "vRead-4vms"));
+        for row in &t.rows {
+            let gap2 = row.values[v2] - row.values[r2];
+            let gap4 = row.values[v4] - row.values[r4];
+            assert!(
+                gap4 > gap2,
+                "{} {}: vRead's saving must widen under contention ({gap2} ms at 2vms, {gap4} ms at 4vms)",
+                t.id,
+                row.label
+            );
+        }
+    }
+}
+
+#[test]
+fn fig11_vread_throughput_beats_vanilla_everywhere() {
+    vread_wins_every_cell("fig11", 6, true);
+}
+
+#[test]
+fn fig12_vread_cpu_below_vanilla_everywhere() {
+    vread_wins_every_cell("fig12", 6, false);
+}
+
+#[test]
+fn ablate_ring_reread_beats_cold_read_at_every_slot_size() {
+    let t = table("ablate-ring");
+    let (read, reread) = (col(&t, "read"), col(&t, "re-read"));
+    assert!(!t.rows.is_empty());
+    for row in &t.rows {
+        assert!(
+            row.values[reread] > row.values[read],
+            "{}: re-read {} MB/s not above read {} MB/s",
+            row.label,
+            row.values[reread],
+            row.values[read]
+        );
+    }
+}
+
+#[test]
+fn ablate_sriov_vread_beats_both_vanilla_variants() {
+    let t = table("ablate-sriov");
+    let row = |label: &str| {
+        t.rows
+            .iter()
+            .find(|r| r.label == label)
+            .unwrap_or_else(|| panic!("ablate-sriov: no row {label:?}"))
+    };
+    let vread = row("vRead");
+    for vanilla in [row("vanilla"), row("vanilla + SR-IOV")] {
+        for (c, name) in t.columns[1..].iter().enumerate() {
+            assert!(
+                vread.values[c] > vanilla.values[c],
+                "{name}: vRead {} MB/s not above {} {} MB/s",
+                vread.values[c],
+                vanilla.label,
+                vanilla.values[c]
+            );
+        }
+    }
 }
 
 #[test]

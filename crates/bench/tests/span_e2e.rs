@@ -16,7 +16,7 @@
 //! unattributed pool — no lost or double-counted work.
 
 use proptest::prelude::*;
-use vread_apps::driver::run_jobs_settled;
+use vread_apps::driver::run_jobs;
 use vread_apps::java_reader::{JavaReader, ReaderMode};
 use vread_bench::spec::WorkloadSpec;
 use vread_bench::{Locality, ReadPath, ScenarioSpec, SpanSummary, Testbed, TestbedOpts};
@@ -42,11 +42,7 @@ fn reader_pass(tb: &mut Testbed, client: ActorId) {
     let a = tb.w.add_actor("reader", rdr);
     tb.w.send_now(a, Start);
     assert!(
-        run_jobs_settled(
-            &mut tb.w,
-            SimDuration::from_secs(3_000),
-            SimDuration::from_millis(50),
-        ),
+        run_jobs(&mut tb.w, SimDuration::from_secs(3_000)),
         "reader pass finishes",
     );
 }

@@ -157,7 +157,6 @@ pub const SEALED_ENUMS: &[&str] = &[
     "FaultKind",
     "ReadPath",
     "HostCacheMode",
-    "TraceKind",
 ];
 
 fn sealed_match(code: &[Tok<'_>], out: &mut Vec<Candidate>) {

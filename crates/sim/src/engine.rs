@@ -50,7 +50,6 @@ use crate::span::{SpanId, SpanRecorder};
 use crate::time::{SimDuration, SimTime};
 use crate::timeline::Timeline;
 use crate::timers::CoreTimers;
-use crate::trace::{TraceDetail, TraceKind, TraceRef, Tracer};
 
 /// A component that receives messages and reacts by scheduling work,
 /// sending messages, and mutating shared state.
@@ -146,8 +145,6 @@ pub struct World {
     /// Typed blackboard for shared hardware/software state (page caches,
     /// filesystems, mount tables …).
     pub ext: Extensions,
-    /// Optional bounded event trace (see [`crate::trace`]).
-    pub tracer: Tracer,
     /// Optional causal span recorder — the flight recorder (see
     /// [`crate::span`]). Disabled by default; enabling it attributes
     /// every charged cycle and every [`Stage::Copy`] to a span.
@@ -193,7 +190,6 @@ impl World {
             m_sched_migrations,
             rng: SimRng::new(seed),
             ext: Extensions::new(),
-            tracer: Tracer::new(),
             spans: SpanRecorder::new(),
             jobs: Jobs::default(),
             timeline: Timeline::default(),
@@ -413,14 +409,6 @@ impl World {
             match stage {
                 None => {
                     let ch = self.chains.remove(id).expect("chain vanished");
-                    if self.tracer.is_enabled() {
-                        self.tracer.record(
-                            self.now,
-                            TraceKind::ChainDone,
-                            TraceRef::Chain(id.raw()),
-                            TraceDetail::None,
-                        );
-                    }
                     if let Some((to, msg)) = ch.then {
                         self.push_event(self.now, EvKind::Deliver { to, msg });
                     }
@@ -702,14 +690,6 @@ impl World {
             // Actor is gone (removed) — drop the message.
             return;
         };
-        if self.tracer.is_enabled() {
-            self.tracer.record(
-                self.now,
-                TraceKind::Deliver,
-                TraceRef::Actor(to),
-                TraceDetail::None,
-            );
-        }
         let mut ctx = Ctx {
             world: self,
             me: to,
@@ -1055,28 +1035,6 @@ mod tests {
         w.run();
         let ms = w.metrics.mean("done_at_ms");
         assert!(ms < 1.1, "4M cycles at 4GHz should be ~1ms, got {ms}");
-    }
-
-    #[test]
-    fn tracer_captures_dispatches_and_deliveries() {
-        let mut w = World::new(1);
-        w.tracer.enable(256);
-        let h = w.add_host("h", 1, 1.0);
-        let t = w.add_thread(h, "worker");
-        let a = w.add_actor("waiter", Waiter { done_at: None });
-        w.start_chain(vec![Stage::cpu(t, 100_000, CpuCategory::Other)], a, Done);
-        w.run();
-        let rendered = w.tracer.render(&[]);
-        assert!(
-            rendered.contains("dispatch"),
-            "no dispatch records:\n{rendered}"
-        );
-        assert!(
-            rendered.contains("deliver"),
-            "no delivery records:\n{rendered}"
-        );
-        assert!(rendered.contains("chain-done"));
-        assert!(!w.tracer.is_empty(), "tracer recorded nothing");
     }
 
     /// Short CPU bursts on an I/O thread, `left` times, `every` apart.

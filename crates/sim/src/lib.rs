@@ -68,7 +68,6 @@ pub mod span;
 pub mod time;
 pub mod timeline;
 mod timers;
-pub mod trace;
 
 pub use chain::{Stage, StageList};
 pub use cpu::{CpuAccounting, CpuCategory};
@@ -86,7 +85,6 @@ pub use sched::SchedParams;
 pub use span::{Span, SpanId, SpanMark, SpanRecorder, SpanReport};
 pub use time::{SimDuration, SimTime};
 pub use timeline::{Hist, Timeline};
-pub use trace::{TraceDetail, TraceKind, TraceRef, Tracer};
 
 /// Convenience re-exports for downstream crates and examples.
 pub mod prelude {

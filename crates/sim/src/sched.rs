@@ -33,7 +33,6 @@ use crate::engine::World;
 use crate::ids::{ChainId, HostId, ThreadId};
 use crate::span::SpanId;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{TraceDetail, TraceRef};
 
 /// Tunable scheduler constants (per host).
 #[derive(Debug, Clone)]
@@ -406,20 +405,6 @@ impl World {
 
     /// Charges a preempted thread and returns it to the run queue.
     fn preempt(&mut self, host: HostId, cix: usize) {
-        if self.tracer.is_enabled() {
-            if let Some(r) = self.sched.hosts[host.index()].cores[cix].running {
-                let now = self.now();
-                self.tracer.record(
-                    now,
-                    crate::trace::TraceKind::Preempt,
-                    TraceRef::Thread(ThreadId::from_raw(r.thread)),
-                    TraceDetail::Core {
-                        core: cix.try_into().expect("core index fits u32"),
-                        migrated: false,
-                    },
-                );
-            }
-        }
         self.charge_core(host, cix, self.now());
         let hix = host.index();
         let r = self.sched.hosts[hix].cores[cix]
@@ -489,17 +474,6 @@ impl World {
                 let wait_ns = now.since(th.queued_at).as_nanos();
                 self.spans.queue_wait(w.span, wait_ns);
             }
-        }
-        if self.tracer.is_enabled() {
-            self.tracer.record(
-                now,
-                crate::trace::TraceKind::Dispatch,
-                TraceRef::Thread(ThreadId::from_raw(traw)),
-                TraceDetail::Core {
-                    core: cix.try_into().expect("core index fits u32"),
-                    migrated,
-                },
-            );
         }
         let start = now + SimDuration::from_nanos(switch_ns);
         self.sched.hosts[hix].cores[cix].running = Some(Running {

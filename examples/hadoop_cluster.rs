@@ -8,7 +8,7 @@
 //! ```
 
 use vread::apps::dfsio::{DfsioConfig, DfsioMode, TestDfsio};
-use vread::apps::driver::run_jobs_settled;
+use vread::apps::driver::run_jobs;
 use vread::bench::scenarios::{Locality, ReadPath, Testbed, TestbedOpts};
 use vread::sim::prelude::*;
 
@@ -34,11 +34,7 @@ fn dfsio(tb: &mut Testbed, client: ActorId, files: &[String]) -> (f64, f64) {
     .with_job(job);
     let a = tb.w.add_actor("dfsio", app);
     tb.w.send_now(a, Start);
-    assert!(run_jobs_settled(
-        &mut tb.w,
-        SimDuration::from_secs(600),
-        SimDuration::from_millis(100),
-    ));
+    assert!(run_jobs(&mut tb.w, SimDuration::from_secs(600)));
     let secs = tb.w.metrics.mean("dfsio_done_at_s") - tb.w.metrics.mean("dfsio_start_at_s");
     let mbps = tb.w.metrics.counter("dfsio_bytes") / 1e6 / secs;
     let cpu_ms = (tb.w.acct.busy_ns(vcpu.index()) - busy0) as f64 / 1e6;

@@ -5,7 +5,7 @@
 //! cargo run --release --example remote_rdma
 //! ```
 
-use vread::apps::driver::run_jobs_settled;
+use vread::apps::driver::run_jobs;
 use vread::apps::java_reader::{JavaReader, ReaderMode};
 use vread::bench::scenarios::{Locality, ReadPath, Testbed, TestbedOpts};
 use vread::core::VreadRegistry;
@@ -36,11 +36,7 @@ fn main() {
         .with_job(job);
         let a = tb.w.add_actor("reader", reader);
         tb.w.send_now(a, Start);
-        assert!(run_jobs_settled(
-            &mut tb.w,
-            SimDuration::from_secs(600),
-            SimDuration::from_millis(50),
-        ));
+        assert!(run_jobs(&mut tb.w, SimDuration::from_secs(600)));
         let secs = tb.w.metrics.mean("reader_done_at_s") - tb.w.metrics.mean("reader_start_at_s");
 
         let (d1, d2) = {

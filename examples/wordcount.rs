@@ -5,7 +5,7 @@
 //! cargo run --release --example wordcount
 //! ```
 
-use vread::apps::driver::run_jobs_settled;
+use vread::apps::driver::run_jobs;
 use vread::apps::wordcount::{WordCount, WordCountConfig};
 use vread::bench::scenarios::{Locality, ReadPath, Testbed, TestbedOpts};
 use vread::sim::prelude::*;
@@ -33,11 +33,7 @@ fn main() {
         .with_job(job);
         let a = tb.w.add_actor("wc", wc);
         tb.w.send_now(a, Start);
-        assert!(run_jobs_settled(
-            &mut tb.w,
-            SimDuration::from_secs(600),
-            SimDuration::from_millis(100),
-        ));
+        assert!(run_jobs(&mut tb.w, SimDuration::from_secs(600)));
         let start = tb.w.metrics.mean("wc_start_at_s");
         let map_done = tb.w.metrics.mean("wc_map_done_at_s");
         let done = tb.w.metrics.mean("wc_done_at_s");

@@ -2,7 +2,7 @@
 //! of the facade crate.
 
 use vread::apps::dfsio::{DfsioConfig, DfsioMode, TestDfsio};
-use vread::apps::driver::run_jobs_settled;
+use vread::apps::driver::run_jobs;
 use vread::apps::java_reader::{JavaReader, ReaderMode};
 use vread::bench::scenarios::{Locality, ReadPath, Testbed, TestbedOpts};
 use vread::hdfs::client::{DfsRead, DfsReadDone};
@@ -26,11 +26,7 @@ fn reader_done(tb: &mut Testbed, client: ActorId, path: &str, req: u64, total: u
     .with_job(job);
     let a = tb.w.add_actor("rdr", r);
     tb.w.send_now(a, Start);
-    assert!(run_jobs_settled(
-        &mut tb.w,
-        CAP,
-        SimDuration::from_millis(50)
-    ));
+    assert!(run_jobs(&mut tb.w, CAP));
     assert_eq!(tb.w.metrics.counter("reader_bytes"), total as f64);
     tb.w.metrics.mean("reader_done_at_s") - tb.w.metrics.mean("reader_start_at_s")
 }
@@ -179,11 +175,7 @@ fn accounting_is_conserved_and_vread_cheaper() {
         .with_job(job);
         let a = tb.w.add_actor("dfsio", app);
         tb.w.send_now(a, Start);
-        assert!(run_jobs_settled(
-            &mut tb.w,
-            CAP,
-            SimDuration::from_millis(100)
-        ));
+        assert!(run_jobs(&mut tb.w, CAP));
 
         // conservation per host
         let hosts: Vec<_> = {
