@@ -222,7 +222,8 @@ fn write_num(out: &mut String, v: f64) {
     }
 }
 
-fn write_escaped(out: &mut String, v: &str) {
+/// Appends `v` to `out` as a quoted, escaped JSON string.
+pub fn write_escaped(out: &mut String, v: &str) {
     out.push('"');
     for c in v.chars() {
         match c {

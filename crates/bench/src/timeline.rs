@@ -5,7 +5,8 @@
 //! The sim layer records; this module summarizes. A scenario with a
 //! `"timeline"` block gains a `timeline` report section containing the
 //! per-window read-latency quantiles (p50/p99/p999), the whole-run
-//! quantiles, every sampled series, and the detected **saturation
+//! quantiles, every sampled series (change-only steps, closed at the
+//! last tick), and the detected **saturation
 //! point** — the first window whose p99 exceeds
 //! [`SATURATION_X`] times the baseline (the first non-empty window).
 //! That is the paper's tail argument in one number: under rising
@@ -17,8 +18,9 @@
 
 use std::fmt::Write as _;
 
-use crate::json::{n, obj, s, Json};
+use crate::json::{n, obj, s, write_escaped, Json};
 use vread_sim::engine::World;
+use vread_sim::time::SimTime;
 
 /// Saturation multiplier: a window is saturated when its p99 exceeds
 /// this factor times the baseline window's p99.
@@ -39,12 +41,14 @@ pub struct TimelineWindow {
     pub p999_ms: f64,
 }
 
-/// One sampled series, `(time_ms, value)` per tick.
+/// One sampled series as a step function of `(time_ms, value)` points.
 #[derive(Debug, Clone)]
 pub struct TimelineSeries {
     /// Series name (`sched.h1.runq`, `gauge.ring.h0.bytes`, …).
     pub name: String,
-    /// Points in tick order.
+    /// Points in tick order, one per change of value: each value holds
+    /// until the next point. The last point is at the run's last tick,
+    /// so expanding the steps over the tick grid rebuilds every sample.
     pub points: Vec<(f64, f64)>,
 }
 
@@ -67,7 +71,7 @@ pub struct TimelineSummary {
     pub max_ms: f64,
     /// Per-window latency rows, in time order.
     pub windows: Vec<TimelineWindow>,
-    /// Every sampled series, in first-sample order.
+    /// Every sampled series, in first-sample order, change-only.
     pub series: Vec<TimelineSeries>,
     /// Start of the first saturated window (p99 > [`SATURATION_X`] ×
     /// baseline p99), if any.
@@ -76,6 +80,19 @@ pub struct TimelineSummary {
 
 fn ns_ms(v: u64) -> f64 {
     v as f64 / 1e6
+}
+
+/// A change-only series in milliseconds, closed with one point at
+/// `last_tick` (holding the last value) unless a change landed there.
+fn closed_points(points: &[(SimTime, f64)], last_tick: Option<SimTime>) -> Vec<(f64, f64)> {
+    let ms = |t: SimTime| t.as_nanos() as f64 / 1e6;
+    let mut out: Vec<(f64, f64)> = points.iter().map(|&(t, v)| (ms(t), v)).collect();
+    if let (Some(&(t, v)), Some(end)) = (points.last(), last_tick) {
+        if t < end {
+            out.push((ms(end), v));
+        }
+    }
+    out
 }
 
 impl TimelineSummary {
@@ -107,10 +124,7 @@ impl TimelineSummary {
             .series()
             .map(|(name, pts)| TimelineSeries {
                 name: name.to_owned(),
-                points: pts
-                    .iter()
-                    .map(|&(t, v)| (t.as_nanos() as f64 / 1e6, v))
-                    .collect(),
+                points: closed_points(pts, tl.last_tick()),
             })
             .collect();
         TimelineSummary {
@@ -245,11 +259,13 @@ impl TimelineSummary {
                 events.push(',');
             }
             *sep = true;
+            // Series names embed spec-supplied host names: escape them.
+            events.push_str("{\"name\":");
+            write_escaped(events, name);
             let _ = write!(
                 events,
-                "{{\"name\":\"{}\",\"cat\":\"timeline\",\"ph\":\"C\",\"ts\":{:.3},\"pid\":0,\
+                ",\"cat\":\"timeline\",\"ph\":\"C\",\"ts\":{:.3},\"pid\":0,\
                  \"args\":{{\"value\":{}}}}}",
-                name,
                 ts_ms * 1e3,
                 v,
             );
@@ -319,6 +335,22 @@ mod tests {
             .find(|w| w.reads > 0 && w.p99_ms > SATURATION_X * base)
             .map(|w| w.start_ms);
         assert_eq!(sat, Some(30), "empty windows never count as saturated");
+    }
+
+    #[test]
+    fn closed_points_hold_the_last_value_to_the_last_tick() {
+        let ms = |v: u64| SimTime::from_nanos(v * 1_000_000);
+        let pts = [(ms(10), 1.0), (ms(30), 2.0)];
+        assert_eq!(
+            closed_points(&pts, Some(ms(50))),
+            vec![(10.0, 1.0), (30.0, 2.0), (50.0, 2.0)]
+        );
+        // a change at the last tick needs no closing point
+        assert_eq!(
+            closed_points(&pts, Some(ms(30))),
+            vec![(10.0, 1.0), (30.0, 2.0)]
+        );
+        assert!(closed_points(&[], Some(ms(50))).is_empty());
     }
 
     #[test]

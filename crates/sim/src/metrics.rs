@@ -129,6 +129,13 @@ pub struct SampleId(u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GaugeId(u32);
 
+impl GaugeId {
+    /// Dense index: interned gauges number `0..n` in registration order.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
 /// The world's metrics registry.
 ///
 /// # Gauge visibility semantics
@@ -325,14 +332,14 @@ impl Metrics {
             .map(|(k, _)| k.as_str())
     }
 
-    /// `(key, value)` of gauges written since the last reset (sorted by
-    /// key — the timeline sampler relies on this order being
-    /// deterministic).
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> {
+    /// `(key, id, value)` of gauges written since the last reset (sorted
+    /// by key — the timeline sampler relies on this order being
+    /// deterministic, and keys its series slots by id).
+    pub fn gauges(&self) -> impl Iterator<Item = (&str, GaugeId, f64)> {
         self.gauge_index
             .iter()
             .filter(|(_, id)| self.gauge_touched[id.0 as usize])
-            .map(|(k, id)| (k.as_str(), self.gauge_vals[id.0 as usize]))
+            .map(|(k, &id)| (k.as_str(), id, self.gauge_vals[id.0 as usize]))
     }
 
     /// Throughput helper: counter `key` divided by elapsed seconds.
@@ -635,7 +642,7 @@ mod tests {
         m.gauge_add("inflight", -1.0); // string API hits the same slot
         assert_eq!(m.gauge("inflight"), 2.0);
         assert_eq!(m.gauge_value(g), 2.0);
-        assert_eq!(m.gauges().collect::<Vec<_>>(), vec![("inflight", 2.0)]);
+        assert_eq!(m.gauges().collect::<Vec<_>>(), vec![("inflight", g, 2.0)]);
         m.reset();
         assert_eq!(m.gauge("inflight"), 0.0, "last-value cleared by reset");
         assert_eq!(m.gauges().count(), 0, "untouched gauges hidden");
@@ -651,7 +658,11 @@ mod tests {
         g.add(&mut m, -4096.0);
         g.set(&mut m, 512.0);
         assert_eq!(m.gauge("ring_bytes"), 512.0);
-        assert_eq!(m.gauges().collect::<Vec<_>>(), vec![("ring_bytes", 512.0)]);
+        let id = m.register_gauge("ring_bytes");
+        assert_eq!(
+            m.gauges().collect::<Vec<_>>(),
+            vec![("ring_bytes", id, 512.0)]
+        );
     }
 
     #[test]

@@ -339,8 +339,25 @@ impl SpanRecorder {
                 spans.push(span);
             }
         }
-        // Deterministic presentation order: by begin time, then id.
-        spans.sort_by_key(|s| (s.begin, s.id));
+        // Deterministic presentation order: by begin time, then id. Sort
+        // a small key permutation, then move each span once.
+        let mut order: Vec<(SimTime, SpanId, u32)> = spans
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
+                (
+                    s.begin,
+                    s.id,
+                    u32::try_from(i).expect("span count fits u32"),
+                )
+            })
+            .collect();
+        order.sort_unstable();
+        let mut slots: Vec<Option<Span>> = spans.into_iter().map(Some).collect();
+        let spans = order
+            .iter()
+            .map(|&(_, _, i)| slots[i as usize].take().expect("each span moves once"))
+            .collect();
         SpanReport {
             spans,
             marks: std::mem::take(&mut self.marks),
@@ -421,27 +438,52 @@ impl SpanReport {
     /// Aggregates spans by name into the Fig 9/10-shaped per-layer table,
     /// sorted by name.
     pub fn layer_table(&self) -> Vec<LayerRow> {
-        let mut by_name: BTreeMap<&'static str, LayerRow> = BTreeMap::new();
+        // Each category folds into the first category sharing its figure
+        // bucket, so a row sums into a fixed array and builds its map
+        // once. Sums see the same additions in the same order (span by
+        // span, category by category) as a per-bucket map would.
+        let bucket_of: [usize; CpuCategory::COUNT] = std::array::from_fn(|c| {
+            let name = CpuCategory::ALL[c].figure_bucket();
+            CpuCategory::ALL
+                .iter()
+                .position(|k| k.figure_bucket() == name)
+                .expect("a category is in ALL")
+        });
+        struct Acc {
+            row: LayerRow,
+            /// Per bucket, `None` until a cycle lands in it.
+            sums: [Option<f64>; CpuCategory::COUNT],
+        }
+        let mut rows: Vec<Acc> = Vec::new();
         for s in &self.spans {
-            let row = by_name.entry(s.name).or_insert_with(|| LayerRow {
-                name: s.name,
-                count: 0,
-                cycles_by_bucket: BTreeMap::new(),
-                cycles: 0.0,
-                bytes: 0,
-                copy_bytes: 0,
-                copies: 0,
-                mapped_bytes: 0,
-                maps: 0,
-                queue_wait_ns: 0,
-            });
+            let i = match rows.iter().position(|a| a.row.name == s.name) {
+                Some(i) => i,
+                None => {
+                    rows.push(Acc {
+                        row: LayerRow {
+                            name: s.name,
+                            count: 0,
+                            cycles_by_bucket: BTreeMap::new(),
+                            cycles: 0.0,
+                            bytes: 0,
+                            copy_bytes: 0,
+                            copies: 0,
+                            mapped_bytes: 0,
+                            maps: 0,
+                            queue_wait_ns: 0,
+                        },
+                        sums: [None; CpuCategory::COUNT],
+                    });
+                    rows.len() - 1
+                }
+            };
+            let acc = &mut rows[i];
+            let row = &mut acc.row;
             row.count += 1;
             for cat in CpuCategory::ALL {
                 let c = s.cycles[cat as usize];
                 if c > 0.0 {
-                    *row.cycles_by_bucket
-                        .entry(cat.figure_bucket())
-                        .or_insert(0.0) += c;
+                    *acc.sums[bucket_of[cat as usize]].get_or_insert(0.0) += c;
                     row.cycles += c;
                 }
             }
@@ -452,47 +494,72 @@ impl SpanReport {
             row.maps += s.maps;
             row.queue_wait_ns += s.queue_wait_ns;
         }
-        by_name.into_values().collect()
+        let mut table: Vec<LayerRow> = rows
+            .into_iter()
+            .map(|mut acc| {
+                for (b, sum) in acc.sums.iter().enumerate() {
+                    if let Some(sum) = *sum {
+                        acc.row
+                            .cycles_by_bucket
+                            .insert(CpuCategory::ALL[b].figure_bucket(), sum);
+                    }
+                }
+                acc.row
+            })
+            .collect();
+        table.sort_unstable_by_key(|r| r.name);
+        table
+    }
+
+    /// For each span, the index of the root of its parent chain (itself
+    /// when its parent is none or not in the report).
+    fn roots(&self) -> Vec<usize> {
+        let mut by_id: Vec<(u64, u32)> = self
+            .spans
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (s.id.raw(), u32::try_from(i).expect("span count fits u32")))
+            .collect();
+        by_id.sort_unstable();
+        let parent_of = |i: usize| -> Option<usize> {
+            let p = self.spans[i].parent.raw();
+            by_id
+                .binary_search_by_key(&p, |&(id, _)| id)
+                .ok()
+                .map(|k| by_id[k].1 as usize)
+        };
+        (0..self.spans.len())
+            .map(|mut i| {
+                // Parent chains are tiny (2–3 deep); bound the walk anyway.
+                for _ in 0..64 {
+                    match parent_of(i) {
+                        Some(pi) => i = pi,
+                        None => break,
+                    }
+                }
+                i
+            })
+            .collect()
     }
 
     /// Rolls every span's copies up to its root and emits one ledger row
     /// per root span that delivered payload, in report order.
     pub fn read_ledger(&self) -> Vec<ReadLedgerRow> {
-        let index: BTreeMap<u64, usize> = self
-            .spans
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.id.raw(), i))
-            .collect();
-        let root_of = |mut i: usize| -> usize {
-            // Parent chains are tiny (2–3 deep); bound the walk anyway.
-            for _ in 0..64 {
-                let p = self.spans[i].parent;
-                match index.get(&p.raw()) {
-                    Some(&pi) => i = pi,
-                    None => break,
-                }
-            }
-            i
-        };
-        let mut rollup: BTreeMap<usize, (u64, u64, u64, u64)> = BTreeMap::new();
-        for (i, s) in self.spans.iter().enumerate() {
-            if s.copy_bytes > 0 || s.copies > 0 || s.mapped_bytes > 0 || s.maps > 0 {
-                let e = rollup.entry(root_of(i)).or_insert((0, 0, 0, 0));
-                e.0 += s.copy_bytes;
-                e.1 += s.copies;
-                e.2 += s.mapped_bytes;
-                e.3 += s.maps;
-            }
+        let roots = self.roots();
+        let mut rollup: Vec<(u64, u64, u64, u64)> = vec![(0, 0, 0, 0); self.spans.len()];
+        for (s, &r) in self.spans.iter().zip(&roots) {
+            let e = &mut rollup[r];
+            e.0 += s.copy_bytes;
+            e.1 += s.copies;
+            e.2 += s.mapped_bytes;
+            e.3 += s.maps;
         }
         self.spans
             .iter()
             .enumerate()
-            .filter(|(_, s)| {
-                (s.parent.is_none() || !index.contains_key(&s.parent.raw())) && s.bytes > 0
-            })
+            .filter(|&(i, s)| roots[i] == i && s.bytes > 0)
             .map(|(i, s)| {
-                let (cb, cp, mb, mp) = rollup.get(&i).copied().unwrap_or((0, 0, 0, 0));
+                let (cb, cp, mb, mp) = rollup[i];
                 ReadLedgerRow {
                     id: s.id,
                     name: s.name,
@@ -514,40 +581,17 @@ impl SpanReport {
     pub fn chrome_trace_json(&self) -> String {
         // Track (tid) per root span, in report order; children inherit
         // their root's track so each read renders as one lane.
-        let index: BTreeMap<u64, usize> = self
-            .spans
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.id.raw(), i))
-            .collect();
+        let roots = self.roots();
         let mut tids: Vec<u32> = vec![0; self.spans.len()];
         let mut next_tid = 0u32;
-        for (i, tid) in tids.iter_mut().enumerate() {
-            let mut r = i;
-            for _ in 0..64 {
-                let p = self.spans[r].parent;
-                match index.get(&p.raw()) {
-                    Some(&pi) => r = pi,
-                    None => break,
-                }
-            }
+        for (i, &r) in roots.iter().enumerate() {
             if r == i {
                 next_tid += 1;
-                *tid = next_tid;
+                tids[i] = next_tid;
             }
         }
-        for i in 0..self.spans.len() {
-            if tids[i] == 0 {
-                let mut r = i;
-                for _ in 0..64 {
-                    let p = self.spans[r].parent;
-                    match index.get(&p.raw()) {
-                        Some(&pi) => r = pi,
-                        None => break,
-                    }
-                }
-                tids[i] = tids[r];
-            }
+        for (i, &r) in roots.iter().enumerate() {
+            tids[i] = tids[r];
         }
         let us = |t: SimTime| -> String {
             let ns = t.as_nanos();

@@ -20,13 +20,24 @@
 //! and no sampling skew: a tick at `t` sees the world exactly as of the
 //! last event executed at or before `t`.
 //!
+//! # Change-only series
+//!
+//! Each series is a step function: a tick stores a point only when the
+//! value's bits differ from the series' last stored point, and the value
+//! holds until the next stored point. Expanding a series over the tick
+//! grid (every `sample_every` up to [`Timeline::last_tick`]) rebuilds
+//! the per-tick samples exactly. Every series slot — per host, per link,
+//! per gauge and per provider — is resolved on its first tick, so later
+//! ticks do no string work.
+//!
 //! # Histograms vs [`Samples`](crate::metrics::Samples)
 //!
-//! Per-window latency lives in [`Hist`], a fixed log-bucket (HDR-style)
-//! histogram with **integer bucket counts**. Unlike a sorted `Vec<f64>`,
-//! its memory is bounded however many reads land in a window, and its
+//! Per-window latency lives in [`Hist`], a log-bucket (HDR-style)
+//! histogram with **integer bucket counts** that stores only its
+//! non-empty buckets. Unlike a sorted `Vec<f64>`, its memory is bounded
+//! by the bucket count however many reads land in a window, and its
 //! quantiles depend only on the multiset of recorded values, never on
-//! the order they arrived in.
+//! the order they arrived in. Windows are kept only where reads ended.
 //!
 //! # Mutation discipline
 //!
@@ -38,7 +49,6 @@
 //! richer sources register a provider closure, and read completions call
 //! the [`Timeline::observe_read`] charge wrapper.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::engine::World;
@@ -46,7 +56,7 @@ use crate::ids::{HostId, LinkId};
 use crate::time::{SimDuration, SimTime};
 
 // ---------------------------------------------------------------------------
-// Hist — fixed log-bucket histogram
+// Hist — sparse log-bucket histogram
 // ---------------------------------------------------------------------------
 
 /// Sub-bucket resolution: 2^5 = 32 linear sub-buckets per power of two,
@@ -56,6 +66,8 @@ const SUB_COUNT: u64 = 1 << SUB_BITS;
 /// Total bucket count: one linear region below 2^SUB_BITS plus
 /// `64 - SUB_BITS` log octaves of `SUB_COUNT` sub-buckets each.
 const BUCKETS: usize = ((64 - SUB_BITS as usize) + 1) * SUB_COUNT as usize;
+// Sparse `Hist` entries store the bucket index as a `u16`.
+const _: () = assert!(BUCKETS <= 1 << 16);
 
 /// Bucket index of value `v` (monotone in `v`).
 fn bucket_of(v: u64) -> usize {
@@ -84,16 +96,18 @@ fn bucket_high(idx: usize) -> u64 {
     (1u64 << msb) - 1 + (sub + 1) * unit
 }
 
-/// A fixed log-bucket latency histogram over `u64` nanoseconds.
+/// A log-bucket latency histogram over `u64` nanoseconds.
 ///
 /// Quantiles are nearest-rank over the cumulative counts and return the
 /// bucket's highest contained value, so the reported p99 never
 /// under-states the true p99 and is off by at most 1/32 relative.
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct Hist {
-    /// Lazily allocated (`BUCKETS` entries once the first value lands)
-    /// so empty windows and disabled timelines cost nothing.
-    counts: Vec<u64>,
+    /// The non-empty buckets as `(bucket, count)`, sorted by bucket and
+    /// never holding a zero count — so equal multisets compare equal,
+    /// and a window with a few reads costs a few entries, not all
+    /// `BUCKETS`.
+    counts: Vec<(u16, u64)>,
     total: u64,
 }
 
@@ -117,10 +131,11 @@ impl Hist {
     /// `timeline-confine` lint rule restricts to this module — external
     /// observations arrive via [`Timeline::observe_read`].
     pub fn record_raw(&mut self, v: u64) {
-        if self.counts.is_empty() {
-            self.counts = vec![0; BUCKETS];
+        let b = u16::try_from(bucket_of(v)).expect("bucket index fits u16");
+        match self.counts.binary_search_by_key(&b, |&(k, _)| k) {
+            Ok(i) => self.counts[i].1 += 1,
+            Err(i) => self.counts.insert(i, (b, 1)),
         }
-        self.counts[bucket_of(v)] += 1;
         self.total += 1;
     }
 
@@ -143,21 +158,20 @@ impl Hist {
         let rank = ((self.total as f64) * q.clamp(0.0, 1.0)).ceil() as u64;
         let rank = rank.clamp(1, self.total);
         let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
+        for &(b, c) in &self.counts {
             seen += c;
             if seen >= rank {
-                return bucket_high(i);
+                return bucket_high(usize::from(b));
             }
         }
-        bucket_high(BUCKETS - 1)
+        unreachable!("bucket counts sum to the total")
     }
 
     /// Highest recorded value's bucket representative, or 0 when empty.
     pub fn max(&self) -> u64 {
-        match self.counts.iter().rposition(|&c| c > 0) {
-            Some(i) => bucket_high(i),
-            None => 0,
-        }
+        self.counts
+            .last()
+            .map_or(0, |&(b, _)| bucket_high(usize::from(b)))
     }
 }
 
@@ -165,7 +179,8 @@ impl Hist {
 // Timeline
 // ---------------------------------------------------------------------------
 
-/// A named series of `(time, value)` points, appended in tick order.
+/// A named step-function series: `(time, value)` points in tick order,
+/// each stored only when its value differs from the previous point.
 #[derive(Debug, Clone)]
 struct Series {
     name: String,
@@ -176,6 +191,13 @@ struct Series {
 /// order, with shared access to the world.
 type Provider = Box<dyn Fn(&World) -> f64>;
 
+/// A provider and its series slot, resolved on its first tick.
+struct Registered {
+    name: String,
+    f: Provider,
+    slot: Option<usize>,
+}
+
 /// The world's telemetry timeline. Disabled by default — a disabled
 /// timeline schedules no ticks, records nothing, and keeps every
 /// existing report byte-identical.
@@ -183,17 +205,27 @@ type Provider = Box<dyn Fn(&World) -> f64>;
 pub struct Timeline {
     enabled: bool,
     sample: SimDuration,
-    series_index: BTreeMap<String, usize>,
+    /// Series in first-sample order.
     series: Vec<Series>,
-    providers: Vec<(String, Provider)>,
-    /// Per-window read-latency histograms, keyed by window index
-    /// (`end_of_read / sample`).
-    windows: BTreeMap<u64, Hist>,
+    /// Per host, the slot of `sched.{host}.runq` (`.delay_ms` is the
+    /// next slot).
+    host_slots: Vec<usize>,
+    /// Per link, the slot of `link.{i}.backlog_bytes` (`.mbps` is the
+    /// next slot).
+    link_slots: Vec<usize>,
+    /// Per gauge id, the slot of `gauge.{key}` once it has been sampled.
+    gauge_slots: Vec<Option<usize>>,
+    providers: Vec<Registered>,
+    /// Per-window read-latency histograms as `(window index, hist)`
+    /// (`end_of_read / sample`), sorted by window. Reads end in time
+    /// order, so a new window is almost always appended.
+    windows: Vec<(u64, Hist)>,
     /// Whole-run read-latency histogram.
     run_hist: Hist,
     /// Last observed `bytes_total` per link, for per-window throughput.
     last_link_bytes: Vec<u64>,
     ticks: u64,
+    last_tick: Option<SimTime>,
 }
 
 impl fmt::Debug for Timeline {
@@ -236,32 +268,47 @@ impl Timeline {
         self.ticks
     }
 
+    /// Time of the latest tick, if any: where every series' step
+    /// function ends.
+    pub fn last_tick(&self) -> Option<SimTime> {
+        self.last_tick
+    }
+
     /// Registers a named gauge provider, polled on every tick. Providers
     /// run in registration order (deterministic as long as registration
     /// itself is); they get shared world access and must not rely on
-    /// `world.timeline` (vacated during sampling).
+    /// `world.timeline` (vacated during sampling). Each provider gets a
+    /// series of its own, so names should be unique.
     pub fn register_provider(&mut self, name: &str, f: Provider) {
-        self.providers.push((name.to_owned(), f));
+        self.providers.push(Registered {
+            name: name.to_owned(),
+            f,
+            slot: None,
+        });
     }
 
-    /// Appends one point to a named series (creating it). Raw mutation
-    /// sink — confined to this module by the `timeline-confine` lint
-    /// rule; everything external flows in via gauges, providers or
+    /// Opens a new, empty series and returns its slot.
+    fn open(&mut self, name: String) -> usize {
+        self.series.push(Series {
+            name,
+            points: Vec::new(),
+        });
+        self.series.len() - 1
+    }
+
+    /// Samples series `slot` at `t`, storing the point only when `v`'s
+    /// bits differ from the last stored value. Raw mutation sink —
+    /// confined to this module by the `timeline-confine` lint rule;
+    /// everything external flows in via gauges, providers or
     /// [`Timeline::observe_read`].
-    fn push(&mut self, name: &str, t: SimTime, v: f64) {
-        let ix = match self.series_index.get(name) {
-            Some(&ix) => ix,
-            None => {
-                let ix = self.series.len();
-                self.series_index.insert(name.to_owned(), ix);
-                self.series.push(Series {
-                    name: name.to_owned(),
-                    points: Vec::new(),
-                });
-                ix
-            }
-        };
-        self.series[ix].points.push((t, v));
+    fn push(&mut self, slot: usize, t: SimTime, v: f64) {
+        let points = &mut self.series[slot].points;
+        if points
+            .last()
+            .is_none_or(|&(_, last)| last.to_bits() != v.to_bits())
+        {
+            points.push((t, v));
+        }
     }
 
     /// Charge wrapper for read latency: records `end - start` into the
@@ -273,7 +320,13 @@ impl Timeline {
         }
         let lat = end.since(start).as_nanos();
         let win = end.as_nanos() / self.sample.as_nanos();
-        self.windows.entry(win).or_default().record_raw(lat);
+        // Reads end in time order, so this is almost always the last
+        // window or one past it; an earlier window still lands in place.
+        let i = self.windows.partition_point(|&(w, _)| w < win);
+        if self.windows.get(i).is_none_or(|&(w, _)| w != win) {
+            self.windows.insert(i, (win, Hist::new()));
+        }
+        self.windows[i].1.record_raw(lat);
         self.run_hist.record_raw(lat);
     }
 
@@ -290,58 +343,93 @@ impl Timeline {
         // long the longest-waiting one has been waiting.
         for h in 0..w.num_hosts() {
             let host = HostId::from_raw(u16::try_from(h).expect("host id fits u16"));
-            let name = w.host_name(host).to_owned();
+            let slot = match self.host_slots.get(h) {
+                Some(&slot) => slot,
+                None => {
+                    let name = w.host_name(host);
+                    let slot = self.open(format!("sched.{name}.runq"));
+                    self.open(format!("sched.{name}.delay_ms"));
+                    self.host_slots.push(slot);
+                    slot
+                }
+            };
             let depth = w.host_runq_depth(host) as f64;
             let delay = w.host_max_queued_delay(host).as_millis_f64();
-            self.push(&format!("sched.{name}.runq"), t, depth);
-            self.push(&format!("sched.{name}.delay_ms"), t, delay);
+            self.push(slot, t, depth);
+            self.push(slot + 1, t, delay);
         }
         // Per-link occupancy and window throughput.
         self.last_link_bytes.resize(w.num_links(), 0);
         let secs = self.sample.as_secs_f64();
         for i in 0..w.num_links() {
+            let slot = match self.link_slots.get(i) {
+                Some(&slot) => slot,
+                None => {
+                    let slot = self.open(format!("link.{i}.backlog_bytes"));
+                    self.open(format!("link.{i}.mbps"));
+                    self.link_slots.push(slot);
+                    slot
+                }
+            };
             let link = w.link(LinkId::from_raw(
                 u32::try_from(i).expect("link id fits u32"),
             ));
             let backlog = link.backlog_bytes(t);
             let delta = link.bytes_total - self.last_link_bytes[i];
             self.last_link_bytes[i] = link.bytes_total;
-            self.push(&format!("link.{i}.backlog_bytes"), t, backlog);
+            self.push(slot, t, backlog);
             let mbps = delta as f64 / secs / 1e6;
-            self.push(&format!("link.{i}.mbps"), t, mbps);
+            self.push(slot + 1, t, mbps);
         }
-        // Every touched metrics gauge (BTreeMap order: deterministic).
-        let gauges: Vec<(String, f64)> =
-            w.metrics.gauges().map(|(k, v)| (k.to_owned(), v)).collect();
-        for (k, v) in gauges {
-            self.push(&format!("gauge.{k}"), t, v);
+        // Every touched metrics gauge (key order: deterministic).
+        for (key, id, v) in w.metrics.gauges() {
+            let g = id.index();
+            if self.gauge_slots.len() <= g {
+                self.gauge_slots.resize(g + 1, None);
+            }
+            let slot = match self.gauge_slots[g] {
+                Some(slot) => slot,
+                None => {
+                    let slot = self.open(format!("gauge.{key}"));
+                    self.gauge_slots[g] = Some(slot);
+                    slot
+                }
+            };
+            self.push(slot, t, v);
         }
         // Registered providers, in registration order.
-        let provided: Vec<(String, f64)> = self
-            .providers
-            .iter()
-            .map(|(name, f)| (name.clone(), f(w)))
-            .collect();
-        for (name, v) in provided {
-            self.push(&name, t, v);
+        for p in 0..self.providers.len() {
+            let v = (self.providers[p].f)(w);
+            let slot = match self.providers[p].slot {
+                Some(slot) => slot,
+                None => {
+                    let slot = self.open(self.providers[p].name.clone());
+                    self.providers[p].slot = Some(slot);
+                    slot
+                }
+            };
+            self.push(slot, t, v);
         }
         self.ticks += 1;
+        self.last_tick = Some(t);
     }
 
-    /// Iterates series as `(name, points)`, in first-push order.
+    /// Iterates series as `(name, points)`, in first-sample order. The
+    /// points are change-only: each value holds until the next point,
+    /// and the last one holds through [`Timeline::last_tick`].
     pub fn series(&self) -> impl Iterator<Item = (&str, &[(SimTime, f64)])> {
         self.series
             .iter()
             .map(|s| (s.name.as_str(), s.points.as_slice()))
     }
 
-    /// Iterates per-window latency histograms as `(window_start, hist)`,
-    /// in time order.
+    /// Iterates the per-window latency histograms of windows where reads
+    /// ended, as `(window_start, hist)`, in time order.
     pub fn windows(&self) -> impl Iterator<Item = (SimTime, &Hist)> {
         let sample_ns = self.sample.as_nanos();
         self.windows
             .iter()
-            .map(move |(&w, h)| (SimTime::from_nanos(w * sample_ns), h))
+            .map(move |(w, h)| (SimTime::from_nanos(w * sample_ns), h))
     }
 
     /// The whole-run read-latency histogram.
@@ -352,6 +440,8 @@ impl Timeline {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     #[test]
@@ -406,6 +496,89 @@ mod tests {
         }
     }
 
+    /// The dense histogram the sparse one replaced: every bucket held,
+    /// zero or not.
+    struct DenseHist {
+        counts: Vec<u64>,
+        total: u64,
+    }
+
+    impl DenseHist {
+        fn new() -> Self {
+            DenseHist {
+                counts: vec![0; BUCKETS],
+                total: 0,
+            }
+        }
+
+        fn record(&mut self, v: u64) {
+            self.counts[bucket_of(v)] += 1;
+            self.total += 1;
+        }
+
+        fn quantile(&self, q: f64) -> u64 {
+            if self.total == 0 {
+                return 0;
+            }
+            let rank = ((self.total as f64) * q.clamp(0.0, 1.0)).ceil() as u64;
+            let rank = rank.clamp(1, self.total);
+            let mut seen = 0u64;
+            for (i, &c) in self.counts.iter().enumerate() {
+                seen += c;
+                if seen >= rank {
+                    return bucket_high(i);
+                }
+            }
+            bucket_high(BUCKETS - 1)
+        }
+
+        fn max(&self) -> u64 {
+            self.counts
+                .iter()
+                .rposition(|&c| c > 0)
+                .map_or(0, bucket_high)
+        }
+    }
+
+    /// Latencies spread over many octaves, with repeats, so values share
+    /// buckets as well as spanning them.
+    fn latency() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            0u64..64,
+            (0u64..2_000).prop_map(|v| v * 997),
+            (0u32..64, 0u64..u64::MAX).prop_map(|(shift, v)| v >> shift),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The sparse histogram answers every query exactly as the dense
+        /// 1,920-bucket one, whatever order the values arrive in.
+        #[test]
+        fn sparse_hist_matches_dense(values in proptest::collection::vec(latency(), 0..200)) {
+            let mut sparse = Hist::new();
+            let mut dense = DenseHist::new();
+            for &v in &values {
+                sparse.record_raw(v);
+                dense.record(v);
+            }
+            prop_assert_eq!(sparse.count(), dense.total);
+            for q in [0.0, 0.5, 0.99, 0.999, 1.0] {
+                prop_assert_eq!(sparse.quantile(q), dense.quantile(q));
+            }
+            prop_assert_eq!(sparse.max(), dense.max());
+            let mut reversed = Hist::new();
+            for &v in values.iter().rev() {
+                reversed.record_raw(v);
+            }
+            prop_assert_eq!(&sparse, &reversed);
+            let mut one_more = sparse.clone();
+            one_more.record_raw(values.first().copied().unwrap_or(0));
+            prop_assert!(sparse != one_more);
+        }
+    }
+
     #[test]
     fn observe_read_windows_by_completion_time() {
         let mut tl = Timeline::default();
@@ -422,10 +595,60 @@ mod tests {
     }
 
     #[test]
+    fn late_read_lands_in_its_window_and_windows_stay_ordered() {
+        let mut tl = Timeline::default();
+        tl.enable(SimDuration::from_millis(10));
+        let at = |ms| SimTime::ZERO + SimDuration::from_millis(ms);
+        tl.observe_read(at(0), at(35)); // window 3
+        tl.observe_read(at(0), at(12)); // window 1, before the last one
+        tl.observe_read(at(0), at(38)); // window 3 again
+        tl.observe_read(at(0), at(1)); // window 0, before every other
+        tl.observe_read(at(0), at(15)); // window 1 again
+        let wins: Vec<_> = tl
+            .windows()
+            .map(|(t, h)| (t.as_nanos() / 1_000_000, h.count(), h.max()))
+            .collect();
+        let high = |ms: u64| bucket_high(bucket_of(ms * 1_000_000));
+        assert_eq!(
+            wins,
+            vec![(0, 1, high(1)), (10, 2, high(15)), (30, 2, high(38))]
+        );
+        assert_eq!(tl.run_hist().count(), 5);
+    }
+
+    #[test]
+    fn series_store_changes_only() {
+        let mut tl = Timeline::default();
+        tl.enable(SimDuration::from_millis(10));
+        let a = tl.open("a".to_owned());
+        let b = tl.open("b".to_owned());
+        let at = |ms| SimTime::ZERO + SimDuration::from_millis(ms);
+        for (ms, va, vb) in [
+            (10, 1.0, 0.0),
+            (20, 1.0, -0.0),
+            (30, 2.0, -0.0),
+            (40, 2.0, 0.0),
+        ] {
+            tl.push(a, at(ms), va);
+            tl.push(b, at(ms), vb);
+        }
+        let series: Vec<_> = tl.series().map(|(n, p)| (n, p.to_vec())).collect();
+        assert_eq!(
+            series,
+            vec![
+                ("a", vec![(at(10), 1.0), (at(30), 2.0)]),
+                // 0.0 and -0.0 differ in bits, so each change is kept
+                ("b", vec![(at(10), 0.0), (at(20), -0.0), (at(40), 0.0)]),
+            ]
+        );
+    }
+
+    #[test]
     fn disabled_timeline_records_nothing() {
         let mut tl = Timeline::default();
         tl.observe_read(SimTime::ZERO, SimTime::from_nanos(100));
         assert!(tl.run_hist().is_empty());
         assert_eq!(tl.windows().count(), 0);
+        assert_eq!(tl.last_tick(), None);
     }
 }
