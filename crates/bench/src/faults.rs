@@ -1,13 +1,12 @@
 //! Typed fault plans for scenarios: what breaks, when, and how the run
 //! degraded.
 //!
-//! A [`FaultPlan`] is a list of [`FaultSpec`]s — each a simulated instant
+//! A fault plan is a list of [`FaultSpec`]s — each a simulated instant
 //! plus a [`FaultKind`] naming its target symbolically (host/VM names
 //! from the scenario). `ScenarioSpec::run` resolves the names against the
 //! assembled cluster, lowers each kind to the matching
-//! [`FaultAction`](vread_sim::fault::FaultAction) from the subsystem
-//! crates, and arms them with
-//! [`schedule_faults`](vread_sim::fault::schedule_faults). Because the
+//! [`vread_sim::fault::FaultAction`] from the subsystem crates, and arms
+//! them with [`vread_sim::fault::schedule_faults`]. Because the
 //! actions fire through ordinary timers, a fault run is exactly as
 //! deterministic as a fault-free one.
 //!

@@ -17,13 +17,15 @@
 //!   anything pushed "at now" sorts after every pending same-time heap
 //!   entry, so FIFO order *is* `(time, seq)` order; RPC-style message
 //!   ping-pong never touches the `BinaryHeap` at all.
-//! * **Core-timer tree** — each core's single valid timer lives in a
-//!   per-core slot table with a tournament tree over it
-//!   (`crate::timers`), so the earliest core timer is read in O(1) and
-//!   arming one costs O(log cores), however many hosts the world has.
+//! * **Core-timer list** — each core's single valid timer lives in a
+//!   per-core slot table, and the armed ones are kept in a `Vec` sorted
+//!   descending by `(time, seq)` (`crate::timers`), so the earliest core
+//!   timer is read and popped in O(1) and arming one costs a binary
+//!   search plus a shift of at most the armed count (a couple of dozen
+//!   timers on an 80-core world).
 //! * **Chain slab** — in-flight chains live in a free-list slab indexed
 //!   directly by [`ChainId`] (generation-tagged against stale resumes)
-//!   rather than a hash map; see [`crate::slab`].
+//!   rather than a hash map; see `crate::slab`.
 //! * **Unboxed internal events** — engine-internal events (core timers,
 //!   chain resumes) are plain enum variants, and a boxed zero-sized
 //!   completion message does not allocate. A message that carries data
@@ -125,8 +127,9 @@ pub struct World {
     /// same-time heap entry pushed before time advanced to `now`.
     fifo: VecDeque<(u64, EvKind)>,
     heap: BinaryHeap<HeapEv>,
-    /// One armed-timer slot per core across all hosts, with a
-    /// tournament tree for the earliest (see `crate::timers`).
+    /// One armed-timer slot per core across all hosts, with the armed
+    /// ones in a sorted list whose last entry is the earliest (see
+    /// `crate::timers`).
     timers: CoreTimers,
     actors: Vec<ActorSlot>,
     pub(crate) sched: Sched,
@@ -1089,12 +1092,12 @@ mod tests {
     }
 
     #[test]
-    fn timer_tree_matches_scan_at_scale() {
+    fn timer_queue_matches_scan_at_scale() {
         let end = SimTime::from_nanos(30_000_000);
         let mut ran = timer_heavy_world();
         ran.run_until(end);
-        // The same world driven one event at a time, checking the tree's
-        // root against a scan of every core before each event.
+        // The same world driven one event at a time, checking the timer
+        // list's minimum against a scan of every core before each event.
         let mut stepped = timer_heavy_world();
         while let Some(t) = stepped.next_event_time() {
             if t > end {

@@ -144,7 +144,7 @@ impl GaugeId {
 /// down, and unlike a sample set it keeps no history (the timeline
 /// sampler is what turns gauges into time series). The read side mirrors
 /// counters exactly: a gauge that has not been written since the last
-/// [`Metrics::reset`] is invisible to [`Metrics::gauge_keys`] and reads
+/// [`Metrics::reset`] is invisible to [`Metrics::gauges`] and reads
 /// as 0.0, so reports stay byte-identical when an instrumented code path
 /// never runs. `reset` clears gauge last-values along with the touched
 /// bits — a gauge must not leak a pre-reset level (e.g. in-flight reads

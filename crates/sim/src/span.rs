@@ -3,7 +3,7 @@
 //! The paper's argument is an *accounting* argument: every vanilla HDFS
 //! read costs at least five data copies, vRead costs two, and the CPU
 //! breakdowns of Figures 9/10 attribute cycles to the layer that burned
-//! them. Raw engine traces ([`crate::trace`]) record events without
+//! them. Engine counters and timeline samples record *how much* without
 //! causality; this module records *why*: a [`SpanId`] is minted at the
 //! top of each logical operation (an HDFS read), propagated through
 //! every protocol message on its causal path, and attached to the stage
@@ -17,10 +17,13 @@
 //! uses [`SimTime`] only, so reports are byte-identical across runs and
 //! across parallel harness job counts.
 //!
-//! Spans live in a generation-tagged free-list slab exactly like chains
-//! ([`crate::slab`]): a late charge against a retired span id misses
-//! cleanly and is counted as *unattributed* instead of corrupting
-//! whatever span recycled the slot.
+//! Spans live in an append-only log: a span's id is its creation
+//! position, counted across the recorder's whole life, and a span is
+//! live until it is ended. Ids are never reused, so a late charge
+//! against an ended span, or against a span from before the last
+//! [`SpanRecorder::drain`], misses cleanly and is counted as
+//! *unattributed*. Simulated time never goes back, so creation order is
+//! already `(begin, id)` order and draining sorts nothing.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -28,9 +31,10 @@ use std::fmt::Write as _;
 use crate::cpu::CpuCategory;
 use crate::time::SimTime;
 
-/// Identifier of one span. Packs `generation << 32 | slot`; the reserved
-/// value [`SpanId::NONE`] means "not traced" and makes every recording
-/// call a cheap no-op, so data-path code can thread ids unconditionally.
+/// Identifier of one span: its creation position in the recorder's log
+/// (the first span ever started is 0). The reserved value
+/// [`SpanId::NONE`] means "not traced" and makes every recording call a
+/// cheap no-op, so data-path code can thread ids unconditionally.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SpanId(u64);
 
@@ -44,7 +48,7 @@ impl SpanId {
         self == SpanId::NONE
     }
 
-    /// The raw packed value (diagnostics, export).
+    /// The raw creation position (diagnostics, export).
     pub const fn raw(self) -> u64 {
         self.0
     }
@@ -58,16 +62,6 @@ impl std::fmt::Display for SpanId {
             write!(f, "SpanId({})", self.0)
         }
     }
-}
-
-fn pack(gen: u32, slot: u32) -> SpanId {
-    SpanId((u64::from(gen) << 32) | u64::from(slot))
-}
-
-// vread-lint: allow(checked-cast, "intentional bit-slice of the packed generation|slot id")
-fn unpack(id: SpanId) -> (u32, u32) {
-    let raw = id.0;
-    ((raw >> 32) as u32, raw as u32)
 }
 
 /// One finished (or drained-open) span: a named node in a read's causal
@@ -150,23 +144,22 @@ pub struct SpanMark {
     pub label: &'static str,
 }
 
-struct Slot {
-    /// Incremented on each retire; live ids must match.
-    gen: u32,
-    span: Option<Span>,
-}
-
 /// The world's span recorder. Disabled by default; every recording entry
 /// point checks one flag and returns, so the off path costs one branch.
 #[derive(Default)]
 pub struct SpanRecorder {
     enabled: bool,
-    slots: Vec<Slot>,
-    free: Vec<u32>,
-    finished: Vec<Span>,
+    /// Id of `spans[0]`: the number of spans drained before.
+    base: u64,
+    /// Every span started since the last drain, in creation order, so
+    /// `spans[i]` has id `base + i`. A span is live while `end` is `None`.
+    spans: Vec<Span>,
+    /// Number of live spans.
+    live: usize,
     marks: Vec<SpanMark>,
     /// Cycles charged while enabled that hit no live span (scheduler
-    /// context switches, untraced chains, late charges to retired spans).
+    /// context switches, untraced chains, late charges to ended or
+    /// drained spans).
     unattributed_cycles: f64,
 }
 
@@ -193,7 +186,7 @@ impl SpanRecorder {
 
     /// Number of live (not yet ended) spans.
     pub fn live(&self) -> usize {
-        self.slots.len() - self.free.len()
+        self.live
     }
 
     /// Starts a span. Returns [`SpanId::NONE`] when disabled — the one
@@ -202,61 +195,39 @@ impl SpanRecorder {
         if !self.enabled {
             return SpanId::NONE;
         }
-        if let Some(slot) = self.free.pop() {
-            let s = &mut self.slots[slot as usize];
-            debug_assert!(s.span.is_none());
-            let id = pack(s.gen, slot);
-            s.span = Some(Span::new(id, name, parent, now));
-            id
-        } else {
-            let slot = u32::try_from(self.slots.len()).expect("span slab overflow");
-            let id = pack(0, slot);
-            self.slots.push(Slot {
-                gen: 0,
-                span: Some(Span::new(id, name, parent, now)),
-            });
-            id
-        }
+        let pos = u64::try_from(self.spans.len()).expect("span count fits u64");
+        let id = SpanId(self.base + pos);
+        debug_assert!(
+            self.spans.last().is_none_or(|s| s.begin <= now),
+            "spans start in time order"
+        );
+        self.spans.push(Span::new(id, name, parent, now));
+        self.live += 1;
+        id
     }
 
+    /// The live span `id`, or `None` for a none, ended or drained id.
     fn get_mut(&mut self, id: SpanId) -> Option<&mut Span> {
-        if id.is_none() {
-            return None;
-        }
-        let (gen, slot) = unpack(id);
-        let s = self.slots.get_mut(slot as usize)?;
-        if s.gen != gen {
-            return None;
-        }
-        s.span.as_mut()
+        let pos = usize::try_from(id.0.checked_sub(self.base)?).ok()?;
+        self.spans.get_mut(pos).filter(|s| s.end.is_none())
     }
 
-    /// Ends a span, retiring it to the finished list. Stale/none ids
-    /// miss cleanly.
+    /// Ends a span. None, ended and drained ids miss cleanly.
     pub fn end(&mut self, id: SpanId, now: SimTime) {
-        if !self.enabled || id.is_none() {
+        if !self.enabled {
             return;
         }
-        let (gen, slot) = unpack(id);
-        let Some(s) = self.slots.get_mut(slot as usize) else {
-            return;
-        };
-        if s.gen != gen {
-            return;
+        if let Some(sp) = self.get_mut(id) {
+            sp.end = Some(now);
+            sp.last_activity = now;
+            self.live -= 1;
         }
-        let Some(mut span) = s.span.take() else {
-            return;
-        };
-        s.gen = s.gen.wrapping_add(1);
-        self.free.push(slot);
-        span.end = Some(now);
-        span.last_activity = now;
-        self.finished.push(span);
     }
 
     /// Charges executed cycles to `id`. Called by the scheduler at its
     /// single accounting point; a miss (disabled path never calls with a
-    /// live recorder, so: null id, stale id) counts as unattributed.
+    /// live recorder, so: null id, ended or drained id) counts as
+    /// unattributed.
     pub fn charge(&mut self, id: SpanId, cat: CpuCategory, cycles: f64, now: SimTime) {
         if !self.enabled {
             return;
@@ -327,37 +298,16 @@ impl SpanRecorder {
 
     /// Drains everything recorded so far into a report. Spans still open
     /// are closed at their last activity (making stalls visible) and the
-    /// recorder is left empty but still enabled.
+    /// recorder is left empty but still enabled; ids keep counting, so
+    /// every id handed out before the drain misses from then on.
     pub fn drain(&mut self) -> SpanReport {
-        let mut spans = std::mem::take(&mut self.finished);
-        for (i, s) in self.slots.iter_mut().enumerate() {
-            if let Some(mut span) = s.span.take() {
-                s.gen = s.gen.wrapping_add(1);
-                self.free
-                    .push(u32::try_from(i).expect("span slab slot fits u32"));
-                span.end = Some(span.last_activity);
-                spans.push(span);
-            }
+        for s in self.spans.iter_mut().filter(|s| s.end.is_none()) {
+            s.end = Some(s.last_activity);
         }
-        // Deterministic presentation order: by begin time, then id. Sort
-        // a small key permutation, then move each span once.
-        let mut order: Vec<(SimTime, SpanId, u32)> = spans
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                (
-                    s.begin,
-                    s.id,
-                    u32::try_from(i).expect("span count fits u32"),
-                )
-            })
-            .collect();
-        order.sort_unstable();
-        let mut slots: Vec<Option<Span>> = spans.into_iter().map(Some).collect();
-        let spans = order
-            .iter()
-            .map(|&(_, _, i)| slots[i as usize].take().expect("each span moves once"))
-            .collect();
+        self.live = 0;
+        // Creation order is already `(begin, id)` order.
+        let spans = std::mem::take(&mut self.spans);
+        self.base += u64::try_from(spans.len()).expect("span count fits u64");
         SpanReport {
             spans,
             marks: std::mem::take(&mut self.marks),
@@ -373,7 +323,8 @@ impl SpanRecorder {
 /// Everything drained from a [`SpanRecorder`] after a run.
 #[derive(Debug, Clone, Default)]
 pub struct SpanReport {
-    /// All spans, ordered by `(begin, id)`.
+    /// All spans, ordered by `(begin, id)`, which is creation order. Ids
+    /// are dense: `spans[i].id` is `spans[0].id + i`.
     pub spans: Vec<Span>,
     /// Instant events, in recording order.
     pub marks: Vec<SpanMark>,
@@ -512,34 +463,23 @@ impl SpanReport {
     }
 
     /// For each span, the index of the root of its parent chain (itself
-    /// when its parent is none or not in the report).
+    /// when its parent is none or not in the report). Ids are dense
+    /// creation positions and a parent starts before its children, so a
+    /// parent in the report sits at `parent - first id`, before the
+    /// child, and its root is already known.
     fn roots(&self) -> Vec<usize> {
-        let mut by_id: Vec<(u64, u32)> = self
-            .spans
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.id.raw(), u32::try_from(i).expect("span count fits u32")))
-            .collect();
-        by_id.sort_unstable();
-        let parent_of = |i: usize| -> Option<usize> {
-            let p = self.spans[i].parent.raw();
-            by_id
-                .binary_search_by_key(&p, |&(id, _)| id)
-                .ok()
-                .map(|k| by_id[k].1 as usize)
-        };
-        (0..self.spans.len())
-            .map(|mut i| {
-                // Parent chains are tiny (2–3 deep); bound the walk anyway.
-                for _ in 0..64 {
-                    match parent_of(i) {
-                        Some(pi) => i = pi,
-                        None => break,
-                    }
-                }
-                i
-            })
-            .collect()
+        let first = self.spans.first().map_or(0, |s| s.id.raw());
+        let mut roots: Vec<usize> = Vec::with_capacity(self.spans.len());
+        for (i, s) in self.spans.iter().enumerate() {
+            let parent = s
+                .parent
+                .raw()
+                .checked_sub(first)
+                .and_then(|p| usize::try_from(p).ok())
+                .filter(|&p| p < i && self.spans[p].id == s.parent);
+            roots.push(parent.map_or(i, |p| roots[p]));
+        }
+        roots
     }
 
     /// Rolls every span's copies up to its root and emits one ledger row
@@ -653,6 +593,8 @@ impl SpanReport {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
     use crate::time::SimDuration;
 
@@ -706,13 +648,13 @@ mod tests {
         r.charge(id, CpuCategory::Other, 42.0, t(2));
         r.charge(SpanId::NONE, CpuCategory::Other, 8.0, t(2));
         assert_eq!(r.unattributed_cycles(), 50.0);
-        // The recycled slot must not alias the retired span.
+        // A new span gets a fresh id, so the ended one still misses.
         let id2 = r.start("read", SpanId::NONE, t(3));
         assert_ne!(id, id2);
         r.charge(id, CpuCategory::Other, 1.0, t(4));
         let rep = r.drain();
         assert_eq!(rep.unattributed_cycles, 51.0);
-        // vread-lint: allow(float-accum, "drain sorts spans by (begin, id), a fixed order")
+        // vread-lint: allow(float-accum, "drain yields spans in creation order, a fixed order")
         assert_eq!(rep.spans.iter().map(Span::total_cycles).sum::<f64>(), 0.0);
     }
 
@@ -822,5 +764,230 @@ mod tests {
         let opens = json.matches('{').count();
         let closes = json.matches('}').count();
         assert_eq!(opens, closes);
+    }
+
+    #[test]
+    fn ended_and_drained_ids_miss_every_call() {
+        let mut r = SpanRecorder::new();
+        r.enable();
+        let drained_ended = r.start("read", SpanId::NONE, t(0));
+        r.end(drained_ended, t(1));
+        let drained_open = r.start("read", SpanId::NONE, t(1));
+        assert_eq!(r.drain().spans.len(), 2);
+        let ended = r.start("vfd_read", SpanId::NONE, t(2));
+        r.end(ended, t(3));
+        let live = r.start("dn_read", SpanId::NONE, t(4));
+        assert_eq!(
+            (ended.raw(), live.raw()),
+            (2, 3),
+            "ids keep counting past a drain"
+        );
+        for id in [drained_ended, drained_open, ended] {
+            r.charge(id, CpuCategory::Other, 10.0, t(5));
+            r.copy(id, 100, t(5));
+            r.mapped(id, 100, t(5));
+            r.payload(id, 100);
+            r.queue_wait(id, 100);
+            r.end(id, t(6));
+        }
+        assert_eq!(r.live(), 1, "only `live` is still open");
+        assert_eq!(r.unattributed_cycles(), 30.0);
+        let rep = r.drain();
+        assert_eq!(rep.unattributed_cycles, 30.0);
+        let ids: Vec<SpanId> = rep.spans.iter().map(|s| s.id).collect();
+        assert_eq!(ids, [ended, live]);
+        for s in &rep.spans {
+            assert_eq!(s.total_cycles(), 0.0, "{}", s.name);
+            let counts = [s.bytes, s.copy_bytes, s.copies, s.mapped_bytes, s.maps];
+            assert_eq!(counts, [0; 5], "{}", s.name);
+            assert_eq!((s.queue_wait_ns, s.dispatches), (0, 0), "{}", s.name);
+        }
+        assert_eq!(rep.spans[0].end, Some(t(3)), "a late end keeps the first");
+        assert_eq!(
+            rep.spans[1].end,
+            Some(t(4)),
+            "the open span drains untouched"
+        );
+    }
+
+    /// The root walk the span log replaced: sort every id, then
+    /// binary-search each parent hop.
+    fn reference_roots(rep: &SpanReport) -> Vec<usize> {
+        let mut by_id: Vec<(u64, usize)> = rep
+            .spans
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (s.id.raw(), i))
+            .collect();
+        by_id.sort_unstable();
+        let parent_of = |i: usize| -> Option<usize> {
+            let p = rep.spans[i].parent.raw();
+            by_id
+                .binary_search_by_key(&p, |&(id, _)| id)
+                .ok()
+                .map(|k| by_id[k].1)
+        };
+        (0..rep.spans.len())
+            .map(|mut i| {
+                for _ in 0..64 {
+                    match parent_of(i) {
+                        Some(pi) => i = pi,
+                        None => break,
+                    }
+                }
+                i
+            })
+            .collect()
+    }
+
+    /// A ledger row as a comparable tuple.
+    type LedgerKey = (SpanId, &'static str, u64, u64, u64, u64, u64, u64);
+
+    fn ledger_keys(rows: &[ReadLedgerRow]) -> Vec<LedgerKey> {
+        rows.iter()
+            .map(|r| {
+                let bits = r.copies_per_read.to_bits();
+                (
+                    r.id,
+                    r.name,
+                    r.payload_bytes,
+                    r.copy_bytes,
+                    r.copies,
+                    r.mapped_bytes,
+                    r.maps,
+                    bits,
+                )
+            })
+            .collect()
+    }
+
+    /// [`SpanReport::read_ledger`] rebuilt on [`reference_roots`].
+    fn reference_ledger(rep: &SpanReport) -> Vec<LedgerKey> {
+        let roots = reference_roots(rep);
+        let mut rollup = vec![(0u64, 0u64, 0u64, 0u64); rep.spans.len()];
+        for (s, &r) in rep.spans.iter().zip(&roots) {
+            let e = &mut rollup[r];
+            e.0 += s.copy_bytes;
+            e.1 += s.copies;
+            e.2 += s.mapped_bytes;
+            e.3 += s.maps;
+        }
+        rep.spans
+            .iter()
+            .enumerate()
+            .filter(|&(i, s)| roots[i] == i && s.bytes > 0)
+            .map(|(i, s)| {
+                let (cb, cp, mb, mp) = rollup[i];
+                let bits = (cb as f64 / s.bytes as f64).to_bits();
+                (s.id, s.name, s.bytes, cb, cp, mb, mp, bits)
+            })
+            .collect()
+    }
+
+    #[derive(Debug, Clone)]
+    enum SpanOp {
+        /// Starts a span whose parent is the `k`-th id issued since the
+        /// last drain, or none.
+        Start(usize),
+        StartRoot,
+        /// Starts a span whose parent is the `k`-th id issued before the
+        /// last drain.
+        StartPreDrain(usize),
+        End(usize),
+        Charge(usize, u64),
+        Copy(usize, u64),
+        Payload(usize, u64),
+        /// Moves simulated time forward (or not, for same-time starts).
+        Advance(u64),
+    }
+
+    fn span_op() -> impl Strategy<Value = SpanOp> {
+        prop_oneof![
+            (0usize..64).prop_map(SpanOp::Start),
+            (0usize..64).prop_map(SpanOp::Start),
+            Just(SpanOp::StartRoot),
+            (0usize..64).prop_map(SpanOp::StartPreDrain),
+            (0usize..64).prop_map(SpanOp::End),
+            (0usize..64, 1u64..1_000).prop_map(|(k, c)| SpanOp::Charge(k, c)),
+            (0usize..64, 1u64..4_096).prop_map(|(k, b)| SpanOp::Copy(k, b)),
+            (0usize..64, 1u64..4_096).prop_map(|(k, b)| SpanOp::Payload(k, b)),
+            (0u64..3).prop_map(SpanOp::Advance),
+        ]
+    }
+
+    /// Applies `ops` from time `now`, returning the ids started.
+    fn apply(r: &mut SpanRecorder, ops: &[SpanOp], pre: &[SpanId], now: &mut u64) -> Vec<SpanId> {
+        const NAMES: [&str; 3] = ["read", "block_fetch", "dn_read"];
+        let mut ids: Vec<SpanId> = Vec::new();
+        let pick = |ids: &[SpanId], k: usize| ids.get(k % ids.len().max(1)).copied();
+        for op in ops {
+            let at = t(*now);
+            match *op {
+                SpanOp::Start(k) => {
+                    let parent = pick(&ids, k).unwrap_or(SpanId::NONE);
+                    ids.push(r.start(NAMES[ids.len() % 3], parent, at));
+                }
+                SpanOp::StartRoot => ids.push(r.start("read", SpanId::NONE, at)),
+                SpanOp::StartPreDrain(k) => {
+                    let parent = pick(pre, k).unwrap_or(SpanId::NONE);
+                    ids.push(r.start("block_fetch", parent, at));
+                }
+                SpanOp::End(k) => {
+                    if let Some(id) = pick(&ids, k) {
+                        r.end(id, at);
+                    }
+                }
+                SpanOp::Charge(k, c) => {
+                    let id = pick(&ids, k).unwrap_or(SpanId::NONE);
+                    r.charge(id, CpuCategory::ALL[k % CpuCategory::COUNT], c as f64, at);
+                }
+                SpanOp::Copy(k, b) => {
+                    if let Some(id) = pick(&ids, k) {
+                        r.copy(id, b, at);
+                    }
+                }
+                SpanOp::Payload(k, b) => {
+                    if let Some(id) = pick(&ids, k) {
+                        r.payload(id, b);
+                    }
+                }
+                SpanOp::Advance(dt) => *now += dt,
+            }
+        }
+        ids
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Across a drain, ids are dense creation positions, drained
+        /// spans come out in `(begin, id)` order, and the ledger's
+        /// positional root walk matches a sort-and-search walk.
+        #[test]
+        fn span_log_matches_sorted_reference(
+            before in proptest::collection::vec(span_op(), 0..60),
+            after in proptest::collection::vec(span_op(), 1..80),
+        ) {
+            let mut r = SpanRecorder::new();
+            r.enable();
+            let mut now = 0;
+            let pre = apply(&mut r, &before, &[], &mut now);
+            let first = r.drain();
+            let post = apply(&mut r, &after, &pre, &mut now);
+            let second = r.drain();
+            let base = u64::try_from(pre.len()).expect("small");
+            for (rep, ids, from) in [(&first, &pre, 0), (&second, &post, base)] {
+                let got: Vec<SpanId> = rep.spans.iter().map(|s| s.id).collect();
+                prop_assert_eq!(&got, ids);
+                for (i, id) in got.iter().enumerate() {
+                    prop_assert_eq!(id.raw(), from + u64::try_from(i).expect("small"));
+                }
+                let keys: Vec<(SimTime, SpanId)> = rep.spans.iter().map(|s| (s.begin, s.id)).collect();
+                prop_assert!(keys.windows(2).all(|w| w[0] < w[1]), "not in (begin, id) order");
+                prop_assert!(rep.spans.iter().all(|s| s.end.is_some()), "drain closes every span");
+                prop_assert_eq!(ledger_keys(&rep.read_ledger()), reference_ledger(rep));
+            }
+            prop_assert_eq!(r.live(), 0);
+        }
     }
 }
