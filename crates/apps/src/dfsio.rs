@@ -46,9 +46,9 @@ impl Default for DfsioConfig {
 
 /// The TestDFSIO driver actor.
 ///
-/// Metrics: `dfsio_bytes` (payload moved), `dfsio_files` (completed map
-/// tasks), `dfsio_done` (1 when the whole job finished) and the sample
-/// `dfsio_done_at_s` (completion timestamp, seconds).
+/// Metrics: `dfsio_bytes` (payload moved) and `dfsio_files` (completed
+/// map tasks). Start and completion instants are recorded only in the
+/// job table, on the job bound with [`TestDfsio::with_job`].
 pub struct TestDfsio {
     client: ActorId,
     vm: VmId,
@@ -113,9 +113,6 @@ impl TestDfsio {
 
     fn start_task(&mut self, ctx: &mut Ctx<'_>) {
         if self.cur_file >= self.files.len() {
-            ctx.metrics().add("dfsio_done", 1.0);
-            let s = ctx.now().as_secs_f64();
-            ctx.metrics().sample("dfsio_done_at_s", s);
             if let Some(j) = self.job {
                 ctx.job_completed(j);
             }
@@ -180,8 +177,6 @@ impl TestDfsio {
 impl Actor for TestDfsio {
     fn handle(&mut self, msg: BoxMsg, ctx: &mut Ctx<'_>) {
         if msg.is::<Start>() {
-            let now_s = ctx.now().as_secs_f64();
-            ctx.metrics().sample("dfsio_start_at_s", now_s);
             if let Some(j) = self.job {
                 ctx.job_started(j);
             }
@@ -249,6 +244,7 @@ mod tests {
         }
         let client = add_client(&mut w, cvm, Box::new(VanillaPath::new()));
         let files = (0..3).map(|i| format!("/io/{i}")).collect();
+        let job = w.register_job("dfsio");
         let d = TestDfsio::new(
             client,
             cvm,
@@ -256,11 +252,12 @@ mod tests {
             files,
             4 << 20,
             DfsioConfig::default(),
-        );
+        )
+        .with_job(job);
         let a = w.add_actor("dfsio", d);
         w.send_now(a, Start);
         w.run();
-        assert_eq!(w.metrics.counter("dfsio_done"), 1.0);
+        assert!(w.jobs.is_complete(job));
         assert_eq!(w.metrics.counter("dfsio_files"), 3.0);
         assert_eq!(w.metrics.counter("dfsio_bytes"), (12 << 20) as f64);
     }
@@ -275,6 +272,7 @@ mod tests {
         w.ext.insert(cl);
         deploy_hdfs(&mut w, cvm, &[dvm]);
         let client = add_client(&mut w, cvm, Box::new(VanillaPath::new()));
+        let job = w.register_job("dfsio");
         let d = TestDfsio::new(
             client,
             cvm,
@@ -282,11 +280,12 @@ mod tests {
             vec!["/out/0".into(), "/out/1".into()],
             2 << 20,
             DfsioConfig::default(),
-        );
+        )
+        .with_job(job);
         let a = w.add_actor("dfsio", d);
         w.send_now(a, Start);
         w.run();
-        assert_eq!(w.metrics.counter("dfsio_done"), 1.0);
+        assert!(w.jobs.is_complete(job));
         let meta = w.ext.get::<vread_hdfs::HdfsMeta>().unwrap();
         assert_eq!(meta.file("/out/0").unwrap().size(), 2 << 20);
         assert_eq!(meta.file("/out/1").unwrap().size(), 2 << 20);

@@ -58,8 +58,9 @@ impl Default for HbaseConfig {
 
 /// The PerformanceEvaluation client actor.
 ///
-/// Metrics: `hbase_rows`, `hbase_bytes`, `hbase_done`,
-/// `hbase_done_at_s`.
+/// Metrics: `hbase_rows` and `hbase_bytes`. Start and completion
+/// instants are recorded only in the job table, on the job bound with
+/// [`HbaseClient::with_job`].
 pub struct HbaseClient {
     client: ActorId,
     vm: VmId,
@@ -136,9 +137,6 @@ impl HbaseClient {
 
     fn step(&mut self, ctx: &mut Ctx<'_>) {
         if self.rows_done >= self.rows {
-            ctx.metrics().add("hbase_done", 1.0);
-            let s = ctx.now().as_secs_f64();
-            ctx.metrics().sample("hbase_done_at_s", s);
             if let Some(j) = self.job {
                 ctx.job_completed(j);
             }
@@ -221,8 +219,6 @@ impl HbaseClient {
 impl Actor for HbaseClient {
     fn handle(&mut self, msg: BoxMsg, ctx: &mut Ctx<'_>) {
         if msg.is::<Start>() {
-            let now_s = ctx.now().as_secs_f64();
-            ctx.metrics().sample("hbase_start_at_s", now_s);
             if let Some(j) = self.job {
                 ctx.job_started(j);
             }
@@ -286,6 +282,7 @@ mod tests {
 
     fn run_op(op: HbaseOp) -> (f64, f64) {
         let (mut w, client, cvm) = bed();
+        let job = w.register_job("hbase");
         let hb = HbaseClient::new(
             client,
             cvm,
@@ -294,13 +291,13 @@ mod tests {
             20_000,
             HbaseConfig::default(),
             3,
-        );
+        )
+        .with_job(job);
         let a = w.add_actor("hbase", hb);
         w.send_now(a, Start);
         w.run();
-        assert_eq!(w.metrics.counter("hbase_done"), 1.0);
         assert_eq!(w.metrics.counter("hbase_rows"), 20_000.0);
-        let secs = w.metrics.mean("hbase_done_at_s") - w.metrics.mean("hbase_start_at_s");
+        let secs = w.jobs.elapsed(job).expect("hbase job ran").as_secs_f64();
         let mbps = w.metrics.counter("hbase_bytes") / 1e6 / secs;
         (secs, mbps)
     }

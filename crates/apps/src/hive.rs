@@ -35,7 +35,8 @@ impl Default for HiveConfig {
 
 /// A Hive select-scan query actor.
 ///
-/// Metrics: `hive_rows`, `hive_done`, `hive_done_at_s`.
+/// Metrics: `hive_rows`. Start and completion instants are recorded
+/// only in the job table, on the job bound with [`HiveQuery::with_job`].
 pub struct HiveQuery {
     client: ActorId,
     vm: VmId,
@@ -94,9 +95,6 @@ impl HiveQuery {
     fn issue(&mut self, ctx: &mut Ctx<'_>) {
         let total = self.rows * self.cfg.row_bytes;
         if self.offset >= total {
-            ctx.metrics().add("hive_done", 1.0);
-            let s = ctx.now().as_secs_f64();
-            ctx.metrics().sample("hive_done_at_s", s);
             if let Some(j) = self.job {
                 ctx.job_completed(j);
             }
@@ -123,8 +121,6 @@ impl HiveQuery {
 impl Actor for HiveQuery {
     fn handle(&mut self, msg: BoxMsg, ctx: &mut Ctx<'_>) {
         if msg.is::<Start>() {
-            let now_s = ctx.now().as_secs_f64();
-            ctx.metrics().sample("hive_start_at_s", now_s);
             if let Some(j) = self.job {
                 ctx.job_started(j);
             }
@@ -198,13 +194,12 @@ mod tests {
             &Placement::One(dns[0]),
         );
         let client = add_client(&mut w, cvm, Box::new(VanillaPath::new()));
-        let q = HiveQuery::new(client, cvm, "/hive/test".into(), rows, cfg);
+        let job = w.register_job("hive");
+        let q = HiveQuery::new(client, cvm, "/hive/test".into(), rows, cfg).with_job(job);
         let a = w.add_actor("hive", q);
         w.send_now(a, Start);
         w.run();
-        assert_eq!(w.metrics.counter("hive_done"), 1.0);
         assert_eq!(w.metrics.counter("hive_rows"), rows as f64);
-        let secs = w.metrics.mean("hive_done_at_s") - w.metrics.mean("hive_start_at_s");
-        assert!(secs > 0.0);
+        assert!(w.jobs.elapsed(job).expect("hive job ran") > SimDuration::ZERO);
     }
 }

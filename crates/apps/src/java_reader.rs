@@ -30,8 +30,11 @@ pub enum ReaderMode {
     },
 }
 
-/// Sequential reader with per-request delay sampling
-/// (`reader_delay_ms`). Records `reader_done = 1` on completion.
+/// Sequential reader with per-request delay sampling.
+///
+/// Metrics: `reader_delay_ms` (one sample per request) and `reader_bytes`
+/// (payload read). Start and completion instants are recorded only in
+/// the job table, on the job bound with [`JavaReader::with_job`].
 pub struct JavaReader {
     vm: VmId,
     mode: ReaderMode,
@@ -87,9 +90,6 @@ impl JavaReader {
 
     fn issue(&mut self, ctx: &mut Ctx<'_>) {
         if self.offset >= self.total_bytes {
-            ctx.metrics().add("reader_done", 1.0);
-            let now_s = ctx.now().as_secs_f64();
-            ctx.metrics().sample("reader_done_at_s", now_s);
             if let Some(j) = self.job {
                 ctx.job_completed(j);
             }
@@ -159,8 +159,6 @@ impl JavaReader {
 impl Actor for JavaReader {
     fn handle(&mut self, msg: BoxMsg, ctx: &mut Ctx<'_>) {
         if msg.is::<Start>() {
-            let now_s = ctx.now().as_secs_f64();
-            ctx.metrics().sample("reader_start_at_s", now_s);
             if let Some(j) = self.job {
                 ctx.job_started(j);
             }
@@ -196,6 +194,7 @@ mod tests {
         let vm = cl.add_vm(&mut w, h, "vm");
         w.ext.insert(cl);
         JavaReader::create_local_file(&mut w, vm, "/data", 8 << 20);
+        let job = w.register_job("reader");
         let rdr = JavaReader::new(
             vm,
             ReaderMode::Local {
@@ -203,12 +202,14 @@ mod tests {
             },
             1 << 20,
             8 << 20,
-        );
+        )
+        .with_job(job);
         let a = w.add_actor("reader", rdr);
         w.send_now(a, Start);
         w.run();
         assert_eq!(w.metrics.counter("reader_bytes"), (8 << 20) as f64);
-        assert_eq!(w.metrics.counter("reader_done"), 1.0);
+        assert!(w.jobs.is_complete(job));
+        assert!(w.jobs.elapsed(job).expect("job ran") > SimDuration::ZERO);
         let s = w.metrics.samples("reader_delay_ms").unwrap();
         assert_eq!(s.count(), 8);
         assert!(s.mean() > 0.0);

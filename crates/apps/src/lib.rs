@@ -37,5 +37,5 @@ pub use hive::{HiveConfig, HiveQuery};
 pub use java_reader::{JavaReader, ReaderMode};
 pub use lookbusy::Lookbusy;
 pub use netperf::{deploy_netperf, deploy_netperf_with_job, NetperfClient, NetperfServer};
-pub use sqoop::{deploy_sqoop, deploy_sqoop_with_job, MysqlServer, SqoopConfig, SqoopExport};
+pub use sqoop::{deploy_sqoop_with_job, MysqlServer, SqoopConfig, SqoopExport};
 pub use wordcount::{WordCount, WordCountConfig};

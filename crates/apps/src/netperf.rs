@@ -51,8 +51,11 @@ impl Actor for NetperfServer {
     }
 }
 
-/// The requesting half; records `netperf_txns` and per-transaction
-/// latency samples (`netperf_rtt_ms`).
+/// The requesting half.
+///
+/// Metrics: `netperf_txns` (transactions completed after
+/// `measure_from`). The client's start is recorded only in the job
+/// table, on the job bound with [`NetperfClient::with_job`].
 pub struct NetperfClient {
     vm: VmId,
     conn: Option<ActorId>,
@@ -60,12 +63,10 @@ pub struct NetperfClient {
     server_vm: VmId,
     request_bytes: u64,
     seq: u64,
-    sent_at: SimTime,
     /// Transactions are only counted after this time (warm-up).
     pub measure_from: SimTime,
     job: Option<JobHandle>,
     m_txns: LazyCounter,
-    m_rtt_ms: LazySamples,
 }
 
 impl NetperfClient {
@@ -79,11 +80,9 @@ impl NetperfClient {
             server_vm,
             request_bytes,
             seq: 0,
-            sent_at: SimTime::ZERO,
             measure_from: SimTime::ZERO,
             job: None,
             m_txns: LazyCounter::new("netperf_txns"),
-            m_rtt_ms: LazySamples::new("netperf_rtt_ms"),
         }
     }
 
@@ -125,7 +124,6 @@ impl NetperfClient {
             }
         };
         self.seq += 1;
-        self.sent_at = ctx.now();
         let vcpu = {
             let cl = ctx.world.ext.get::<Cluster>().expect("cluster");
             cl.vm(self.vm).vcpu
@@ -153,9 +151,7 @@ impl Actor for NetperfClient {
         if let Ok(r) = downcast::<ConnRecv>(msg) {
             debug_assert_eq!(r.tag, self.seq);
             if ctx.now() >= self.measure_from {
-                let rtt = ctx.now().since(self.sent_at).as_millis_f64();
                 self.m_txns.incr(ctx.metrics());
-                self.m_rtt_ms.record(ctx.metrics(), rtt);
                 if let Some(j) = self.job {
                     ctx.job_progress(j, 0, 1);
                 }

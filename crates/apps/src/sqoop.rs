@@ -95,7 +95,9 @@ impl Actor for MysqlServer {
 
 /// The Sqoop export job actor.
 ///
-/// Metrics: `sqoop_rows`, `sqoop_done`, `sqoop_done_at_s`.
+/// Metrics: `sqoop_rows`. Start and completion instants are recorded
+/// only in the job table, on the job bound with
+/// [`SqoopExport::with_job`].
 pub struct SqoopExport {
     client: ActorId,
     vm: VmId,
@@ -117,7 +119,7 @@ struct SerializeDone {
 
 impl SqoopExport {
     /// Creates the export job; `mysql_conn` is the connection to the
-    /// MySQL server (see [`deploy_sqoop`]).
+    /// MySQL server (see [`deploy_sqoop_with_job`]).
     pub fn new(
         client: ActorId,
         vm: VmId,
@@ -166,9 +168,6 @@ impl SqoopExport {
     fn pump(&mut self, ctx: &mut Ctx<'_>) {
         let total = self.rows * self.cfg.row_bytes;
         if self.rows_acked >= self.rows {
-            ctx.metrics().add("sqoop_done", 1.0);
-            let s = ctx.now().as_secs_f64();
-            ctx.metrics().sample("sqoop_done_at_s", s);
             if let Some(j) = self.job {
                 ctx.job_completed(j);
             }
@@ -203,8 +202,6 @@ impl SqoopExport {
 impl Actor for SqoopExport {
     fn handle(&mut self, msg: BoxMsg, ctx: &mut Ctx<'_>) {
         if msg.is::<Start>() {
-            let now_s = ctx.now().as_secs_f64();
-            ctx.metrics().sample("sqoop_start_at_s", now_s);
             if let Some(j) = self.job {
                 ctx.job_started(j);
             }
@@ -269,21 +266,8 @@ impl Actor for SqoopExport {
 }
 
 /// Deploys a MySQL server on `db_host` and a Sqoop export job in
-/// `client_vm` shipping to it. Returns the export actor (send [`Start`]).
-pub fn deploy_sqoop(
-    w: &mut World,
-    client_vm: VmId,
-    db_host: HostIx,
-    dfs_client: ActorId,
-    table: String,
-    rows: u64,
-    cfg: SqoopConfig,
-) -> ActorId {
-    deploy_sqoop_with_job(w, client_vm, db_host, dfs_client, table, rows, cfg, None)
-}
-
-/// [`deploy_sqoop`] with an optional completion token bound to the
-/// export job.
+/// `client_vm` shipping to it, with an optional completion token bound
+/// to the export job. Returns the export actor (send [`Start`]).
 #[allow(clippy::too_many_arguments)]
 pub fn deploy_sqoop_with_job(
     w: &mut World,
@@ -370,10 +354,12 @@ mod tests {
             &Placement::One(dns[0]),
         );
         let client = add_client(&mut w, cvm, Box::new(VanillaPath::new()));
-        let job = deploy_sqoop(&mut w, cvm, h2, client, "/t".into(), rows, cfg);
-        w.send_now(job, Start);
+        let job = w.register_job("sqoop");
+        let export =
+            deploy_sqoop_with_job(&mut w, cvm, h2, client, "/t".into(), rows, cfg, Some(job));
+        w.send_now(export, Start);
         w.run();
-        assert_eq!(w.metrics.counter("sqoop_done"), 1.0);
+        assert!(w.jobs.is_complete(job));
         assert_eq!(w.metrics.counter("sqoop_rows"), rows as f64);
         // MySQL burned insert CPU
         let mysql_cycles: f64 = (0..w.acct.len())

@@ -62,8 +62,10 @@ struct PhaseCpuDone;
 
 /// The WordCount driver actor.
 ///
-/// Metrics: `wc_input_bytes`, `wc_done`, `wc_done_at_s`,
-/// `wc_map_done_at_s`.
+/// Metrics: `wc_input_bytes` and the phase mark `wc_map_done_at_s` (when
+/// the map phase ended, seconds). Start and completion instants are
+/// recorded only in the job table, on the job bound with
+/// [`WordCount::with_job`].
 pub struct WordCount {
     client: ActorId,
     vm: VmId,
@@ -189,8 +191,6 @@ impl WordCount {
 impl Actor for WordCount {
     fn handle(&mut self, msg: BoxMsg, ctx: &mut Ctx<'_>) {
         if msg.is::<Start>() {
-            let now_s = ctx.now().as_secs_f64();
-            ctx.metrics().sample("wc_start_at_s", now_s);
             if let Some(j) = self.job {
                 ctx.job_started(j);
             }
@@ -235,9 +235,6 @@ impl Actor for WordCount {
             Err(m) => m,
         };
         if msg.is::<DfsWriteDone>() {
-            ctx.metrics().add("wc_done", 1.0);
-            let now_s = ctx.now().as_secs_f64();
-            ctx.metrics().sample("wc_done_at_s", now_s);
             if let Some(j) = self.job {
                 ctx.job_completed(j);
             }
@@ -253,7 +250,7 @@ mod tests {
     use vread_hdfs::populate::{populate_file, Placement};
     use vread_host::costs::Costs;
 
-    fn run_job() -> World {
+    fn run_job() -> (World, JobHandle) {
         let mut w = World::new(51);
         let mut cl = Cluster::new(Costs::default());
         let h = cl.add_host(&mut w, "h", 4, 2.0);
@@ -263,23 +260,25 @@ mod tests {
         let (_, dns) = deploy_hdfs(&mut w, cvm, &[dvm]);
         populate_file(&mut w, "/input", 32 << 20, &Placement::One(dns[0]));
         let client = add_client(&mut w, cvm, Box::new(VanillaPath::new()));
-        let job = WordCount::new(
+        let job = w.register_job("wc");
+        let wc = WordCount::new(
             client,
             cvm,
             "/input".into(),
             32 << 20,
             WordCountConfig::default(),
-        );
-        let a = w.add_actor("wc", job);
+        )
+        .with_job(job);
+        let a = w.add_actor("wc", wc);
         w.send_now(a, Start);
         w.run();
-        w
+        (w, job)
     }
 
     #[test]
     fn job_runs_all_phases_and_writes_output() {
-        let w = run_job();
-        assert_eq!(w.metrics.counter("wc_done"), 1.0);
+        let (w, job) = run_job();
+        assert!(w.jobs.is_complete(job));
         assert_eq!(w.metrics.counter("wc_input_bytes"), (32 << 20) as f64);
         // output written back to HDFS
         let meta = w.ext.get::<vread_hdfs::HdfsMeta>().unwrap();
@@ -287,17 +286,21 @@ mod tests {
         assert_eq!(out.size(), ((32u64 << 20) as f64 * 0.02) as u64);
         // shuffle/reduce happen after the map phase
         let map_done = w.metrics.mean("wc_map_done_at_s");
-        let done = w.metrics.mean("wc_done_at_s");
+        let done = w
+            .jobs
+            .completed_at(job)
+            .expect("job completed")
+            .as_secs_f64();
         assert!(done > map_done);
     }
 
     #[test]
     fn map_phase_dominates_for_cpu_heavy_config() {
-        let w = run_job();
-        let start = w.metrics.mean("wc_start_at_s");
+        let (w, job) = run_job();
+        let start = w.jobs.started_at(job).expect("job started").as_secs_f64();
         let map_done = w.metrics.mean("wc_map_done_at_s");
-        let done = w.metrics.mean("wc_done_at_s");
-        let map_frac = (map_done - start) / (done - start);
+        let elapsed = w.jobs.elapsed(job).expect("job ran").as_secs_f64();
+        let map_frac = (map_done - start) / elapsed;
         assert!(map_frac > 0.5, "map phase fraction {map_frac}");
     }
 }

@@ -1133,7 +1133,7 @@ fn cas_cold_run(hash: f64) -> (u64, f64) {
     d.w.send_now(a, Start);
     let ok = run_jobs(&mut d.w, SimDuration::from_secs(3_000));
     assert!(ok, "cas cold pass did not finish within the cap");
-    let secs = d.w.metrics.mean("reader_done_at_s") - d.w.metrics.mean("reader_start_at_s");
+    let secs = d.w.jobs.elapsed(job).expect("cas pass ran").as_secs_f64();
     (d.w.events_processed(), secs)
 }
 

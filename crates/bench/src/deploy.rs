@@ -21,7 +21,7 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use crate::faults::{build_fault_actions, plan_window, FaultSpec, FaultTargets};
+use crate::faults::{build_fault_actions, check_fault_times, plan_window, FaultSpec, FaultTargets};
 use crate::scenarios::ReadPath;
 use crate::spec::{FileSpec, HostCacheSpec, HostSpec, SpecError, VmRole, VmSpec};
 
@@ -415,15 +415,20 @@ impl Deployment {
 
     /// Resolves and schedules a fault plan, and widens the trace window
     /// past the restores so throughput-during-fault integrates over the
-    /// whole outage. No-op for an empty plan.
+    /// whole outage. The widened window replaces the one
+    /// `schedule_faults` installed before the run starts, so the DFS
+    /// client's window byte counter and the report read the same window.
+    /// No-op for an empty plan.
     ///
     /// # Errors
     ///
-    /// [`SpecError`] when a fault target name doesn't resolve.
+    /// [`SpecError`] when a fault target name doesn't resolve, or a fire
+    /// time or window end overflows simulated time.
     pub fn arm_faults(&mut self, faults: &[FaultSpec]) -> Result<(), SpecError> {
         if faults.is_empty() {
             return Ok(());
         }
+        check_fault_times(faults)?;
         let datanode_set: HashSet<VmId> = self.datanode_vms.iter().map(|(_, v)| *v).collect();
         let targets = FaultTargets {
             hosts: &self.host_ix,

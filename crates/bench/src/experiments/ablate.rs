@@ -30,9 +30,8 @@ const FILE: u64 = 128 << 20;
 const REQUEST: u64 = 1 << 20;
 
 fn read_mbps(tb: &mut Testbed, client: vread_sim::ActorId, path: &str) -> f64 {
-    let _ = reader_pass(tb, client, path, REQUEST, FILE);
-    let secs = tb.w.metrics.mean("reader_done_at_s") - tb.w.metrics.mean("reader_start_at_s");
-    FILE as f64 / 1e6 / secs
+    let (_, elapsed) = reader_pass(tb, client, path, REQUEST, FILE);
+    FILE as f64 / 1e6 / elapsed.as_secs_f64()
 }
 
 /// Ring-slot-size sweep: cold read and re-read throughput.
@@ -158,7 +157,7 @@ fn deployment_read_mbps(
     d.w.send_now(a, Start);
     let ok = run_jobs(&mut d.w, CAP);
     assert!(ok, "cas reader pass did not finish within the cap");
-    let secs = d.w.metrics.mean("reader_done_at_s") - d.w.metrics.mean("reader_start_at_s");
+    let secs = d.w.jobs.elapsed(job).expect("cas pass ran").as_secs_f64();
     CAS_FILE as f64 / 1e6 / secs
 }
 

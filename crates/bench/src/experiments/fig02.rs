@@ -29,8 +29,8 @@ pub fn run() -> Vec<Table> {
         let mut tb = Testbed::build(TestbedOpts::new());
         tb.populate("/f", FILE, Locality::CoLocated);
         let client = tb.make_client();
-        let cold_inter = reader_pass(&mut tb, client, "/f", req, FILE);
-        let warm_inter = reader_pass(&mut tb, client, "/f", req, FILE);
+        let (cold_inter, _) = reader_pass(&mut tb, client, "/f", req, FILE);
+        let (warm_inter, _) = reader_pass(&mut tb, client, "/f", req, FILE);
 
         // local: a plain file in the reader's own VM
         let mut tl = Testbed::build(TestbedOpts::new());

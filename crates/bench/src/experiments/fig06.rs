@@ -59,9 +59,8 @@ fn measure(
     let daemons = tb.daemon_threads();
 
     let before = tb.w.acct.snapshot();
-    let _delay = reader_pass(&mut tb, client, "/f", REQUEST, FILE);
-    let elapsed_ns =
-        (tb.w.metrics.mean("reader_done_at_s") - tb.w.metrics.mean("reader_start_at_s")) * 1e9;
+    let (_, elapsed) = reader_pass(&mut tb, client, "/f", REQUEST, FILE);
+    let elapsed_ns = elapsed.as_nanos() as f64;
 
     let (client_threads, dn_threads): (Vec<ThreadId>, Vec<ThreadId>) = match path {
         ReadPath::Vanilla => (

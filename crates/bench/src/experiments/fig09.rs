@@ -13,8 +13,8 @@ fn delays(path: ReadPath, four_vms: bool, request: u64) -> (f64, f64) {
     let mut tb = Testbed::build(TestbedOpts::new().four_vms(four_vms).path(path));
     tb.populate("/f", FILE, Locality::CoLocated);
     let client = tb.make_client();
-    let cold = reader_pass(&mut tb, client, "/f", request, FILE);
-    let warm = reader_pass(&mut tb, client, "/f", request, FILE);
+    let (cold, _) = reader_pass(&mut tb, client, "/f", request, FILE);
+    let (warm, _) = reader_pass(&mut tb, client, "/f", request, FILE);
     (cold, warm)
 }
 

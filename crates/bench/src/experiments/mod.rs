@@ -55,14 +55,15 @@ pub fn registry() -> Vec<(&'static str, Runner)> {
 pub(crate) const CAP: SimDuration = SimDuration::from_secs(3_000);
 
 /// Runs a [`JavaReader`] pass over an HDFS file; returns the mean
-/// per-request delay in ms. Resets metrics before the pass.
+/// per-request delay in ms and the pass's elapsed time from the job
+/// table. Resets metrics before the pass.
 pub(crate) fn reader_pass(
     tb: &mut Testbed,
     client: ActorId,
     path: &str,
     request: u64,
     total: u64,
-) -> f64 {
+) -> (f64, SimDuration) {
     tb.w.metrics.reset();
     let job = tb.w.register_job("reader");
     let reader = JavaReader::new(
@@ -79,7 +80,8 @@ pub(crate) fn reader_pass(
     tb.w.send_now(a, Start);
     let ok = run_jobs(&mut tb.w, CAP);
     assert!(ok, "reader pass did not finish within the cap");
-    tb.w.metrics.mean("reader_delay_ms")
+    let elapsed = tb.w.jobs.elapsed(job).expect("reader pass ran");
+    (tb.w.metrics.mean("reader_delay_ms"), elapsed)
 }
 
 /// Runs a local-filesystem [`JavaReader`] pass; returns mean delay (ms).
@@ -136,7 +138,7 @@ pub(crate) fn dfsio_pass(
     tb.w.send_now(a, Start);
     let ok = run_jobs(&mut tb.w, CAP);
     assert!(ok, "dfsio pass did not finish within the cap");
-    let secs = tb.w.metrics.mean("dfsio_done_at_s") - tb.w.metrics.mean("dfsio_start_at_s");
+    let secs = tb.w.jobs.elapsed(job).expect("dfsio ran").as_secs_f64();
     let bytes = tb.w.metrics.counter("dfsio_bytes");
     let busy1 = tb.w.acct.busy_ns(client_vcpu.index());
     DfsioResult {

@@ -44,7 +44,7 @@ fn mbps(path: ReadPath, op: HbaseOp) -> f64 {
     tb.w.send_now(a, Start);
     let ok = run_jobs(&mut tb.w, CAP);
     assert!(ok, "hbase run did not finish");
-    let secs = tb.w.metrics.mean("hbase_done_at_s") - tb.w.metrics.mean("hbase_start_at_s");
+    let secs = tb.w.jobs.elapsed(job).expect("hbase run ran").as_secs_f64();
     tb.w.metrics.counter("hbase_bytes") / 1e6 / secs.max(1e-9)
 }
 

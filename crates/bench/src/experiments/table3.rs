@@ -31,7 +31,7 @@ fn hive_secs(path: ReadPath) -> f64 {
     tb.w.send_now(a, Start);
     let ok = run_jobs(&mut tb.w, CAP);
     assert!(ok, "hive query did not finish");
-    let secs = tb.w.metrics.mean("hive_done_at_s") - tb.w.metrics.mean("hive_start_at_s");
+    let secs = tb.w.jobs.elapsed(job).expect("hive ran").as_secs_f64();
     // Project to the paper's 30M rows: scan scales, plan setup does not.
     let setup_secs = setup_cycles as f64 / (tb.opts.ghz * 1e9);
     setup_secs + (secs - setup_secs) * (PAPER_ROWS as f64 / ROWS as f64)
@@ -61,7 +61,7 @@ fn sqoop_secs(path: ReadPath) -> f64 {
     tb.w.send_now(export, Start);
     let ok = run_jobs(&mut tb.w, CAP);
     assert!(ok, "sqoop export did not finish");
-    let secs = tb.w.metrics.mean("sqoop_done_at_s") - tb.w.metrics.mean("sqoop_start_at_s");
+    let secs = tb.w.jobs.elapsed(job).expect("sqoop ran").as_secs_f64();
     secs * (PAPER_ROWS as f64 / ROWS as f64)
 }
 

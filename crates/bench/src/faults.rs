@@ -18,7 +18,7 @@
 use std::collections::{HashMap, HashSet};
 
 use crate::json::{n, obj, Json};
-use crate::spec::{opt_u64, parse_err, req, req_str, req_u64, SpecError};
+use crate::spec::{check_ms, opt_u64, parse_err, req, req_str, req_u64, SpecError};
 
 use vread_core::{CrashDaemon, CrashDatanodeVm, RestartDaemon};
 use vread_host::cluster::{Cluster, HostIx, VmId};
@@ -109,6 +109,11 @@ impl FaultKind {
     }
 }
 
+/// Window tail of a fault with no restore delay (crashes, restarts,
+/// cache drops), so throughput-during-fault still has a window to
+/// integrate over.
+const NO_RESTORE_TAIL_MS: u64 = 2_000;
+
 /// One planned fault: a simulated instant plus what happens then.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultSpec {
@@ -158,6 +163,14 @@ impl FaultSpec {
             other => return Err(parse_err(format!("fault: unknown kind {other:?}"))),
         };
         Ok(FaultSpec { at_ms, kind })
+    }
+
+    /// Where this fault's window ends, in ms: the fire time plus the
+    /// restore delay, or plus [`NO_RESTORE_TAIL_MS`] for a fault without
+    /// one. `None` when the sum overflows.
+    pub(crate) fn window_end_ms(&self) -> Option<u64> {
+        self.at_ms
+            .checked_add(self.kind.duration_ms().unwrap_or(NO_RESTORE_TAIL_MS))
     }
 }
 
@@ -256,15 +269,34 @@ pub(crate) fn build_fault_actions(
     Ok(plan)
 }
 
+/// Rejects a plan whose fire times, restore delays or window ends would
+/// overflow simulated time. A window end bounds both its fire time and
+/// its restore delay, so it is the one value checked.
+pub(crate) fn check_fault_times(faults: &[FaultSpec]) -> Result<(), SpecError> {
+    for f in faults {
+        check_ms(
+            &format!("fault at_ms {} plus its window tail", f.at_ms),
+            f.window_end_ms(),
+        )?;
+    }
+    Ok(())
+}
+
 /// The fault window `[start, end]` of a plan in simulated time,
-/// extending past the last fire time by each transient fault's restore
-/// delay (crashes without a matching restart get a nominal 2 s tail so
-/// throughput-during-fault still has a window to integrate over).
+/// extending past the last fire time by each fault's
+/// [`FaultSpec::window_end_ms`] tail. The plan must have passed
+/// [`check_fault_times`].
+///
+/// [`crate::Deployment::arm_faults`] installs this window as the run's
+/// [`FaultTrace`](vread_sim::fault::FaultTrace), replacing the narrower
+/// one `schedule_faults` stored. The DFS client's window byte counter
+/// reads it during the run and [`collect_fault_report`] divides that
+/// counter by its length, so both see the same window.
 pub(crate) fn plan_window(faults: &[FaultSpec]) -> (SimTime, SimTime) {
     let start_ms = faults.iter().map(|f| f.at_ms).min().unwrap_or(0);
     let end_ms = faults
         .iter()
-        .map(|f| f.at_ms + f.kind.duration_ms().unwrap_or(2_000))
+        .map(|f| f.window_end_ms().expect("fault times checked"))
         .max()
         .unwrap_or(0);
     (
@@ -382,14 +414,7 @@ pub fn collect_fault_report(w: &World) -> FaultReport {
         if end <= start {
             return None;
         }
-        let at = w.metrics.samples("read_chunk_at_s")?.values();
-        let bytes = w.metrics.samples("read_chunk_bytes")?.values();
-        let inside: f64 = at
-            .iter()
-            .zip(bytes)
-            .filter(|(t, _)| (start..=end).contains(*t))
-            .map(|(_, b)| b)
-            .sum();
+        let inside = w.metrics.counter("fault_window_read_bytes");
         if inside == 0.0 {
             return None;
         }

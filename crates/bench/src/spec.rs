@@ -677,6 +677,46 @@ fn check_ranges(
     Ok(())
 }
 
+/// Rejects a millisecond value whose nanoseconds overflow simulated time
+/// (`u64` ns, about 584 years). `None` stands for a millisecond sum that
+/// already overflowed.
+pub(crate) fn check_ms(what: &str, ms: Option<u64>) -> Result<(), SpecError> {
+    match ms.and_then(|ms| ms.checked_mul(1_000_000)) {
+        Some(_) => Ok(()),
+        None => Err(SpecError::Invalid(format!(
+            "{what} overflows simulated time (at most {} ms)",
+            u64::MAX / 1_000_000
+        ))),
+    }
+}
+
+/// Rejects times the engine cannot represent: a workload's `start_ms`,
+/// its netperf window end (`start_ms + duration_ms`), a fault's window
+/// end (see [`FaultSpec::window_end_ms`]) and the timeline's
+/// `sample_ms`. Unchecked, such a value wraps in a release build (a
+/// fault planned centuries out fires within milliseconds) and panics in
+/// a debug build.
+fn check_times(
+    workloads: &[WorkloadBinding],
+    faults: &[FaultSpec],
+    timeline: Option<&TimelineSpec>,
+) -> Result<(), SpecError> {
+    for b in workloads {
+        check_ms("workload start_ms", Some(b.start_ms))?;
+        if let WorkloadSpec::Netperf { duration_ms, .. } = b.kind {
+            check_ms(
+                "netperf start_ms + duration_ms",
+                b.start_ms.checked_add(duration_ms),
+            )?;
+        }
+    }
+    crate::faults::check_fault_times(faults)?;
+    if let Some(t) = timeline {
+        check_ms("timeline sample_ms", Some(t.sample_ms))?;
+    }
+    Ok(())
+}
+
 /// Descending sort by busy time that tolerates NaN (a NaN would have
 /// panicked the old `partial_cmp().expect()` formulation; `total_cmp`
 /// orders it deterministically instead).
@@ -859,6 +899,7 @@ impl ScenarioSpec {
 
         check_unique_names(&hosts, &vms, &files)?;
         check_ranges(&hosts, &vms, &workloads)?;
+        check_times(&workloads, &faults, timeline.as_ref())?;
 
         Ok(ScenarioSpec {
             seed: opt_u64(&j, "seed", 42, "scenario")?,
@@ -1368,6 +1409,7 @@ impl ScenarioBuilder {
         }
         check_unique_names(&self.hosts, &self.vms, &self.files)?;
         check_ranges(&self.hosts, &self.vms, &self.workloads)?;
+        check_times(&self.workloads, &self.faults, self.timeline.as_ref())?;
         let host_names: std::collections::HashSet<&str> =
             self.hosts.iter().map(|h| h.name.as_str()).collect();
         let mut datanodes = std::collections::HashSet::new();
@@ -1673,6 +1715,11 @@ mod tests {
                 3,
                 r#"{ "kind": "netperf", "request_kb": 1, "duration_ms": 0 }"#,
             ),
+            // a window whose nanoseconds overflow simulated time
+            (
+                3,
+                r#"{ "kind": "netperf", "request_kb": 1, "duration_ms": 18446744073710 }"#,
+            ),
         ];
         for (field, value) in rows {
             let mut v = VALID;
@@ -1688,6 +1735,27 @@ mod tests {
                 matches!(built(v), Err(SpecError::Invalid(_))),
                 "builder accepted {v:?}"
             );
+        }
+    }
+
+    #[test]
+    fn times_that_overflow_simulated_time_are_spec_errors() {
+        // 18446744073709 ms is the largest whole-ms count whose
+        // nanoseconds fit a u64. Unchecked, a daemon crash planned at
+        // 18446744073719 ms wrapped to about 9.4 ms in a release build.
+        // A crash's window gets a 2 s tail, whose end must fit too.
+        let faults = include_str!("../../../scenarios/faults-example.json");
+        let crash = r#""at_ms": 100, "kind": "daemon-crash""#;
+        assert!(faults.contains(crash));
+        for (at_ms, ok) in [
+            (18_446_744_073_719u64, false),
+            (18_446_744_071_710, false),
+            (18_446_744_071_709, true),
+        ] {
+            let moved = crash.replace("100", &at_ms.to_string());
+            let got = ScenarioSpec::from_json(&faults.replace(crash, &moved));
+            assert!(ok == got.is_ok(), "{at_ms}: {got:?}");
+            assert!(ok || matches!(got, Err(SpecError::Invalid(_))), "{got:?}");
         }
     }
 
@@ -1852,6 +1920,25 @@ mod tests {
             faulted.to_json(),
             "fault runs are deterministic"
         );
+    }
+
+    #[test]
+    fn faulted_scenario_samples_only_what_reports_read() {
+        // Elapsed times come from the job table and fault goodput from a
+        // window byte counter, so a faulted run keeps just the delay
+        // series and the two recovery instants `collect_fault_report`
+        // reads.
+        let spec = ScenarioSpec::from_json(include_str!("../../../scenarios/faults-example.json"))
+            .unwrap();
+        let mut d = spec.deploy().unwrap();
+        let bound = spec.bind(&d).unwrap();
+        spec.arm(&mut d, &bound).unwrap();
+        assert!(run_jobs(&mut d.w, SimDuration::from_secs(3_000)));
+        assert_eq!(
+            d.w.metrics.sample_keys().collect::<Vec<_>>(),
+            ["daemon_restart_at_s", "reader_delay_ms", "vread_ok_at_s"]
+        );
+        assert!(d.w.metrics.counter("fault_window_read_bytes") > 0.0);
     }
 
     #[test]

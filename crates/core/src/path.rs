@@ -74,11 +74,6 @@ impl VreadPath {
         }
     }
 
-    /// Open descriptors currently cached (diagnostics).
-    pub fn open_descriptors(&self) -> usize {
-        self.vfds.len()
-    }
-
     fn daemon_of(ctx: &Ctx<'_>, shared: &ClientShared) -> (ActorId, ThreadId) {
         let cl = ctx.world.ext.get::<Cluster>().expect("Cluster missing");
         let host = cl.vm(shared.vm).host;
@@ -114,10 +109,6 @@ impl VreadPath {
         out: &mut Vec<PathEvent>,
     ) {
         ctx.metrics().incr("vread_fallbacks");
-        if ctx.world.ext.get::<FaultTrace>().is_some() {
-            let now = ctx.now().as_secs_f64();
-            ctx.metrics().sample("vread_fallback_at_s", now);
-        }
         self.fallback_tokens.insert(req.token);
         self.fallback.start(ctx, shared, req, out);
     }

@@ -114,16 +114,6 @@ impl RingSpec {
         )
         .into()
     }
-
-    /// Stage: the daemon wakes on its eventfd and reads the request slot.
-    pub fn daemon_wake_stages(&self, c: &Costs, daemon: ThreadId) -> StageList {
-        Stage::cpu(
-            daemon,
-            c.ring_slot_cycles + c.eventfd_cycles,
-            CpuCategory::Daemon,
-        )
-        .into()
-    }
 }
 
 #[cfg(test)]

@@ -460,6 +460,9 @@ pub struct DfsClient {
     /// chunk arrival allocates nothing (empty while lent out).
     events: Vec<PathEvent>,
     m_bytes_read: LazyCounter,
+    /// Bytes delivered inside the [`vread_sim::fault::FaultTrace`]
+    /// window (fault runs only).
+    m_fault_window_bytes: LazyCounter,
     /// Level gauge of in-flight `DfsRead` requests (timeline source).
     m_outstanding: LazyGauge,
 }
@@ -482,6 +485,7 @@ pub fn add_client(w: &mut World, vm: VmId, path_impl: Box<dyn BlockReadPath>) ->
             dead_nodes: IdHashSet::default(),
             events: Vec::new(),
             m_bytes_read: LazyCounter::new("hdfs_bytes_read"),
+            m_fault_window_bytes: LazyCounter::new("fault_window_read_bytes"),
             m_outstanding: LazyGauge::new("hdfs.outstanding_reads"),
         },
     )
@@ -1001,18 +1005,18 @@ impl Actor for DfsClient {
                         }
                     }
                 }
+                let now = ctx.now();
                 if live
                     && ctx
                         .world
                         .ext
                         .get::<vread_sim::fault::FaultTrace>()
-                        .is_some()
+                        .is_some_and(|t| t.contains(now))
                 {
-                    // fault runs record a per-chunk delivery trace so the
-                    // report can compute throughput during the outage
-                    let now = ctx.now().as_secs_f64();
-                    ctx.metrics().sample("read_chunk_at_s", now);
-                    ctx.metrics().sample("read_chunk_bytes", cc.bytes as f64);
+                    // fault runs count the bytes delivered inside the
+                    // fault window: the report divides by its length
+                    self.m_fault_window_bytes
+                        .add(ctx.metrics(), cc.bytes as f64);
                 }
                 self.maybe_finish_read(ctx, cc.rid);
                 return;

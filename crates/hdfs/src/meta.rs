@@ -61,17 +61,6 @@ impl FileMeta {
     pub fn size(&self) -> u64 {
         self.blocks.iter().map(|b| b.len).sum()
     }
-
-    /// The blocks overlapping `[offset, offset+len)` (Algorithm 2's
-    /// `getRangeBlock`).
-    pub fn range_blocks(&self, offset: u64, len: u64) -> Vec<LocatedBlock> {
-        let end = offset + len;
-        self.blocks
-            .iter()
-            .filter(|b| b.offset < end && b.offset + b.len > offset)
-            .cloned()
-            .collect()
-    }
 }
 
 /// Cluster-wide HDFS metadata and configuration.
@@ -137,67 +126,15 @@ impl HdfsMeta {
     pub fn file(&self, path: &str) -> Option<&FileMeta> {
         self.files.get(path)
     }
-
-    /// Picks the replica to read from: with topology awareness, a replica
-    /// co-located with `reader_host` wins; otherwise the primary.
-    pub fn choose_replica(
-        &self,
-        block: &LocatedBlock,
-        co_located: impl Fn(DatanodeIx) -> bool,
-    ) -> DatanodeIx {
-        if self.topology_aware {
-            if let Some(&dn) = block.replicas.iter().find(|&&dn| co_located(dn)) {
-                return dn;
-            }
-        }
-        block.replicas[0]
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn lb(block: u64, offset: u64, len: u64, replicas: Vec<usize>) -> LocatedBlock {
-        LocatedBlock {
-            block: BlockId(block),
-            offset,
-            len,
-            replicas: replicas.into_iter().map(DatanodeIx).collect(),
-        }
-    }
-
     #[test]
     fn block_path_format() {
         assert_eq!(BlockId(17).path(), "/hdfs/data/blk_17");
-    }
-
-    #[test]
-    fn range_blocks_selects_overlaps() {
-        let mut f = FileMeta::default();
-        f.blocks.push(lb(1, 0, 100, vec![0]));
-        f.blocks.push(lb(2, 100, 100, vec![0]));
-        f.blocks.push(lb(3, 200, 100, vec![0]));
-        assert_eq!(f.size(), 300);
-        let r = f.range_blocks(50, 100); // [50,150): blocks 1 and 2
-        assert_eq!(r.len(), 2);
-        assert_eq!(r[0].block, BlockId(1));
-        assert_eq!(r[1].block, BlockId(2));
-        let r = f.range_blocks(100, 100); // exactly block 2
-        assert_eq!(r.len(), 1);
-        assert_eq!(r[0].block, BlockId(2));
-        assert!(f.range_blocks(300, 10).is_empty());
-    }
-
-    #[test]
-    fn choose_replica_prefers_co_located_when_aware() {
-        let mut m = HdfsMeta::new();
-        assert!(m.topology_aware);
-        let b = lb(1, 0, 10, vec![0, 1]);
-        assert_eq!(m.choose_replica(&b, |dn| dn.0 == 1), DatanodeIx(1));
-        assert_eq!(m.choose_replica(&b, |_| false), DatanodeIx(0));
-        m.topology_aware = false;
-        assert_eq!(m.choose_replica(&b, |dn| dn.0 == 1), DatanodeIx(0));
     }
 
     #[test]

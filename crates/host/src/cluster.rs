@@ -192,16 +192,6 @@ impl Cluster {
         &mut self.vms[vm.0]
     }
 
-    /// The hardware row of a VM's host.
-    pub fn host_of(&self, vm: VmId) -> &HostHw {
-        &self.hosts[self.vms[vm.0].host.0]
-    }
-
-    /// Whether two VMs share a physical host (the paper's "co-located").
-    pub fn co_located(&self, a: VmId, b: VmId) -> bool {
-        self.vms[a.0].host == self.vms[b.0].host
-    }
-
     /// Declares that `[image_offset, image_offset+len)` of `vm`'s image
     /// holds `[content_offset, content_offset+len)` of `content`
     /// (typically an HDFS block file, identical across replicas). The
@@ -321,8 +311,8 @@ mod tests {
         let client = cl.add_vm(&mut w, h1, "client");
         let dn1 = cl.add_vm(&mut w, h1, "datanode1");
         let dn2 = cl.add_vm(&mut w, h2, "datanode2");
-        assert!(cl.co_located(client, dn1));
-        assert!(!cl.co_located(client, dn2));
+        assert_eq!(cl.vm(client).host, cl.vm(dn1).host);
+        assert_ne!(cl.vm(client).host, cl.vm(dn2).host);
         assert_eq!(cl.hosts[h1.0].vms.len(), 2);
         assert_ne!(cl.vm(client).fs.image(), cl.vm(dn1).fs.image());
         assert_ne!(cl.vm(client).vcpu, cl.vm(client).vhost);

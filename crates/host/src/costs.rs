@@ -255,11 +255,6 @@ impl Costs {
         self.segments(bytes) * self.host_tcp_segment_cycles
             + (bytes as f64 * 0.5 * self.tcp_cyc_per_byte).round() as u64
     }
-
-    /// Ring-slot bookkeeping cycles to move `bytes` through the vRead ring.
-    pub fn ring_cycles(&self, bytes: u64) -> u64 {
-        bytes.div_ceil(self.ring_slot_bytes).max(1) * self.ring_slot_cycles
-    }
 }
 
 #[cfg(test)]
@@ -288,13 +283,5 @@ mod tests {
         let c = Costs::default();
         assert!(c.tcp_tx_cycles(128 * 1024) > c.tcp_tx_cycles(64 * 1024));
         assert!(c.tcp_rx_cycles(1024) >= c.tcp_rx_segment_cycles);
-    }
-
-    #[test]
-    fn ring_cycles_per_slot() {
-        let c = Costs::default();
-        // 1 MB through 4 KB slots = 256 slots
-        assert_eq!(c.ring_cycles(1 << 20), 256 * c.ring_slot_cycles);
-        assert_eq!(c.ring_cycles(1), c.ring_slot_cycles);
     }
 }

@@ -107,7 +107,7 @@ pub struct GuestFs {
     files: BTreeMap<String, FileId>,
     inodes: Vec<Inode>,
     next_offset: u64,
-    /// Bumped on every namespace change (create/delete/rename); lets a
+    /// Bumped on every namespace change (a create); lets a
     /// mounted snapshot detect staleness cheaply.
     pub namespace_version: u64,
 }
@@ -224,45 +224,6 @@ impl GuestFs {
         })
     }
 
-    /// Deletes a path (the inode's storage is not reclaimed — HDFS blocks
-    /// are large and deletion is rare in the modelled workloads).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FsError::NotFound`] if absent.
-    pub fn delete(&mut self, path: &str) -> Result<(), FsError> {
-        self.files
-            .remove(path)
-            .map(|_| {
-                self.namespace_version += 1;
-            })
-            .ok_or_else(|| FsError::NotFound(path.to_owned()))
-    }
-
-    /// Renames a path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FsError::NotFound`] if `from` is absent or
-    /// [`FsError::Exists`] if `to` is taken.
-    pub fn rename(&mut self, from: &str, to: &str) -> Result<(), FsError> {
-        if self.files.contains_key(to) {
-            return Err(FsError::Exists(to.to_owned()));
-        }
-        let id = self
-            .files
-            .remove(from)
-            .ok_or_else(|| FsError::NotFound(from.to_owned()))?;
-        self.files.insert(to.to_owned(), id);
-        self.namespace_version += 1;
-        Ok(())
-    }
-
-    /// Number of live paths.
-    pub fn file_count(&self) -> usize {
-        self.files.len()
-    }
-
     /// Takes a mount-time snapshot of the namespace (what `losetup` +
     /// `mount -o ro` exposes to the hypervisor).
     pub fn snapshot(&self) -> FsSnapshot {
@@ -344,11 +305,6 @@ impl FsSnapshot {
     pub fn refresh(&mut self, fs: &GuestFs) {
         *self = fs.snapshot();
     }
-
-    /// Number of paths visible through the mount.
-    pub fn file_count(&self) -> usize {
-        self.files.len()
-    }
 }
 
 #[cfg(test)]
@@ -426,17 +382,17 @@ mod tests {
     }
 
     #[test]
-    fn delete_and_rename_bump_version() {
+    fn create_bumps_version() {
         let mut f = fs();
-        f.create("/a").unwrap();
         let v0 = f.namespace_version;
-        f.rename("/a", "/b").unwrap();
-        assert!(f.lookup("/a").is_none());
-        assert!(f.lookup("/b").is_some());
-        f.delete("/b").unwrap();
-        assert!(f.namespace_version >= v0 + 2);
-        assert!(matches!(f.delete("/b"), Err(FsError::NotFound(_))));
-        assert!(matches!(f.rename("/x", "/y"), Err(FsError::NotFound(_))));
+        f.create("/a").unwrap();
+        assert_eq!(f.namespace_version, v0 + 1);
+        assert!(f.create("/a").is_err());
+        assert_eq!(
+            f.namespace_version,
+            v0 + 1,
+            "a failed create changes nothing"
+        );
     }
 
     #[test]

@@ -689,7 +689,7 @@ mod tests {
         // Two receive events: B got the request, A got the echo.
         assert_eq!(w.metrics.samples("recv_ms").unwrap().count(), 2);
         // An intra-host 32KB round trip completes within a few hundred us.
-        let rtt = w.metrics.samples("recv_ms").unwrap().max();
+        let rtt = w.metrics.samples("recv_ms").unwrap().quantile(1.0);
         assert!(rtt < 0.5, "RTT {rtt}ms too slow for idle host");
     }
 

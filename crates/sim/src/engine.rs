@@ -107,11 +107,6 @@ impl Ord for HeapEv {
     }
 }
 
-struct ActorSlot {
-    actor: Option<Box<dyn Actor>>,
-    name: String,
-}
-
 /// The simulation world. See the crate docs for an end-to-end example.
 pub struct World {
     now: SimTime,
@@ -131,7 +126,8 @@ pub struct World {
     /// ones in a sorted list whose last entry is the earliest (see
     /// `crate::timers`).
     timers: CoreTimers,
-    actors: Vec<ActorSlot>,
+    /// `None` once an actor is removed, and while it handles a message.
+    actors: Vec<Option<Box<dyn Actor>>>,
     pub(crate) sched: Sched,
     chains: ChainSlab,
     links: Vec<Link>,
@@ -252,26 +248,19 @@ impl World {
         id
     }
 
-    /// Registers an actor and returns its address.
-    pub fn add_actor(&mut self, name: &str, actor: impl Actor) -> ActorId {
+    /// Registers an actor and returns its address. `_name` labels the
+    /// actor where it is created; the world does not keep it.
+    pub fn add_actor(&mut self, _name: &str, actor: impl Actor) -> ActorId {
         let id = ActorId::from_raw(self.actors.len().try_into().expect("actor table fits u32"));
-        self.actors.push(ActorSlot {
-            actor: Some(Box::new(actor)),
-            name: name.to_owned(),
-        });
+        self.actors.push(Some(Box::new(actor)));
         id
-    }
-
-    /// The diagnostic name an actor was registered with.
-    pub fn actor_name(&self, id: ActorId) -> &str {
-        &self.actors[id.index()].name
     }
 
     /// Removes an actor (e.g. fault injection: crash a server). Messages
     /// already queued for it — and any sent later — are silently dropped,
     /// like packets to a dead process.
     pub fn remove_actor(&mut self, id: ActorId) -> Option<Box<dyn Actor>> {
-        self.actors.get_mut(id.index()).and_then(|s| s.actor.take())
+        self.actors.get_mut(id.index()).and_then(Option::take)
     }
 
     /// Number of registered links (link ids are `0..num_links`).
@@ -689,7 +678,7 @@ impl World {
         let Some(slot) = self.actors.get_mut(idx) else {
             return;
         };
-        let Some(mut actor) = slot.actor.take() else {
+        let Some(mut actor) = slot.take() else {
             // Actor is gone (removed) — drop the message.
             return;
         };
@@ -698,7 +687,7 @@ impl World {
             me: to,
         };
         actor.handle(msg, &mut ctx);
-        self.actors[idx].actor = Some(actor);
+        self.actors[idx] = Some(actor);
     }
 }
 

@@ -16,7 +16,7 @@
 //!   the same deterministic event order as everything else.
 //! * [`FaultTrace`] — an extension-blackboard marker present only in
 //!   fault runs. Data-path actors consult it to decide whether to record
-//!   degradation samples, which keeps no-fault runs bit-identical to a
+//!   degradation metrics, which keeps no-fault runs bit-identical to a
 //!   build without this module.
 //!
 //! An action may return a follow-up (e.g. *restore bandwidth after the
@@ -42,13 +42,21 @@ pub trait FaultAction: 'static {
 }
 
 /// Marker (plus observation window) present in `World::ext` only when a
-/// fault plan is armed. Data-path code gates degradation-tracking samples
-/// on it so that no-fault runs stay byte-identical.
+/// fault plan is armed. Data-path code gates degradation metrics on it
+/// so that no-fault runs stay byte-identical; the DFS client counts the
+/// bytes it delivers while [`FaultTrace::contains`] holds.
+///
+/// Whoever inserts the marker last owns the window, and data-path code
+/// reads it *while the run goes*, so the final window must be in place
+/// before the run starts. [`schedule_faults`] installs the plan's fire
+/// instants; a harness that knows each fault's restore delay replaces
+/// the marker with a widened window right after arming.
 #[derive(Debug, Clone, Copy)]
 pub struct FaultTrace {
     /// Earliest planned fault instant.
     pub window_start: SimTime,
-    /// Latest planned fault instant (plus any known restore delay).
+    /// Last planned fire instant as [`schedule_faults`] stores it, or a
+    /// later instant when the harness widened the window afterwards.
     pub window_end: SimTime,
 }
 
@@ -81,8 +89,6 @@ impl Actor for FaultScheduler {
                 let label = action.label();
                 let now = ctx.now();
                 ctx.world.spans.mark(label, now);
-                let at = ctx.now().as_secs_f64();
-                ctx.metrics().sample("fault_at_s", at);
                 if let Some((delay, follow)) = action.apply(ctx) {
                     let slot = self.slots.len();
                     self.slots.push(Some(follow));
@@ -98,8 +104,11 @@ impl Actor for FaultScheduler {
 }
 
 /// Arms `plan` (pairs of *fire time* and action; times may be unsorted)
-/// and installs the [`FaultTrace`] marker. Times earlier than `w.now()`
-/// fire immediately. Returns the scheduler's actor id.
+/// and installs the [`FaultTrace`] marker spanning the first to the last
+/// fire instant. Follow-up actions (restores) are not in the plan, so
+/// their delays are not in this window; a caller that wants them counted
+/// overwrites the marker before the run starts. Times earlier than
+/// `w.now()` fire immediately. Returns the scheduler's actor id.
 pub fn schedule_faults(w: &mut World, plan: Vec<(SimTime, Box<dyn FaultAction>)>) -> ActorId {
     let start = plan.iter().map(|(t, _)| *t).min().unwrap_or(SimTime::ZERO);
     let end = plan.iter().map(|(t, _)| *t).max().unwrap_or(SimTime::ZERO);

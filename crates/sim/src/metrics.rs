@@ -1,8 +1,16 @@
 //! Lightweight metrics: counters, gauges and sample distributions.
 //!
-//! Workload actors record observations (transaction latencies, bytes read,
-//! completed operations) under string keys; experiment harnesses read them
-//! back after the run.
+//! Workload actors record observations (request delays, bytes moved,
+//! fallbacks, failovers) under string keys; experiment harnesses read
+//! them back after the run. Completion is not a metric: a job's start
+//! and end instants live only in the job table ([`crate::job::Jobs`]),
+//! and elapsed times are read from there.
+//!
+//! A sample set keeps every observation, so only series that something
+//! reads are sampled: per-request delays (whose exact p50/p99 the
+//! benchmark reports) and the few fault-recovery instants. Anything
+//! that only needs a total, such as the bytes delivered inside a fault
+//! window, is a counter.
 //!
 //! # Interning
 //!
@@ -20,8 +28,6 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-
-use crate::time::{SimDuration, SimTime};
 
 /// A set of recorded samples with order statistics.
 ///
@@ -91,18 +97,6 @@ impl Samples {
     /// 99th percentile (`quantile(0.99)`).
     pub fn p99(&self) -> f64 {
         self.quantile(0.99)
-    }
-
-    /// 99.9th percentile (`quantile(0.999)`) — the tail the paper's
-    /// saturation argument is about.
-    pub fn p999(&self) -> f64 {
-        self.quantile(0.999)
-    }
-
-    /// Largest observation, or 0.0 when empty.
-    pub fn max(&self) -> f64 {
-        // vread-lint: allow(float-accum, "f64::max is order-independent (commutative, associative)")
-        self.values.iter().cloned().fold(0.0, f64::max)
     }
 
     /// Raw observations in insertion order.
@@ -233,7 +227,7 @@ impl Metrics {
 
     /// Sets an interned gauge to `v` (O(1), no hashing).
     #[inline]
-    pub fn set_to(&mut self, id: GaugeId, v: f64) {
+    fn set_to(&mut self, id: GaugeId, v: f64) {
         self.gauge_vals[id.0 as usize] = v;
         self.gauge_touched[id.0 as usize] = true;
     }
@@ -243,12 +237,6 @@ impl Metrics {
     pub fn gauge_add_to(&mut self, id: GaugeId, dv: f64) {
         self.gauge_vals[id.0 as usize] += dv;
         self.gauge_touched[id.0 as usize] = true;
-    }
-
-    /// Last written value of an interned gauge.
-    #[inline]
-    pub fn gauge_value(&self, id: GaugeId) -> f64 {
-        self.gauge_vals[id.0 as usize]
     }
 
     // -- string API (resolve-once wrapper) -----------------------------------
@@ -277,21 +265,10 @@ impl Metrics {
         self.record_to(id, v);
     }
 
-    /// Records a duration sample (stored in milliseconds) under `key`.
-    pub fn sample_duration(&mut self, key: &str, d: SimDuration) {
-        self.sample(key, d.as_millis_f64());
-    }
-
     /// Sets gauge `key` to `v` (creating it).
     pub fn set_gauge(&mut self, key: &str, v: f64) {
         let id = self.register_gauge(key);
         self.set_to(id, v);
-    }
-
-    /// Adds `dv` (may be negative) to gauge `key` (creating it at 0).
-    pub fn gauge_add(&mut self, key: &str, dv: f64) {
-        let id = self.register_gauge(key);
-        self.gauge_add_to(id, dv);
     }
 
     /// Last written value of gauge `key` (0.0 when absent or untouched).
@@ -340,16 +317,6 @@ impl Metrics {
             .iter()
             .filter(|(_, id)| self.gauge_touched[id.0 as usize])
             .map(|(k, &id)| (k.as_str(), id, self.gauge_vals[id.0 as usize]))
-    }
-
-    /// Throughput helper: counter `key` divided by elapsed seconds.
-    pub fn rate_per_sec(&self, key: &str, start: SimTime, end: SimTime) -> f64 {
-        let secs = end.since(start).as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.counter(key) / secs
-        }
     }
 
     /// Clears all recorded values (used between warm-up and measurement
@@ -446,12 +413,6 @@ impl LazySamples {
         };
         m.record_to(id, v);
     }
-
-    /// Records a duration observation in milliseconds.
-    #[inline]
-    pub fn record_duration(&self, m: &mut Metrics, d: SimDuration) {
-        self.record(m, d.as_millis_f64());
-    }
 }
 
 /// A gauge handle that resolves its key on first use.
@@ -523,7 +484,6 @@ mod tests {
         assert_eq!(s.mean(), 2.5);
         assert_eq!(s.quantile(0.0), 1.0);
         assert_eq!(s.quantile(1.0), 4.0);
-        assert_eq!(s.max(), 4.0);
     }
 
     #[test]
@@ -545,25 +505,6 @@ mod tests {
         let s = Samples::default();
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.quantile(0.5), 0.0);
-    }
-
-    #[test]
-    fn rate_per_sec() {
-        let mut m = Metrics::new();
-        m.add("bytes", 1e9);
-        let r = m.rate_per_sec(
-            "bytes",
-            SimTime::ZERO,
-            SimTime::ZERO + SimDuration::from_secs(2),
-        );
-        assert_eq!(r, 5e8);
-    }
-
-    #[test]
-    fn duration_samples_in_ms() {
-        let mut m = Metrics::new();
-        m.sample_duration("lat", SimDuration::from_micros(1500));
-        assert!((m.mean("lat") - 1.5).abs() < 1e-9);
     }
 
     #[test]
@@ -605,7 +546,6 @@ mod tests {
         assert_eq!(s.quantile(0.0), 7.5);
         assert_eq!(s.p50(), 7.5);
         assert_eq!(s.p99(), 7.5);
-        assert_eq!(s.p999(), 7.5);
         assert_eq!(s.quantile(1.0), 7.5);
     }
 
@@ -617,7 +557,7 @@ mod tests {
         }
         assert_eq!(s.p50(), 500.0); // nearest-rank on 0..=999
         assert_eq!(s.p99(), 989.0);
-        assert_eq!(s.p999(), 998.0);
+        assert_eq!(s.quantile(0.999), 998.0);
     }
 
     #[test]
@@ -637,17 +577,16 @@ mod tests {
         let mut m = Metrics::new();
         let g = m.register_gauge("inflight");
         assert_eq!(m.gauges().count(), 0, "registered-but-unwritten hidden");
-        m.set_to(g, 4.0);
+        m.set_gauge("inflight", 4.0);
+        m.gauge_add_to(g, -1.0); // the id hits the string key's slot
         m.gauge_add_to(g, -1.0);
-        m.gauge_add("inflight", -1.0); // string API hits the same slot
         assert_eq!(m.gauge("inflight"), 2.0);
-        assert_eq!(m.gauge_value(g), 2.0);
         assert_eq!(m.gauges().collect::<Vec<_>>(), vec![("inflight", g, 2.0)]);
         m.reset();
         assert_eq!(m.gauge("inflight"), 0.0, "last-value cleared by reset");
         assert_eq!(m.gauges().count(), 0, "untouched gauges hidden");
-        m.set_gauge("inflight", 9.0); // id survives the reset
-        assert_eq!(m.gauge_value(g), 9.0);
+        m.set_to(g, 9.0); // id survives the reset
+        assert_eq!(m.gauge("inflight"), 9.0);
     }
 
     #[test]
@@ -675,7 +614,7 @@ mod tests {
             s.record(&mut m, 2.0);
         }
         c.add(&mut m, 4.0);
-        s.record_duration(&mut m, SimDuration::from_micros(500));
+        s.record(&mut m, 0.5);
         assert_eq!(m.counter("hot_ops"), 7.0);
         assert_eq!(m.samples("hot_lat").unwrap().count(), 4);
         assert!((m.samples("hot_lat").unwrap().values()[3] - 0.5).abs() < 1e-9);

@@ -3,7 +3,7 @@
 //! The engine must be bit-for-bit reproducible across runs and platforms,
 //! so it carries its own tiny SplitMix64/xoshiro-style generator instead of
 //! depending on thread-local entropy. Workload generators in higher crates
-//! draw from the world's RNG (or a fork of it) so a scenario is fully
+//! draw from a generator seeded from the scenario, so a scenario is fully
 //! described by its seed.
 
 /// A small, fast, deterministic PRNG (SplitMix64 core).
@@ -58,21 +58,9 @@ impl SimRng {
         lo + self.below(hi - lo)
     }
 
-    /// An exponentially distributed value with the given mean.
-    pub fn exp(&mut self, mean: f64) -> f64 {
-        let u = self.next_f64().max(1e-12);
-        -mean * u.ln()
-    }
-
     /// `true` with probability `p`.
     pub fn chance(&mut self, p: f64) -> bool {
         self.next_f64() < p
-    }
-
-    /// Forks an independent generator (e.g. one per workload actor) whose
-    /// stream does not perturb the parent's.
-    pub fn fork(&mut self) -> SimRng {
-        SimRng::new(self.next_u64())
     }
 
     /// Fisher–Yates shuffle.
@@ -128,17 +116,6 @@ mod tests {
     }
 
     #[test]
-    fn exp_mean_close() {
-        let mut r = SimRng::new(13);
-        let mut sum = 0.0;
-        for _ in 0..20_000 {
-            sum += r.exp(4.0);
-        }
-        let mean = sum / 20_000.0;
-        assert!((mean - 4.0).abs() < 0.2, "exp mean {mean}");
-    }
-
-    #[test]
     fn shuffle_is_permutation() {
         let mut r = SimRng::new(17);
         let mut v: Vec<u32> = (0..50).collect();
@@ -146,13 +123,5 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn fork_streams_are_independent() {
-        let mut a = SimRng::new(5);
-        let mut f = a.fork();
-        // the fork's next value differs from the parent's next value
-        assert_ne!(a.next_u64(), f.next_u64());
     }
 }

@@ -618,12 +618,6 @@ impl World {
         self.sched.hosts[host.index()].cache_pressure = factor;
     }
 
-    /// Number of runnable (queued + running) threads on a host. Exposed
-    /// for tests and harness diagnostics.
-    pub fn runnable_threads(&self, host: HostId) -> usize {
-        self.sched.hosts[host.index()].nr_runnable()
-    }
-
     /// The host a thread belongs to.
     pub fn thread_host(&self, thread: ThreadId) -> HostId {
         self.sched.threads[thread.index()].host

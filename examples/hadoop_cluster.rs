@@ -35,7 +35,7 @@ fn dfsio(tb: &mut Testbed, client: ActorId, files: &[String]) -> (f64, f64) {
     let a = tb.w.add_actor("dfsio", app);
     tb.w.send_now(a, Start);
     assert!(run_jobs(&mut tb.w, SimDuration::from_secs(600)));
-    let secs = tb.w.metrics.mean("dfsio_done_at_s") - tb.w.metrics.mean("dfsio_start_at_s");
+    let secs = tb.w.jobs.elapsed(job).expect("dfsio ran").as_secs_f64();
     let mbps = tb.w.metrics.counter("dfsio_bytes") / 1e6 / secs;
     let cpu_ms = (tb.w.acct.busy_ns(vcpu.index()) - busy0) as f64 / 1e6;
     (mbps, cpu_ms)

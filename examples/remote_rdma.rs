@@ -37,7 +37,7 @@ fn main() {
         let a = tb.w.add_actor("reader", reader);
         tb.w.send_now(a, Start);
         assert!(run_jobs(&mut tb.w, SimDuration::from_secs(600)));
-        let secs = tb.w.metrics.mean("reader_done_at_s") - tb.w.metrics.mean("reader_start_at_s");
+        let secs = tb.w.jobs.elapsed(job).expect("reader ran").as_secs_f64();
 
         let (d1, d2) = {
             let reg = tb.w.ext.get::<VreadRegistry>().unwrap();

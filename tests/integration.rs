@@ -11,7 +11,7 @@ use vread::sim::prelude::*;
 
 const CAP: SimDuration = SimDuration::from_secs(600);
 
-fn reader_done(tb: &mut Testbed, client: ActorId, path: &str, req: u64, total: u64) -> f64 {
+fn reader_secs(tb: &mut Testbed, client: ActorId, path: &str, req: u64, total: u64) -> f64 {
     tb.w.metrics.reset();
     let job = tb.w.register_job("reader");
     let r = JavaReader::new(
@@ -28,7 +28,7 @@ fn reader_done(tb: &mut Testbed, client: ActorId, path: &str, req: u64, total: u
     tb.w.send_now(a, Start);
     assert!(run_jobs(&mut tb.w, CAP));
     assert_eq!(tb.w.metrics.counter("reader_bytes"), total as f64);
-    tb.w.metrics.mean("reader_done_at_s") - tb.w.metrics.mean("reader_start_at_s")
+    tb.w.jobs.elapsed(job).expect("reader ran").as_secs_f64()
 }
 
 /// The headline claim, end-to-end through every layer: vRead beats
@@ -42,8 +42,8 @@ fn headline_speedups_hold_in_all_vm_configs() {
             let mut tb = Testbed::build(TestbedOpts::new().four_vms(four_vms).path(path));
             tb.populate("/f", 128 << 20, Locality::CoLocated);
             let client = tb.make_client();
-            let cold = reader_done(&mut tb, client, "/f", 1 << 20, 128 << 20);
-            let warm = reader_done(&mut tb, client, "/f", 1 << 20, 128 << 20);
+            let cold = reader_secs(&mut tb, client, "/f", 1 << 20, 128 << 20);
+            let warm = reader_secs(&mut tb, client, "/f", 1 << 20, 128 << 20);
             res.push((cold, warm));
         }
         let (va, vr) = (res[0], res[1]);
@@ -215,7 +215,7 @@ fn scenarios_are_deterministic() {
         let mut tb = Testbed::build(TestbedOpts::new().four_vms(true).path(ReadPath::VreadRdma));
         tb.populate("/f", 32 << 20, Locality::Hybrid);
         let client = tb.make_client();
-        let secs = reader_done(&mut tb, client, "/f", 1 << 20, 32 << 20);
+        let secs = reader_secs(&mut tb, client, "/f", 1 << 20, 32 << 20);
         (secs.to_bits(), tb.w.events_processed())
     };
     assert_eq!(run(), run());
@@ -230,8 +230,8 @@ fn frequency_scaling_widens_the_gap() {
         tb.populate("/f", 96 << 20, Locality::CoLocated);
         let client = tb.make_client();
         // measure re-read (CPU-bound regime)
-        let _ = reader_done(&mut tb, client, "/f", 1 << 20, 96 << 20);
-        let secs = reader_done(&mut tb, client, "/f", 1 << 20, 96 << 20);
+        let _ = reader_secs(&mut tb, client, "/f", 1 << 20, 96 << 20);
+        let secs = reader_secs(&mut tb, client, "/f", 1 << 20, 96 << 20);
         (96 << 20) as f64 / secs
     };
     let slow_gain = tput(1.6, ReadPath::VreadRdma) / tput(1.6, ReadPath::Vanilla);
