@@ -7,15 +7,16 @@
 //! repro trace [vanilla|vread-rdma|vread-tcp|cas-dedup|all] [--trace-out FILE] [--jobs N]
 //! repro timeline [<file.json>... | ramp] [--sample-ms N] [--trace-out FILE] [--jobs N]
 //! repro fault-matrix [--jobs N]
-//! repro bench-engine [--out FILE]
-//! repro lint [--format text|json|sarif] [--update-baseline]
 //! ```
 //!
 //! Experiments run in parallel across `--jobs` worker threads (default:
 //! available cores), fanned out through the engine's deterministic
 //! `run_indexed` pool. Every world builds from a fixed seed and runs on
 //! one worker, so results — and the JSON written with `--json` — are
-//! byte-identical at any job count.
+//! byte-identical at any job count. The subcommands default to one
+//! worker; a `--jobs` given before the subcommand carries over.
+//!
+//! Every usage error exits 2 before any world runs.
 
 use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -24,35 +25,16 @@ use vread_bench::experiments;
 use vread_sim::par::{run_indexed, run_indexed_streamed};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let registry = experiments::registry();
+    let mut args = std::env::args().skip(1);
 
     let mut json_dir: Option<String> = None;
     let mut jobs: Option<usize> = None;
     let mut wanted: Vec<String> = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
+    while let Some(a) = args.next() {
         match a.as_str() {
-            "--json" => {
-                json_dir = it.next();
-                if json_dir.is_none() {
-                    eprintln!("--json needs a directory argument");
-                    std::process::exit(2);
-                }
-            }
-            "--jobs" => {
-                let Some(v) = it.next() else {
-                    eprintln!("--jobs needs a thread-count argument");
-                    std::process::exit(2);
-                };
-                match v.parse::<usize>() {
-                    Ok(n) if n >= 1 => jobs = Some(n),
-                    _ => {
-                        eprintln!("--jobs needs a positive integer, got {v:?}");
-                        std::process::exit(2);
-                    }
-                }
-            }
+            "--json" => json_dir = Some(flag_value(&mut args, "--json", "a directory")),
+            "--jobs" => jobs = Some(parse_jobs(&mut args)),
             "list" => {
                 for (id, _) in &registry {
                     println!("{id}");
@@ -65,231 +47,26 @@ fn main() {
                     "timeline [<file.json>... | ramp] [--sample-ms N] [--trace-out FILE] [--jobs N]"
                 );
                 println!("fault-matrix [--jobs N]");
-                println!("bench-engine [--out FILE]");
-                println!("lint [--format text|json|sarif] [--update-baseline]");
                 return;
             }
-            "lint" => {
-                let mut format = "text".to_owned();
-                let mut update_baseline = false;
-                while let Some(a) = it.next() {
-                    match a.as_str() {
-                        "--format" => match it.next().as_deref() {
-                            Some("human") => format = "text".to_owned(),
-                            Some(f @ ("text" | "json" | "sarif")) => format = f.to_owned(),
-                            other => {
-                                eprintln!(
-                                    "--format needs `text`, `json` or `sarif`, got {other:?}"
-                                );
-                                std::process::exit(2);
-                            }
-                        },
-                        "--update-baseline" => update_baseline = true,
-                        other => {
-                            eprintln!("lint: unknown argument {other:?}");
-                            std::process::exit(2);
-                        }
-                    }
-                }
-                run_lint(&format, update_baseline);
-                return;
-            }
-            "scenario" => {
-                let mut files: Vec<String> = Vec::new();
-                let mut spans = false;
-                let mut s_jobs = jobs;
-                while let Some(a) = it.next() {
-                    match a.as_str() {
-                        "--spans" => spans = true,
-                        "--jobs" => {
-                            let parsed = it.next().and_then(|v| v.parse::<usize>().ok());
-                            match parsed {
-                                Some(n) if n >= 1 => s_jobs = Some(n),
-                                _ => {
-                                    eprintln!("--jobs needs a positive integer");
-                                    std::process::exit(2);
-                                }
-                            }
-                        }
-                        other if other.starts_with("--") => {
-                            eprintln!("scenario: unknown argument {other:?}");
-                            std::process::exit(2);
-                        }
-                        file => files.push(file.to_owned()),
-                    }
-                }
-                if files.is_empty() {
-                    eprintln!("scenario needs a JSON file argument");
-                    std::process::exit(2);
-                }
-                scenario_cmd(&files, spans, s_jobs.unwrap_or(1));
-                return;
-            }
-            "trace" => {
-                let mut which: Vec<TraceCell> = Vec::new();
-                let mut trace_out: Option<String> = None;
-                let mut t_jobs = jobs;
-                while let Some(a) = it.next() {
-                    match a.as_str() {
-                        "--trace-out" => match it.next() {
-                            Some(f) => trace_out = Some(f),
-                            None => {
-                                eprintln!("--trace-out needs a file argument");
-                                std::process::exit(2);
-                            }
-                        },
-                        "--jobs" => {
-                            let parsed = it.next().and_then(|v| v.parse::<usize>().ok());
-                            match parsed {
-                                Some(n) if n >= 1 => t_jobs = Some(n),
-                                _ => {
-                                    eprintln!("--jobs needs a positive integer");
-                                    std::process::exit(2);
-                                }
-                            }
-                        }
-                        "all" => {
-                            which.extend(vread_bench::ReadPath::ALL.map(TraceCell::Path));
-                            which.push(TraceCell::CasDedup);
-                        }
-                        "cas-dedup" => which.push(TraceCell::CasDedup),
-                        other => match vread_bench::ReadPath::parse(other) {
-                            Some(p) => which.push(TraceCell::Path(p)),
-                            None => {
-                                eprintln!(
-                                    "trace: unknown path {other:?} \
-                                     (expected vanilla|vread-rdma|vread-tcp|cas-dedup|all)"
-                                );
-                                std::process::exit(2);
-                            }
-                        },
-                    }
-                }
-                if which.is_empty() {
-                    which.extend(vread_bench::ReadPath::ALL.map(TraceCell::Path));
-                    which.push(TraceCell::CasDedup);
-                }
-                trace_cmd(&which, trace_out.as_deref(), t_jobs.unwrap_or(1));
-                return;
-            }
-            "timeline" => {
-                let mut cells: Vec<TimelineCell> = Vec::new();
-                let mut sample_ms: Option<u64> = None;
-                let mut trace_out: Option<String> = None;
-                let mut tl_jobs = jobs;
-                while let Some(a) = it.next() {
-                    match a.as_str() {
-                        "--sample-ms" => {
-                            let parsed = it.next().and_then(|v| v.parse::<u64>().ok());
-                            match parsed {
-                                Some(n) if n >= 1 => sample_ms = Some(n),
-                                _ => {
-                                    eprintln!("--sample-ms needs a positive integer");
-                                    std::process::exit(2);
-                                }
-                            }
-                        }
-                        "--trace-out" => match it.next() {
-                            Some(f) => trace_out = Some(f),
-                            None => {
-                                eprintln!("--trace-out needs a file argument");
-                                std::process::exit(2);
-                            }
-                        },
-                        "--jobs" => {
-                            let parsed = it.next().and_then(|v| v.parse::<usize>().ok());
-                            match parsed {
-                                Some(n) if n >= 1 => tl_jobs = Some(n),
-                                _ => {
-                                    eprintln!("--jobs needs a positive integer");
-                                    std::process::exit(2);
-                                }
-                            }
-                        }
-                        "ramp" => {
-                            cells.push(TimelineCell::Ramp(vread_bench::ReadPath::Vanilla));
-                            cells.push(TimelineCell::Ramp(vread_bench::ReadPath::VreadRdma));
-                        }
-                        other if other.starts_with("--") => {
-                            eprintln!("timeline: unknown argument {other:?}");
-                            std::process::exit(2);
-                        }
-                        file => cells.push(TimelineCell::File(file.to_owned())),
-                    }
-                }
-                if cells.is_empty() {
-                    cells.push(TimelineCell::Ramp(vread_bench::ReadPath::Vanilla));
-                    cells.push(TimelineCell::Ramp(vread_bench::ReadPath::VreadRdma));
-                }
-                timeline_cmd(
-                    &cells,
-                    sample_ms,
-                    trace_out.as_deref(),
-                    tl_jobs.unwrap_or(1),
-                );
-                return;
-            }
-            "fault-matrix" => {
-                let mut fm_jobs = jobs;
-                while let Some(a) = it.next() {
-                    match a.as_str() {
-                        "--jobs" => {
-                            let parsed = it.next().and_then(|v| v.parse::<usize>().ok());
-                            match parsed {
-                                Some(n) if n >= 1 => fm_jobs = Some(n),
-                                _ => {
-                                    eprintln!("--jobs needs a positive integer");
-                                    std::process::exit(2);
-                                }
-                            }
-                        }
-                        other => {
-                            eprintln!("fault-matrix: unknown argument {other:?}");
-                            std::process::exit(2);
-                        }
-                    }
-                }
-                fault_matrix(fm_jobs.unwrap_or(1));
-                return;
-            }
-            "bench-engine" => {
-                let mut out = "BENCH_engine.json".to_owned();
-                while let Some(a) = it.next() {
-                    match a.as_str() {
-                        "--out" => match it.next() {
-                            Some(f) => out = f,
-                            None => {
-                                eprintln!("--out needs a file argument");
-                                std::process::exit(2);
-                            }
-                        },
-                        other => {
-                            eprintln!("bench-engine: unknown argument {other:?}");
-                            std::process::exit(2);
-                        }
-                    }
-                }
-                bench_engine(&out);
-                return;
-            }
-            other if other.starts_with("--") => {
-                eprintln!("unknown option {other:?}");
-                std::process::exit(2);
-            }
+            "scenario" => return scenario_args(args, jobs.unwrap_or(1)),
+            "trace" => return trace_args(args, jobs.unwrap_or(1)),
+            "timeline" => return timeline_args(args, jobs.unwrap_or(1)),
+            "fault-matrix" => return fault_matrix_args(args, jobs.unwrap_or(1)),
+            other if other.starts_with("--") => usage_error(&format!("unknown option {other:?}")),
             _ => wanted.push(a),
         }
     }
     if wanted.is_empty() {
         eprintln!("usage: repro [--json DIR] [--jobs N] <experiment>... | all | list");
-        eprintln!(
+        usage_error(&format!(
             "experiments: {}",
             registry
                 .iter()
                 .map(|(i, _)| *i)
                 .collect::<Vec<_>>()
                 .join(" ")
-        );
-        std::process::exit(2);
+        ));
     }
     if wanted.iter().any(|w| w == "all") {
         wanted = registry.iter().map(|(id, _)| (*id).to_owned()).collect();
@@ -298,12 +75,9 @@ fn main() {
     // Resolve every name up front so an unknown experiment fails fast.
     let runners: Vec<(&str, experiments::Runner)> = wanted
         .iter()
-        .map(|want| {
-            let Some(&(id, runner)) = registry.iter().find(|(id, _)| id == want) else {
-                eprintln!("unknown experiment: {want}");
-                std::process::exit(2);
-            };
-            (id, runner)
+        .map(|want| match registry.iter().find(|(id, _)| id == want) {
+            Some(&(id, runner)) => (id, runner),
+            None => usage_error(&format!("unknown experiment: {want}")),
         })
         .collect();
 
@@ -315,6 +89,28 @@ fn main() {
     if failed > 0 {
         eprintln!("{failed} experiment(s) failed");
         std::process::exit(1);
+    }
+}
+
+/// Prints `msg` and exits 2, the code of every usage error.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
+
+/// The argument that follows `flag`, or a usage error naming `what` the
+/// flag needs.
+fn flag_value(args: &mut impl Iterator<Item = String>, flag: &str, what: &str) -> String {
+    args.next()
+        .unwrap_or_else(|| usage_error(&format!("{flag} needs {what} argument")))
+}
+
+/// The worker-thread count that follows `--jobs`: a positive integer.
+fn parse_jobs(args: &mut impl Iterator<Item = String>) -> usize {
+    let v = flag_value(args, "--jobs", "a thread-count");
+    match v.parse::<usize>() {
+        Ok(n) if n >= 1 => n,
+        _ => usage_error(&format!("--jobs needs a positive integer, got {v:?}")),
     }
 }
 
@@ -366,6 +162,26 @@ fn run_parallel(
 // scenario: run declarative scenario files and print their reports.
 // ---------------------------------------------------------------------------
 
+/// Parses `scenario`'s arguments, then runs it.
+fn scenario_args(mut args: impl Iterator<Item = String>, mut jobs: usize) {
+    let mut files: Vec<String> = Vec::new();
+    let mut spans = false;
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--spans" => spans = true,
+            "--jobs" => jobs = parse_jobs(&mut args),
+            other if other.starts_with("--") => {
+                usage_error(&format!("scenario: unknown argument {other:?}"))
+            }
+            _ => files.push(a),
+        }
+    }
+    if files.is_empty() {
+        usage_error("scenario needs a JSON file argument");
+    }
+    scenario_cmd(&files, spans, jobs);
+}
+
 /// Runs every scenario file across `jobs` worker threads and prints the
 /// reports strictly in input order — each world is independent, so the
 /// job count cannot change any output. A single file prints just its
@@ -407,78 +223,6 @@ fn scenario_cmd(files: &[String], spans: bool, jobs: usize) {
 }
 
 // ---------------------------------------------------------------------------
-// lint: the determinism gate. Runs vread-lint over the workspace's own
-// sources; any violation (or stale allow annotation) fails the run, and
-// the suppression ratchet fails it when a per-rule violation/allow count
-// grows past the committed lint-baseline.json. Exit codes are the
-// linter's own: 1 violations, 2 usage/IO, 3 bad/stale allows, 4 ratchet
-// regression.
-// ---------------------------------------------------------------------------
-
-fn run_lint(format: &str, update_baseline: bool) {
-    let cwd = std::env::current_dir().unwrap_or_else(|_| ".".into());
-    let Some(root) = vread_lint::find_workspace_root(&cwd) else {
-        eprintln!("lint: no workspace root found above {}", cwd.display());
-        std::process::exit(2);
-    };
-    let report = match vread_lint::run_workspace(&root) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("lint: {e}");
-            std::process::exit(2);
-        }
-    };
-    match format {
-        "json" => print!("{}", report.render_json()),
-        "sarif" => print!("{}", vread_lint::sarif::render_sarif(&report)),
-        _ => print!("{}", report.render_human()),
-    }
-
-    let baseline_path = root.join("lint-baseline.json");
-    let counts = report.rule_counts();
-    let mut ratchet_regressed = false;
-    if update_baseline {
-        let b = vread_lint::baseline::Baseline::from_counts(&counts);
-        if let Err(e) = std::fs::write(&baseline_path, b.render()) {
-            eprintln!("lint: cannot write {}: {e}", baseline_path.display());
-            std::process::exit(2);
-        }
-        eprintln!("lint: baseline written to {}", baseline_path.display());
-    } else {
-        match std::fs::read_to_string(&baseline_path) {
-            Ok(text) => match vread_lint::baseline::Baseline::parse(&text) {
-                Ok(b) => {
-                    for r in b.regressions(&counts) {
-                        ratchet_regressed = true;
-                        eprintln!(
-                            "lint: ratchet: {} {} grew {} -> {} (fix the new site or \
-                             consciously run `repro lint --update-baseline`)",
-                            r.rule, r.counter, r.baseline, r.current
-                        );
-                    }
-                }
-                Err(e) => {
-                    eprintln!("lint: {}: {e}", baseline_path.display());
-                    std::process::exit(2);
-                }
-            },
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => {
-                eprintln!("lint: cannot read {}: {e}", baseline_path.display());
-                std::process::exit(2);
-            }
-        }
-    }
-
-    match report.gate() {
-        vread_lint::Gate::Violations => std::process::exit(1),
-        vread_lint::Gate::BadAllow => std::process::exit(3),
-        vread_lint::Gate::Clean if ratchet_regressed => std::process::exit(4),
-        vread_lint::Gate::Clean => {}
-    }
-}
-
-// ---------------------------------------------------------------------------
 // trace: the observability gate. Runs the standard co-located reader
 // scenario per read path with the span flight recorder on, prints the
 // per-layer cycle/copy table and the copies-per-read ledger, asserts
@@ -495,12 +239,45 @@ enum TraceCell {
 }
 
 impl TraceCell {
+    /// Every cell: each read path, then the dedup demonstration.
+    fn all() -> impl Iterator<Item = TraceCell> {
+        vread_bench::ReadPath::ALL
+            .map(TraceCell::Path)
+            .into_iter()
+            .chain([TraceCell::CasDedup])
+    }
+
     fn as_str(self) -> &'static str {
         match self {
             TraceCell::Path(p) => p.as_str(),
             TraceCell::CasDedup => "cas-dedup",
         }
     }
+}
+
+/// Parses `trace`'s arguments, then runs it. No path means every cell.
+fn trace_args(mut args: impl Iterator<Item = String>, mut jobs: usize) {
+    let mut which: Vec<TraceCell> = Vec::new();
+    let mut trace_out: Option<String> = None;
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--trace-out" => trace_out = Some(flag_value(&mut args, "--trace-out", "a file")),
+            "--jobs" => jobs = parse_jobs(&mut args),
+            "all" => which.extend(TraceCell::all()),
+            "cas-dedup" => which.push(TraceCell::CasDedup),
+            other => match vread_bench::ReadPath::parse(other) {
+                Some(p) => which.push(TraceCell::Path(p)),
+                None => usage_error(&format!(
+                    "trace: unknown path {other:?} \
+                     (expected vanilla|vread-rdma|vread-tcp|cas-dedup|all)"
+                )),
+            },
+        }
+    }
+    if which.is_empty() {
+        which.extend(TraceCell::all());
+    }
+    trace_cmd(&which, trace_out.as_deref(), jobs);
 }
 
 /// The standard trace scenario: two hosts, client + dn1 on h1, data
@@ -582,6 +359,7 @@ fn trace_cas_one() -> (bool, String, String) {
     use vread_bench::SpanSummary;
     use vread_hdfs::HdfsMeta;
     use vread_host::cluster::HostCacheMode;
+    use vread_sim::prelude::{ActorId, SimDuration, Start};
 
     const FILE: u64 = 16 << 20;
     fn pass(d: &mut vread_bench::Deployment, client: ActorId, vm: vread_host::cluster::VmId) {
@@ -721,6 +499,44 @@ impl TimelineCell {
             TimelineCell::Ramp(p) => format!("ramp-{}", p.as_str()),
         }
     }
+}
+
+/// Parses `timeline`'s arguments, then runs it. No cell means both
+/// ramps.
+fn timeline_args(mut args: impl Iterator<Item = String>, mut jobs: usize) {
+    const RAMPS: [TimelineCell; 2] = [
+        TimelineCell::Ramp(vread_bench::ReadPath::Vanilla),
+        TimelineCell::Ramp(vread_bench::ReadPath::VreadRdma),
+    ];
+    let mut cells: Vec<TimelineCell> = Vec::new();
+    let mut sample_ms: Option<u64> = None;
+    let mut trace_out: Option<String> = None;
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--sample-ms" => {
+                let ms = match args.next().and_then(|v| v.parse::<u64>().ok()) {
+                    Some(n) if n >= 1 => n,
+                    _ => usage_error("--sample-ms needs a positive integer"),
+                };
+                // The same bound a scenario's `timeline.sample_ms` gets.
+                if let Err(e) = vread_bench::spec::check_ms("--sample-ms", Some(ms)) {
+                    usage_error(&e.to_string());
+                }
+                sample_ms = Some(ms);
+            }
+            "--trace-out" => trace_out = Some(flag_value(&mut args, "--trace-out", "a file")),
+            "--jobs" => jobs = parse_jobs(&mut args),
+            "ramp" => cells.extend(RAMPS),
+            other if other.starts_with("--") => {
+                usage_error(&format!("timeline: unknown argument {other:?}"))
+            }
+            _ => cells.push(TimelineCell::File(a)),
+        }
+    }
+    if cells.is_empty() {
+        cells.extend(RAMPS);
+    }
+    timeline_cmd(&cells, sample_ms, trace_out.as_deref(), jobs);
 }
 
 /// The ramp scenario: six reader clients start 150 ms apart on one
@@ -915,6 +731,17 @@ fn fault_timelines() -> Vec<(&'static str, Vec<(u64, vread_bench::FaultKind)>)> 
     ]
 }
 
+/// Parses `fault-matrix`'s arguments, then runs it.
+fn fault_matrix_args(mut args: impl Iterator<Item = String>, mut jobs: usize) {
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--jobs" => jobs = parse_jobs(&mut args),
+            other => usage_error(&format!("fault-matrix: unknown argument {other:?}")),
+        }
+    }
+    fault_matrix(jobs);
+}
+
 fn fault_cell(
     path: vread_bench::ReadPath,
     name: &str,
@@ -987,267 +814,4 @@ fn fault_matrix(jobs: usize) {
         eprintln!("{failed} fault-matrix cell(s) failed");
         std::process::exit(1);
     }
-}
-
-// ---------------------------------------------------------------------------
-// bench-engine: the perf gate. Runs the hot-path engine workloads
-// in-process and writes events/sec + ns/event to a JSON file.
-// ---------------------------------------------------------------------------
-
-use vread_sim::prelude::*;
-
-struct PingPong {
-    left: u32,
-}
-struct Ball;
-impl Actor for PingPong {
-    fn handle(&mut self, msg: BoxMsg, ctx: &mut Ctx<'_>) {
-        if (msg.is::<Start>() || msg.is::<Ball>()) && self.left > 0 {
-            self.left -= 1;
-            let me = ctx.me();
-            ctx.send(me, Ball);
-        }
-    }
-}
-
-struct Sink;
-struct Fin;
-impl Actor for Sink {
-    fn handle(&mut self, _msg: BoxMsg, _ctx: &mut Ctx<'_>) {}
-}
-
-/// A CPU hog that runs `left` bursts back to back, then stops.
-struct Spin {
-    thread: ThreadId,
-    burst: u64,
-    left: u32,
-}
-impl Actor for Spin {
-    fn handle(&mut self, _msg: BoxMsg, ctx: &mut Ctx<'_>) {
-        if self.left > 0 {
-            self.left -= 1;
-            let me = ctx.me();
-            ctx.cpu(self.thread, self.burst, CpuCategory::Lookbusy, me, Fin);
-        }
-    }
-}
-
-struct BenchResult {
-    name: &'static str,
-    events: u64,
-    ns_per_event: f64,
-    /// Extra deterministic figures appended to the JSON entry (simulated
-    /// quantities, not wall time — safe to compare across CI runs).
-    extras: Vec<(&'static str, f64)>,
-}
-
-impl BenchResult {
-    fn events_per_sec(&self) -> f64 {
-        1e9 / self.ns_per_event
-    }
-
-    fn to_json_entry(&self) -> String {
-        let mut s = format!(
-            "    {{\n      \"name\": \"{}\",\n      \"events\": {},\n      \
-             \"ns_per_event\": {:.2},\n      \"events_per_sec\": {:.0}",
-            self.name,
-            self.events,
-            self.ns_per_event,
-            self.events_per_sec()
-        );
-        for (k, v) in &self.extras {
-            s.push_str(&format!(",\n      \"{k}\": {v:.2}"));
-        }
-        s.push_str("\n    }");
-        s
-    }
-}
-
-/// Best-of-`reps` wall time of `build`+run, as (events, ns/event).
-fn measure(reps: usize, build: impl Fn() -> World) -> (u64, f64) {
-    let mut best = f64::INFINITY;
-    let mut events = 0u64;
-    for _ in 0..reps {
-        let mut w = build();
-        // vread-lint: allow(wall-clock, "bench-engine measures real host wall time of the run; the sim itself stays virtual-time only")
-        let t0 = std::time::Instant::now();
-        w.run();
-        let dt = t0.elapsed().as_nanos() as f64;
-        events = w.events_processed();
-        if dt < best {
-            best = dt;
-        }
-    }
-    (events, best / events as f64)
-}
-
-/// One cold reader pass over a 2-way co-located replicated file through
-/// the content-addressed host store at hash rate `hash`; returns
-/// (engine events, simulated seconds). Mirrors the `ablate-cas`
-/// experiment's topology at bench scale.
-fn cas_cold_run(hash: f64) -> (u64, f64) {
-    use vread_apps::driver::run_jobs;
-    use vread_apps::java_reader::{JavaReader, ReaderMode};
-    use vread_bench::spec::{FileSpec, HostCacheSpec, VmRole};
-    use vread_host::cluster::HostCacheMode;
-    use vread_host::costs::Costs;
-
-    const FILE: u64 = 64 << 20;
-    let costs = Costs {
-        cas_hash_cyc_per_byte: hash,
-        ..Default::default()
-    };
-    let plan = vread_bench::DeployPlan::new(42)
-        .path(vread_bench::ReadPath::VreadRdma)
-        .costs(costs)
-        .host("h1", 8, 2.0)
-        .vm("client", "h1", VmRole::Client, None)
-        .vm("dn1", "h1", VmRole::Datanode, None)
-        .vm("dn2", "h1", VmRole::Datanode, None)
-        .file(FileSpec {
-            path: "/f".to_owned(),
-            mb: FILE >> 20,
-            placement: vec!["dn1".to_owned(), "dn2".to_owned()],
-            replicate: true,
-        })
-        .host_cache(HostCacheSpec {
-            mode: HostCacheMode::Cas,
-            capacity_mb: None,
-            chunk_kb: None,
-        });
-    let mut d = vread_bench::Deployment::build(plan).expect("cas bench deploys");
-    let vm = d.first_client().expect("client VM");
-    let client = d.make_client(vm);
-    let job = d.w.register_job("reader");
-    let rdr = JavaReader::new(
-        vm,
-        ReaderMode::Dfs {
-            client,
-            path: "/f".to_owned(),
-        },
-        1 << 20,
-        FILE,
-    )
-    .with_job(job);
-    let a = d.w.add_actor("reader", rdr);
-    d.w.send_now(a, Start);
-    let ok = run_jobs(&mut d.w, SimDuration::from_secs(3_000));
-    assert!(ok, "cas cold pass did not finish within the cap");
-    let secs = d.w.jobs.elapsed(job).expect("cas pass ran").as_secs_f64();
-    (d.w.events_processed(), secs)
-}
-
-fn bench_engine(out: &str) {
-    let (events, ns) = measure(20, || {
-        let mut w = World::new(1);
-        let a = w.add_actor("a", PingPong { left: 1_000_000 });
-        w.send_now(a, Start);
-        w
-    });
-    let pingpong = BenchResult {
-        name: "message_pingpong_1m",
-        events,
-        ns_per_event: ns,
-        extras: Vec::new(),
-    };
-
-    let (events, ns) = measure(20, || {
-        let mut w = World::new(1);
-        let h = w.add_host("h", 4, 2.0);
-        let ts: Vec<ThreadId> = (0..5).map(|i| w.add_thread(h, &format!("t{i}"))).collect();
-        let sink = w.add_actor("sink", Sink);
-        for _ in 0..2000 {
-            let st: Vec<Stage> = ts
-                .iter()
-                .map(|&t| Stage::cpu(t, 10_000, CpuCategory::Other))
-                .collect();
-            w.start_chain(st, sink, Fin);
-        }
-        w
-    });
-    let chain = BenchResult {
-        name: "chain_5stage_x2000",
-        events,
-        ns_per_event: ns,
-        extras: Vec::new(),
-    };
-
-    // Core-timer scale: 20 hosts x 4 cores, six hogs per host so every
-    // core is contended and re-arms its timer on every burst end and
-    // slice expiry. The cost of finding the earliest of 80 timers shows
-    // up here as ns/event.
-    let (events, ns) = measure(5, || {
-        let mut w = World::new(1);
-        for h in 0..20u64 {
-            let host = w.add_host(&format!("h{h}"), 4, 2.0);
-            for k in 0..6u64 {
-                let thread = w.add_thread(host, &format!("hog{h}.{k}"));
-                let a = w.add_actor(
-                    "hog",
-                    Spin {
-                        thread,
-                        burst: 200_000 + 10_000 * k + 1_000 * h,
-                        left: 200,
-                    },
-                );
-                w.send_now(a, Start);
-            }
-        }
-        w
-    });
-    let timers = BenchResult {
-        name: "core_timers_80core",
-        events,
-        ns_per_event: ns,
-        extras: Vec::new(),
-    };
-
-    // CAS dedup ablation cell: the wall cost of driving a cold read
-    // through the content-addressed host store, plus the *simulated*
-    // hash-admission overhead (slowdown of the cold pass at the default
-    // hash rate vs free hashing) — a deterministic number BENCH files
-    // can track across commits.
-    let mut best = f64::INFINITY;
-    let mut events = 0u64;
-    let mut secs_hashed = 0.0;
-    for _ in 0..3 {
-        // vread-lint: allow(wall-clock, "bench-engine measures real host wall time of the run; the sim itself stays virtual-time only")
-        let t0 = std::time::Instant::now();
-        let (e, s) = cas_cold_run(0.45);
-        let dt = t0.elapsed().as_nanos() as f64;
-        events = e;
-        secs_hashed = s;
-        if dt < best {
-            best = dt;
-        }
-    }
-    let (_, secs_free) = cas_cold_run(0.0);
-    let cas = BenchResult {
-        name: "cas_dedup_cold_pass",
-        events,
-        ns_per_event: best / events as f64,
-        extras: vec![(
-            "hash_overhead_pct",
-            (secs_hashed - secs_free) / secs_free * 100.0,
-        )],
-    };
-
-    let benches = [&pingpong, &chain, &timers, &cas];
-    let mut json = String::from("{\n  \"benches\": [\n");
-    for (i, b) in benches.iter().enumerate() {
-        json.push_str(&b.to_json_entry());
-        json.push_str(if i + 1 < benches.len() { ",\n" } else { "\n" });
-        println!(
-            "{:<24} {:>10.2} ns/event  {:>12.0} events/sec",
-            b.name,
-            b.ns_per_event,
-            b.events_per_sec()
-        );
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(out, json).unwrap_or_else(|e| {
-        eprintln!("cannot write {out}: {e}");
-        std::process::exit(1);
-    });
-    eprintln!("[bench-engine written to {out}]");
 }

@@ -4,7 +4,7 @@
 //! Every harness entry point — declarative scenarios
 //! ([`crate::ScenarioSpec`]), the Figure 10 testbed
 //! ([`crate::Testbed`]), experiment one-offs (Figure 3's HDFS-less
-//! netperf hosts) and the criterion benches — assembles its deployment
+//! netperf hosts) and the `benchmark/` crate — assembles its deployment
 //! through [`Deployment::build`], so host/VM/HDFS/file wiring exists
 //! exactly once. The deployment separates three moments the legacy code
 //! interleaved:
@@ -163,7 +163,7 @@ pub struct Deployment {
 
 /// Deploys the read path under test (vRead daemons when needed) and a
 /// `DfsClient` in `vm`. The single home of read-path construction — the
-/// testbed, scenarios and benches all route through here.
+/// testbed, scenarios and the `benchmark/` crate all route through here.
 pub fn make_read_client(w: &mut World, path: ReadPath, vm: VmId) -> ActorId {
     let p: Box<dyn BlockReadPath> = match path {
         ReadPath::Vanilla => Box::new(VanillaPath::new()),

@@ -9,8 +9,8 @@
 //! cargo run --release -p vread-bench --bin repro -- fig11 table2
 //! ```
 //!
-//! Criterion micro-benchmarks of the hot paths (`cargo bench`) live in
-//! `benches/`.
+//! The simulator's own cost is measured by the separate `benchmark/`
+//! crate, which links this one.
 
 #![forbid(unsafe_code)]
 

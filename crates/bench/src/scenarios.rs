@@ -243,12 +243,6 @@ impl Testbed {
         }
     }
 
-    /// Clears guest + host caches (the paper's pre-read `drop_caches`).
-    pub fn drop_caches(&mut self) {
-        let cl = self.w.ext.get_mut::<Cluster>().expect("cluster");
-        cl.clear_all_caches();
-    }
-
     /// Thread handles often needed by reports: (client vcpu, client
     /// vhost, dn-local vcpu, dn-local vhost).
     pub fn key_threads(&self) -> (ThreadId, ThreadId, ThreadId, ThreadId) {

@@ -679,8 +679,9 @@ fn check_ranges(
 
 /// Rejects a millisecond value whose nanoseconds overflow simulated time
 /// (`u64` ns, about 584 years). `None` stands for a millisecond sum that
-/// already overflowed.
-pub(crate) fn check_ms(what: &str, ms: Option<u64>) -> Result<(), SpecError> {
+/// already overflowed. `repro timeline --sample-ms` applies the same
+/// bound to its override.
+pub fn check_ms(what: &str, ms: Option<u64>) -> Result<(), SpecError> {
     match ms.and_then(|ms| ms.checked_mul(1_000_000)) {
         Some(_) => Ok(()),
         None => Err(SpecError::Invalid(format!(

@@ -1,7 +1,7 @@
 //! A minimal, dependency-free subset of the `criterion` benchmark crate.
 //!
 //! The real criterion cannot be vendored in this offline workspace, so this
-//! shim reimplements the surface our benches use — `Criterion`,
+//! shim reimplements a small surface of it — `Criterion`,
 //! `bench_function`, `Bencher::{iter, iter_batched}`, `BatchSize`,
 //! `criterion_group!`, `criterion_main!` — with real wall-clock
 //! measurement:

@@ -62,7 +62,7 @@ fn workspace_holds_the_committed_baseline() {
     assert!(
         regressions.is_empty(),
         "suppression ratchet regressed: {regressions:?}\n\
-         fix the new site, or consciously run `repro lint --update-baseline`"
+         fix the new site, or consciously run `vread-lint --update-baseline`"
     );
 }
 

@@ -210,19 +210,10 @@ impl World {
     /// Adds a host with `cores` cores at `ghz` GHz and default scheduler
     /// parameters.
     pub fn add_host(&mut self, name: &str, cores: usize, ghz: f64) -> HostId {
-        self.add_host_with_params(name, cores, ghz, SchedParams::default())
-    }
-
-    /// Adds a host with explicit scheduler parameters.
-    pub fn add_host_with_params(
-        &mut self,
-        name: &str,
-        cores: usize,
-        ghz: f64,
-        params: SchedParams,
-    ) -> HostId {
         let core_base = self.timers.len();
-        let id = self.sched.add_host(name, cores, ghz, params, core_base);
+        let id = self
+            .sched
+            .add_host(name, cores, ghz, SchedParams::default(), core_base);
         self.timers.add_host(id, cores);
         id
     }
