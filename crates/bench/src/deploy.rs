@@ -1,13 +1,12 @@
-//! Resolve + deploy: turn a validated topology description into typed
-//! handles on a running [`World`].
+//! Resolve + deploy: turn a topology description into typed handles on
+//! a running [`World`].
 //!
 //! Every harness entry point — declarative scenarios
 //! ([`crate::ScenarioSpec`]), the Figure 10 testbed
 //! ([`crate::Testbed`]), experiment one-offs (Figure 3's HDFS-less
 //! netperf hosts) and the `benchmark/` crate — assembles its deployment
 //! through [`Deployment::build`], so host/VM/HDFS/file wiring exists
-//! exactly once. The deployment separates three moments the legacy code
-//! interleaved:
+//! exactly once. The deployment separates three moments:
 //!
 //! 1. **build** — hosts, VMs, cache pressure, HDFS (when there are
 //!    datanodes) and file population, in spec order;
@@ -21,7 +20,7 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use crate::faults::{build_fault_actions, check_fault_times, plan_window, FaultSpec, FaultTargets};
+use crate::faults::{build_fault_actions, check_faults, plan_window, FaultSpec, FaultTargets};
 use crate::scenarios::ReadPath;
 use crate::spec::{FileSpec, HostCacheSpec, HostSpec, SpecError, VmRole, VmSpec};
 
@@ -36,7 +35,9 @@ use vread_host::costs::Costs;
 use vread_sim::fault::{schedule_faults, FaultTrace};
 use vread_sim::prelude::*;
 
-/// A validated topology: what to deploy, before any world exists.
+/// A topology: what to deploy, before any world exists. Names are
+/// resolved by [`Deployment::build`]; a scenario's plan comes from a
+/// spec that already passed its validator.
 #[derive(Debug, Clone)]
 pub struct DeployPlan {
     /// RNG seed.
@@ -422,13 +423,14 @@ impl Deployment {
     ///
     /// # Errors
     ///
-    /// [`SpecError`] when a fault target name doesn't resolve, or a fire
-    /// time or window end overflows simulated time.
+    /// [`SpecError`] when a fault target name doesn't resolve, a fire
+    /// time or window end overflows simulated time, or a factor is out
+    /// of range.
     pub fn arm_faults(&mut self, faults: &[FaultSpec]) -> Result<(), SpecError> {
         if faults.is_empty() {
             return Ok(());
         }
-        check_fault_times(faults)?;
+        check_faults(faults)?;
         let datanode_set: HashSet<VmId> = self.datanode_vms.iter().map(|(_, v)| *v).collect();
         let targets = FaultTargets {
             hosts: &self.host_ix,

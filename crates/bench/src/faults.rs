@@ -18,7 +18,7 @@
 use std::collections::{HashMap, HashSet};
 
 use crate::json::{n, obj, Json};
-use crate::spec::{check_ms, opt_u64, parse_err, req, req_str, req_u64, SpecError};
+use crate::spec::{check_keys, check_ms, opt_u64, parse_err, req, req_str, req_u64, SpecError};
 
 use vread_core::{CrashDaemon, CrashDatanodeVm, RestartDaemon};
 use vread_host::cluster::{Cluster, HostIx, VmId};
@@ -127,42 +127,49 @@ impl FaultSpec {
     /// Parses one entry of a scenario's `"faults"` array.
     pub(crate) fn from_json(j: &Json) -> Result<FaultSpec, SpecError> {
         let ctx = "fault";
-        let at_ms = req_u64(j, "at_ms", ctx)?;
-        let factor = |j: &Json| -> Result<f64, SpecError> {
+        let host = || req_str(j, "host", ctx);
+        let vm = || req_str(j, "vm", ctx);
+        let factor = || {
             req(j, "factor", ctx)?
                 .as_f64()
                 .ok_or_else(|| parse_err("fault: field \"factor\" must be a number"))
         };
-        let kind = match req_str(j, "kind", ctx)?.as_str() {
-            "daemon-crash" => FaultKind::DaemonCrash {
-                host: req_str(j, "host", ctx)?,
-            },
-            "daemon-restart" => FaultKind::DaemonRestart {
-                host: req_str(j, "host", ctx)?,
-            },
-            "link-flap" => FaultKind::LinkFlap {
-                host: req_str(j, "host", ctx)?,
-                factor: factor(j)?,
-                duration_ms: opt_u64(j, "duration_ms", 100, ctx)?,
-            },
-            "disk-slow" => FaultKind::DiskSlow {
-                host: req_str(j, "host", ctx)?,
-                factor: factor(j)?,
-                duration_ms: opt_u64(j, "duration_ms", 100, ctx)?,
-            },
-            "cache-drop" => FaultKind::CacheDrop {
-                host: req_str(j, "host", ctx)?,
-            },
-            "vhost-stall" => FaultKind::VhostStall {
-                vm: req_str(j, "vm", ctx)?,
-                duration_ms: opt_u64(j, "duration_ms", 100, ctx)?,
-            },
-            "vm-crash" => FaultKind::VmCrash {
-                vm: req_str(j, "vm", ctx)?,
-            },
+        let duration_ms = || opt_u64(j, "duration_ms", 100, ctx);
+        let (kind, keys): (FaultKind, &[&str]) = match req_str(j, "kind", ctx)?.as_str() {
+            "daemon-crash" => (FaultKind::DaemonCrash { host: host()? }, &["host"]),
+            "daemon-restart" => (FaultKind::DaemonRestart { host: host()? }, &["host"]),
+            "link-flap" => (
+                FaultKind::LinkFlap {
+                    host: host()?,
+                    factor: factor()?,
+                    duration_ms: duration_ms()?,
+                },
+                &["host", "factor", "duration_ms"],
+            ),
+            "disk-slow" => (
+                FaultKind::DiskSlow {
+                    host: host()?,
+                    factor: factor()?,
+                    duration_ms: duration_ms()?,
+                },
+                &["host", "factor", "duration_ms"],
+            ),
+            "cache-drop" => (FaultKind::CacheDrop { host: host()? }, &["host"]),
+            "vhost-stall" => (
+                FaultKind::VhostStall {
+                    vm: vm()?,
+                    duration_ms: duration_ms()?,
+                },
+                &["vm", "duration_ms"],
+            ),
+            "vm-crash" => (FaultKind::VmCrash { vm: vm()? }, &["vm"]),
             other => return Err(parse_err(format!("fault: unknown kind {other:?}"))),
         };
-        Ok(FaultSpec { at_ms, kind })
+        check_keys(j, ctx, &[&["at_ms", "kind"], keys].concat())?;
+        Ok(FaultSpec {
+            at_ms: req_u64(j, "at_ms", ctx)?,
+            kind,
+        })
     }
 
     /// Where this fault's window ends, in ms: the fire time plus the
@@ -210,14 +217,6 @@ pub(crate) fn build_fault_actions(
             .copied()
             .ok_or_else(|| SpecError::Unresolved(format!("fault vm {name}")))
     };
-    let check_factor = |factor: f64, kind: &str| -> Result<(), SpecError> {
-        if !factor.is_finite() || !(1.0..=100_000.0).contains(&factor) {
-            return Err(SpecError::Invalid(format!(
-                "{kind} factor {factor} (must be in [1, 1e5])"
-            )));
-        }
-        Ok(())
-    };
     let mut plan: Vec<(SimTime, Box<dyn FaultAction>)> = Vec::with_capacity(faults.len());
     for f in faults {
         let at = SimTime::ZERO + SimDuration::from_millis(f.at_ms);
@@ -228,27 +227,21 @@ pub(crate) fn build_fault_actions(
                 host: h,
                 factor,
                 duration_ms,
-            } => {
-                check_factor(*factor, "link-flap")?;
-                Box::new(DegradeLink {
-                    link: cl.hosts[host(h)?.0].nic,
-                    factor: *factor,
-                    extra_latency: SimDuration::from_millis(1),
-                    duration: SimDuration::from_millis(*duration_ms),
-                })
-            }
+            } => Box::new(DegradeLink {
+                link: cl.hosts[host(h)?.0].nic,
+                factor: *factor,
+                extra_latency: SimDuration::from_millis(1),
+                duration: SimDuration::from_millis(*duration_ms),
+            }),
             FaultKind::DiskSlow {
                 host: h,
                 factor,
                 duration_ms,
-            } => {
-                check_factor(*factor, "disk-slow")?;
-                Box::new(SlowDisk {
-                    dev: cl.hosts[host(h)?.0].dev,
-                    factor: *factor,
-                    duration: SimDuration::from_millis(*duration_ms),
-                })
-            }
+            } => Box::new(SlowDisk {
+                dev: cl.hosts[host(h)?.0].dev,
+                factor: *factor,
+                duration: SimDuration::from_millis(*duration_ms),
+            }),
             FaultKind::CacheDrop { host: h } => Box::new(DropHostCache { host: host(h)? }),
             FaultKind::VhostStall { vm: v, duration_ms } => Box::new(StallThread {
                 thread: cl.vm(vm(v)?).vhost,
@@ -270,14 +263,23 @@ pub(crate) fn build_fault_actions(
 }
 
 /// Rejects a plan whose fire times, restore delays or window ends would
-/// overflow simulated time. A window end bounds both its fire time and
-/// its restore delay, so it is the one value checked.
-pub(crate) fn check_fault_times(faults: &[FaultSpec]) -> Result<(), SpecError> {
+/// overflow simulated time (a window end bounds both its fire time and
+/// its restore delay, so it is the one value checked), or whose
+/// `link-flap` or `disk-slow` factor lies outside [1, 1e5].
+pub(crate) fn check_faults(faults: &[FaultSpec]) -> Result<(), SpecError> {
     for f in faults {
         check_ms(
             &format!("fault at_ms {} plus its window tail", f.at_ms),
             f.window_end_ms(),
         )?;
+        if let FaultKind::LinkFlap { factor, .. } | FaultKind::DiskSlow { factor, .. } = f.kind {
+            if !(1.0..=100_000.0).contains(&factor) {
+                return Err(SpecError::Invalid(format!(
+                    "{} factor {factor} (must be in [1, 1e5])",
+                    f.kind.kind_str()
+                )));
+            }
+        }
     }
     Ok(())
 }
@@ -285,7 +287,7 @@ pub(crate) fn check_fault_times(faults: &[FaultSpec]) -> Result<(), SpecError> {
 /// The fault window `[start, end]` of a plan in simulated time,
 /// extending past the last fire time by each fault's
 /// [`FaultSpec::window_end_ms`] tail. The plan must have passed
-/// [`check_fault_times`].
+/// [`check_faults`].
 ///
 /// [`crate::Deployment::arm_faults`] installs this window as the run's
 /// [`FaultTrace`](vread_sim::fault::FaultTrace), replacing the narrower

@@ -30,7 +30,7 @@ pub use report::{improvement_pct, reduction_pct, Row, Table};
 pub use scenarios::{Locality, ReadPath, Testbed, TestbedOpts};
 pub use spans::{ReadAggregate, SpanSummary};
 pub use spec::{
-    HostCacheReport, HostCacheSpec, ScenarioBuilder, ScenarioReport, ScenarioSpec, SpecError,
-    TimelineSpec, WorkloadBinding, WorkloadReport, WorkloadSpec,
+    HostCacheReport, HostCacheSpec, ScenarioReport, ScenarioSpec, SpecError, TimelineSpec,
+    WorkloadBinding, WorkloadReport, WorkloadSpec,
 };
 pub use timeline::{TimelineSeries, TimelineSummary, TimelineWindow, SATURATION_X};

@@ -20,10 +20,19 @@
 //! }
 //! ```
 //!
-//! A scenario may instead carry a `"workloads"` array where each entry
-//! adds `"client"` (the client VM it runs in, default the first client)
-//! and `"start_ms"` (launch offset, default 0); reports for such
-//! scenarios gain a `per_workload` block. The topology is resolved and
+//! A scenario may instead carry a `"workloads"` array of such objects,
+//! run concurrently; reports for two or more gain a `per_workload`
+//! block. The singular `"workload"` is shorthand for a one-entry
+//! `"workloads"`: either may add `"client"` (the client VM it runs in,
+//! default the first client) and `"start_ms"` (launch offset, default
+//! 0).
+//!
+//! Parsing is strict: an unknown key in any object — the top level, a
+//! host, VM, file, workload (keys per kind), fault (keys per kind),
+//! `host_cache` or `timeline` — is a [`SpecError::Parse`] naming the
+//! key, never silently ignored. Every other rule (references, roles,
+//! ranges, times) lives in one validator that the parser, the fluent
+//! builder and [`ScenarioSpec::run`] all call. The topology is then
 //! deployed through [`crate::deploy::Deployment`], and workloads are
 //! driven by the event-driven job primitives (no time-slice polling).
 //!
@@ -31,7 +40,7 @@
 //! per-thread busy time) is printed and returned as JSON.
 
 use crate::deploy::{DeployPlan, Deployment};
-use crate::faults::{collect_fault_report, FaultKind, FaultReport, FaultSpec};
+use crate::faults::{check_faults, collect_fault_report, FaultKind, FaultReport, FaultSpec};
 use crate::json::{n, obj, s, Json};
 use crate::scenarios::ReadPath;
 use crate::spans::SpanSummary;
@@ -186,8 +195,7 @@ pub struct WorkloadBinding {
 }
 
 impl WorkloadBinding {
-    /// Binds `kind` to the default client at time zero — the shape the
-    /// singular `"workload"` field produces.
+    /// Binds `kind` to the default client at time zero.
     pub fn new(kind: WorkloadSpec) -> Self {
         WorkloadBinding {
             client: None,
@@ -363,11 +371,12 @@ impl HostCacheReport {
 /// Errors building/running a scenario.
 #[derive(Debug)]
 pub enum SpecError {
-    /// JSON didn't parse or a field was missing/mistyped.
+    /// JSON didn't parse, a field was missing or mistyped, or a key is
+    /// unknown.
     Parse(String),
     /// A reference (host, VM, datanode, file) didn't resolve.
     Unresolved(String),
-    /// Config combination is invalid.
+    /// Config combination is invalid or a number is out of range.
     Invalid(String),
 }
 
@@ -463,13 +472,23 @@ pub(crate) fn req_u64(j: &Json, key: &str, ctx: &str) -> Result<u64, SpecError> 
 }
 
 pub(crate) fn opt_u64(j: &Json, key: &str, default: u64, ctx: &str) -> Result<u64, SpecError> {
+    Ok(opt(j, key, ctx, "a non-negative integer", Json::as_u64)?.unwrap_or(default))
+}
+
+/// An optional field: `None` when absent or null, an error naming `key`
+/// when present but not `what` (read by `conv`).
+pub(crate) fn opt<'a, T>(
+    j: &'a Json,
+    key: &str,
+    ctx: &str,
+    what: &str,
+    conv: impl Fn(&'a Json) -> Option<T>,
+) -> Result<Option<T>, SpecError> {
     match j.get(key) {
-        None | Some(Json::Null) => Ok(default),
-        Some(v) => v.as_u64().ok_or_else(|| {
-            parse_err(format!(
-                "{ctx}: field {key:?} must be a non-negative integer"
-            ))
-        }),
+        None | Some(Json::Null) => Ok(None),
+        Some(v) => conv(v)
+            .map(Some)
+            .ok_or_else(|| parse_err(format!("{ctx}: field {key:?} must be {what}"))),
     }
 }
 
@@ -490,8 +509,22 @@ pub(crate) fn str_list(j: &Json, key: &str, ctx: &str) -> Result<Vec<String>, Sp
         .collect()
 }
 
-/// Top-level scenario keys the parser understands; anything else is a
-/// typo and gets rejected rather than silently ignored.
+/// Rejects `j` unless it is an object whose every key is in `known`: a
+/// mistyped key is an error, never silently ignored.
+pub(crate) fn check_keys(j: &Json, ctx: &str, known: &[&str]) -> Result<(), SpecError> {
+    let Json::Obj(members) = j else {
+        return Err(parse_err(format!("{ctx}: must be an object")));
+    };
+    match members.iter().find(|(k, _)| !known.contains(&k.as_str())) {
+        Some((k, _)) => Err(parse_err(format!(
+            "{ctx}: unknown field {k:?} (known fields: {})",
+            known.join(", ")
+        ))),
+        None => Ok(()),
+    }
+}
+
+/// Top-level scenario keys the parser understands.
 const TOP_LEVEL_KEYS: [&str; 11] = [
     "seed",
     "path",
@@ -506,26 +539,10 @@ const TOP_LEVEL_KEYS: [&str; 11] = [
     "faults",
 ];
 
-/// Keys the `"host_cache"` block understands (same strictness as the
-/// top level: a typo is rejected, not ignored).
-const HOST_CACHE_KEYS: [&str; 3] = ["mode", "capacity_mb", "chunk_kb"];
-
 fn host_cache_from_json(j: &Json) -> Result<HostCacheSpec, SpecError> {
-    if let Json::Obj(members) = j {
-        for (k, _) in members {
-            if !HOST_CACHE_KEYS.contains(&k.as_str()) {
-                return Err(parse_err(format!(
-                    "host_cache: unknown field {k:?} (known fields: {})",
-                    HOST_CACHE_KEYS.join(", ")
-                )));
-            }
-        }
-    } else {
-        return Err(parse_err(
-            "scenario: field \"host_cache\" must be an object",
-        ));
-    }
-    let mode = match req_str(j, "mode", "host_cache")?.as_str() {
+    let ctx = "host_cache";
+    check_keys(j, ctx, &["mode", "capacity_mb", "chunk_kb"])?;
+    let mode = match req_str(j, "mode", ctx)?.as_str() {
         "lru" => HostCacheMode::Lru,
         "cas" => HostCacheMode::Cas,
         other => {
@@ -534,52 +551,101 @@ fn host_cache_from_json(j: &Json) -> Result<HostCacheSpec, SpecError> {
             )))
         }
     };
-    let opt = |key: &str| -> Result<Option<u64>, SpecError> {
-        match j.get(key) {
-            None | Some(Json::Null) => Ok(None),
-            Some(v) => v.as_u64().map(Some).ok_or_else(|| {
-                parse_err(format!(
-                    "host_cache: field {key:?} must be a non-negative integer"
-                ))
-            }),
-        }
-    };
-    let spec = HostCacheSpec {
+    let size = |key| opt(j, key, ctx, "a non-negative integer", Json::as_u64);
+    Ok(HostCacheSpec {
         mode,
-        capacity_mb: opt("capacity_mb")?,
-        chunk_kb: opt("chunk_kb")?,
-    };
-    if spec.capacity_mb == Some(0) {
-        return Err(parse_err("host_cache: \"capacity_mb\" must be positive"));
-    }
-    if spec.chunk_kb == Some(0) {
-        return Err(parse_err("host_cache: \"chunk_kb\" must be positive"));
-    }
-    Ok(spec)
+        capacity_mb: size("capacity_mb")?,
+        chunk_kb: size("chunk_kb")?,
+    })
 }
 
-/// Keys the `"timeline"` block understands (same strictness as the top
-/// level: a typo is rejected, not ignored).
-const TIMELINE_KEYS: [&str; 1] = ["sample_ms"];
-
 fn timeline_from_json(j: &Json) -> Result<TimelineSpec, SpecError> {
-    if let Json::Obj(members) = j {
-        for (k, _) in members {
-            if !TIMELINE_KEYS.contains(&k.as_str()) {
-                return Err(parse_err(format!(
-                    "timeline: unknown field {k:?} (known fields: {})",
-                    TIMELINE_KEYS.join(", ")
-                )));
-            }
-        }
-    } else {
-        return Err(parse_err("scenario: field \"timeline\" must be an object"));
-    }
-    let sample_ms = req_u64(j, "sample_ms", "timeline")?;
-    if sample_ms == 0 {
-        return Err(parse_err("timeline: \"sample_ms\" must be positive"));
-    }
-    Ok(TimelineSpec { sample_ms })
+    check_keys(j, "timeline", &["sample_ms"])?;
+    Ok(TimelineSpec {
+        sample_ms: req_u64(j, "sample_ms", "timeline")?,
+    })
+}
+
+fn host_from_json(h: &Json) -> Result<HostSpec, SpecError> {
+    let ctx = "host";
+    check_keys(h, ctx, &["name", "cores", "ghz"])?;
+    Ok(HostSpec {
+        name: req_str(h, "name", ctx)?,
+        cores: opt_u64(h, "cores", 4, ctx)? as usize,
+        ghz: opt(h, "ghz", ctx, "a number", Json::as_f64)?.unwrap_or(2.0),
+    })
+}
+
+fn vm_from_json(v: &Json) -> Result<VmSpec, SpecError> {
+    let ctx = "vm";
+    check_keys(v, ctx, &["name", "host", "role", "busy"])?;
+    let role = match req_str(v, "role", ctx)?.as_str() {
+        "client" => VmRole::Client,
+        "datanode" => VmRole::Datanode,
+        "lookbusy" => VmRole::Lookbusy,
+        "peer" => VmRole::Peer,
+        other => return Err(parse_err(format!("vm: unknown role {other:?}"))),
+    };
+    Ok(VmSpec {
+        name: req_str(v, "name", ctx)?,
+        host: req_str(v, "host", ctx)?,
+        role,
+        busy: opt(v, "busy", ctx, "a number", Json::as_f64)?,
+    })
+}
+
+fn file_from_json(f: &Json) -> Result<FileSpec, SpecError> {
+    let ctx = "file";
+    check_keys(f, ctx, &["path", "mb", "placement", "replicate"])?;
+    Ok(FileSpec {
+        path: req_str(f, "path", ctx)?,
+        mb: req_u64(f, "mb", ctx)?,
+        placement: str_list(f, "placement", ctx)?,
+        replicate: opt(f, "replicate", ctx, "a boolean", Json::as_bool)?.unwrap_or(false),
+    })
+}
+
+/// Parses one workload object: an entry of `"workloads"`, or the
+/// singular `"workload"`, which is shorthand for a one-entry array.
+fn workload_from_json(w: &Json) -> Result<WorkloadBinding, SpecError> {
+    let ctx = "workload";
+    let (kind, keys): (WorkloadSpec, &[&str]) = match req_str(w, "kind", ctx)?.as_str() {
+        "dfsio-read" => (
+            WorkloadSpec::DfsioRead {
+                files: str_list(w, "files", ctx)?,
+                buffer_kb: opt_u64(w, "buffer_kb", 1024, ctx)?,
+            },
+            &["files", "buffer_kb"],
+        ),
+        "dfsio-write" => (
+            WorkloadSpec::DfsioWrite {
+                files: str_list(w, "files", ctx)?,
+                mb: req_u64(w, "mb", ctx)?,
+            },
+            &["files", "mb"],
+        ),
+        "reader" => (
+            WorkloadSpec::Reader {
+                path: req_str(w, "path", ctx)?,
+                request_kb: req_u64(w, "request_kb", ctx)?,
+            },
+            &["path", "request_kb"],
+        ),
+        "netperf" => (
+            WorkloadSpec::Netperf {
+                request_kb: req_u64(w, "request_kb", ctx)?,
+                duration_ms: req_u64(w, "duration_ms", ctx)?,
+            },
+            &["request_kb", "duration_ms"],
+        ),
+        other => return Err(parse_err(format!("workload: unknown kind {other:?}"))),
+    };
+    check_keys(w, ctx, &[&["kind", "client", "start_ms"], keys].concat())?;
+    Ok(WorkloadBinding {
+        client: opt(w, "client", ctx, "a string", Json::as_str)?.map(str::to_owned),
+        start_ms: opt_u64(w, "start_ms", 0, ctx)?,
+        kind,
+    })
 }
 
 /// Rejects duplicate host names, VM names or file paths — a duplicate
@@ -692,14 +758,11 @@ pub fn check_ms(what: &str, ms: Option<u64>) -> Result<(), SpecError> {
 }
 
 /// Rejects times the engine cannot represent: a workload's `start_ms`,
-/// its netperf window end (`start_ms + duration_ms`), a fault's window
-/// end (see [`FaultSpec::window_end_ms`]) and the timeline's
-/// `sample_ms`. Unchecked, such a value wraps in a release build (a
-/// fault planned centuries out fires within milliseconds) and panics in
-/// a debug build.
+/// its netperf window end (`start_ms + duration_ms`) and the timeline's
+/// `sample_ms` (fault times are [`check_faults`]'s). Unchecked, such a
+/// value wraps in a release build and panics in a debug build.
 fn check_times(
     workloads: &[WorkloadBinding],
-    faults: &[FaultSpec],
     timeline: Option<&TimelineSpec>,
 ) -> Result<(), SpecError> {
     for b in workloads {
@@ -711,7 +774,6 @@ fn check_times(
             )?;
         }
     }
-    crate::faults::check_fault_times(faults)?;
     if let Some(t) = timeline {
         check_ms("timeline sample_ms", Some(t.sample_ms))?;
     }
@@ -725,210 +787,78 @@ fn sort_busy_desc(v: &mut [(String, f64)]) {
     v.sort_by(|a, b| b.1.total_cmp(&a.1));
 }
 
-fn workload_from_json(w: &Json) -> Result<WorkloadSpec, SpecError> {
-    Ok(match req_str(w, "kind", "workload")?.as_str() {
-        "dfsio-read" => WorkloadSpec::DfsioRead {
-            files: str_list(w, "files", "workload")?,
-            buffer_kb: opt_u64(w, "buffer_kb", 1024, "workload")?,
-        },
-        "dfsio-write" => WorkloadSpec::DfsioWrite {
-            files: str_list(w, "files", "workload")?,
-            mb: req_u64(w, "mb", "workload")?,
-        },
-        "reader" => WorkloadSpec::Reader {
-            path: req_str(w, "path", "workload")?,
-            request_kb: req_u64(w, "request_kb", "workload")?,
-        },
-        "netperf" => WorkloadSpec::Netperf {
-            request_kb: req_u64(w, "request_kb", "workload")?,
-            duration_ms: req_u64(w, "duration_ms", "workload")?,
-        },
-        other => return Err(parse_err(format!("workload: unknown kind {other:?}"))),
-    })
-}
-
 impl ScenarioSpec {
     /// Parses a spec from JSON.
     ///
     /// # Errors
     ///
-    /// Returns [`SpecError::Parse`] on malformed JSON, missing/mistyped
-    /// fields or unknown top-level keys, and [`SpecError::Invalid`] for
-    /// duplicate host/VM/file names or out-of-range numbers (see
-    /// [`HostSpec`], [`VmSpec`] and [`WorkloadSpec::Reader`]).
+    /// [`SpecError::Parse`] on malformed JSON, a missing or mistyped
+    /// field, an unknown key in any object or an unknown spelling of a
+    /// path, role or kind; otherwise whatever [`ScenarioSpec::build`]
+    /// rejects.
     pub fn from_json(json: &str) -> Result<Self, SpecError> {
         let j = Json::parse(json).map_err(|e| parse_err(e.to_string()))?;
-
-        if let Json::Obj(members) = &j {
-            for (k, _) in members {
-                if !TOP_LEVEL_KEYS.contains(&k.as_str()) {
-                    return Err(parse_err(format!(
-                        "scenario: unknown field {k:?} (known fields: {})",
-                        TOP_LEVEL_KEYS.join(", ")
-                    )));
-                }
-            }
-        }
-
-        let hosts = req_arr(&j, "hosts", "scenario")?
-            .iter()
-            .map(|h| {
-                Ok(HostSpec {
-                    name: req_str(h, "name", "host")?,
-                    cores: opt_u64(h, "cores", 4, "host")? as usize,
-                    ghz: match h.get("ghz") {
-                        None | Some(Json::Null) => 2.0,
-                        Some(v) => v
-                            .as_f64()
-                            .ok_or_else(|| parse_err("host: field \"ghz\" must be a number"))?,
-                    },
-                })
-            })
-            .collect::<Result<Vec<_>, SpecError>>()?;
-
-        let vms = req_arr(&j, "vms", "scenario")?
-            .iter()
-            .map(|v| {
-                let role = match req_str(v, "role", "vm")?.as_str() {
-                    "client" => VmRole::Client,
-                    "datanode" => VmRole::Datanode,
-                    "lookbusy" => VmRole::Lookbusy,
-                    "peer" => VmRole::Peer,
-                    other => return Err(parse_err(format!("vm: unknown role {other:?}"))),
-                };
-                Ok(VmSpec {
-                    name: req_str(v, "name", "vm")?,
-                    host: req_str(v, "host", "vm")?,
-                    role,
-                    busy: match v.get("busy") {
-                        None | Some(Json::Null) => None,
-                        Some(b) => Some(
-                            b.as_f64()
-                                .ok_or_else(|| parse_err("vm: field \"busy\" must be a number"))?,
-                        ),
-                    },
-                })
-            })
-            .collect::<Result<Vec<_>, SpecError>>()?;
-
-        let files = match j.get("files") {
-            None | Some(Json::Null) => Vec::new(),
-            Some(f) => f
-                .as_array()
-                .ok_or_else(|| parse_err("scenario: field \"files\" must be an array"))?
-                .iter()
-                .map(|f| {
-                    Ok(FileSpec {
-                        path: req_str(f, "path", "file")?,
-                        mb: req_u64(f, "mb", "file")?,
-                        placement: str_list(f, "placement", "file")?,
-                        replicate: match f.get("replicate") {
-                            None | Some(Json::Null) => false,
-                            Some(b) => b.as_bool().ok_or_else(|| {
-                                parse_err("file: field \"replicate\" must be a boolean")
-                            })?,
-                        },
-                    })
-                })
-                .collect::<Result<Vec<_>, SpecError>>()?,
-        };
-
-        let faults = match j.get("faults") {
-            None | Some(Json::Null) => Vec::new(),
-            Some(f) => f
-                .as_array()
-                .ok_or_else(|| parse_err("scenario: field \"faults\" must be an array"))?
-                .iter()
-                .map(FaultSpec::from_json)
-                .collect::<Result<Vec<_>, SpecError>>()?,
-        };
-
+        let ctx = "scenario";
+        check_keys(&j, ctx, &TOP_LEVEL_KEYS)?;
+        let list = |key| Ok(opt(&j, key, ctx, "an array", Json::as_array)?.unwrap_or_default());
         let workloads = match (j.get("workload"), j.get("workloads")) {
             (Some(_), Some(_)) => {
                 return Err(parse_err(
                     "scenario: give either \"workload\" or \"workloads\", not both",
                 ))
             }
-            (Some(w), None) => vec![WorkloadBinding::new(workload_from_json(w)?)],
-            (None, Some(arr)) => {
-                let arr = arr
-                    .as_array()
-                    .ok_or_else(|| parse_err("scenario: field \"workloads\" must be an array"))?;
-                if arr.is_empty() {
-                    return Err(parse_err("scenario: \"workloads\" must not be empty"));
-                }
-                arr.iter()
-                    .map(|w| {
-                        Ok(WorkloadBinding {
-                            client: match w.get("client") {
-                                None | Some(Json::Null) => None,
-                                Some(c) => {
-                                    Some(c.as_str().map(str::to_owned).ok_or_else(|| {
-                                        parse_err("workload: field \"client\" must be a string")
-                                    })?)
-                                }
-                            },
-                            start_ms: opt_u64(w, "start_ms", 0, "workload")?,
-                            kind: workload_from_json(w)?,
-                        })
-                    })
-                    .collect::<Result<Vec<_>, SpecError>>()?
-            }
+            (Some(w), None) => vec![workload_from_json(w)?],
+            (None, Some(_)) => req_arr(&j, "workloads", ctx)?
+                .iter()
+                .map(workload_from_json)
+                .collect::<Result<_, SpecError>>()?,
             (None, None) => return Err(parse_err("scenario: missing field \"workload\"")),
         };
-
-        let path_s = req_str(&j, "path", "scenario")?;
-        let path = ReadPath::parse(&path_s)
-            .ok_or_else(|| parse_err(format!("scenario: unknown path {path_s:?}")))?;
-
-        let spans = match j.get("spans") {
-            None | Some(Json::Null) => false,
-            Some(b) => b
-                .as_bool()
-                .ok_or_else(|| parse_err("scenario: field \"spans\" must be a boolean"))?,
-        };
-
-        let host_cache = match j.get("host_cache") {
-            None | Some(Json::Null) => HostCacheSpec::default(),
-            Some(hc) => host_cache_from_json(hc)?,
-        };
-
-        let timeline = match j.get("timeline") {
-            None | Some(Json::Null) => None,
-            Some(tl) => Some(timeline_from_json(tl)?),
-        };
-
-        check_unique_names(&hosts, &vms, &files)?;
-        check_ranges(&hosts, &vms, &workloads)?;
-        check_times(&workloads, &faults, timeline.as_ref())?;
-
-        Ok(ScenarioSpec {
-            seed: opt_u64(&j, "seed", 42, "scenario")?,
-            path,
-            hosts,
-            vms,
-            files,
+        let path = req_str(&j, "path", ctx)?;
+        let spec = ScenarioSpec {
+            seed: opt_u64(&j, "seed", 42, ctx)?,
+            path: ReadPath::parse(&path)
+                .ok_or_else(|| parse_err(format!("scenario: unknown path {path:?}")))?,
+            hosts: req_arr(&j, "hosts", ctx)?
+                .iter()
+                .map(host_from_json)
+                .collect::<Result<_, SpecError>>()?,
+            vms: req_arr(&j, "vms", ctx)?
+                .iter()
+                .map(vm_from_json)
+                .collect::<Result<_, SpecError>>()?,
+            files: list("files")?
+                .iter()
+                .map(file_from_json)
+                .collect::<Result<_, SpecError>>()?,
             workloads,
-            faults,
-            spans,
-            host_cache,
-            timeline,
-        })
+            faults: list("faults")?
+                .iter()
+                .map(FaultSpec::from_json)
+                .collect::<Result<_, SpecError>>()?,
+            spans: opt(&j, "spans", ctx, "a boolean", Json::as_bool)?.unwrap_or(false),
+            host_cache: match j.get("host_cache") {
+                None | Some(Json::Null) => HostCacheSpec::default(),
+                Some(hc) => host_cache_from_json(hc)?,
+            },
+            timeline: match j.get("timeline") {
+                None | Some(Json::Null) => None,
+                Some(tl) => Some(timeline_from_json(tl)?),
+            },
+        };
+        spec.validate()?;
+        Ok(spec)
     }
 
-    /// Starts a [`ScenarioBuilder`] with the defaults (seed 42, vanilla
-    /// path, nothing else).
-    pub fn builder() -> ScenarioBuilder {
-        ScenarioBuilder::default()
-    }
-
-    /// Builds and runs the scenario, returning the report.
+    /// Validates, builds and runs the scenario, returning the report.
     ///
     /// # Errors
     ///
-    /// Returns [`SpecError`] when names don't resolve or the combination
-    /// is invalid (no client VM, unknown path, …).
+    /// Whatever [`ScenarioSpec::build`] rejects — checked again here,
+    /// since the pub fields may have been edited since — or
+    /// [`SpecError::Invalid`] when the workload does not finish.
     pub fn run(&self) -> Result<ScenarioReport, SpecError> {
+        self.validate()?;
         let mut d = self.deploy()?;
         let bound = self.bind(&d)?;
         let armed = self.arm(&mut d, &bound)?;
@@ -938,10 +868,9 @@ impl ScenarioSpec {
         self.aggregate(&mut d, &armed)
     }
 
-    /// Resolves the topology into a deployment and validates it has a
-    /// client and at least one datanode.
+    /// Resolves the validated topology into a deployment.
     fn deploy(&self) -> Result<Deployment, SpecError> {
-        let plan = DeployPlan {
+        Deployment::build(DeployPlan {
             seed: self.seed,
             path: self.path,
             spans: self.spans,
@@ -951,13 +880,7 @@ impl ScenarioSpec {
             files: self.files.clone(),
             host_cache: self.host_cache.clone(),
             timeline_sample_ms: self.timeline.as_ref().map(|t| t.sample_ms),
-        };
-        let d = Deployment::build(plan)?;
-        d.first_client()?;
-        if d.datanode_vms.is_empty() {
-            return Err(SpecError::Invalid("no datanode VM".to_owned()));
-        }
-        Ok(d)
+        })
     }
 
     /// Binds every workload to its client VM before creating anything.
@@ -989,7 +912,7 @@ impl ScenarioSpec {
             let job = d.w.register_job(b.kind.kind_str());
             let actor = match &b.kind {
                 WorkloadSpec::DfsioRead { files, buffer_kb } => {
-                    let file_bytes = dfsio_read_size(&d.w, files)?;
+                    let file_bytes = file_size(&d.w, &files[0]);
                     let cfg = DfsioConfig {
                         buffer_bytes: buffer_kb << 10,
                         ..Default::default()
@@ -1013,7 +936,7 @@ impl ScenarioSpec {
                     d.w.add_actor("dfsio", app.with_job(job))
                 }
                 WorkloadSpec::Reader { path, request_kb } => {
-                    let total = hdfs_file_size(&d.w, path)?;
+                    let total = file_size(&d.w, path);
                     let client = d.add_client_on(*vm);
                     let mode = ReaderMode::Dfs {
                         client,
@@ -1200,69 +1123,42 @@ fn launch(w: &mut World, actor: ActorId, delay: SimDuration) {
     }
 }
 
-/// The populated size of the first dfsio-read input (all files share
-/// it, matching TestDFSIO's uniform file size).
-fn dfsio_read_size(w: &World, files: &[String]) -> Result<u64, SpecError> {
+/// The populated size of an HDFS file that [`ScenarioSpec::validate`]
+/// resolved. A dfsio-read job reads every input at the size of its
+/// first, matching TestDFSIO's uniform file size.
+fn file_size(w: &World, path: &str) -> u64 {
     let meta = w.ext.get::<HdfsMeta>().expect("meta");
-    let sizes: Vec<u64> = files
-        .iter()
-        .map(|f| {
-            meta.file(f)
-                .map(|m| m.size())
-                .ok_or_else(|| SpecError::Unresolved(format!("file {f}")))
-        })
-        .collect::<Result<_, _>>()?;
-    Ok(sizes[0])
+    meta.file(path).expect("validated read target").size()
 }
 
-/// The populated size of one HDFS file.
-fn hdfs_file_size(w: &World, path: &str) -> Result<u64, SpecError> {
-    let meta = w.ext.get::<HdfsMeta>().expect("meta");
-    meta.file(path)
-        .map(|m| m.size())
-        .ok_or_else(|| SpecError::Unresolved(format!("file {path}")))
-}
-
-/// Fluent construction of a [`ScenarioSpec`] — the programmatic
-/// equivalent of the scenario JSON, with the same validation surface:
-///
-/// ```rust
-/// use vread_bench::{ReadPath, ScenarioSpec};
-/// use vread_bench::spec::WorkloadSpec;
-///
-/// let spec = ScenarioSpec::builder()
-///     .path(ReadPath::VreadRdma)
-///     .host("h1", 4, 2.0)
-///     .host("h2", 4, 2.0)
-///     .client("client", "h1")
-///     .datanode("dn1", "h1")
-///     .datanode("dn2", "h2")
-///     .replicated_file("/d", 16, &["dn1", "dn2"])
-///     .workload(WorkloadSpec::Reader {
-///         path: "/d".to_owned(),
-///         request_kb: 1024,
-///     })
-///     .build()?;
-/// assert_eq!(spec.files[0].placement.len(), 2);
-/// # Ok::<(), vread_bench::SpecError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct ScenarioBuilder {
-    seed: u64,
-    path: ReadPath,
-    hosts: Vec<HostSpec>,
-    vms: Vec<VmSpec>,
-    files: Vec<FileSpec>,
-    workloads: Vec<WorkloadBinding>,
-    faults: Vec<FaultSpec>,
-    spans: bool,
-    host_cache: HostCacheSpec,
-    timeline: Option<TimelineSpec>,
-}
-
-impl Default for ScenarioBuilder {
-    fn default() -> Self {
-        ScenarioBuilder {
+impl ScenarioSpec {
+    /// An empty scenario with the defaults (seed 42, vanilla path,
+    /// nothing else), to be filled in by the fluent methods below — the
+    /// programmatic equivalent of the scenario JSON, ending in
+    /// [`ScenarioSpec::build`]:
+    ///
+    /// ```rust
+    /// use vread_bench::{ReadPath, ScenarioSpec};
+    /// use vread_bench::spec::WorkloadSpec;
+    ///
+    /// let spec = ScenarioSpec::builder()
+    ///     .path(ReadPath::VreadRdma)
+    ///     .host("h1", 4, 2.0)
+    ///     .host("h2", 4, 2.0)
+    ///     .client("client", "h1")
+    ///     .datanode("dn1", "h1")
+    ///     .datanode("dn2", "h2")
+    ///     .replicated_file("/d", 16, &["dn1", "dn2"])
+    ///     .workload(WorkloadSpec::Reader {
+    ///         path: "/d".to_owned(),
+    ///         request_kb: 1024,
+    ///     })
+    ///     .build()?;
+    /// assert_eq!(spec.files[0].placement.len(), 2);
+    /// # Ok::<(), vread_bench::SpecError>(())
+    /// ```
+    pub fn builder() -> ScenarioSpec {
+        ScenarioSpec {
             seed: 42,
             path: ReadPath::Vanilla,
             hosts: Vec::new(),
@@ -1275,9 +1171,7 @@ impl Default for ScenarioBuilder {
             timeline: None,
         }
     }
-}
 
-impl ScenarioBuilder {
     /// Sets the RNG seed (default 42).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -1398,19 +1292,30 @@ impl ScenarioBuilder {
     /// # Errors
     ///
     /// [`SpecError::Invalid`] when the shape is wrong (no workload, no
-    /// client/datanode VM, duplicate host/VM/file names, a workload
-    /// bound to a non-client VM, vm-crash against a non-datanode, or
-    /// out-of-range numbers as in [`ScenarioSpec::from_json`]);
-    /// [`SpecError::Unresolved`] when a host, datanode, file, workload
-    /// client or fault target name doesn't refer to anything added
-    /// before `build`.
+    /// client or datanode VM, duplicate host/VM/file names, an empty
+    /// placement, a workload bound to a non-client VM, a `vm-crash`
+    /// against a non-datanode, out-of-range numbers such as a zero size
+    /// or a fault factor outside [1, 1e5], or a time past simulated
+    /// time); [`SpecError::Unresolved`] when a host, datanode, file,
+    /// workload client or fault target name refers to nothing.
     pub fn build(self) -> Result<ScenarioSpec, SpecError> {
+        self.validate()?;
+        Ok(self)
+    }
+
+    /// Checks every scenario rule: this and the helpers it calls are the
+    /// one place each rule is written. `from_json`,
+    /// [`ScenarioSpec::build`] and [`ScenarioSpec::run`] all call it, so
+    /// a spec edited through its pub fields after construction is still
+    /// checked before it runs.
+    fn validate(&self) -> Result<(), SpecError> {
         if self.workloads.is_empty() {
             return Err(SpecError::Invalid("no workload".to_owned()));
         }
         check_unique_names(&self.hosts, &self.vms, &self.files)?;
         check_ranges(&self.hosts, &self.vms, &self.workloads)?;
-        check_times(&self.workloads, &self.faults, self.timeline.as_ref())?;
+        check_times(&self.workloads, self.timeline.as_ref())?;
+        check_faults(&self.faults)?;
         let host_names: std::collections::HashSet<&str> =
             self.hosts.iter().map(|h| h.name.as_str()).collect();
         let mut datanodes = std::collections::HashSet::new();
@@ -1485,16 +1390,13 @@ impl ScenarioBuilder {
                         return Err(SpecError::Unresolved(format!("fault host {host}")));
                     }
                 }
-                FaultKind::VhostStall { vm, .. } => {
+                FaultKind::VhostStall { vm, .. } | FaultKind::VmCrash { vm } => {
                     if !vm_names.contains(vm.as_str()) {
                         return Err(SpecError::Unresolved(format!("fault vm {vm}")));
                     }
-                }
-                FaultKind::VmCrash { vm } => {
-                    if !vm_names.contains(vm.as_str()) {
-                        return Err(SpecError::Unresolved(format!("fault vm {vm}")));
-                    }
-                    if !datanodes.contains(vm.as_str()) {
+                    if matches!(f.kind, FaultKind::VmCrash { .. })
+                        && !datanodes.contains(vm.as_str())
+                    {
                         return Err(SpecError::Invalid(format!(
                             "vm-crash target {vm} is not a datanode VM"
                         )));
@@ -1517,18 +1419,7 @@ impl ScenarioBuilder {
                 "timeline sample_ms must be positive".to_owned(),
             ));
         }
-        Ok(ScenarioSpec {
-            seed: self.seed,
-            path: self.path,
-            hosts: self.hosts,
-            vms: self.vms,
-            files: self.files,
-            workloads: self.workloads,
-            faults: self.faults,
-            spans: self.spans,
-            host_cache: self.host_cache,
-            timeline: self.timeline,
-        })
+        Ok(())
     }
 }
 
@@ -1577,8 +1468,10 @@ mod tests {
     #[test]
     fn unresolved_references_error() {
         let bad = SPEC.replace("\"host\": \"h1\"", "\"host\": \"nope\"");
-        let spec = ScenarioSpec::from_json(&bad).unwrap();
-        assert!(matches!(spec.run(), Err(SpecError::Unresolved(_))));
+        assert!(matches!(
+            ScenarioSpec::from_json(&bad),
+            Err(SpecError::Unresolved(_))
+        ));
     }
 
     #[test]
@@ -1677,7 +1570,11 @@ mod tests {
                 .datanode("dn1", "h1")
                 .lookbusy("bg", "h1", v[2].parse().unwrap())
                 .file("/d", 4, &["dn1"])
-                .workload(workload_from_json(&Json::parse(v[3]).unwrap()).unwrap())
+                .workload(
+                    workload_from_json(&Json::parse(v[3]).unwrap())
+                        .unwrap()
+                        .kind,
+                )
                 .build()
         };
         let valid_workloads = [
@@ -1800,72 +1697,237 @@ mod tests {
         );
     }
 
-    #[test]
-    fn builder_validates_shape_and_references() {
-        let base = || {
-            ScenarioSpec::builder()
-                .host("h1", 4, 2.0)
-                .client("client", "h1")
-                .datanode("dn1", "h1")
-        };
-        assert!(
-            matches!(base().build(), Err(SpecError::Invalid(_))),
-            "missing workload"
-        );
-        let wl = WorkloadSpec::Reader {
-            path: "/d".to_owned(),
+    /// The valid scenario [`builder_and_json_reject_alike`] edits.
+    const BASE: &str = r#"{
+        "path": "vanilla",
+        "hosts": [ { "name": "h1", "cores": 4, "ghz": 2.0 } ],
+        "vms": [
+            { "name": "client", "host": "h1", "role": "client" },
+            { "name": "dn1", "host": "h1", "role": "datanode" }
+        ],
+        "files": [ { "path": "/d", "mb": 8, "placement": ["dn1"] } ],
+        "workloads": [ { "kind": "reader", "path": "/d", "request_kb": 1024 } ]
+    }"#;
+
+    fn read(path: &str) -> WorkloadSpec {
+        WorkloadSpec::Reader {
+            path: path.to_owned(),
             request_kb: 1024,
+        }
+    }
+
+    /// [`BASE`] through the builder, its client on `client_host`, its
+    /// two VMs in the given roles, and no workload yet.
+    fn base_with(client_host: &str, client: VmRole, dn: VmRole) -> ScenarioSpec {
+        ScenarioSpec::builder()
+            .host("h1", 4, 2.0)
+            .vm("client", client_host, client, None)
+            .vm("dn1", "h1", dn, None)
+            .file("/d", 8, &["dn1"])
+    }
+
+    /// [`BASE`] through the builder.
+    fn base() -> ScenarioSpec {
+        base_with("h1", VmRole::Client, VmRole::Datanode).workload(read("/d"))
+    }
+
+    #[test]
+    fn builder_and_json_reject_alike() {
+        const UNRESOLVED: SpecError = SpecError::Unresolved(String::new());
+        const INVALID: SpecError = SpecError::Invalid(String::new());
+        let swap = |from: &'static str, to: &str| (from, to.to_owned());
+        let after = |anchor: &'static str, extra: &str| (anchor, format!("{anchor}, {extra}"));
+        let (file, workload) = (r#""placement": ["dn1"] }"#, r#""request_kb": 1024 }"#);
+        let fault = |f: &str| {
+            swap(
+                "\"workloads\"",
+                &format!("\"faults\": [ {f} ], \"workloads\""),
+            )
         };
-        assert!(
-            matches!(
-                base().workload(wl.clone()).build(),
-                Err(SpecError::Unresolved(_))
+        let block = |b: &str| swap("\"path\"", &format!("{b}, \"path\""));
+        let cas = |capacity_mb, chunk_kb| HostCacheSpec {
+            mode: HostCacheMode::Cas,
+            capacity_mb,
+            chunk_kb,
+        };
+        let own = |name: &str| name.to_owned();
+        // (JSON edit of BASE, the same edit through the builder, variant)
+        let rows = [
+            // each kind of dangling reference
+            (
+                swap(
+                    r#""host": "h1", "role": "client""#,
+                    r#""host": "h9", "role": "client""#,
+                ),
+                base_with("h9", VmRole::Client, VmRole::Datanode).workload(read("/d")),
+                UNRESOLVED,
             ),
-            "reader file must be populated"
-        );
-        assert!(matches!(
-            base()
-                .file("/d", 8, &["ghost-dn"])
-                .workload(wl.clone())
-                .build(),
-            Err(SpecError::Unresolved(_))
-        ));
-        assert!(matches!(
-            base()
-                .file("/d", 8, &["dn1"])
-                .workload(wl.clone())
-                .fault(
-                    100,
-                    FaultKind::VmCrash {
-                        vm: "client".to_owned()
-                    }
-                )
-                .build(),
-            Err(SpecError::Invalid(_)),
-        ));
-        assert!(
-            matches!(
-                base()
-                    .file("/d", 8, &["dn1"])
-                    .workload_on("ghost", 0, wl.clone())
-                    .build(),
-                Err(SpecError::Unresolved(_))
+            (
+                after(file, r#"{ "path": "/e", "mb": 8, "placement": ["dn9"] }"#),
+                base().file("/e", 8, &["dn9"]),
+                UNRESOLVED,
             ),
-            "workload client must exist"
-        );
-        assert!(
-            matches!(
-                base()
-                    .file("/d", 8, &["dn1"])
-                    .workload_on("dn1", 0, wl.clone())
-                    .build(),
-                Err(SpecError::Invalid(_))
+            (
+                after(
+                    workload,
+                    r#"{ "kind": "reader", "path": "/e", "request_kb": 1024 }"#,
+                ),
+                base().workload(read("/e")),
+                UNRESOLVED,
             ),
-            "workload client must have the client role"
-        );
-        let ok = base().file("/d", 8, &["dn1"]).workload(wl).build().unwrap();
-        assert_eq!(ok.path, ReadPath::Vanilla);
-        assert!(ok.run().is_ok());
+            (
+                after(
+                    workload,
+                    r#"{ "kind": "dfsio-read", "files": ["/d", "/e"] }"#,
+                ),
+                base().workload(WorkloadSpec::DfsioRead {
+                    files: vec!["/d".to_owned(), "/e".to_owned()],
+                    buffer_kb: 1024,
+                }),
+                UNRESOLVED,
+            ),
+            (
+                after(
+                    workload,
+                    r#"{ "kind": "reader", "path": "/d", "request_kb": 1024, "client": "c9" }"#,
+                ),
+                base().workload_on("c9", 0, read("/d")),
+                UNRESOLVED,
+            ),
+            (
+                fault(r#"{ "at_ms": 10, "kind": "cache-drop", "host": "h9" }"#),
+                base().fault(10, FaultKind::CacheDrop { host: own("h9") }),
+                UNRESOLVED,
+            ),
+            (
+                fault(r#"{ "at_ms": 10, "kind": "vhost-stall", "vm": "dn9" }"#),
+                base().fault(
+                    10,
+                    FaultKind::VhostStall {
+                        vm: own("dn9"),
+                        duration_ms: 100,
+                    },
+                ),
+                UNRESOLVED,
+            ),
+            (
+                fault(r#"{ "at_ms": 10, "kind": "vm-crash", "vm": "dn9" }"#),
+                base().fault(10, FaultKind::VmCrash { vm: own("dn9") }),
+                UNRESOLVED,
+            ),
+            // roles
+            (
+                after(
+                    workload,
+                    r#"{ "kind": "reader", "path": "/d", "request_kb": 1024, "client": "dn1" }"#,
+                ),
+                base().workload_on("dn1", 0, read("/d")),
+                INVALID,
+            ),
+            (
+                fault(r#"{ "at_ms": 10, "kind": "vm-crash", "vm": "client" }"#),
+                base().fault(10, FaultKind::VmCrash { vm: own("client") }),
+                INVALID,
+            ),
+            (
+                after(file, r#"{ "path": "/e", "mb": 8, "placement": [] }"#),
+                base().file("/e", 8, &[]),
+                INVALID,
+            ),
+            // zero sizes and factors out of range
+            (
+                block(r#""host_cache": { "mode": "cas", "capacity_mb": 0 }"#),
+                base().host_cache(cas(Some(0), None)),
+                INVALID,
+            ),
+            (
+                block(r#""host_cache": { "mode": "cas", "chunk_kb": 0 }"#),
+                base().host_cache(cas(None, Some(0))),
+                INVALID,
+            ),
+            (
+                block(r#""timeline": { "sample_ms": 0 }"#),
+                base().timeline_sample_ms(0),
+                INVALID,
+            ),
+            (
+                fault(r#"{ "at_ms": 10, "kind": "link-flap", "host": "h1", "factor": 0.5 }"#),
+                base().fault(
+                    10,
+                    FaultKind::LinkFlap {
+                        host: own("h1"),
+                        factor: 0.5,
+                        duration_ms: 100,
+                    },
+                ),
+                INVALID,
+            ),
+            (
+                fault(r#"{ "at_ms": 10, "kind": "disk-slow", "host": "h1", "factor": 200000 }"#),
+                base().fault(
+                    10,
+                    FaultKind::DiskSlow {
+                        host: own("h1"),
+                        factor: 200_000.0,
+                        duration_ms: 100,
+                    },
+                ),
+                INVALID,
+            ),
+            // no client, no datanode, no workload
+            (
+                swap(r#""role": "client""#, r#""role": "peer""#),
+                base_with("h1", VmRole::Peer, VmRole::Datanode).workload(read("/d")),
+                INVALID,
+            ),
+            (
+                swap(r#""role": "datanode""#, r#""role": "peer""#),
+                base_with("h1", VmRole::Client, VmRole::Peer).workload(read("/d")),
+                INVALID,
+            ),
+            (
+                swap(
+                    r#""workloads": [ { "kind": "reader", "path": "/d", "request_kb": 1024 } ]"#,
+                    r#""workloads": []"#,
+                ),
+                base_with("h1", VmRole::Client, VmRole::Datanode),
+                INVALID,
+            ),
+        ];
+        assert!(ScenarioSpec::from_json(BASE).is_ok());
+        assert!(base().build().is_ok());
+        for ((from, to), built, variant) in rows {
+            assert!(BASE.contains(from), "{from}");
+            let parsed = ScenarioSpec::from_json(&BASE.replacen(from, &to, 1)).unwrap_err();
+            let built = built.build().unwrap_err();
+            assert_eq!(parsed.to_string(), built.to_string(), "{to}");
+            assert_eq!(
+                std::mem::discriminant(&parsed),
+                std::mem::discriminant(&variant),
+                "{to}: {parsed}"
+            );
+        }
+    }
+
+    #[test]
+    fn unknown_keys_are_rejected_in_every_object() {
+        let example = include_str!("../../../scenarios/example.json");
+        let faults = include_str!("../../../scenarios/faults-example.json");
+        // one mistyped key per object kind: host, VM, file, workload, fault
+        for (json, key, typo) in [
+            (example, "cores", "core"),
+            (example, "busy", "bussy"),
+            (faults, "replicate", "replicat"),
+            (example, "buffer_kb", "bufer_kb"),
+            (faults, "duration_ms", "duraton_ms"),
+        ] {
+            let (key, typo) = (format!("\"{key}\""), format!("\"{typo}\""));
+            assert!(json.contains(&key), "{key}");
+            match ScenarioSpec::from_json(&json.replacen(&key, &typo, 1)) {
+                Err(SpecError::Parse(msg)) => assert!(msg.contains(&typo), "{msg}"),
+                other => panic!("{typo} was not rejected: {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -2047,11 +2109,11 @@ mod tests {
             ScenarioSpec::from_json(&bad),
             Err(SpecError::Parse(_))
         ));
-        // zero sizes are rejected
+        // zero sizes are out-of-range numbers
         for zeroed in [with.replace("256", "0"), with.replace("64", "0")] {
             assert!(matches!(
                 ScenarioSpec::from_json(&zeroed),
-                Err(SpecError::Parse(_))
+                Err(SpecError::Invalid(_))
             ));
         }
         // the block must be an object
@@ -2101,11 +2163,11 @@ mod tests {
             SpecError::Parse(msg) => assert!(msg.contains("sample_sm"), "{msg}"),
             other => panic!("expected parse error, got {other:?}"),
         }
-        // a zero period is rejected
+        // a zero period is an out-of-range number
         let bad = with.replace("20", "0");
         assert!(matches!(
             ScenarioSpec::from_json(&bad),
-            Err(SpecError::Parse(_))
+            Err(SpecError::Invalid(_))
         ));
         // the block must be an object
         let bad = with.replace("{ \"sample_ms\": 20 }", "20");
@@ -2139,6 +2201,27 @@ mod tests {
         let tl = on.timeline.expect("timeline run reports its summary");
         assert_eq!(tl.sample_ms, 10);
         assert!(tl.reads > 0 && tl.ticks > 0);
+    }
+
+    #[test]
+    fn singular_workload_is_a_one_entry_workloads() {
+        let lone = r#"{ "kind": "dfsio-read", "files": ["/d"] }"#;
+        let entry =
+            r#"{ "kind": "dfsio-read", "files": ["/d"], "client": "client", "start_ms": 5 }"#;
+        assert!(SPEC.contains(lone));
+        let one = ScenarioSpec::from_json(&SPEC.replacen(lone, entry, 1)).unwrap();
+        let many = SPEC.replacen(
+            &format!("\"workload\": {lone}"),
+            &format!("\"workloads\": [{entry}]"),
+            1,
+        );
+        let many = ScenarioSpec::from_json(&many).unwrap();
+        assert_eq!(one.workloads[0].client.as_deref(), Some("client"));
+        assert_eq!(one.workloads[0].start_ms, 5);
+        assert_eq!(
+            format!("{:?}", one.workloads),
+            format!("{:?}", many.workloads)
+        );
     }
 
     #[test]

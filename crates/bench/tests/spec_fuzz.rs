@@ -14,12 +14,19 @@
 //! value near or past the largest whole-ms count whose nanoseconds fit
 //! simulated time: past it the spec must be rejected, well inside it
 //! the spec must still parse.
+//!
+//! A plain test renames each reference of every shipped file — a VM's
+//! host, a placement entry, a workload's file, path or client, a fault's
+//! host or VM — one occurrence at a time, to a name nothing defines:
+//! each rename must be rejected as unresolved by the parser itself,
+//! before any world is built.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
-use vread_bench::ScenarioSpec;
+use vread_bench::json::Json;
+use vread_bench::{ScenarioSpec, SpecError};
 
 /// Bytes substituted into the documents.
 const ALPHABET: &[u8] = b"{}[]:,\"-.e0123456789\xff";
@@ -138,6 +145,79 @@ proptest! {
             prop_assert!(!accepted, "{}: {ms} ms was accepted", path.display());
         } else if ms <= MAX_MS - 10_000 {
             prop_assert!(accepted, "{}: {ms} ms was rejected", path.display());
+        }
+    }
+}
+
+/// The name-reference strings of a parsed scenario, in document order:
+/// each VM's `host`, each `placement` entry, each workload's `path`,
+/// `client` and (dfsio-read only) `files`, and each fault's `host` or
+/// `vm`. A singular `"workload"` counts as a one-entry `"workloads"`.
+fn references(doc: &mut Json) -> Vec<&mut String> {
+    let mut out = Vec::new();
+    let Json::Obj(top) = doc else {
+        return out;
+    };
+    for (key, value) in top.iter_mut() {
+        let section = if key == "workload" {
+            "workloads"
+        } else {
+            key.as_str()
+        };
+        let items: Vec<&mut Json> = match value {
+            Json::Arr(items) => items.iter_mut().collect(),
+            one => vec![one],
+        };
+        for item in items {
+            let Json::Obj(fields) = item else {
+                continue;
+            };
+            let reads_files = fields
+                .iter()
+                .any(|(k, v)| k == "kind" && v.as_str() == Some("dfsio-read"));
+            for (field, v) in fields.iter_mut() {
+                let is_ref = match (section, field.as_str()) {
+                    ("vms", "host")
+                    | ("files", "placement")
+                    | ("workloads", "path" | "client")
+                    | ("faults", "host" | "vm") => true,
+                    ("workloads", "files") => reads_files,
+                    _ => false,
+                };
+                match v {
+                    Json::Str(name) if is_ref => out.push(name),
+                    Json::Arr(names) if is_ref => {
+                        out.extend(names.iter_mut().filter_map(|n| match n {
+                            Json::Str(name) => Some(name),
+                            _ => None,
+                        }))
+                    }
+                    _ => {}
+                }
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn dangling_references_are_rejected_at_parse() {
+    const UNUSED: &str = "renamed-reference";
+    for (path, bytes) in shipped() {
+        let text = std::str::from_utf8(&bytes).expect("shipped scenario is UTF-8");
+        assert!(!text.contains(UNUSED));
+        let doc = Json::parse(text).expect("shipped scenario parses");
+        let count = references(&mut doc.clone()).len();
+        assert!(count > 0, "{}: no references found", path.display());
+        for i in 0..count {
+            let mut edited = doc.clone();
+            let name = std::mem::replace(references(&mut edited).swap_remove(i), UNUSED.to_owned());
+            let got = ScenarioSpec::from_json(&edited.pretty());
+            assert!(
+                matches!(got, Err(SpecError::Unresolved(_))),
+                "{}: renaming reference {i} ({name:?}) gave {got:?}",
+                path.display()
+            );
         }
     }
 }

@@ -6,17 +6,17 @@
 //! serialize exactly as they did before the timeline existed.
 
 use vread_bench::spec::WorkloadSpec;
-use vread_bench::{ReadPath, ScenarioBuilder};
+use vread_bench::{ReadPath, ScenarioSpec};
 
 /// A multi-workload scenario with overlapping staggered readers: enough
 /// concurrency that per-window histograms see interleaved completions
 /// from several jobs.
-fn staggered(timeline: bool) -> ScenarioBuilder {
+fn staggered(timeline: bool) -> ScenarioSpec {
     staggered_on("h1", timeline)
 }
 
 /// [`staggered`] with its first host named `h1`.
-fn staggered_on(h1: &str, timeline: bool) -> ScenarioBuilder {
+fn staggered_on(h1: &str, timeline: bool) -> ScenarioSpec {
     let mut b = vread_bench::ScenarioSpec::builder()
         .seed(7)
         .path(ReadPath::VreadRdma)

@@ -120,11 +120,6 @@ impl Cluster {
         self.host_cache_mode = mode;
     }
 
-    /// The configured host block-store mode.
-    pub fn host_cache_mode(&self) -> HostCacheMode {
-        self.host_cache_mode
-    }
-
     fn make_host_store(&self) -> Box<dyn BlockStore> {
         match self.host_cache_mode {
             HostCacheMode::Lru => Box::new(PageCache::new(
@@ -266,17 +261,6 @@ impl Cluster {
     pub fn clear_host_cache(&mut self, host: HostIx) {
         self.hosts[host.0].cache.clear();
     }
-
-    /// Clears every cache in the deployment (the paper's "read without
-    /// cache" preparation).
-    pub fn clear_all_caches(&mut self) {
-        for vm in &mut self.vms {
-            vm.cache.clear();
-        }
-        for h in &mut self.hosts {
-            h.cache.clear();
-        }
-    }
 }
 
 /// Borrows the cluster out of the world's extension blackboard and runs
@@ -328,20 +312,6 @@ mod tests {
             cl.add_vm(w, h, "vm");
         });
         assert_eq!(w.ext.get::<Cluster>().unwrap().vms.len(), 1);
-    }
-
-    #[test]
-    fn cache_clearing() {
-        let mut w = World::new(1);
-        let mut cl = Cluster::new(Costs::default());
-        let h = cl.add_host(&mut w, "h", 2, 2.0);
-        let vm = cl.add_vm(&mut w, h, "vm");
-        let obj = cl.vm(vm).fs.image();
-        cl.vm_mut(vm).cache.admit(obj, 0, 65536);
-        cl.hosts[h.0].cache.admit(obj, 0, 65536);
-        cl.clear_all_caches();
-        assert_eq!(cl.vm(vm).cache.used_bytes(), 0);
-        assert_eq!(cl.hosts[h.0].cache.used_bytes(), 0);
     }
 
     #[test]

@@ -213,12 +213,6 @@ impl Metrics {
         self.add_to(id, 1.0);
     }
 
-    /// Current value of an interned counter.
-    #[inline]
-    pub fn counter_value(&self, id: CounterId) -> f64 {
-        self.counter_vals[id.0 as usize]
-    }
-
     /// Records a raw observation under an interned sample key (O(1)).
     #[inline]
     pub fn record_to(&mut self, id: SampleId, v: f64) {
@@ -516,7 +510,6 @@ mod tests {
         m.add("ops", 2.0); // string API hits the same slot
         m.record_to(s, 7.0);
         assert_eq!(m.counter("ops"), 3.0);
-        assert_eq!(m.counter_value(c), 3.0);
         assert_eq!(m.samples("lat").unwrap().values(), &[7.0]);
         assert_eq!(m.register_counter("ops"), c, "interning is idempotent");
     }
