@@ -1,13 +1,11 @@
 //! Span rollups for scenario reports: the per-layer cycle/copy table,
-//! the copies-per-read ledger aggregate, and their JSON/text forms.
+//! the copies-per-read ledger aggregate, and their JSON form.
 //!
 //! The raw recorder lives in `vread_sim::span`; this module adapts a
 //! drained [`SpanReport`] to the harness's report surface. A summary is
 //! attached to a [`crate::ScenarioReport`] only when the scenario asked
 //! for tracing (`"spans": true`), so spans-off reports serialize exactly
 //! as before.
-
-use std::fmt::Write as _;
 
 use vread_sim::prelude::*;
 use vread_sim::SpanReport;
@@ -114,60 +112,6 @@ impl SpanSummary {
     /// engine's total.
     pub fn conserves_cycles(&self) -> bool {
         self.conservation_gap().abs() <= self.acct_cycles.abs() * 1e-6 + 1.0
-    }
-
-    /// Renders the per-layer table, read ledger, and conservation line
-    /// as aligned text.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{:<14} {:>7} {:>12} {:>10} {:>8} {:>10}",
-            "layer", "spans", "Mcycles", "copy_MB", "copies", "q_wait_ms"
-        );
-        for row in self.report.layer_table() {
-            let _ = writeln!(
-                out,
-                "{:<14} {:>7} {:>12.3} {:>10.2} {:>8} {:>10.3}",
-                row.name,
-                row.count,
-                row.cycles / 1e6,
-                row.copy_bytes as f64 / 1e6,
-                row.copies,
-                row.queue_wait_ns as f64 / 1e6,
-            );
-        }
-        let agg = self.reads();
-        let _ = writeln!(
-            out,
-            "reads: {}  payload {:.1} MB  copies/read {:.2} (min {:.2}, max {:.2})",
-            agg.reads,
-            agg.payload_bytes as f64 / 1e6,
-            agg.copies_per_read(),
-            agg.min_copies_per_read,
-            agg.max_copies_per_read,
-        );
-        if agg.mapped_bytes > 0 || agg.maps > 0 {
-            let _ = writeln!(
-                out,
-                "mapped: {:.1} MB in {} mappings (zero-copy dedup serves)",
-                agg.mapped_bytes as f64 / 1e6,
-                agg.maps,
-            );
-        }
-        let _ = writeln!(
-            out,
-            "cycles: spans {:.0} + unattributed {:.0} vs engine {:.0} ({})",
-            self.report.total_cycles(),
-            self.report.unattributed_cycles,
-            self.acct_cycles,
-            if self.conserves_cycles() {
-                "conserved"
-            } else {
-                "NOT CONSERVED"
-            },
-        );
-        out
     }
 
     /// Serializes the summary (layer table + read aggregate +

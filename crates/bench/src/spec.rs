@@ -745,9 +745,8 @@ fn check_ranges(
 
 /// Rejects a millisecond value whose nanoseconds overflow simulated time
 /// (`u64` ns, about 584 years). `None` stands for a millisecond sum that
-/// already overflowed. `repro timeline --sample-ms` applies the same
-/// bound to its override.
-pub fn check_ms(what: &str, ms: Option<u64>) -> Result<(), SpecError> {
+/// already overflowed.
+pub(crate) fn check_ms(what: &str, ms: Option<u64>) -> Result<(), SpecError> {
     match ms.and_then(|ms| ms.checked_mul(1_000_000)) {
         Some(_) => Ok(()),
         None => Err(SpecError::Invalid(format!(
@@ -2163,12 +2162,15 @@ mod tests {
             SpecError::Parse(msg) => assert!(msg.contains("sample_sm"), "{msg}"),
             other => panic!("expected parse error, got {other:?}"),
         }
-        // a zero period is an out-of-range number
-        let bad = with.replace("20", "0");
-        assert!(matches!(
-            ScenarioSpec::from_json(&bad),
-            Err(SpecError::Invalid(_))
-        ));
+        // a zero period is an out-of-range number, and so is one past
+        // the largest millisecond count whose nanoseconds fit in `u64`
+        for ms in ["0", "18446744073710"] {
+            let bad = with.replace("20", ms);
+            assert!(matches!(
+                ScenarioSpec::from_json(&bad),
+                Err(SpecError::Invalid(_))
+            ));
+        }
         // the block must be an object
         let bad = with.replace("{ \"sample_ms\": 20 }", "20");
         assert!(matches!(

@@ -1,6 +1,6 @@
 //! Timeline reporting: fold the sim's telemetry timeline
-//! ([`vread_sim::Timeline`]) into scenario reports, a per-window
-//! tail-latency table and Perfetto counter tracks.
+//! ([`vread_sim::Timeline`]) into scenario reports (per-window
+//! tail-latency quantiles among them) and Perfetto counter tracks.
 //!
 //! The sim layer records; this module summarizes. A scenario with a
 //! `"timeline"` block gains a `timeline` report section containing the
@@ -139,52 +139,6 @@ impl TimelineSummary {
             series,
             saturation_ms,
         }
-    }
-
-    /// The per-window table plus the saturation verdict, as deterministic
-    /// fixed-point text (diffable across `--jobs` counts).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "timeline: sample {} ms, {} ticks, {} series, {} reads  \
-             p50 {:.3} ms  p99 {:.3} ms  p999 {:.3} ms  max {:.3} ms",
-            self.sample_ms,
-            self.ticks,
-            self.series.len(),
-            self.reads,
-            self.p50_ms,
-            self.p99_ms,
-            self.p999_ms,
-            self.max_ms,
-        );
-        let _ = writeln!(
-            out,
-            "{:>10} {:>7} {:>10} {:>10} {:>10}",
-            "window_ms", "reads", "p50_ms", "p99_ms", "p999_ms"
-        );
-        for w in &self.windows {
-            let _ = writeln!(
-                out,
-                "{:>10} {:>7} {:>10.3} {:>10.3} {:>10.3}",
-                w.start_ms, w.reads, w.p50_ms, w.p99_ms, w.p999_ms
-            );
-        }
-        match self.saturation_ms {
-            Some(at) => {
-                let _ = writeln!(
-                    out,
-                    "saturation: p99 exceeds {SATURATION_X:.1}x the baseline window at {at} ms"
-                );
-            }
-            None => {
-                let _ = writeln!(
-                    out,
-                    "saturation: none (p99 stays within {SATURATION_X:.1}x of the baseline window)"
-                );
-            }
-        }
-        out
     }
 
     /// The report's `"timeline"` JSON block.
@@ -354,11 +308,8 @@ mod tests {
     }
 
     #[test]
-    fn render_and_json_are_stable() {
+    fn json_is_stable() {
         let s = summary(&[(0, 4, 1.0), (10, 2, 1.5)]);
-        let text = s.render();
-        assert!(text.contains("window_ms"));
-        assert!(text.contains("saturation: none"));
         let j = s.to_json().pretty();
         assert!(j.contains("\"sample_ms\": 10"));
         assert!(j.contains("\"saturation_ms\": null"));

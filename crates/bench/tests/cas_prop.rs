@@ -14,7 +14,8 @@ use vread_apps::driver::run_jobs;
 use vread_apps::java_reader::{JavaReader, ReaderMode};
 use vread_bench::spec::{FileSpec, VmRole};
 use vread_bench::{
-    DeployPlan, Deployment, HostCacheReport, HostCacheSpec, ReadPath, ScenarioSpec, WorkloadSpec,
+    DeployPlan, Deployment, HostCacheReport, HostCacheSpec, ReadPath, ScenarioSpec, SpanSummary,
+    WorkloadSpec,
 };
 use vread_hdfs::HdfsMeta;
 use vread_host::cluster::{Cluster, HostCacheMode, VmId};
@@ -46,10 +47,11 @@ fn read_pass(d: &mut Deployment, client: ActorId, vm: VmId, path: &str) {
 
 /// Two co-located tenants read the same 2-way-replicated file, the
 /// second through the sibling replicas (its own vfd table, rotated
-/// primaries); returns the host store counters.
-fn two_tenant_store_report(mode: HostCacheMode) -> HostCacheReport {
+/// primaries); returns the host store counters and the span ledger.
+fn two_tenant_store_report(mode: HostCacheMode) -> (HostCacheReport, SpanSummary) {
     let plan = DeployPlan::new(42)
         .path(ReadPath::VreadRdma)
+        .spans(true)
         .host("h1", 8, 2.0)
         .vm("t1", "h1", VmRole::Client, None)
         .vm("t2", "h1", VmRole::Client, None)
@@ -81,8 +83,9 @@ fn two_tenant_store_report(mode: HostCacheMode) -> HostCacheReport {
         }
     }
     read_pass(&mut d, c2, vm2, "/f");
+    let spans = SpanSummary::collect(&mut d.w);
     let cl = d.w.ext.get::<Cluster>().expect("cluster");
-    HostCacheReport::collect(cl)
+    (HostCacheReport::collect(cl), spans)
 }
 
 /// Fraction of lookups served without touching disk.
@@ -93,8 +96,8 @@ fn hit_ratio(r: &HostCacheReport) -> f64 {
 
 #[test]
 fn cas_dedup_hit_ratio_beats_lru_for_shared_replicas() {
-    let lru = two_tenant_store_report(HostCacheMode::Lru);
-    let cas = two_tenant_store_report(HostCacheMode::Cas);
+    let (lru, _) = two_tenant_store_report(HostCacheMode::Lru);
+    let (cas, spans) = two_tenant_store_report(HostCacheMode::Cas);
     assert_eq!(lru.dedup_hits, 0, "the LRU store cannot dedup: {lru:?}");
     assert!(
         cas.dedup_hits > 0,
@@ -108,6 +111,17 @@ fn cas_dedup_hit_ratio_beats_lru_for_shared_replicas() {
         cas.effective_capacity_x > 1.5,
         "2-way replicas nearly halve residency: {cas:?}",
     );
+    // The dedup ledger: tenant 1 reads cold through the ring (2
+    // copies/read); tenant 2's sibling reads are served by page mapping
+    // at 1 copy/read, strictly below a local vRead read.
+    let agg = spans.reads();
+    assert!(
+        (agg.min_copies_per_read - 1.0).abs() < 1e-9
+            && (agg.max_copies_per_read - 2.0).abs() < 1e-9,
+        "dedup reads at 1 copy/read, cold at 2: {agg:?}",
+    );
+    assert!(agg.mapped_bytes > 0, "dedup serves map pages: {agg:?}");
+    assert!(spans.conserves_cycles(), "span cycles conserve");
 }
 
 /// The two-tenant scenario as a spec, parameterized over store mode.

@@ -154,7 +154,9 @@ proptest! {
 
     /// Cycles attributed to spans plus the unattributed pool equal the
     /// engine's total charged cycles, whatever the seed, path, data
-    /// locality, or file size.
+    /// locality, or file size. With the data co-located, the copy
+    /// ledger also holds the paper's invariant (§2) on every read:
+    /// vanilla moves the payload at least 5 times, vRead exactly twice.
     #[test]
     fn span_cycles_conserve_engine_accounting(
         seed in 0u64..1_000,
@@ -162,7 +164,9 @@ proptest! {
         mb in 2u64..12,
         remote_ix in 0usize..2,
     ) {
-        let spec = spans_spec(seed, ReadPath::ALL[path_ix], mb, remote_ix == 1);
+        let path = ReadPath::ALL[path_ix];
+        let remote = remote_ix == 1;
+        let spec = spans_spec(seed, path, mb, remote);
         let report = spec.run().expect("scenario terminates");
         let sp = report.spans.expect("spans enabled");
         let lhs = sp.report.total_cycles() + sp.report.unattributed_cycles;
@@ -176,5 +180,20 @@ proptest! {
         // and the ledger accounted every payload byte exactly once
         let agg = sp.reads();
         prop_assert_eq!(agg.payload_bytes, mb << 20);
+        if !remote {
+            let (min, max) = (agg.min_copies_per_read, agg.max_copies_per_read);
+            match path {
+                ReadPath::Vanilla => {
+                    prop_assert!(min >= 5.0 - 1e-9, "vanilla min copies/read {}", min);
+                }
+                ReadPath::VreadRdma | ReadPath::VreadTcp => prop_assert!(
+                    (min - 2.0).abs() < 1e-9 && (max - 2.0).abs() < 1e-9,
+                    "{} copies/read min {} max {}, expected 2",
+                    path.as_str(),
+                    min,
+                    max,
+                ),
+            }
+        }
     }
 }

@@ -1,13 +1,12 @@
 //! A minimal, dependency-free subset of the `criterion` benchmark crate.
 //!
 //! The real criterion cannot be vendored in this offline workspace, so this
-//! shim reimplements a small surface of it — `Criterion`,
-//! `bench_function`, `Bencher::{iter, iter_batched}`, `BatchSize`,
-//! `criterion_group!`, `criterion_main!` — with real wall-clock
-//! measurement:
+//! shim reimplements the small surface the repo benchmark uses —
+//! `Criterion`, `bench_function`, `Bencher::iter_batched`, `BatchSize` —
+//! with real wall-clock measurement:
 //!
-//! * each bench takes `sample_size` samples after a short warm-up;
-//! * `iter` auto-calibrates an inner loop so one sample spans ≥ ~1 ms;
+//! * each bench takes `sample_size` samples after a short warm-up, each
+//!   sample timing one call of the routine on a fresh input;
 //! * per-bench median / mean / min / max are printed, and a JSON record is
 //!   written to `target/criterion-lite/<name>.json` so successive runs can
 //!   be diffed by tooling.
@@ -130,16 +129,6 @@ impl Criterion {
     pub fn records(&self) -> &[BenchRecord] {
         &self.records
     }
-
-    /// Prints the closing summary (called by `criterion_group!`).
-    pub fn final_summary(&self) {
-        if !self.records.is_empty() {
-            println!(
-                "criterion-lite: {} benchmark(s), JSON in target/criterion-lite/",
-                self.records.len()
-            );
-        }
-    }
 }
 
 fn fmt_ns(ns: f64) -> String {
@@ -185,31 +174,6 @@ pub struct Bencher {
 }
 
 impl Bencher {
-    /// Measures `f` directly, auto-calibrating an inner loop so that one
-    /// sample spans at least ~1 ms.
-    pub fn iter<O, F: FnMut() -> O>(&mut self, mut f: F) {
-        // warm-up + calibration
-        // vread-lint: allow(wall-clock, "criterion shim: benchmarking measures real host time by definition")
-        let t0 = Instant::now();
-        black_box(f());
-        let once = t0.elapsed().as_nanos().max(1) as u64;
-        let iters = (1_000_000 / once).clamp(1, 1_000_000);
-        for _ in 0..3 {
-            for _ in 0..iters {
-                black_box(f());
-            }
-        }
-        for _ in 0..self.sample_size {
-            // vread-lint: allow(wall-clock, "criterion shim: benchmarking measures real host time by definition")
-            let t = Instant::now();
-            for _ in 0..iters {
-                black_box(f());
-            }
-            self.samples_ns
-                .push(t.elapsed().as_nanos() as f64 / iters as f64);
-        }
-    }
-
     /// Measures `routine` on fresh inputs from `setup`; setup time is
     /// excluded from the measurement.
     pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
@@ -230,35 +194,6 @@ impl Bencher {
             self.samples_ns.push(t.elapsed().as_nanos() as f64);
         }
     }
-}
-
-/// Declares a benchmark group function, mirroring criterion's macro.
-#[macro_export]
-macro_rules! criterion_group {
-    (name = $name:ident; config = $cfg:expr; targets = $($target:path),+ $(,)?) => {
-        fn $name() {
-            let mut c = $cfg;
-            $($target(&mut c);)+
-            c.final_summary();
-        }
-    };
-    ($name:ident, $($target:path),+ $(,)?) => {
-        $crate::criterion_group!(
-            name = $name;
-            config = $crate::Criterion::default();
-            targets = $($target),+
-        );
-    };
-}
-
-/// Declares the bench binary's `main`, mirroring criterion's macro.
-#[macro_export]
-macro_rules! criterion_main {
-    ($($group:path),+ $(,)?) => {
-        fn main() {
-            $($group();)+
-        }
-    };
 }
 
 #[cfg(test)]
@@ -290,18 +225,9 @@ mod tests {
             filters: vec!["nomatch".into()],
             records: vec![],
         };
-        c.bench_function("shim/filtered_out", |b| b.iter(|| 1 + 1));
+        c.bench_function("shim/filtered_out", |b| {
+            b.iter_batched(|| 1u64, |x| x + 1, BatchSize::SmallInput);
+        });
         assert!(c.records().is_empty());
-    }
-
-    #[test]
-    fn iter_calibrates() {
-        let mut c = Criterion {
-            sample_size: 3,
-            filters: vec![],
-            records: vec![],
-        };
-        c.bench_function("shim/smoke_iter", |b| b.iter(|| black_box(7u64) * 3));
-        assert_eq!(c.records().len(), 1);
     }
 }

@@ -107,8 +107,7 @@ pub struct GuestFs {
     files: BTreeMap<String, FileId>,
     inodes: Vec<Inode>,
     next_offset: u64,
-    /// Bumped on every namespace change (a create); lets a
-    /// mounted snapshot detect staleness cheaply.
+    /// Bumped on every namespace change (a create).
     pub namespace_version: u64,
 }
 
@@ -228,7 +227,6 @@ impl GuestFs {
     /// `mount -o ro` exposes to the hypervisor).
     pub fn snapshot(&self) -> FsSnapshot {
         FsSnapshot {
-            version: self.namespace_version,
             files: self
                 .files
                 .iter()
@@ -286,7 +284,6 @@ impl ExtentCursor {
 /// [`FsSnapshot::refresh`] runs (triggered by `vRead_update`).
 #[derive(Debug, Clone, Default)]
 pub struct FsSnapshot {
-    version: u64,
     files: BTreeMap<String, (FileId, u64)>,
 }
 
@@ -294,11 +291,6 @@ impl FsSnapshot {
     /// Looks up `(inode, size-at-refresh)` in the mounted view.
     pub fn lookup(&self, path: &str) -> Option<(FileId, u64)> {
         self.files.get(path).copied()
-    }
-
-    /// Whether the live filesystem changed since this snapshot.
-    pub fn is_stale(&self, fs: &GuestFs) -> bool {
-        self.version != fs.namespace_version
     }
 
     /// Re-reads the namespace (the `vRead_update` mount refresh).
@@ -402,17 +394,14 @@ mod tests {
         f.append(a, 4096);
         let mut snap = f.snapshot();
         assert_eq!(snap.lookup("/blk_1"), Some((a, 4096)));
-        assert!(!snap.is_stale(&f));
 
         // datanode writes a new block: invisible through the stale mount
         let b = f.create("/blk_2").unwrap();
         f.append(b, 8192);
-        assert!(snap.is_stale(&f));
         assert_eq!(snap.lookup("/blk_2"), None);
 
         snap.refresh(&f);
         assert_eq!(snap.lookup("/blk_2"), Some((b, 8192)));
-        assert!(!snap.is_stale(&f));
     }
 
     #[test]
@@ -420,13 +409,16 @@ mod tests {
         let mut f = fs();
         let a = f.create("/blk").unwrap();
         f.append(a, 100);
-        let snap = f.snapshot();
+        let mut snap = f.snapshot();
         // append-only growth does not change the namespace version …
+        let v = f.namespace_version;
         f.append(a, 100);
-        assert!(!snap.is_stale(&f));
+        assert_eq!(f.namespace_version, v);
         // … but the mounted view still reports the old size (the paper
         // only calls vRead_update once a block is complete).
         assert_eq!(snap.lookup("/blk").unwrap().1, 100);
         assert_eq!(f.size(a), 200);
+        snap.refresh(&f);
+        assert_eq!(snap.lookup("/blk").unwrap().1, 200);
     }
 }

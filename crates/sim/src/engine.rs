@@ -621,49 +621,6 @@ impl World {
         self.jobs.pending() == 0
     }
 
-    /// Diagnostic dump of in-flight chains, per-thread work queues and
-    /// run-queue depths (for debugging stuck protocols).
-    pub fn dump_state(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "now={} pending_events={} chains={}",
-            self.now,
-            self.pending_events(),
-            self.chains.len()
-        );
-        for (id, ch) in self.chains.iter() {
-            let _ = writeln!(
-                out,
-                "  chain {}: {} stages left, first={:?}",
-                id.raw(),
-                ch.stages.remaining(),
-                ch.stages.peek()
-            );
-        }
-        for (i, th) in self.sched.threads.iter().enumerate() {
-            if !th.work.is_empty() || th.state != crate::sched::TState::Idle {
-                let _ = writeln!(
-                    out,
-                    "  thread {i} ({}): state={:?} work={}",
-                    th.name,
-                    th.state,
-                    th.work.len()
-                );
-            }
-        }
-        for (i, h) in self.sched.hosts.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "  host {i}: runq={} cores_busy={}",
-                h.runq.len(),
-                h.cores.iter().filter(|c| c.running.is_some()).count()
-            );
-        }
-        out
-    }
-
     fn dispatch(&mut self, to: ActorId, msg: BoxMsg) {
         let idx = to.index();
         let Some(slot) = self.actors.get_mut(idx) else {
@@ -1114,7 +1071,6 @@ mod tests {
         w.send_now(hog, Start);
         w.step(); // the hog's first burst arms the core timer
         assert_eq!(w.timers.armed(), 1);
-        assert!(w.dump_state().contains("pending_events=1 "));
         assert!(format!("{w:?}").contains("pending_events: 1,"));
     }
 

@@ -25,7 +25,6 @@ struct Slot {
 pub(crate) struct ChainSlab {
     slots: Vec<Slot>,
     free: Vec<u32>,
-    live: usize,
 }
 
 fn pack(gen: u32, slot: u32) -> ChainId {
@@ -43,14 +42,8 @@ impl ChainSlab {
         ChainSlab::default()
     }
 
-    /// Number of chains currently in flight.
-    pub(crate) fn len(&self) -> usize {
-        self.live
-    }
-
     /// Stores `chain`, returning its id.
     pub(crate) fn insert(&mut self, chain: Chain) -> ChainId {
-        self.live += 1;
         if let Some(slot) = self.free.pop() {
             let s = &mut self.slots[slot as usize];
             debug_assert!(s.chain.is_none());
@@ -86,16 +79,7 @@ impl ChainSlab {
         let chain = s.chain.take()?;
         s.gen = s.gen.wrapping_add(1);
         self.free.push(slot);
-        self.live -= 1;
         Some(chain)
-    }
-
-    /// In-flight chains in slot order (deterministic, for diagnostics).
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (ChainId, &Chain)> {
-        self.slots.iter().enumerate().filter_map(|(i, s)| {
-            let slot = i.try_into().expect("slab slot index fits u32");
-            s.chain.as_ref().map(|c| (pack(s.gen, slot), c))
-        })
     }
 }
 
@@ -115,10 +99,8 @@ mod tests {
         let a = s.insert(chain());
         let b = s.insert(chain());
         assert_ne!(a, b);
-        assert_eq!(s.len(), 2);
         assert!(s.get_mut(a).is_some());
         assert!(s.remove(a).is_some());
-        assert_eq!(s.len(), 1);
         assert!(s.get_mut(a).is_none(), "removed id must miss");
         assert!(s.remove(a).is_none(), "double remove must miss");
         assert!(s.get_mut(b).is_some());
@@ -134,14 +116,5 @@ mod tests {
         assert_ne!(a, b);
         assert!(s.get_mut(a).is_none());
         assert!(s.get_mut(b).is_some());
-    }
-
-    #[test]
-    fn iteration_is_slot_ordered() {
-        let mut s = ChainSlab::new();
-        let ids: Vec<ChainId> = (0..5).map(|_| s.insert(chain())).collect();
-        s.remove(ids[2]).unwrap();
-        let seen: Vec<ChainId> = s.iter().map(|(id, _)| id).collect();
-        assert_eq!(seen, vec![ids[0], ids[1], ids[3], ids[4]]);
     }
 }
