@@ -15,8 +15,8 @@
 //! * [`sqoop`] — Sqoop export to a MySQL host (Table 3);
 //! * [`wordcount`] — the canonical MapReduce job (map → shuffle →
 //!   reduce over HDFS, both read and write paths);
-//! * [`driver`] — runs open-ended scenarios until every registered job
-//!   completes.
+//! * [`driver`] — times one job ([`driver::run_job`]) and runs
+//!   open-ended scenarios until every registered job completes.
 
 #![forbid(unsafe_code)]
 
@@ -31,7 +31,7 @@ pub mod sqoop;
 pub mod wordcount;
 
 pub use dfsio::{DfsioConfig, DfsioMode, TestDfsio};
-pub use driver::{complete_job_after, run_jobs};
+pub use driver::{complete_job_after, run_job, run_jobs};
 pub use hbase::{HbaseClient, HbaseConfig, HbaseOp};
 pub use hive::{HiveConfig, HiveQuery};
 pub use java_reader::{JavaReader, ReaderMode};

@@ -53,15 +53,6 @@ impl Lookbusy {
         self
     }
 
-    /// Convenience: spawn an 85% lookbusy (the paper's setting) with a
-    /// 10 ms period on `thread`.
-    pub fn spawn_default(w: &mut World, thread: ThreadId) -> ActorId {
-        let lb = Lookbusy::new(thread, 0.85, SimDuration::from_millis(10));
-        let a = w.add_actor("lookbusy", lb);
-        w.send_now(a, Start);
-        a
-    }
-
     fn burst(&self, ctx: &mut Ctx<'_>) {
         if let Some(stop) = self.stop_at {
             if ctx.now() >= stop {

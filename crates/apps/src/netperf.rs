@@ -249,7 +249,10 @@ mod tests {
         let (mut w2, a2, b2, extra) = world_with_vms(2);
         let n = extra.len();
         for t in extra {
-            Lookbusy::spawn_default(&mut w2, t);
+            // 85% busy (the paper's setting) in 10 ms bursts
+            let lb = Lookbusy::new(t, 0.85, SimDuration::from_millis(10));
+            let a = w2.add_actor("lookbusy", lb);
+            w2.send_now(a, Start);
         }
         let host = w2.thread_host(a2_vcpu(&w2, a2));
         w2.set_cache_pressure(host, crate::lookbusy::llc_pressure(n));

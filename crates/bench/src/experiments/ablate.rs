@@ -8,13 +8,12 @@
 //! * content-addressed host store — dedup across co-located replicas vs
 //!   the per-VM LRU page cache, sweeping the hash admission cost.
 
-use vread_apps::driver::run_jobs;
-use vread_apps::java_reader::{JavaReader, ReaderMode};
+use vread_apps::java_reader::ReaderMode;
 use vread_core::daemon::SetBypassHostFs;
 use vread_core::VreadRegistry;
 use vread_hdfs::populate::{populate_file, Placement};
 use vread_hdfs::HdfsMeta;
-use vread_host::cluster::HostCacheMode;
+use vread_host::cluster::{HostCacheMode, VmId};
 use vread_host::costs::Costs;
 use vread_sim::prelude::*;
 
@@ -24,13 +23,17 @@ use crate::scenarios::{Locality, ReadPath, Testbed, TestbedOpts};
 use crate::spans::SpanSummary;
 use crate::spec::{FileSpec, HostCacheReport, HostCacheSpec, VmRole};
 
-use super::{reader_pass, CAP};
+use super::reader_pass;
 
 const FILE: u64 = 128 << 20;
 const REQUEST: u64 = 1 << 20;
 
-fn read_mbps(tb: &mut Testbed, client: vread_sim::ActorId, path: &str) -> f64 {
-    let (_, elapsed) = reader_pass(tb, client, path, REQUEST, FILE);
+/// One reader pass over `/f` by `client` in `vm`, with fresh metrics;
+/// returns MB/s.
+fn read_mbps(w: &mut World, vm: VmId, client: ActorId) -> f64 {
+    w.metrics.reset();
+    let path = "/f".to_owned();
+    let (_, elapsed) = reader_pass(w, vm, ReaderMode::Dfs { client, path }, REQUEST, FILE);
     FILE as f64 / 1e6 / elapsed.as_secs_f64()
 }
 
@@ -56,8 +59,8 @@ pub fn run_ring() -> Vec<Table> {
         let mut tb = Testbed::build(TestbedOpts::new().path(ReadPath::VreadRdma).costs(costs));
         tb.populate("/f", FILE, Locality::CoLocated);
         let client = tb.make_client();
-        let cold = read_mbps(&mut tb, client, "/f");
-        let warm = read_mbps(&mut tb, client, "/f");
+        let cold = read_mbps(&mut tb.w, tb.client_vm, client);
+        let warm = read_mbps(&mut tb.w, tb.client_vm, client);
         t.row(label, vec![cold, warm]);
     }
     t.note("smaller slots cost more per-slot spinlock/bookkeeping work per byte");
@@ -88,8 +91,8 @@ pub fn run_bypass() -> Vec<Table> {
                 tb.w.send_now(d, SetBypassHostFs(true));
             }
         }
-        let cold = read_mbps(&mut tb, client, "/f");
-        let warm = read_mbps(&mut tb, client, "/f");
+        let cold = read_mbps(&mut tb.w, tb.client_vm, client);
+        let warm = read_mbps(&mut tb.w, tb.client_vm, client);
         t.row(label, vec![cold, warm]);
     }
     t.note("the bypass cannot benefit from the host page cache: re-reads stay disk-bound (the paper's §6 argument)");
@@ -115,8 +118,8 @@ pub fn run_sriov() -> Vec<Table> {
             let mut tb = Testbed::build(TestbedOpts::new().path(path).costs(costs));
             tb.populate("/f", FILE, *locality);
             let client = tb.make_client();
-            let _cold = read_mbps(&mut tb, client, "/f");
-            out[i] = read_mbps(&mut tb, client, "/f"); // re-read (CPU bound)
+            let _cold = read_mbps(&mut tb.w, tb.client_vm, client);
+            out[i] = read_mbps(&mut tb.w, tb.client_vm, client); // re-read (CPU bound)
         }
         (out[0], out[1])
     };
@@ -130,35 +133,6 @@ pub fn run_sriov() -> Vec<Table> {
     }
     t.note("SR-IOV speeds up the remote vanilla path but cannot touch the co-located inter-VM flow (paper §6)");
     vec![t]
-}
-
-const CAS_FILE: u64 = 128 << 20;
-
-/// One reader pass over `path` on a raw [`Deployment`]; returns MB/s.
-fn deployment_read_mbps(
-    d: &mut Deployment,
-    client: ActorId,
-    client_vm: vread_host::cluster::VmId,
-    path: &str,
-) -> f64 {
-    d.w.metrics.reset();
-    let job = d.w.register_job("reader");
-    let reader = JavaReader::new(
-        client_vm,
-        ReaderMode::Dfs {
-            client,
-            path: path.to_owned(),
-        },
-        REQUEST,
-        CAS_FILE,
-    )
-    .with_job(job);
-    let a = d.w.add_actor("reader", reader);
-    d.w.send_now(a, Start);
-    let ok = run_jobs(&mut d.w, CAP);
-    assert!(ok, "cas reader pass did not finish within the cap");
-    let secs = d.w.jobs.elapsed(job).expect("cas pass ran").as_secs_f64();
-    CAS_FILE as f64 / 1e6 / secs
 }
 
 /// Content-addressed host store vs per-VM LRU, sweeping the hash
@@ -194,7 +168,7 @@ pub fn run_cas() -> Vec<Table> {
             .vm("dn2", "h1", VmRole::Datanode, None)
             .file(FileSpec {
                 path: "/f".to_owned(),
-                mb: CAS_FILE >> 20,
+                mb: FILE >> 20,
                 placement: vec!["dn1".to_owned(), "dn2".to_owned()],
                 replicate: true,
             })
@@ -208,7 +182,7 @@ pub fn run_cas() -> Vec<Table> {
         let vm2 = d.client_vm(Some("client2")).expect("client2 VM");
         let client1 = d.make_client(vm1);
         let client2 = d.add_client_on(vm2);
-        let cold = deployment_read_mbps(&mut d, client1, vm1, "/f");
+        let cold = read_mbps(&mut d.w, vm1, client1);
         // Isolate tenant 2 in the flight recorder, then send every
         // block's read to its sibling replica.
         let _ = d.w.spans.drain();
@@ -218,7 +192,7 @@ pub fn run_cas() -> Vec<Table> {
                 b.replicas.rotate_left(1);
             }
         }
-        let sibling = deployment_read_mbps(&mut d, client2, vm2, "/f");
+        let sibling = read_mbps(&mut d.w, vm2, client2);
         let spans = SpanSummary::collect(&mut d.w);
         let copies = spans.reads().copies_per_read();
         let cl =
@@ -254,7 +228,7 @@ pub fn run_hve() -> Vec<Table> {
             .expect("meta")
             .topology_aware = aware;
         let client = tb.make_client();
-        let mbps = read_mbps(&mut tb, client, "/f");
+        let mbps = read_mbps(&mut tb.w, tb.client_vm, client);
         t.row(label, vec![mbps]);
     }
     t.note("without awareness half the reads go to the remote replica");

@@ -1,12 +1,12 @@
 //! Figure 2 — motivation: inter-VM HDFS read delay vs local-filesystem
 //! read, with and without caches, for 64 KB / 1 MB / 4 MB requests.
 
-use vread_apps::java_reader::JavaReader;
+use vread_apps::java_reader::{JavaReader, ReaderMode};
 
 use crate::report::Table;
 use crate::scenarios::{Locality, Testbed, TestbedOpts};
 
-use super::{local_reader_pass, reader_pass};
+use super::reader_pass;
 
 /// Scaled file size (the paper reads a 1 GB file).
 const FILE: u64 = 256 << 20;
@@ -25,18 +25,24 @@ pub fn run() -> Vec<Table> {
         &["request", "inter-VM", "local"],
     );
     for (req, label) in REQUESTS {
+        let delay = |tb: &mut Testbed, mode: &ReaderMode| {
+            tb.w.metrics.reset();
+            reader_pass(&mut tb.w, tb.client_vm, mode.clone(), req, FILE).0
+        };
         // inter-VM: vanilla HDFS from the co-located datanode VM
         let mut tb = Testbed::build(TestbedOpts::new());
         tb.populate("/f", FILE, Locality::CoLocated);
         let client = tb.make_client();
-        let (cold_inter, _) = reader_pass(&mut tb, client, "/f", req, FILE);
-        let (warm_inter, _) = reader_pass(&mut tb, client, "/f", req, FILE);
+        let path = "/f".to_owned();
+        let dfs = ReaderMode::Dfs { client, path };
+        let (cold_inter, warm_inter) = (delay(&mut tb, &dfs), delay(&mut tb, &dfs));
 
         // local: a plain file in the reader's own VM
         let mut tl = Testbed::build(TestbedOpts::new());
         JavaReader::create_local_file(&mut tl.w, tl.client_vm, "/local", FILE);
-        let cold_local = local_reader_pass(&mut tl, "/local", req, FILE);
-        let warm_local = local_reader_pass(&mut tl, "/local", req, FILE);
+        let path = "/local".to_owned();
+        let local = ReaderMode::Local { path };
+        let (cold_local, warm_local) = (delay(&mut tl, &local), delay(&mut tl, &local));
 
         a.row(label, vec![cold_inter, cold_local]);
         b.row(label, vec![warm_inter, warm_local]);

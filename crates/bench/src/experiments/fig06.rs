@@ -6,6 +6,7 @@
 
 use std::collections::BTreeMap;
 
+use vread_apps::java_reader::ReaderMode;
 use vread_sim::cpu::CpuCategory;
 use vread_sim::prelude::*;
 
@@ -59,7 +60,12 @@ fn measure(
     let daemons = tb.daemon_threads();
 
     let before = tb.w.acct.snapshot();
-    let (_, elapsed) = reader_pass(&mut tb, client, "/f", REQUEST, FILE);
+    tb.w.metrics.reset();
+    let mode = ReaderMode::Dfs {
+        client,
+        path: "/f".to_owned(),
+    };
+    let (_, elapsed) = reader_pass(&mut tb.w, tb.client_vm, mode, REQUEST, FILE);
     let elapsed_ns = elapsed.as_nanos() as f64;
 
     let (client_threads, dn_threads): (Vec<ThreadId>, Vec<ThreadId>) = match path {

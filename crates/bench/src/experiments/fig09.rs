@@ -1,6 +1,8 @@
 //! Figure 9 — data access delay of virtual HDFS reads, vanilla vs vRead,
 //! 2 VMs vs 4 VMs, with and without caches.
 
+use vread_apps::java_reader::ReaderMode;
+
 use crate::report::Table;
 use crate::scenarios::{Locality, ReadPath, Testbed, TestbedOpts};
 
@@ -13,9 +15,13 @@ fn delays(path: ReadPath, four_vms: bool, request: u64) -> (f64, f64) {
     let mut tb = Testbed::build(TestbedOpts::new().four_vms(four_vms).path(path));
     tb.populate("/f", FILE, Locality::CoLocated);
     let client = tb.make_client();
-    let (cold, _) = reader_pass(&mut tb, client, "/f", request, FILE);
-    let (warm, _) = reader_pass(&mut tb, client, "/f", request, FILE);
-    (cold, warm)
+    let mut delay = || {
+        tb.w.metrics.reset();
+        let path = "/f".to_owned();
+        let mode = ReaderMode::Dfs { client, path };
+        reader_pass(&mut tb.w, tb.client_vm, mode, request, FILE).0
+    };
+    (delay(), delay())
 }
 
 /// Runs Figure 9 (a: without cache, b: with cache).

@@ -43,8 +43,12 @@ fn compute() -> Matrix {
                         tb.populate(f, FILE_BYTES, locality);
                     }
                     let client = tb.make_client();
-                    let read = dfsio_pass(&mut tb, client, DfsioMode::Read, &files, FILE_BYTES);
-                    let reread = dfsio_pass(&mut tb, client, DfsioMode::Read, &files, FILE_BYTES);
+                    let mut pass = || {
+                        tb.w.metrics.reset();
+                        let (w, vm) = (&mut tb.w, tb.client_vm);
+                        dfsio_pass(w, vm, client, DfsioMode::Read, &files, FILE_BYTES)
+                    };
+                    let (read, reread) = (pass(), pass());
                     out.push(((locality, ghz, four_vms, path), Cell { read, reread }));
                 }
             }

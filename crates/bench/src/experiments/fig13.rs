@@ -21,8 +21,9 @@ fn write_mbps(path: ReadPath, locality: Locality) -> f64 {
     let client = tb.make_client();
     tb.configure_write_locality(locality);
     let files: Vec<String> = (0..FILES).map(|i| format!("/out/{i}")).collect();
-    let r = dfsio_pass(&mut tb, client, DfsioMode::Write, &files, FILE_BYTES);
-    r.mbps
+    tb.w.metrics.reset();
+    let (w, vm) = (&mut tb.w, tb.client_vm);
+    dfsio_pass(w, vm, client, DfsioMode::Write, &files, FILE_BYTES).mbps
 }
 
 /// Runs Figure 13.

@@ -2,7 +2,11 @@
 //! design ablations called out in DESIGN.md §7.
 //!
 //! Every experiment returns [`Table`]s; the `repro` binary prints them
-//! and writes JSON next to EXPERIMENTS.md. The harness scales data sizes
+//! and writes JSON next to EXPERIMENTS.md. Each measurement is one timed
+//! job through [`vread_apps::driver::run_job`]: the reader and TestDFSIO
+//! passes are [`reader_pass`] and [`dfsio_pass`] (public, so tests and
+//! examples time their passes the same way), and the HBase, Hive and
+//! Sqoop tables call `run_job` directly. The harness scales data sizes
 //! down from the paper's (5 GB → hundreds of MB, 30 M rows → 1–2 M);
 //! every scaled quantity is reported as a *rate* (MB/s, transactions/s)
 //! or projected back, with a note in the table.
@@ -18,12 +22,12 @@ pub mod table2;
 pub mod table3;
 
 use vread_apps::dfsio::{DfsioConfig, DfsioMode, TestDfsio};
-use vread_apps::driver::run_jobs;
+use vread_apps::driver::run_job;
 use vread_apps::java_reader::{JavaReader, ReaderMode};
+use vread_host::cluster::{Cluster, VmId};
 use vread_sim::prelude::*;
 
 use crate::report::Table;
-use crate::scenarios::Testbed;
 
 /// An experiment entry point: renders one or more [`Table`]s.
 pub type Runner = fn() -> Vec<Table>;
@@ -50,99 +54,68 @@ pub fn registry() -> Vec<(&'static str, Runner)> {
     ]
 }
 
-/// Simulated-time cap for any single measurement (generous; experiments
-/// report a failure note instead of hanging if it is ever hit).
+/// Simulated-time cap for any single measurement (generous; a pass that
+/// hits it panics instead of hanging).
 pub(crate) const CAP: SimDuration = SimDuration::from_secs(3_000);
 
-/// Runs a [`JavaReader`] pass over an HDFS file; returns the mean
-/// per-request delay in ms and the pass's elapsed time from the job
-/// table. Resets metrics before the pass.
-pub(crate) fn reader_pass(
-    tb: &mut Testbed,
-    client: ActorId,
-    path: &str,
+/// Runs one [`JavaReader`] pass in `vm` through [`run_job`]: an HDFS
+/// read ([`ReaderMode::Dfs`]) or a read of the VM's own filesystem
+/// ([`ReaderMode::Local`]). Returns the mean `reader_delay_ms` since the
+/// last metrics reset (callers reset first to measure one pass alone)
+/// and the pass's elapsed time from the job table.
+///
+/// # Panics
+///
+/// If the pass does not finish within 3,000 simulated seconds.
+pub fn reader_pass(
+    w: &mut World,
+    vm: VmId,
+    mode: ReaderMode,
     request: u64,
     total: u64,
 ) -> (f64, SimDuration) {
-    tb.w.metrics.reset();
-    let job = tb.w.register_job("reader");
-    let reader = JavaReader::new(
-        tb.client_vm,
-        ReaderMode::Dfs {
-            client,
-            path: path.to_owned(),
-        },
-        request,
-        total,
-    )
-    .with_job(job);
-    let a = tb.w.add_actor("reader", reader);
-    tb.w.send_now(a, Start);
-    let ok = run_jobs(&mut tb.w, CAP);
-    assert!(ok, "reader pass did not finish within the cap");
-    let elapsed = tb.w.jobs.elapsed(job).expect("reader pass ran");
-    (tb.w.metrics.mean("reader_delay_ms"), elapsed)
-}
-
-/// Runs a local-filesystem [`JavaReader`] pass; returns mean delay (ms).
-pub(crate) fn local_reader_pass(tb: &mut Testbed, path: &str, request: u64, total: u64) -> f64 {
-    tb.w.metrics.reset();
-    let job = tb.w.register_job("reader");
-    let reader = JavaReader::new(
-        tb.client_vm,
-        ReaderMode::Local {
-            path: path.to_owned(),
-        },
-        request,
-        total,
-    )
-    .with_job(job);
-    let a = tb.w.add_actor("reader", reader);
-    tb.w.send_now(a, Start);
-    let ok = run_jobs(&mut tb.w, CAP);
-    assert!(ok, "local reader pass did not finish within the cap");
-    tb.w.metrics.mean("reader_delay_ms")
+    let elapsed = run_job(w, "reader", CAP, |w, job| {
+        let reader = JavaReader::new(vm, mode, request, total).with_job(job);
+        w.add_actor("reader", reader)
+    })
+    .expect("reader pass did not finish within the cap");
+    (w.metrics.mean("reader_delay_ms"), elapsed)
 }
 
 /// Result of one TestDFSIO pass.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct DfsioResult {
-    /// Application-level throughput in MB/s.
+pub struct DfsioResult {
+    /// Application-level throughput in MB/s: `dfsio_bytes` since the last
+    /// metrics reset over the pass's elapsed time.
     pub mbps: f64,
     /// Client-VM vCPU busy time during the pass, in ms.
     pub cpu_ms: f64,
 }
 
-/// Runs one TestDFSIO pass over `files` of `file_bytes` each.
-pub(crate) fn dfsio_pass(
-    tb: &mut Testbed,
+/// Runs one [`TestDfsio`] pass by `client` in `vm` over `files` of
+/// `file_bytes` each, through [`run_job`]. Metrics are not reset.
+///
+/// # Panics
+///
+/// If the pass does not finish within 3,000 simulated seconds.
+pub fn dfsio_pass(
+    w: &mut World,
+    vm: VmId,
     client: ActorId,
     mode: DfsioMode,
     files: &[String],
     file_bytes: u64,
 ) -> DfsioResult {
-    tb.w.metrics.reset();
-    let (client_vcpu, ..) = tb.key_threads();
-    let busy0 = tb.w.acct.busy_ns(client_vcpu.index());
-    let job = tb.w.register_job("dfsio");
-    let d = TestDfsio::new(
-        client,
-        tb.client_vm,
-        mode,
-        files.to_vec(),
-        file_bytes,
-        DfsioConfig::default(),
-    )
-    .with_job(job);
-    let a = tb.w.add_actor("dfsio", d);
-    tb.w.send_now(a, Start);
-    let ok = run_jobs(&mut tb.w, CAP);
-    assert!(ok, "dfsio pass did not finish within the cap");
-    let secs = tb.w.jobs.elapsed(job).expect("dfsio ran").as_secs_f64();
-    let bytes = tb.w.metrics.counter("dfsio_bytes");
-    let busy1 = tb.w.acct.busy_ns(client_vcpu.index());
+    let vcpu = w.ext.get::<Cluster>().expect("cluster").vm(vm).vcpu;
+    let busy0 = w.acct.busy_ns(vcpu.index());
+    let elapsed = run_job(w, "dfsio", CAP, |w, job| {
+        let cfg = DfsioConfig::default();
+        let d = TestDfsio::new(client, vm, mode, files.to_vec(), file_bytes, cfg);
+        w.add_actor("dfsio", d.with_job(job))
+    })
+    .expect("dfsio pass did not finish within the cap");
     DfsioResult {
-        mbps: bytes / 1e6 / secs.max(1e-9),
-        cpu_ms: (busy1 - busy0) as f64 / 1e6,
+        mbps: w.metrics.counter("dfsio_bytes") / 1e6 / elapsed.as_secs_f64().max(1e-9),
+        cpu_ms: (w.acct.busy_ns(vcpu.index()) - busy0) as f64 / 1e6,
     }
 }

@@ -2,9 +2,8 @@
 //! random read throughput (MB/s), vanilla vs vRead, on the hybrid 4-VM
 //! setup at 2.0 GHz.
 
-use vread_apps::driver::run_jobs;
+use vread_apps::driver::run_job;
 use vread_apps::hbase::{HbaseClient, HbaseConfig, HbaseOp};
-use vread_sim::prelude::*;
 
 use crate::report::{improvement_pct, Table};
 use crate::scenarios::{Locality, ReadPath, Testbed, TestbedOpts};
@@ -29,23 +28,13 @@ fn mbps(path: ReadPath, op: HbaseOp) -> f64 {
         Locality::Hybrid,
     );
     let client = tb.make_client();
-    let job = tb.w.register_job("hbase");
-    let hb = HbaseClient::new(
-        client,
-        tb.client_vm,
-        op,
-        "/hbase/t1".into(),
-        rows,
-        cfg,
-        tb.opts.seed,
-    )
-    .with_job(job);
-    let a = tb.w.add_actor("hbase", hb);
-    tb.w.send_now(a, Start);
-    let ok = run_jobs(&mut tb.w, CAP);
-    assert!(ok, "hbase run did not finish");
-    let secs = tb.w.jobs.elapsed(job).expect("hbase run ran").as_secs_f64();
-    tb.w.metrics.counter("hbase_bytes") / 1e6 / secs.max(1e-9)
+    let (vm, seed) = (tb.client_vm, tb.opts.seed);
+    let elapsed = run_job(&mut tb.w, "hbase", CAP, |w, job| {
+        let hb = HbaseClient::new(client, vm, op, "/hbase/t1".into(), rows, cfg, seed);
+        w.add_actor("hbase", hb.with_job(job))
+    })
+    .expect("hbase run did not finish");
+    tb.w.metrics.counter("hbase_bytes") / 1e6 / elapsed.as_secs_f64().max(1e-9)
 }
 
 /// Runs Table 2.

@@ -1,10 +1,9 @@
 //! Table 3 — Hive select query time and Sqoop export time, vanilla vs
 //! vRead, on the hybrid 4-VM setup at 2.0 GHz.
 
-use vread_apps::driver::run_jobs;
+use vread_apps::driver::run_job;
 use vread_apps::hive::{HiveConfig, HiveQuery};
 use vread_apps::sqoop::{deploy_sqoop_with_job, SqoopConfig, SqoopExport};
-use vread_sim::prelude::*;
 
 use crate::report::{reduction_pct, Table};
 use crate::scenarios::{Locality, ReadPath, Testbed, TestbedOpts};
@@ -25,13 +24,13 @@ fn hive_secs(path: ReadPath) -> f64 {
     );
     let client = tb.make_client();
     let setup_cycles = cfg.setup_cycles;
-    let job = tb.w.register_job("hive");
-    let q = HiveQuery::new(client, tb.client_vm, "/hive/test".into(), ROWS, cfg).with_job(job);
-    let a = tb.w.add_actor("hive", q);
-    tb.w.send_now(a, Start);
-    let ok = run_jobs(&mut tb.w, CAP);
-    assert!(ok, "hive query did not finish");
-    let secs = tb.w.jobs.elapsed(job).expect("hive ran").as_secs_f64();
+    let vm = tb.client_vm;
+    let secs = run_job(&mut tb.w, "hive", CAP, |w, job| {
+        let q = HiveQuery::new(client, vm, "/hive/test".into(), ROWS, cfg);
+        w.add_actor("hive", q.with_job(job))
+    })
+    .expect("hive query did not finish")
+    .as_secs_f64();
     // Project to the paper's 30M rows: scan scales, plan setup does not.
     let setup_secs = setup_cycles as f64 / (tb.opts.ghz * 1e9);
     setup_secs + (secs - setup_secs) * (PAPER_ROWS as f64 / ROWS as f64)
@@ -47,21 +46,13 @@ fn sqoop_secs(path: ReadPath) -> f64 {
     );
     let client = tb.make_client();
     let db_host = tb.hosts.1; // MySQL on the other physical machine
-    let job = tb.w.register_job("sqoop");
-    let export = deploy_sqoop_with_job(
-        &mut tb.w,
-        tb.client_vm,
-        db_host,
-        client,
-        "/export/t".into(),
-        ROWS,
-        cfg,
-        Some(job),
-    );
-    tb.w.send_now(export, Start);
-    let ok = run_jobs(&mut tb.w, CAP);
-    assert!(ok, "sqoop export did not finish");
-    let secs = tb.w.jobs.elapsed(job).expect("sqoop ran").as_secs_f64();
+    let vm = tb.client_vm;
+    let secs = run_job(&mut tb.w, "sqoop", CAP, |w, job| {
+        let path = "/export/t".into();
+        deploy_sqoop_with_job(w, vm, db_host, client, path, ROWS, cfg, Some(job))
+    })
+    .expect("sqoop export did not finish")
+    .as_secs_f64();
     secs * (PAPER_ROWS as f64 / ROWS as f64)
 }
 

@@ -31,7 +31,7 @@
 //! host, VM, file, workload (keys per kind), fault (keys per kind),
 //! `host_cache` or `timeline` — is a [`SpecError::Parse`] naming the
 //! key, never silently ignored. Every other rule (references, roles,
-//! ranges, times) lives in one validator that the parser, the fluent
+//! ranges, sizes, times) lives in one validator that the parser, the fluent
 //! builder and [`ScenarioSpec::run`] all call. The topology is then
 //! deployed through [`crate::deploy::Deployment`], and workloads are
 //! driven by the event-driven job primitives (no time-slice polling).
@@ -687,8 +687,8 @@ fn check_unique_names(
 
 /// Rejects numbers the deployment cannot run: core counts outside
 /// `1..=MAX_HOST_CORES`, non-finite or non-positive clocks, lookbusy duty
-/// cycles outside (0, 1], zero-sized reader requests, dfsio buffers and
-/// write sizes, empty dfsio file lists and zero-length netperf windows.
+/// cycles outside (0, 1], empty dfsio file lists and zero-length netperf
+/// windows (sizes are [`check_sizes`]'s).
 fn check_ranges(
     hosts: &[HostSpec],
     vms: &[VmSpec],
@@ -720,25 +720,72 @@ fn check_ranges(
     }
     for b in workloads {
         let bad = match &b.kind {
-            WorkloadSpec::Reader { request_kb: 0, .. } => {
-                "reader workload: request_kb must be at least 1"
-            }
             WorkloadSpec::DfsioRead { files, .. } if files.is_empty() => {
                 "dfsio-read workload: files must not be empty"
-            }
-            WorkloadSpec::DfsioRead { buffer_kb: 0, .. } => {
-                "dfsio-read workload: buffer_kb must be at least 1"
             }
             WorkloadSpec::DfsioWrite { files, .. } if files.is_empty() => {
                 "dfsio-write workload: files must not be empty"
             }
-            WorkloadSpec::DfsioWrite { mb: 0, .. } => "dfsio-write workload: mb must be at least 1",
             WorkloadSpec::Netperf { duration_ms: 0, .. } => {
                 "netperf workload: duration_ms must be at least 1"
             }
             _ => continue,
         };
         return Err(SpecError::Invalid(bad.to_owned()));
+    }
+    Ok(())
+}
+
+/// Rejects sizes the deployment cannot build. Every KiB and MiB field
+/// (file `mb`, dfsio `buffer_kb` and `mb`, reader and netperf
+/// `request_kb`, `host_cache` `capacity_mb` and `chunk_kb`) must be at
+/// least 1 and convert to bytes without overflowing `u64`; unchecked, a
+/// zero or a wrapped size panicked inside the model or moved nothing.
+/// The cache chunk must also fit the guest page cache and the host store
+/// that [`Deployment::build`] makes from `Costs::default()` and the
+/// `host_cache` overrides.
+fn check_sizes(
+    files: &[FileSpec],
+    workloads: &[WorkloadBinding],
+    cache: &HostCacheSpec,
+) -> Result<(), SpecError> {
+    const KIB: u64 = 1 << 10;
+    const MIB: u64 = 1 << 20;
+    let bytes = |n: u64, unit: u64| match n.checked_mul(unit) {
+        Some(0) => Err("must be at least 1"),
+        Some(b) => Ok(b),
+        None => Err("overflows u64 bytes"),
+    };
+    let invalid = |what: &str, why: &str| SpecError::Invalid(format!("{what} {why}"));
+    for f in files {
+        bytes(f.mb, MIB).map_err(|why| invalid(&format!("file {}: mb", f.path), why))?;
+    }
+    for b in workloads {
+        let (field, n, unit) = match b.kind {
+            WorkloadSpec::DfsioRead { buffer_kb, .. } => ("buffer_kb", buffer_kb, KIB),
+            WorkloadSpec::DfsioWrite { mb, .. } => ("mb", mb, MIB),
+            WorkloadSpec::Reader { request_kb, .. } | WorkloadSpec::Netperf { request_kb, .. } => {
+                ("request_kb", request_kb, KIB)
+            }
+        };
+        let kind = b.kind.kind_str();
+        bytes(n, unit).map_err(|why| invalid(&format!("{kind} workload: {field}"), why))?;
+    }
+    let costs = Costs::default();
+    let capacity = match cache.capacity_mb {
+        Some(mb) => bytes(mb, MIB).map_err(|why| invalid("host_cache capacity_mb", why))?,
+        None => costs.host_cache_bytes,
+    };
+    let chunk = match cache.chunk_kb {
+        Some(kb) => bytes(kb, KIB).map_err(|why| invalid("host_cache chunk_kb", why))?,
+        None => costs.cache_chunk_bytes,
+    };
+    let guest = costs.guest_cache_bytes;
+    if chunk > capacity.min(guest) {
+        return Err(SpecError::Invalid(format!(
+            "host_cache chunk ({chunk} B) must fit the host ({capacity} B) \
+             and guest ({guest} B) caches"
+        )));
     }
     Ok(())
 }
@@ -1293,9 +1340,10 @@ impl ScenarioSpec {
     /// [`SpecError::Invalid`] when the shape is wrong (no workload, no
     /// client or datanode VM, duplicate host/VM/file names, an empty
     /// placement, a workload bound to a non-client VM, a `vm-crash`
-    /// against a non-datanode, out-of-range numbers such as a zero size
-    /// or a fault factor outside [1, 1e5], or a time past simulated
-    /// time); [`SpecError::Unresolved`] when a host, datanode, file,
+    /// against a non-datanode, out-of-range numbers such as a zero size,
+    /// a size whose bytes overflow `u64`, a cache chunk larger than a
+    /// cache or a fault factor outside [1, 1e5], or a time past
+    /// simulated time); [`SpecError::Unresolved`] when a host, datanode, file,
     /// workload client or fault target name refers to nothing.
     pub fn build(self) -> Result<ScenarioSpec, SpecError> {
         self.validate()?;
@@ -1313,6 +1361,7 @@ impl ScenarioSpec {
         }
         check_unique_names(&self.hosts, &self.vms, &self.files)?;
         check_ranges(&self.hosts, &self.vms, &self.workloads)?;
+        check_sizes(&self.files, &self.workloads, &self.host_cache)?;
         check_times(&self.workloads, self.timeline.as_ref())?;
         check_faults(&self.faults)?;
         let host_names: std::collections::HashSet<&str> =
@@ -1402,16 +1451,6 @@ impl ScenarioSpec {
                     }
                 }
             }
-        }
-        if self.host_cache.capacity_mb == Some(0) {
-            return Err(SpecError::Invalid(
-                "host_cache capacity_mb must be positive".to_owned(),
-            ));
-        }
-        if self.host_cache.chunk_kb == Some(0) {
-            return Err(SpecError::Invalid(
-                "host_cache chunk_kb must be positive".to_owned(),
-            ));
         }
         if self.timeline.as_ref().is_some_and(|t| t.sample_ms == 0) {
             return Err(SpecError::Invalid(
@@ -1612,10 +1651,28 @@ mod tests {
                 3,
                 r#"{ "kind": "netperf", "request_kb": 1, "duration_ms": 0 }"#,
             ),
+            (
+                3,
+                r#"{ "kind": "netperf", "request_kb": 0, "duration_ms": 10 }"#,
+            ),
             // a window whose nanoseconds overflow simulated time
             (
                 3,
                 r#"{ "kind": "netperf", "request_kb": 1, "duration_ms": 18446744073710 }"#,
+            ),
+            // sizes whose bytes wrap u64 (2^54 KiB, 2^44 MiB) to 0: a
+            // panic in the reader, "bytes": 0 from dfsio
+            (
+                3,
+                r#"{ "kind": "reader", "path": "/d", "request_kb": 18014398509481984 }"#,
+            ),
+            (
+                3,
+                r#"{ "kind": "dfsio-read", "files": ["/d"], "buffer_kb": 18014398509481984 }"#,
+            ),
+            (
+                3,
+                r#"{ "kind": "dfsio-write", "files": ["/out"], "mb": 17592186044416 }"#,
             ),
         ];
         for (field, value) in rows {
@@ -1833,15 +1890,45 @@ mod tests {
                 base().file("/e", 8, &[]),
                 INVALID,
             ),
-            // zero sizes and factors out of range
+            // zero, wrapping and ill-fitting sizes, factors out of range
+            (
+                after(file, r#"{ "path": "/e", "mb": 0, "placement": ["dn1"] }"#),
+                base().file("/e", 0, &["dn1"]),
+                INVALID,
+            ),
+            (
+                after(
+                    file,
+                    r#"{ "path": "/e", "mb": 17592186044416, "placement": ["dn1"] }"#,
+                ),
+                base().file("/e", 1 << 44, &["dn1"]),
+                INVALID,
+            ),
             (
                 block(r#""host_cache": { "mode": "cas", "capacity_mb": 0 }"#),
                 base().host_cache(cas(Some(0), None)),
                 INVALID,
             ),
             (
+                block(r#""host_cache": { "mode": "cas", "capacity_mb": 17592186044416 }"#),
+                base().host_cache(cas(Some(1 << 44), None)),
+                INVALID,
+            ),
+            (
                 block(r#""host_cache": { "mode": "cas", "chunk_kb": 0 }"#),
                 base().host_cache(cas(None, Some(0))),
+                INVALID,
+            ),
+            // a chunk larger than the host store, then than the 1 GiB
+            // guest cache
+            (
+                block(r#""host_cache": { "mode": "cas", "capacity_mb": 1, "chunk_kb": 4096 }"#),
+                base().host_cache(cas(Some(1), Some(4096))),
+                INVALID,
+            ),
+            (
+                block(r#""host_cache": { "mode": "cas", "chunk_kb": 2097152 }"#),
+                base().host_cache(cas(None, Some(2_097_152))),
                 INVALID,
             ),
             (

@@ -10,8 +10,8 @@
 //! strictly better than the LRU: dedup hits where the LRU re-reads disk.
 
 use proptest::prelude::*;
-use vread_apps::driver::run_jobs;
-use vread_apps::java_reader::{JavaReader, ReaderMode};
+use vread_apps::java_reader::ReaderMode;
+use vread_bench::experiments::reader_pass;
 use vread_bench::spec::{FileSpec, VmRole};
 use vread_bench::{
     DeployPlan, Deployment, HostCacheReport, HostCacheSpec, ReadPath, ScenarioSpec, SpanSummary,
@@ -24,25 +24,11 @@ use vread_sim::prelude::*;
 const FILE: u64 = 32 << 20;
 const REQ: u64 = 1 << 20;
 
-/// One full sequential read of `path` by `client` on a raw deployment.
-fn read_pass(d: &mut Deployment, client: ActorId, vm: VmId, path: &str) {
-    let job = d.w.register_job("reader");
-    let rdr = JavaReader::new(
-        vm,
-        ReaderMode::Dfs {
-            client,
-            path: path.to_owned(),
-        },
-        REQ,
-        FILE,
-    )
-    .with_job(job);
-    let a = d.w.add_actor("reader", rdr);
-    d.w.send_now(a, Start);
-    assert!(
-        run_jobs(&mut d.w, SimDuration::from_secs(3_000)),
-        "reader pass finishes",
-    );
+/// One full sequential read of `/f` by `client` in `vm` on a raw
+/// deployment (metrics are not reset).
+fn read_f(d: &mut Deployment, client: ActorId, vm: VmId) {
+    let path = "/f".to_owned();
+    reader_pass(&mut d.w, vm, ReaderMode::Dfs { client, path }, REQ, FILE);
 }
 
 /// Two co-located tenants read the same 2-way-replicated file, the
@@ -73,7 +59,7 @@ fn two_tenant_store_report(mode: HostCacheMode) -> (HostCacheReport, SpanSummary
     let vm2 = d.client_vm(Some("t2")).unwrap();
     let c1 = d.make_client(vm1);
     let c2 = d.add_client_on(vm2);
-    read_pass(&mut d, c1, vm1, "/f");
+    read_f(&mut d, c1, vm1);
     // Send tenant 2's reads to each block's sibling replica — the other
     // image holding the same bytes.
     let meta = d.w.ext.get_mut::<HdfsMeta>().expect("meta");
@@ -82,7 +68,7 @@ fn two_tenant_store_report(mode: HostCacheMode) -> (HostCacheReport, SpanSummary
             b.replicas.rotate_left(1);
         }
     }
-    read_pass(&mut d, c2, vm2, "/f");
+    read_f(&mut d, c2, vm2);
     let spans = SpanSummary::collect(&mut d.w);
     let cl = d.w.ext.get::<Cluster>().expect("cluster");
     (HostCacheReport::collect(cl), spans)

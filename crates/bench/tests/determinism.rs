@@ -5,11 +5,9 @@
 //! experiment builds its own `World`, so the job count cannot change
 //! any output.
 
-use vread_apps::driver::run_jobs;
-use vread_apps::java_reader::{JavaReader, ReaderMode};
-use vread_bench::experiments;
+use vread_apps::java_reader::ReaderMode;
+use vread_bench::experiments::{self, reader_pass};
 use vread_bench::{Locality, Testbed, TestbedOpts};
-use vread_sim::prelude::*;
 
 /// Full observable state of one finished fig2-style reader pass.
 #[derive(Debug, PartialEq)]
@@ -24,21 +22,9 @@ fn fig2_pass(seed: u64) -> Fingerprint {
     let file = 32 << 20;
     tb.populate("/f", file, Locality::CoLocated);
     let client = tb.make_client();
-    let job = tb.w.register_job("reader");
-    let reader = JavaReader::new(
-        tb.client_vm,
-        ReaderMode::Dfs {
-            client,
-            path: "/f".to_owned(),
-        },
-        1 << 20,
-        file,
-    )
-    .with_job(job);
-    let a = tb.w.add_actor("reader", reader);
-    tb.w.send_now(a, Start);
-    let ok = run_jobs(&mut tb.w, SimDuration::from_secs(300));
-    assert!(ok, "reader pass did not finish");
+    let path = "/f".to_owned();
+    let mode = ReaderMode::Dfs { client, path };
+    reader_pass(&mut tb.w, tb.client_vm, mode, 1 << 20, file);
 
     let mut metrics: Vec<(String, String)> = Vec::new();
     for k in tb.w.metrics.counter_keys() {

@@ -3,7 +3,8 @@
 //! Every usage error here is rejected while the arguments are parsed,
 //! so each run exits 2 with a message on stderr, prints nothing on
 //! stdout and builds no world. The `--trace-out` cases also run two
-//! tiny scenarios end to end to check where their traces land.
+//! tiny scenarios end to end to check where their traces land, and the
+//! fault matrix is checked against its committed golden.
 
 use std::process::{Command, Output};
 
@@ -142,4 +143,18 @@ fn trace_out_with_repeated_file_stems_is_a_usage_error() {
         "--trace-out needs distinct file stems, \"same\" repeats",
     );
     assert!(!dir.join("t-same.json").exists(), "no trace is written");
+}
+
+/// Every fault kind against every read path, byte for byte as committed
+/// in `tests/golden/fault-matrix.txt`, so a model change cannot move a
+/// fallback, failover or copy count unseen. A change meant to move one
+/// regenerates the golden with
+/// `repro fault-matrix > crates/bench/tests/golden/fault-matrix.txt`.
+#[test]
+fn fault_matrix_matches_its_golden() {
+    let out = repro(&["fault-matrix", "--jobs", "2"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(stdout, include_str!("golden/fault-matrix.txt"));
 }

@@ -16,8 +16,8 @@
 //! unattributed pool — no lost or double-counted work.
 
 use proptest::prelude::*;
-use vread_apps::driver::run_jobs;
-use vread_apps::java_reader::{JavaReader, ReaderMode};
+use vread_apps::java_reader::ReaderMode;
+use vread_bench::experiments::reader_pass;
 use vread_bench::spec::WorkloadSpec;
 use vread_bench::{Locality, ReadPath, ScenarioSpec, SpanSummary, Testbed, TestbedOpts};
 use vread_sim::prelude::*;
@@ -25,26 +25,12 @@ use vread_sim::prelude::*;
 const FILE: u64 = 8 << 20;
 const REQ: u64 = 1 << 20;
 
-/// One full sequential read of `/f` on the testbed.
-fn reader_pass(tb: &mut Testbed, client: ActorId) {
+/// One full sequential read of `/f` on the testbed, with fresh metrics.
+fn read_f(tb: &mut Testbed, client: ActorId) {
     tb.w.metrics.reset();
-    let job = tb.w.register_job("reader");
-    let rdr = JavaReader::new(
-        tb.client_vm,
-        ReaderMode::Dfs {
-            client,
-            path: "/f".to_owned(),
-        },
-        REQ,
-        FILE,
-    )
-    .with_job(job);
-    let a = tb.w.add_actor("reader", rdr);
-    tb.w.send_now(a, Start);
-    assert!(
-        run_jobs(&mut tb.w, SimDuration::from_secs(3_000)),
-        "reader pass finishes",
-    );
+    let path = "/f".to_owned();
+    let mode = ReaderMode::Dfs { client, path };
+    reader_pass(&mut tb.w, tb.client_vm, mode, REQ, FILE);
 }
 
 /// Asserts every ledger row of a drained summary sits at `expect`
@@ -75,13 +61,13 @@ fn vanilla_cache_miss_then_hit_copies() {
 
     // Cold pass: the datanode page cache is empty, so every chunk pays
     // the virtio DMA copy on top of the fused read — 6 copies.
-    reader_pass(&mut tb, client);
+    read_f(&mut tb, client);
     let cold = SpanSummary::collect(&mut tb.w);
     assert_copies(&cold, 6.0, "vanilla cold");
 
     // Warm pass: page-cache hits drop the DMA copy — the paper's
     // canonical 5 copies (Fig 1).
-    reader_pass(&mut tb, client);
+    read_f(&mut tb, client);
     let warm = SpanSummary::collect(&mut tb.w);
     assert_copies(&warm, 5.0, "vanilla warm");
 }
@@ -95,9 +81,9 @@ fn vread_local_ring_is_two_copies() {
 
     // Local vRead reads move each byte exactly twice (daemon → shared
     // ring → guest), cold or warm.
-    reader_pass(&mut tb, client);
+    read_f(&mut tb, client);
     assert_copies(&SpanSummary::collect(&mut tb.w), 2.0, "vread local cold");
-    reader_pass(&mut tb, client);
+    read_f(&mut tb, client);
     assert_copies(&SpanSummary::collect(&mut tb.w), 2.0, "vread local warm");
 }
 
@@ -110,7 +96,7 @@ fn vread_remote_rdma_is_three_copies() {
 
     // Remote over RDMA: MR staging copy on the serving host + the two
     // ring copies on the client host.
-    reader_pass(&mut tb, client);
+    read_f(&mut tb, client);
     assert_copies(&SpanSummary::collect(&mut tb.w), 3.0, "vread remote rdma");
 }
 
@@ -123,7 +109,7 @@ fn vread_remote_tcp_is_four_copies() {
 
     // Remote over the user-space TCP fallback: sender + receiver copies
     // plus the two ring copies.
-    reader_pass(&mut tb, client);
+    read_f(&mut tb, client);
     assert_copies(&SpanSummary::collect(&mut tb.w), 4.0, "vread remote tcp");
 }
 

@@ -12,12 +12,12 @@
 
 use std::collections::HashMap;
 
-use vread_host::cluster::{with_cluster, Cluster, VmId};
-use vread_net::conn::{add_conn, ConnRecv, ConnSend, ConnSpec, Endpoint, Flavor, Side};
+use vread_host::cluster::{Cluster, VmId};
+use vread_net::conn::{ConnRecv, ConnSend, Side};
 use vread_sim::hash::{IdHashMap, IdHashSet};
 use vread_sim::prelude::*;
 
-use crate::datanode::{DnReadReq, DnWriteChunk};
+use crate::datanode::{dial_datanode, DnReadReq, DnWriteChunk};
 use crate::meta::{BlockId, DatanodeIx, HdfsMeta, LocatedBlock};
 use crate::namenode::{NnAddBlock, NnBlockAllocated, NnGetLocations, NnLocations};
 
@@ -227,39 +227,6 @@ impl VanillaPath {
     pub fn new() -> Self {
         Self::default()
     }
-
-    fn ensure_conn(&mut self, ctx: &mut Ctx<'_>, shared: &ClientShared, dn: DatanodeIx) -> ActorId {
-        if let Some(&c) = self.conns.get(&dn.0) {
-            return c;
-        }
-        let (dn_actor, dn_vm) = {
-            let meta = ctx.world.ext.get::<HdfsMeta>().expect("HdfsMeta missing");
-            let d = meta.datanodes[dn.0];
-            (d.actor, d.vm)
-        };
-        let me = shared.me;
-        let vm = shared.vm;
-        let conn = with_cluster(ctx.world, |cl, w| {
-            add_conn(
-                w,
-                cl,
-                Endpoint {
-                    actor: me,
-                    flavor: Flavor::Guest(vm),
-                },
-                Endpoint {
-                    actor: dn_actor,
-                    flavor: Flavor::Guest(dn_vm),
-                },
-                ConnSpec {
-                    sriov: cl.costs.sriov_nics,
-                    ..Default::default()
-                },
-            )
-        });
-        self.conns.insert(dn.0, conn);
-        conn
-    }
 }
 
 impl BlockReadPath for VanillaPath {
@@ -278,7 +245,7 @@ impl BlockReadPath for VanillaPath {
         req: BlockReq,
         _out: &mut Vec<PathEvent>,
     ) {
-        let conn = self.ensure_conn(ctx, shared, req.dn);
+        let conn = dial_datanode(&mut self.conns, ctx, shared.me, shared.vm, req.dn);
         let dn_actor = ctx.world.ext.get::<HdfsMeta>().expect("meta").datanodes[req.dn.0].actor;
         let key = (req.dn.0, req.block.0);
         let setup = req.pread || self.positions.get(&key) != Some(&req.offset);
@@ -751,39 +718,6 @@ impl DfsClient {
 
     // -- write path ---------------------------------------------------------
 
-    fn ensure_write_conn(&mut self, ctx: &mut Ctx<'_>, dn: DatanodeIx) -> ActorId {
-        if let Some(&c) = self.write_conns.get(&dn.0) {
-            return c;
-        }
-        let (dn_actor, dn_vm) = {
-            let meta = ctx.world.ext.get::<HdfsMeta>().expect("meta");
-            let d = meta.datanodes[dn.0];
-            (d.actor, d.vm)
-        };
-        let me = ctx.me();
-        let vm = self.vm;
-        let conn = with_cluster(ctx.world, |cl, w| {
-            add_conn(
-                w,
-                cl,
-                Endpoint {
-                    actor: me,
-                    flavor: Flavor::Guest(vm),
-                },
-                Endpoint {
-                    actor: dn_actor,
-                    flavor: Flavor::Guest(dn_vm),
-                },
-                ConnSpec {
-                    sriov: cl.costs.sriov_nics,
-                    ..Default::default()
-                },
-            )
-        });
-        self.write_conns.insert(dn.0, conn);
-        conn
-    }
-
     fn pump_write(&mut self, ctx: &mut Ctx<'_>, rid: u64) {
         loop {
             enum Next {
@@ -970,7 +904,8 @@ impl Actor for DfsClient {
             Ok(alloc) => {
                 if let Some(rid) = self.nn_tokens.remove(&alloc.token) {
                     let dn = alloc.replicas[0];
-                    let conn = self.ensure_write_conn(ctx, dn);
+                    let me = ctx.me();
+                    let conn = dial_datanode(&mut self.write_conns, ctx, me, self.vm, dn);
                     let tag = self.alloc_id();
                     self.write_tags.insert(tag, rid);
                     if let Some(wr) = self.writes.get_mut(&rid) {

@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 use vread_host::cluster::{with_cluster, Cluster, VmId};
 use vread_host::fs::FileId;
 use vread_host::virtio::{guest_disk_read, guest_disk_write};
-use vread_net::conn::{ConnRecv, ConnSend, ConnSent, Side};
+use vread_net::conn::{add_conn, ConnRecv, ConnSend, ConnSent, ConnSpec, Endpoint, Flavor, Side};
 use vread_sim::hash::IdHashMap;
 use vread_sim::prelude::*;
 
@@ -144,6 +144,37 @@ pub fn add_datanode(w: &mut World, vm: VmId) -> (ActorId, DatanodeIx) {
     (actor, ix)
 }
 
+/// The cached guest-to-guest connection from `me` in `vm` to datanode
+/// `dn`, dialed on first use and kept in `conns`. Client reads, client
+/// writes and the write pipeline's forwarding all reach a datanode
+/// through here.
+pub(crate) fn dial_datanode(
+    conns: &mut IdHashMap<usize, ActorId>,
+    ctx: &mut Ctx<'_>,
+    me: ActorId,
+    vm: VmId,
+    dn: DatanodeIx,
+) -> ActorId {
+    if let Some(&c) = conns.get(&dn.0) {
+        return c;
+    }
+    let meta = ctx.world.ext.get::<HdfsMeta>().expect("HdfsMeta missing");
+    let d = meta.datanodes[dn.0];
+    let conn = with_cluster(ctx.world, |cl, w| {
+        let guest = |actor, vm| Endpoint {
+            actor,
+            flavor: Flavor::Guest(vm),
+        };
+        let spec = ConnSpec {
+            sriov: cl.costs.sriov_nics,
+            ..Default::default()
+        };
+        add_conn(w, cl, guest(me, vm), guest(d.actor, d.vm), spec)
+    });
+    conns.insert(dn.0, conn);
+    conn
+}
+
 impl Datanode {
     /// Datanode-side per-chunk processing cost (checksum, packetization,
     /// Java stream machinery).
@@ -151,40 +182,6 @@ impl Datanode {
         let c = &cl.costs;
         (bytes as f64 * c.datanode_cyc_per_byte).round() as u64
             + bytes.div_ceil(c.hdfs_packet_bytes).max(1) * c.datanode_packet_cycles
-    }
-
-    /// Connection to the next datanode in a write pipeline.
-    fn ensure_fwd_conn(&mut self, ctx: &mut Ctx<'_>, next: DatanodeIx) -> ActorId {
-        if let Some(&c) = self.fwd_conns.get(&next.0) {
-            return c;
-        }
-        let me = ctx.me();
-        let my_vm = self.vm;
-        let (next_actor, next_vm) = {
-            let meta = ctx.world.ext.get::<HdfsMeta>().expect("meta");
-            let d = meta.datanodes[next.0];
-            (d.actor, d.vm)
-        };
-        let conn = with_cluster(ctx.world, |cl, w| {
-            vread_net::conn::add_conn(
-                w,
-                cl,
-                vread_net::conn::Endpoint {
-                    actor: me,
-                    flavor: vread_net::conn::Flavor::Guest(my_vm),
-                },
-                vread_net::conn::Endpoint {
-                    actor: next_actor,
-                    flavor: vread_net::conn::Flavor::Guest(next_vm),
-                },
-                vread_net::conn::ConnSpec {
-                    sriov: cl.costs.sriov_nics,
-                    ..Default::default()
-                },
-            )
-        });
-        self.fwd_conns.insert(next.0, conn);
-        conn
     }
 
     fn pump_read(&mut self, key: (u32, u64), ctx: &mut Ctx<'_>) {
@@ -388,7 +385,8 @@ impl Actor for Datanode {
                 let my_pos = cw.meta.pipeline.iter().position(|&d| d == self.ix);
                 let next = my_pos.and_then(|p| cw.meta.pipeline.get(p + 1)).copied();
                 if let Some(next) = next {
-                    let conn = self.ensure_fwd_conn(ctx, next);
+                    let me = ctx.me();
+                    let conn = dial_datanode(&mut self.fwd_conns, ctx, me, self.vm, next);
                     let fwd_tag = *self.fwd_tags.entry(key).or_insert_with(|| {
                         self.next_tag += 1;
                         // disambiguate streams from different upstreams

@@ -259,12 +259,6 @@ impl Metrics {
         self.record_to(id, v);
     }
 
-    /// Sets gauge `key` to `v` (creating it).
-    pub fn set_gauge(&mut self, key: &str, v: f64) {
-        let id = self.register_gauge(key);
-        self.set_to(id, v);
-    }
-
     /// Last written value of gauge `key` (0.0 when absent or untouched).
     pub fn gauge(&self, key: &str) -> f64 {
         self.gauge_index
@@ -570,8 +564,8 @@ mod tests {
         let mut m = Metrics::new();
         let g = m.register_gauge("inflight");
         assert_eq!(m.gauges().count(), 0, "registered-but-unwritten hidden");
-        m.set_gauge("inflight", 4.0);
-        m.gauge_add_to(g, -1.0); // the id hits the string key's slot
+        m.set_to(g, 4.0); // the id hits the string key's slot
+        m.gauge_add_to(g, -1.0);
         m.gauge_add_to(g, -1.0);
         assert_eq!(m.gauge("inflight"), 2.0);
         assert_eq!(m.gauges().collect::<Vec<_>>(), vec![("inflight", g, 2.0)]);

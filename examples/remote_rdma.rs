@@ -5,8 +5,8 @@
 //! cargo run --release --example remote_rdma
 //! ```
 
-use vread::apps::driver::run_jobs;
-use vread::apps::java_reader::{JavaReader, ReaderMode};
+use vread::apps::java_reader::ReaderMode;
+use vread::bench::experiments::reader_pass;
 use vread::bench::scenarios::{Locality, ReadPath, Testbed, TestbedOpts};
 use vread::core::VreadRegistry;
 use vread::sim::prelude::*;
@@ -23,21 +23,12 @@ fn main() {
         let mut tb = Testbed::build(TestbedOpts::new().path(path));
         tb.populate("/remote", FILE, Locality::Remote);
         let client = tb.make_client();
-        let job = tb.w.register_job("reader");
-        let reader = JavaReader::new(
-            tb.client_vm,
-            ReaderMode::Dfs {
-                client,
-                path: "/remote".into(),
-            },
-            1 << 20,
-            FILE,
-        )
-        .with_job(job);
-        let a = tb.w.add_actor("reader", reader);
-        tb.w.send_now(a, Start);
-        assert!(run_jobs(&mut tb.w, SimDuration::from_secs(600)));
-        let secs = tb.w.jobs.elapsed(job).expect("reader ran").as_secs_f64();
+        let mode = ReaderMode::Dfs {
+            client,
+            path: "/remote".into(),
+        };
+        let (_, elapsed) = reader_pass(&mut tb.w, tb.client_vm, mode, 1 << 20, FILE);
+        let secs = elapsed.as_secs_f64();
 
         let (d1, d2) = {
             let reg = tb.w.ext.get::<VreadRegistry>().unwrap();

@@ -5,7 +5,7 @@
 //! cargo run --release --example wordcount
 //! ```
 
-use vread::apps::driver::run_jobs;
+use vread::apps::driver::run_job;
 use vread::apps::wordcount::{WordCount, WordCountConfig};
 use vread::bench::scenarios::{Locality, ReadPath, Testbed, TestbedOpts};
 use vread::sim::prelude::*;
@@ -22,21 +22,16 @@ fn main() {
         let mut tb = Testbed::build(TestbedOpts::new().four_vms(true).path(path));
         tb.populate("/corpus", INPUT, Locality::Hybrid);
         let client = tb.make_client();
-        let job = tb.w.register_job("wordcount");
-        let wc = WordCount::new(
-            client,
-            tb.client_vm,
-            "/corpus".into(),
-            INPUT,
-            WordCountConfig::default(),
-        )
-        .with_job(job);
-        let a = tb.w.add_actor("wc", wc);
-        tb.w.send_now(a, Start);
-        assert!(run_jobs(&mut tb.w, SimDuration::from_secs(600)));
-        let start = tb.w.jobs.started_at(job).expect("started").as_secs_f64();
+        let (vm, start) = (tb.client_vm, tb.w.now().as_secs_f64());
+        let cap = SimDuration::from_secs(600);
+        let secs = run_job(&mut tb.w, "wordcount", cap, |w, job| {
+            let cfg = WordCountConfig::default();
+            let wc = WordCount::new(client, vm, "/corpus".into(), INPUT, cfg);
+            w.add_actor("wc", wc.with_job(job))
+        })
+        .expect("job ran")
+        .as_secs_f64();
         let map_done = tb.w.metrics.mean("wc_map_done_at_s");
-        let secs = tb.w.jobs.elapsed(job).expect("job ran").as_secs_f64();
         println!(
             "{:10} {:>12.2} {:>12.2} {:>12.1}",
             path.label(),

@@ -1,34 +1,23 @@
 //! Cross-crate integration tests: full scenarios through the public API
 //! of the facade crate.
 
-use vread::apps::dfsio::{DfsioConfig, DfsioMode, TestDfsio};
-use vread::apps::driver::run_jobs;
-use vread::apps::java_reader::{JavaReader, ReaderMode};
+use vread::apps::dfsio::DfsioMode;
+use vread::apps::java_reader::ReaderMode;
+use vread::bench::experiments::{dfsio_pass, reader_pass};
 use vread::bench::scenarios::{Locality, ReadPath, Testbed, TestbedOpts};
 use vread::hdfs::client::{DfsRead, DfsReadDone};
 use vread::host::Cluster;
 use vread::sim::prelude::*;
 
-const CAP: SimDuration = SimDuration::from_secs(600);
-
 fn reader_secs(tb: &mut Testbed, client: ActorId, path: &str, req: u64, total: u64) -> f64 {
     tb.w.metrics.reset();
-    let job = tb.w.register_job("reader");
-    let r = JavaReader::new(
-        tb.client_vm,
-        ReaderMode::Dfs {
-            client,
-            path: path.to_owned(),
-        },
-        req,
-        total,
-    )
-    .with_job(job);
-    let a = tb.w.add_actor("rdr", r);
-    tb.w.send_now(a, Start);
-    assert!(run_jobs(&mut tb.w, CAP));
+    let mode = ReaderMode::Dfs {
+        client,
+        path: path.to_owned(),
+    };
+    let (_, elapsed) = reader_pass(&mut tb.w, tb.client_vm, mode, req, total);
     assert_eq!(tb.w.metrics.counter("reader_bytes"), total as f64);
-    tb.w.jobs.elapsed(job).expect("reader ran").as_secs_f64()
+    elapsed.as_secs_f64()
 }
 
 /// The headline claim, end-to-end through every layer: vRead beats
@@ -163,19 +152,8 @@ fn accounting_is_conserved_and_vread_cheaper() {
             tb.populate(f, 64 << 20, Locality::Hybrid);
         }
         let client = tb.make_client();
-        let job = tb.w.register_job("dfsio");
-        let app = TestDfsio::new(
-            client,
-            tb.client_vm,
-            DfsioMode::Read,
-            files,
-            64 << 20,
-            DfsioConfig::default(),
-        )
-        .with_job(job);
-        let a = tb.w.add_actor("dfsio", app);
-        tb.w.send_now(a, Start);
-        assert!(run_jobs(&mut tb.w, CAP));
+        let (w, vm) = (&mut tb.w, tb.client_vm);
+        dfsio_pass(w, vm, client, DfsioMode::Read, &files, 64 << 20);
 
         // conservation per host
         let hosts: Vec<_> = {
