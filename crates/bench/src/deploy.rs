@@ -22,7 +22,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 
 use crate::faults::{build_fault_actions, check_faults, plan_window, FaultSpec, FaultTargets};
 use crate::scenarios::ReadPath;
-use crate::spec::{FileSpec, HostCacheSpec, HostSpec, SpecError, VmRole, VmSpec};
+use crate::spec::{deploy_costs, FileSpec, HostCacheSpec, HostSpec, SpecError, VmRole, VmSpec};
 
 use vread_apps::lookbusy::{llc_pressure, Lookbusy};
 use vread_core::daemon::{deploy_vread, RemoteTransport};
@@ -189,7 +189,10 @@ impl Deployment {
     ///
     /// [`SpecError::Unresolved`] for VM→host and file→datanode
     /// references; [`SpecError::Invalid`] when datanodes exist without a
-    /// client VM to host the namenode, or a file has no placement.
+    /// client VM to host the namenode, a file has no placement, or a
+    /// file or host-cache size is zero, overflows `u64` bytes or leaves
+    /// a cache smaller than one chunk (the scenario validator's size
+    /// rules, checked against the plan's costs).
     pub fn build(plan: DeployPlan) -> Result<Deployment, SpecError> {
         let mut w = World::new(plan.seed);
         if plan.spans {
@@ -197,13 +200,7 @@ impl Deployment {
             // invariant covers deploy/populate work too.
             w.spans.enable();
         }
-        let mut costs = plan.costs;
-        if let Some(mb) = plan.host_cache.capacity_mb {
-            costs.host_cache_bytes = mb << 20;
-        }
-        if let Some(kb) = plan.host_cache.chunk_kb {
-            costs.cache_chunk_bytes = kb << 10;
-        }
+        let costs = deploy_costs(&plan.files, &plan.host_cache, plan.costs)?;
         let mut cl = Cluster::new(costs);
         // Before any add_host: each host's store is built at creation.
         cl.set_host_cache_mode(plan.host_cache.mode);
@@ -532,6 +529,60 @@ mod tests {
             Deployment::build(plan),
             Err(SpecError::Invalid(_))
         ));
+    }
+
+    fn invalid_with(plan: DeployPlan, needle: &str) {
+        match Deployment::build(plan) {
+            Err(SpecError::Invalid(msg)) => assert!(msg.contains(needle), "{msg}"),
+            Err(e) => panic!("expected Invalid containing {needle:?}, got {e:?}"),
+            Ok(_) => panic!("expected Invalid containing {needle:?}, got a deployment"),
+        }
+    }
+
+    #[test]
+    fn file_sizes_are_checked_at_build() {
+        let file = |mb| FileSpec {
+            path: "/big".to_owned(),
+            mb,
+            placement: vec!["dn1".to_owned()],
+            replicate: false,
+        };
+        // 2^44 MiB is 2^64 bytes: a wrapping conversion would make it an
+        // empty file that populate silently skips.
+        invalid_with(
+            two_host_plan().file(file(1 << 44)),
+            "file /big: mb overflows",
+        );
+        invalid_with(
+            two_host_plan().file(file(0)),
+            "file /big: mb must be at least 1",
+        );
+    }
+
+    #[test]
+    fn host_cache_sizes_are_checked_against_the_plan_costs() {
+        let cache = |capacity_mb, chunk_kb| HostCacheSpec {
+            capacity_mb,
+            chunk_kb,
+            ..HostCacheSpec::default()
+        };
+        // A wrapping conversion would build a 0-byte store, which
+        // panics when the first host is added.
+        invalid_with(
+            two_host_plan().host_cache(cache(Some(1 << 44), None)),
+            "capacity_mb overflows",
+        );
+        invalid_with(
+            two_host_plan().host_cache(cache(None, Some(0))),
+            "chunk_kb must be at least 1",
+        );
+        // The default 64 KiB chunk fits the default caches but not a
+        // 32 KiB guest cache set through the plan's costs.
+        let costs = Costs {
+            guest_cache_bytes: 32 << 10,
+            ..Costs::default()
+        };
+        invalid_with(two_host_plan().costs(costs), "must fit the host");
     }
 
     #[test]

@@ -688,7 +688,7 @@ fn check_unique_names(
 /// Rejects numbers the deployment cannot run: core counts outside
 /// `1..=MAX_HOST_CORES`, non-finite or non-positive clocks, lookbusy duty
 /// cycles outside (0, 1], empty dfsio file lists and zero-length netperf
-/// windows (sizes are [`check_sizes`]'s).
+/// windows (sizes are [`check_workload_sizes`]'s and [`deploy_costs`]'s).
 fn check_ranges(
     hosts: &[HostSpec],
     vms: &[VmSpec],
@@ -736,30 +736,28 @@ fn check_ranges(
     Ok(())
 }
 
-/// Rejects sizes the deployment cannot build. Every KiB and MiB field
-/// (file `mb`, dfsio `buffer_kb` and `mb`, reader and netperf
-/// `request_kb`, `host_cache` `capacity_mb` and `chunk_kb`) must be at
-/// least 1 and convert to bytes without overflowing `u64`; unchecked, a
-/// zero or a wrapped size panicked inside the model or moved nothing.
-/// The cache chunk must also fit the guest page cache and the host store
-/// that [`Deployment::build`] makes from `Costs::default()` and the
-/// `host_cache` overrides.
-fn check_sizes(
-    files: &[FileSpec],
-    workloads: &[WorkloadBinding],
-    cache: &HostCacheSpec,
-) -> Result<(), SpecError> {
-    const KIB: u64 = 1 << 10;
-    const MIB: u64 = 1 << 20;
-    let bytes = |n: u64, unit: u64| match n.checked_mul(unit) {
+const KIB: u64 = 1 << 10;
+const MIB: u64 = 1 << 20;
+
+/// `n` units in bytes, or why not: zero and `u64` overflow are refused.
+fn size_bytes(n: u64, unit: u64) -> Result<u64, &'static str> {
+    match n.checked_mul(unit) {
         Some(0) => Err("must be at least 1"),
         Some(b) => Ok(b),
         None => Err("overflows u64 bytes"),
-    };
-    let invalid = |what: &str, why: &str| SpecError::Invalid(format!("{what} {why}"));
-    for f in files {
-        bytes(f.mb, MIB).map_err(|why| invalid(&format!("file {}: mb", f.path), why))?;
     }
+}
+
+fn invalid_size(what: &str, why: &str) -> SpecError {
+    SpecError::Invalid(format!("{what} {why}"))
+}
+
+/// Rejects workload sizes the deployment cannot run: dfsio `buffer_kb`
+/// and `mb` and reader and netperf `request_kb` must be at least 1 and
+/// convert to bytes without overflowing `u64`; unchecked, a zero or a
+/// wrapped size panicked inside the model or moved nothing. File and
+/// host-cache sizes are [`deploy_costs`]'s.
+fn check_workload_sizes(workloads: &[WorkloadBinding]) -> Result<(), SpecError> {
     for b in workloads {
         let (field, n, unit) = match b.kind {
             WorkloadSpec::DfsioRead { buffer_kb, .. } => ("buffer_kb", buffer_kb, KIB),
@@ -769,25 +767,49 @@ fn check_sizes(
             }
         };
         let kind = b.kind.kind_str();
-        bytes(n, unit).map_err(|why| invalid(&format!("{kind} workload: {field}"), why))?;
+        size_bytes(n, unit)
+            .map_err(|why| invalid_size(&format!("{kind} workload: {field}"), why))?;
     }
-    let costs = Costs::default();
-    let capacity = match cache.capacity_mb {
-        Some(mb) => bytes(mb, MIB).map_err(|why| invalid("host_cache capacity_mb", why))?,
-        None => costs.host_cache_bytes,
-    };
-    let chunk = match cache.chunk_kb {
-        Some(kb) => bytes(kb, KIB).map_err(|why| invalid("host_cache chunk_kb", why))?,
-        None => costs.cache_chunk_bytes,
-    };
-    let guest = costs.guest_cache_bytes;
+    Ok(())
+}
+
+/// Rejects the file and host-cache sizes a deployment cannot build and
+/// returns `costs` with the `host_cache` overrides applied: the costs
+/// [`Deployment::build`] makes its cluster from. Every file's `mb` and
+/// the `capacity_mb` and `chunk_kb` overrides must be at least 1 and
+/// convert to bytes without overflowing `u64`, and the cache chunk must
+/// fit both the guest page cache and the host store. Both
+/// [`ScenarioSpec::validate`] (with `Costs::default()`) and
+/// [`Deployment::build`] (with the plan's costs) run it, so a plan built
+/// through the public API meets the same rules as a scenario.
+pub(crate) fn deploy_costs(
+    files: &[FileSpec],
+    cache: &HostCacheSpec,
+    mut costs: Costs,
+) -> Result<Costs, SpecError> {
+    for f in files {
+        size_bytes(f.mb, MIB).map_err(|why| invalid_size(&format!("file {}: mb", f.path), why))?;
+    }
+    if let Some(mb) = cache.capacity_mb {
+        costs.host_cache_bytes =
+            size_bytes(mb, MIB).map_err(|why| invalid_size("host_cache capacity_mb", why))?;
+    }
+    if let Some(kb) = cache.chunk_kb {
+        costs.cache_chunk_bytes =
+            size_bytes(kb, KIB).map_err(|why| invalid_size("host_cache chunk_kb", why))?;
+    }
+    let (chunk, capacity, guest) = (
+        costs.cache_chunk_bytes,
+        costs.host_cache_bytes,
+        costs.guest_cache_bytes,
+    );
     if chunk > capacity.min(guest) {
         return Err(SpecError::Invalid(format!(
             "host_cache chunk ({chunk} B) must fit the host ({capacity} B) \
              and guest ({guest} B) caches"
         )));
     }
-    Ok(())
+    Ok(costs)
 }
 
 /// Rejects a millisecond value whose nanoseconds overflow simulated time
@@ -1361,7 +1383,8 @@ impl ScenarioSpec {
         }
         check_unique_names(&self.hosts, &self.vms, &self.files)?;
         check_ranges(&self.hosts, &self.vms, &self.workloads)?;
-        check_sizes(&self.files, &self.workloads, &self.host_cache)?;
+        check_workload_sizes(&self.workloads)?;
+        deploy_costs(&self.files, &self.host_cache, Costs::default())?;
         check_times(&self.workloads, self.timeline.as_ref())?;
         check_faults(&self.faults)?;
         let host_names: std::collections::HashSet<&str> =

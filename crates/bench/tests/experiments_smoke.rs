@@ -114,6 +114,40 @@ fn ablate_bypass_shape_loses_page_cache() {
 }
 
 #[test]
+fn ablate_cas_sibling_rereads_map_at_double_capacity() {
+    let t = table("ablate-cas");
+    let (reread, copies, capacity) = (
+        col(&t, "sibling re-read"),
+        col(&t, "copies/read"),
+        col(&t, "capacity_x"),
+    );
+    let lru = t
+        .rows
+        .iter()
+        .find(|r| r.label == "lru")
+        .expect("ablate-cas: no lru row");
+    assert_eq!(lru.values[copies], 2.0, "lru copies/read");
+    assert_eq!(lru.values[capacity], 1.0, "lru capacity_x");
+    let cas: Vec<_> = t
+        .rows
+        .iter()
+        .filter(|r| r.label.starts_with("cas"))
+        .collect();
+    assert!(!cas.is_empty(), "ablate-cas: no cas rows");
+    for row in cas {
+        assert!(
+            row.values[reread] >= 3.0 * lru.values[reread],
+            "{}: sibling re-read {} MB/s not 3x lru's {} MB/s",
+            row.label,
+            row.values[reread],
+            lru.values[reread]
+        );
+        assert_eq!(row.values[copies], 1.0, "{}: copies/read", row.label);
+        assert_eq!(row.values[capacity], 2.0, "{}: capacity_x", row.label);
+    }
+}
+
+#[test]
 fn fig9_vread_cuts_delay_and_the_gap_widens_at_4vms() {
     for t in vread_wins_every_cell("fig9", 2, false) {
         let (v2, r2) = (col(&t, "vanilla-2vms"), col(&t, "vRead-2vms"));

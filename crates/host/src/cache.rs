@@ -4,10 +4,11 @@
 //! tracks fixed-size chunks of *objects* (an object is a disk image; the
 //! offset space of a VM's files lives inside its image), evicting least
 //! recently used chunks when capacity is exceeded. Recency order is an
-//! [`Lru`] list whose index space is the object id: a guest filesystem
-//! lays its image out densely from offset 0, so chunk indices are dense
-//! and every chunk touch, insert and eviction is an O(1) table probe
-//! with no hashing.
+//! [`Lru`] list whose space is the object id: a guest filesystem lays
+//! its image out densely from offset 0, so an image's chunks fill one
+//! contiguous block of the list's flat slot table, and every chunk
+//! touch, insert and eviction is an O(1) probe with no hashing. A
+//! resident chunk costs the table 8 bytes.
 //!
 //! Whether a read hits DRAM or the SSD is the entire difference between
 //! the paper's *read* and *re-read* experiments, and host-cache hits are

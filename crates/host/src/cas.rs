@@ -15,12 +15,14 @@
 //! aligned — image offsets still share chunks. Eviction is one global
 //! LRU over physical chunks, kept in an [`Lru`] list. Each content
 //! sequence gets a dense [`Lru`] space id when it is first bound, and
-//! each object one when it first admits, so a chunk lookup is a table
-//! probe with no hashing. Statistics and eviction order are
+//! each object one when it first admits; a space's chunks fill one
+//! contiguous block of the list's flat slot table, so a chunk lookup is
+//! one probe with no hashing, and a resident chunk costs 8 bytes of
+//! links plus its 8-byte owner. Statistics and eviction order are
 //! deterministic: bindings live in a `BTreeMap`, recency order is the
 //! list, chunks of one call are visited in `(content before object, id,
-//! index)` order, and the list's tables are only ever probed by key,
-//! never iterated.
+//! index)` order, and the slot table is only ever probed by key, never
+//! scanned.
 
 use std::collections::BTreeMap;
 

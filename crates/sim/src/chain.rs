@@ -325,6 +325,16 @@ mod tests {
     use super::*;
 
     #[test]
+    fn in_flight_chains_stay_small() {
+        // `CpuCategory` is one byte, so it packs beside a stage's 4-byte
+        // thread id and the tag instead of taking a word of its own.
+        assert_eq!(std::mem::size_of::<CpuCategory>(), 1);
+        assert_eq!(std::mem::size_of::<Stage>(), 24);
+        assert_eq!(std::mem::size_of::<StageList>(), 224);
+        assert_eq!(std::mem::size_of::<Chain>(), 256);
+    }
+
+    #[test]
     fn constructors() {
         let t = ThreadId::from_raw(1);
         assert_eq!(

@@ -11,7 +11,7 @@ use std::fmt;
 
 /// What a burst of CPU cycles was spent on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[repr(usize)]
+#[repr(u8)]
 pub enum CpuCategory {
     /// User-level work in the HDFS client application (incl. the final
     /// kernel→application buffer copy, as in the paper's accounting).
