@@ -81,6 +81,59 @@ fn fig3_shape_lookbusy_drop() {
 }
 
 #[test]
+fn fig2_inter_vm_is_slower_than_local_and_the_gap_widens_on_reread() {
+    let ts = tables("fig2");
+    let find = |id: &str| {
+        ts.iter()
+            .find(|t| t.id == id)
+            .unwrap_or_else(|| panic!("fig2: no table {id}"))
+    };
+    // Per request size: inter-VM delay over local delay, which must
+    // exceed 1 (HDFS pays the virtual network and the datanode).
+    let ratios = |t: &Table| -> Vec<(String, f64)> {
+        let (inter, local) = (col(t, "inter-VM"), col(t, "local"));
+        assert!(!t.rows.is_empty(), "{}: no rows", t.id);
+        t.rows
+            .iter()
+            .map(|row| {
+                let (i, l) = (row.values[inter], row.values[local]);
+                assert!(
+                    i > l,
+                    "{} {}: inter-VM {i} ms not above local {l} ms",
+                    t.id,
+                    row.label
+                );
+                (row.label.clone(), i / l)
+            })
+            .collect()
+    };
+    let (cold, warm) = (ratios(find("fig2a")), ratios(find("fig2b")));
+    assert_eq!(cold.len(), warm.len(), "fig2a and fig2b row counts");
+    for ((size, read), (size_b, reread)) in cold.iter().zip(&warm) {
+        assert_eq!(size, size_b, "fig2a and fig2b row order");
+        assert!(
+            reread > read,
+            "{size}: inter/local {reread:.2}x on re-read must exceed {read:.2}x cold"
+        );
+    }
+}
+
+#[test]
+fn ablate_hve_on_beats_hve_off() {
+    let t = table("ablate-hve");
+    let read = col(&t, "read");
+    let row = |prefix: &str| {
+        t.rows
+            .iter()
+            .find(|r| r.label.starts_with(prefix))
+            .unwrap_or_else(|| panic!("ablate-hve: no row {prefix:?}"))
+            .values[read]
+    };
+    let (on, off) = (row("HVE on"), row("HVE off"));
+    assert!(on > off, "HVE on {on} MB/s not above HVE off {off} MB/s");
+}
+
+#[test]
 fn fig13_shape_write_overhead_negligible() {
     let t = table("fig13");
     for row in &t.rows {

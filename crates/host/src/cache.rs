@@ -4,11 +4,10 @@
 //! tracks fixed-size chunks of *objects* (an object is a disk image; the
 //! offset space of a VM's files lives inside its image), evicting least
 //! recently used chunks when capacity is exceeded. Recency order is an
-//! [`Lru`] list whose space is the object id: a guest filesystem lays
-//! its image out densely from offset 0, so an image's chunks fill one
-//! contiguous block of the list's flat slot table, and every chunk
-//! touch, insert and eviction is an O(1) probe with no hashing. A
-//! resident chunk costs the table 8 bytes.
+//! [`Lru`] list whose space is the object id, so every chunk touch,
+//! insert and eviction is an O(1) probe of the image's page directory
+//! with no hashing. A resident chunk costs the table 8 bytes, and only
+//! the 512-chunk pages that hold resident chunks take memory.
 //!
 //! Whether a read hits DRAM or the SSD is the entire difference between
 //! the paper's *read* and *re-read* experiments, and host-cache hits are

@@ -15,14 +15,13 @@
 //! aligned — image offsets still share chunks. Eviction is one global
 //! LRU over physical chunks, kept in an [`Lru`] list. Each content
 //! sequence gets a dense [`Lru`] space id when it is first bound, and
-//! each object one when it first admits; a space's chunks fill one
-//! contiguous block of the list's flat slot table, so a chunk lookup is
-//! one probe with no hashing, and a resident chunk costs 8 bytes of
-//! links plus its 8-byte owner. Statistics and eviction order are
-//! deterministic: bindings live in a `BTreeMap`, recency order is the
-//! list, chunks of one call are visited in `(content before object, id,
-//! index)` order, and the slot table is only ever probed by key, never
-//! scanned.
+//! each object one when it first admits; a chunk lookup is one probe
+//! of the space's page directory with no hashing, and a resident chunk
+//! costs 8 bytes of links plus its 8-byte owner. Statistics and
+//! eviction order are deterministic: bindings live in a `BTreeMap`,
+//! recency order is the list, chunks of one call are visited in
+//! `(content before object, id, index)` order, and the list's pages are
+//! only ever probed by key, never scanned.
 
 use std::collections::BTreeMap;
 

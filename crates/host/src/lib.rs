@@ -17,8 +17,8 @@
 //!   bound to a [`store::ContentId`] (HDFS replicas, shared files) occupy
 //!   physical capacity once and dedup hits are served by mapping;
 //! * [`lru::Lru`] — the recency list both stores evict by, linked
-//!   through one flat per-chunk slot table, with O(1) touch, insert and
-//!   eviction;
+//!   through per-space directories of 512-chunk slot pages, with O(1)
+//!   touch, insert and eviction;
 //! * [`fs::GuestFs`] — a small extent-based filesystem inside each VM's
 //!   disk image, plus [`fs::FsSnapshot`], the hypervisor-side mounted view
 //!   whose staleness/refresh implements the paper's `vRead_update`

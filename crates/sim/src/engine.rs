@@ -1029,6 +1029,34 @@ mod tests {
     }
 
     #[test]
+    fn host_queued_delay_matches_a_scan_of_every_thread() {
+        use crate::sched::TState;
+        let mut w = timer_heavy_world();
+        let mut waiting = 0;
+        for k in 1..=60 {
+            w.run_until(SimTime::from_nanos(k * 250_000));
+            let now = w.now();
+            for hix in 0..w.num_hosts() {
+                let host = HostId::from_raw(hix.try_into().expect("host index fits u16"));
+                let scan = w
+                    .sched
+                    .threads
+                    .iter()
+                    .filter(|th| th.host == host && th.state == TState::Queued)
+                    .map(|th| now.since(th.queued_at))
+                    .max()
+                    .unwrap_or(SimDuration::ZERO);
+                assert_eq!(w.host_max_queued_delay(host), scan, "host {hix} at {now:?}");
+                waiting += u32::from(scan > SimDuration::ZERO);
+            }
+        }
+        assert!(
+            waiting > 100,
+            "too few waiting threads to matter: {waiting}"
+        );
+    }
+
+    #[test]
     fn timer_queue_matches_scan_at_scale() {
         let end = SimTime::from_nanos(30_000_000);
         let mut ran = timer_heavy_world();
