@@ -2110,6 +2110,10 @@ mod tests {
             d.w.metrics.sample_keys().collect::<Vec<_>>(),
             ["daemon_restart_at_s", "reader_delay_ms", "vread_ok_at_s"]
         );
+        // one recovery instant per daemon restart, not one per vRead block
+        let count = |k| d.w.metrics.samples(k).map_or(0, |s| s.count());
+        assert!(count("vread_ok_at_s") >= 1);
+        assert!(count("vread_ok_at_s") <= count("daemon_restart_at_s"));
         assert!(d.w.metrics.counter("fault_window_read_bytes") > 0.0);
     }
 

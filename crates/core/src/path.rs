@@ -325,10 +325,17 @@ impl BlockReadPath for VreadPath {
                     let now = ctx.now();
                     ctx.world.spans.end(ar.span, now);
                     if ctx.world.ext.get::<FaultTrace>().is_some() {
-                        // fault runs track when the fast path serves, so
-                        // reports can measure recovery latency
+                        // fault runs record when the fast path first
+                        // serves again after each daemon restart: the
+                        // recovery instant the fault report reads
+                        let m = &ctx.world.metrics;
+                        let last = |k| m.samples(k).and_then(|s| s.values().last().copied());
                         let now = ctx.now().as_secs_f64();
-                        ctx.metrics().sample("vread_ok_at_s", now);
+                        if let Some(restart) = last("daemon_restart_at_s") {
+                            if last("vread_ok_at_s").is_none_or(|ok| ok < restart) {
+                                ctx.metrics().sample("vread_ok_at_s", now);
+                            }
+                        }
                     }
                     if ar.close_after {
                         // Algorithm 1 line 27: vRead_close at block end.

@@ -348,6 +348,10 @@ struct ReadReq {
     /// Consecutive timeouts without a completed part (drives the
     /// exponential retry backoff; reset when a part completes).
     timeouts: u32,
+    /// The read's one timer: the active fetch's [`FetchTimeout`]
+    /// watchdog, or the [`RetryFetch`] backoff after a stall. A finished
+    /// fetch disarms it, so no stale watchdog waits in the event queue.
+    timer: TimerSlot,
     /// Root `read` span for this request.
     span: SpanId,
     /// `block_fetch` child span of the active fetch.
@@ -574,7 +578,8 @@ impl DfsClient {
                     let cl = ctx.world.ext.get::<Cluster>().expect("cluster");
                     cl.costs.client_read_timeout_ms
                 };
-                ctx.timer(
+                ctx.arm_timer(
+                    r.timer,
                     FetchTimeout {
                         rid,
                         token,
@@ -642,6 +647,7 @@ impl DfsClient {
                         r.part_received = 0;
                         r.timeouts = 0;
                         r.cur_block += 1;
+                        ctx.disarm_timer(r.timer);
                         let bspan = std::mem::replace(&mut r.cur_span, SpanId::NONE);
                         (r.cur_block < r.blocks.len(), bspan)
                     };
@@ -668,8 +674,9 @@ impl DfsClient {
         };
         if finished {
             let r = self.reads.remove(&rid).expect("just checked");
-            // release tokens for this read
+            // release tokens and the timer slot for this read
             self.tokens.retain(|_, v| *v != rid);
+            ctx.release_timer(r.timer);
             let now = ctx.now();
             // ledger denominator: the bytes actually delivered
             ctx.world.spans.payload(r.span, r.bytes_done);
@@ -815,6 +822,7 @@ impl Actor for DfsClient {
                 let rid = self.alloc_id();
                 let now = ctx.now();
                 let span = ctx.world.spans.start("read", SpanId::NONE, now);
+                let timer = ctx.timer_slot();
                 self.reads.insert(
                     rid,
                     ReadReq {
@@ -835,6 +843,7 @@ impl Actor for DfsClient {
                         tried: Vec::new(),
                         part_received: 0,
                         timeouts: 0,
+                        timer,
                         span,
                         cur_span: SpanId::NONE,
                         started: now,
@@ -996,12 +1005,10 @@ impl Actor for DfsClient {
         // -- fetch watchdog -----------------------------------------------------
         let msg = match downcast::<FetchTimeout>(msg) {
             Ok(t) => {
-                let Some(r) = self.reads.get_mut(&t.rid) else {
-                    return;
-                };
-                if r.cur_token != Some(t.token) {
-                    return; // fetch completed; stale watchdog
-                }
+                // A finished read releases its slot and a finished fetch
+                // disarms it, so a firing watchdog is always current.
+                let r = self.reads.get_mut(&t.rid).expect("read vanished");
+                debug_assert_eq!(r.cur_token, Some(t.token), "stale fetch watchdog fired");
                 if r.bytes_done > t.progress_mark {
                     // progress since the last check: re-arm
                     let mark = r.bytes_done;
@@ -1009,7 +1016,8 @@ impl Actor for DfsClient {
                         let cl = ctx.world.ext.get::<Cluster>().expect("cluster");
                         cl.costs.client_read_timeout_ms
                     };
-                    ctx.timer(
+                    ctx.arm_timer(
+                        r.timer,
                         FetchTimeout {
                             rid: t.rid,
                             token: t.token,
@@ -1022,13 +1030,13 @@ impl Actor for DfsClient {
                 // stalled: let the path diagnose before reacting
                 let shared = self.shared(ctx);
                 let advice = self.path_impl.on_timeout(ctx, &shared, t.token);
-                let (dn, timeouts, bspan) = {
+                let (dn, timeouts, bspan, timer) = {
                     let r = self.reads.get_mut(&t.rid).expect("read vanished");
                     r.timeouts += 1;
                     r.cur_token = None;
                     let dn = r.cur_dn.take();
                     let bspan = std::mem::replace(&mut r.cur_span, SpanId::NONE);
-                    (dn, r.timeouts, bspan)
+                    (dn, r.timeouts, bspan, r.timer)
                 };
                 // close the stalled fetch's span at the timeout instant
                 let now = ctx.now();
@@ -1062,7 +1070,8 @@ impl Actor for DfsClient {
                     self.start_block(ctx, t.rid);
                 } else {
                     let delay = backoff_ms << (timeouts as u64 - 1).min(5);
-                    ctx.timer(
+                    ctx.arm_timer(
+                        timer,
                         RetryFetch { rid: t.rid },
                         vread_sim::SimDuration::from_millis(delay),
                     );
@@ -1073,15 +1082,15 @@ impl Actor for DfsClient {
         };
         let msg = match downcast::<RetryFetch>(msg) {
             Ok(rf) => {
-                // Only live if the read still exists and nothing else
-                // (completion, another retry) superseded the wait.
-                let waiting = self
-                    .reads
-                    .get(&rf.rid)
-                    .is_some_and(|r| r.cur_token.is_none() && !r.all_sent);
-                if waiting {
-                    self.start_block(ctx, rf.rid);
-                }
+                // The backoff holds the read's slot, so nothing else
+                // (completion, another fetch) can have superseded it.
+                debug_assert!(
+                    self.reads
+                        .get(&rf.rid)
+                        .is_some_and(|r| r.cur_token.is_none() && !r.all_sent),
+                    "stale retry timer fired"
+                );
+                self.start_block(ctx, rf.rid);
                 return;
             }
             Err(m) => m,

@@ -192,6 +192,69 @@ fn read_spans_multiple_blocks_and_datanodes() {
     assert_eq!(done[0].1, 3 << 20);
 }
 
+/// Reads `len` bytes of `path` as one job: started on [`Start`],
+/// completed when the [`DfsReadDone`] arrives.
+struct ReadJob {
+    client: ActorId,
+    job: JobHandle,
+    path: &'static str,
+    len: u64,
+}
+
+impl Actor for ReadJob {
+    fn handle(&mut self, msg: BoxMsg, ctx: &mut Ctx<'_>) {
+        if msg.is::<Start>() {
+            ctx.job_started(self.job);
+            let me = ctx.me();
+            let read = DfsRead {
+                req: 0,
+                reply_to: me,
+                path: self.path.into(),
+                offset: 0,
+                len: self.len,
+                pread: false,
+            };
+            ctx.send(self.client, read);
+        } else if let Ok(d) = downcast::<DfsReadDone>(msg) {
+            ctx.job_progress(self.job, d.bytes, 1);
+            ctx.job_completed(self.job);
+        }
+    }
+}
+
+#[test]
+fn a_finished_read_job_leaves_no_pending_events() {
+    // Each block fetch arms the read's watchdog for 2 s of simulated
+    // time, far longer than the fetch takes. A finished fetch disarms
+    // it, so once the job completes nothing is left to fire.
+    let mut tb = testbed(1); // 1 MB blocks
+    populate_file(
+        &mut tb.w,
+        "/f",
+        4 << 20,
+        &Placement::RoundRobin(vec![tb.dn_local, tb.dn_remote]),
+    );
+    let client = add_client(&mut tb.w, tb.client_vm, Box::new(VanillaPath::new()));
+    let job = tb.w.register_job("read");
+    let reader = ReadJob {
+        client,
+        job,
+        path: "/f",
+        len: 4 << 20,
+    };
+    let app = tb.w.add_actor("reader", reader);
+    tb.w.send_now(app, Start);
+    assert!(tb.w.run_jobs_for(SimDuration::from_secs(60)));
+    assert_eq!(tb.w.jobs.bytes(job), 4 << 20);
+    let took = tb.w.jobs.elapsed(job).expect("completed");
+    assert!(took < SimDuration::from_millis(500), "took {took:?}");
+    assert_eq!(
+        tb.w.next_event_time(),
+        None,
+        "stale events outlive the read"
+    );
+}
+
 #[test]
 fn reread_is_faster_than_cold_read() {
     let mut tb = testbed(64);

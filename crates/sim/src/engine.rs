@@ -17,12 +17,15 @@
 //!   anything pushed "at now" sorts after every pending same-time heap
 //!   entry, so FIFO order *is* `(time, seq)` order; RPC-style message
 //!   ping-pong never touches the `BinaryHeap` at all.
-//! * **Core-timer list** — each core's single valid timer lives in a
-//!   per-core slot table, and the armed ones are kept in a `Vec` sorted
-//!   descending by `(time, seq)` (`crate::timers`), so the earliest core
-//!   timer is read and popped in O(1) and arming one costs a binary
-//!   search plus a shift of at most the armed count (a couple of dozen
-//!   timers on an 80-core world).
+//! * **Timer table** — each core's single valid timer, and each
+//!   re-armable actor timer ([`Ctx::arm_timer`]), lives in a slot of one
+//!   table, and the armed ones are kept in a `Vec` sorted descending by
+//!   `(time, seq)` (`crate::timers`), so the earliest timer is read and
+//!   popped in O(1) and arming one costs a binary search plus a shift of
+//!   the timers due after it. Re-arming or disarming a slot drops its
+//!   pending timer, so a watchdog whose work finished never reaches the
+//!   heap or fires as a no-op; a fired actor timer is an ordinary
+//!   message delivery.
 //! * **Chain slab** — in-flight chains live in a free-list slab indexed
 //!   directly by [`ChainId`] (generation-tagged against stale resumes)
 //!   rather than a hash map; see `crate::slab`.
@@ -40,7 +43,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use crate::chain::{Chain, Stage, StageList};
 use crate::cpu::{CpuAccounting, CpuCategory};
 use crate::ext::Extensions;
-use crate::ids::{ActorId, BlockDevId, ChainId, HostId, LinkId, ThreadId};
+use crate::ids::{ActorId, BlockDevId, ChainId, HostId, LinkId, ThreadId, TimerSlot};
 use crate::job::{JobHandle, Jobs};
 use crate::metrics::Metrics;
 use crate::msg::BoxMsg;
@@ -51,7 +54,7 @@ use crate::slab::ChainSlab;
 use crate::span::{SpanId, SpanRecorder};
 use crate::time::{SimDuration, SimTime};
 use crate::timeline::Timeline;
-use crate::timers::CoreTimers;
+use crate::timers::{Fired, TimerTable};
 
 /// A component that receives messages and reacts by scheduling work,
 /// sending messages, and mutating shared state.
@@ -122,10 +125,10 @@ pub struct World {
     /// same-time heap entry pushed before time advanced to `now`.
     fifo: VecDeque<(u64, EvKind)>,
     heap: BinaryHeap<HeapEv>,
-    /// One armed-timer slot per core across all hosts, with the armed
-    /// ones in a sorted list whose last entry is the earliest (see
-    /// `crate::timers`).
-    timers: CoreTimers,
+    /// One timer slot per core across all hosts plus the actors' timer
+    /// slots, with the armed ones in a sorted list whose last entry is
+    /// the earliest (see `crate::timers`).
+    timers: TimerTable,
     /// `None` once an actor is removed, and while it handles a message.
     actors: Vec<Option<Box<dyn Actor>>>,
     pub(crate) sched: Sched,
@@ -178,7 +181,7 @@ impl World {
             next_now: None,
             fifo: VecDeque::new(),
             heap: BinaryHeap::new(),
-            timers: CoreTimers::default(),
+            timers: TimerTable::default(),
             actors: Vec::new(),
             sched: Sched::default(),
             chains: ChainSlab::new(),
@@ -333,15 +336,58 @@ impl World {
     pub(crate) fn push_core_timer(&mut self, t: SimTime, host: HostId, core: usize, gen: u64) {
         let slot = self.sched.hosts[host.index()].core_base + core;
         self.seq += 1;
-        self.timers.arm(slot, t, self.seq, gen);
+        self.timers.arm_core(slot, t, self.seq, gen);
     }
 
-    /// Events waiting to run: heap, fast lane and armed core timers.
+    /// Events waiting to run: heap, fast lane and armed timers.
     fn pending_events(&self) -> usize {
         self.heap.len()
             + self.fifo.len()
             + usize::from(self.next_now.is_some())
             + self.timers.armed()
+    }
+
+    // -- actor timers -------------------------------------------------------
+
+    /// Gives `owner` an unarmed, re-armable timer slot. Each slot holds
+    /// at most one pending timer; slots released with
+    /// [`World::release_timer`] are reused last-in first-out.
+    pub fn add_timer(&mut self, owner: ActorId) -> TimerSlot {
+        let i = self.timers.alloc(owner);
+        TimerSlot::from_raw(i.try_into().expect("timer table fits u32"))
+    }
+
+    /// Arms `slot` to deliver `msg` to its owner after `delay`, dropping
+    /// any timer pending there. The timer takes its place in `(time,
+    /// seq)` order at this call, exactly as [`World::send_after`] would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` was released.
+    pub fn arm_timer<M: Send + 'static>(&mut self, slot: TimerSlot, msg: M, delay: SimDuration) {
+        self.seq += 1;
+        let t = self.now + delay;
+        self.timers
+            .arm_actor(slot.index(), t, self.seq, Box::new(msg));
+    }
+
+    /// Disarms `slot`: its pending timer, if any, never fires.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` was released.
+    pub fn disarm_timer(&mut self, slot: TimerSlot) {
+        self.timers.disarm(slot.index());
+    }
+
+    /// Disarms `slot` and returns it to the table for reuse. The slot id
+    /// must not be used again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` was already released.
+    pub fn release_timer(&mut self, slot: TimerSlot) {
+        self.timers.release(slot.index());
     }
 
     // -- chains -------------------------------------------------------------
@@ -511,8 +557,14 @@ impl World {
                 Some((ev.t, ev.kind))
             }
             3 => {
-                let (t, host, core, gen) = self.timers.pop(slot);
-                Some((t, EvKind::CoreTimer { host, core, gen }))
+                let (t, fired) = self.timers.pop(slot);
+                Some((
+                    t,
+                    match fired {
+                        Fired::Core { host, core, gen } => EvKind::CoreTimer { host, core, gen },
+                        Fired::Actor { to, msg } => EvKind::Deliver { to, msg },
+                    },
+                ))
             }
             _ => None,
         }
@@ -668,10 +720,35 @@ impl<'a> Ctx<'a> {
         self.world.send_after(to, msg, delay);
     }
 
-    /// Sends `msg` back to the current actor after `delay` (a timer).
+    /// Sends `msg` back to the current actor after `delay` (a
+    /// fire-and-forget timer; see [`Ctx::arm_timer`] for one that can be
+    /// re-armed or cancelled).
     pub fn timer<M: Send + 'static>(&mut self, msg: M, delay: SimDuration) {
         let me = self.me;
         self.world.send_after(me, msg, delay);
+    }
+
+    /// Gives the current actor a re-armable timer slot (see
+    /// [`World::add_timer`]).
+    pub fn timer_slot(&mut self) -> TimerSlot {
+        let me = self.me;
+        self.world.add_timer(me)
+    }
+
+    /// Arms `slot` to send `msg` back to its owner after `delay`,
+    /// replacing any timer pending there (see [`World::arm_timer`]).
+    pub fn arm_timer<M: Send + 'static>(&mut self, slot: TimerSlot, msg: M, delay: SimDuration) {
+        self.world.arm_timer(slot, msg, delay);
+    }
+
+    /// Disarms `slot`; its pending timer, if any, never fires.
+    pub fn disarm_timer(&mut self, slot: TimerSlot) {
+        self.world.disarm_timer(slot);
+    }
+
+    /// Disarms `slot` and hands it back for reuse.
+    pub fn release_timer(&mut self, slot: TimerSlot) {
+        self.world.release_timer(slot);
     }
 
     /// Starts a stage chain completing with `msg` to `to`.
@@ -1100,6 +1177,125 @@ mod tests {
         w.step(); // the hog's first burst arms the core timer
         assert_eq!(w.timers.armed(), 1);
         assert!(format!("{w:?}").contains("pending_events: 1,"));
+    }
+
+    // -- actor timers ----------------------------------------------------------
+
+    /// Records every `Tag` as a `tag` sample and its arrival time as an
+    /// `at_ns` sample. On `Tag(10)` it also sends itself `Tag(13)` now,
+    /// arms a timer slot of its own with `Tag(15)` for now, and sends
+    /// `Tag(14)`.
+    #[derive(Default)]
+    struct Tagger {
+        react: Option<TimerSlot>,
+    }
+
+    impl Actor for Tagger {
+        fn handle(&mut self, msg: BoxMsg, ctx: &mut Ctx<'_>) {
+            if let Ok(t) = downcast::<Tag>(msg) {
+                let now = ctx.now().as_nanos() as f64;
+                ctx.metrics().sample("tag", f64::from(t.0));
+                ctx.metrics().sample("at_ns", now);
+                if t.0 == 10 {
+                    let slot = *self.react.get_or_insert_with(|| ctx.timer_slot());
+                    let me = ctx.me();
+                    ctx.send(me, Tag(13));
+                    ctx.arm_timer(slot, Tag(15), SimDuration::ZERO);
+                    ctx.send(me, Tag(14));
+                }
+            }
+        }
+    }
+
+    fn tags(w: &World) -> Vec<f64> {
+        w.metrics
+            .samples("tag")
+            .map_or(vec![], |s| s.values().to_vec())
+    }
+
+    #[test]
+    fn a_disarmed_timer_never_fires() {
+        let mut w = World::new(1);
+        let a = w.add_actor("tagger", Tagger::default());
+        let slot = w.add_timer(a);
+        w.arm_timer(slot, Tag(1), SimDuration::from_secs(2));
+        w.send_after(a, Tag(2), SimDuration::from_millis(3));
+        assert_eq!(w.pending_events(), 2);
+        w.disarm_timer(slot);
+        assert_eq!(w.pending_events(), 1);
+        w.run();
+        assert_eq!(tags(&w), [2.0]);
+        // the clock stops at the last real event, not at the watchdog
+        assert_eq!(w.now(), SimTime::from_nanos(3_000_000));
+        assert_eq!(w.events_processed(), 1);
+        assert_eq!(w.next_event_time(), None);
+    }
+
+    #[test]
+    fn a_rearm_replaces_the_pending_timer() {
+        let mut w = World::new(1);
+        let a = w.add_actor("tagger", Tagger::default());
+        let slot = w.add_timer(a);
+        w.arm_timer(slot, Tag(1), SimDuration::from_micros(50));
+        w.arm_timer(slot, Tag(2), SimDuration::from_micros(80)); // later
+        w.run_until(SimTime::from_nanos(10_000));
+        w.arm_timer(slot, Tag(3), SimDuration::from_micros(5)); // earlier
+        assert_eq!(w.pending_events(), 1);
+        w.run();
+        assert_eq!(tags(&w), [3.0]);
+        assert_eq!(w.now(), SimTime::from_nanos(15_000));
+        // a fired slot stays allocated and can be armed again
+        w.arm_timer(slot, Tag(4), SimDuration::from_micros(1));
+        w.run();
+        assert_eq!(tags(&w), [3.0, 4.0]);
+    }
+
+    #[test]
+    fn a_released_slot_is_reused_lifo() {
+        let mut w = World::new(1);
+        let a = w.add_actor("tagger", Tagger::default());
+        let b = w.add_actor("tagger", Tagger::default());
+        let h = w.add_host("h", 2, 1.0); // core slots 0 and 1
+        let (s1, s2, s3) = (w.add_timer(a), w.add_timer(a), w.add_timer(b));
+        assert_eq!((s1.raw(), s2.raw(), s3.raw()), (2, 3, 4));
+        w.arm_timer(s1, Tag(1), SimDuration::from_micros(1));
+        w.release_timer(s1); // drops its pending timer
+        w.release_timer(s3);
+        assert_eq!((w.add_timer(b), w.add_timer(b)), (s3, s1));
+        let h2 = w.add_host("h2", 1, 1.0); // cores still append
+        assert_eq!(w.sched.hosts[h2.index()].core_base, 5);
+        assert_eq!(w.sched.hosts[h.index()].core_base, 0);
+        w.arm_timer(s1, Tag(7), SimDuration::from_micros(2));
+        w.run();
+        assert_eq!(tags(&w), [7.0], "the reused slot delivers to its new owner");
+        assert_eq!(
+            w.metrics.samples("at_ns").map(|s| s.values()[0]),
+            Some(2_000.0)
+        );
+    }
+
+    #[test]
+    fn actor_timers_tie_with_fast_lane_and_heap_in_time_seq_order() {
+        let mut w = World::new(1);
+        let a = w.add_actor("tagger", Tagger::default());
+        let (now_slot, later_slot) = (w.add_timer(a), w.add_timer(a));
+        let at = SimDuration::from_micros(5);
+        // at time 0: fast lane, timer, fast lane
+        w.send_now(a, Tag(1));
+        w.arm_timer(now_slot, Tag(2), SimDuration::ZERO);
+        w.send_now(a, Tag(3));
+        // at 5 us: heap, timer, heap; then Tag(10)'s reactions queue a
+        // fast-lane event, a zero-delay timer and another fast-lane event
+        w.send_after(a, Tag(10), at);
+        w.arm_timer(later_slot, Tag(11), at);
+        w.send_after(a, Tag(12), at);
+        w.run();
+        assert_eq!(
+            tags(&w),
+            [1.0, 2.0, 3.0, 10.0, 11.0, 12.0, 13.0, 15.0, 14.0]
+        );
+        let at_ns = w.metrics.samples("at_ns").unwrap().values().to_vec();
+        assert_eq!(at_ns, [0.0, 0.0, 0.0, 5e3, 5e3, 5e3, 5e3, 5e3, 5e3]);
     }
 
     #[test]

@@ -74,6 +74,13 @@ id_type!(
     ChainId,
     u64
 );
+id_type!(
+    /// An actor's re-armable timer: a slot in the world's timer table
+    /// that holds at most one pending message (see
+    /// [`crate::Ctx::arm_timer`]).
+    TimerSlot,
+    u32
+);
 
 #[cfg(test)]
 mod tests {

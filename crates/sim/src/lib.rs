@@ -73,7 +73,7 @@ pub use chain::{Stage, StageList};
 pub use cpu::{CpuAccounting, CpuCategory};
 pub use engine::{Actor, Ctx, World};
 pub use fault::{schedule_faults, FaultAction, FaultScheduler, FaultTrace, SlowDisk, StallThread};
-pub use ids::{ActorId, BlockDevId, ChainId, CoreId, HostId, LinkId, ThreadId};
+pub use ids::{ActorId, BlockDevId, ChainId, CoreId, HostId, LinkId, ThreadId, TimerSlot};
 pub use job::{JobHandle, Jobs};
 pub use metrics::{
     CounterId, GaugeId, LazyCounter, LazyGauge, LazySamples, Metrics, SampleId, Samples,
@@ -92,7 +92,9 @@ pub mod prelude {
     pub use crate::cpu::{CpuAccounting, CpuCategory};
     pub use crate::engine::{Actor, Ctx, World};
     pub use crate::fault::{schedule_faults, FaultAction, FaultTrace};
-    pub use crate::ids::{ActorId, BlockDevId, ChainId, CoreId, HostId, LinkId, ThreadId};
+    pub use crate::ids::{
+        ActorId, BlockDevId, ChainId, CoreId, HostId, LinkId, ThreadId, TimerSlot,
+    };
     pub use crate::job::JobHandle;
     pub use crate::metrics::{CounterId, GaugeId, LazyCounter, LazyGauge, LazySamples, SampleId};
     pub use crate::msg::{downcast, BoxMsg, Start};

@@ -225,7 +225,7 @@ pub(crate) struct HostSched {
     /// pressure. Calibrated against the paper's Figure 3 (two 85%
     /// lookbusy VMs cost an inter-VM TCP_RR pair ≈20%).
     pub cache_pressure: f64,
-    /// Index of this host's first core in the world's core-timer table.
+    /// Index of this host's first core in the world's timer table.
     pub core_base: usize,
 }
 
