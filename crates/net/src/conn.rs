@@ -994,7 +994,7 @@ mod tests {
         );
         // Run a tiny bit and check we didn't schedule all 160 chunks at once:
         // at most window(2) chains exist besides the handshake.
-        w.run_for(SimDuration::from_micros(1));
+        w.run_until(w.now() + SimDuration::from_micros(1));
         w.run();
         assert_eq!(w.metrics.samples("recv_ms").unwrap().count(), 1);
     }

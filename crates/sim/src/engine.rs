@@ -1,4 +1,4 @@
-//! The discrete-event world: event heap, actors, chains, resources.
+//! The discrete-event world: event queue, actors, chains, resources.
 //!
 //! [`World`] owns everything; actors are dispatched one at a time (their
 //! slot is temporarily vacated so they can freely mutate the world through
@@ -13,19 +13,20 @@
 //!
 //! * **Same-time fast lane** — events scheduled for the current instant
 //!   (`send_now`, zero delays) go to a FIFO ring buffer instead of the
-//!   time-ordered heap. Because the global sequence number is monotonic,
-//!   anything pushed "at now" sorts after every pending same-time heap
-//!   entry, so FIFO order *is* `(time, seq)` order; RPC-style message
-//!   ping-pong never touches the `BinaryHeap` at all.
-//! * **Timer table** — each core's single valid timer, and each
-//!   re-armable actor timer ([`Ctx::arm_timer`]), lives in a slot of one
-//!   table, and the armed ones are kept in a `Vec` sorted descending by
-//!   `(time, seq)` (`crate::timers`), so the earliest timer is read and
-//!   popped in O(1) and arming one costs a binary search plus a shift of
-//!   the timers due after it. Re-arming or disarming a slot drops its
-//!   pending timer, so a watchdog whose work finished never reaches the
-//!   heap or fires as a no-op; a fired actor timer is an ordinary
-//!   message delivery.
+//!   time-ordered timer table. Because the global sequence number is
+//!   monotonic, anything pushed "at now" sorts after every pending
+//!   same-time entry of the table, so FIFO order *is* `(time, seq)`
+//!   order; RPC-style message ping-pong never touches the table at all.
+//! * **Timer table** — every event due after the current instant lives
+//!   in a slot of one table (`crate::timers`): each core's timer, each
+//!   re-armable actor timer ([`Ctx::arm_timer`]), and a one-shot slot
+//!   per delayed message, chain resume or timeline tick, released when
+//!   it fires. The armed slots are kept in a `Vec` sorted descending by
+//!   `(time, seq)`, so the earliest event is read and popped in O(1) and
+//!   arming one costs a binary search plus a shift of the events due
+//!   after it. Re-arming or disarming a core or actor slot drops its
+//!   pending timer, so a watchdog whose work finished never fires as a
+//!   no-op; a fired actor timer is an ordinary message delivery.
 //! * **Chain slab** — in-flight chains live in a free-list slab indexed
 //!   directly by [`ChainId`] (generation-tagged against stale resumes)
 //!   rather than a hash map; see `crate::slab`.
@@ -37,8 +38,7 @@
 //!   contended vanilla read workload — stage lists, the run queue and
 //!   the host block-store indices allocate nothing).
 
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::chain::{Chain, Stage, StageList};
 use crate::cpu::{CpuAccounting, CpuCategory};
@@ -54,7 +54,7 @@ use crate::slab::ChainSlab;
 use crate::span::{SpanId, SpanRecorder};
 use crate::time::{SimDuration, SimTime};
 use crate::timeline::Timeline;
-use crate::timers::{Fired, TimerTable};
+use crate::timers::TimerTable;
 
 /// A component that receives messages and reacts by scheduling work,
 /// sending messages, and mutating shared state.
@@ -67,7 +67,9 @@ pub trait Actor: 'static {
     fn handle(&mut self, msg: BoxMsg, ctx: &mut Ctx<'_>);
 }
 
-enum EvKind {
+/// What an event does when it runs: the payload of both the fast lane
+/// and the timer table.
+pub(crate) enum EvKind {
     Deliver {
         to: ActorId,
         msg: BoxMsg,
@@ -75,7 +77,6 @@ enum EvKind {
     CoreTimer {
         host: HostId,
         core: usize,
-        gen: u64,
     },
     ChainResume {
         chain: ChainId,
@@ -84,30 +85,6 @@ enum EvKind {
     /// `(time, seq)`-keyed event, so sampling instants replay
     /// identically on every run.
     TimelineTick,
-}
-
-struct HeapEv {
-    t: SimTime,
-    seq: u64,
-    kind: EvKind,
-}
-
-impl PartialEq for HeapEv {
-    fn eq(&self, other: &Self) -> bool {
-        self.t == other.t && self.seq == other.seq
-    }
-}
-impl Eq for HeapEv {}
-impl PartialOrd for HeapEv {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEv {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert for earliest-first.
-        (other.t, other.seq).cmp(&(self.t, self.seq))
-    }
 }
 
 /// The simulation world. See the crate docs for an end-to-end example.
@@ -122,12 +99,11 @@ pub struct World {
     /// Fast lane for events scheduled at the current instant (their time
     /// is implicitly `now`). Invariant: entries are in ascending `seq`
     /// order, all larger than `next_now`'s seq and larger than any
-    /// same-time heap entry pushed before time advanced to `now`.
+    /// same-time timer-table entry armed before time advanced to `now`.
     fifo: VecDeque<(u64, EvKind)>,
-    heap: BinaryHeap<HeapEv>,
-    /// One timer slot per core across all hosts plus the actors' timer
-    /// slots, with the armed ones in a sorted list whose last entry is
-    /// the earliest (see `crate::timers`).
+    /// Every future event: one timer slot per core across all hosts, the
+    /// actors' timer slots and one-shot slots, with the armed ones in a
+    /// sorted list whose last entry is the earliest (see `crate::timers`).
     timers: TimerTable,
     /// `None` once an actor is removed, and while it handles a message.
     actors: Vec<Option<Box<dyn Actor>>>,
@@ -180,7 +156,6 @@ impl World {
             events_processed: 0,
             next_now: None,
             fifo: VecDeque::new(),
-            heap: BinaryHeap::new(),
             timers: TimerTable::default(),
             actors: Vec::new(),
             sched: Sched::default(),
@@ -321,30 +296,23 @@ impl World {
         debug_assert!(t >= self.now, "event scheduled in the past");
         if t == self.now {
             // Same-instant events keep FIFO order by construction (seq is
-            // monotonic), so they skip the heap entirely.
+            // monotonic), so they skip the timer table entirely.
             self.push_now(kind);
         } else {
             self.seq += 1;
-            self.heap.push(HeapEv {
-                t,
-                seq: self.seq,
-                kind,
-            });
+            self.timers.schedule(t, self.seq, kind);
         }
     }
 
-    pub(crate) fn push_core_timer(&mut self, t: SimTime, host: HostId, core: usize, gen: u64) {
+    pub(crate) fn push_core_timer(&mut self, t: SimTime, host: HostId, core: usize) {
         let slot = self.sched.hosts[host.index()].core_base + core;
         self.seq += 1;
-        self.timers.arm_core(slot, t, self.seq, gen);
+        self.timers.arm_core(slot, t, self.seq);
     }
 
-    /// Events waiting to run: heap, fast lane and armed timers.
+    /// Events waiting to run: fast lane and armed timer slots.
     fn pending_events(&self) -> usize {
-        self.heap.len()
-            + self.fifo.len()
-            + usize::from(self.next_now.is_some())
-            + self.timers.armed()
+        self.fifo.len() + usize::from(self.next_now.is_some()) + self.timers.armed()
     }
 
     // -- actor timers -------------------------------------------------------
@@ -511,63 +479,30 @@ impl World {
     /// Time of the next pending event, if any.
     pub fn next_event_time(&self) -> Option<SimTime> {
         // Fast-lane entries are always at `now`, earlier than (or tied
-        // with) anything in the heap or the timer table.
+        // with) anything in the timer table.
         if self.next_now.is_some() {
             return Some(self.now);
         }
-        let heap = self.heap.peek().map(|ev| ev.t);
-        let timer = self.timers.min().map(|(t, _, _)| t);
-        match (heap, timer) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        self.timers.min().map(|(t, _, _)| t)
     }
 
     /// Pops the globally next event in `(time, seq)` order, returning its
     /// time and payload. Fast-lane entries are implicitly at `now`.
     fn pop_event(&mut self) -> Option<(SimTime, EvKind)> {
-        // Candidate from each queue, all ordered by the same `(t, seq)`
-        // key. The heap may still hold same-time events pushed before
-        // time advanced to `now`, whose seq is necessarily smaller than
-        // any fast-lane entry — they go first.
-        let mut best = self.next_now.as_ref().map(|(fseq, _)| (self.now, *fseq));
-        let mut src = u8::from(best.is_some()); // 0 = none, 1 = fast lane
-        if let Some(h) = self.heap.peek() {
-            if best.is_none_or(|b| (h.t, h.seq) < b) {
-                best = Some((h.t, h.seq));
-                src = 2;
-            }
-        }
-        let mut slot = 0usize;
-        if let Some((t, seq, i)) = self.timers.min() {
-            if best.is_none_or(|b| (t, seq) < b) {
-                src = 3;
-                slot = i;
-            }
-        }
-        match src {
-            1 => {
+        // Both candidates are ordered by the same `(t, seq)` key. The
+        // timer table may still hold same-time events armed before time
+        // advanced to `now`, whose seq is necessarily smaller than any
+        // fast-lane entry — they go first.
+        let timer = self.timers.min();
+        if let Some((fseq, _)) = &self.next_now {
+            if timer.is_none_or(|(t, seq, _)| (self.now, *fseq) < (t, seq)) {
                 let (_, kind) = self.next_now.take().expect("fronted");
                 // Promote the next fast-lane entry into the front slot.
                 self.next_now = self.fifo.pop_front();
-                Some((self.now, kind))
+                return Some((self.now, kind));
             }
-            2 => {
-                let ev = self.heap.pop().expect("peeked");
-                Some((ev.t, ev.kind))
-            }
-            3 => {
-                let (t, fired) = self.timers.pop(slot);
-                Some((
-                    t,
-                    match fired {
-                        Fired::Core { host, core, gen } => EvKind::CoreTimer { host, core, gen },
-                        Fired::Actor { to, msg } => EvKind::Deliver { to, msg },
-                    },
-                ))
-            }
-            _ => None,
         }
+        timer.map(|(_, _, slot)| self.timers.pop(slot))
     }
 
     /// Processes a single event. Returns `false` when no events remain.
@@ -580,7 +515,7 @@ impl World {
         self.events_processed += 1;
         match kind {
             EvKind::Deliver { to, msg } => self.dispatch(to, msg),
-            EvKind::CoreTimer { host, core, gen } => self.on_core_timer(host, core, gen),
+            EvKind::CoreTimer { host, core } => self.on_core_timer(host, core),
             EvKind::ChainResume { chain } => self.advance_chain(chain),
             EvKind::TimelineTick => self.on_timeline_tick(),
         }
@@ -633,12 +568,6 @@ impl World {
             self.now = t;
         }
         self.sync_accounting();
-    }
-
-    /// Runs for `dur` of simulated time from now.
-    pub fn run_for(&mut self, dur: SimDuration) {
-        let t = self.now + dur;
-        self.run_until(t);
     }
 
     /// Registers a pending job and returns its completion token (see
@@ -1002,7 +931,7 @@ mod tests {
         );
         w.send_now(a1, Start);
         w.send_now(a2, Start);
-        w.run_for(SimDuration::from_millis(200));
+        w.run_until(w.now() + SimDuration::from_millis(200));
         let b1 = w.acct.busy_ns(t1.index()) as f64;
         let b2 = w.acct.busy_ns(t2.index()) as f64;
         let share = b1 / (b1 + b2);
@@ -1035,7 +964,7 @@ mod tests {
             );
             w.send_now(a, Start);
         }
-        w.run_for(SimDuration::from_millis(50));
+        w.run_until(w.now() + SimDuration::from_millis(50));
         // both threads should be nearly fully busy (own core each)
         assert!(w.acct.busy_ns(t1.index()) > 45_000_000);
         assert!(w.acct.busy_ns(t2.index()) > 45_000_000);
@@ -1275,7 +1204,7 @@ mod tests {
     }
 
     #[test]
-    fn actor_timers_tie_with_fast_lane_and_heap_in_time_seq_order() {
+    fn actor_timers_tie_with_fast_lane_and_one_shots_in_time_seq_order() {
         let mut w = World::new(1);
         let a = w.add_actor("tagger", Tagger::default());
         let (now_slot, later_slot) = (w.add_timer(a), w.add_timer(a));
@@ -1284,7 +1213,7 @@ mod tests {
         w.send_now(a, Tag(1));
         w.arm_timer(now_slot, Tag(2), SimDuration::ZERO);
         w.send_now(a, Tag(3));
-        // at 5 us: heap, timer, heap; then Tag(10)'s reactions queue a
+        // at 5 us: one-shot, timer, one-shot; then Tag(10)'s reactions queue a
         // fast-lane event, a zero-delay timer and another fast-lane event
         w.send_after(a, Tag(10), at);
         w.arm_timer(later_slot, Tag(11), at);
@@ -1314,11 +1243,11 @@ mod tests {
         );
         w.send_now(hog, Start);
         // Let the hog accumulate vruntime.
-        w.run_for(SimDuration::from_millis(20));
+        w.run_until(w.now() + SimDuration::from_millis(20));
         let a = w.add_actor("waiter", Waiter { done_at: None });
         let t0 = w.now();
         w.start_chain(vec![Stage::cpu(io_t, 10_000, CpuCategory::Other)], a, Done);
-        w.run_for(SimDuration::from_millis(10));
+        w.run_until(w.now() + SimDuration::from_millis(10));
         let s = w.metrics.samples("done_at_ms").expect("io work finished");
         let done_ms = s.values()[0];
         let lat = done_ms - t0.as_secs_f64() * 1e3;

@@ -204,8 +204,10 @@ pub(crate) struct Running {
 #[derive(Debug, Default)]
 pub(crate) struct Core {
     pub running: Option<Running>,
-    /// Timer generation; stale `CoreTimer` events are ignored.
-    pub gen: u64,
+    /// Wake-up preemptions of this core's thread so far; a core timer
+    /// compares it around a completion to see that the completion's
+    /// wake-ups preempted the core.
+    pub preemptions: u64,
 }
 
 /// Scheduler-side per-host state.
@@ -416,7 +418,7 @@ impl World {
             .running
             .take()
             .expect("preempting an idle core");
-        self.sched.hosts[hix].cores[cix].gen += 1;
+        self.sched.hosts[hix].cores[cix].preemptions += 1;
         let now = self.now();
         let th = &mut self.sched.threads[r.thread as usize];
         th.state = TState::Queued;
@@ -431,7 +433,6 @@ impl World {
         let hix = host.index();
         debug_assert!(self.sched.hosts[hix].cores[cix].running.is_none());
         let Some((vr, traw)) = self.sched.hosts[hix].runq.pop_first() else {
-            self.sched.hosts[hix].cores[cix].gen += 1;
             return;
         };
         let now = self.now();
@@ -531,21 +532,13 @@ impl World {
             None => r.slice_end,
         };
         let t = work_end.min(r.slice_end).max(self.now());
-        let gen = {
-            let core = &mut self.sched.hosts[hix].cores[cix];
-            core.gen += 1;
-            core.gen
-        };
-        self.push_core_timer(t, host, cix, gen);
+        self.push_core_timer(t, host, cix);
     }
 
     /// Handles a core timer: charge, complete finished work, then either
     /// continue, rotate, or idle the core.
-    pub(crate) fn on_core_timer(&mut self, host: HostId, cix: usize, gen: u64) {
+    pub(crate) fn on_core_timer(&mut self, host: HostId, cix: usize) {
         let hix = host.index();
-        if self.sched.hosts[hix].cores[cix].gen != gen {
-            return; // stale timer
-        }
         let now = self.now();
         self.charge_core(host, cix, now);
         let r = match self.sched.hosts[hix].cores[cix].running {
@@ -565,12 +558,14 @@ impl World {
         if let Some(w) = completed {
             // May enqueue new work on this or other threads — and the
             // resulting wake-up may *preempt this very core*. Detect that
-            // via the timer generation and stop: the preemption already
+            // via the preemption count and stop: the preemption already
             // rescheduled everything.
-            let gen_before = self.sched.hosts[hix].cores[cix].gen;
+            let preemptions_before = self.sched.hosts[hix].cores[cix].preemptions;
             self.advance_chain(w.chain);
             let core = &self.sched.hosts[hix].cores[cix];
-            if core.gen != gen_before || core.running.map(|r2| r2.thread) != Some(r.thread) {
+            if core.preemptions != preemptions_before
+                || core.running.map(|r2| r2.thread) != Some(r.thread)
+            {
                 // This thread was preempted mid-completion; if it has no
                 // work left it must not linger in the run queue.
                 let th = &mut self.sched.threads[tix];
@@ -590,7 +585,6 @@ impl World {
         if !has_work {
             self.sched.threads[tix].state = TState::Idle;
             self.sched.hosts[hix].cores[cix].running = None;
-            self.sched.hosts[hix].cores[cix].gen += 1;
             self.install(host, cix);
         } else if slice_expired && rq_waiting {
             // Rotate: requeue current, run the minimum-vruntime thread
@@ -601,7 +595,6 @@ impl World {
             self.sched.threads[tix].queued_at = now;
             self.sched.hosts[hix].runq.insert((vr, r.thread));
             self.sched.hosts[hix].cores[cix].running = None;
-            self.sched.hosts[hix].cores[cix].gen += 1;
             self.install(host, cix);
         } else {
             if slice_expired {

@@ -1,34 +1,41 @@
-//! The timer table: re-armable timer slots, each holding at most one
-//! pending timer, and a sorted list of the armed ones.
+//! The future-event list: timer slots, each holding at most one pending
+//! event, and a sorted list of the armed ones. Every event due after the
+//! current instant waits here; same-instant events take the engine's
+//! fast lane instead.
 //!
-//! A slot belongs either to a core or to an actor:
+//! A slot belongs to a core, to an actor, or to one event:
 //!
 //! * **Core slots** carry the scheduler's per-core timer. A core has at
-//!   most one *valid* pending timer at any time (re-arming always bumps
-//!   the core's generation, invalidating the previous timer), so the
-//!   table holds one slot per core, added with the host.
+//!   most one pending timer, armed exactly while the core runs a thread,
+//!   so the table holds one slot per core, added with the host.
 //! * **Actor slots** carry a timer an actor re-arms in place, such as an
 //!   HDFS read's fetch watchdog. An actor allocates a slot, arms it with
 //!   a message (replacing whatever was pending), disarms it when the
-//!   guarded work finishes and releases it when done. Released slots go
-//!   on a LIFO free list, so slot reuse is deterministic.
+//!   guarded work finishes and releases it when done.
+//! * **One-shot slots** carry any other future event: a delayed message,
+//!   a chain resuming after a link, disk or delay stage, a timeline tick.
+//!   [`TimerTable::schedule`] takes a slot and arms it; the slot releases
+//!   itself when its event pops.
 //!
-//! Either way, arming is a slot overwrite: a replaced or disarmed timer
-//! vanishes instead of firing later as a no-op.
+//! Released slots of either kind go on one LIFO free list, so slot reuse
+//! is deterministic. Arming a core or actor slot is a slot overwrite: a
+//! replaced or disarmed timer vanishes instead of firing later as a
+//! no-op.
 //!
-//! The engine asks for the earliest armed timer twice per event and pops
-//! it once per fired timer, so the table also keeps every armed timer in
-//! a `Vec` sorted by `(time, seq)` in *descending* order — the same
-//! idiom as the scheduler's run queue. The earliest timer is the last
-//! element: reading it and popping it are O(1). Arming a slot
-//! binary-searches its old key out of the list and its new key in, so
-//! an arm costs a search plus a shift of the entries due *after* it.
-//! Core timers are due within a slice, near the cheap end of the list;
-//! actor watchdogs are due seconds out, near the far end. The armed
-//! count peaks at 59 on the benchmark's 80-core, 40-reader workload.
-//! `seq` values are unique, so the last element is exactly the slot a
-//! linear scan would pick.
+//! The engine asks for the earliest armed slot twice per event and pops
+//! it once per future event, so the table also keeps every armed slot in
+//! a `Vec` sorted by `(time, seq)` in *descending* order — the same idiom
+//! as the scheduler's run queue. The earliest event is the last element:
+//! reading it and popping it are O(1). Arming a slot binary-searches its
+//! old key out of the list and its new key in, so an arm costs a search
+//! plus a shift of the entries due *after* it. Core timers are due
+//! within a slice, near the cheap end of the list; actor watchdogs are
+//! due seconds out, near the far end. On the benchmark's 80-core,
+//! 40-reader workload at most 156 slots are armed at once: up to 59
+//! timers and 108 one-shot events. `seq` values are unique, so the last
+//! element is exactly the slot a linear scan would pick.
 
+use crate::engine::EvKind;
 use crate::ids::{ActorId, HostId};
 use crate::msg::BoxMsg;
 use crate::time::SimTime;
@@ -47,42 +54,36 @@ fn unpack(key: u128) -> (SimTime, u64) {
     (SimTime::from_nanos((key >> 64) as u64), key as u64)
 }
 
-/// Whom a slot belongs to, and what its pending timer carries.
+/// Whom a slot belongs to, and what its pending event carries.
 enum Slot {
-    /// A core's timer and the generation it carries.
-    Core { host: HostId, core: u32, gen: u64 },
+    /// A core's timer.
+    Core { host: HostId, core: u32 },
     /// An actor's timer and, while armed, the message it delivers.
     Actor { to: ActorId, msg: Option<BoxMsg> },
-    /// A released actor slot, on the free list.
+    /// A one-shot event, armed until it pops.
+    Once(EvKind),
+    /// A released slot, on the free list.
     Free,
-}
-
-/// What a popped timer delivers.
-pub(crate) enum Fired {
-    /// A core timer: the scheduler re-evaluates `core` of `host`.
-    Core { host: HostId, core: usize, gen: u64 },
-    /// An actor timer: `msg` goes to `to` like any message.
-    Actor { to: ActorId, msg: BoxMsg },
 }
 
 /// The timer table (see the module docs).
 #[derive(Default)]
 pub(crate) struct TimerTable {
-    /// Core slots (one per core, host by host) and actor slots, in the
-    /// order they were added.
+    /// Core slots (one per core, host by host), actor slots and one-shot
+    /// slots, in the order they were added.
     slots: Vec<Slot>,
     /// Packed `(time, seq)` per slot; unarmed slots hold [`UNARMED`].
     keys: Vec<u128>,
     /// `(key, slot)` of every armed slot, sorted descending by key: the
     /// earliest timer is last.
     desc: Vec<(u128, u32)>,
-    /// Released actor slots, reused last-in first-out.
+    /// Released actor and one-shot slots, reused last-in first-out.
     free: Vec<u32>,
 }
 
 impl TimerTable {
-    /// Number of slots (cores across all hosts, plus actor slots ever
-    /// allocated).
+    /// Number of slots (cores across all hosts, plus the most actor and
+    /// one-shot slots ever in use at once).
     pub(crate) fn len(&self) -> usize {
         self.slots.len()
     }
@@ -98,16 +99,28 @@ impl TimerTable {
             self.slots.push(Slot::Core {
                 host,
                 core: c.try_into().expect("core count fits u32"),
-                gen: 0,
             });
             self.keys.push(UNARMED);
         }
     }
 
-    /// Gives `to` an unarmed actor slot: the most recently released one,
-    /// or a new one.
+    /// Gives `to` an unarmed actor slot (see [`TimerTable::take`]).
     pub(crate) fn alloc(&mut self, to: ActorId) -> usize {
-        let slot = Slot::Actor { to, msg: None };
+        self.take(Slot::Actor { to, msg: None })
+    }
+
+    /// Arms a one-shot slot to deliver `ev` at `t`, returning the slot.
+    /// The slot goes back on the free list when `ev` pops.
+    #[inline]
+    pub(crate) fn schedule(&mut self, t: SimTime, seq: u64, ev: EvKind) -> usize {
+        let i = self.take(Slot::Once(ev));
+        self.set_key(i, t, seq);
+        i
+    }
+
+    /// Puts `slot` in the most recently released slot, or a new one.
+    #[inline]
+    fn take(&mut self, slot: Slot) -> usize {
         if let Some(i) = self.free.pop() {
             let i = i as usize;
             self.slots[i] = slot;
@@ -159,11 +172,11 @@ impl TimerTable {
 
     /// Arms core slot `i` to fire at `t`, replacing any pending timer.
     #[inline]
-    pub(crate) fn arm_core(&mut self, i: usize, t: SimTime, seq: u64, gen: u64) {
-        let Slot::Core { gen: g, .. } = &mut self.slots[i] else {
-            panic!("arming a core timer in an actor slot");
-        };
-        *g = gen;
+    pub(crate) fn arm_core(&mut self, i: usize, t: SimTime, seq: u64) {
+        assert!(
+            matches!(self.slots[i], Slot::Core { .. }),
+            "arming a core timer in another slot"
+        );
         self.set_key(i, t, seq);
     }
 
@@ -201,33 +214,45 @@ impl TimerTable {
     /// Panics if `i` is a core slot or already released.
     pub(crate) fn release(&mut self, i: usize) {
         self.disarm(i);
-        self.slots[i] = Slot::Free;
-        self.free
-            .push(u32::try_from(i).expect("timer table fits u32"));
+        self.free_slot(i);
     }
 
-    /// Disarms slot `i`, returning its fire time and what it delivers.
+    /// Marks slot `i` released and puts it on the free list.
+    #[inline]
+    fn free_slot(&mut self, i: usize) -> Slot {
+        self.free
+            .push(u32::try_from(i).expect("timer table fits u32"));
+        std::mem::replace(&mut self.slots[i], Slot::Free)
+    }
+
+    /// Disarms slot `i`, returning its fire time and the event it
+    /// delivers. A one-shot slot is released.
     ///
     /// # Panics
     ///
     /// Panics if the slot is not armed.
     #[inline]
-    pub(crate) fn pop(&mut self, i: usize) -> (SimTime, Fired) {
+    pub(crate) fn pop(&mut self, i: usize) -> (SimTime, EvKind) {
         let key = self.clear_key(i);
         assert!(key != UNARMED, "popping an unarmed timer");
-        let fired = match &mut self.slots[i] {
-            &mut Slot::Core { host, core, gen } => Fired::Core {
+        let ev = match &mut self.slots[i] {
+            &mut Slot::Core { host, core } => EvKind::CoreTimer {
                 host,
                 core: core as usize,
-                gen,
             },
-            Slot::Actor { to, msg } => Fired::Actor {
+            Slot::Actor { to, msg } => EvKind::Deliver {
                 to: *to,
                 msg: msg.take().expect("an armed actor slot holds its message"),
             },
+            Slot::Once(_) => {
+                let Slot::Once(ev) = self.free_slot(i) else {
+                    unreachable!("matched a one-shot slot")
+                };
+                ev
+            }
             Slot::Free => unreachable!("a released slot is never armed"),
         };
-        (unpack(key).0, fired)
+        (unpack(key).0, ev)
     }
 
     /// Earliest armed timer as `(time, seq, slot)`, if any: the last
@@ -272,22 +297,33 @@ mod tests {
         HostId::from_raw(n)
     }
 
-    /// Pops slot `i`, expecting a core timer: `(time, host, core, gen)`.
-    fn pop_core(t: &mut TimerTable, i: usize) -> (SimTime, HostId, usize, u64) {
-        match t.pop(i) {
-            (at, Fired::Core { host, core, gen }) => (at, host, core, gen),
-            (_, Fired::Actor { .. }) => panic!("slot {i} fired an actor timer"),
+    /// Addressee of the one-shot deliveries the tests schedule.
+    const ONCE_TO: ActorId = ActorId::from_raw(u32::MAX);
+
+    /// A one-shot delivery of `n` to [`ONCE_TO`].
+    fn once(n: u64) -> EvKind {
+        EvKind::Deliver {
+            to: ONCE_TO,
+            msg: Box::new(n),
         }
     }
 
-    /// Pops slot `i`, expecting an actor timer carrying a `u64`:
+    /// Pops slot `i`, expecting a core timer: `(time, host, core)`.
+    fn pop_core(t: &mut TimerTable, i: usize) -> (SimTime, HostId, usize) {
+        match t.pop(i) {
+            (at, EvKind::CoreTimer { host, core }) => (at, host, core),
+            _ => panic!("slot {i} fired something other than a core timer"),
+        }
+    }
+
+    /// Pops slot `i`, expecting a delivery carrying a `u64`:
     /// `(time, actor, payload)`.
     fn pop_actor(t: &mut TimerTable, i: usize) -> (SimTime, ActorId, u64) {
         match t.pop(i) {
-            (at, Fired::Actor { to, msg }) => {
+            (at, EvKind::Deliver { to, msg }) => {
                 (at, to, *msg.downcast::<u64>().expect("a u64 payload"))
             }
-            (_, Fired::Core { .. }) => panic!("slot {i} fired a core timer"),
+            _ => panic!("slot {i} fired something other than a delivery"),
         }
     }
 
@@ -314,20 +350,20 @@ mod tests {
         t.add_host(host(0), 2);
         t.add_host(host(1), 3);
         let at = SimTime::from_nanos;
-        t.arm_core(4, at(50), 1, 7);
-        t.arm_core(1, at(30), 2, 1);
-        t.arm_core(2, at(30), 3, 1);
+        t.arm_core(4, at(50), 1);
+        t.arm_core(1, at(30), 2);
+        t.arm_core(2, at(30), 3);
         assert_eq!(t.min(), Some((at(30), 2, 1)), "equal times break by seq");
-        t.arm_core(1, at(60), 4, 2); // re-arm moves slot 1 behind the others
+        t.arm_core(1, at(60), 4); // re-arm moves slot 1 behind the others
         assert_eq!(t.armed(), 3);
         assert_eq!(t.min(), Some((at(30), 3, 2)));
-        assert_eq!(pop_core(&mut t, 2), (at(30), host(1), 0, 1));
+        assert_eq!(pop_core(&mut t, 2), (at(30), host(1), 0));
         assert_eq!(t.min(), Some((at(50), 1, 4)));
-        t.arm_core(3, at(55), 5, 4); // a later arm leaves the minimum alone
+        t.arm_core(3, at(55), 5); // a later arm leaves the minimum alone
         assert_eq!(t.min(), Some((at(50), 1, 4)));
-        assert_eq!(pop_core(&mut t, 4), (at(50), host(1), 2, 7));
-        assert_eq!(pop_core(&mut t, 3), (at(55), host(1), 1, 4));
-        assert_eq!(pop_core(&mut t, 1), (at(60), host(0), 1, 2));
+        assert_eq!(pop_core(&mut t, 4), (at(50), host(1), 2));
+        assert_eq!(pop_core(&mut t, 3), (at(55), host(1), 1));
+        assert_eq!(pop_core(&mut t, 1), (at(60), host(0), 1));
         assert_eq!((t.armed(), t.min()), (0, None));
     }
 
@@ -335,13 +371,13 @@ mod tests {
     fn growth_keeps_armed_timers() {
         let mut t = TimerTable::default();
         t.add_host(host(0), 1);
-        t.arm_core(0, SimTime::from_nanos(9), 1, 1);
+        t.arm_core(0, SimTime::from_nanos(9), 1);
         for h in 1..20 {
             t.add_host(host(h), 4);
             assert_eq!(t.min(), Some((SimTime::from_nanos(9), 1, 0)));
         }
         assert_eq!(t.len(), 77);
-        t.arm_core(76, SimTime::from_nanos(3), 2, 1);
+        t.arm_core(76, SimTime::from_nanos(3), 2);
         assert_eq!(t.min(), Some((SimTime::from_nanos(3), 2, 76)));
     }
 
@@ -368,7 +404,9 @@ mod tests {
         Disarm(usize),
         /// Releases live actor slot `pick % live`.
         Release(usize),
-        /// Pops the earliest armed timer.
+        /// Schedules a one-shot event at this time.
+        Schedule(u64),
+        /// Pops the earliest armed slot.
         PopMin,
     }
 
@@ -383,6 +421,7 @@ mod tests {
             (0usize..64, 0u64..8).prop_map(|(pick, t)| TimerOp::ArmActor(pick, t)),
             (0usize..64).prop_map(TimerOp::Disarm),
             (0usize..64).prop_map(TimerOp::Release),
+            (0u64..8).prop_map(TimerOp::Schedule),
             Just(TimerOp::PopMin),
         ]
     }
@@ -390,8 +429,9 @@ mod tests {
     /// Whom the oracle thinks a slot belongs to.
     #[derive(Debug, Clone, Copy, PartialEq)]
     enum Kind {
-        Core { host: HostId, core: usize, gen: u64 },
+        Core { host: HostId, core: usize },
         Actor(ActorId),
+        Once,
         Free,
     }
 
@@ -402,14 +442,37 @@ mod tests {
         armed: Option<(SimTime, u64)>,
     }
 
+    /// Pops the earliest slot `(t, seq, i)` and checks that it delivers
+    /// what the model says; a fired one-shot slot goes on `free`.
+    fn pop_as_modelled(
+        timers: &mut TimerTable,
+        model: &mut [SlotModel],
+        free: &mut Vec<usize>,
+        (t, seq, i): (SimTime, u64, usize),
+    ) -> Result<(), String> {
+        model[i].armed = None;
+        match model[i].kind {
+            Kind::Core { host, core } => prop_assert_eq!(pop_core(timers, i), (t, host, core)),
+            Kind::Actor(to) => prop_assert_eq!(pop_actor(timers, i), (t, to, seq)),
+            Kind::Once => {
+                prop_assert_eq!(pop_actor(timers, i), (t, ONCE_TO, seq));
+                model[i].kind = Kind::Free;
+                free.push(i);
+            }
+            Kind::Free => unreachable!("released slot {i} fired"),
+        }
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// The timer list answers every call exactly as a
-        /// `BTreeSet<(time, seq, slot)>` of the armed timers, core and
-        /// actor slots alike, and released slots come back LIFO.
+        /// `BTreeSet<(time, seq, slot)>` of the armed slots, core, actor
+        /// and one-shot alike, and released and fired one-shot slots
+        /// come back LIFO to actors and one-shots alike.
         #[test]
-        fn core_timers_match_btreeset(ops in proptest::collection::vec(timer_op(), 1..150)) {
+        fn timer_slots_match_btreeset(ops in proptest::collection::vec(timer_op(), 1..150)) {
             let mut timers = TimerTable::default();
             let mut oracle: BTreeSet<(SimTime, u64, usize)> = BTreeSet::new();
             let mut model: Vec<SlotModel> = Vec::new();
@@ -429,7 +492,7 @@ mod tests {
                         timers.add_host(host(hosts), n);
                         cores.extend(model.len()..model.len() + n);
                         model.extend((0..n).map(|core| SlotModel {
-                            kind: Kind::Core { host: host(hosts), core, gen: 0 },
+                            kind: Kind::Core { host: host(hosts), core },
                             armed: None,
                         }));
                         hosts += 1;
@@ -440,26 +503,30 @@ mod tests {
                         }
                         let i = cores[pick % cores.len()];
                         seq += 1;
-                        let (t, gen) = (SimTime::from_nanos(t), seq * 3);
-                        timers.arm_core(i, t, seq, gen);
+                        let t = SimTime::from_nanos(t);
+                        timers.arm_core(i, t, seq);
                         disarm(&mut model, &mut oracle, i);
-                        let Kind::Core { gen: g, .. } = &mut model[i].kind else {
-                            unreachable!("core list holds core slots")
-                        };
-                        *g = gen;
                         model[i].armed = Some((t, seq));
                         oracle.insert((t, seq, i));
                     }
-                    TimerOp::Alloc => {
-                        let to = ActorId::from_raw(u32::try_from(live.len()).unwrap());
-                        let i = timers.alloc(to);
+                    TimerOp::Alloc | TimerOp::Schedule(_) => {
                         let want = free.pop().unwrap_or(model.len());
-                        prop_assert_eq!(i, want, "released slots are reused LIFO");
-                        if i == model.len() {
+                        if want == model.len() {
                             model.push(SlotModel { kind: Kind::Free, armed: None });
                         }
-                        model[i].kind = Kind::Actor(to);
-                        live.push(i);
+                        let i = if let TimerOp::Schedule(t) = *op {
+                            seq += 1;
+                            let t = SimTime::from_nanos(t);
+                            model[want] = SlotModel { kind: Kind::Once, armed: Some((t, seq)) };
+                            oracle.insert((t, seq, want));
+                            timers.schedule(t, seq, once(seq))
+                        } else {
+                            let to = ActorId::from_raw(u32::try_from(live.len()).unwrap());
+                            model[want].kind = Kind::Actor(to);
+                            live.push(want);
+                            timers.alloc(to)
+                        };
+                        prop_assert_eq!(i, want, "released slots are reused LIFO");
                     }
                     TimerOp::ArmActor(pick, t) => {
                         if live.is_empty() {
@@ -492,18 +559,9 @@ mod tests {
                     TimerOp::PopMin => {
                         let min = timers.min();
                         prop_assert_eq!(min, oracle.first().copied());
-                        if let Some((t, s, i)) = min {
-                            oracle.remove(&(t, s, i));
-                            model[i].armed = None;
-                            match model[i].kind {
-                                Kind::Core { host, core, gen } => {
-                                    prop_assert_eq!(pop_core(&mut timers, i), (t, host, core, gen));
-                                }
-                                Kind::Actor(to) => {
-                                    prop_assert_eq!(pop_actor(&mut timers, i), (t, to, s));
-                                }
-                                Kind::Free => unreachable!("released slot {i} fired"),
-                            }
+                        if let Some(min) = min {
+                            oracle.remove(&min);
+                            pop_as_modelled(&mut timers, &mut model, &mut free, min)?;
                         }
                     }
                 }
@@ -513,14 +571,7 @@ mod tests {
             }
             while let Some(min) = timers.min() {
                 prop_assert_eq!(Some(min), oracle.pop_first());
-                let (t, s, i) = min;
-                match model[i].kind {
-                    Kind::Core { host, core, gen } => {
-                        prop_assert_eq!(pop_core(&mut timers, i), (t, host, core, gen));
-                    }
-                    Kind::Actor(to) => prop_assert_eq!(pop_actor(&mut timers, i), (t, to, s)),
-                    Kind::Free => unreachable!("released slot {i} fired"),
-                }
+                pop_as_modelled(&mut timers, &mut model, &mut free, min)?;
             }
             prop_assert!(oracle.is_empty());
         }

@@ -30,11 +30,11 @@ fn frequency_change_mid_run_scales_future_work() {
         },
     ); // 1ms at 1GHz
     w.send_now(a, Start);
-    w.run_for(SimDuration::from_millis(50));
+    w.run_until(w.now() + SimDuration::from_millis(50));
     let cycles_at_1ghz = w.acct.total_cycles(t.index());
     // double the clock: twice the cycles retire per wall second
     w.set_host_ghz(h, 2.0);
-    w.run_for(SimDuration::from_millis(50));
+    w.run_until(w.now() + SimDuration::from_millis(50));
     let cycles_at_2ghz = w.acct.total_cycles(t.index()) - cycles_at_1ghz;
     let ratio = cycles_at_2ghz / cycles_at_1ghz;
     assert!(
@@ -61,7 +61,7 @@ fn heavy_oversubscription_is_fair_and_conserving() {
         );
         w.send_now(a, Start);
     }
-    w.run_for(SimDuration::from_millis(300));
+    w.run_until(w.now() + SimDuration::from_millis(300));
     let busies: Vec<f64> = threads
         .iter()
         .map(|t| w.acct.busy_ns(t.index()) as f64)
