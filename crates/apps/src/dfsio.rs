@@ -19,16 +19,17 @@ pub enum DfsioMode {
     Write,
 }
 
-/// Framework cost knobs (Hadoop 1.x map task behaviour).
+/// Map/Reduce framework cycles per byte moved (record/serde bookkeeping
+/// around the HDFS stream; Hadoop 1.x map task behaviour).
+const MR_CYC_PER_BYTE: f64 = 0.4;
+/// Framework cycles per I/O request.
+const MR_REQUEST_CYCLES: u64 = 15_000;
+/// Map task setup cycles (JVM-reuse regime).
+const TASK_SETUP_CYCLES: u64 = 120_000_000;
+
+/// The one setting a run varies (a scenario's `buffer_kb`).
 #[derive(Debug, Clone)]
 pub struct DfsioConfig {
-    /// Map/Reduce framework cycles per byte moved (record/serde
-    /// bookkeeping around the HDFS stream).
-    pub mr_cyc_per_byte: f64,
-    /// Framework cycles per I/O request.
-    pub mr_request_cycles: u64,
-    /// Map task setup cycles (JVM-reuse regime).
-    pub task_setup_cycles: u64,
     /// Application buffer per request (the paper uses 1 MB).
     pub buffer_bytes: u64,
 }
@@ -36,9 +37,6 @@ pub struct DfsioConfig {
 impl Default for DfsioConfig {
     fn default() -> Self {
         DfsioConfig {
-            mr_cyc_per_byte: 0.4,
-            mr_request_cycles: 15_000,
-            task_setup_cycles: 120_000_000,
             buffer_bytes: 1 << 20,
         }
     }
@@ -122,7 +120,7 @@ impl TestDfsio {
         let vcpu = self.vcpu(ctx);
         let me = ctx.me();
         ctx.chain(
-            Stage::cpu(vcpu, self.cfg.task_setup_cycles, CpuCategory::MapReduce),
+            Stage::cpu(vcpu, TASK_SETUP_CYCLES, CpuCategory::MapReduce),
             me,
             TaskReady,
         );
@@ -167,8 +165,7 @@ impl TestDfsio {
 
     fn charge_mr(&mut self, ctx: &mut Ctx<'_>, bytes: u64) {
         let vcpu = self.vcpu(ctx);
-        let cycles =
-            (bytes as f64 * self.cfg.mr_cyc_per_byte).round() as u64 + self.cfg.mr_request_cycles;
+        let cycles = (bytes as f64 * MR_CYC_PER_BYTE).round() as u64 + MR_REQUEST_CYCLES;
         let me = ctx.me();
         ctx.cpu(vcpu, cycles, CpuCategory::MapReduce, me, MrDone { bytes });
     }

@@ -29,32 +29,20 @@ pub enum HbaseOp {
     RandomRead,
 }
 
-/// HBase cost knobs.
-#[derive(Debug, Clone)]
-pub struct HbaseConfig {
-    /// Value size per row (PerformanceEvaluation writes 1000-byte values).
-    pub row_bytes: u64,
-    /// HFile block size.
-    pub block_bytes: u64,
-    /// Per-row CPU on a scan.
-    pub scan_row_cycles: u64,
-    /// Per-row CPU on a get (seek + RPC path).
-    pub get_row_cycles: u64,
-    /// Probability a random get hits the HBase block cache.
-    pub random_cache_hit: f64,
-}
-
-impl Default for HbaseConfig {
-    fn default() -> Self {
-        HbaseConfig {
-            row_bytes: 1000,
-            block_bytes: 64 * 1024,
-            scan_row_cycles: 230_000,
-            get_row_cycles: 700_000,
-            random_cache_hit: 0.95,
-        }
-    }
-}
+/// Value size per row (PerformanceEvaluation writes 1000-byte values).
+pub const ROW_BYTES: u64 = 1000;
+/// HFile block size.
+const BLOCK_BYTES: u64 = 64 * 1024;
+/// Per-row CPU on a scan.
+const SCAN_ROW_CYCLES: u64 = 230_000;
+/// Per-row CPU on a get (seek + RPC path).
+const GET_ROW_CYCLES: u64 = 700_000;
+/// Probability a random get hits the HBase block cache.
+const RANDOM_CACHE_HIT: f64 = 0.95;
+/// HFile rows per block.
+const ROWS_PER_BLOCK: u64 = BLOCK_BYTES / ROW_BYTES;
+/// Rows per sequentialRead fetch: get-style fetches of a quarter block.
+const ROWS_PER_GET: u64 = ROWS_PER_BLOCK / 4;
 
 /// The PerformanceEvaluation client actor.
 ///
@@ -67,7 +55,6 @@ pub struct HbaseClient {
     op: HbaseOp,
     table: String,
     rows: u64,
-    cfg: HbaseConfig,
     rows_done: u64,
     cached_block: Option<u64>,
     rng: SimRng,
@@ -88,7 +75,6 @@ impl HbaseClient {
         op: HbaseOp,
         table: String,
         rows: u64,
-        cfg: HbaseConfig,
         seed: u64,
     ) -> Self {
         HbaseClient {
@@ -97,7 +83,6 @@ impl HbaseClient {
             op,
             table,
             rows,
-            cfg,
             rows_done: 0,
             cached_block: None,
             rng: SimRng::new(seed),
@@ -113,11 +98,6 @@ impl HbaseClient {
         self
     }
 
-    /// Total table size in bytes.
-    pub fn table_bytes(rows: u64, cfg: &HbaseConfig) -> u64 {
-        rows * cfg.row_bytes
-    }
-
     fn vcpu(&self, ctx: &Ctx<'_>) -> ThreadId {
         ctx.world
             .ext
@@ -127,12 +107,8 @@ impl HbaseClient {
             .vcpu
     }
 
-    fn rows_per_block(&self) -> u64 {
-        (self.cfg.block_bytes / self.cfg.row_bytes).max(1)
-    }
-
-    fn block_of_row(&self, row: u64) -> u64 {
-        row * self.cfg.row_bytes / self.cfg.block_bytes
+    fn block_of_row(row: u64) -> u64 {
+        row * ROW_BYTES / BLOCK_BYTES
     }
 
     fn step(&mut self, ctx: &mut Ctx<'_>) {
@@ -145,21 +121,17 @@ impl HbaseClient {
         let me = ctx.me();
         match self.op {
             HbaseOp::Scan | HbaseOp::SequentialRead => {
-                // scan: one sequential stream, a block of rows per fetch;
-                // sequentialRead: get-style fetches of a quarter block
+                // scan: one sequential stream, a block of rows per fetch
                 let per_fetch = match self.op {
-                    HbaseOp::Scan => self.rows_per_block(),
-                    _ => (self.rows_per_block() / 4).max(1),
+                    HbaseOp::Scan => ROWS_PER_BLOCK,
+                    _ => ROWS_PER_GET,
                 };
                 let batch = per_fetch.min(self.rows - self.rows_done);
-                let block = self.block_of_row(self.rows_done);
+                let block = Self::block_of_row(self.rows_done);
                 self.req += 1;
                 let (offset, len) = match self.op {
-                    HbaseOp::Scan => (block * self.cfg.block_bytes, self.cfg.block_bytes),
-                    _ => (
-                        self.rows_done * self.cfg.row_bytes,
-                        batch * self.cfg.row_bytes,
-                    ),
+                    HbaseOp::Scan => (block * BLOCK_BYTES, BLOCK_BYTES),
+                    _ => (self.rows_done * ROW_BYTES, batch * ROW_BYTES),
                 };
                 ctx.send(
                     self.client,
@@ -177,9 +149,8 @@ impl HbaseClient {
             }
             HbaseOp::RandomRead => {
                 let row = self.rng.below(self.rows);
-                let block = self.block_of_row(row);
-                let hit =
-                    self.cached_block == Some(block) || self.rng.chance(self.cfg.random_cache_hit);
+                let block = Self::block_of_row(row);
+                let hit = self.cached_block == Some(block) || self.rng.chance(RANDOM_CACHE_HIT);
                 if hit {
                     self.charge_rows(ctx, 1, 0);
                 } else {
@@ -191,8 +162,8 @@ impl HbaseClient {
                             req: self.req,
                             reply_to: me,
                             path: self.table.clone(),
-                            offset: block * self.cfg.block_bytes,
-                            len: self.cfg.block_bytes,
+                            offset: block * BLOCK_BYTES,
+                            len: BLOCK_BYTES,
                             pread: true,
                         },
                     );
@@ -203,8 +174,8 @@ impl HbaseClient {
 
     fn charge_rows(&mut self, ctx: &mut Ctx<'_>, rows: u64, _bytes_from_hdfs: u64) {
         let per_row = match self.op {
-            HbaseOp::Scan => self.cfg.scan_row_cycles,
-            HbaseOp::SequentialRead | HbaseOp::RandomRead => self.cfg.get_row_cycles,
+            HbaseOp::Scan => SCAN_ROW_CYCLES,
+            HbaseOp::SequentialRead | HbaseOp::RandomRead => GET_ROW_CYCLES,
         };
         let vcpu = self.vcpu(ctx);
         let me = ctx.me();
@@ -228,10 +199,8 @@ impl Actor for HbaseClient {
         let msg = match downcast::<DfsReadDone>(msg) {
             Ok(d) => {
                 let rows = match self.op {
-                    HbaseOp::Scan => self.rows_per_block().min(self.rows - self.rows_done),
-                    HbaseOp::SequentialRead => (self.rows_per_block() / 4)
-                        .max(1)
-                        .min(self.rows - self.rows_done),
+                    HbaseOp::Scan => ROWS_PER_BLOCK.min(self.rows - self.rows_done),
+                    HbaseOp::SequentialRead => ROWS_PER_GET.min(self.rows - self.rows_done),
                     HbaseOp::RandomRead => 1,
                 };
                 self.charge_rows(ctx, rows, d.bytes);
@@ -243,9 +212,9 @@ impl Actor for HbaseClient {
             self.rows_done += rc.rows;
             ctx.metrics().add("hbase_rows", rc.rows as f64);
             ctx.metrics()
-                .add("hbase_bytes", (rc.rows * self.cfg.row_bytes) as f64);
+                .add("hbase_bytes", (rc.rows * ROW_BYTES) as f64);
             if let Some(j) = self.job {
-                ctx.job_progress(j, rc.rows * self.cfg.row_bytes, rc.rows);
+                ctx.job_progress(j, rc.rows * ROW_BYTES, rc.rows);
             }
             self.step(ctx);
         }
@@ -268,12 +237,11 @@ mod tests {
         let dvm = cl.add_vm(&mut w, h, "dn");
         w.ext.insert(cl);
         let (_, dns) = deploy_hdfs(&mut w, cvm, &[dvm]);
-        let cfg = HbaseConfig::default();
         let rows = 20_000u64;
         populate_file(
             &mut w,
             "/hbase/t1",
-            HbaseClient::table_bytes(rows, &cfg),
+            rows * ROW_BYTES,
             &Placement::One(dns[0]),
         );
         let client = add_client(&mut w, cvm, Box::new(VanillaPath::new()));
@@ -283,16 +251,7 @@ mod tests {
     fn run_op(op: HbaseOp) -> (f64, f64) {
         let (mut w, client, cvm) = bed();
         let job = w.register_job("hbase");
-        let hb = HbaseClient::new(
-            client,
-            cvm,
-            op,
-            "/hbase/t1".into(),
-            20_000,
-            HbaseConfig::default(),
-            3,
-        )
-        .with_job(job);
+        let hb = HbaseClient::new(client, cvm, op, "/hbase/t1".into(), 20_000, 3).with_job(job);
         let a = w.add_actor("hbase", hb);
         w.send_now(a, Start);
         w.run();

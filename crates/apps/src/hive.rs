@@ -9,29 +9,14 @@ use vread_hdfs::client::{DfsRead, DfsReadDone};
 use vread_host::cluster::{Cluster, VmId};
 use vread_sim::prelude::*;
 
-/// Hive cost knobs.
-#[derive(Debug, Clone)]
-pub struct HiveConfig {
-    /// Serialized row size (the paper's user-info rows).
-    pub row_bytes: u64,
-    /// Cycles to deserialize + filter one row.
-    pub row_cycles: u64,
-    /// Scan buffer per read.
-    pub buffer_bytes: u64,
-    /// Query plan setup cost.
-    pub setup_cycles: u64,
-}
-
-impl Default for HiveConfig {
-    fn default() -> Self {
-        HiveConfig {
-            row_bytes: 100,
-            row_cycles: 560,
-            buffer_bytes: 1 << 20,
-            setup_cycles: 400_000_000,
-        }
-    }
-}
+/// Serialized row size (the paper's user-info rows).
+pub const ROW_BYTES: u64 = 100;
+/// Cycles to deserialize + filter one row.
+const ROW_CYCLES: u64 = 560;
+/// Scan buffer per read.
+const BUFFER_BYTES: u64 = 1 << 20;
+/// Query plan setup cost.
+pub const SETUP_CYCLES: u64 = 400_000_000;
 
 /// A Hive select-scan query actor.
 ///
@@ -42,7 +27,6 @@ pub struct HiveQuery {
     vm: VmId,
     table: String,
     rows: u64,
-    cfg: HiveConfig,
     offset: u64,
     bytes_seen: u64,
     req: u64,
@@ -57,13 +41,12 @@ struct FilterDone {
 
 impl HiveQuery {
     /// Creates a query scanning `rows` rows of `table`.
-    pub fn new(client: ActorId, vm: VmId, table: String, rows: u64, cfg: HiveConfig) -> Self {
+    pub fn new(client: ActorId, vm: VmId, table: String, rows: u64) -> Self {
         HiveQuery {
             client,
             vm,
             table,
             rows,
-            cfg,
             offset: 0,
             bytes_seen: 0,
             req: 0,
@@ -78,11 +61,6 @@ impl HiveQuery {
         self
     }
 
-    /// The table's size for [`vread_hdfs::populate_file`].
-    pub fn table_bytes(rows: u64, cfg: &HiveConfig) -> u64 {
-        rows * cfg.row_bytes
-    }
-
     fn vcpu(&self, ctx: &Ctx<'_>) -> ThreadId {
         ctx.world
             .ext
@@ -93,14 +71,14 @@ impl HiveQuery {
     }
 
     fn issue(&mut self, ctx: &mut Ctx<'_>) {
-        let total = self.rows * self.cfg.row_bytes;
+        let total = self.rows * ROW_BYTES;
         if self.offset >= total {
             if let Some(j) = self.job {
                 ctx.job_completed(j);
             }
             return;
         }
-        let len = self.cfg.buffer_bytes.min(total - self.offset);
+        let len = BUFFER_BYTES.min(total - self.offset);
         self.req += 1;
         let me = ctx.me();
         ctx.send(
@@ -127,7 +105,7 @@ impl Actor for HiveQuery {
             let vcpu = self.vcpu(ctx);
             let me = ctx.me();
             ctx.chain(
-                Stage::cpu(vcpu, self.cfg.setup_cycles, CpuCategory::MapReduce),
+                Stage::cpu(vcpu, SETUP_CYCLES, CpuCategory::MapReduce),
                 me,
                 SetupDone,
             );
@@ -141,13 +119,13 @@ impl Actor for HiveQuery {
             Ok(d) => {
                 // row count from cumulative bytes so buffer boundaries
                 // that split rows are not dropped
-                let before = self.bytes_seen / self.cfg.row_bytes;
+                let before = self.bytes_seen / ROW_BYTES;
                 self.bytes_seen += d.bytes;
-                let rows = self.bytes_seen / self.cfg.row_bytes - before;
+                let rows = self.bytes_seen / ROW_BYTES - before;
                 let vcpu = self.vcpu(ctx);
                 let me = ctx.me();
                 ctx.chain(
-                    Stage::cpu(vcpu, rows * self.cfg.row_cycles, CpuCategory::MapReduce),
+                    Stage::cpu(vcpu, rows * ROW_CYCLES, CpuCategory::MapReduce),
                     me,
                     FilterDone {
                         rows,
@@ -185,17 +163,16 @@ mod tests {
         let dvm = cl.add_vm(&mut w, h, "dn");
         w.ext.insert(cl);
         let (_, dns) = deploy_hdfs(&mut w, cvm, &[dvm]);
-        let cfg = HiveConfig::default();
         let rows = 100_000u64;
         populate_file(
             &mut w,
             "/hive/test",
-            HiveQuery::table_bytes(rows, &cfg),
+            rows * ROW_BYTES,
             &Placement::One(dns[0]),
         );
         let client = add_client(&mut w, cvm, Box::new(VanillaPath::new()));
         let job = w.register_job("hive");
-        let q = HiveQuery::new(client, cvm, "/hive/test".into(), rows, cfg).with_job(job);
+        let q = HiveQuery::new(client, cvm, "/hive/test".into(), rows).with_job(job);
         let a = w.add_actor("hive", q);
         w.send_now(a, Start);
         w.run();

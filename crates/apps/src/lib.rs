@@ -32,10 +32,10 @@ pub mod wordcount;
 
 pub use dfsio::{DfsioConfig, DfsioMode, TestDfsio};
 pub use driver::{complete_job_after, run_job, run_jobs};
-pub use hbase::{HbaseClient, HbaseConfig, HbaseOp};
-pub use hive::{HiveConfig, HiveQuery};
+pub use hbase::{HbaseClient, HbaseOp};
+pub use hive::HiveQuery;
 pub use java_reader::{JavaReader, ReaderMode};
 pub use lookbusy::Lookbusy;
 pub use netperf::{deploy_netperf, deploy_netperf_with_job, NetperfClient, NetperfServer};
-pub use sqoop::{deploy_sqoop_with_job, MysqlServer, SqoopConfig, SqoopExport};
-pub use wordcount::{WordCount, WordCountConfig};
+pub use sqoop::{deploy_sqoop_with_job, MysqlServer, SqoopExport};
+pub use wordcount::WordCount;

@@ -8,7 +8,7 @@
 //! overhead" the paper measures.
 
 use vread_host::cluster::{with_cluster, Cluster, VmId};
-use vread_net::conn::{add_conn, ConnRecv, ConnSend, ConnSpec, Endpoint, Flavor, Side};
+use vread_net::conn::{add_conn, ConnRecv, ConnSend, Endpoint, Flavor, Side};
 use vread_sim::prelude::*;
 
 /// Per-transaction application CPU on each side (request build / parse).
@@ -112,10 +112,6 @@ impl NetperfClient {
                         Endpoint {
                             actor: server,
                             flavor: Flavor::Guest(server_vm),
-                        },
-                        ConnSpec {
-                            sriov: cl.costs.sriov_nics,
-                            ..Default::default()
                         },
                     )
                 });

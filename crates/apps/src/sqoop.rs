@@ -8,41 +8,24 @@
 
 use vread_hdfs::client::{DfsRead, DfsReadDone};
 use vread_host::cluster::{with_cluster, Cluster, HostIx, VmId};
-use vread_net::conn::{add_conn, ConnRecv, ConnSend, ConnSpec, Endpoint, Flavor, Side};
+use vread_net::conn::{add_conn, ConnRecv, ConnSend, Endpoint, Flavor, Side};
 use vread_sim::prelude::*;
 
-/// Sqoop/MySQL cost knobs.
-#[derive(Debug, Clone)]
-pub struct SqoopConfig {
-    /// Serialized row size.
-    pub row_bytes: u64,
-    /// Sqoop-side cycles to serialize one row into an INSERT batch.
-    pub serialize_row_cycles: u64,
-    /// MySQL-side cycles to parse + insert one row.
-    pub mysql_row_cycles: u64,
-    /// Rows per INSERT batch on the wire.
-    pub batch_rows: u64,
-    /// Batches in flight (read/insert pipelining).
-    pub window: usize,
-}
-
-impl Default for SqoopConfig {
-    fn default() -> Self {
-        SqoopConfig {
-            row_bytes: 100,
-            serialize_row_cycles: 2_500,
-            mysql_row_cycles: 15_000,
-            batch_rows: 2_000,
-            // Sqoop map tasks read, serialize and insert synchronously.
-            window: 1,
-        }
-    }
-}
+/// Serialized row size.
+pub const ROW_BYTES: u64 = 100;
+/// Sqoop-side cycles to serialize one row into an INSERT batch.
+const SERIALIZE_ROW_CYCLES: u64 = 2_500;
+/// MySQL-side cycles to parse + insert one row.
+const MYSQL_ROW_CYCLES: u64 = 15_000;
+/// Rows per INSERT batch on the wire.
+const BATCH_ROWS: u64 = 2_000;
+/// Batches in flight: Sqoop map tasks read, serialize and insert
+/// synchronously.
+const WINDOW: usize = 1;
 
 /// The MySQL server process on a (physical) database host.
 pub struct MysqlServer {
     thread: ThreadId,
-    row_cycles: u64,
 }
 
 struct InsertDone {
@@ -53,8 +36,8 @@ struct InsertDone {
 
 impl MysqlServer {
     /// Creates a server whose inserts run on `thread`.
-    pub fn new(thread: ThreadId, row_cycles: u64) -> Self {
-        MysqlServer { thread, row_cycles }
+    pub fn new(thread: ThreadId) -> Self {
+        MysqlServer { thread }
     }
 }
 
@@ -62,11 +45,11 @@ impl Actor for MysqlServer {
     fn handle(&mut self, msg: BoxMsg, ctx: &mut Ctx<'_>) {
         let msg = match downcast::<ConnRecv>(msg) {
             Ok(r) => {
-                // bytes → rows (batch framing is row_bytes-per-row)
-                let rows = (r.bytes / 100).max(1);
+                // bytes → rows (batch framing is ROW_BYTES per row)
+                let rows = (r.bytes / ROW_BYTES).max(1);
                 let me = ctx.me();
                 ctx.chain(
-                    Stage::cpu(self.thread, rows * self.row_cycles, CpuCategory::Mysql),
+                    Stage::cpu(self.thread, rows * MYSQL_ROW_CYCLES, CpuCategory::Mysql),
                     me,
                     InsertDone {
                         conn: r.conn,
@@ -103,7 +86,6 @@ pub struct SqoopExport {
     vm: VmId,
     table: String,
     rows: u64,
-    cfg: SqoopConfig,
     mysql_conn: ActorId,
     read_offset: u64,
     rows_acked: u64,
@@ -120,20 +102,12 @@ struct SerializeDone {
 impl SqoopExport {
     /// Creates the export job; `mysql_conn` is the connection to the
     /// MySQL server (see [`deploy_sqoop_with_job`]).
-    pub fn new(
-        client: ActorId,
-        vm: VmId,
-        table: String,
-        rows: u64,
-        cfg: SqoopConfig,
-        mysql_conn: ActorId,
-    ) -> Self {
+    pub fn new(client: ActorId, vm: VmId, table: String, rows: u64, mysql_conn: ActorId) -> Self {
         SqoopExport {
             client,
             vm,
             table,
             rows,
-            cfg,
             mysql_conn,
             read_offset: 0,
             rows_acked: 0,
@@ -151,11 +125,6 @@ impl SqoopExport {
         self
     }
 
-    /// Table bytes for population.
-    pub fn table_bytes(rows: u64, cfg: &SqoopConfig) -> u64 {
-        rows * cfg.row_bytes
-    }
-
     fn vcpu(&self, ctx: &Ctx<'_>) -> ThreadId {
         ctx.world
             .ext
@@ -166,20 +135,17 @@ impl SqoopExport {
     }
 
     fn pump(&mut self, ctx: &mut Ctx<'_>) {
-        let total = self.rows * self.cfg.row_bytes;
+        let total = self.rows * ROW_BYTES;
         if self.rows_acked >= self.rows {
             if let Some(j) = self.job {
                 ctx.job_completed(j);
             }
             return;
         }
-        if self.pending_read
-            || self.batches_inflight >= self.cfg.window
-            || self.read_offset >= total
-        {
+        if self.pending_read || self.batches_inflight >= WINDOW || self.read_offset >= total {
             return;
         }
-        let len = (self.cfg.batch_rows * self.cfg.row_bytes).min(total - self.read_offset);
+        let len = (BATCH_ROWS * ROW_BYTES).min(total - self.read_offset);
         self.pending_read = true;
         self.req += 1;
         let me = ctx.me();
@@ -218,15 +184,11 @@ impl Actor for SqoopExport {
         let msg = match downcast::<DfsReadDone>(msg) {
             Ok(d) => {
                 self.pending_read = false;
-                let rows = d.bytes / self.cfg.row_bytes;
+                let rows = d.bytes / ROW_BYTES;
                 let vcpu = self.vcpu(ctx);
                 let me = ctx.me();
                 ctx.chain(
-                    Stage::cpu(
-                        vcpu,
-                        rows * self.cfg.serialize_row_cycles,
-                        CpuCategory::MapReduce,
-                    ),
+                    Stage::cpu(vcpu, rows * SERIALIZE_ROW_CYCLES, CpuCategory::MapReduce),
                     me,
                     SerializeDone { rows },
                 );
@@ -241,7 +203,7 @@ impl Actor for SqoopExport {
                     self.mysql_conn,
                     ConnSend {
                         dir: Side::A,
-                        bytes: s.rows * self.cfg.row_bytes,
+                        bytes: s.rows * ROW_BYTES,
                         tag: s.rows, // tag carries the batch row count
                         notify: false,
                         span: SpanId::NONE,
@@ -258,7 +220,7 @@ impl Actor for SqoopExport {
             self.rows_acked += r.tag;
             ctx.metrics().add("sqoop_rows", r.tag as f64);
             if let Some(j) = self.job {
-                ctx.job_progress(j, r.tag * self.cfg.row_bytes, r.tag);
+                ctx.job_progress(j, r.tag * ROW_BYTES, r.tag);
             }
             self.pump(ctx);
         }
@@ -268,7 +230,6 @@ impl Actor for SqoopExport {
 /// Deploys a MySQL server on `db_host` and a Sqoop export job in
 /// `client_vm` shipping to it, with an optional completion token bound
 /// to the export job. Returns the export actor (send [`Start`]).
-#[allow(clippy::too_many_arguments)]
 pub fn deploy_sqoop_with_job(
     w: &mut World,
     client_vm: VmId,
@@ -276,21 +237,13 @@ pub fn deploy_sqoop_with_job(
     dfs_client: ActorId,
     table: String,
     rows: u64,
-    cfg: SqoopConfig,
     job: Option<JobHandle>,
 ) -> ActorId {
     let host_id = w.ext.get::<Cluster>().expect("cluster").hosts[db_host.0].host;
     let thread = w.add_thread(host_id, "mysqld");
-    let mysql = w.add_actor("mysql", MysqlServer::new(thread, cfg.mysql_row_cycles));
+    let mysql = w.add_actor("mysql", MysqlServer::new(thread));
     // The export actor is created first so the conn can point at it.
-    let mut export = SqoopExport::new(
-        dfs_client,
-        client_vm,
-        table,
-        rows,
-        cfg,
-        ActorId::from_raw(0),
-    );
+    let mut export = SqoopExport::new(dfs_client, client_vm, table, rows, ActorId::from_raw(0));
     if let Some(j) = job {
         export = export.with_job(j);
     }
@@ -310,7 +263,6 @@ pub fn deploy_sqoop_with_job(
                     cat: CpuCategory::Mysql,
                 },
             },
-            ConnSpec::default(),
         )
     });
     // patch the conn id in via a bind message
@@ -345,18 +297,11 @@ mod tests {
         let dvm = cl.add_vm(&mut w, h1, "dn");
         w.ext.insert(cl);
         let (_, dns) = deploy_hdfs(&mut w, cvm, &[dvm]);
-        let cfg = SqoopConfig::default();
         let rows = 100_000u64;
-        populate_file(
-            &mut w,
-            "/t",
-            SqoopExport::table_bytes(rows, &cfg),
-            &Placement::One(dns[0]),
-        );
+        populate_file(&mut w, "/t", rows * ROW_BYTES, &Placement::One(dns[0]));
         let client = add_client(&mut w, cvm, Box::new(VanillaPath::new()));
         let job = w.register_job("sqoop");
-        let export =
-            deploy_sqoop_with_job(&mut w, cvm, h2, client, "/t".into(), rows, cfg, Some(job));
+        let export = deploy_sqoop_with_job(&mut w, cvm, h2, client, "/t".into(), rows, Some(job));
         w.send_now(export, Start);
         w.run();
         assert!(w.jobs.is_complete(job));

@@ -12,39 +12,21 @@ use vread_hdfs::client::{DfsRead, DfsReadDone, DfsWrite, DfsWriteDone};
 use vread_host::cluster::{Cluster, VmId};
 use vread_sim::prelude::*;
 
-/// WordCount cost knobs.
-#[derive(Debug, Clone)]
-pub struct WordCountConfig {
-    /// Map-side cycles per input byte (tokenizing, hashing, combining).
-    pub map_cyc_per_byte: f64,
-    /// Shuffle+sort cycles per intermediate byte.
-    pub shuffle_cyc_per_byte: f64,
-    /// Reduce cycles per intermediate byte.
-    pub reduce_cyc_per_byte: f64,
-    /// Intermediate data size as a fraction of the input (combiners
-    /// shrink it hard for natural text).
-    pub intermediate_ratio: f64,
-    /// Output size as a fraction of the input.
-    pub output_ratio: f64,
-    /// Input split (map task) size.
-    pub split_bytes: u64,
-    /// Read buffer within a map task.
-    pub buffer_bytes: u64,
-}
-
-impl Default for WordCountConfig {
-    fn default() -> Self {
-        WordCountConfig {
-            map_cyc_per_byte: 6.0,
-            shuffle_cyc_per_byte: 2.0,
-            reduce_cyc_per_byte: 1.5,
-            intermediate_ratio: 0.10,
-            output_ratio: 0.02,
-            split_bytes: 64 << 20,
-            buffer_bytes: 1 << 20,
-        }
-    }
-}
+/// Map-side cycles per input byte (tokenizing, hashing, combining).
+const MAP_CYC_PER_BYTE: f64 = 6.0;
+/// Shuffle+sort cycles per intermediate byte.
+const SHUFFLE_CYC_PER_BYTE: f64 = 2.0;
+/// Reduce cycles per intermediate byte.
+const REDUCE_CYC_PER_BYTE: f64 = 1.5;
+/// Intermediate data size as a fraction of the input (combiners shrink it
+/// hard for natural text).
+const INTERMEDIATE_RATIO: f64 = 0.10;
+/// Output size as a fraction of the input.
+const OUTPUT_RATIO: f64 = 0.02;
+/// Input split (map task) size.
+const SPLIT_BYTES: u64 = 64 << 20;
+/// Read buffer within a map task.
+const BUFFER_BYTES: u64 = 1 << 20;
 
 /// Job phases (exposed in metrics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,7 +53,6 @@ pub struct WordCount {
     vm: VmId,
     input: String,
     input_bytes: u64,
-    cfg: WordCountConfig,
     phase: Phase,
     offset: u64,
     req: u64,
@@ -81,19 +62,12 @@ pub struct WordCount {
 impl WordCount {
     /// Creates a job over `input` (`input_bytes` long, already in HDFS)
     /// through `client`.
-    pub fn new(
-        client: ActorId,
-        vm: VmId,
-        input: String,
-        input_bytes: u64,
-        cfg: WordCountConfig,
-    ) -> Self {
+    pub fn new(client: ActorId, vm: VmId, input: String, input_bytes: u64) -> Self {
         WordCount {
             client,
             vm,
             input,
             input_bytes,
-            cfg,
             phase: Phase::Map,
             offset: 0,
             req: 0,
@@ -122,11 +96,9 @@ impl WordCount {
             self.enter_shuffle(ctx);
             return;
         }
-        let len = self
-            .cfg
-            .buffer_bytes
+        let len = BUFFER_BYTES
             .min(self.input_bytes - self.offset)
-            .min(self.cfg.split_bytes - (self.offset % self.cfg.split_bytes));
+            .min(SPLIT_BYTES - (self.offset % SPLIT_BYTES));
         self.req += 1;
         let me = ctx.me();
         ctx.send(
@@ -147,8 +119,8 @@ impl WordCount {
         self.phase = Phase::Shuffle;
         let now_s = ctx.now().as_secs_f64();
         ctx.metrics().sample("wc_map_done_at_s", now_s);
-        let inter = (self.input_bytes as f64 * self.cfg.intermediate_ratio) as u64;
-        let cycles = (inter as f64 * self.cfg.shuffle_cyc_per_byte) as u64;
+        let inter = (self.input_bytes as f64 * INTERMEDIATE_RATIO) as u64;
+        let cycles = (inter as f64 * SHUFFLE_CYC_PER_BYTE) as u64;
         let vcpu = self.vcpu(ctx);
         let me = ctx.me();
         ctx.chain(
@@ -160,8 +132,8 @@ impl WordCount {
 
     fn enter_reduce(&mut self, ctx: &mut Ctx<'_>) {
         self.phase = Phase::Reduce;
-        let inter = (self.input_bytes as f64 * self.cfg.intermediate_ratio) as u64;
-        let cycles = (inter as f64 * self.cfg.reduce_cyc_per_byte) as u64;
+        let inter = (self.input_bytes as f64 * INTERMEDIATE_RATIO) as u64;
+        let cycles = (inter as f64 * REDUCE_CYC_PER_BYTE) as u64;
         let vcpu = self.vcpu(ctx);
         let me = ctx.me();
         ctx.chain(
@@ -173,7 +145,7 @@ impl WordCount {
 
     fn write_output(&mut self, ctx: &mut Ctx<'_>) {
         self.phase = Phase::Done;
-        let out = ((self.input_bytes as f64 * self.cfg.output_ratio) as u64).max(1);
+        let out = ((self.input_bytes as f64 * OUTPUT_RATIO) as u64).max(1);
         self.req += 1;
         let me = ctx.me();
         ctx.send(
@@ -200,7 +172,7 @@ impl Actor for WordCount {
         let msg = match downcast::<DfsReadDone>(msg) {
             Ok(d) => {
                 // map-side CPU over the split bytes
-                let cycles = (d.bytes as f64 * self.cfg.map_cyc_per_byte) as u64;
+                let cycles = (d.bytes as f64 * MAP_CYC_PER_BYTE) as u64;
                 let vcpu = self.vcpu(ctx);
                 let me = ctx.me();
                 ctx.chain(
@@ -261,14 +233,7 @@ mod tests {
         populate_file(&mut w, "/input", 32 << 20, &Placement::One(dns[0]));
         let client = add_client(&mut w, cvm, Box::new(VanillaPath::new()));
         let job = w.register_job("wc");
-        let wc = WordCount::new(
-            client,
-            cvm,
-            "/input".into(),
-            32 << 20,
-            WordCountConfig::default(),
-        )
-        .with_job(job);
+        let wc = WordCount::new(client, cvm, "/input".into(), 32 << 20).with_job(job);
         let a = w.add_actor("wc", wc);
         w.send_now(a, Start);
         w.run();

@@ -3,7 +3,7 @@
 //! setup at 2.0 GHz.
 
 use vread_apps::driver::run_job;
-use vread_apps::hbase::{HbaseClient, HbaseConfig, HbaseOp};
+use vread_apps::hbase::{self, HbaseClient, HbaseOp};
 
 use crate::report::{improvement_pct, Table};
 use crate::scenarios::{Locality, ReadPath, Testbed, TestbedOpts};
@@ -16,21 +16,15 @@ const RANDOM_ROWS: u64 = 15_000;
 
 fn mbps(path: ReadPath, op: HbaseOp) -> f64 {
     let mut tb = Testbed::build(TestbedOpts::new().four_vms(true).path(path));
-    let cfg = HbaseConfig::default();
-    let table_rows = SCAN_ROWS;
     let rows = match op {
         HbaseOp::RandomRead => RANDOM_ROWS,
         _ => SCAN_ROWS,
     };
-    tb.populate(
-        "/hbase/t1",
-        HbaseClient::table_bytes(table_rows, &cfg),
-        Locality::Hybrid,
-    );
+    tb.populate("/hbase/t1", SCAN_ROWS * hbase::ROW_BYTES, Locality::Hybrid);
     let client = tb.make_client();
     let (vm, seed) = (tb.client_vm, tb.opts.seed);
     let elapsed = run_job(&mut tb.w, "hbase", CAP, |w, job| {
-        let hb = HbaseClient::new(client, vm, op, "/hbase/t1".into(), rows, cfg, seed);
+        let hb = HbaseClient::new(client, vm, op, "/hbase/t1".into(), rows, seed);
         w.add_actor("hbase", hb.with_job(job))
     })
     .expect("hbase run did not finish");

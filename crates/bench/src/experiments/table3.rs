@@ -2,8 +2,8 @@
 //! vRead, on the hybrid 4-VM setup at 2.0 GHz.
 
 use vread_apps::driver::run_job;
-use vread_apps::hive::{HiveConfig, HiveQuery};
-use vread_apps::sqoop::{deploy_sqoop_with_job, SqoopConfig, SqoopExport};
+use vread_apps::hive::{self, HiveQuery};
+use vread_apps::sqoop::{self, deploy_sqoop_with_job};
 
 use crate::report::{reduction_pct, Table};
 use crate::scenarios::{Locality, ReadPath, Testbed, TestbedOpts};
@@ -16,40 +16,29 @@ const PAPER_ROWS: u64 = 30_000_000;
 
 fn hive_secs(path: ReadPath) -> f64 {
     let mut tb = Testbed::build(TestbedOpts::new().four_vms(true).path(path));
-    let cfg = HiveConfig::default();
-    tb.populate(
-        "/hive/test",
-        HiveQuery::table_bytes(ROWS, &cfg),
-        Locality::Hybrid,
-    );
+    tb.populate("/hive/test", ROWS * hive::ROW_BYTES, Locality::Hybrid);
     let client = tb.make_client();
-    let setup_cycles = cfg.setup_cycles;
     let vm = tb.client_vm;
     let secs = run_job(&mut tb.w, "hive", CAP, |w, job| {
-        let q = HiveQuery::new(client, vm, "/hive/test".into(), ROWS, cfg);
+        let q = HiveQuery::new(client, vm, "/hive/test".into(), ROWS);
         w.add_actor("hive", q.with_job(job))
     })
     .expect("hive query did not finish")
     .as_secs_f64();
     // Project to the paper's 30M rows: scan scales, plan setup does not.
-    let setup_secs = setup_cycles as f64 / (tb.opts.ghz * 1e9);
+    let setup_secs = hive::SETUP_CYCLES as f64 / (tb.opts.ghz * 1e9);
     setup_secs + (secs - setup_secs) * (PAPER_ROWS as f64 / ROWS as f64)
 }
 
 fn sqoop_secs(path: ReadPath) -> f64 {
     let mut tb = Testbed::build(TestbedOpts::new().four_vms(true).path(path));
-    let cfg = SqoopConfig::default();
-    tb.populate(
-        "/export/t",
-        SqoopExport::table_bytes(ROWS, &cfg),
-        Locality::Hybrid,
-    );
+    tb.populate("/export/t", ROWS * sqoop::ROW_BYTES, Locality::Hybrid);
     let client = tb.make_client();
     let db_host = tb.hosts.1; // MySQL on the other physical machine
     let vm = tb.client_vm;
     let secs = run_job(&mut tb.w, "sqoop", CAP, |w, job| {
         let path = "/export/t".into();
-        deploy_sqoop_with_job(w, vm, db_host, client, path, ROWS, cfg, Some(job))
+        deploy_sqoop_with_job(w, vm, db_host, client, path, ROWS, Some(job))
     })
     .expect("sqoop export did not finish")
     .as_secs_f64();

@@ -983,7 +983,6 @@ impl ScenarioSpec {
                     let file_bytes = file_size(&d.w, &files[0]);
                     let cfg = DfsioConfig {
                         buffer_bytes: buffer_kb << 10,
-                        ..Default::default()
                     };
                     let client = d.add_client_on(*vm);
                     let app = TestDfsio::new(

@@ -23,7 +23,7 @@ use vread_hdfs::meta::{BlockId, DatanodeIx, HdfsMeta};
 use vread_hdfs::namenode::BlockAdded;
 use vread_host::cluster::{with_cluster, Cluster, HostIx, VmId};
 use vread_host::fs::{FileId, FsSnapshot};
-use vread_net::conn::{add_conn, ConnRecv, ConnSend, ConnSent, ConnSpec, Endpoint, Flavor, Side};
+use vread_net::conn::{add_conn, ConnRecv, ConnSend, ConnSent, Endpoint, Flavor, Side};
 use vread_sim::prelude::*;
 
 use crate::api::Vfd;
@@ -424,7 +424,6 @@ impl VreadDaemon {
                     actor: peer_actor,
                     flavor: mk(peer_thread),
                 },
-                ConnSpec::default(),
             )
         });
         self.peer_conns.insert(peer_host, conn);

@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 use vread_host::cluster::{with_cluster, Cluster, VmId};
 use vread_host::fs::FileId;
 use vread_host::virtio::{guest_disk_read, guest_disk_write};
-use vread_net::conn::{add_conn, ConnRecv, ConnSend, ConnSent, ConnSpec, Endpoint, Flavor, Side};
+use vread_net::conn::{add_conn, ConnRecv, ConnSend, ConnSent, Endpoint, Flavor, Side};
 use vread_sim::hash::IdHashMap;
 use vread_sim::prelude::*;
 
@@ -165,11 +165,7 @@ pub(crate) fn dial_datanode(
             actor,
             flavor: Flavor::Guest(vm),
         };
-        let spec = ConnSpec {
-            sriov: cl.costs.sriov_nics,
-            ..Default::default()
-        };
-        add_conn(w, cl, guest(me, vm), guest(d.actor, d.vm), spec)
+        add_conn(w, cl, guest(me, vm), guest(d.actor, d.vm))
     });
     conns.insert(dn.0, conn);
     conn

@@ -1,11 +1,12 @@
 //! Bidirectional, windowed, in-order connections.
 //!
 //! A [`Conn`] is an actor standing between two [`Endpoint`]s. Each
-//! direction carries a FIFO of messages, split into streaming chunks; at
-//! most `window_chunks` chunks are in flight per direction, and each chunk
-//! is a [`Stage`] chain across the threads of the chosen transport
-//! [`Flavor`]. Chunks complete in order (per-thread work queues and links
-//! are FIFO), so delivery is in order without sequence numbers.
+//! direction carries a FIFO of messages, split into chunks of
+//! `Costs::stream_chunk_bytes`; at most `WINDOW_CHUNKS` chunks are in
+//! flight per direction, and each chunk is a [`Stage`] chain across the
+//! threads of the chosen transport [`Flavor`]. Chunks complete in order
+//! (per-thread work queues and links are FIFO), so delivery is in order
+//! without sequence numbers.
 
 use std::collections::VecDeque;
 
@@ -110,30 +111,8 @@ pub struct ConnSent {
     pub tag: u64,
 }
 
-/// Connection tuning.
-#[derive(Debug, Clone, Copy)]
-pub struct ConnSpec {
-    /// Max streaming chunks in flight per direction.
-    pub window_chunks: usize,
-    /// Chunk size in bytes (0 = use `Costs::stream_chunk_bytes`).
-    pub chunk_bytes: u64,
-    /// SR-IOV / VT-d device assignment (paper §6): guests talk to the
-    /// physical NIC directly, skipping the vhost-net copies on
-    /// *inter-host* paths. Has no effect on the intra-host (inter-VM)
-    /// path — which is exactly the paper's point that SR-IOV does not
-    /// help the co-located case vRead targets.
-    pub sriov: bool,
-}
-
-impl Default for ConnSpec {
-    fn default() -> Self {
-        ConnSpec {
-            window_chunks: 8,
-            chunk_bytes: 0,
-            sriov: false,
-        }
-    }
-}
+/// Max streaming chunks in flight per direction.
+const WINDOW_CHUNKS: usize = 8;
 
 /// Resolved per-side transport data (threads, NIC, host).
 #[derive(Debug, Clone, Copy)]
@@ -178,7 +157,6 @@ pub struct Conn {
     ends: [End; 2],
     dirs: [DirState; 2],
     costs: Costs,
-    spec: ConnSpec,
     inter_host: bool,
 }
 
@@ -189,7 +167,7 @@ pub struct Conn {
 /// # Panics
 ///
 /// Panics if an endpoint references an unknown VM.
-pub fn add_conn(w: &mut World, cl: &Cluster, a: Endpoint, b: Endpoint, spec: ConnSpec) -> ActorId {
+pub fn add_conn(w: &mut World, cl: &Cluster, a: Endpoint, b: Endpoint) -> ActorId {
     let resolve = |e: Endpoint| -> End {
         match e.flavor {
             Flavor::Guest(vm) => {
@@ -223,16 +201,11 @@ pub fn add_conn(w: &mut World, cl: &Cluster, a: Endpoint, b: Endpoint, spec: Con
     };
     let ea = resolve(a);
     let eb = resolve(b);
-    let mut spec = spec;
-    if spec.chunk_bytes == 0 {
-        spec.chunk_bytes = cl.costs.stream_chunk_bytes;
-    }
     let conn = Conn {
         inter_host: ea.host != eb.host,
         ends: [ea, eb],
         dirs: [DirState::default(), DirState::default()],
         costs: cl.costs.clone(),
-        spec,
     };
     w.add_actor("conn", conn)
 }
@@ -247,7 +220,10 @@ impl Conn {
         let mut st = StageList::new();
 
         // --- sender side ---
-        let sriov_direct = self.spec.sriov && self.inter_host;
+        // SR-IOV / VT-d device assignment (paper §6) skips the vhost-net
+        // copies on inter-host paths only: it does not help the co-located
+        // (inter-VM) case vRead targets.
+        let sriov_direct = c.sriov_nics && self.inter_host;
         match snd.flavor {
             Flavor::Guest(_) => {
                 // guest TCP tx: syscall, user->skb copy, stack work
@@ -338,11 +314,12 @@ impl Conn {
                     c.tcp_rx_cycles(bytes),
                     CpuCategory::GuestTcp,
                 ));
-                let app_cat = self.rx_copy_cat(to);
+                // The paper charges the kernel→application copy to the
+                // application ("client-application" in Fig 6a).
                 st.push(Stage::copy(
                     rcv.vcpu,
                     c.syscall_cycles + c.copy_cycles(bytes),
-                    app_cat,
+                    CpuCategory::ClientApp,
                     bytes,
                 ));
             }
@@ -361,24 +338,14 @@ impl Conn {
         st
     }
 
-    /// The category for the receiver's kernel→application copy: the paper
-    /// charges it to the application ("client-application" in Fig 6a).
-    fn rx_copy_cat(&self, side_ix: usize) -> CpuCategory {
-        // Heuristic: side A is conventionally the client in our builders;
-        // both get ClientApp unless the endpoint is the datanode VM, which
-        // scenario code distinguishes by using DatanodeApp work of its own.
-        let _ = side_ix;
-        CpuCategory::ClientApp
-    }
-
     fn pump(&mut self, side_ix: usize, ctx: &mut Ctx<'_>) {
-        while self.dirs[side_ix].inflight < self.spec.window_chunks {
+        while self.dirs[side_ix].inflight < WINDOW_CHUNKS {
             let (chunk, span) = {
                 let d = &mut self.dirs[side_ix];
                 let Some(front) = d.to_send.front_mut() else {
                     break;
                 };
-                let take = front.bytes_left.min(self.spec.chunk_bytes).max(1);
+                let take = front.bytes_left.min(self.costs.stream_chunk_bytes).max(1);
                 front.bytes_left -= take.min(front.bytes_left);
                 let span = front.span;
                 let exhausted = front.bytes_left == 0;
@@ -400,8 +367,7 @@ impl Actor for Conn {
         let msg = match downcast::<ConnSend>(msg) {
             Ok(send) => {
                 let six = send.dir.ix();
-                let chunk = self.spec.chunk_bytes;
-                let chunks = send.bytes.div_ceil(chunk).max(1);
+                let chunks = send.bytes.div_ceil(self.costs.stream_chunk_bytes).max(1);
                 let d = &mut self.dirs[six];
                 if !d.connected {
                     // Lazy three-way handshake: charged once per direction.
@@ -518,8 +484,12 @@ mod tests {
     }
 
     fn two_vm_world() -> (World, VmId, VmId) {
+        two_vm_world_with(Costs::default())
+    }
+
+    fn two_vm_world_with(costs: Costs) -> (World, VmId, VmId) {
         let mut w = World::new(7);
-        let mut cl = Cluster::new(Costs::default());
+        let mut cl = Cluster::new(costs);
         let h = cl.add_host(&mut w, "h", 4, 3.2);
         let a = cl.add_vm(&mut w, h, "vmA");
         let b = cl.add_vm(&mut w, h, "vmB");
@@ -558,7 +528,6 @@ mod tests {
                     actor: pb,
                     flavor: Flavor::Guest(vmb),
                 },
-                ConnSpec::default(),
             )
         });
         w.send_now(
@@ -621,7 +590,6 @@ mod tests {
                     actor: pb,
                     flavor: Flavor::Guest(vmb),
                 },
-                ConnSpec::default(),
             )
         });
         // several messages, including one spanning many chunks
@@ -672,7 +640,6 @@ mod tests {
                     actor: pb,
                     flavor: Flavor::Guest(vmb),
                 },
-                ConnSpec::default(),
             )
         });
         w.send_now(
@@ -731,7 +698,6 @@ mod tests {
                     actor: pb,
                     flavor: Flavor::Guest(vmb),
                 },
-                ConnSpec::default(),
             )
         });
         w.send_now(
@@ -791,7 +757,6 @@ mod tests {
                     actor: pb,
                     flavor: Flavor::Rdma { thread: d2 },
                 },
-                ConnSpec::default(),
             )
         });
         w.send_now(
@@ -812,82 +777,100 @@ mod tests {
         assert_eq!(w.metrics.samples("recv_ms").unwrap().count(), 1);
     }
 
+    /// Default costs with SR-IOV device assignment on.
+    fn sriov_costs() -> Costs {
+        Costs {
+            sriov_nics: true,
+            ..Costs::default()
+        }
+    }
+
     #[test]
     fn sriov_skips_vhost_on_inter_host_paths() {
-        let mut w = World::new(7);
-        let mut cl = Cluster::new(Costs::default());
-        let h1 = cl.add_host(&mut w, "h1", 4, 3.2);
-        let h2 = cl.add_host(&mut w, "h2", 4, 3.2);
-        let vma = cl.add_vm(&mut w, h1, "vmA");
-        let vmb = cl.add_vm(&mut w, h2, "vmB");
-        w.ext.insert(cl);
-        let pa = w.add_actor(
-            "pa",
-            Probe {
-                echo: false,
-                recvd: vec![],
-                acks: vec![],
-            },
-        );
-        let pb = w.add_actor(
-            "pb",
-            Probe {
-                echo: false,
-                recvd: vec![],
-                acks: vec![],
-            },
-        );
-        let conn = with_cluster(&mut w, |cl, w| {
-            add_conn(
-                w,
-                cl,
-                Endpoint {
-                    actor: pa,
-                    flavor: Flavor::Guest(vma),
+        // A guest sender on h1 to a guest on h2, and to a host-user
+        // process on h2 (the sqoop -> mysqld shape).
+        for to_guest in [true, false] {
+            let mut w = World::new(7);
+            let mut cl = Cluster::new(sriov_costs());
+            let h1 = cl.add_host(&mut w, "h1", 4, 3.2);
+            let h2 = cl.add_host(&mut w, "h2", 4, 3.2);
+            let vma = cl.add_vm(&mut w, h1, "vmA");
+            let vmb = cl.add_vm(&mut w, h2, "vmB");
+            let server = w.add_thread(cl.hosts[h2.0].host, "server");
+            w.ext.insert(cl);
+            let pa = w.add_actor(
+                "pa",
+                Probe {
+                    echo: false,
+                    recvd: vec![],
+                    acks: vec![],
                 },
-                Endpoint {
-                    actor: pb,
-                    flavor: Flavor::Guest(vmb),
+            );
+            let pb = w.add_actor(
+                "pb",
+                Probe {
+                    echo: false,
+                    recvd: vec![],
+                    acks: vec![],
                 },
-                ConnSpec {
-                    sriov: true,
-                    ..Default::default()
+            );
+            let rcv = if to_guest {
+                Flavor::Guest(vmb)
+            } else {
+                Flavor::HostUser {
+                    thread: server,
+                    cat: CpuCategory::Mysql,
+                }
+            };
+            let conn = with_cluster(&mut w, |cl, w| {
+                add_conn(
+                    w,
+                    cl,
+                    Endpoint {
+                        actor: pa,
+                        flavor: Flavor::Guest(vma),
+                    },
+                    Endpoint {
+                        actor: pb,
+                        flavor: rcv,
+                    },
+                )
+            });
+            w.send_now(
+                conn,
+                ConnSend {
+                    dir: Side::A,
+                    bytes: 4 << 20,
+                    tag: 1,
+                    notify: false,
+                    span: SpanId::NONE,
                 },
-            )
-        });
-        w.send_now(
-            conn,
-            ConnSend {
-                dir: Side::A,
-                bytes: 4 << 20,
-                tag: 1,
-                notify: false,
-                span: SpanId::NONE,
-            },
-        );
-        w.run();
-        let cl = w.ext.get::<Cluster>().unwrap();
-        let (vhost_a, vhost_b, nic1) = (cl.vm(vma).vhost, cl.vm(vmb).vhost, cl.hosts[0].nic);
-        // no vhost copies or host TCP on either side; payload still
-        // crossed the physical link
-        assert_eq!(
-            w.acct
-                .cycles(vhost_a.index(), CpuCategory::CopyVirtioVqueue),
-            0.0
-        );
-        assert_eq!(
-            w.acct
-                .cycles(vhost_b.index(), CpuCategory::CopyVirtioVqueue),
-            0.0
-        );
-        assert_eq!(w.acct.cycles(vhost_a.index(), CpuCategory::HostTcp), 0.0);
-        assert!(w.link(nic1).bytes_total >= 4 << 20);
-        assert_eq!(w.metrics.samples("recv_ms").unwrap().count(), 1);
+            );
+            w.run();
+            let cl = w.ext.get::<Cluster>().unwrap();
+            let (vhost_a, vhost_b, nic1) = (cl.vm(vma).vhost, cl.vm(vmb).vhost, cl.hosts[0].nic);
+            // no vhost stages or host TCP on either side; payload still
+            // crossed the physical link
+            for (t, cat) in [
+                (vhost_a, CpuCategory::CopyVirtioVqueue),
+                (vhost_a, CpuCategory::VhostNet),
+                (vhost_a, CpuCategory::HostTcp),
+                (vhost_b, CpuCategory::CopyVirtioVqueue),
+            ] {
+                assert_eq!(
+                    w.acct.cycles(t.index(), cat),
+                    0.0,
+                    "{cat:?}, to_guest {to_guest}"
+                );
+            }
+            assert!(w.link(nic1).bytes_total >= 4 << 20);
+            assert_eq!(w.metrics.samples("recv_ms").unwrap().count(), 1);
+        }
     }
 
     #[test]
     fn sriov_does_not_change_the_intra_host_path() {
-        let (mut w, vma, vmb) = two_vm_world();
+        let (mut w, vma, vmb) = two_vm_world_with(sriov_costs());
         let pa = w.add_actor(
             "pa",
             Probe {
@@ -915,10 +898,6 @@ mod tests {
                 Endpoint {
                     actor: pb,
                     flavor: Flavor::Guest(vmb),
-                },
-                ConnSpec {
-                    sriov: true,
-                    ..Default::default()
                 },
             )
         });
@@ -946,7 +925,10 @@ mod tests {
 
     #[test]
     fn window_limits_inflight_chunks() {
-        let (mut w, vma, vmb) = two_vm_world();
+        let (mut w, vma, vmb) = two_vm_world_with(Costs {
+            stream_chunk_bytes: 64 * 1024,
+            ..Costs::default()
+        });
         let pa = w.add_actor(
             "pa",
             Probe {
@@ -975,11 +957,6 @@ mod tests {
                     actor: pb,
                     flavor: Flavor::Guest(vmb),
                 },
-                ConnSpec {
-                    window_chunks: 2,
-                    chunk_bytes: 64 * 1024,
-                    sriov: false,
-                },
             )
         });
         w.send_now(
@@ -993,7 +970,7 @@ mod tests {
             },
         );
         // Run a tiny bit and check we didn't schedule all 160 chunks at once:
-        // at most window(2) chains exist besides the handshake.
+        // at most WINDOW_CHUNKS chains exist besides the handshake.
         w.run_until(w.now() + SimDuration::from_micros(1));
         w.run();
         assert_eq!(w.metrics.samples("recv_ms").unwrap().count(), 1);

@@ -25,5 +25,5 @@
 pub mod conn;
 pub mod fault;
 
-pub use conn::{add_conn, Conn, ConnRecv, ConnSend, ConnSent, ConnSpec, Endpoint, Flavor, Side};
+pub use conn::{add_conn, Conn, ConnRecv, ConnSend, ConnSent, Endpoint, Flavor, Side};
 pub use fault::DegradeLink;

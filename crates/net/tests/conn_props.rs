@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use vread_host::cluster::{Cluster, VmId};
 use vread_host::costs::Costs;
 use vread_host::with_cluster;
-use vread_net::conn::{add_conn, ConnRecv, ConnSend, ConnSpec, Endpoint, Flavor, Side};
+use vread_net::conn::{add_conn, ConnRecv, ConnSend, Endpoint, Flavor, Side};
 use vread_sim::prelude::*;
 
 struct Collect {
@@ -47,7 +47,6 @@ fn bidirectional_traffic_does_not_interfere() {
                 actor: pb,
                 flavor: Flavor::Guest(vmb),
             },
-            ConnSpec::default(),
         )
     });
     // simultaneous full-duplex streams
@@ -119,7 +118,6 @@ fn guest_to_hostuser_endpoint_works() {
                     cat: CpuCategory::VreadNet,
                 },
             },
-            ConnSpec::default(),
         )
     });
     w.send_now(
@@ -155,7 +153,6 @@ fn handshake_charged_once_per_direction() {
                 actor: pb,
                 flavor: Flavor::Guest(vmb),
             },
-            ConnSpec::default(),
         )
     });
     // 1-byte messages isolate fixed costs
@@ -198,14 +195,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Any sequence of message sizes is delivered exactly, in order, with
-    /// matching tags, under any window/chunk configuration.
+    /// matching tags, under any streaming chunk size.
     #[test]
     fn delivery_is_exact_and_ordered(
         sizes in proptest::collection::vec(1u64..6_000_000, 1..12),
-        window in 1usize..12,
         chunk_kb in 16u64..512,
     ) {
         let (mut w, vma, vmb) = world2();
+        w.ext.get_mut::<Cluster>().unwrap().costs.stream_chunk_bytes = chunk_kb << 10;
         let got = std::rc::Rc::new(std::cell::RefCell::new(vec![]));
         let pa = w.add_actor("pa", Collect { got: got.clone() });
         let pb = w.add_actor("pb", Collect { got: got.clone() });
@@ -215,7 +212,6 @@ proptest! {
                 cl,
                 Endpoint { actor: pa, flavor: Flavor::Guest(vma) },
                 Endpoint { actor: pb, flavor: Flavor::Guest(vmb) },
-                ConnSpec { window_chunks: window, chunk_bytes: chunk_kb << 10, sriov: false },
             )
         });
         for (i, &bytes) in sizes.iter().enumerate() {

@@ -49,7 +49,7 @@ use crate::metrics::Metrics;
 use crate::msg::BoxMsg;
 use crate::resources::{BlockDev, Link};
 use crate::rng::SimRng;
-use crate::sched::{Sched, SchedParams};
+use crate::sched::Sched;
 use crate::slab::ChainSlab;
 use crate::span::{SpanId, SpanRecorder};
 use crate::time::{SimDuration, SimTime};
@@ -185,13 +185,10 @@ impl World {
 
     // -- construction -------------------------------------------------------
 
-    /// Adds a host with `cores` cores at `ghz` GHz and default scheduler
-    /// parameters.
+    /// Adds a host with `cores` cores at `ghz` GHz.
     pub fn add_host(&mut self, name: &str, cores: usize, ghz: f64) -> HostId {
         let core_base = self.timers.len();
-        let id = self
-            .sched
-            .add_host(name, cores, ghz, SchedParams::default(), core_base);
+        let id = self.sched.add_host(name, cores, ghz, core_base);
         self.timers.add_host(id, cores);
         id
     }
@@ -971,10 +968,9 @@ mod tests {
     }
 
     #[test]
-    fn set_host_ghz_scales_runtime() {
+    fn host_ghz_scales_runtime() {
         let mut w = World::new(1);
-        let h = w.add_host("h", 1, 1.0);
-        w.set_host_ghz(h, 4.0);
+        let h = w.add_host("h", 1, 4.0);
         let t = w.add_thread(h, "t");
         let a = w.add_actor("waiter", Waiter { done_at: None });
         w.start_chain(vec![Stage::cpu(t, 4_000_000, CpuCategory::Other)], a, Done);

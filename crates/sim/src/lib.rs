@@ -81,7 +81,6 @@ pub use metrics::{
 pub use msg::{downcast, BoxMsg, Start};
 pub use par::{run_indexed, run_indexed_streamed};
 pub use rng::SimRng;
-pub use sched::SchedParams;
 pub use span::{Span, SpanId, SpanMark, SpanRecorder, SpanReport};
 pub use time::{SimDuration, SimTime};
 pub use timeline::{Hist, Timeline};
@@ -100,7 +99,6 @@ pub mod prelude {
     pub use crate::msg::{downcast, BoxMsg, Start};
     pub use crate::par::{run_indexed, run_indexed_streamed};
     pub use crate::rng::SimRng;
-    pub use crate::sched::SchedParams;
     pub use crate::span::{SpanId, SpanRecorder};
     pub use crate::time::{SimDuration, SimTime};
 }

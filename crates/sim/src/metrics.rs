@@ -26,26 +26,19 @@
 //! since the last reset are invisible to the read-side API, matching the
 //! semantics of a registry that only materializes keys on first write.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::collections::BTreeMap;
 
 /// A set of recorded samples with order statistics.
-///
-/// Order statistics ([`Samples::quantile`]) are served from a lazily
-/// rebuilt sorted copy, so asking for p50/p95/p99 in a row sorts once, and
-/// a fresh recording only invalidates the cache.
 #[derive(Debug, Clone, Default)]
 pub struct Samples {
     values: Vec<f64>,
-    sorted: RefCell<Vec<f64>>,
-    sorted_valid: Cell<bool>,
 }
 
 impl Samples {
     /// Records one observation.
     pub fn record(&mut self, v: f64) {
         self.values.push(v);
-        self.sorted_valid.set(false);
     }
 
     /// Number of observations.
@@ -72,19 +65,14 @@ impl Samples {
     /// A single-sample set returns that sample for every `q`. Sets
     /// containing NaN sort by IEEE 754 total order (NaN above +inf)
     /// instead of panicking, so a poisoned series still renders its
-    /// finite quantiles deterministically.
+    /// finite quantiles deterministically. Each call sorts a copy of the
+    /// observations.
     pub fn quantile(&self, q: f64) -> f64 {
         if self.values.is_empty() {
             return 0.0;
         }
-        if !self.sorted_valid.get() {
-            let mut sorted = self.sorted.borrow_mut();
-            sorted.clear();
-            sorted.extend_from_slice(&self.values);
-            sorted.sort_by(f64::total_cmp);
-            self.sorted_valid.set(true);
-        }
-        let sorted = self.sorted.borrow();
+        let mut sorted = self.values.clone();
+        sorted.sort_by(f64::total_cmp);
         let idx = ((sorted.len() as f64 - 1.0) * q.clamp(0.0, 1.0)).round() as usize;
         sorted[idx]
     }
@@ -106,8 +94,6 @@ impl Samples {
 
     fn clear(&mut self) {
         self.values.clear();
-        self.sorted.get_mut().clear();
-        self.sorted_valid.set(false);
     }
 }
 
@@ -475,11 +461,11 @@ mod tests {
     }
 
     #[test]
-    fn quantile_cache_sees_new_samples() {
+    fn quantile_sees_new_samples() {
         let mut s = Samples::default();
         s.record(1.0);
         assert_eq!(s.quantile(1.0), 1.0);
-        s.record(5.0); // invalidates the sorted cache
+        s.record(5.0);
         assert_eq!(s.quantile(1.0), 5.0);
         assert_eq!(s.quantile(0.0), 1.0);
         // unsorted insertion order is preserved for values()

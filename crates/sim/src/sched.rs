@@ -13,13 +13,13 @@
 //!   the paper are quad-cores; per-core queues + load balancing would add
 //!   noise without changing the emergent behaviour);
 //! * **slices** — a running thread is preempted after
-//!   `clamp(latency / nr_runnable, min_granularity, latency)`;
+//!   `clamp(LATENCY / nr_runnable, MIN_GRANULARITY, LATENCY)`;
 //! * **wake-up placement** — a woken thread's vruntime is clamped to
-//!   `min_vruntime − wakeup_bonus`, the CFS sleeper credit, so interactive
+//!   `min_vruntime − WAKEUP_BONUS`, the CFS sleeper credit, so interactive
 //!   I/O threads win the CPU quickly *when a core can be taken*;
 //! * **wake-up preemption** — a woken thread preempts the running thread
 //!   with the largest vruntime if it leads it by more than
-//!   `wakeup_granularity`.
+//!   `WAKEUP_GRANULARITY`.
 //!
 //! This is where the paper's "I/O threads synchronization overhead"
 //! (Figure 3) comes from: with 4 VMs' worth of vCPU + vhost threads on 4
@@ -34,41 +34,23 @@ use crate::ids::{ChainId, HostId, ThreadId};
 use crate::span::SpanId;
 use crate::time::{SimDuration, SimTime};
 
-/// Tunable scheduler constants (per host).
-#[derive(Debug, Clone)]
-pub struct SchedParams {
-    /// CFS `sched_latency`: target period in which every runnable thread
-    /// runs once.
-    pub latency: SimDuration,
-    /// CFS `min_granularity`: minimum slice length.
-    pub min_granularity: SimDuration,
-    /// CFS `wakeup_granularity`: vruntime lead required for wake-up
-    /// preemption.
-    pub wakeup_granularity: SimDuration,
-    /// Sleeper credit applied on wake-up placement (CFS uses
-    /// `latency / 2`).
-    pub wakeup_bonus: SimDuration,
-    /// Direct cost of a context switch, charged to the incoming thread.
-    pub ctx_switch_cycles: u64,
-    /// Extra cost when a thread is dispatched on a core other than the
-    /// one it last ran on (cache/TLB refill after migration). This is the
-    /// mechanism behind the paper's Figure 3: background lookbusy VMs
-    /// push the netperf VMs' threads off their warm cores.
-    pub migration_cycles: u64,
-}
-
-impl Default for SchedParams {
-    fn default() -> Self {
-        SchedParams {
-            latency: SimDuration::from_millis(6),
-            min_granularity: SimDuration::from_micros(750),
-            wakeup_granularity: SimDuration::from_millis(1),
-            wakeup_bonus: SimDuration::from_millis(3),
-            ctx_switch_cycles: 3_000,
-            migration_cycles: 26_000,
-        }
-    }
-}
+/// CFS `sched_latency`: target period in which every runnable thread runs
+/// once.
+const LATENCY: SimDuration = SimDuration::from_millis(6);
+/// CFS `min_granularity`: minimum slice length.
+const MIN_GRANULARITY: SimDuration = SimDuration::from_micros(750);
+/// CFS `wakeup_granularity`: vruntime lead required for wake-up
+/// preemption.
+const WAKEUP_GRANULARITY: SimDuration = SimDuration::from_millis(1);
+/// Sleeper credit applied on wake-up placement (CFS uses `latency / 2`).
+const WAKEUP_BONUS: SimDuration = SimDuration::from_millis(3);
+/// Direct cost of a context switch, charged to the incoming thread.
+const CTX_SWITCH_CYCLES: u64 = 3_000;
+/// Extra cost when a thread is dispatched on a core other than the one it
+/// last ran on (cache/TLB refill after migration). This is the mechanism
+/// behind the paper's Figure 3: background lookbusy VMs push the netperf
+/// VMs' threads off their warm cores.
+const MIGRATION_CYCLES: u64 = 26_000;
 
 /// Converts cycles to wall nanoseconds at `ghz` (cycles per ns),
 /// rounding up: the value of `(cycles / ghz).ceil().max(0.0) as u64`.
@@ -221,7 +203,6 @@ pub(crate) struct HostSched {
     pub runq: RunQueue,
     /// Monotonic minimum vruntime reference for wake-up placement.
     pub min_vr: u64,
-    pub params: SchedParams,
     /// Shared-LLC contention factor: CPU work on this host (other than
     /// the polluters themselves) is inflated by this factor. 1.0 = no
     /// pressure. Calibrated against the paper's Figure 3 (two 85%
@@ -238,7 +219,7 @@ impl HostSched {
 
     fn quantum(&self) -> SimDuration {
         let nr = self.nr_runnable().max(1) as u64;
-        (self.params.latency / nr).clamp(self.params.min_granularity, self.params.latency)
+        (LATENCY / nr).clamp(MIN_GRANULARITY, LATENCY)
     }
 }
 
@@ -250,14 +231,7 @@ pub(crate) struct Sched {
 }
 
 impl Sched {
-    pub fn add_host(
-        &mut self,
-        name: &str,
-        cores: usize,
-        ghz: f64,
-        params: SchedParams,
-        core_base: usize,
-    ) -> HostId {
+    pub fn add_host(&mut self, name: &str, cores: usize, ghz: f64, core_base: usize) -> HostId {
         assert!(cores > 0, "a host needs at least one core");
         assert!(ghz > 0.0, "clock frequency must be positive");
         let id = HostId::from_raw(self.hosts.len().try_into().expect("host table fits u16"));
@@ -267,7 +241,6 @@ impl Sched {
             cores: (0..cores).map(|_| Core::default()).collect(),
             runq: RunQueue::default(),
             min_vr: 0,
-            params,
             cache_pressure: 1.0,
             core_base,
         });
@@ -338,7 +311,7 @@ impl World {
         let tix = thread.index();
         let host = self.sched.threads[tix].host;
         let hix = host.index();
-        let (bonus_ns, wakeup_gran_ns, min_vr) = {
+        let min_vr = {
             let h = &self.sched.hosts[hix];
             // Reference vruntime: the smallest among currently runnable /
             // running threads (CFS's cfs_rq->min_vruntime), falling back
@@ -350,16 +323,12 @@ impl World {
                     ref_vr = Some(ref_vr.map_or(vvr, |m: u64| m.min(vvr)));
                 }
             }
-            (
-                h.params.wakeup_bonus.as_nanos(),
-                h.params.wakeup_granularity.as_nanos(),
-                ref_vr.unwrap_or(h.min_vr),
-            )
+            ref_vr.unwrap_or(h.min_vr)
         };
         {
             let now = self.now();
             let th = &mut self.sched.threads[tix];
-            th.vr = th.vr.max(min_vr.saturating_sub(bonus_ns));
+            th.vr = th.vr.max(min_vr.saturating_sub(WAKEUP_BONUS.as_nanos()));
             th.state = TState::Queued;
             th.queued_at = now;
             let vr = th.vr;
@@ -391,7 +360,7 @@ impl World {
         let cix = self.rng.below(ncores) as usize;
         if let Some(r) = self.sched.hosts[hix].cores[cix].running {
             let victim_vr = self.sched.threads[r.thread as usize].vr;
-            if woken_vr + wakeup_gran_ns < victim_vr {
+            if woken_vr + WAKEUP_GRANULARITY.as_nanos() < victim_vr {
                 self.preempt(host, cix);
                 self.install(host, cix);
             }
@@ -436,20 +405,15 @@ impl World {
             return;
         };
         let now = self.now();
-        let (quantum, ghz, switch_cycles, migration_cycles) = {
+        let (quantum, ghz) = {
             let h = &mut self.sched.hosts[hix];
             h.min_vr = h.min_vr.max(vr);
-            (
-                h.quantum(),
-                h.ghz,
-                h.params.ctx_switch_cycles,
-                h.params.migration_cycles,
-            )
+            (h.quantum(), h.ghz)
         };
         // Direct context-switch cost, plus the cache-refill cost when the
         // thread migrated off its previous core.
         let migrated = matches!(self.sched.threads[traw as usize].prev_core, Some(p) if p != cix);
-        let total_cycles = switch_cycles + if migrated { migration_cycles } else { 0 };
+        let total_cycles = CTX_SWITCH_CYCLES + if migrated { MIGRATION_CYCLES } else { 0 };
         let switch_ns = cycles_to_ns(total_cycles as f64, ghz);
         {
             let th = &mut self.sched.threads[traw as usize];
@@ -609,8 +573,8 @@ impl World {
     }
 
     /// Sets the shared-cache contention factor of `host` (see
-    /// [`SchedParams`] docs; scenario builders set ≈1.12 per 85%-lookbusy
-    /// background VM).
+    /// `HostSched::cache_pressure`; scenario builders set ≈1.12 per
+    /// 85%-lookbusy background VM).
     pub fn set_cache_pressure(&mut self, host: HostId, factor: f64) {
         assert!(factor >= 1.0, "pressure factor below 1 is meaningless");
         self.sched.hosts[host.index()].cache_pressure = factor;
@@ -624,16 +588,6 @@ impl World {
     /// The clock frequency of a host in GHz (cycles per nanosecond).
     pub fn host_ghz(&self, host: HostId) -> f64 {
         self.sched.hosts[host.index()].ghz
-    }
-
-    /// Changes a host's clock frequency (the paper's `cpufreq-set`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ghz` is not positive.
-    pub fn set_host_ghz(&mut self, host: HostId, ghz: f64) {
-        assert!(ghz > 0.0, "clock frequency must be positive");
-        self.sched.hosts[host.index()].ghz = ghz;
     }
 
     /// Number of cores on a host.
@@ -754,7 +708,7 @@ mod tests {
     #[test]
     fn quantum_is_the_cfs_slice() {
         let mut sched = Sched::default();
-        let h = sched.add_host("h", 1, 1.0, SchedParams::default(), 0);
+        let h = sched.add_host("h", 1, 1.0, 0);
         let host = &mut sched.hosts[h.index()];
         let mut got = Vec::new();
         for k in 0..12 {

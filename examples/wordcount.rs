@@ -6,7 +6,7 @@
 //! ```
 
 use vread::apps::driver::run_job;
-use vread::apps::wordcount::{WordCount, WordCountConfig};
+use vread::apps::wordcount::WordCount;
 use vread::bench::scenarios::{Locality, ReadPath, Testbed, TestbedOpts};
 use vread::sim::prelude::*;
 
@@ -25,8 +25,7 @@ fn main() {
         let (vm, start) = (tb.client_vm, tb.w.now().as_secs_f64());
         let cap = SimDuration::from_secs(600);
         let secs = run_job(&mut tb.w, "wordcount", cap, |w, job| {
-            let cfg = WordCountConfig::default();
-            let wc = WordCount::new(client, vm, "/corpus".into(), INPUT, cfg);
+            let wc = WordCount::new(client, vm, "/corpus".into(), INPUT);
             w.add_actor("wc", wc.with_job(job))
         })
         .expect("job ran")
