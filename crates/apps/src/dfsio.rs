@@ -254,7 +254,7 @@ mod tests {
         let a = w.add_actor("dfsio", d);
         w.send_now(a, Start);
         w.run();
-        assert!(w.jobs.is_complete(job));
+        assert!(w.jobs.completed_at(job).is_some());
         assert_eq!(w.metrics.counter("dfsio_files"), 3.0);
         assert_eq!(w.metrics.counter("dfsio_bytes"), (12 << 20) as f64);
     }
@@ -282,7 +282,7 @@ mod tests {
         let a = w.add_actor("dfsio", d);
         w.send_now(a, Start);
         w.run();
-        assert!(w.jobs.is_complete(job));
+        assert!(w.jobs.completed_at(job).is_some());
         let meta = w.ext.get::<vread_hdfs::HdfsMeta>().unwrap();
         assert_eq!(meta.file("/out/0").unwrap().size(), 2 << 20);
         assert_eq!(meta.file("/out/1").unwrap().size(), 2 << 20);

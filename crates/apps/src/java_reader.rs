@@ -208,7 +208,7 @@ mod tests {
         w.send_now(a, Start);
         w.run();
         assert_eq!(w.metrics.counter("reader_bytes"), (8 << 20) as f64);
-        assert!(w.jobs.is_complete(job));
+        assert!(w.jobs.completed_at(job).is_some());
         assert!(w.jobs.elapsed(job).expect("job ran") > SimDuration::ZERO);
         let s = w.metrics.samples("reader_delay_ms").unwrap();
         assert_eq!(s.count(), 8);

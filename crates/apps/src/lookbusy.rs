@@ -3,8 +3,7 @@
 //! The paper's 4-VM experiments run two extra VMs at "85% lookbusy" to
 //! take cores away from the measured VMs (Figures 3, 9, 11, 12). This
 //! actor reproduces lookbusy's duty-cycle behaviour: burn the CPU for
-//! `busy_fraction` of each period, sleep for the rest, forever (or until
-//! an optional stop time).
+//! `busy_fraction` of each period, sleep for the rest, forever.
 
 use vread_sim::prelude::*;
 
@@ -21,7 +20,6 @@ pub struct Lookbusy {
     thread: ThreadId,
     busy_fraction: f64,
     period: SimDuration,
-    stop_at: Option<SimTime>,
 }
 
 struct BurstDone;
@@ -43,22 +41,10 @@ impl Lookbusy {
             thread,
             busy_fraction,
             period,
-            stop_at: None,
         }
-    }
-
-    /// Stops generating load after `t` (so bounded scenarios can drain).
-    pub fn until(mut self, t: SimTime) -> Self {
-        self.stop_at = Some(t);
-        self
     }
 
     fn burst(&self, ctx: &mut Ctx<'_>) {
-        if let Some(stop) = self.stop_at {
-            if ctx.now() >= stop {
-                return;
-            }
-        }
         let ghz = {
             let host = ctx.world.thread_host(self.thread);
             ctx.world.host_ghz(host)
@@ -100,8 +86,7 @@ mod tests {
         let mut w = World::new(1);
         let h = w.add_host("h", 1, 2.0);
         let t = w.add_thread(h, "lb");
-        let lb = Lookbusy::new(t, 0.85, SimDuration::from_millis(10))
-            .until(SimTime::from_nanos(500_000_000));
+        let lb = Lookbusy::new(t, 0.85, SimDuration::from_millis(10));
         let a = w.add_actor("lb", lb);
         w.send_now(a, Start);
         w.run_until(SimTime::from_nanos(500_000_000));
@@ -117,25 +102,11 @@ mod tests {
         let mut w = World::new(1);
         let h = w.add_host("h", 1, 2.0);
         let t = w.add_thread(h, "lb");
-        let lb = Lookbusy::new(t, 1.0, SimDuration::from_millis(5))
-            .until(SimTime::from_nanos(100_000_000));
+        let lb = Lookbusy::new(t, 1.0, SimDuration::from_millis(5));
         let a = w.add_actor("lb", lb);
         w.send_now(a, Start);
         w.run_until(SimTime::from_nanos(100_000_000));
         let busy = w.acct.busy_ns(t.index()) as f64 / 100e6;
         assert!(busy > 0.97, "full lookbusy busy {busy}");
-    }
-
-    #[test]
-    fn stops_after_deadline() {
-        let mut w = World::new(1);
-        let h = w.add_host("h", 1, 2.0);
-        let t = w.add_thread(h, "lb");
-        let lb = Lookbusy::new(t, 0.5, SimDuration::from_millis(2))
-            .until(SimTime::from_nanos(10_000_000));
-        let a = w.add_actor("lb", lb);
-        w.send_now(a, Start);
-        w.run(); // terminates because the generator stops
-        assert!(w.now() < SimTime::from_nanos(20_000_000));
     }
 }

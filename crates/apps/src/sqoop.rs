@@ -304,7 +304,7 @@ mod tests {
         let export = deploy_sqoop_with_job(&mut w, cvm, h2, client, "/t".into(), rows, Some(job));
         w.send_now(export, Start);
         w.run();
-        assert!(w.jobs.is_complete(job));
+        assert!(w.jobs.completed_at(job).is_some());
         assert_eq!(w.metrics.counter("sqoop_rows"), rows as f64);
         // MySQL burned insert CPU
         let mysql_cycles: f64 = (0..w.acct.len())

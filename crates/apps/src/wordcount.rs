@@ -243,7 +243,7 @@ mod tests {
     #[test]
     fn job_runs_all_phases_and_writes_output() {
         let (w, job) = run_job();
-        assert!(w.jobs.is_complete(job));
+        assert!(w.jobs.completed_at(job).is_some());
         assert_eq!(w.metrics.counter("wc_input_bytes"), (32 << 20) as f64);
         // output written back to HDFS
         let meta = w.ext.get::<vread_hdfs::HdfsMeta>().unwrap();

@@ -128,12 +128,6 @@ impl DeployPlan {
         self.host_cache = cache;
         self
     }
-
-    /// Enables the telemetry timeline with the given sampling period.
-    pub fn timeline_sample_ms(mut self, sample_ms: u64) -> Self {
-        self.timeline_sample_ms = Some(sample_ms);
-        self
-    }
 }
 
 /// A deployed topology: the world plus typed handles resolved from the

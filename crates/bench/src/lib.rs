@@ -25,7 +25,7 @@ pub mod spec;
 pub mod timeline;
 
 pub use deploy::{make_read_client, DeployPlan, Deployment};
-pub use faults::{collect_fault_report, random_plan, FaultKind, FaultReport, FaultSpec};
+pub use faults::{collect_fault_report, FaultKind, FaultReport, FaultSpec};
 pub use report::{improvement_pct, reduction_pct, Row, Table};
 pub use scenarios::{Locality, ReadPath, Testbed, TestbedOpts};
 pub use spans::{ReadAggregate, SpanSummary};

@@ -133,12 +133,6 @@ impl TestbedOpts {
         self
     }
 
-    /// Sets the RNG seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Overrides the cost model.
     pub fn costs(mut self, costs: Costs) -> Self {
         self.costs = costs;

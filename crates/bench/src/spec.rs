@@ -1239,12 +1239,6 @@ impl ScenarioSpec {
         }
     }
 
-    /// Sets the RNG seed (default 42).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Sets the read path under test (default vanilla).
     pub fn path(mut self, path: ReadPath) -> Self {
         self.path = path;
@@ -1269,11 +1263,6 @@ impl ScenarioSpec {
     /// Adds a datanode VM on `host`.
     pub fn datanode(self, name: &str, host: &str) -> Self {
         self.vm(name, host, VmRole::Datanode, None)
-    }
-
-    /// Adds a lookbusy background VM on `host` with duty cycle `busy`.
-    pub fn lookbusy(self, name: &str, host: &str, busy: f64) -> Self {
-        self.vm(name, host, VmRole::Lookbusy, Some(busy))
     }
 
     /// Adds a VM with an explicit role.
@@ -1317,17 +1306,6 @@ impl ScenarioSpec {
         self
     }
 
-    /// Adds a workload bound to client VM `client`, launching `start_ms`
-    /// simulated milliseconds after scenario start.
-    pub fn workload_on(mut self, client: &str, start_ms: u64, workload: WorkloadSpec) -> Self {
-        self.workloads.push(WorkloadBinding {
-            client: Some(client.to_owned()),
-            start_ms,
-            kind: workload,
-        });
-        self
-    }
-
     /// Plans a fault at `at_ms` simulated milliseconds.
     pub fn fault(mut self, at_ms: u64, kind: FaultKind) -> Self {
         self.faults.push(FaultSpec { at_ms, kind });
@@ -1344,13 +1322,6 @@ impl ScenarioSpec {
     /// cost model's capacity).
     pub fn host_cache(mut self, cache: HostCacheSpec) -> Self {
         self.host_cache = cache;
-        self
-    }
-
-    /// Enables the telemetry timeline, sampling every `sample_ms`
-    /// simulated milliseconds (default off).
-    pub fn timeline_sample_ms(mut self, sample_ms: u64) -> Self {
-        self.timeline = Some(TimelineSpec { sample_ms });
         self
     }
 
@@ -1628,7 +1599,7 @@ mod tests {
                 .host("h1", v[0].parse().unwrap(), v[1].parse().unwrap())
                 .client("client", "h1")
                 .datanode("dn1", "h1")
-                .lookbusy("bg", "h1", v[2].parse().unwrap())
+                .vm("bg", "h1", VmRole::Lookbusy, Some(v[2].parse().unwrap()))
                 .file("/d", 4, &["dn1"])
                 .workload(
                     workload_from_json(&Json::parse(v[3]).unwrap())
@@ -1760,7 +1731,7 @@ mod tests {
             .client("client", "h1")
             .datanode("dn1", "h1")
             .datanode("dn2", "h2")
-            .lookbusy("bg", "h1", 0.5)
+            .vm("bg", "h1", VmRole::Lookbusy, Some(0.5))
             .file("/d", 64, &["dn1", "dn2"])
             .workload(WorkloadSpec::DfsioRead {
                 files: vec!["/d".to_owned()],
@@ -1807,6 +1778,25 @@ mod tests {
     /// [`BASE`] through the builder.
     fn base() -> ScenarioSpec {
         base_with("h1", VmRole::Client, VmRole::Datanode).workload(read("/d"))
+    }
+
+    /// [`base`] plus a second reader of `/d` bound to VM `client`.
+    fn base_reading_on(client: &str) -> ScenarioSpec {
+        let mut spec = base();
+        spec.workloads.push(WorkloadBinding {
+            client: Some(client.to_owned()),
+            start_ms: 0,
+            kind: read("/d"),
+        });
+        spec
+    }
+
+    /// `spec` with the telemetry timeline sampling every `sample_ms`.
+    fn sampled(spec: ScenarioSpec, sample_ms: u64) -> ScenarioSpec {
+        ScenarioSpec {
+            timeline: Some(TimelineSpec { sample_ms }),
+            ..spec
+        }
     }
 
     #[test]
@@ -1869,7 +1859,7 @@ mod tests {
                     workload,
                     r#"{ "kind": "reader", "path": "/d", "request_kb": 1024, "client": "c9" }"#,
                 ),
-                base().workload_on("c9", 0, read("/d")),
+                base_reading_on("c9"),
                 UNRESOLVED,
             ),
             (
@@ -1899,7 +1889,7 @@ mod tests {
                     workload,
                     r#"{ "kind": "reader", "path": "/d", "request_kb": 1024, "client": "dn1" }"#,
                 ),
-                base().workload_on("dn1", 0, read("/d")),
+                base_reading_on("dn1"),
                 INVALID,
             ),
             (
@@ -1955,7 +1945,7 @@ mod tests {
             ),
             (
                 block(r#""timeline": { "sample_ms": 0 }"#),
-                base().timeline_sample_ms(0),
+                sampled(base(), 0),
                 INVALID,
             ),
             (
@@ -2292,7 +2282,7 @@ mod tests {
         ));
         // the builder applies the same zero check
         assert!(matches!(
-            ScenarioSpec::builder().timeline_sample_ms(0).build(),
+            sampled(ScenarioSpec::builder(), 0).build(),
             Err(SpecError::Invalid(_))
         ));
     }

@@ -12,7 +12,7 @@
 use proptest::prelude::*;
 use vread_apps::java_reader::ReaderMode;
 use vread_bench::experiments::reader_pass;
-use vread_bench::spec::{FileSpec, VmRole};
+use vread_bench::spec::{FileSpec, VmRole, WorkloadBinding};
 use vread_bench::{
     DeployPlan, Deployment, HostCacheReport, HostCacheSpec, ReadPath, ScenarioSpec, SpanSummary,
     WorkloadSpec,
@@ -112,39 +112,34 @@ fn cas_dedup_hit_ratio_beats_lru_for_shared_replicas() {
 
 /// The two-tenant scenario as a spec, parameterized over store mode.
 fn tenant_spec(seed: u64, mb: u64, mode: HostCacheMode) -> ScenarioSpec {
-    ScenarioSpec::builder()
-        .seed(seed)
-        .path(ReadPath::VreadRdma)
-        .spans(true)
-        .host("h1", 8, 2.0)
-        .client("t1", "h1")
-        .client("t2", "h1")
-        .datanode("dn1", "h1")
-        .datanode("dn2", "h1")
-        .replicated_file("/d", mb, &["dn1", "dn2"])
-        .workload_on(
-            "t1",
-            0,
-            WorkloadSpec::Reader {
+    let mut spec = ScenarioSpec {
+        seed,
+        ..ScenarioSpec::builder()
+    }
+    .path(ReadPath::VreadRdma)
+    .spans(true)
+    .host("h1", 8, 2.0)
+    .client("t1", "h1")
+    .client("t2", "h1")
+    .datanode("dn1", "h1")
+    .datanode("dn2", "h1")
+    .replicated_file("/d", mb, &["dn1", "dn2"])
+    .host_cache(HostCacheSpec {
+        mode,
+        capacity_mb: None,
+        chunk_kb: None,
+    });
+    for (client, start_ms) in [("t1", 0), ("t2", 50)] {
+        spec.workloads.push(WorkloadBinding {
+            client: Some(client.to_owned()),
+            start_ms,
+            kind: WorkloadSpec::Reader {
                 path: "/d".to_owned(),
                 request_kb: 1024,
             },
-        )
-        .workload_on(
-            "t2",
-            50,
-            WorkloadSpec::Reader {
-                path: "/d".to_owned(),
-                request_kb: 1024,
-            },
-        )
-        .host_cache(HostCacheSpec {
-            mode,
-            capacity_mb: None,
-            chunk_kb: None,
-        })
-        .build()
-        .expect("tenant spec is statically valid")
+        });
+    }
+    spec.build().expect("tenant spec is statically valid")
 }
 
 proptest! {

@@ -14,32 +14,26 @@ use vread_bench::{Locality, Testbed, TestbedOpts};
 struct Fingerprint {
     events_processed: u64,
     now_ns: u64,
-    metrics: Vec<(String, String)>,
+    /// The whole registry, Debug-formatted: every counter, sample and
+    /// gauge, with f64s in a form that captures every bit.
+    metrics: String,
 }
 
 fn fig2_pass(seed: u64) -> Fingerprint {
-    let mut tb = Testbed::build(TestbedOpts::new().seed(seed));
+    let mut tb = Testbed::build(TestbedOpts {
+        seed,
+        ..TestbedOpts::new()
+    });
     let file = 32 << 20;
     tb.populate("/f", file, Locality::CoLocated);
     let client = tb.make_client();
     let path = "/f".to_owned();
     let mode = ReaderMode::Dfs { client, path };
     reader_pass(&mut tb.w, tb.client_vm, mode, 1 << 20, file);
-
-    let mut metrics: Vec<(String, String)> = Vec::new();
-    for k in tb.w.metrics.counter_keys() {
-        // Debug-format f64: captures every bit, not a rounded view.
-        metrics.push((k.to_owned(), format!("{:?}", tb.w.metrics.counter(k))));
-    }
-    let sample_keys: Vec<String> = tb.w.metrics.sample_keys().map(str::to_owned).collect();
-    for k in &sample_keys {
-        let s = tb.w.metrics.samples(k).expect("non-empty sample key");
-        metrics.push((k.clone(), format!("{:?}", s.values())));
-    }
     Fingerprint {
         events_processed: tb.w.events_processed(),
         now_ns: tb.w.now().as_nanos(),
-        metrics,
+        metrics: format!("{:?}", tb.w.metrics),
     }
 }
 

@@ -13,7 +13,7 @@ use vread_lint::LintReport;
 /// rule engine rather than hand-built structs.
 fn report() -> LintReport {
     let src = "fn f(acct: &mut CpuAccounting) {\n    acct.add(1);\n}\n";
-    let violations = vread_lint::lint_source("crates/sim/src/daemon.rs", src);
+    let violations = vread_lint::lint_source_counted("crates/sim/src/daemon.rs", src).0;
     assert!(
         violations.iter().any(|v| v.rule == "charge-confine"),
         "fixture must violate charge-confine: {violations:?}"

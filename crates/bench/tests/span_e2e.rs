@@ -117,22 +117,24 @@ fn vread_remote_tcp_is_four_copies() {
 /// property case varies.
 fn spans_spec(seed: u64, path: ReadPath, mb: u64, remote: bool) -> ScenarioSpec {
     let placement: &[&str] = if remote { &["dn2"] } else { &["dn1"] };
-    ScenarioSpec::builder()
-        .seed(seed)
-        .path(path)
-        .spans(true)
-        .host("h1", 4, 2.0)
-        .host("h2", 4, 2.0)
-        .client("client", "h1")
-        .datanode("dn1", "h1")
-        .datanode("dn2", "h2")
-        .file("/d", mb, placement)
-        .workload(WorkloadSpec::Reader {
-            path: "/d".to_owned(),
-            request_kb: 1024,
-        })
-        .build()
-        .expect("spec is statically valid")
+    ScenarioSpec {
+        seed,
+        ..ScenarioSpec::builder()
+    }
+    .path(path)
+    .spans(true)
+    .host("h1", 4, 2.0)
+    .host("h2", 4, 2.0)
+    .client("client", "h1")
+    .datanode("dn1", "h1")
+    .datanode("dn2", "h2")
+    .file("/d", mb, placement)
+    .workload(WorkloadSpec::Reader {
+        path: "/d".to_owned(),
+        request_kb: 1024,
+    })
+    .build()
+    .expect("spec is statically valid")
 }
 
 proptest! {

@@ -5,7 +5,7 @@
 //! trace as counter tracks; scenarios without a `timeline` block must
 //! serialize exactly as they did before the timeline existed.
 
-use vread_bench::spec::WorkloadSpec;
+use vread_bench::spec::{TimelineSpec, WorkloadBinding, WorkloadSpec};
 use vread_bench::{ReadPath, ScenarioSpec};
 
 /// A multi-workload scenario with overlapping staggered readers: enough
@@ -17,29 +17,30 @@ fn staggered(timeline: bool) -> ScenarioSpec {
 
 /// [`staggered`] with its first host named `h1`.
 fn staggered_on(h1: &str, timeline: bool) -> ScenarioSpec {
-    let mut b = vread_bench::ScenarioSpec::builder()
-        .seed(7)
-        .path(ReadPath::VreadRdma)
-        .host(h1, 4, 2.0)
-        .host("h2", 4, 2.0)
-        .datanode("dn1", h1)
-        .datanode("dn2", "h2")
-        .file("/a", 16, &["dn1"])
-        .file("/b", 8, &["dn2"]);
+    let mut b = ScenarioSpec {
+        seed: 7,
+        timeline: timeline.then_some(TimelineSpec { sample_ms: 10 }),
+        ..ScenarioSpec::builder()
+    }
+    .path(ReadPath::VreadRdma)
+    .host(h1, 4, 2.0)
+    .host("h2", 4, 2.0)
+    .datanode("dn1", h1)
+    .datanode("dn2", "h2")
+    .file("/a", 16, &["dn1"])
+    .file("/b", 8, &["dn2"]);
     for (i, path) in ["/a", "/b", "/a"].iter().enumerate() {
         let client = format!("c{i}");
         let host = if i % 2 == 0 { h1 } else { "h2" };
-        b = b.client(&client, host).workload_on(
-            &client,
-            i as u64 * 25,
-            WorkloadSpec::Reader {
+        b = b.client(&client, host);
+        b.workloads.push(WorkloadBinding {
+            client: Some(client),
+            start_ms: i as u64 * 25,
+            kind: WorkloadSpec::Reader {
                 path: (*path).to_owned(),
                 request_kb: 1024,
             },
-        );
-    }
-    if timeline {
-        b = b.timeline_sample_ms(10);
+        });
     }
     b
 }

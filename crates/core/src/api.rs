@@ -13,6 +13,9 @@
 //! same block file (paper §3.1). The asynchronous message protocol behind
 //! these calls lives in [`crate::daemon`]; [`crate::path::VreadPath`]
 //! drives it from the HDFS client.
+//!
+//! Every read carries its own offset (Algorithm 2), so a descriptor keeps
+//! no file position and `vRead_seek` has no simulated effect.
 
 use vread_hdfs::meta::{BlockId, DatanodeIx};
 use vread_sim::hash::IdHashMap;
@@ -27,22 +30,6 @@ pub struct Vfd {
     pub size: u64,
     /// The datanode the block was opened on.
     pub dn: DatanodeIx,
-    /// Current file offset (advanced by reads, set by seeks).
-    pub position: u64,
-}
-
-impl Vfd {
-    /// `vRead_seek`: sets the file offset, returning the resulting offset
-    /// clamped to the file size.
-    pub fn seek(&mut self, offset: u64) -> u64 {
-        self.position = offset.min(self.size);
-        self.position
-    }
-
-    /// Bytes available from the current position.
-    pub fn remaining(&self) -> u64 {
-        self.size - self.position
-    }
 }
 
 /// The libvread block-name → descriptor hash (`vfd_hash` in Algorithms 1
@@ -55,7 +42,7 @@ impl Vfd {
 /// let mut vfds = VfdTable::new();
 /// let blk = BlockId(1);
 /// // vRead_open stores the descriptor …
-/// vfds.put(blk, Vfd { id: 9, size: 4096, dn: DatanodeIx(0), position: 0 });
+/// vfds.put(blk, Vfd { id: 9, size: 4096, dn: DatanodeIx(0) });
 /// // … subsequent reads on the same block reuse it (Algorithm 1)
 /// assert_eq!(vfds.get(blk).unwrap().id, 9);
 /// assert!(vfds.close(blk).is_some());
@@ -72,8 +59,8 @@ impl VfdTable {
     }
 
     /// Looks up an open descriptor for `block` (Algorithm 1 line 10).
-    pub fn get(&mut self, block: BlockId) -> Option<&mut Vfd> {
-        self.map.get_mut(&block)
+    pub fn get(&self, block: BlockId) -> Option<&Vfd> {
+        self.map.get(&block)
     }
 
     /// Records a freshly opened descriptor (Algorithm 1 line 13).
@@ -108,7 +95,6 @@ mod tests {
             id,
             size,
             dn: DatanodeIx(0),
-            position: 0,
         }
     }
 
@@ -121,21 +107,10 @@ mod tests {
         // subsequent reads on the same block reuse the descriptor
         let d = t.get(b).expect("descriptor cached");
         assert_eq!(d.id, 1);
-        d.position += 100;
-        assert_eq!(t.get(b).unwrap().position, 100);
         let closed = t.close(b).expect("was open");
         assert_eq!(closed.id, 1);
         assert!(t.close(b).is_none(), "double close reports failure");
         assert!(t.is_empty());
-    }
-
-    #[test]
-    fn seek_clamps_to_size() {
-        let mut d = vfd(1, 500);
-        assert_eq!(d.seek(100), 100);
-        assert_eq!(d.remaining(), 400);
-        assert_eq!(d.seek(9999), 500);
-        assert_eq!(d.remaining(), 0);
     }
 
     #[test]

@@ -294,6 +294,8 @@ struct LocalRead {
 }
 
 struct RemoteRead {
+    /// The peer connection the data arrives on, tagged with the read id.
+    conn: ActorId,
     reply_to: ActorId,
     token: u64,
     client_vm: VmId,
@@ -344,8 +346,6 @@ pub struct VreadDaemon {
     next_id: u64,
     local_reads: BTreeMap<u64, LocalRead>,
     remote_reads: BTreeMap<u64, RemoteRead>,
-    /// Remote reads waiting for data on `(conn, tag)`.
-    data_waits: BTreeMap<(u32, u64), u64>,
     /// Streams this daemon serves for peers.
     serves: BTreeMap<(u32, u64), Serve>,
     /// Pending remote opens (by requester tag).
@@ -605,7 +605,6 @@ impl Actor for VreadDaemon {
                         id,
                         size,
                         dn: req.dn,
-                        position: 0,
                     });
                     ctx.chain_on(
                         Stage::cpu(
@@ -689,6 +688,7 @@ impl Actor for VreadDaemon {
                         self.remote_reads.insert(
                             read,
                             RemoteRead {
+                                conn,
                                 reply_to: req.reply_to,
                                 token: req.token,
                                 client_vm: req.client_vm,
@@ -699,7 +699,6 @@ impl Actor for VreadDaemon {
                                 span: req.span,
                             },
                         );
-                        self.data_waits.insert((conn.raw(), read), read);
                         let peer = {
                             let reg = ctx.world.ext.get::<VreadRegistry>().expect("registry");
                             reg.daemons[&peer_host].0
@@ -823,12 +822,7 @@ impl Actor for VreadDaemon {
                                 peer_vfd,
                             },
                         );
-                        Vfd {
-                            id,
-                            size,
-                            dn,
-                            position: 0,
-                        }
+                        Vfd { id, size, dn }
                     });
                     ctx.send(reply_to, VreadOpenResp { token, vfd });
                 }
@@ -872,7 +866,6 @@ impl Actor for VreadDaemon {
             Ok(rf) => {
                 // rf.tag is our read id
                 if let Some(rr) = self.remote_reads.remove(&rf.tag) {
-                    self.data_waits.retain(|_, v| *v != rf.tag);
                     ctx.send(rr.reply_to, VreadReadFailed { token: rr.token });
                 }
                 return;
@@ -954,12 +947,15 @@ impl Actor for VreadDaemon {
         // ---- remote data arriving at the requesting daemon -----------------------
         let msg = match downcast::<ConnRecv>(msg) {
             Ok(r) => {
-                let key = (r.conn.raw(), r.tag);
-                let Some(&read) = self.data_waits.get(&key) else {
-                    return;
-                };
+                // The tag is the read id; data on another connection
+                // with the same tag is not ours.
+                let read = r.tag;
                 let (client_vm, span) = {
-                    let Some(rr) = self.remote_reads.get_mut(&read) else {
+                    let Some(rr) = self
+                        .remote_reads
+                        .get_mut(&read)
+                        .filter(|rr| rr.conn == r.conn)
+                    else {
                         return;
                     };
                     rr.ring_inflight += 1;
@@ -1013,8 +1009,6 @@ impl Actor for VreadDaemon {
                 };
                 if finished {
                     let rr = self.remote_reads.remove(&f.read).expect("read vanished");
-                    // release the data wait entries for this read
-                    self.data_waits.retain(|_, v| *v != f.read);
                     ctx.send(rr.reply_to, VreadReadDone { token: rr.token });
                 }
                 return;
@@ -1106,6 +1100,7 @@ impl Actor for VreadDaemon {
 /// datanode→image hash tables and mounts follow the VM (paper §6).
 /// Works mid-workload: stale descriptors fail cleanly and clients
 /// reopen through the correct daemon.
+// vread-lint: allow(test-only-pub, "the paper's §6 migration support (DESIGN.md §8); no experiment migrates a VM, so its callers are the migration and fault-recovery tests")
 pub fn migrate_vm_with_vread(w: &mut World, vm: VmId, to: vread_host::cluster::HostIx) {
     with_cluster(w, |cl, w| cl.migrate_vm(w, vm, to));
     let daemons: Vec<ActorId> = w
@@ -1174,7 +1169,6 @@ pub fn restart_daemon(w: &mut World, host: vread_host::cluster::HostIx) -> Optio
         next_id: 0,
         local_reads: BTreeMap::new(),
         remote_reads: BTreeMap::new(),
-        data_waits: BTreeMap::new(),
         serves: BTreeMap::new(),
         open_waits: BTreeMap::new(),
         peer_conns: BTreeMap::new(),
@@ -1244,7 +1238,6 @@ pub fn deploy_vread(w: &mut World, transport: RemoteTransport) -> Vec<ActorId> {
             next_id: 0,
             local_reads: BTreeMap::new(),
             remote_reads: BTreeMap::new(),
-            data_waits: BTreeMap::new(),
             serves: BTreeMap::new(),
             open_waits: BTreeMap::new(),
             peer_conns: BTreeMap::new(),

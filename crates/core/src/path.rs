@@ -126,8 +126,7 @@ impl VreadPath {
             .get(req.block)
             .expect("issue_read without descriptor");
         let len = req.len.min(vfd.size.saturating_sub(req.offset));
-        vfd.position = req.offset + len;
-        let close_after = vfd.position >= vfd.size;
+        let close_after = req.offset + len >= vfd.size;
         let vfd_id = vfd.id;
         let now = ctx.now();
         let span = ctx.world.spans.start("vfd_read", req.span, now);

@@ -39,7 +39,7 @@ pub use client::{
 pub use datanode::{add_datanode, Datanode};
 pub use meta::{BlockId, DatanodeIx, DnInfo, FileMeta, HdfsMeta, LocatedBlock};
 pub use namenode::{add_namenode, BlockAdded, Namenode};
-pub use populate::{populate_file, warm_file, Placement};
+pub use populate::{populate_file, Placement};
 
 /// Installs a complete HDFS deployment: metadata, namenode (on
 /// `namenode_vm`), and one datanode per entry of `datanode_vms`.

@@ -4,12 +4,12 @@
 //! The paper's read experiments pre-load 1–5 GB of data and control
 //! exactly which datanode holds it (co-located, remote, or a hybrid mix).
 //! [`populate_file`] writes block files straight into the datanode VMs'
-//! filesystems and registers the metadata, optionally warming the page
-//! caches (for re-read experiments the harness instead performs a first
-//! read pass, which warms caches the same way the paper does).
+//! filesystems and registers the metadata. Caches start cold: re-read
+//! experiments perform a first read pass, which warms caches the same
+//! way the paper does.
 
 use vread_host::cluster::Cluster;
-use vread_host::store::{BlockStore, ContentId};
+use vread_host::store::ContentId;
 use vread_sim::prelude::*;
 
 use crate::meta::{DatanodeIx, HdfsMeta, LocatedBlock};
@@ -94,36 +94,6 @@ pub fn populate_file(w: &mut World, path: &str, bytes: u64, placement: &Placemen
     w.ext.insert(meta);
 }
 
-/// Warms every cache along the read path for `path` (guest cache of each
-/// holding datanode VM and its host's page cache), as if the file had
-/// just been read.
-///
-/// # Panics
-///
-/// Panics if the file is unknown.
-pub fn warm_file(w: &mut World, path: &str) {
-    let mut cl = w.ext.remove::<Cluster>().expect("Cluster not installed");
-    let meta = w.ext.remove::<HdfsMeta>().expect("HdfsMeta not installed");
-    let file = meta.file(path).expect("unknown file");
-    for lb in &file.blocks {
-        for &dn in &lb.replicas {
-            let vm = meta.datanodes[dn.0].vm;
-            let (obj, extents) = {
-                let fs = &cl.vm(vm).fs;
-                let f = fs.lookup(&lb.block.path()).expect("block file missing");
-                (fs.image(), fs.resolve(f, 0, lb.len).expect("block intact"))
-            };
-            let host = cl.vm(vm).host;
-            for e in &extents {
-                cl.vm_mut(vm).cache.admit(obj, e.image_offset, e.len);
-                cl.hosts[host.0].cache.admit(obj, e.image_offset, e.len);
-            }
-        }
-    }
-    w.ext.insert(cl);
-    w.ext.insert(meta);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,25 +155,5 @@ mod tests {
         let f = meta.file("/f").unwrap();
         let dns: Vec<usize> = f.blocks.iter().map(|b| b.replicas[0].0).collect();
         assert_eq!(dns, vec![0, 1, 0, 1]);
-    }
-
-    #[test]
-    fn warm_file_fills_caches() {
-        let mut w = World::new(5);
-        let mut cl = Cluster::new(Costs::default());
-        let h = cl.add_host(&mut w, "h", 4, 2.0);
-        let client_vm = cl.add_vm(&mut w, h, "client");
-        let dn_vm = cl.add_vm(&mut w, h, "dn");
-        w.ext.insert(cl);
-        let mut meta = HdfsMeta::new();
-        meta.namenode_vm = Some(client_vm);
-        w.ext.insert(meta);
-        add_namenode(&mut w);
-        let (_, dn) = add_datanode(&mut w, dn_vm);
-        populate_file(&mut w, "/f", 1 << 20, &Placement::One(dn));
-        warm_file(&mut w, "/f");
-        let cl = w.ext.get::<Cluster>().unwrap();
-        assert!(cl.vm(dn_vm).cache.used_bytes() >= 1 << 20);
-        assert!(cl.hosts[h.0].cache.used_bytes() >= 1 << 20);
     }
 }

@@ -2,7 +2,7 @@
 //! virtualization stack.
 
 use vread_hdfs::client::{add_client, DfsRead, DfsReadDone, DfsWrite, DfsWriteDone, VanillaPath};
-use vread_hdfs::populate::{populate_file, warm_file, Placement};
+use vread_hdfs::populate::{populate_file, Placement};
 use vread_hdfs::{deploy_hdfs, DatanodeIx, HdfsMeta};
 use vread_host::cluster::{Cluster, VmId};
 use vread_host::costs::Costs;
@@ -286,18 +286,17 @@ fn reread_is_faster_than_cold_read() {
 fn warmed_file_reads_like_reread() {
     let mut tb = testbed(64);
     populate_file(&mut tb.w, "/f", 16 << 20, &Placement::One(tb.dn_local));
-    warm_file(&mut tb.w, "/f");
-    let done = run_script(
-        &mut tb,
-        vec![Req::Read {
-            path: "/f".into(),
-            offset: 0,
-            len: 16 << 20,
-        }],
-    );
+    let read = || Req::Read {
+        path: "/f".into(),
+        offset: 0,
+        len: 16 << 20,
+    };
+    // The first read warms the datanode's guest cache and its host's
+    // page cache.
+    let done = run_script(&mut tb, vec![read(), read()]);
     // 16MB from guest cache: no disk time at all; at 300MB/s the disk
     // alone would need ~53ms
-    assert!(done[0].2 < 53.0, "warm read took {}ms", done[0].2);
+    assert!(done[1].2 < 53.0, "warm read took {}ms", done[1].2);
 }
 
 #[test]

@@ -417,7 +417,6 @@ mod tests {
         // The second replica is already resident — and counted as dedup.
         let l = s.lookup(obj(2), 12288, 8192);
         assert_eq!((l.dedup_bytes, l.miss_bytes), (8192, 0));
-        assert_eq!(l.admission(), Admission::HitDedup);
         assert_eq!(s.admit(obj(2), 12288, 8192), Admission::HitDedup);
         // Still one physical copy; two logical views.
         assert_eq!(s.used_bytes(), 8192);
@@ -445,8 +444,7 @@ mod tests {
         s.bind(obj(1), 0, 8192, cid(3), 0);
         s.admit(obj(1), 0, 8192);
         let l = s.lookup(obj(1), 0, 8192);
-        assert_eq!(l.admission(), Admission::Hit);
-        assert_eq!(l.dedup_bytes, 0);
+        assert_eq!((l.hit_bytes, l.dedup_bytes, l.miss_bytes), (8192, 0, 0));
         assert_eq!(s.stats().dedup_hits, 0);
     }
 

@@ -300,7 +300,6 @@ mod tests {
         assert_eq!(cl.hosts[h1.0].vms.len(), 2);
         assert_ne!(cl.vm(client).fs.image(), cl.vm(dn1).fs.image());
         assert_ne!(cl.vm(client).vcpu, cl.vm(client).vhost);
-        assert_eq!(w.host_cores(cl.hosts[h1.0].host), 4);
     }
 
     #[test]

@@ -281,7 +281,7 @@ impl ExtentCursor {
 ///
 /// Lookups go through the dentry/inode information captured at the last
 /// refresh; blocks written by the datanode after that are invisible until
-/// [`FsSnapshot::refresh`] runs (triggered by `vRead_update`).
+/// `vRead_update` replaces it with a fresh [`GuestFs::snapshot`].
 #[derive(Debug, Clone, Default)]
 pub struct FsSnapshot {
     files: BTreeMap<String, (FileId, u64)>,
@@ -291,11 +291,6 @@ impl FsSnapshot {
     /// Looks up `(inode, size-at-refresh)` in the mounted view.
     pub fn lookup(&self, path: &str) -> Option<(FileId, u64)> {
         self.files.get(path).copied()
-    }
-
-    /// Re-reads the namespace (the `vRead_update` mount refresh).
-    pub fn refresh(&mut self, fs: &GuestFs) {
-        *self = fs.snapshot();
     }
 }
 
@@ -400,7 +395,7 @@ mod tests {
         f.append(b, 8192);
         assert_eq!(snap.lookup("/blk_2"), None);
 
-        snap.refresh(&f);
+        snap = f.snapshot(); // the `vRead_update` mount refresh
         assert_eq!(snap.lookup("/blk_2"), Some((b, 8192)));
     }
 
@@ -418,7 +413,7 @@ mod tests {
         // only calls vRead_update once a block is complete).
         assert_eq!(snap.lookup("/blk").unwrap().1, 100);
         assert_eq!(f.size(a), 200);
-        snap.refresh(&f);
+        snap = f.snapshot(); // the `vRead_update` mount refresh
         assert_eq!(snap.lookup("/blk").unwrap().1, 200);
     }
 }

@@ -77,19 +77,6 @@ pub struct Lookup {
     pub miss_bytes: u64,
 }
 
-impl Lookup {
-    /// Collapses the byte counts into the typed admission outcome.
-    pub fn admission(&self) -> Admission {
-        if self.miss_bytes > 0 {
-            Admission::Miss
-        } else if self.dedup_bytes > 0 {
-            Admission::HitDedup
-        } else {
-            Admission::Hit
-        }
-    }
-}
-
 /// Hit/miss counters, chunk-granular (one count per chunk consulted).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -99,18 +86,6 @@ pub struct CacheStats {
     pub misses: u64,
     /// Subset of `hits` served by content another object admitted.
     pub dedup_hits: u64,
-}
-
-impl CacheStats {
-    /// `hits / (hits + misses)`, or 0 when nothing was looked up.
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
 }
 
 /// A byte-capacity block store tracking fixed-size chunks of objects.
@@ -186,36 +161,5 @@ mod tests {
         assert_ne!(a, c);
         // FNV-1a of an empty string is the offset basis.
         assert_eq!(ContentId::from_path("").raw(), 0xcbf2_9ce4_8422_2325);
-    }
-
-    #[test]
-    fn lookup_collapses_to_admission() {
-        let hit = Lookup {
-            hit_bytes: 4096,
-            ..Lookup::default()
-        };
-        assert_eq!(hit.admission(), Admission::Hit);
-        let dedup = Lookup {
-            hit_bytes: 4096,
-            dedup_bytes: 4096,
-            miss_bytes: 0,
-        };
-        assert_eq!(dedup.admission(), Admission::HitDedup);
-        let miss = Lookup {
-            miss_bytes: 1,
-            ..Lookup::default()
-        };
-        assert_eq!(miss.admission(), Admission::Miss);
-    }
-
-    #[test]
-    fn hit_ratio_handles_empty() {
-        assert_eq!(CacheStats::default().hit_ratio(), 0.0);
-        let s = CacheStats {
-            hits: 3,
-            misses: 1,
-            dedup_hits: 2,
-        };
-        assert!((s.hit_ratio() - 0.75).abs() < 1e-12);
     }
 }

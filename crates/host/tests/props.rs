@@ -775,8 +775,7 @@ proptest! {
             let miss = snap.lookup(&format!("/{p}")).is_none();
             prop_assert!(miss);
         }
-        let mut snap2 = snap.clone();
-        snap2.refresh(&fs);
+        let snap2 = fs.snapshot();
         for p in paths.iter() {
             let hit2 = snap2.lookup(&format!("/{p}")).is_some();
             prop_assert!(hit2);

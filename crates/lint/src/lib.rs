@@ -48,6 +48,7 @@ pub mod rules;
 pub mod sarif;
 pub mod syntax;
 pub mod syntax_rules;
+pub mod test_only_pub;
 pub mod token_rules;
 
 use baseline::RuleCounts;
@@ -378,22 +379,33 @@ fn standalone_span(toks: &[Tok<'_>], ix: usize) -> (u32, u32) {
 // ---------------------------------------------------------------------------
 
 /// Lints one source text. `virtual_path` determines path-scoped rules
-/// and appears in the violations; it needs `/` separators.
-pub fn lint_source(virtual_path: &str, src: &str) -> Vec<Violation> {
-    lint_source_counted(virtual_path, src).0
+/// and appears in the violations; it needs `/` separators. Returns the
+/// violations and the rule ids of every *used* allow annotation (one
+/// entry per annotation — the ratchet's unit of growth). The whole-tree
+/// rule ([`test_only_pub`]) needs every file, so this partial view
+/// neither runs it nor judges its allows.
+pub fn lint_source_counted(virtual_path: &str, src: &str) -> (Vec<Violation>, Vec<String>) {
+    lint_tokens(virtual_path, &lex(src), None)
 }
 
-/// Like [`lint_source`], but also returns the rule ids of every *used*
-/// allow annotation (one entry per annotation — the ratchet's unit of
-/// growth).
-pub fn lint_source_counted(virtual_path: &str, src: &str) -> (Vec<Violation>, Vec<String>) {
-    let toks = lex(src);
+/// The per-file engine. `tree` holds the whole-tree rule's candidates
+/// for this file when the whole tree was scanned, `None` otherwise.
+fn lint_tokens(
+    virtual_path: &str,
+    toks: &[Tok<'_>],
+    tree: Option<Vec<rules::Candidate>>,
+) -> (Vec<Violation>, Vec<String>) {
     let code: Vec<Tok<'_>> = toks.iter().filter(|t| !t.is_comment()).copied().collect();
-    let (mut allows, mut out) = parse_allows(&toks);
+    let (mut allows, mut out) = parse_allows(toks);
     for v in &mut out {
         v.file = virtual_path.to_owned();
     }
-    for c in check_all(virtual_path, &code) {
+    if tree.is_none() {
+        allows.retain(|a| a.rule != test_only_pub::RULE);
+    }
+    let mut cands = check_all(virtual_path, &code);
+    cands.extend(tree.into_iter().flatten());
+    for c in cands {
         let suppressed = allows
             .iter_mut()
             .find(|a| a.rule == c.rule && (a.from..=a.to).contains(&c.line));
@@ -471,23 +483,51 @@ pub fn collect_rs_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
 }
 
 /// Lints every `.rs` file under `root` (skipping `target/`, `.git/`,
-/// and `fixtures/`).
+/// and `fixtures/`), the whole-tree rule ([`test_only_pub`]) included.
 pub fn run_workspace(root: &Path) -> std::io::Result<LintReport> {
-    let files = collect_rs_files(root)?;
-    run_files(root, &files)
+    lint_paths(root, &collect_rs_files(root)?, true)
 }
 
-/// Lints an explicit file list, reporting paths relative to `root`.
+/// Lints an explicit file list, reporting paths relative to `root`. A
+/// partial scan skips the whole-tree rule.
 pub fn run_files(root: &Path, files: &[PathBuf]) -> std::io::Result<LintReport> {
-    let mut report = LintReport::default();
+    lint_paths(root, files, false)
+}
+
+fn lint_paths(root: &Path, files: &[PathBuf], whole_tree: bool) -> std::io::Result<LintReport> {
+    let mut sources = Vec::with_capacity(files.len());
     for path in files {
-        let src = std::fs::read_to_string(path)?;
         let rel = path
             .strip_prefix(root)
             .unwrap_or(path)
             .to_string_lossy()
             .replace('\\', "/");
-        let (violations, used) = lint_source_counted(&rel, &src);
+        sources.push((rel, std::fs::read_to_string(path)?));
+    }
+    let results: Vec<(Vec<Violation>, Vec<String>)> = if whole_tree {
+        let toks: Vec<Vec<Tok<'_>>> = sources.iter().map(|(_, src)| lex(src)).collect();
+        let code: Vec<(&str, Vec<Tok<'_>>)> = sources
+            .iter()
+            .zip(&toks)
+            .map(|((rel, _), t)| {
+                let code = t.iter().filter(|t| !t.is_comment()).copied().collect();
+                (rel.as_str(), code)
+            })
+            .collect();
+        let tree = test_only_pub::check(&code);
+        code.iter()
+            .zip(&toks)
+            .zip(tree)
+            .map(|(((rel, _), toks), cands)| lint_tokens(rel, toks, Some(cands)))
+            .collect()
+    } else {
+        sources
+            .iter()
+            .map(|(rel, src)| lint_source_counted(rel, src))
+            .collect()
+    };
+    let mut report = LintReport::default();
+    for (violations, used) in results {
         report.violations.extend(violations);
         for rule in used {
             *report.allow_counts.entry(rule).or_insert(0) += 1;
@@ -524,7 +564,7 @@ mod tests {
     fn trailing_allow_suppresses_same_line() {
         let src =
             "fn f() { let t = Instant::now(); // vread-lint: allow(wall-clock, \"test\")\n}\n";
-        let v = lint_source("x.rs", src);
+        let v = lint_source_counted("x.rs", src).0;
         assert!(v.is_empty(), "{v:?}");
     }
 
@@ -532,14 +572,14 @@ mod tests {
     fn standalone_allow_covers_item() {
         let src = "// vread-lint: allow(wall-clock, \"timing harness\")\n\
                    fn measure() {\n    let a = Instant::now();\n    let b = Instant::now();\n}\n";
-        let v = lint_source("x.rs", src);
+        let v = lint_source_counted("x.rs", src).0;
         assert!(v.is_empty(), "{v:?}");
     }
 
     #[test]
     fn unused_allow_fails() {
         let src = "// vread-lint: allow(wall-clock, \"nothing here\")\nfn f() {}\n";
-        let v = lint_source("x.rs", src);
+        let v = lint_source_counted("x.rs", src).0;
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, "unused-allow");
     }
@@ -547,7 +587,7 @@ mod tests {
     #[test]
     fn allow_without_reason_is_bad() {
         let src = "fn f() { let t = Instant::now(); } // vread-lint: allow(wall-clock)\n";
-        let v = lint_source("x.rs", src);
+        let v = lint_source_counted("x.rs", src).0;
         assert!(v.iter().any(|v| v.rule == "bad-allow"), "{v:?}");
         // The wall-clock violation itself still fires (no valid allow).
         assert!(v.iter().any(|v| v.rule == "wall-clock"), "{v:?}");
@@ -556,7 +596,7 @@ mod tests {
     #[test]
     fn unknown_rule_is_bad() {
         let src = "// vread-lint: allow(no-such-rule, \"x\")\nfn f() {}\n";
-        let v = lint_source("x.rs", src);
+        let v = lint_source_counted("x.rs", src).0;
         assert!(v.iter().any(|v| v.rule == "bad-allow"), "{v:?}");
     }
 

@@ -84,6 +84,12 @@ pub const RULES: &[RuleInfo] = &[
                   register gauges via register_provider and report latencies via \
                   timeline.observe_read.",
     },
+    RuleInfo {
+        id: "test-only-pub",
+        summary: "pub fn in crates/*/src that no shipped code (crates' src/, \
+                  examples/, benchmark/) calls or names; delete it or state why \
+                  it stays. Whole-tree runs only.",
+    },
 ];
 
 /// Ids of the non-suppressible meta rules (violations about the

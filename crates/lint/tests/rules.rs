@@ -38,7 +38,8 @@ fn expected(src: &str) -> Vec<(String, u32)> {
 fn check(name: &str, virtual_path: &str) {
     let src = fixture(name);
     let want = expected(&src);
-    let mut got: Vec<(String, u32)> = vread_lint::lint_source(virtual_path, &src)
+    let mut got: Vec<(String, u32)> = vread_lint::lint_source_counted(virtual_path, &src)
+        .0
         .into_iter()
         .map(|v| {
             assert_eq!(v.file, virtual_path, "violation carries the linted path");
@@ -87,7 +88,7 @@ fn checked_cast_out_of_scope_is_silent() {
     // The same narrowing casts outside crates/sim//crates/host do not
     // fire — but the now-unused allow annotation does.
     let src = fixture("checked_cast_pos.rs");
-    let v = vread_lint::lint_source("crates/apps/src/fixture.rs", &src);
+    let v = vread_lint::lint_source_counted("crates/apps/src/fixture.rs", &src).0;
     assert_eq!(v.len(), 1, "{v:?}");
     assert_eq!(v[0].rule, "unused-allow");
 }
@@ -116,7 +117,7 @@ fn charge_confine_sanctioned_paths_are_silent() {
     // of those files, not violations.
     let src = fixture("charge_confine_pos.rs");
     for path in ["crates/sim/src/sched.rs", "crates/sim/src/cpu.rs"] {
-        let v = vread_lint::lint_source(path, &src);
+        let v = vread_lint::lint_source_counted(path, &src).0;
         assert!(v.is_empty(), "{path}: {v:?}");
     }
 }
@@ -132,7 +133,7 @@ fn timeline_confine_sanctioned_path_is_silent() {
     // The raw sinks inside the timeline module itself are the sampler
     // and observe_read — the sanctioned implementation, not violations.
     let src = fixture("timeline_confine_pos.rs");
-    let v = vread_lint::lint_source("crates/sim/src/timeline.rs", &src);
+    let v = vread_lint::lint_source_counted("crates/sim/src/timeline.rs", &src).0;
     assert!(v.is_empty(), "{v:?}");
 }
 
@@ -140,4 +141,65 @@ fn timeline_confine_sanctioned_path_is_silent() {
 fn sealed_match_fixtures() {
     check("sealed_match_pos.rs", "crates/core/src/fixture.rs");
     check("sealed_match_neg.rs", "crates/core/src/fixture.rs");
+}
+
+/// Writes a throwaway tree with fixture `name` as `crates/fx/src/lib.rs`
+/// beside the callers the test-only-pub fixtures describe, and returns
+/// its root and the paths of its `.rs` files.
+fn fixture_tree(name: &str) -> (std::path::PathBuf, Vec<std::path::PathBuf>) {
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("tree-{name}"));
+    let _ = std::fs::remove_dir_all(&root);
+    let files = [
+        ("crates/fx/src/lib.rs", fixture(name)),
+        (
+            "crates/fx/src/other.rs",
+            "use crate::parse;\nfn go() -> u32 {\n    parse::<u32>()\n}\n".to_owned(),
+        ),
+        (
+            "crates/fx/tests/calls.rs",
+            "#[test]\nfn calls() {\n    fx::only_tests_call_me();\n    fx::const_too();\n    \
+             fx::Meter.unread();\n    fx::Meter.generic::<u8>();\n    fx::rng();\n    fx::kept();\n}\n"
+                .to_owned(),
+        ),
+        ("examples/demo.rs", "fn main() {\n    fx::listed();\n}\n".to_owned()),
+        ("benchmark/src/main.rs", "fn main() {\n    fx::bench_only();\n}\n".to_owned()),
+    ];
+    for (rel, src) in &files {
+        let path = root.join(rel);
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(path, src).unwrap();
+    }
+    let paths = vread_lint::collect_rs_files(&root).unwrap();
+    (root, paths)
+}
+
+#[test]
+fn test_only_pub_fixtures() {
+    for name in ["test_only_pub_pos.rs", "test_only_pub_neg.rs"] {
+        let (root, _) = fixture_tree(name);
+        let report = vread_lint::run_workspace(&root).unwrap();
+        let mut got: Vec<(String, u32)> = report
+            .violations
+            .into_iter()
+            .map(|v| {
+                assert_eq!(v.file, "crates/fx/src/lib.rs", "{v:?}");
+                (v.rule, v.line)
+            })
+            .collect();
+        got.sort();
+        assert_eq!(got, expected(&fixture(name)), "fixture {name}");
+    }
+    let (root, _) = fixture_tree("test_only_pub_pos.rs");
+    let report = vread_lint::run_workspace(&root).unwrap();
+    assert_eq!(report.allow_counts.get("test-only-pub"), Some(&1));
+}
+
+#[test]
+fn test_only_pub_needs_the_whole_tree() {
+    // A partial scan cannot see every caller: it neither runs the rule
+    // nor calls its allows unused.
+    let (root, paths) = fixture_tree("test_only_pub_pos.rs");
+    let report = vread_lint::run_files(&root, &paths).unwrap();
+    assert!(report.is_clean(), "{}", report.render_human());
+    assert!(report.allow_counts.is_empty(), "{:?}", report.allow_counts);
 }

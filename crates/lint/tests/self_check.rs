@@ -40,7 +40,7 @@ fn removing_an_allow_fails_the_run() {
         .filter(|l| !l.contains("vread-lint: allow(wall-clock"))
         .map(|l| format!("{l}\n"))
         .collect();
-    let violations = vread_lint::lint_source("crates/bench/src/bin/repro.rs", &stripped);
+    let violations = vread_lint::lint_source_counted("crates/bench/src/bin/repro.rs", &stripped).0;
     assert!(
         violations.iter().any(|v| v.rule == "wall-clock"),
         "stripping the allows must re-surface the wall-clock violations, got {violations:?}"
@@ -71,4 +71,15 @@ fn json_report_is_byte_stable() {
     let a = vread_lint::run_workspace(workspace_root()).expect("walk");
     let b = vread_lint::run_workspace(workspace_root()).expect("walk");
     assert_eq!(a.render_json(), b.render_json());
+}
+
+#[test]
+fn benchmark_files_alone_report_nothing() {
+    // The benchmark lints its own sources with `run_files`; the
+    // whole-tree rule must stay out of that partial scan.
+    let root = workspace_root();
+    let files = vread_lint::collect_rs_files(&root.join("benchmark")).expect("walk benchmark");
+    assert!(files.len() >= 10, "walk found the benchmark: {files:?}");
+    let report = vread_lint::run_files(root, &files).expect("lint benchmark");
+    assert!(report.is_clean(), "{}", report.render_human());
 }

@@ -1,12 +1,12 @@
-//! Bidirectional, windowed, in-order connections.
+//! Bidirectional, in-order connections.
 //!
 //! A [`Conn`] is an actor standing between two [`Endpoint`]s. Each
 //! direction carries a FIFO of messages, split into chunks of
-//! `Costs::stream_chunk_bytes`; at most `WINDOW_CHUNKS` chunks are in
-//! flight per direction, and each chunk is a [`Stage`] chain across the
-//! threads of the chosen transport [`Flavor`]. Chunks complete in order
-//! (per-thread work queues and links are FIFO), so delivery is in order
-//! without sequence numbers.
+//! `Costs::stream_chunk_bytes`, and each chunk is a [`Stage`] chain
+//! across the threads of the chosen transport [`Flavor`]. A message's
+//! chunks all start when it is sent and complete in order (per-thread
+//! work queues and links are FIFO), so delivery is in order without
+//! sequence numbers.
 
 use std::collections::VecDeque;
 
@@ -24,14 +24,6 @@ pub enum Side {
 }
 
 impl Side {
-    /// The opposite side.
-    pub fn other(self) -> Side {
-        match self {
-            Side::A => Side::B,
-            Side::B => Side::A,
-        }
-    }
-
     fn ix(self) -> usize {
         match self {
             Side::A => 0,
@@ -111,9 +103,6 @@ pub struct ConnSent {
     pub tag: u64,
 }
 
-/// Max streaming chunks in flight per direction.
-const WINDOW_CHUNKS: usize = 8;
-
 /// Resolved per-side transport data (threads, NIC, host).
 #[derive(Debug, Clone, Copy)]
 struct End {
@@ -126,12 +115,6 @@ struct End {
 }
 
 #[derive(Debug)]
-struct OutMsg {
-    bytes_left: u64,
-    span: SpanId,
-}
-
-#[derive(Debug)]
 struct InMsg {
     tag: u64,
     bytes: u64,
@@ -141,9 +124,7 @@ struct InMsg {
 
 #[derive(Debug, Default)]
 struct DirState {
-    to_send: VecDeque<OutMsg>,
     arriving: VecDeque<InMsg>,
-    inflight: usize,
     connected: bool,
 }
 
@@ -337,29 +318,6 @@ impl Conn {
         }
         st
     }
-
-    fn pump(&mut self, side_ix: usize, ctx: &mut Ctx<'_>) {
-        while self.dirs[side_ix].inflight < WINDOW_CHUNKS {
-            let (chunk, span) = {
-                let d = &mut self.dirs[side_ix];
-                let Some(front) = d.to_send.front_mut() else {
-                    break;
-                };
-                let take = front.bytes_left.min(self.costs.stream_chunk_bytes).max(1);
-                front.bytes_left -= take.min(front.bytes_left);
-                let span = front.span;
-                let exhausted = front.bytes_left == 0;
-                if exhausted {
-                    d.to_send.pop_front();
-                }
-                (take, span)
-            };
-            self.dirs[side_ix].inflight += 1;
-            let stages = self.chunk_stages(side_ix, chunk);
-            let me = ctx.me();
-            ctx.chain_on(stages, me, ChunkDone { side_ix }, span);
-        }
-    }
 }
 
 impl Actor for Conn {
@@ -386,25 +344,28 @@ impl Actor for Conn {
                         );
                     }
                 }
-                let d = &mut self.dirs[six];
-                d.to_send.push_back(OutMsg {
-                    bytes_left: send.bytes,
-                    span: send.span,
-                });
-                d.arriving.push_back(InMsg {
+                self.dirs[six].arriving.push_back(InMsg {
                     tag: send.tag,
                     bytes: send.bytes,
                     chunks_left: chunks,
                     notify: send.notify,
                 });
-                self.pump(six, ctx);
+                // Every chunk starts now; a zero-byte message still sends
+                // one 1-byte chunk.
+                let me = ctx.me();
+                let mut left = send.bytes;
+                for _ in 0..chunks {
+                    let take = left.min(self.costs.stream_chunk_bytes).max(1);
+                    left -= take.min(left);
+                    let stages = self.chunk_stages(six, take);
+                    ctx.chain_on(stages, me, ChunkDone { side_ix: six }, send.span);
+                }
                 return;
             }
             Err(m) => m,
         };
         if let Ok(done) = downcast::<ChunkDone>(msg) {
             let six = done.side_ix;
-            self.dirs[six].inflight -= 1;
             let mut deliver: Option<InMsg> = None;
             {
                 let d = &mut self.dirs[six];
@@ -437,7 +398,6 @@ impl Actor for Conn {
                     );
                 }
             }
-            self.pump(six, ctx);
         }
     }
 }
@@ -921,58 +881,5 @@ mod tests {
                 .cycles(vhost_a.index(), CpuCategory::CopyVirtioVqueue)
                 > 0.0
         );
-    }
-
-    #[test]
-    fn window_limits_inflight_chunks() {
-        let (mut w, vma, vmb) = two_vm_world_with(Costs {
-            stream_chunk_bytes: 64 * 1024,
-            ..Costs::default()
-        });
-        let pa = w.add_actor(
-            "pa",
-            Probe {
-                echo: false,
-                recvd: vec![],
-                acks: vec![],
-            },
-        );
-        let pb = w.add_actor(
-            "pb",
-            Probe {
-                echo: false,
-                recvd: vec![],
-                acks: vec![],
-            },
-        );
-        let conn = with_cluster(&mut w, |cl, w| {
-            add_conn(
-                w,
-                cl,
-                Endpoint {
-                    actor: pa,
-                    flavor: Flavor::Guest(vma),
-                },
-                Endpoint {
-                    actor: pb,
-                    flavor: Flavor::Guest(vmb),
-                },
-            )
-        });
-        w.send_now(
-            conn,
-            ConnSend {
-                dir: Side::A,
-                bytes: 10 << 20,
-                tag: 1,
-                notify: true,
-                span: SpanId::NONE,
-            },
-        );
-        // Run a tiny bit and check we didn't schedule all 160 chunks at once:
-        // at most WINDOW_CHUNKS chains exist besides the handshake.
-        w.run_until(w.now() + SimDuration::from_micros(1));
-        w.run();
-        assert_eq!(w.metrics.samples("recv_ms").unwrap().count(), 1);
     }
 }

@@ -77,7 +77,7 @@ mod tests {
     #[test]
     fn degrade_then_restore() {
         let mut w = World::new(3);
-        let link = w.add_link(Link::from_gbps(10.0, SimDuration::from_micros(30)));
+        let link = w.add_link(Link::new(1.25e9, SimDuration::from_micros(30)));
         schedule_faults(
             &mut w,
             vec![(

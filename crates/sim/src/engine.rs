@@ -245,11 +245,6 @@ impl World {
         &mut self.links[id.index()]
     }
 
-    /// Shared access to a registered block device.
-    pub fn blockdev(&self, id: BlockDevId) -> &BlockDev {
-        &self.devs[id.index()]
-    }
-
     /// Mutable access to a registered block device (fault injection:
     /// slow a disk mid-run).
     pub fn blockdev_mut(&mut self, id: BlockDevId) -> &mut BlockDev {
@@ -715,19 +710,9 @@ impl<'a> Ctx<'a> {
         self.world.add_actor(name, actor)
     }
 
-    /// The world RNG.
-    pub fn rng(&mut self) -> &mut SimRng {
-        &mut self.world.rng
-    }
-
     /// The metrics registry.
     pub fn metrics(&mut self) -> &mut Metrics {
         &mut self.world.metrics
-    }
-
-    /// Typed shared state, inserting a default if absent.
-    pub fn ext<T: 'static + Default>(&mut self) -> &mut T {
-        self.world.ext.get_or_default::<T>()
     }
 
     /// Marks `job` started now (see [`crate::job`]).

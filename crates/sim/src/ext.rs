@@ -71,22 +71,6 @@ impl Extensions {
         self.slots[i].1.downcast_mut()
     }
 
-    /// Exclusive access to the stored `T`, inserting `T::default()` first
-    /// if absent.
-    pub fn get_or_default<T: 'static + Default>(&mut self) -> &mut T {
-        let i = match self.slot::<T>() {
-            Some(i) => i,
-            None => {
-                self.slots.push((TypeId::of::<T>(), Box::new(T::default())));
-                self.slots.len() - 1
-            }
-        };
-        self.slots[i]
-            .1
-            .downcast_mut::<T>()
-            .expect("typeid collision")
-    }
-
     /// Removes and returns the stored `T`.
     pub fn remove<T: 'static>(&mut self) -> Option<T> {
         self.take_box::<T>().map(|b| *b)
@@ -130,14 +114,6 @@ mod tests {
         e.insert(CacheState { hits: 1 });
         e.get_mut::<CacheState>().unwrap().hits += 1;
         assert_eq!(e.get::<CacheState>().unwrap().hits, 2);
-    }
-
-    #[test]
-    fn get_or_default_inserts() {
-        let mut e = Extensions::new();
-        e.get_or_default::<CacheState>().hits = 5;
-        assert_eq!(e.get::<CacheState>().unwrap().hits, 5);
-        assert_eq!(e.len(), 1);
     }
 
     #[test]

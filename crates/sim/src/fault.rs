@@ -297,8 +297,8 @@ mod tests {
             )],
         );
         w.run_until(SimTime::ZERO + SimDuration::from_millis(20));
-        assert_eq!(w.blockdev(dev).bandwidth_bps, 30e6);
+        assert_eq!(w.blockdev_mut(dev).bandwidth_bps, 30e6);
         w.run();
-        assert_eq!(w.blockdev(dev).bandwidth_bps, 300e6);
+        assert_eq!(w.blockdev_mut(dev).bandwidth_bps, 300e6);
     }
 }

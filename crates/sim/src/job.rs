@@ -117,11 +117,6 @@ impl Jobs {
         self.slots[h.index()].completed_at
     }
 
-    /// `true` once the job has completed.
-    pub fn is_complete(&self, h: JobHandle) -> bool {
-        self.slots[h.index()].completed_at.is_some()
-    }
-
     /// Bytes of payload the job reported via progress signals.
     pub fn bytes(&self, h: JobHandle) -> u64 {
         self.slots[h.index()].bytes
@@ -209,7 +204,7 @@ mod tests {
         w.send_now(a, Start);
         assert!(!w.run_jobs_for(SimDuration::from_millis(10)));
         assert_eq!(w.now(), SimTime::from_nanos(10_000_000));
-        assert!(!w.jobs.is_complete(job));
+        assert!(w.jobs.completed_at(job).is_none());
     }
 
     #[test]
@@ -239,7 +234,7 @@ mod tests {
             SimTime::from_nanos(8_000_000),
             "stops at the last job"
         );
-        assert!(w.jobs.is_complete(j1) && w.jobs.is_complete(j2));
+        assert!(w.jobs.completed_at(j1).is_some() && w.jobs.completed_at(j2).is_some());
     }
 
     #[test]
@@ -264,8 +259,7 @@ mod tests {
         assert_eq!(jobs.pending(), 1);
         assert_eq!(jobs.completed_at(a), Some(SimTime::from_nanos(30)));
         assert_eq!(jobs.elapsed(a), Some(SimDuration::from_nanos(20)));
-        assert!(jobs.is_complete(a));
-        assert!(!jobs.is_complete(b));
+        assert!(jobs.completed_at(b).is_none());
 
         jobs.complete(b, SimTime::from_nanos(40));
         assert_eq!(jobs.pending(), 0);

@@ -22,9 +22,10 @@
 //! its key on first use and records through the cached id afterwards.
 //!
 //! [`Metrics::reset`] keeps registrations (ids stay valid across warm-up /
-//! measurement phases) but clears values; keys that were never touched
-//! since the last reset are invisible to the read-side API, matching the
-//! semantics of a registry that only materializes keys on first write.
+//! measurement phases) but clears values: a counter reads 0, and sample
+//! and gauge keys that were never touched since the last reset are
+//! invisible to the read-side API, matching the semantics of a registry
+//! that only materializes keys on first write.
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -122,9 +123,8 @@ impl GaugeId {
 ///
 /// A gauge holds its *last written value* — unlike a counter it can go
 /// down, and unlike a sample set it keeps no history (the timeline
-/// sampler is what turns gauges into time series). The read side mirrors
-/// counters exactly: a gauge that has not been written since the last
-/// [`Metrics::reset`] is invisible to [`Metrics::gauges`] and reads
+/// sampler is what turns gauges into time series). A gauge that has not
+/// been written since the last [`Metrics::reset`] is invisible to [`Metrics::gauges`] and reads
 /// as 0.0, so reports stay byte-identical when an instrumented code path
 /// never runs. `reset` clears gauge last-values along with the touched
 /// bits — a gauge must not leak a pre-reset level (e.g. in-flight reads
@@ -133,7 +133,6 @@ impl GaugeId {
 pub struct Metrics {
     counter_index: BTreeMap<String, CounterId>,
     counter_vals: Vec<f64>,
-    counter_touched: Vec<bool>,
     sample_index: BTreeMap<String, SampleId>,
     sample_sets: Vec<Samples>,
     gauge_index: BTreeMap<String, GaugeId>,
@@ -157,7 +156,6 @@ impl Metrics {
         let id = CounterId(u32::try_from(self.counter_vals.len()).expect("counter id overflow"));
         self.counter_index.insert(key.to_owned(), id);
         self.counter_vals.push(0.0);
-        self.counter_touched.push(false);
         id
     }
 
@@ -190,7 +188,6 @@ impl Metrics {
     #[inline]
     pub fn add_to(&mut self, id: CounterId, v: f64) {
         self.counter_vals[id.0 as usize] += v;
-        self.counter_touched[id.0 as usize] = true;
     }
 
     /// Increments an interned counter by 1.
@@ -245,13 +242,6 @@ impl Metrics {
         self.record_to(id, v);
     }
 
-    /// Last written value of gauge `key` (0.0 when absent or untouched).
-    pub fn gauge(&self, key: &str) -> f64 {
-        self.gauge_index
-            .get(key)
-            .map_or(0.0, |&id| self.gauge_vals[id.0 as usize])
-    }
-
     /// The sample set under `key`, if any samples were recorded.
     pub fn samples(&self, key: &str) -> Option<&Samples> {
         let set = &self.sample_sets[self.sample_index.get(key)?.0 as usize];
@@ -265,14 +255,6 @@ impl Metrics {
     /// Mean of samples under `key` (0.0 when absent).
     pub fn mean(&self, key: &str) -> f64 {
         self.samples(key).map_or(0.0, Samples::mean)
-    }
-
-    /// Keys of counters written since the last reset (sorted).
-    pub fn counter_keys(&self) -> impl Iterator<Item = &str> {
-        self.counter_index
-            .iter()
-            .filter(|(_, id)| self.counter_touched[id.0 as usize])
-            .map(|(k, _)| k.as_str())
     }
 
     /// Keys of samples recorded since the last reset (sorted).
@@ -300,7 +282,6 @@ impl Metrics {
     /// must not be read as a measurement-phase level.
     pub fn reset(&mut self) {
         self.counter_vals.fill(0.0);
-        self.counter_touched.fill(false);
         for s in &mut self.sample_sets {
             s.clear();
         }
@@ -500,16 +481,13 @@ mod tests {
         let c = m.register_counter("ops");
         m.incr_to(c);
         m.sample("lat", 1.0);
-        assert_eq!(m.counter_keys().collect::<Vec<_>>(), vec!["ops"]);
         assert_eq!(m.sample_keys().collect::<Vec<_>>(), vec!["lat"]);
         m.reset();
         assert_eq!(m.counter("ops"), 0.0);
-        assert_eq!(m.counter_keys().count(), 0, "untouched keys hidden");
-        assert_eq!(m.sample_keys().count(), 0);
+        assert_eq!(m.sample_keys().count(), 0, "untouched keys hidden");
         assert!(m.samples("lat").is_none(), "empty sample set reads absent");
         m.incr_to(c); // id survives the reset
         assert_eq!(m.counter("ops"), 1.0);
-        assert_eq!(m.counter_keys().collect::<Vec<_>>(), vec!["ops"]);
     }
 
     #[test]
@@ -553,13 +531,17 @@ mod tests {
         m.set_to(g, 4.0); // the id hits the string key's slot
         m.gauge_add_to(g, -1.0);
         m.gauge_add_to(g, -1.0);
-        assert_eq!(m.gauge("inflight"), 2.0);
         assert_eq!(m.gauges().collect::<Vec<_>>(), vec![("inflight", g, 2.0)]);
         m.reset();
-        assert_eq!(m.gauge("inflight"), 0.0, "last-value cleared by reset");
         assert_eq!(m.gauges().count(), 0, "untouched gauges hidden");
+        m.gauge_add_to(g, 1.0);
+        assert_eq!(
+            m.gauges().collect::<Vec<_>>(),
+            vec![("inflight", g, 1.0)],
+            "last-value cleared by reset"
+        );
         m.set_to(g, 9.0); // id survives the reset
-        assert_eq!(m.gauge("inflight"), 9.0);
+        assert_eq!(m.gauges().collect::<Vec<_>>(), vec![("inflight", g, 9.0)]);
     }
 
     #[test]
@@ -569,7 +551,6 @@ mod tests {
         g.add(&mut m, 4096.0);
         g.add(&mut m, -4096.0);
         g.set(&mut m, 512.0);
-        assert_eq!(m.gauge("ring_bytes"), 512.0);
         let id = m.register_gauge("ring_bytes");
         assert_eq!(
             m.gauges().collect::<Vec<_>>(),

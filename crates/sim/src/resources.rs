@@ -32,11 +32,6 @@ impl Link {
         }
     }
 
-    /// Convenience constructor from gigabits per second.
-    pub fn from_gbps(gbps: f64, latency: SimDuration) -> Self {
-        Link::new(gbps * 1e9 / 8.0, latency)
-    }
-
     /// Submits `bytes` at `now`; returns the delivery completion time
     /// (after serialization behind queued traffic plus propagation).
     pub fn submit(&mut self, now: SimTime, bytes: u64) -> SimTime {
@@ -45,11 +40,6 @@ impl Link {
         self.free_at = start + ser;
         self.bytes_total += bytes;
         self.free_at + self.latency
-    }
-
-    /// The instant the link becomes idle.
-    pub fn free_at(&self) -> SimTime {
-        self.free_at
     }
 
     /// Bytes still serializing (queued behind the wire) at `now` — the
@@ -104,11 +94,6 @@ impl BlockDev {
         self.requests_total += 1;
         done
     }
-
-    /// The instant the device becomes idle.
-    pub fn free_at(&self) -> SimTime {
-        self.free_at
-    }
 }
 
 #[cfg(test)]
@@ -136,12 +121,6 @@ mod tests {
         let t = SimTime::from_nanos(1_000_000);
         let done = l.submit(t, 1000);
         assert_eq!(done.as_nanos(), 1_001_000);
-    }
-
-    #[test]
-    fn from_gbps_matches() {
-        let l = Link::from_gbps(10.0, SimDuration::ZERO);
-        assert!((l.bandwidth_bps - 1.25e9).abs() < 1.0);
     }
 
     #[test]

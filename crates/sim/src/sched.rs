@@ -590,11 +590,6 @@ impl World {
         self.sched.hosts[host.index()].ghz
     }
 
-    /// Number of cores on a host.
-    pub fn host_cores(&self, host: HostId) -> usize {
-        self.sched.hosts[host.index()].cores.len()
-    }
-
     /// The diagnostic name a thread was registered with.
     pub fn thread_name(&self, thread: ThreadId) -> &str {
         &self.sched.threads[thread.index()].name

@@ -154,8 +154,6 @@ pub struct SpanRecorder {
     /// Every span started since the last drain, in creation order, so
     /// `spans[i]` has id `base + i`. A span is live while `end` is `None`.
     spans: Vec<Span>,
-    /// Number of live spans.
-    live: usize,
     marks: Vec<SpanMark>,
     /// Cycles charged while enabled that hit no live span (scheduler
     /// context switches, untraced chains, late charges to ended or
@@ -179,16 +177,6 @@ impl SpanRecorder {
         self.enabled
     }
 
-    /// Cycles that hit no live span while enabled.
-    pub fn unattributed_cycles(&self) -> f64 {
-        self.unattributed_cycles
-    }
-
-    /// Number of live (not yet ended) spans.
-    pub fn live(&self) -> usize {
-        self.live
-    }
-
     /// Starts a span. Returns [`SpanId::NONE`] when disabled — the one
     /// branch the off path pays.
     pub fn start(&mut self, name: &'static str, parent: SpanId, now: SimTime) -> SpanId {
@@ -202,7 +190,6 @@ impl SpanRecorder {
             "spans start in time order"
         );
         self.spans.push(Span::new(id, name, parent, now));
-        self.live += 1;
         id
     }
 
@@ -220,7 +207,6 @@ impl SpanRecorder {
         if let Some(sp) = self.get_mut(id) {
             sp.end = Some(now);
             sp.last_activity = now;
-            self.live -= 1;
         }
     }
 
@@ -304,7 +290,6 @@ impl SpanRecorder {
         for s in self.spans.iter_mut().filter(|s| s.end.is_none()) {
             s.end = Some(s.last_activity);
         }
-        self.live = 0;
         // Creation order is already `(begin, id)` order.
         let spans = std::mem::take(&mut self.spans);
         self.base += u64::try_from(spans.len()).expect("span count fits u64");
@@ -610,9 +595,9 @@ mod tests {
         r.charge(id, CpuCategory::ClientApp, 100.0, t(1));
         r.copy(id, 4096, t(1));
         r.mark("x", t(1));
-        assert_eq!(r.unattributed_cycles(), 0.0);
         let rep = r.drain();
         assert!(rep.spans.is_empty() && rep.marks.is_empty());
+        assert_eq!(rep.unattributed_cycles, 0.0);
     }
 
     #[test]
@@ -647,7 +632,6 @@ mod tests {
         r.end(id, t(1));
         r.charge(id, CpuCategory::Other, 42.0, t(2));
         r.charge(SpanId::NONE, CpuCategory::Other, 8.0, t(2));
-        assert_eq!(r.unattributed_cycles(), 50.0);
         // A new span gets a fresh id, so the ended one still misses.
         let id2 = r.start("read", SpanId::NONE, t(3));
         assert_ne!(id, id2);
@@ -667,8 +651,10 @@ mod tests {
         let rep = r.drain();
         assert_eq!(rep.spans.len(), 1);
         assert_eq!(rep.spans[0].end, Some(t(30)));
-        // drain leaves the recorder reusable
-        assert_eq!(r.live(), 0);
+        // drain leaves the recorder empty and reusable
+        assert!(r.drain().spans.is_empty());
+        let again = r.start("read", SpanId::NONE, t(40));
+        assert_eq!(r.drain().spans[0].id, again);
     }
 
     #[test]
@@ -790,8 +776,6 @@ mod tests {
             r.queue_wait(id, 100);
             r.end(id, t(6));
         }
-        assert_eq!(r.live(), 1, "only `live` is still open");
-        assert_eq!(r.unattributed_cycles(), 30.0);
         let rep = r.drain();
         assert_eq!(rep.unattributed_cycles, 30.0);
         let ids: Vec<SpanId> = rep.spans.iter().map(|s| s.id).collect();
@@ -987,7 +971,6 @@ mod tests {
                 prop_assert!(rep.spans.iter().all(|s| s.end.is_some()), "drain closes every span");
                 prop_assert_eq!(ledger_keys(&rep.read_ledger()), reference_ledger(rep));
             }
-            prop_assert_eq!(r.live(), 0);
         }
     }
 }

@@ -253,11 +253,6 @@ impl Timeline {
         self.sample = sample;
     }
 
-    /// Whether sampling is on.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// The sampling period (also the latency-window length).
     pub fn sample_every(&self) -> SimDuration {
         self.sample
