@@ -5,13 +5,17 @@
 //! The sim layer records; this module summarizes. A scenario with a
 //! `"timeline"` block gains a `timeline` report section containing the
 //! per-window read-latency quantiles (p50/p99/p999), the whole-run
-//! quantiles, every sampled series (change-only steps, closed at the
-//! last tick), and the detected **saturation
+//! quantiles and slowest read, every sampled series (change-only
+//! steps, closed at the last tick), and the detected **saturation
 //! point** — the first window whose p99 exceeds
 //! [`SATURATION_X`] times the baseline (the first non-empty window).
 //! That is the paper's tail argument in one number: under rising
 //! concurrency the vanilla path's p99 blows past the multiplier while
 //! vRead's stays flat.
+//!
+//! Every quantile is [`Samples::quantile`](vread_sim::Samples::quantile)
+//! over exact read latencies, the rule behind the benchmark's p50/p99,
+//! and `max_ms` is the slowest read itself.
 //!
 //! Scenarios without the block produce no summary and serialize
 //! byte-identically to before the timeline existed.
@@ -67,7 +71,7 @@ pub struct TimelineSummary {
     pub p99_ms: f64,
     /// Whole-run p999 read latency (ms).
     pub p999_ms: f64,
-    /// Slowest read's bucket representative (ms).
+    /// Slowest read's latency (ms).
     pub max_ms: f64,
     /// Per-window latency rows, in time order.
     pub windows: Vec<TimelineWindow>,
@@ -78,8 +82,8 @@ pub struct TimelineSummary {
     pub saturation_ms: Option<u64>,
 }
 
-fn ns_ms(v: u64) -> f64 {
-    v as f64 / 1e6
+fn ns_ms(v: f64) -> f64 {
+    v / 1e6
 }
 
 /// A change-only series in milliseconds, closed with one point at
@@ -102,12 +106,12 @@ impl TimelineSummary {
         let sample_ms = tl.sample_every().as_nanos() / 1_000_000;
         let windows: Vec<TimelineWindow> = tl
             .windows()
-            .map(|(start, h)| TimelineWindow {
+            .map(|(start, lat)| TimelineWindow {
                 start_ms: start.as_nanos() / 1_000_000,
-                reads: h.count(),
-                p50_ms: ns_ms(h.quantile(0.5)),
-                p99_ms: ns_ms(h.quantile(0.99)),
-                p999_ms: ns_ms(h.quantile(0.999)),
+                reads: lat.count() as u64,
+                p50_ms: ns_ms(lat.p50()),
+                p99_ms: ns_ms(lat.p99()),
+                p999_ms: ns_ms(lat.quantile(0.999)),
             })
             .collect();
         // Saturation: baseline is the first window with any reads;
@@ -119,7 +123,7 @@ impl TimelineSummary {
                 .find(|w| w.reads > 0 && w.p99_ms > SATURATION_X * base)
                 .map(|w| w.start_ms)
         });
-        let run = tl.run_hist();
+        let run = tl.run_reads();
         let series = tl
             .series()
             .map(|(name, pts)| TimelineSeries {
@@ -130,11 +134,11 @@ impl TimelineSummary {
         TimelineSummary {
             sample_ms,
             ticks: tl.ticks(),
-            reads: run.count(),
-            p50_ms: ns_ms(run.quantile(0.5)),
-            p99_ms: ns_ms(run.quantile(0.99)),
+            reads: run.count() as u64,
+            p50_ms: ns_ms(run.p50()),
+            p99_ms: ns_ms(run.p99()),
             p999_ms: ns_ms(run.quantile(0.999)),
-            max_ms: ns_ms(run.max()),
+            max_ms: ns_ms(run.quantile(1.0)),
             windows,
             series,
             saturation_ms,

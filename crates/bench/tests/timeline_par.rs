@@ -1,6 +1,6 @@
 //! Shape of the telemetry timeline report block.
 //!
-//! A scenario with a `timeline` block reports per-window histograms and
+//! A scenario with a `timeline` block reports per-window latency quantiles and
 //! sampled series that re-parse as JSON and splice into the Perfetto
 //! trace as counter tracks; scenarios without a `timeline` block must
 //! serialize exactly as they did before the timeline existed.
@@ -9,7 +9,7 @@ use vread_bench::spec::{TimelineSpec, WorkloadBinding, WorkloadSpec};
 use vread_bench::{ReadPath, ScenarioSpec};
 
 /// A multi-workload scenario with overlapping staggered readers: enough
-/// concurrency that per-window histograms see interleaved completions
+/// concurrency that per-window latency sets see interleaved completions
 /// from several jobs.
 fn staggered(timeline: bool) -> ScenarioSpec {
     staggered_on("h1", timeline)
@@ -144,4 +144,36 @@ fn timeline_off_report_has_no_block() {
         !report.to_json().contains("\"timeline\""),
         "timeline-off reports serialize exactly as before the feature"
     );
+}
+
+/// The timeline keeps exact read latencies, so it joins the span ledger
+/// read for read: on every shipped timeline scenario, it counts one read
+/// per root `read` span, and its slowest read is the longest root span
+/// to the nanosecond.
+#[test]
+fn timeline_reads_join_the_root_read_spans() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios");
+    for name in ["timeline-example", "ramp-vanilla", "ramp-vread"] {
+        let json = std::fs::read_to_string(dir.join(format!("{name}.json")))
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let report = ScenarioSpec::from_json(&json)
+            .expect("scenario parses")
+            .spans(true)
+            .run()
+            .expect("run");
+        let summary = report.timeline.as_ref().expect("timeline block");
+        let spans = &report.spans.as_ref().expect("spans enabled").report.spans;
+        let roots: Vec<u64> = spans
+            .iter()
+            .filter(|s| s.name == "read" && s.parent.is_none())
+            .map(|s| s.end_time().since(s.begin).as_nanos())
+            .collect();
+        assert_eq!(summary.reads, roots.len() as u64, "{name}: reads");
+        let longest = roots.iter().copied().max().expect("reads ran");
+        assert_eq!(
+            (summary.max_ms * 1e6).round() as u64,
+            longest,
+            "{name}: max_ms is the longest root read span"
+        );
+    }
 }

@@ -79,10 +79,9 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "timeline-confine",
-        summary: "raw telemetry sinks (timeline.push / Hist::record_raw) outside \
+        summary: "raw series pushes (timeline.push / Timeline::push) outside \
                   crates/sim/src/timeline.rs bypass the deterministic sampler; \
-                  register gauges via register_provider and report latencies via \
-                  timeline.observe_read.",
+                  register gauges via register_provider.",
     },
     RuleInfo {
         id: "test-only-pub",

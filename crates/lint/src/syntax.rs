@@ -368,11 +368,6 @@ pub struct CallPath {
 }
 
 impl CallPath {
-    /// The called segment.
-    pub fn callee(&self) -> &str {
-        self.segments.last().map(String::as_str).unwrap_or("")
-    }
-
     /// Whether the path ends with `segments` (e.g. `["acct", "add"]`
     /// matches `self.acct.add` and `world.acct.add`).
     pub fn ends_with(&self, suffix: &[&str]) -> bool {
@@ -605,7 +600,7 @@ mod tests {
         let calls = call_paths(&toks);
         // Both `f(…)` and `.add(…)` are calls; the chain behind `add`
         // stops at the `)` so its path is just ["add"].
-        let add = calls.iter().find(|c| c.callee() == "add").unwrap();
+        let add = calls.iter().find(|c| c.ends_with(&["add"])).unwrap();
         assert_eq!(add.segments, vec!["add"]);
         assert_eq!(add.via, CallVia::Method);
     }

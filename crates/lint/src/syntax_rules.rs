@@ -14,11 +14,12 @@
 //!   Perfetto export — to handle it instead of silently falling
 //!   through.
 //! * `timeline-confine` — timeline reports are byte-identical on every
-//!   run because every series point and histogram sample flows through
-//!   `vread_sim::timeline`'s deterministic sinks (`Timeline::push` via
-//!   the sim-tick sampler, `Hist::record_raw` via `observe_read`). A raw
-//!   push or record anywhere else would inject points outside the
-//!   sampler's tick discipline.
+//!   run because every series point flows through `vread_sim::timeline`'s
+//!   deterministic sink (`Timeline::push` via the sim-tick sampler). A
+//!   raw push anywhere else would inject points outside the sampler's
+//!   tick discipline. (Read latencies need no rule: the timeline hands
+//!   its latency sets out only as `&Samples`, so `observe_read` is the
+//!   one way in.)
 //!
 //! All of these are path-scoped over-approximations in the house style:
 //! the `allow(rule, "reason")` annotation is the pressure valve, and
@@ -90,10 +91,10 @@ fn charge_confine(
 // timeline-confine
 // ---------------------------------------------------------------------------
 
-/// The one file allowed to feed the timeline's raw sinks: the timeline
-/// module itself (the sampler calls `push`, `observe_read` calls
-/// `record_raw`). Everyone else goes through `register_provider` /
-/// `observe_read`, which the sampler drains deterministically.
+/// The one file allowed to feed the timeline's raw series sink: the
+/// timeline module itself (the sampler calls `push`). Everyone else goes
+/// through gauges or `register_provider`, which the sampler polls
+/// deterministically.
 const TIMELINE_FILES: &[&str] = &["crates/sim/src/timeline.rs"];
 
 fn timeline_confine(
@@ -118,23 +119,6 @@ fn timeline_confine(
                     "`{}` appends a series point outside the sim-tick sampler; \
                      register a gauge via `timeline.register_provider(…)` so every \
                      point lands at a deterministic tick time{}",
-                    c.segments.join("."),
-                    fn_context(items, c.callee_ix)
-                ),
-            ));
-            continue;
-        }
-        let raw_record = (c.via == CallVia::Method && c.callee() == "record_raw")
-            || (c.via == CallVia::Path && c.ends_with(&["Hist", "record_raw"]));
-        if raw_record {
-            let t = &code[c.callee_ix];
-            out.push(cand(
-                "timeline-confine",
-                t,
-                format!(
-                    "`{}` records into a latency histogram directly; observations \
-                     must flow through `timeline.observe_read(start, end)` so window \
-                     assignment stays byte-identical{}",
                     c.segments.join("."),
                     fn_context(items, c.callee_ix)
                 ),

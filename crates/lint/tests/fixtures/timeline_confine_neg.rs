@@ -7,8 +7,8 @@ fn observe_properly(w: &mut World, start: SimTime, end: SimTime) {
 }
 
 fn not_the_sink(rows: &mut Vec<u64>, stats: &mut Stats) {
-    // A plain collection push and a record method that is not the
-    // histogram's raw sink — neither is confined.
+    // A plain collection push and a sample record — neither is a
+    // series point, so neither is confined.
     rows.push(7);
     stats.record(7);
     stats.set_gauge("ring.h0.bytes", 1.0);

@@ -1,12 +1,5 @@
-// Fixture: raw telemetry sinks outside the timeline module.
+// Fixture: raw series pushes outside the timeline module.
 fn leak_points(w: &mut World, now: SimTime) {
     w.timeline.push("sched.h1.runq", now, 3.0); //~ timeline-confine
     Timeline::push(&mut w.timeline, "link.0.mbps", now, 1.0); //~ timeline-confine
-}
-
-impl ReadLedger {
-    fn settle(&mut self, ns: u64) {
-        self.hist.record_raw(ns); //~ timeline-confine
-        Hist::record_raw(&mut self.hist, ns); //~ timeline-confine
-    }
 }

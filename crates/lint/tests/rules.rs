@@ -145,9 +145,11 @@ fn sealed_match_fixtures() {
 
 /// Writes a throwaway tree with fixture `name` as `crates/fx/src/lib.rs`
 /// beside the callers the test-only-pub fixtures describe, and returns
-/// its root and the paths of its `.rs` files.
-fn fixture_tree(name: &str) -> (std::path::PathBuf, Vec<std::path::PathBuf>) {
-    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("tree-{name}"));
+/// its root and the paths of its `.rs` files. The tree's directory is
+/// keyed by the calling `test` too, so tests running in parallel never
+/// delete each other's trees.
+fn fixture_tree(test: &str, name: &str) -> (std::path::PathBuf, Vec<std::path::PathBuf>) {
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("tree-{test}-{name}"));
     let _ = std::fs::remove_dir_all(&root);
     let files = [
         ("crates/fx/src/lib.rs", fixture(name)),
@@ -176,7 +178,7 @@ fn fixture_tree(name: &str) -> (std::path::PathBuf, Vec<std::path::PathBuf>) {
 #[test]
 fn test_only_pub_fixtures() {
     for name in ["test_only_pub_pos.rs", "test_only_pub_neg.rs"] {
-        let (root, _) = fixture_tree(name);
+        let (root, _) = fixture_tree("test_only_pub_fixtures", name);
         let report = vread_lint::run_workspace(&root).unwrap();
         let mut got: Vec<(String, u32)> = report
             .violations
@@ -189,7 +191,7 @@ fn test_only_pub_fixtures() {
         got.sort();
         assert_eq!(got, expected(&fixture(name)), "fixture {name}");
     }
-    let (root, _) = fixture_tree("test_only_pub_pos.rs");
+    let (root, _) = fixture_tree("test_only_pub_fixtures", "test_only_pub_pos.rs");
     let report = vread_lint::run_workspace(&root).unwrap();
     assert_eq!(report.allow_counts.get("test-only-pub"), Some(&1));
 }
@@ -198,7 +200,7 @@ fn test_only_pub_fixtures() {
 fn test_only_pub_needs_the_whole_tree() {
     // A partial scan cannot see every caller: it neither runs the rule
     // nor calls its allows unused.
-    let (root, paths) = fixture_tree("test_only_pub_pos.rs");
+    let (root, paths) = fixture_tree("test_only_pub_needs_the_whole_tree", "test_only_pub_pos.rs");
     let report = vread_lint::run_files(&root, &paths).unwrap();
     assert!(report.is_clean(), "{}", report.render_human());
     assert!(report.allow_counts.is_empty(), "{:?}", report.allow_counts);

@@ -83,7 +83,7 @@ pub use par::{run_indexed, run_indexed_streamed};
 pub use rng::SimRng;
 pub use span::{Span, SpanId, SpanMark, SpanRecorder, SpanReport};
 pub use time::{SimDuration, SimTime};
-pub use timeline::{Hist, Timeline};
+pub use timeline::Timeline;
 
 /// Convenience re-exports for downstream crates and examples.
 pub mod prelude {

@@ -61,7 +61,11 @@ impl Samples {
         }
     }
 
-    /// The `q`-quantile (0 ≤ q ≤ 1) by nearest-rank, or 0.0 when empty.
+    /// The `q`-quantile (0 ≤ q ≤ 1), or 0.0 when empty: the sorted
+    /// observation at index `round((n − 1) · q)`, rounding half away
+    /// from zero. This is the workspace's one rank rule (not
+    /// nearest-rank, which takes index `ceil(n · q) − 1`); the benchmark's
+    /// p50/p99 and every timeline quantile use it.
     ///
     /// A single-sample set returns that sample for every `q`. Sets
     /// containing NaN sort by IEEE 754 total order (NaN above +inf)
@@ -506,7 +510,7 @@ mod tests {
         for i in 0..1000 {
             s.record(f64::from(i));
         }
-        assert_eq!(s.p50(), 500.0); // nearest-rank on 0..=999
+        assert_eq!(s.p50(), 500.0); // round(999 · 0.5) = round(499.5) = 500
         assert_eq!(s.p99(), 989.0);
         assert_eq!(s.quantile(0.999), 998.0);
     }

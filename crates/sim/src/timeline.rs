@@ -1,5 +1,5 @@
-//! Deterministic time-series telemetry: sampled gauges and log-bucket
-//! latency histograms.
+//! Deterministic time-series telemetry: sampled gauges and per-window
+//! read latencies.
 //!
 //! The span flight recorder ([`crate::span`]) answers *where one read's
 //! cycles went*; this module answers *how the system evolved over
@@ -30,20 +30,23 @@
 //! per gauge and per provider — is resolved on its first tick, so later
 //! ticks do no string work.
 //!
-//! # Histograms vs [`Samples`](crate::metrics::Samples)
+//! # Latency windows are [`Samples`]
 //!
-//! Per-window latency lives in [`Hist`], a log-bucket (HDR-style)
-//! histogram with **integer bucket counts** that stores only its
-//! non-empty buckets. Unlike a sorted `Vec<f64>`, its memory is bounded
-//! by the bucket count however many reads land in a window, and its
-//! quantiles depend only on the multiset of recorded values, never on
-//! the order they arrived in. Windows are kept only where reads ended.
+//! Each window keeps its reads' exact latencies (ns, as `f64`: exact
+//! below 2^53) in a [`Samples`], the same structure and rank rule that
+//! give the benchmark's `reader_delay_ms` p50/p99. So the timeline's
+//! quantiles are real read latencies, and its slowest read is the
+//! longest root `read` span to the nanosecond. A read costs 8 bytes in
+//! its window and 8 in the whole-run set; windows are kept only where
+//! reads ended, and tracing runs end a few thousand reads at most.
+//! [`Samples::quantile`] sorts by total order, so the quantiles depend
+//! only on the multiset of latencies, never on arrival order.
 //!
 //! # Mutation discipline
 //!
-//! All raw mutation — `Timeline::push` for series points and
-//! [`Hist::record_raw`] for bucket increments — is confined to this
-//! module (enforced by the `timeline-confine` vread-lint rule).
+//! Raw series mutation (`Timeline::push`) is confined to this module
+//! (enforced by the `timeline-confine` vread-lint rule), and the latency
+//! sets are private and handed out only as `&Samples`.
 //! Components feed the timeline indirectly: level gauges go through
 //! [`Metrics`](crate::metrics::Metrics) gauges (sampled on every tick),
 //! richer sources register a provider closure, and read completions call
@@ -53,127 +56,8 @@ use std::fmt;
 
 use crate::engine::World;
 use crate::ids::{HostId, LinkId};
+use crate::metrics::Samples;
 use crate::time::{SimDuration, SimTime};
-
-// ---------------------------------------------------------------------------
-// Hist — sparse log-bucket histogram
-// ---------------------------------------------------------------------------
-
-/// Sub-bucket resolution: 2^5 = 32 linear sub-buckets per power of two,
-/// bounding the relative quantile error at 1/32 ≈ 3.1%.
-const SUB_BITS: u32 = 5;
-const SUB_COUNT: u64 = 1 << SUB_BITS;
-/// Total bucket count: one linear region below 2^SUB_BITS plus
-/// `64 - SUB_BITS` log octaves of `SUB_COUNT` sub-buckets each.
-const BUCKETS: usize = ((64 - SUB_BITS as usize) + 1) * SUB_COUNT as usize;
-// Sparse `Hist` entries store the bucket index as a `u16`.
-const _: () = assert!(BUCKETS <= 1 << 16);
-
-/// Bucket index of value `v` (monotone in `v`).
-fn bucket_of(v: u64) -> usize {
-    if v < SUB_COUNT {
-        return v as usize; // exact linear region
-    }
-    let msb = 63 - v.leading_zeros(); // >= SUB_BITS
-    let octave = (msb - SUB_BITS + 1) as u64;
-    let sub = (v >> (msb - SUB_BITS)) & (SUB_COUNT - 1);
-    (octave * SUB_COUNT + sub) as usize
-}
-
-/// Highest value mapping to bucket `idx` (the quantile representative,
-/// like HDR's `highestEquivalentValue`).
-fn bucket_high(idx: usize) -> u64 {
-    let idx = idx as u64;
-    if idx < SUB_COUNT {
-        return idx;
-    }
-    let octave = idx >> SUB_BITS;
-    let sub = idx & (SUB_COUNT - 1);
-    let msb = octave + u64::from(SUB_BITS) - 1;
-    let unit = 1u64 << (msb - u64::from(SUB_BITS));
-    // base - 1 + span, ordered so the top bucket lands exactly on
-    // u64::MAX without intermediate overflow.
-    (1u64 << msb) - 1 + (sub + 1) * unit
-}
-
-/// A log-bucket latency histogram over `u64` nanoseconds.
-///
-/// Quantiles are nearest-rank over the cumulative counts and return the
-/// bucket's highest contained value, so the reported p99 never
-/// under-states the true p99 and is off by at most 1/32 relative.
-#[derive(Clone, Default, PartialEq, Eq)]
-pub struct Hist {
-    /// The non-empty buckets as `(bucket, count)`, sorted by bucket and
-    /// never holding a zero count — so equal multisets compare equal,
-    /// and a window with a few reads costs a few entries, not all
-    /// `BUCKETS`.
-    counts: Vec<(u16, u64)>,
-    total: u64,
-}
-
-impl fmt::Debug for Hist {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Hist")
-            .field("total", &self.total)
-            .field("p50", &self.quantile(0.5))
-            .field("p99", &self.quantile(0.99))
-            .finish()
-    }
-}
-
-impl Hist {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Hist::default()
-    }
-
-    /// Records one raw value. This is the raw mutation sink the
-    /// `timeline-confine` lint rule restricts to this module — external
-    /// observations arrive via [`Timeline::observe_read`].
-    pub fn record_raw(&mut self, v: u64) {
-        let b = u16::try_from(bucket_of(v)).expect("bucket index fits u16");
-        match self.counts.binary_search_by_key(&b, |&(k, _)| k) {
-            Ok(i) => self.counts[i].1 += 1,
-            Err(i) => self.counts.insert(i, (b, 1)),
-        }
-        self.total += 1;
-    }
-
-    /// Number of recorded values.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.total == 0
-    }
-
-    /// The `q`-quantile (0 ≤ q ≤ 1) by nearest-rank, or 0 when empty.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.total == 0 {
-            return 0;
-        }
-        // Nearest-rank: the smallest value with cumulative count >= rank.
-        let rank = ((self.total as f64) * q.clamp(0.0, 1.0)).ceil() as u64;
-        let rank = rank.clamp(1, self.total);
-        let mut seen = 0u64;
-        for &(b, c) in &self.counts {
-            seen += c;
-            if seen >= rank {
-                return bucket_high(usize::from(b));
-            }
-        }
-        unreachable!("bucket counts sum to the total")
-    }
-
-    /// Highest recorded value's bucket representative, or 0 when empty.
-    pub fn max(&self) -> u64 {
-        self.counts
-            .last()
-            .map_or(0, |&(b, _)| bucket_high(usize::from(b)))
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Timeline
@@ -216,12 +100,12 @@ pub struct Timeline {
     /// Per gauge id, the slot of `gauge.{key}` once it has been sampled.
     gauge_slots: Vec<Option<usize>>,
     providers: Vec<Registered>,
-    /// Per-window read-latency histograms as `(window index, hist)`
+    /// Per-window read latencies in ns as `(window index, latencies)`
     /// (`end_of_read / sample`), sorted by window. Reads end in time
     /// order, so a new window is almost always appended.
-    windows: Vec<(u64, Hist)>,
-    /// Whole-run read-latency histogram.
-    run_hist: Hist,
+    windows: Vec<(u64, Samples)>,
+    /// Whole-run read latencies in ns.
+    run_reads: Samples,
     /// Last observed `bytes_total` per link, for per-window throughput.
     last_link_bytes: Vec<u64>,
     ticks: u64,
@@ -307,22 +191,22 @@ impl Timeline {
     }
 
     /// Charge wrapper for read latency: records `end - start` into the
-    /// window containing `end` and into the whole-run histogram. No-op
-    /// while disabled.
+    /// window containing `end` and into the whole-run set. No-op while
+    /// disabled.
     pub fn observe_read(&mut self, start: SimTime, end: SimTime) {
         if !self.enabled {
             return;
         }
-        let lat = end.since(start).as_nanos();
+        let lat = end.since(start).as_nanos() as f64;
         let win = end.as_nanos() / self.sample.as_nanos();
         // Reads end in time order, so this is almost always the last
         // window or one past it; an earlier window still lands in place.
         let i = self.windows.partition_point(|&(w, _)| w < win);
         if self.windows.get(i).is_none_or(|&(w, _)| w != win) {
-            self.windows.insert(i, (win, Hist::new()));
+            self.windows.insert(i, (win, Samples::default()));
         }
-        self.windows[i].1.record_raw(lat);
-        self.run_hist.record_raw(lat);
+        self.windows[i].1.record(lat);
+        self.run_reads.record(lat);
     }
 
     /// One sampler tick: polls built-in sources (per-host run-queue
@@ -418,161 +302,24 @@ impl Timeline {
             .map(|s| (s.name.as_str(), s.points.as_slice()))
     }
 
-    /// Iterates the per-window latency histograms of windows where reads
-    /// ended, as `(window_start, hist)`, in time order.
-    pub fn windows(&self) -> impl Iterator<Item = (SimTime, &Hist)> {
+    /// Iterates the read latencies (ns) of windows where reads ended,
+    /// as `(window_start, latencies)`, in time order.
+    pub fn windows(&self) -> impl Iterator<Item = (SimTime, &Samples)> {
         let sample_ns = self.sample.as_nanos();
         self.windows
             .iter()
-            .map(move |(w, h)| (SimTime::from_nanos(w * sample_ns), h))
+            .map(move |(w, s)| (SimTime::from_nanos(w * sample_ns), s))
     }
 
-    /// The whole-run read-latency histogram.
-    pub fn run_hist(&self) -> &Hist {
-        &self.run_hist
+    /// Every observed read latency (ns) of the run.
+    pub fn run_reads(&self) -> &Samples {
+        &self.run_reads
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use proptest::prelude::*;
-
     use super::*;
-
-    #[test]
-    fn bucket_mapping_is_monotone_and_exact_below_32() {
-        for v in 0..SUB_COUNT {
-            assert_eq!(bucket_of(v), v as usize);
-            assert_eq!(bucket_high(v as usize), v);
-        }
-        let mut prev = 0;
-        for shift in 0..60 {
-            let v = 3u64 << shift;
-            let b = bucket_of(v);
-            assert!(b >= prev, "bucket_of not monotone at {v}");
-            prev = b;
-            assert!(bucket_high(b) >= v, "representative below value at {v}");
-            // relative error of the representative is bounded by 1/32
-            assert!((bucket_high(b) - v) as f64 <= v as f64 / 16.0 + 1.0);
-        }
-    }
-
-    #[test]
-    fn extreme_values_fit() {
-        let mut h = Hist::new();
-        h.record_raw(0);
-        h.record_raw(u64::MAX);
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.quantile(0.0), 0);
-        assert_eq!(h.quantile(1.0), u64::MAX);
-    }
-
-    #[test]
-    fn quantiles_nearest_rank() {
-        let mut h = Hist::new();
-        for v in 1..=1000u64 {
-            h.record_raw(v);
-        }
-        // exact below 32; log-bucketed above with ≤ 1/32 relative error
-        assert_eq!(h.quantile(0.001), 1);
-        let p50 = h.quantile(0.5);
-        assert!((468..=532).contains(&p50), "p50 {p50}");
-        let p999 = h.quantile(0.999);
-        assert!((999..=1030).contains(&p999), "p999 {p999}");
-        assert!(h.max() >= 1000);
-    }
-
-    #[test]
-    fn single_value_hist() {
-        let mut h = Hist::new();
-        h.record_raw(500);
-        for q in [0.0, 0.5, 0.99, 0.999, 1.0] {
-            assert_eq!(h.quantile(q), bucket_high(bucket_of(500)));
-        }
-    }
-
-    /// The dense histogram the sparse one replaced: every bucket held,
-    /// zero or not.
-    struct DenseHist {
-        counts: Vec<u64>,
-        total: u64,
-    }
-
-    impl DenseHist {
-        fn new() -> Self {
-            DenseHist {
-                counts: vec![0; BUCKETS],
-                total: 0,
-            }
-        }
-
-        fn record(&mut self, v: u64) {
-            self.counts[bucket_of(v)] += 1;
-            self.total += 1;
-        }
-
-        fn quantile(&self, q: f64) -> u64 {
-            if self.total == 0 {
-                return 0;
-            }
-            let rank = ((self.total as f64) * q.clamp(0.0, 1.0)).ceil() as u64;
-            let rank = rank.clamp(1, self.total);
-            let mut seen = 0u64;
-            for (i, &c) in self.counts.iter().enumerate() {
-                seen += c;
-                if seen >= rank {
-                    return bucket_high(i);
-                }
-            }
-            bucket_high(BUCKETS - 1)
-        }
-
-        fn max(&self) -> u64 {
-            self.counts
-                .iter()
-                .rposition(|&c| c > 0)
-                .map_or(0, bucket_high)
-        }
-    }
-
-    /// Latencies spread over many octaves, with repeats, so values share
-    /// buckets as well as spanning them.
-    fn latency() -> impl Strategy<Value = u64> {
-        prop_oneof![
-            0u64..64,
-            (0u64..2_000).prop_map(|v| v * 997),
-            (0u32..64, 0u64..u64::MAX).prop_map(|(shift, v)| v >> shift),
-        ]
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        /// The sparse histogram answers every query exactly as the dense
-        /// 1,920-bucket one, whatever order the values arrive in.
-        #[test]
-        fn sparse_hist_matches_dense(values in proptest::collection::vec(latency(), 0..200)) {
-            let mut sparse = Hist::new();
-            let mut dense = DenseHist::new();
-            for &v in &values {
-                sparse.record_raw(v);
-                dense.record(v);
-            }
-            prop_assert_eq!(sparse.count(), dense.total);
-            for q in [0.0, 0.5, 0.99, 0.999, 1.0] {
-                prop_assert_eq!(sparse.quantile(q), dense.quantile(q));
-            }
-            prop_assert_eq!(sparse.max(), dense.max());
-            let mut reversed = Hist::new();
-            for &v in values.iter().rev() {
-                reversed.record_raw(v);
-            }
-            prop_assert_eq!(&sparse, &reversed);
-            let mut one_more = sparse.clone();
-            one_more.record_raw(values.first().copied().unwrap_or(0));
-            prop_assert!(sparse != one_more);
-        }
-    }
 
     #[test]
     fn observe_read_windows_by_completion_time() {
@@ -583,10 +330,10 @@ mod tests {
         tl.observe_read(t0, t0 + SimDuration::from_millis(25)); // window 2
         let wins: Vec<_> = tl
             .windows()
-            .map(|(t, h)| (t.as_nanos(), h.count()))
+            .map(|(t, s)| (t.as_nanos(), s.count()))
             .collect();
         assert_eq!(wins, vec![(0, 1), (20_000_000, 1)]);
-        assert_eq!(tl.run_hist().count(), 2);
+        assert_eq!(tl.run_reads().count(), 2);
     }
 
     #[test]
@@ -601,14 +348,11 @@ mod tests {
         tl.observe_read(at(0), at(15)); // window 1 again
         let wins: Vec<_> = tl
             .windows()
-            .map(|(t, h)| (t.as_nanos() / 1_000_000, h.count(), h.max()))
+            .map(|(t, s)| (t.as_nanos() / 1_000_000, s.count(), s.quantile(1.0)))
             .collect();
-        let high = |ms: u64| bucket_high(bucket_of(ms * 1_000_000));
-        assert_eq!(
-            wins,
-            vec![(0, 1, high(1)), (10, 2, high(15)), (30, 2, high(38))]
-        );
-        assert_eq!(tl.run_hist().count(), 5);
+        assert_eq!(wins, vec![(0, 1, 1e6), (10, 2, 15e6), (30, 2, 38e6)]);
+        let run = tl.run_reads();
+        assert_eq!((run.count(), run.quantile(1.0)), (5, 38e6));
     }
 
     #[test]
@@ -642,7 +386,7 @@ mod tests {
     fn disabled_timeline_records_nothing() {
         let mut tl = Timeline::default();
         tl.observe_read(SimTime::ZERO, SimTime::from_nanos(100));
-        assert!(tl.run_hist().is_empty());
+        assert_eq!(tl.run_reads().count(), 0);
         assert_eq!(tl.windows().count(), 0);
         assert_eq!(tl.last_tick(), None);
     }
