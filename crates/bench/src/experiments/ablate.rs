@@ -9,7 +9,6 @@
 //!   the per-VM LRU page cache, sweeping the hash admission cost.
 
 use vread_apps::java_reader::ReaderMode;
-use vread_core::daemon::SetBypassHostFs;
 use vread_core::VreadRegistry;
 use vread_hdfs::populate::{populate_file, Placement};
 use vread_hdfs::HdfsMeta;
@@ -82,15 +81,10 @@ pub fn run_bypass() -> Vec<Table> {
         let mut tb = Testbed::build(TestbedOpts::new().path(ReadPath::VreadRdma));
         tb.populate("/f", FILE, Locality::CoLocated);
         let client = tb.make_client();
-        if bypass {
-            let daemons: Vec<_> = {
-                let reg = tb.w.ext.get::<VreadRegistry>().expect("vread deployed");
-                reg.daemons.values().map(|(a, _)| *a).collect()
-            };
-            for d in daemons {
-                tb.w.send_now(d, SetBypassHostFs(true));
-            }
-        }
+        tb.w.ext
+            .get_mut::<VreadRegistry>()
+            .expect("vread deployed")
+            .bypass_host_fs = bypass;
         let cold = read_mbps(&mut tb.w, tb.client_vm, client);
         let warm = read_mbps(&mut tb.w, tb.client_vm, client);
         t.row(label, vec![cold, warm]);

@@ -106,12 +106,15 @@ impl TimelineSummary {
         let sample_ms = tl.sample_every().as_nanos() / 1_000_000;
         let windows: Vec<TimelineWindow> = tl
             .windows()
-            .map(|(start, lat)| TimelineWindow {
-                start_ms: start.as_nanos() / 1_000_000,
-                reads: lat.count() as u64,
-                p50_ms: ns_ms(lat.p50()),
-                p99_ms: ns_ms(lat.p99()),
-                p999_ms: ns_ms(lat.quantile(0.999)),
+            .map(|(start, lat)| {
+                let [p50, p99, p999] = lat.quantiles([0.5, 0.99, 0.999]);
+                TimelineWindow {
+                    start_ms: start.as_nanos() / 1_000_000,
+                    reads: lat.count() as u64,
+                    p50_ms: ns_ms(p50),
+                    p99_ms: ns_ms(p99),
+                    p999_ms: ns_ms(p999),
+                }
             })
             .collect();
         // Saturation: baseline is the first window with any reads;
@@ -124,6 +127,7 @@ impl TimelineSummary {
                 .map(|w| w.start_ms)
         });
         let run = tl.run_reads();
+        let [p50, p99, p999, max] = run.quantiles([0.5, 0.99, 0.999, 1.0]);
         let series = tl
             .series()
             .map(|(name, pts)| TimelineSeries {
@@ -135,10 +139,10 @@ impl TimelineSummary {
             sample_ms,
             ticks: tl.ticks(),
             reads: run.count() as u64,
-            p50_ms: ns_ms(run.p50()),
-            p99_ms: ns_ms(run.p99()),
-            p999_ms: ns_ms(run.quantile(0.999)),
-            max_ms: ns_ms(run.quantile(1.0)),
+            p50_ms: ns_ms(p50),
+            p99_ms: ns_ms(p99),
+            p999_ms: ns_ms(p999),
+            max_ms: ns_ms(max),
             windows,
             series,
             saturation_ms,

@@ -17,7 +17,7 @@
 //! Every read carries its own offset (Algorithm 2), so a descriptor keeps
 //! no file position and `vRead_seek` has no simulated effect.
 
-use vread_hdfs::meta::{BlockId, DatanodeIx};
+use vread_hdfs::meta::BlockId;
 use vread_sim::hash::IdHashMap;
 
 /// An open vRead descriptor: the client-side handle to a block file
@@ -28,8 +28,6 @@ pub struct Vfd {
     pub id: u64,
     /// Size of the block file at open time.
     pub size: u64,
-    /// The datanode the block was opened on.
-    pub dn: DatanodeIx,
 }
 
 /// The libvread block-name → descriptor hash (`vfd_hash` in Algorithms 1
@@ -37,12 +35,12 @@ pub struct Vfd {
 ///
 /// ```rust
 /// use vread_core::api::{Vfd, VfdTable};
-/// use vread_hdfs::meta::{BlockId, DatanodeIx};
+/// use vread_hdfs::meta::BlockId;
 ///
 /// let mut vfds = VfdTable::new();
 /// let blk = BlockId(1);
 /// // vRead_open stores the descriptor …
-/// vfds.put(blk, Vfd { id: 9, size: 4096, dn: DatanodeIx(0) });
+/// vfds.put(blk, Vfd { id: 9, size: 4096 });
 /// // … subsequent reads on the same block reuse it (Algorithm 1)
 /// assert_eq!(vfds.get(blk).unwrap().id, 9);
 /// assert!(vfds.close(blk).is_some());
@@ -91,11 +89,7 @@ mod tests {
     use super::*;
 
     fn vfd(id: u64, size: u64) -> Vfd {
-        Vfd {
-            id,
-            size,
-            dn: DatanodeIx(0),
-        }
+        Vfd { id, size }
     }
 
     #[test]

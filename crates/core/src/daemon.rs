@@ -169,12 +169,6 @@ pub struct PeerDaemonRestarted {
     pub host: usize,
 }
 
-/// Toggles the §6 "direct read bypassing the host file system" variant
-/// (raw device reads with manual address translation, no host page
-/// cache). Used by the ablation harness.
-#[derive(Debug, Clone, Copy)]
-pub struct SetBypassHostFs(pub bool);
-
 // ---------------------------------------------------------------------------
 // Daemon ↔ daemon remote protocol
 // ---------------------------------------------------------------------------
@@ -259,9 +253,16 @@ pub struct VreadRegistry {
     pub daemons: BTreeMap<usize, (ActorId, ThreadId)>,
     /// Inter-host transport.
     pub transport: RemoteTransport,
+    /// §6 ablation: every daemon bypasses the host filesystem (and its
+    /// page cache), reading the raw device with manual address
+    /// translation.
+    pub bypass_host_fs: bool,
     /// Hosts whose daemon is currently crashed. Clients consult this to
     /// fall back to the vanilla path instead of sending into the void.
     pub down: BTreeSet<usize>,
+    /// A daemon restarted and no vRead read has completed since: the
+    /// next one records the recovery instant (`vread_ok_at_s`).
+    pub awaiting_recovery: bool,
 }
 
 impl VreadRegistry {
@@ -275,54 +276,83 @@ impl VreadRegistry {
 // Daemon state
 // ---------------------------------------------------------------------------
 
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 enum VfdState {
     Local { dn_vm: VmId, file: FileId },
     Remote { peer_host: usize, peer_vfd: u64 },
 }
 
-struct LocalRead {
-    reply_to: ActorId,
-    token: u64,
-    client_vm: VmId,
+/// A windowed cursor over a byte range of a mounted image file: the
+/// daemon reads it chunk by chunk, at most [`DAEMON_WINDOW`] chunks in
+/// flight, whether the bytes go into a local ring or to a peer daemon.
+struct ImageStream {
     dn_vm: VmId,
     file: FileId,
     next_offset: u64,
     remaining: u64,
     inflight: usize,
-    span: SpanId,
 }
 
-struct RemoteRead {
-    /// The peer connection the data arrives on, tagged with the read id.
-    conn: ActorId,
+/// One chunk taken off an [`ImageStream`].
+#[derive(Clone, Copy)]
+struct ImageChunk {
+    dn_vm: VmId,
+    file: FileId,
+    offset: u64,
+    len: u64,
+}
+
+impl ImageStream {
+    /// Takes the next chunk of at most `cap` bytes, or `None` when the
+    /// window is full or the range is exhausted.
+    fn take(&mut self, cap: u64) -> Option<ImageChunk> {
+        if self.inflight >= DAEMON_WINDOW || self.remaining == 0 {
+            return None;
+        }
+        let len = self.remaining.min(cap);
+        let chunk = ImageChunk {
+            dn_vm: self.dn_vm,
+            file: self.file,
+            offset: self.next_offset,
+            len,
+        };
+        self.next_offset += len;
+        self.remaining -= len;
+        self.inflight += 1;
+        Some(chunk)
+    }
+}
+
+/// Where a ring read's bytes come from.
+enum Source {
+    /// A mounted image on this host.
+    Image(ImageStream),
+    /// The peer daemon serving the block, over this connection (its
+    /// chunks carry the read id as their tag).
+    Peer(ActorId),
+}
+
+/// A `vRead_read` streaming into a client's ring. It finishes when the
+/// guest has popped every byte: `undelivered` reaches 0.
+struct RingRead {
     reply_to: ActorId,
     token: u64,
     client_vm: VmId,
-    expected: u64,
-    forwarded: u64,
-    ring_inflight: usize,
-    transport_done: bool,
+    undelivered: u64,
+    src: Source,
     span: SpanId,
 }
 
+/// An image range this daemon streams to a peer daemon over `conn`.
 struct Serve {
     conn: ActorId,
     tag: u64,
-    dn_vm: VmId,
-    file: FileId,
-    next_offset: u64,
-    remaining: u64,
-    inflight: usize,
+    image: ImageStream,
     span: SpanId,
 }
 
-struct LocalChunkDone {
-    read: u64,
-    bytes: u64,
-}
-
-struct RingForwarded {
+/// A ring chunk of read `read` landed in the guest.
+struct RingChunkDone {
     read: u64,
     bytes: u64,
 }
@@ -344,20 +374,35 @@ pub struct VreadDaemon {
     mounts: BTreeMap<usize, FsSnapshot>,
     vfds: BTreeMap<u64, VfdState>,
     next_id: u64,
-    local_reads: BTreeMap<u64, LocalRead>,
-    remote_reads: BTreeMap<u64, RemoteRead>,
+    reads: BTreeMap<u64, RingRead>,
     /// Streams this daemon serves for peers.
     serves: BTreeMap<(u32, u64), Serve>,
     /// Pending remote opens (by requester tag).
     open_waits: BTreeMap<u64, (ActorId, u64, DatanodeIx)>,
     peer_conns: BTreeMap<usize, ActorId>,
-    /// §6 ablation: bypass the host filesystem (and its page cache),
-    /// reading the raw device with manual address translation.
-    pub bypass_host_fs: bool,
     /// Gauge tracking bytes currently in this host's shared ring
     /// (chunks between daemon push and guest pop completion); the
     /// timeline sampler turns it into an occupancy series.
     ring_gauge: GaugeId,
+}
+
+fn registry<'a>(ctx: &'a Ctx<'_>) -> &'a VreadRegistry {
+    ctx.world
+        .ext
+        .get::<VreadRegistry>()
+        .expect("VreadRegistry missing")
+}
+
+/// The daemon actor on `host`.
+pub(crate) fn daemon_on(ctx: &Ctx<'_>, host: usize) -> ActorId {
+    registry(ctx).daemons[&host].0
+}
+
+/// The host datanode `dn`'s VM runs on.
+pub(crate) fn host_of(ctx: &Ctx<'_>, dn: DatanodeIx) -> HostIx {
+    let meta = ctx.world.ext.get::<HdfsMeta>().expect("HdfsMeta missing");
+    let cl = ctx.world.ext.get::<Cluster>().expect("Cluster missing");
+    cl.vm(meta.datanodes[dn.0].vm).host
 }
 
 impl VreadDaemon {
@@ -374,20 +419,16 @@ impl VreadDaemon {
             .costs
     }
 
-    /// Opens `block` on a *local* datanode VM through the mounted view.
-    fn open_local(
-        &mut self,
-        ctx: &Ctx<'_>,
-        dn: DatanodeIx,
-        block: BlockId,
-    ) -> Option<(u64, u64, VmId)> {
+    /// Opens `block` on a *local* datanode VM through the mounted view,
+    /// returning the new descriptor and the file size.
+    fn open_local(&mut self, ctx: &Ctx<'_>, dn: DatanodeIx, block: BlockId) -> Option<(u64, u64)> {
         let meta = ctx.world.ext.get::<HdfsMeta>().expect("meta");
         let dn_vm = meta.datanodes[dn.0].vm;
         let snap = self.mounts.get(&dn_vm.0)?;
         let (file, size) = snap.lookup(&block.path())?;
         let id = self.alloc();
         self.vfds.insert(id, VfdState::Local { dn_vm, file });
-        Some((id, size, dn_vm))
+        Some((id, size))
     }
 
     fn ensure_peer_conn(&mut self, ctx: &mut Ctx<'_>, peer_host: usize) -> ActorId {
@@ -397,11 +438,7 @@ impl VreadDaemon {
         let me = ctx.me();
         let my_thread = self.thread;
         let (peer_actor, peer_thread, transport) = {
-            let reg = ctx
-                .world
-                .ext
-                .get::<VreadRegistry>()
-                .expect("VreadRegistry missing");
+            let reg = registry(ctx);
             let (a, t) = reg.daemons[&peer_host];
             (a, t, reg.transport)
         };
@@ -430,18 +467,16 @@ impl VreadDaemon {
         conn
     }
 
-    /// Pushes the stages of the daemon reading `len` bytes at `offset`
-    /// of a mounted image file (loop device + host block store + SSD)
-    /// onto `st`, and returns what the host store said about the range —
-    /// `pump_local` uses the outcome to pick the map-serve fast path for
-    /// pure dedup hits.
+    /// Pushes the stages of the daemon reading `chunk` of a mounted
+    /// image file (loop device + host block store + SSD, or the raw
+    /// device when `bypass`) onto `st`, and returns what the host store
+    /// said about the range — `pump_ring` uses the outcome to pick the
+    /// map-serve fast path for pure dedup hits.
     fn image_read_stages(
         &self,
         cl: &mut Cluster,
-        dn_vm: VmId,
-        file: FileId,
-        offset: u64,
-        len: u64,
+        bypass: bool,
+        chunk: ImageChunk,
         st: &mut StageList,
     ) -> ImageReadOutcome {
         let thread = self.thread;
@@ -452,15 +487,15 @@ impl VreadDaemon {
             c.loop_request_cycles + c.daemon_lookup_cycles,
             CpuCategory::LoopDevice,
         ));
-        let vm = &cl.vms[dn_vm.0];
+        let vm = &cl.vms[chunk.dn_vm.0];
         let obj = vm.fs.image();
         let hw = &mut cl.hosts[vm.host.0];
         let mut extents = vm
             .fs
-            .cursor(file, offset, len)
+            .cursor(chunk.file, chunk.offset, chunk.len)
             .expect("vfd read within snapshot size");
         while let Some(e) = extents.advance(&vm.fs) {
-            if self.bypass_host_fs {
+            if bypass {
                 // §6 variant: raw device read, manual 3-level address
                 // translation, no host page cache benefit.
                 st.push(Stage::cpu(
@@ -494,95 +529,97 @@ impl VreadDaemon {
         out
     }
 
-    // -- local read streaming -------------------------------------------------
-
-    fn pump_local(&mut self, ctx: &mut Ctx<'_>, read: u64) {
+    /// Streams an image-sourced ring read into the guest's ring, up to
+    /// the window. (A peer-sourced read's chunks are pushed as they
+    /// arrive, in the [`ConnRecv`] handler.)
+    fn pump_ring(&mut self, ctx: &mut Ctx<'_>, read: u64) {
         let me = ctx.me();
+        let bypass = registry(ctx).bypass_host_fs;
+        let (ring, cap) = {
+            let costs = Self::costs(ctx);
+            let ring = RingSpec::from_costs(costs);
+            let cap = costs
+                .stream_chunk_bytes
+                .min(ring.max_chunk_for_window(DAEMON_WINDOW as u64));
+            (ring, cap)
+        };
         loop {
-            let Some(r) = self.local_reads.get(&read) else {
+            let Some(r) = self.reads.get_mut(&read) else {
                 return;
             };
-            if r.inflight >= DAEMON_WINDOW || r.remaining == 0 {
+            let Source::Image(image) = &mut r.src else {
                 return;
-            }
-            let (dn_vm, file, offset, client_vm, span) =
-                (r.dn_vm, r.file, r.next_offset, r.client_vm, r.span);
-            let (stages, take) = with_cluster(ctx.world, |cl, _w| {
-                let ring = RingSpec::from_costs(&cl.costs);
-                let chunk = cl
-                    .costs
-                    .stream_chunk_bytes
-                    .min(ring.max_chunk_for_window(DAEMON_WINDOW as u64));
-                let take = r.remaining.min(chunk);
+            };
+            let Some(chunk) = image.take(cap) else {
+                return;
+            };
+            let (client_vm, span) = (r.client_vm, r.span);
+            let stages = with_cluster(ctx.world, |cl, _w| {
                 let mut stages = StageList::new();
-                let outcome = self.image_read_stages(cl, dn_vm, file, offset, take, &mut stages);
+                let outcome = self.image_read_stages(cl, bypass, chunk, &mut stages);
                 let costs = &cl.costs;
                 if outcome.miss_bytes == 0 && outcome.dedup_bytes > 0 {
                     // Pure dedup hit in a content-addressed host store:
                     // the daemon maps the resident pages into the ring
                     // instead of copying — one copy per read (the guest
                     // pop) remains.
-                    stages.extend(ring.daemon_map_stages(costs, self.thread, take));
+                    stages.extend(ring.daemon_map_stages(costs, self.thread, chunk.len));
                 } else {
-                    stages.extend(ring.daemon_push_stages(costs, self.thread, take));
+                    stages.extend(ring.daemon_push_stages(costs, self.thread, chunk.len));
                 }
                 let vcpu = cl.vm(client_vm).vcpu;
-                stages.extend(ring.guest_pop_stages(costs, vcpu, take));
-                (stages, take)
+                stages.extend(ring.guest_pop_stages(costs, vcpu, chunk.len));
+                stages
             });
-            {
-                let r = self.local_reads.get_mut(&read).expect("read vanished");
-                r.next_offset += take;
-                r.remaining -= take;
-                r.inflight += 1;
-            }
-            ctx.world.metrics.gauge_add_to(self.ring_gauge, take as f64);
-            ctx.chain_on(stages, me, LocalChunkDone { read, bytes: take }, span);
+            ctx.world
+                .metrics
+                .gauge_add_to(self.ring_gauge, chunk.len as f64);
+            let done = RingChunkDone {
+                read,
+                bytes: chunk.len,
+            };
+            ctx.chain_on(stages, me, done, span);
         }
     }
 
-    // -- serve side of remote reads ---------------------------------------------
-
+    /// Streams a served image range to the requesting peer, up to the
+    /// window.
     fn pump_serve(&mut self, ctx: &mut Ctx<'_>, key: (u32, u64)) {
         let me = ctx.me();
+        let (transport, bypass) = {
+            let reg = registry(ctx);
+            (reg.transport, reg.bypass_host_fs)
+        };
+        let cap = Self::costs(ctx).stream_chunk_bytes;
         loop {
-            let Some(s) = self.serves.get(&key) else {
+            let Some(s) = self.serves.get_mut(&key) else {
                 return;
             };
-            if s.inflight >= DAEMON_WINDOW || s.remaining == 0 {
+            let Some(chunk) = s.image.take(cap) else {
                 return;
-            }
-            let transport = ctx
-                .world
-                .ext
-                .get::<VreadRegistry>()
-                .expect("registry")
-                .transport;
-            let (dn_vm, file, offset, span) = (s.dn_vm, s.file, s.next_offset, s.span);
-            let (stages, take) = with_cluster(ctx.world, |cl, _w| {
-                let take = s.remaining.min(cl.costs.stream_chunk_bytes);
+            };
+            let span = s.span;
+            let stages = with_cluster(ctx.world, |cl, _w| {
                 let mut stages = StageList::new();
-                self.image_read_stages(cl, dn_vm, file, offset, take, &mut stages);
+                self.image_read_stages(cl, bypass, chunk, &mut stages);
                 if transport == RemoteTransport::Rdma {
                     // Copy into the registered memory region the NIC
                     // pushes from (the paper's "active model" on the
                     // datanode side).
                     stages.push(Stage::copy(
                         self.thread,
-                        cl.costs.copy_cycles(take) / 2,
+                        cl.costs.copy_cycles(chunk.len) / 2,
                         CpuCategory::Rdma,
-                        take,
+                        chunk.len,
                     ));
                 }
-                (stages, take)
+                stages
             });
-            {
-                let s = self.serves.get_mut(&key).expect("serve vanished");
-                s.next_offset += take;
-                s.remaining -= take;
-                s.inflight += 1;
-            }
-            ctx.chain_on(stages, me, ServeChunkReady { key, bytes: take }, span);
+            let ready = ServeChunkReady {
+                key,
+                bytes: chunk.len,
+            };
+            ctx.chain_on(stages, me, ready, span);
         }
     }
 }
@@ -593,19 +630,9 @@ impl Actor for VreadDaemon {
         let msg = match downcast::<VreadOpenReq>(msg) {
             Ok(req) => {
                 let costs = Self::costs(ctx);
-                let (dn_host, _dn_vm) = {
-                    let meta = ctx.world.ext.get::<HdfsMeta>().expect("meta");
-                    let cl = ctx.world.ext.get::<Cluster>().expect("cluster");
-                    let vm = meta.datanodes[req.dn.0].vm;
-                    (cl.vm(vm).host, vm)
-                };
+                let dn_host = host_of(ctx, req.dn);
                 if dn_host == self.host {
                     let opened = self.open_local(ctx, req.dn, req.block);
-                    let vfd = opened.map(|(id, size, _)| Vfd {
-                        id,
-                        size,
-                        dn: req.dn,
-                    });
                     ctx.chain_on(
                         Stage::cpu(
                             self.thread,
@@ -617,7 +644,7 @@ impl Actor for VreadDaemon {
                         req.reply_to,
                         VreadOpenResp {
                             token: req.token,
-                            vfd,
+                            vfd: opened.map(|(id, size)| Vfd { id, size }),
                         },
                         req.span,
                     );
@@ -626,20 +653,15 @@ impl Actor for VreadDaemon {
                     let tag = self.alloc();
                     self.open_waits
                         .insert(tag, (req.reply_to, req.token, req.dn));
-                    let me = ctx.me();
-                    let peer = {
-                        let reg = ctx.world.ext.get::<VreadRegistry>().expect("registry");
-                        reg.daemons[&dn_host.0].0
-                    };
                     ctx.chain_on(
                         Stage::cpu(
                             self.thread,
                             costs.eventfd_cycles + costs.rdma_post_cycles,
                             CpuCategory::Daemon,
                         ),
-                        peer,
+                        daemon_on(ctx, dn_host.0),
                         ROpen {
-                            from: me,
+                            from: ctx.me(),
                             tag,
                             dn: req.dn,
                             block: req.block,
@@ -655,54 +677,26 @@ impl Actor for VreadDaemon {
         // ---- vRead_read ---------------------------------------------------
         let msg = match downcast::<VreadReadReq>(msg) {
             Ok(req) => {
-                let state = match self.vfds.get(&req.vfd) {
-                    Some(VfdState::Local { dn_vm, file }) => Some((Some((*dn_vm, *file)), None)),
-                    Some(VfdState::Remote {
+                let Some(&state) = self.vfds.get(&req.vfd) else {
+                    // Stale/unknown descriptor (e.g. the datanode VM
+                    // migrated): tell the client to reopen.
+                    ctx.send(req.reply_to, VreadReadFailed { token: req.token });
+                    return;
+                };
+                let read = self.alloc();
+                let src = match state {
+                    VfdState::Local { dn_vm, file } => Source::Image(ImageStream {
+                        dn_vm,
+                        file,
+                        next_offset: req.offset,
+                        remaining: req.len,
+                        inflight: 0,
+                    }),
+                    VfdState::Remote {
                         peer_host,
                         peer_vfd,
-                    }) => Some((None, Some((*peer_host, *peer_vfd)))),
-                    None => None,
-                };
-                match state {
-                    Some((Some((dn_vm, file)), _)) => {
-                        let read = self.alloc();
-                        self.local_reads.insert(
-                            read,
-                            LocalRead {
-                                reply_to: req.reply_to,
-                                token: req.token,
-                                client_vm: req.client_vm,
-                                dn_vm,
-                                file,
-                                next_offset: req.offset,
-                                remaining: req.len,
-                                inflight: 0,
-                                span: req.span,
-                            },
-                        );
-                        self.pump_local(ctx, read);
-                    }
-                    Some((None, Some((peer_host, peer_vfd)))) => {
-                        let read = self.alloc();
+                    } => {
                         let conn = self.ensure_peer_conn(ctx, peer_host);
-                        self.remote_reads.insert(
-                            read,
-                            RemoteRead {
-                                conn,
-                                reply_to: req.reply_to,
-                                token: req.token,
-                                client_vm: req.client_vm,
-                                expected: req.len,
-                                forwarded: 0,
-                                ring_inflight: 0,
-                                transport_done: false,
-                                span: req.span,
-                            },
-                        );
-                        let peer = {
-                            let reg = ctx.world.ext.get::<VreadRegistry>().expect("registry");
-                            reg.daemons[&peer_host].0
-                        };
                         let costs = Self::costs(ctx);
                         ctx.chain_on(
                             Stage::cpu(
@@ -710,7 +704,7 @@ impl Actor for VreadDaemon {
                                 costs.eventfd_cycles + costs.rdma_post_cycles,
                                 CpuCategory::Daemon,
                             ),
-                            peer,
+                            daemon_on(ctx, peer_host),
                             RRead {
                                 from: ctx.me(),
                                 conn,
@@ -722,13 +716,21 @@ impl Actor for VreadDaemon {
                             },
                             req.span,
                         );
+                        Source::Peer(conn)
                     }
-                    _ => {
-                        // Stale/unknown descriptor (e.g. the datanode VM
-                        // migrated): tell the client to reopen.
-                        ctx.send(req.reply_to, VreadReadFailed { token: req.token });
-                    }
-                }
+                };
+                self.reads.insert(
+                    read,
+                    RingRead {
+                        reply_to: req.reply_to,
+                        token: req.token,
+                        client_vm: req.client_vm,
+                        undelivered: req.len,
+                        src,
+                        span: req.span,
+                    },
+                );
+                self.pump_ring(ctx, read);
                 return;
             }
             Err(m) => m,
@@ -742,42 +744,43 @@ impl Actor for VreadDaemon {
                     peer_vfd,
                 }) = self.vfds.remove(&cl.vfd)
                 {
-                    let peer = {
-                        let reg = ctx.world.ext.get::<VreadRegistry>().expect("registry");
-                        reg.daemons[&peer_host].0
-                    };
-                    ctx.send(peer, RClose { vfd: peer_vfd });
+                    ctx.send(daemon_on(ctx, peer_host), RClose { vfd: peer_vfd });
                 }
                 return;
             }
             Err(m) => m,
         };
 
-        // ---- local chunk landed in the guest ----------------------------------
-        let msg = match downcast::<LocalChunkDone>(msg) {
+        // ---- a ring chunk landed in the guest ----------------------------------
+        let msg = match downcast::<RingChunkDone>(msg) {
             Ok(done) => {
                 ctx.world
                     .metrics
                     .gauge_add_to(self.ring_gauge, -(done.bytes as f64));
-                let finished = {
-                    let Some(r) = self.local_reads.get_mut(&done.read) else {
-                        return;
-                    };
-                    r.inflight -= 1;
-                    ctx.send(
-                        r.reply_to,
-                        VreadChunk {
-                            token: r.token,
-                            bytes: done.bytes,
-                        },
-                    );
-                    r.remaining == 0 && r.inflight == 0
+                let Some(r) = self.reads.get_mut(&done.read) else {
+                    return;
                 };
-                if finished {
-                    let r = self.local_reads.remove(&done.read).expect("read vanished");
-                    ctx.send(r.reply_to, VreadReadDone { token: r.token });
-                } else {
-                    self.pump_local(ctx, done.read);
+                r.undelivered -= done.bytes;
+                let from_image = match &mut r.src {
+                    Source::Image(image) => {
+                        image.inflight -= 1;
+                        true
+                    }
+                    Source::Peer(_) => false,
+                };
+                let (reply_to, token) = (r.reply_to, r.token);
+                ctx.send(
+                    reply_to,
+                    VreadChunk {
+                        token,
+                        bytes: done.bytes,
+                    },
+                );
+                if r.undelivered == 0 {
+                    self.reads.remove(&done.read);
+                    ctx.send(reply_to, VreadReadDone { token });
+                } else if from_image {
+                    self.pump_ring(ctx, done.read);
                 }
                 return;
             }
@@ -798,7 +801,7 @@ impl Actor for VreadDaemon {
                     op.from,
                     ROpenResp {
                         tag: op.tag,
-                        vfd: opened.map(|(id, size, _)| (id, size)),
+                        vfd: opened,
                     },
                 );
                 return;
@@ -810,11 +813,7 @@ impl Actor for VreadDaemon {
                 if let Some((reply_to, token, dn)) = self.open_waits.remove(&resp.tag) {
                     let vfd = resp.vfd.map(|(peer_vfd, size)| {
                         let id = self.alloc();
-                        let peer_host = {
-                            let meta = ctx.world.ext.get::<HdfsMeta>().expect("meta");
-                            let cl = ctx.world.ext.get::<Cluster>().expect("cluster");
-                            cl.vm(meta.datanodes[dn.0].vm).host.0
-                        };
+                        let peer_host = host_of(ctx, dn).0;
                         self.vfds.insert(
                             id,
                             VfdState::Remote {
@@ -822,7 +821,7 @@ impl Actor for VreadDaemon {
                                 peer_vfd,
                             },
                         );
-                        Vfd { id, size, dn }
+                        Vfd { id, size }
                     });
                     ctx.send(reply_to, VreadOpenResp { token, vfd });
                 }
@@ -832,7 +831,7 @@ impl Actor for VreadDaemon {
         };
         let msg = match downcast::<RRead>(msg) {
             Ok(rr) => {
-                let Some(VfdState::Local { dn_vm, file }) = self.vfds.get(&rr.vfd) else {
+                let Some(&VfdState::Local { dn_vm, file }) = self.vfds.get(&rr.vfd) else {
                     ctx.send(rr.from, RReadFailed { tag: rr.tag });
                     return;
                 };
@@ -842,11 +841,13 @@ impl Actor for VreadDaemon {
                     Serve {
                         conn: rr.conn,
                         tag: rr.tag,
-                        dn_vm: *dn_vm,
-                        file: *file,
-                        next_offset: rr.offset,
-                        remaining: rr.len,
-                        inflight: 0,
+                        image: ImageStream {
+                            dn_vm,
+                            file,
+                            next_offset: rr.offset,
+                            remaining: rr.len,
+                            inflight: 0,
+                        },
                         span: rr.span,
                     },
                 );
@@ -865,8 +866,8 @@ impl Actor for VreadDaemon {
         let msg = match downcast::<RReadFailed>(msg) {
             Ok(rf) => {
                 // rf.tag is our read id
-                if let Some(rr) = self.remote_reads.remove(&rf.tag) {
-                    ctx.send(rr.reply_to, VreadReadFailed { token: rr.token });
+                if let Some(r) = self.reads.remove(&rf.tag) {
+                    ctx.send(r.reply_to, VreadReadFailed { token: r.token });
                 }
                 return;
             }
@@ -926,15 +927,11 @@ impl Actor for VreadDaemon {
         let msg = match downcast::<ConnSent>(msg) {
             Ok(sent) => {
                 let key = (sent.conn.raw(), sent.tag);
-                let finished = {
-                    if let Some(s) = self.serves.get_mut(&key) {
-                        s.inflight -= 1;
-                        s.remaining == 0 && s.inflight == 0
-                    } else {
-                        return;
-                    }
+                let Some(s) = self.serves.get_mut(&key) else {
+                    return;
                 };
-                if finished {
+                s.image.inflight -= 1;
+                if s.image.remaining == 0 && s.image.inflight == 0 {
                     self.serves.remove(&key);
                 } else {
                     self.pump_serve(ctx, key);
@@ -950,17 +947,14 @@ impl Actor for VreadDaemon {
                 // The tag is the read id; data on another connection
                 // with the same tag is not ours.
                 let read = r.tag;
-                let (client_vm, span) = {
-                    let Some(rr) = self
-                        .remote_reads
-                        .get_mut(&read)
-                        .filter(|rr| rr.conn == r.conn)
-                    else {
-                        return;
-                    };
-                    rr.ring_inflight += 1;
-                    (rr.client_vm, rr.span)
+                let Some(rr) = self
+                    .reads
+                    .get(&read)
+                    .filter(|rr| matches!(rr.src, Source::Peer(conn) if conn == r.conn))
+                else {
+                    return;
                 };
+                let (client_vm, span) = (rr.client_vm, rr.span);
                 let me = ctx.me();
                 let stages = {
                     let cl = ctx.world.ext.get::<Cluster>().expect("cluster");
@@ -973,44 +967,11 @@ impl Actor for VreadDaemon {
                 ctx.world
                     .metrics
                     .gauge_add_to(self.ring_gauge, r.bytes as f64);
-                ctx.chain_on(
-                    stages,
-                    me,
-                    RingForwarded {
-                        read,
-                        bytes: r.bytes,
-                    },
-                    span,
-                );
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match downcast::<RingForwarded>(msg) {
-            Ok(f) => {
-                ctx.world
-                    .metrics
-                    .gauge_add_to(self.ring_gauge, -(f.bytes as f64));
-                let finished = {
-                    let Some(rr) = self.remote_reads.get_mut(&f.read) else {
-                        return;
-                    };
-                    rr.ring_inflight -= 1;
-                    rr.forwarded += f.bytes;
-                    ctx.send(
-                        rr.reply_to,
-                        VreadChunk {
-                            token: rr.token,
-                            bytes: f.bytes,
-                        },
-                    );
-                    rr.transport_done = rr.forwarded >= rr.expected;
-                    rr.transport_done && rr.ring_inflight == 0
+                let done = RingChunkDone {
+                    read,
+                    bytes: r.bytes,
                 };
-                if finished {
-                    let rr = self.remote_reads.remove(&f.read).expect("read vanished");
-                    ctx.send(rr.reply_to, VreadReadDone { token: rr.token });
-                }
+                ctx.chain_on(stages, me, done, span);
                 return;
             }
             Err(m) => m,
@@ -1051,13 +1012,6 @@ impl Actor for VreadDaemon {
             }
             Err(m) => m,
         };
-        let msg = match downcast::<SetBypassHostFs>(msg) {
-            Ok(b) => {
-                self.bypass_host_fs = b.0;
-                return;
-            }
-            Err(m) => m,
-        };
         let msg = match downcast::<VfdAudit>(msg) {
             Ok(a) => {
                 ctx.send(
@@ -1082,16 +1036,7 @@ impl Actor for VreadDaemon {
             Err(m) => m,
         };
         if msg.is::<RemountAll>() {
-            let snaps: Vec<(usize, FsSnapshot)> = {
-                let meta = ctx.world.ext.get::<HdfsMeta>().expect("meta");
-                let cl = ctx.world.ext.get::<Cluster>().expect("cluster");
-                meta.datanodes
-                    .iter()
-                    .filter(|dn| cl.vm(dn.vm).host == self.host)
-                    .map(|dn| (dn.vm.0, cl.vm(dn.vm).fs.snapshot()))
-                    .collect()
-            };
-            self.mounts = snaps.into_iter().collect();
+            self.mounts = mounts_on(ctx.world, self.host);
         }
     }
 }
@@ -1160,30 +1105,10 @@ pub fn restart_daemon(w: &mut World, host: vread_host::cluster::HostIx) -> Optio
         return None;
     }
     let (_, thread) = reg.daemons.get(&host.0).copied()?;
-    let ring_gauge = w.metrics.register_gauge(&format!("ring.h{}.bytes", host.0));
-    let daemon = VreadDaemon {
-        host,
-        thread,
-        mounts: BTreeMap::new(),
-        vfds: BTreeMap::new(),
-        next_id: 0,
-        local_reads: BTreeMap::new(),
-        remote_reads: BTreeMap::new(),
-        serves: BTreeMap::new(),
-        open_waits: BTreeMap::new(),
-        peer_conns: BTreeMap::new(),
-        bypass_host_fs: false,
-        ring_gauge,
-    };
-    let actor = w.add_actor(&format!("vreadd{}", host.0), daemon);
-    w.ext
-        .get_mut::<HdfsMeta>()
-        .expect("meta")
-        .observers
-        .push(actor);
+    let actor = spawn_daemon(w, host, thread, BTreeMap::new());
     let reg = w.ext.get_mut::<VreadRegistry>().unwrap();
-    reg.daemons.insert(host.0, (actor, thread));
     reg.down.remove(&host.0);
+    reg.awaiting_recovery = true;
     let peers: Vec<ActorId> = reg
         .daemons
         .iter()
@@ -1200,6 +1125,54 @@ pub fn restart_daemon(w: &mut World, host: vread_host::cluster::HostIx) -> Optio
     Some(actor)
 }
 
+/// The read-only mounts of every datanode VM image on `host`, by VM
+/// index.
+fn mounts_on(w: &World, host: HostIx) -> BTreeMap<usize, FsSnapshot> {
+    let meta = w.ext.get::<HdfsMeta>().expect("HdfsMeta missing");
+    let cl = w.ext.get::<Cluster>().expect("Cluster missing");
+    meta.datanodes
+        .iter()
+        .filter(|dn| cl.vm(dn.vm).host == host)
+        .map(|dn| (dn.vm.0, cl.vm(dn.vm).fs.snapshot()))
+        .collect()
+}
+
+/// Starts a daemon actor on `host`'s daemon `thread` with `mounts`: its
+/// ring gauge registered, joined to the namenode observer list and
+/// entered in the [`VreadRegistry`].
+fn spawn_daemon(
+    w: &mut World,
+    host: HostIx,
+    thread: ThreadId,
+    mounts: BTreeMap<usize, FsSnapshot>,
+) -> ActorId {
+    let ring_gauge = w.metrics.register_gauge(&format!("ring.h{}.bytes", host.0));
+    let daemon = VreadDaemon {
+        host,
+        thread,
+        mounts,
+        vfds: BTreeMap::new(),
+        next_id: 0,
+        reads: BTreeMap::new(),
+        serves: BTreeMap::new(),
+        open_waits: BTreeMap::new(),
+        peer_conns: BTreeMap::new(),
+        ring_gauge,
+    };
+    let actor = w.add_actor(&format!("vreadd{}", host.0), daemon);
+    w.ext
+        .get_mut::<HdfsMeta>()
+        .expect("HdfsMeta missing")
+        .observers
+        .push(actor);
+    w.ext
+        .get_mut::<VreadRegistry>()
+        .expect("VreadRegistry missing")
+        .daemons
+        .insert(host.0, (actor, thread));
+    actor
+}
+
 /// Deploys one vRead daemon per host: creates the daemon threads and
 /// actors, mounts (snapshots) every datanode VM image on its host,
 /// registers the daemons as namenode observers, and installs the
@@ -1209,50 +1182,17 @@ pub fn restart_daemon(w: &mut World, host: vread_host::cluster::HostIx) -> Optio
 /// mounts see the pre-loaded blocks (later blocks become visible through
 /// the namenode-notification refresh path).
 pub fn deploy_vread(w: &mut World, transport: RemoteTransport) -> Vec<ActorId> {
-    let mut reg = VreadRegistry {
+    w.ext.insert(VreadRegistry {
         transport,
         ..Default::default()
-    };
-    let mut out = Vec::new();
+    });
     let host_count = w.ext.get::<Cluster>().expect("Cluster missing").hosts.len();
-    for hix in 0..host_count {
-        let host_id = w.ext.get::<Cluster>().expect("cluster").hosts[hix].host;
-        let thread = w.add_thread(host_id, &format!("vreadd{hix}"));
-        // Mount every datanode VM image on this host.
-        let mut mounts = BTreeMap::new();
-        {
-            let meta = w.ext.get::<HdfsMeta>().expect("HdfsMeta missing");
-            let cl = w.ext.get::<Cluster>().expect("cluster");
-            for dn in &meta.datanodes {
-                if cl.vm(dn.vm).host.0 == hix {
-                    mounts.insert(dn.vm.0, cl.vm(dn.vm).fs.snapshot());
-                }
-            }
-        }
-        let ring_gauge = w.metrics.register_gauge(&format!("ring.h{hix}.bytes"));
-        let daemon = VreadDaemon {
-            host: HostIx(hix),
-            thread,
-            mounts,
-            vfds: BTreeMap::new(),
-            next_id: 0,
-            local_reads: BTreeMap::new(),
-            remote_reads: BTreeMap::new(),
-            serves: BTreeMap::new(),
-            open_waits: BTreeMap::new(),
-            peer_conns: BTreeMap::new(),
-            bypass_host_fs: false,
-            ring_gauge,
-        };
-        let actor = w.add_actor(&format!("vreadd{hix}"), daemon);
-        w.ext
-            .get_mut::<HdfsMeta>()
-            .expect("meta")
-            .observers
-            .push(actor);
-        reg.daemons.insert(hix, (actor, thread));
-        out.push(actor);
-    }
-    w.ext.insert(reg);
-    out
+    (0..host_count)
+        .map(|hix| {
+            let host_id = w.ext.get::<Cluster>().expect("cluster").hosts[hix].host;
+            let thread = w.add_thread(host_id, &format!("vreadd{hix}"));
+            let mounts = mounts_on(w, HostIx(hix));
+            spawn_daemon(w, HostIx(hix), thread, mounts)
+        })
+        .collect()
 }

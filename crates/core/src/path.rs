@@ -11,16 +11,15 @@
 use vread_hdfs::client::{
     BlockReadPath, BlockReq, ClientShared, PathEvent, TimeoutAdvice, VanillaPath,
 };
-use vread_hdfs::meta::{DatanodeIx, HdfsMeta};
+use vread_hdfs::meta::DatanodeIx;
 use vread_host::cluster::Cluster;
-use vread_sim::fault::FaultTrace;
 use vread_sim::hash::{IdHashMap, IdHashSet};
 use vread_sim::prelude::*;
 
 use crate::api::VfdTable;
 use crate::daemon::{
-    VreadChunk, VreadClose, VreadOpenReq, VreadOpenResp, VreadReadDone, VreadReadFailed,
-    VreadReadReq, VreadRegistry,
+    daemon_on, host_of, VreadChunk, VreadClose, VreadOpenReq, VreadOpenResp, VreadReadDone,
+    VreadReadFailed, VreadReadReq, VreadRegistry,
 };
 use crate::ring::RingSpec;
 
@@ -74,15 +73,10 @@ impl VreadPath {
         }
     }
 
-    fn daemon_of(ctx: &Ctx<'_>, shared: &ClientShared) -> (ActorId, ThreadId) {
+    /// The daemon on this client's host (its ring endpoint).
+    fn daemon_of(ctx: &Ctx<'_>, shared: &ClientShared) -> ActorId {
         let cl = ctx.world.ext.get::<Cluster>().expect("Cluster missing");
-        let host = cl.vm(shared.vm).host;
-        let reg = ctx
-            .world
-            .ext
-            .get::<VreadRegistry>()
-            .expect("vRead not deployed (VreadRegistry missing)");
-        reg.daemons[&host.0]
+        daemon_on(ctx, cl.vm(shared.vm).host.0)
     }
 
     /// Whether both daemons a fetch for `dn` relies on are alive: the
@@ -93,10 +87,7 @@ impl VreadPath {
             return false;
         };
         let cl = ctx.world.ext.get::<Cluster>().expect("Cluster missing");
-        let meta = ctx.world.ext.get::<HdfsMeta>().expect("HdfsMeta missing");
-        let my_host = cl.vm(shared.vm).host.0;
-        let dn_host = cl.vm(meta.datanodes[dn.0].vm).host.0;
-        reg.is_up(my_host) && reg.is_up(dn_host)
+        reg.is_up(cl.vm(shared.vm).host.0) && reg.is_up(host_of(ctx, dn).0)
     }
 
     /// Routes `req` to the vanilla fallback, recording the degradation
@@ -119,8 +110,29 @@ impl VreadPath {
         ring.guest_request_stages(&cl.costs, cl.vm(shared.vm).vcpu)
     }
 
+    /// `vRead_open` (Algorithm 1 line 12) of `req`'s block under a new
+    /// `vread_open` span; the reply resumes the fetch.
+    fn open(&mut self, ctx: &mut Ctx<'_>, shared: &ClientShared, req: BlockReq) {
+        let now = ctx.now();
+        let open_span = ctx.world.spans.start("vread_open", req.span, now);
+        self.pending_open.insert(req.token, (req, open_span));
+        let stages = Self::request_stages(ctx, shared);
+        ctx.chain_on(
+            stages,
+            Self::daemon_of(ctx, shared),
+            VreadOpenReq {
+                reply_to: shared.me,
+                token: req.token,
+                dn: req.dn,
+                block: req.block,
+                span: open_span,
+            },
+            open_span,
+        );
+    }
+
     fn issue_read(&mut self, ctx: &mut Ctx<'_>, shared: &ClientShared, req: BlockReq) {
-        let (daemon, _) = Self::daemon_of(ctx, shared);
+        let daemon = Self::daemon_of(ctx, shared);
         let vfd = self
             .vfds
             .get(req.block)
@@ -158,10 +170,6 @@ impl VreadPath {
 }
 
 impl BlockReadPath for VreadPath {
-    fn name(&self) -> &'static str {
-        "vread"
-    }
-
     fn client_cyc_per_byte(&self, costs: &vread_host::Costs) -> f64 {
         costs.vread_client_cyc_per_byte
     }
@@ -196,8 +204,7 @@ impl BlockReadPath for VreadPath {
                         .is_some_and(|r| r.is_up(host))
                 };
                 if local_up {
-                    let (daemon, _) = Self::daemon_of(ctx, shared);
-                    ctx.send(daemon, VreadClose { vfd: vfd.id });
+                    ctx.send(Self::daemon_of(ctx, shared), VreadClose { vfd: vfd.id });
                 }
             }
             self.fall_back(ctx, shared, req, out);
@@ -209,25 +216,8 @@ impl BlockReadPath for VreadPath {
             self.issue_read(ctx, shared, req);
             return;
         }
-        // Algorithm 1 line 12: vRead_open.
         self.m_opens.incr(ctx.metrics());
-        let (daemon, _) = Self::daemon_of(ctx, shared);
-        let now = ctx.now();
-        let open_span = ctx.world.spans.start("vread_open", req.span, now);
-        self.pending_open.insert(req.token, (req, open_span));
-        let stages = Self::request_stages(ctx, shared);
-        ctx.chain_on(
-            stages,
-            daemon,
-            VreadOpenReq {
-                reply_to: shared.me,
-                token: req.token,
-                dn: req.dn,
-                block: req.block,
-                span: open_span,
-            },
-            open_span,
-        );
+        self.open(ctx, shared, req);
     }
 
     fn on_msg(
@@ -285,30 +275,14 @@ impl BlockReadPath for VreadPath {
                         // remote mapping after migration): release it so
                         // the table doesn't leak. Dropped harmlessly if
                         // the daemon is gone.
-                        let (daemon, _) = Self::daemon_of(ctx, shared);
-                        ctx.send(daemon, VreadClose { vfd: vfd.id });
+                        ctx.send(Self::daemon_of(ctx, shared), VreadClose { vfd: vfd.id });
                     }
                     let tries = self.attempts.entry(f.token).or_insert(0);
                     *tries += 1;
                     let req = ar.req;
                     if *tries <= 1 {
                         // fresh vRead_open through (possibly) a new route
-                        let open_span = ctx.world.spans.start("vread_open", req.span, now);
-                        self.pending_open.insert(req.token, (req, open_span));
-                        let (daemon, _) = Self::daemon_of(ctx, shared);
-                        let stages = Self::request_stages(ctx, shared);
-                        ctx.chain_on(
-                            stages,
-                            daemon,
-                            VreadOpenReq {
-                                reply_to: shared.me,
-                                token: req.token,
-                                dn: req.dn,
-                                block: req.block,
-                                span: open_span,
-                            },
-                            open_span,
-                        );
+                        self.open(ctx, shared, req);
                     } else {
                         self.fall_back(ctx, shared, req, out);
                     }
@@ -323,24 +297,23 @@ impl BlockReadPath for VreadPath {
                 if let Some(ar) = self.active.remove(&d.token) {
                     let now = ctx.now();
                     ctx.world.spans.end(ar.span, now);
-                    if ctx.world.ext.get::<FaultTrace>().is_some() {
-                        // fault runs record when the fast path first
-                        // serves again after each daemon restart: the
-                        // recovery instant the fault report reads
-                        let m = &ctx.world.metrics;
-                        let last = |k| m.samples(k).and_then(|s| s.values().last().copied());
+                    if let Some(reg) = ctx
+                        .world
+                        .ext
+                        .get_mut::<VreadRegistry>()
+                        .filter(|r| r.awaiting_recovery)
+                    {
+                        // the fast path serves again after a daemon
+                        // restart: the recovery instant the fault report
+                        // reads
+                        reg.awaiting_recovery = false;
                         let now = ctx.now().as_secs_f64();
-                        if let Some(restart) = last("daemon_restart_at_s") {
-                            if last("vread_ok_at_s").is_none_or(|ok| ok < restart) {
-                                ctx.metrics().sample("vread_ok_at_s", now);
-                            }
-                        }
+                        ctx.metrics().sample("vread_ok_at_s", now);
                     }
                     if ar.close_after {
                         // Algorithm 1 line 27: vRead_close at block end.
                         if let Some(vfd) = self.vfds.close(ar.block) {
-                            let (daemon, _) = Self::daemon_of(ctx, shared);
-                            ctx.send(daemon, VreadClose { vfd: vfd.id });
+                            ctx.send(Self::daemon_of(ctx, shared), VreadClose { vfd: vfd.id });
                         }
                     }
                     out.push(PathEvent::Done { token: d.token });

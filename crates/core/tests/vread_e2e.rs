@@ -1,6 +1,6 @@
 //! End-to-end tests of the vRead read path against the vanilla baseline.
 
-use vread_core::daemon::{RemoteTransport, RemountAll};
+use vread_core::daemon::{RemoteTransport, RemountAll, VfdAudit, VfdAuditReport};
 use vread_core::{deploy_vread, VreadPath};
 use vread_hdfs::client::{
     add_client, BlockReadPath, DfsRead, DfsReadDone, DfsWrite, DfsWriteDone, VanillaPath,
@@ -455,4 +455,84 @@ fn write_path_unaffected_by_vread_deployment() {
         ratio < 1.05,
         "vread write overhead should be negligible (ratio {ratio:.3})"
     );
+}
+
+/// Collects every daemon's [`VfdAuditReport`] as `(host, vfds)`.
+struct AuditSink {
+    reports: std::rc::Rc<std::cell::RefCell<Vec<(usize, usize)>>>,
+}
+
+impl Actor for AuditSink {
+    fn handle(&mut self, msg: BoxMsg, _ctx: &mut Ctx<'_>) {
+        if let Ok(r) = downcast::<VfdAuditReport>(msg) {
+            self.reports.borrow_mut().push((r.host, r.vfds));
+        }
+    }
+}
+
+fn audit_vfds(w: &mut World) -> Vec<(usize, usize)> {
+    let reports = std::rc::Rc::new(std::cell::RefCell::new(vec![]));
+    let sink = w.add_actor(
+        "audit",
+        AuditSink {
+            reports: reports.clone(),
+        },
+    );
+    let daemons: Vec<ActorId> = w
+        .ext
+        .get::<vread_core::VreadRegistry>()
+        .unwrap()
+        .daemons
+        .values()
+        .map(|(a, _)| *a)
+        .collect();
+    for d in daemons {
+        w.send_now(d, VfdAudit { reply_to: sink });
+    }
+    w.run();
+    let mut out = reports.borrow().clone();
+    out.sort_unstable();
+    out
+}
+
+#[test]
+fn ring_reads_drain_ring_and_descriptors_from_either_source() {
+    // Not a multiple of any chunk size: the last ring chunk is partial.
+    let len = (5 << 20) + 4321;
+    for (transport, remote) in [
+        (RemoteTransport::Rdma, false),
+        (RemoteTransport::Rdma, true),
+        (RemoteTransport::Tcp, true),
+    ] {
+        let case = format!("{transport:?}, remote {remote}");
+        let mut b = bed(transport, &[("/f", len, remote)]);
+        let done = run(
+            &mut b,
+            Box::new(VreadPath::new()),
+            vec![Op::Read {
+                path: "/f".into(),
+                offset: 0,
+                len,
+            }],
+        );
+        assert_eq!(done.len(), 1, "{case}");
+        assert_eq!(done[0].0, len, "{case}: the guest got exactly the file");
+        assert_eq!(b.w.metrics.counter("vread_fallbacks"), 0.0, "{case}");
+        let rings: Vec<(String, f64)> =
+            b.w.metrics
+                .gauges()
+                .filter(|(k, _, _)| k.starts_with("ring.h"))
+                .map(|(k, _, v)| (k.to_owned(), v))
+                .collect();
+        assert!(!rings.is_empty(), "{case}: the read went through a ring");
+        assert!(
+            rings.iter().all(|&(_, v)| v == 0.0),
+            "{case}: ring gauges drain: {rings:?}"
+        );
+        assert_eq!(
+            audit_vfds(&mut b.w),
+            vec![(0, 0), (1, 0)],
+            "{case}: descriptor tables drain"
+        );
+    }
 }

@@ -148,9 +148,6 @@ pub enum TimeoutAdvice {
 /// Strategy for fetching one block part. Implemented by [`VanillaPath`]
 /// (datanode TCP streaming) and by `vread-core`'s vRead path.
 pub trait BlockReadPath: 'static {
-    /// Short name for diagnostics ("vanilla", "vread").
-    fn name(&self) -> &'static str;
-
     /// Client-side (DFSInputStream) processing cost per byte for data
     /// fetched through this path. The vanilla path pays the full HDFS
     /// packet/checksum machinery; vRead bypasses it.
@@ -230,10 +227,6 @@ impl VanillaPath {
 }
 
 impl BlockReadPath for VanillaPath {
-    fn name(&self) -> &'static str {
-        "vanilla"
-    }
-
     fn cancel(&mut self, token: u64) {
         self.streams.remove(&token);
     }
@@ -330,7 +323,6 @@ struct ReadReq {
     pread: bool,
     blocks: Vec<LocatedBlock>,
     cur_block: usize,
-    expected: u64,
     bytes_done: u64,
     processing: u64,
     all_sent: bool,
@@ -696,26 +688,15 @@ impl DfsClient {
     }
 
     fn begin_read(&mut self, ctx: &mut Ctx<'_>, rid: u64) {
-        let expected = {
-            let r = self.reads.get_mut(&rid).expect("read vanished");
-            let blocks = self.loc_cache.get(&r.path).map_or(&[][..], Vec::as_slice);
-            let mut selected: Vec<LocatedBlock> = Vec::new();
-            let mut expected = 0u64;
-            let end = r.offset + r.len;
-            for b in blocks {
-                if b.offset < end && b.offset + b.len > r.offset {
-                    let s = r.offset.max(b.offset);
-                    let e = end.min(b.offset + b.len);
-                    expected += e - s;
-                    selected.push(b.clone());
-                }
-            }
-            r.blocks = selected;
-            r.expected = expected;
-            expected
-        };
-        if expected == 0 {
-            let r = self.reads.get_mut(&rid).expect("read vanished");
+        let r = self.reads.get_mut(&rid).expect("read vanished");
+        let blocks = self.loc_cache.get(&r.path).map_or(&[][..], Vec::as_slice);
+        let end = r.offset + r.len;
+        r.blocks = blocks
+            .iter()
+            .filter(|b| b.offset < end && b.offset + b.len > r.offset)
+            .cloned()
+            .collect();
+        if r.blocks.is_empty() {
             r.all_sent = true;
             self.maybe_finish_read(ctx, rid);
         } else {
@@ -833,7 +814,6 @@ impl Actor for DfsClient {
                         pread: rd.pread,
                         blocks: Vec::new(),
                         cur_block: 0,
-                        expected: 0,
                         bytes_done: 0,
                         processing: 0,
                         all_sent: false,

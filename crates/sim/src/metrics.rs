@@ -71,15 +71,23 @@ impl Samples {
     /// containing NaN sort by IEEE 754 total order (NaN above +inf)
     /// instead of panicking, so a poisoned series still renders its
     /// finite quantiles deterministically. Each call sorts a copy of the
-    /// observations.
+    /// observations; take several quantiles of one set with
+    /// [`Samples::quantiles`].
     pub fn quantile(&self, q: f64) -> f64 {
+        let [v] = self.quantiles([q]);
+        v
+    }
+
+    /// The [`Samples::quantile`] of each of `qs`, from one sorted copy
+    /// of the observations.
+    pub fn quantiles<const N: usize>(&self, qs: [f64; N]) -> [f64; N] {
         if self.values.is_empty() {
-            return 0.0;
+            return [0.0; N];
         }
         let mut sorted = self.values.clone();
         sorted.sort_by(f64::total_cmp);
-        let idx = ((sorted.len() as f64 - 1.0) * q.clamp(0.0, 1.0)).round() as usize;
-        sorted[idx]
+        let last = sorted.len() as f64 - 1.0;
+        qs.map(|q| sorted[(last * q.clamp(0.0, 1.0)).round() as usize])
     }
 
     /// Median (`quantile(0.5)`).
@@ -513,6 +521,11 @@ mod tests {
         assert_eq!(s.p50(), 500.0); // round(999 · 0.5) = round(499.5) = 500
         assert_eq!(s.p99(), 989.0);
         assert_eq!(s.quantile(0.999), 998.0);
+        assert_eq!(
+            s.quantiles([0.5, 0.99, 0.999, 1.0]),
+            [500.0, 989.0, 998.0, 999.0]
+        );
+        assert_eq!(Samples::default().quantiles([0.5, 1.0]), [0.0, 0.0]);
     }
 
     #[test]
