@@ -323,11 +323,12 @@ pub struct HostCacheReport {
     /// at this byte budget (1.0 when nothing is shared or stores are
     /// empty).
     pub effective_capacity_x: f64,
-    /// Lookup ranges fully resident (including dedup hits).
+    /// Chunks found resident by lookups (including dedup hits): one
+    /// count per chunk a lookup consults, summed over host stores.
     pub hits: u64,
-    /// Lookup ranges with at least one absent chunk.
+    /// Chunks lookups found absent, counted the same way.
     pub misses: u64,
-    /// Hits served from chunks another VM's image admitted.
+    /// Hit chunks served from content another VM's image admitted.
     pub dedup_hits: u64,
 }
 

@@ -480,6 +480,7 @@ impl VreadDaemon {
         st: &mut StageList,
     ) -> ImageReadOutcome {
         let thread = self.thread;
+        let hash = cl.content_addressed();
         let c = &cl.costs;
         let mut out = ImageReadOutcome::default();
         st.push(Stage::cpu(
@@ -513,7 +514,7 @@ impl VreadDaemon {
                 if look.miss_bytes > 0 {
                     st.push(Stage::cpu(thread, c.blk_host_cycles, CpuCategory::DiskRead));
                     st.push(Stage::disk(hw.dev, look.miss_bytes));
-                    if hw.cache.content_addressed() {
+                    if hash {
                         // Content-addressed admission fingerprints the
                         // bytes it pulls from disk.
                         st.push(Stage::cpu(

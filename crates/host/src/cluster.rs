@@ -6,19 +6,20 @@
 //! while building stage chains. Use [`with_cluster`] to borrow it and the
 //! world at the same time.
 //!
-//! Each host owns one [`BlockStore`] shared by all of its VMs' images:
-//! a plain [`PageCache`] in the default [`HostCacheMode::Lru`], or a
-//! content-addressed [`crate::cas::CasStore`] in [`HostCacheMode::Cas`]
-//! (identical blocks resident once, served by mapping). Guest caches are
-//! always per-VM LRU — the guest kernel has no cross-VM visibility.
+//! Every guest and every host owns one [`BlockStore`]; a host's store is
+//! shared by all of its VMs' images. [`HostCacheMode`] decides which
+//! stores are content-addressed: in [`HostCacheMode::Cas`] the cluster
+//! records each image's content bindings and forwards them to the host
+//! store (identical blocks resident once, served by mapping); in the
+//! default [`HostCacheMode::Lru`] no store gets a binding, so each is a
+//! plain LRU page cache. Guest stores never get bindings — the guest
+//! kernel has no cross-VM visibility.
 
 use std::collections::BTreeMap;
 
 use vread_sim::prelude::*;
 use vread_sim::resources::{BlockDev, Link};
 
-use crate::cache::PageCache;
-use crate::cas::CasStore;
 use crate::costs::Costs;
 use crate::fs::{GuestFs, ObjectId};
 use crate::store::{BlockStore, ContentId};
@@ -32,13 +33,15 @@ pub struct HostIx(pub usize);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VmId(pub usize);
 
-/// Which [`BlockStore`] implementation hosts use.
+/// Whether host stores are content-addressed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum HostCacheMode {
-    /// Per-image byte-for-byte LRU (the kernel page cache; default).
+    /// Per-image byte-for-byte LRU (the kernel page cache; default):
+    /// no store gets a content binding.
     #[default]
     Lru,
-    /// Content-addressed shared store: identical blocks stored once.
+    /// Content-addressed shared host stores: host stores get every
+    /// image's content bindings, so identical blocks are stored once.
     Cas,
 }
 
@@ -61,7 +64,7 @@ pub struct HostHw {
     pub dev: BlockDevId,
     /// Host block store (caches VM disk-image files; shared by the
     /// host's VMs).
-    pub cache: Box<dyn BlockStore>,
+    pub cache: BlockStore,
     /// Egress NIC link towards the LAN (10 GbE, also carries RoCE).
     pub nic: LinkId,
     /// VMs placed on this host.
@@ -80,7 +83,7 @@ pub struct Vm {
     /// The VM's vhost-net I/O thread.
     pub vhost: ThreadId,
     /// Guest kernel page cache.
-    pub cache: PageCache,
+    pub cache: BlockStore,
     /// Guest filesystem on the VM's virtual disk.
     pub fs: GuestFs,
 }
@@ -96,7 +99,8 @@ pub struct Cluster {
     pub vms: Vec<Vm>,
     next_object: u64,
     host_cache_mode: HostCacheMode,
-    /// image object -> content bindings, for migration replay.
+    /// image object -> content bindings, for migration replay
+    /// ([`HostCacheMode::Cas`] only).
     bindings: BTreeMap<u64, Vec<ContentBinding>>,
 }
 
@@ -114,23 +118,16 @@ impl Cluster {
         }
     }
 
-    /// Selects the host block-store implementation. Call before
-    /// [`Cluster::add_host`]; hosts already added keep their store.
+    /// Selects whether host stores are content-addressed. Call before
+    /// the first [`Cluster::bind_content`].
     pub fn set_host_cache_mode(&mut self, mode: HostCacheMode) {
         self.host_cache_mode = mode;
     }
 
-    fn make_host_store(&self) -> Box<dyn BlockStore> {
-        match self.host_cache_mode {
-            HostCacheMode::Lru => Box::new(PageCache::new(
-                self.costs.host_cache_bytes,
-                self.costs.cache_chunk_bytes,
-            )),
-            HostCacheMode::Cas => Box::new(CasStore::new(
-                self.costs.host_cache_bytes,
-                self.costs.cache_chunk_bytes,
-            )),
-        }
+    /// Whether host stores are content-addressed (drives the hash-cost
+    /// charge on admission in the daemon).
+    pub fn content_addressed(&self) -> bool {
+        self.host_cache_mode == HostCacheMode::Cas
     }
 
     /// Adds a physical host: registers cores/scheduler, SSD and NIC with
@@ -149,7 +146,7 @@ impl Cluster {
         self.hosts.push(HostHw {
             host,
             dev,
-            cache: self.make_host_store(),
+            cache: BlockStore::new(self.costs.host_cache_bytes, self.costs.cache_chunk_bytes),
             nic,
             vms: Vec::new(),
         });
@@ -170,7 +167,7 @@ impl Cluster {
             host,
             vcpu,
             vhost,
-            cache: PageCache::new(self.costs.guest_cache_bytes, self.costs.cache_chunk_bytes),
+            cache: BlockStore::new(self.costs.guest_cache_bytes, self.costs.cache_chunk_bytes),
             fs: GuestFs::new(image),
         });
         self.hosts[host.0].vms.push(id);
@@ -189,9 +186,10 @@ impl Cluster {
 
     /// Declares that `[image_offset, image_offset+len)` of `vm`'s image
     /// holds `[content_offset, content_offset+len)` of `content`
-    /// (typically an HDFS block file, identical across replicas). The
-    /// binding is recorded cluster-wide (so migration can replay it) and
-    /// forwarded to the VM's current host store; an LRU store ignores it.
+    /// (typically an HDFS block file, identical across replicas). In
+    /// [`HostCacheMode::Cas`] the binding is recorded cluster-wide (so
+    /// migration can replay it) and forwarded to the VM's current host
+    /// store; in [`HostCacheMode::Lru`] it is dropped.
     pub fn bind_content(
         &mut self,
         vm: VmId,
@@ -200,6 +198,9 @@ impl Cluster {
         content: ContentId,
         content_offset: u64,
     ) {
+        if !self.content_addressed() {
+            return;
+        }
         let obj = self.vms[vm.0].fs.image();
         let host = self.vms[vm.0].host;
         self.bindings
@@ -221,8 +222,9 @@ impl Cluster {
     /// The VM gets fresh vCPU/vhost threads on the target host; its guest
     /// page cache travels with it (memory is copied by live migration),
     /// while the target host's page cache starts cold for its image. The
-    /// image's content bindings are replayed into the target host's
-    /// store, so dedup keeps working after migration.
+    /// image's recorded content bindings (if any, [`HostCacheMode::Cas`])
+    /// are replayed into the target host's store, so dedup keeps working
+    /// after migration.
     pub fn migrate_vm(&mut self, w: &mut World, vm: VmId, to: HostIx) {
         let from = self.vms[vm.0].host;
         if from == to {
@@ -321,7 +323,7 @@ mod tests {
         let h = cl.add_host(&mut w, "h", 4, 2.0);
         let dn1 = cl.add_vm(&mut w, h, "dn1");
         let dn2 = cl.add_vm(&mut w, h, "dn2");
-        assert!(cl.hosts[h.0].cache.content_addressed());
+        assert!(cl.content_addressed());
         let cid = ContentId::from_path("/hdfs/data/blk_1");
         cl.bind_content(dn1, 0, 1 << 20, cid, 0);
         cl.bind_content(dn2, 0, 1 << 20, cid, 0);
@@ -356,5 +358,36 @@ mod tests {
         let l = cl.hosts[h2.0].cache.lookup(o1, 0, 65536);
         assert_eq!(l.miss_bytes, 0);
         assert_eq!(l.dedup_bytes, 65536);
+    }
+
+    /// In [`HostCacheMode::Lru`] no binding reaches a host store, before
+    /// or after a migration: co-located replicas of one content id stay
+    /// separate copies.
+    #[test]
+    fn lru_mode_forwards_no_bindings() {
+        let mut w = World::new(1);
+        let mut cl = Cluster::new(Costs::default());
+        assert!(!cl.content_addressed());
+        let h1 = cl.add_host(&mut w, "h1", 4, 2.0);
+        let h2 = cl.add_host(&mut w, "h2", 4, 2.0);
+        let dn1 = cl.add_vm(&mut w, h1, "dn1");
+        let dn2 = cl.add_vm(&mut w, h1, "dn2");
+        let cid = ContentId::from_path("/hdfs/data/blk_1");
+        cl.bind_content(dn1, 0, 1 << 20, cid, 0);
+        cl.bind_content(dn2, 0, 1 << 20, cid, 0);
+        let o1 = cl.vm(dn1).fs.image();
+        let o2 = cl.vm(dn2).fs.image();
+        for h in [h1, h2] {
+            if h == h2 {
+                cl.migrate_vm(&mut w, dn1, h2);
+                cl.migrate_vm(&mut w, dn2, h2);
+            }
+            let store = &mut cl.hosts[h.0].cache;
+            store.admit(o1, 0, 1 << 20);
+            let l = store.lookup(o2, 0, 1 << 20);
+            assert_eq!((l.miss_bytes, l.dedup_bytes), (1 << 20, 0), "host {}", h.0);
+            assert_eq!(store.stats().dedup_hits, 0);
+            assert_eq!(store.logical_bytes(), store.used_bytes());
+        }
     }
 }

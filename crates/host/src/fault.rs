@@ -39,7 +39,6 @@ mod tests {
     use super::*;
     use crate::cluster::Cluster;
     use crate::costs::Costs;
-    use crate::store::BlockStore;
     use vread_sim::fault::schedule_faults;
     use vread_sim::time::SimTime;
 

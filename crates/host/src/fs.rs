@@ -38,11 +38,6 @@ impl ObjectId {
 pub struct FileId(u32);
 
 impl FileId {
-    /// Constructs from a raw inode number.
-    pub const fn from_raw(raw: u32) -> Self {
-        FileId(raw)
-    }
-
     /// The raw inode number.
     pub const fn raw(self) -> u32 {
         self.0

@@ -9,14 +9,14 @@
 //! * [`costs::Costs`] — the single source of truth for every per-operation
 //!   CPU cost (memcpy cycles/byte, VM exits, virtio kicks, interrupt
 //!   injection, TCP segment processing, RDMA verbs, …);
-//! * [`store::BlockStore`] — the typed block-store API (lookup/admit with
-//!   [`store::Admission`] outcomes, [`store::CacheStats`] counters);
-//! * [`cache::PageCache`] — byte-capacity LRU page caches (guest and host),
-//!   which is what makes *read* and *re-read* behave differently;
-//! * [`cas::CasStore`] — the content-addressed shared host store: ranges
-//!   bound to a [`store::ContentId`] (HDFS replicas, shared files) occupy
-//!   physical capacity once and dedup hits are served by mapping;
-//! * [`lru::Lru`] — the recency list both stores evict by, linked
+//! * [`store::BlockStore`] — the one byte-capacity LRU page cache every
+//!   guest and host owns, which is what makes *read* and *re-read*
+//!   behave differently. Ranges bound to a [`store::ContentId`] (HDFS
+//!   replicas, shared files) occupy physical capacity once and dedup
+//!   hits are served by mapping; only host stores in
+//!   [`cluster::HostCacheMode::Cas`] receive bindings. Lookups return
+//!   [`store::Lookup`] outcomes and keep [`store::CacheStats`] counters;
+//! * [`lru::Lru`] — the recency list the store evicts by, linked
 //!   through per-space directories of 512-chunk slot pages, with O(1)
 //!   touch, insert and eviction;
 //! * [`fs::GuestFs`] — a small extent-based filesystem inside each VM's
@@ -32,8 +32,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod cache;
-pub mod cas;
 pub mod cluster;
 pub mod costs;
 pub mod fault;
@@ -42,10 +40,8 @@ pub mod lru;
 pub mod store;
 pub mod virtio;
 
-pub use cache::PageCache;
-pub use cas::CasStore;
 pub use cluster::{with_cluster, Cluster, HostCacheMode, HostIx, Vm, VmId};
 pub use costs::Costs;
 pub use fault::DropHostCache;
 pub use fs::{FileId, FsError, FsSnapshot, GuestFs, ObjectId};
-pub use store::{Admission, BlockStore, CacheStats, ContentId, Lookup};
+pub use store::{BlockStore, CacheStats, ContentId, Lookup};

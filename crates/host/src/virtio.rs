@@ -18,7 +18,6 @@
 use vread_sim::prelude::*;
 
 use crate::cluster::{Cluster, VmId};
-use crate::store::BlockStore;
 
 /// Builds the stage chain for a guest application reading
 /// `[offset, offset+len)` of its VM's disk image.

@@ -1,28 +1,71 @@
-//! Property-based tests of the page cache and guest filesystem against
+//! Property-based tests of the block store and guest filesystem against
 //! simple reference models.
 
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
-use vread_host::cache::PageCache;
-use vread_host::cas::CasStore;
 use vread_host::fs::{FsError, GuestFs, ObjectId};
-use vread_host::store::{BlockStore, ContentId};
+use vread_host::store::{BlockStore, CacheStats, ContentId, Lookup};
 
-/// Reference models of both block stores with recency kept the simple
+/// The store surface the equivalence property drives, so one function
+/// runs the real store against either reference model.
+trait Store: Clone {
+    fn lookup(&mut self, obj: ObjectId, offset: u64, len: u64) -> Lookup;
+    fn admit(&mut self, obj: ObjectId, offset: u64, len: u64);
+    fn bind(&mut self, obj: ObjectId, image_offset: u64, len: u64, content: ContentId, coff: u64);
+    fn clear(&mut self);
+    fn used_bytes(&self) -> u64;
+    fn logical_bytes(&self) -> u64;
+    fn stats(&self) -> CacheStats;
+}
+
+impl Store for BlockStore {
+    fn lookup(&mut self, obj: ObjectId, offset: u64, len: u64) -> Lookup {
+        BlockStore::lookup(self, obj, offset, len)
+    }
+
+    fn admit(&mut self, obj: ObjectId, offset: u64, len: u64) {
+        BlockStore::admit(self, obj, offset, len);
+    }
+
+    fn bind(&mut self, obj: ObjectId, image_offset: u64, len: u64, content: ContentId, coff: u64) {
+        BlockStore::bind(self, obj, image_offset, len, content, coff);
+    }
+
+    fn clear(&mut self) {
+        BlockStore::clear(self);
+    }
+
+    fn used_bytes(&self) -> u64 {
+        BlockStore::used_bytes(self)
+    }
+
+    fn logical_bytes(&self) -> u64 {
+        BlockStore::logical_bytes(self)
+    }
+
+    fn stats(&self) -> CacheStats {
+        BlockStore::stats(self)
+    }
+}
+
+/// Reference models of the block store with recency kept the simple
 /// way: every touch or insert stamps the chunk with a fresh, unique tick,
 /// and a `BTreeMap<tick, chunk>` orders chunks oldest first. The real
-/// stores keep recency in `vread_host::lru::Lru`; the equivalence
+/// store keeps recency in `vread_host::lru::Lru`; the equivalence
 /// property below drives both with the same calls and requires every
-/// observable result to match.
+/// observable result to match. `PageCache` is the store without
+/// bindings, `CasStore` the store with them.
 mod model {
     use std::collections::BTreeMap;
 
     use vread_host::fs::ObjectId;
-    use vread_host::store::{Admission, BlockStore, CacheStats, ContentId, Lookup};
+    use vread_host::store::{CacheStats, ContentId, Lookup};
+
+    use super::Store;
 
     /// Keys in tick order, each with a value.
-    #[derive(Debug)]
+    #[derive(Debug, Clone)]
     struct TickLru<K, V> {
         tick: u64,
         /// key -> (last-use tick, value)
@@ -64,13 +107,8 @@ mod model {
             Some((key, value))
         }
 
-        fn remove(&mut self, key: &K) {
-            let (tick, _) = self.map.remove(key).expect("removing a present key");
-            self.order.remove(&tick);
-        }
-
-        fn oldest_first(&self) -> Vec<(K, V)> {
-            self.order.values().map(|k| (*k, self.map[k].1)).collect()
+        fn keys(&self) -> impl Iterator<Item = &K> {
+            self.order.values()
         }
 
         fn clear(&mut self) {
@@ -86,8 +124,8 @@ mod model {
         offset / chunk..(offset + len - 1) / chunk + 1
     }
 
-    /// The LRU page cache.
-    #[derive(Debug)]
+    /// The LRU page cache: a store that never gets a binding.
+    #[derive(Debug, Clone)]
     pub struct PageCache {
         capacity: u64,
         chunk: u64,
@@ -106,17 +144,9 @@ mod model {
                 stats: CacheStats::default(),
             }
         }
-
-        fn evict_oldest(&mut self) -> bool {
-            let popped = self.lru.pop_oldest().is_some();
-            if popped {
-                self.used -= self.chunk;
-            }
-            popped
-        }
     }
 
-    impl BlockStore for PageCache {
+    impl Store for PageCache {
         fn lookup(&mut self, obj: ObjectId, offset: u64, len: u64) -> Lookup {
             let mut out = Lookup::default();
             for ci in chunks_of(self.chunk, offset, len) {
@@ -131,42 +161,22 @@ mod model {
             out
         }
 
-        fn probe(&self, obj: ObjectId, offset: u64, len: u64) -> bool {
-            chunks_of(self.chunk, offset, len).all(|ci| self.lru.contains(&(obj.raw(), ci)))
-        }
-
-        fn admit(&mut self, obj: ObjectId, offset: u64, len: u64) -> Admission {
-            let mut any_miss = false;
+        fn admit(&mut self, obj: ObjectId, offset: u64, len: u64) {
             for ci in chunks_of(self.chunk, offset, len) {
                 let key = (obj.raw(), ci);
                 if self.lru.touch(&key).is_none() {
-                    any_miss = true;
                     while self.used + self.chunk > self.capacity {
-                        self.evict_oldest();
+                        self.lru.pop_oldest();
+                        self.used -= self.chunk;
                     }
                     self.lru.insert(key, ());
                     self.used += self.chunk;
                 }
             }
-            if any_miss {
-                Admission::Miss
-            } else {
-                Admission::Hit
-            }
         }
 
-        fn evict_to_fit(&mut self, bytes: u64) {
-            let budget = self.capacity.saturating_sub(bytes);
-            while self.used > budget && self.evict_oldest() {}
-        }
-
-        fn evict_object(&mut self, obj: ObjectId) {
-            for (k, ()) in self.lru.oldest_first() {
-                if k.0 == obj.raw() {
-                    self.lru.remove(&k);
-                    self.used -= self.chunk;
-                }
-            }
+        fn bind(&mut self, _: ObjectId, _: u64, _: u64, _: ContentId, _: u64) {
+            unreachable!("the LRU model takes no bindings: the property skips Bind ops");
         }
 
         fn clear(&mut self) {
@@ -180,10 +190,6 @@ mod model {
 
         fn logical_bytes(&self) -> u64 {
             self.used
-        }
-
-        fn capacity_bytes(&self) -> u64 {
-            self.capacity
         }
 
         fn stats(&self) -> CacheStats {
@@ -200,7 +206,7 @@ mod model {
     }
 
     /// The content-addressed store.
-    #[derive(Debug)]
+    #[derive(Debug, Clone)]
     pub struct CasStore {
         capacity: u64,
         chunk: u64,
@@ -262,17 +268,9 @@ mod model {
             keys.dedup();
             keys
         }
-
-        fn evict_oldest(&mut self) -> bool {
-            let popped = self.lru.pop_oldest().is_some();
-            if popped {
-                self.used -= self.chunk;
-            }
-            popped
-        }
     }
 
-    impl BlockStore for CasStore {
+    impl Store for CasStore {
         fn lookup(&mut self, obj: ObjectId, offset: u64, len: u64) -> Lookup {
             let mut out = Lookup::default();
             for key in self.keys_for(obj.raw(), offset, len) {
@@ -295,41 +293,17 @@ mod model {
             out
         }
 
-        fn probe(&self, obj: ObjectId, offset: u64, len: u64) -> bool {
-            self.keys_for(obj.raw(), offset, len)
-                .iter()
-                .all(|k| self.lru.contains(k))
-        }
-
-        fn admit(&mut self, obj: ObjectId, offset: u64, len: u64) -> Admission {
-            let (mut any_miss, mut any_dedup) = (false, false);
+        fn admit(&mut self, obj: ObjectId, offset: u64, len: u64) {
             for key in self.keys_for(obj.raw(), offset, len) {
-                match self.lru.touch(&key) {
-                    Some(owner) => {
-                        any_dedup |= matches!(key, ChunkKey::Content { .. }) && owner != obj.raw();
+                if self.lru.touch(&key).is_none() {
+                    while self.used + self.chunk > self.capacity {
+                        self.lru.pop_oldest();
+                        self.used -= self.chunk;
                     }
-                    None => {
-                        any_miss = true;
-                        while self.used + self.chunk > self.capacity {
-                            self.evict_oldest();
-                        }
-                        self.lru.insert(key, obj.raw());
-                        self.used += self.chunk;
-                    }
+                    self.lru.insert(key, obj.raw());
+                    self.used += self.chunk;
                 }
             }
-            if any_miss {
-                Admission::Miss
-            } else if any_dedup {
-                Admission::HitDedup
-            } else {
-                Admission::Hit
-            }
-        }
-
-        fn evict_to_fit(&mut self, bytes: u64) {
-            let budget = self.capacity.saturating_sub(bytes);
-            while self.used > budget && self.evict_oldest() {}
         }
 
         fn bind(
@@ -348,19 +322,6 @@ mod model {
             }
         }
 
-        fn evict_object(&mut self, obj: ObjectId) {
-            for (k, owner) in self.lru.oldest_first() {
-                let victim = match k {
-                    ChunkKey::Object { obj: o, .. } => o == obj.raw(),
-                    ChunkKey::Content { .. } => owner == obj.raw(),
-                };
-                if victim {
-                    self.lru.remove(&k);
-                    self.used -= self.chunk;
-                }
-            }
-        }
-
         fn clear(&mut self) {
             self.lru.clear();
             self.used = 0;
@@ -373,9 +334,8 @@ mod model {
         fn logical_bytes(&self) -> u64 {
             let private = self
                 .lru
-                .oldest_first()
-                .iter()
-                .filter(|(k, _)| matches!(k, ChunkKey::Object { .. }))
+                .keys()
+                .filter(|k| matches!(k, ChunkKey::Object { .. }))
                 .count() as u64;
             let mut logical = private * self.chunk;
             for &(len, cid, coff) in self.bindings.values() {
@@ -388,16 +348,8 @@ mod model {
             logical
         }
 
-        fn capacity_bytes(&self) -> u64 {
-            self.capacity
-        }
-
         fn stats(&self) -> CacheStats {
             self.stats
-        }
-
-        fn content_addressed(&self) -> bool {
-            true
         }
     }
 }
@@ -418,23 +370,12 @@ enum StoreOp {
         off: u64,
         len: u64,
     },
-    Probe {
-        obj: u64,
-        off: u64,
-        len: u64,
-    },
     Bind {
         obj: u64,
         off: u64,
         len: u64,
         cid: u64,
         coff: u64,
-    },
-    EvictObject {
-        obj: u64,
-    },
-    EvictToFit {
-        bytes: u64,
     },
     Clear,
 }
@@ -444,7 +385,7 @@ const ORACLE_OBJECTS: u64 = 4;
 const ORACLE_CONTENTS: u64 = 4;
 
 /// Chunk indices far from 0 and from each other (the last just under
-/// 2^20), so the stores' dense per-space tables must grow to reach
+/// 2^20), so the store's dense per-space tables must grow to reach
 /// them, while ops near one anchor still overlap.
 const SPARSE_ANCHORS: [u64; 3] = [1 << 10, 1 << 16, (1 << 20) - 8];
 
@@ -475,7 +416,6 @@ fn store_op() -> impl Strategy<Value = StoreOp> {
         store_range().prop_map(|(obj, off, len)| StoreOp::Lookup { obj, off, len }),
         store_range().prop_map(|(obj, off, len)| StoreOp::Admit { obj, off, len }),
         store_range().prop_map(|(obj, off, len)| StoreOp::Admit { obj, off, len }),
-        store_range().prop_map(|(obj, off, len)| StoreOp::Probe { obj, off, len }),
         (store_range(), (0u64..ORACLE_CONTENTS, store_offset())).prop_map(
             |((obj, off, len), (cid, coff))| StoreOp::Bind {
                 obj,
@@ -485,8 +425,6 @@ fn store_op() -> impl Strategy<Value = StoreOp> {
                 coff
             }
         ),
-        (0u64..ORACLE_OBJECTS).prop_map(|obj| StoreOp::EvictObject { obj }),
-        (0u64..10 * ORACLE_CHUNK).prop_map(|bytes| StoreOp::EvictToFit { bytes }),
         Just(StoreOp::Clear),
     ]
 }
@@ -494,8 +432,8 @@ fn store_op() -> impl Strategy<Value = StoreOp> {
 /// Applies `op` to both stores and checks that every result agrees.
 fn apply_both(
     op: &StoreOp,
-    real: &mut dyn BlockStore,
-    reference: &mut dyn BlockStore,
+    real: &mut impl Store,
+    reference: &mut impl Store,
 ) -> Result<(), String> {
     let o = ObjectId::from_raw;
     match *op {
@@ -506,16 +444,8 @@ fn apply_both(
             );
         }
         StoreOp::Admit { obj, off, len } => {
-            prop_assert_eq!(
-                real.admit(o(obj), off, len),
-                reference.admit(o(obj), off, len)
-            );
-        }
-        StoreOp::Probe { obj, off, len } => {
-            prop_assert_eq!(
-                real.probe(o(obj), off, len),
-                reference.probe(o(obj), off, len)
-            );
+            real.admit(o(obj), off, len);
+            reference.admit(o(obj), off, len);
         }
         StoreOp::Bind {
             obj,
@@ -524,17 +454,9 @@ fn apply_both(
             cid,
             coff,
         } => {
-            let c = ContentId::from_raw(cid);
+            let c = ContentId::from_path(&format!("/content/{cid}"));
             real.bind(o(obj), off, len, c, coff);
             reference.bind(o(obj), off, len, c, coff);
-        }
-        StoreOp::EvictObject { obj } => {
-            real.evict_object(o(obj));
-            reference.evict_object(o(obj));
-        }
-        StoreOp::EvictToFit { bytes } => {
-            real.evict_to_fit(bytes);
-            reference.evict_to_fit(bytes);
         }
         StoreOp::Clear => {
             real.clear();
@@ -544,13 +466,15 @@ fn apply_both(
     prop_assert_eq!(real.stats(), reference.stats());
     prop_assert_eq!(real.used_bytes(), reference.used_bytes());
     prop_assert_eq!(real.logical_bytes(), reference.logical_bytes());
-    // Residency of every chunk the ops can reach (probe never touches).
+    // Residency of every chunk the ops can reach, read on clones: a
+    // lookup never evicts, so the clones' residency stays put.
+    let (mut real, mut reference) = (real.clone(), reference.clone());
     for obj in 0..ORACLE_OBJECTS {
         for ci in reachable_chunks() {
             let (off, len) = (ci * ORACLE_CHUNK, ORACLE_CHUNK);
             prop_assert_eq!(
-                real.probe(o(obj), off, len),
-                reference.probe(o(obj), off, len),
+                real.lookup(o(obj), off, len),
+                reference.lookup(o(obj), off, len),
                 "residency of object {obj} chunk {ci}"
             );
         }
@@ -562,7 +486,6 @@ fn apply_both(
 enum CacheOp {
     Insert { obj: u64, off: u64, len: u64 },
     Query { obj: u64, off: u64, len: u64 },
-    EvictObj { obj: u64 },
     Clear,
 }
 
@@ -578,7 +501,6 @@ fn cache_op() -> impl Strategy<Value = CacheOp> {
             off,
             len
         }),
-        (0u64..3).prop_map(|obj| CacheOp::EvictObj { obj }),
         Just(CacheOp::Clear),
     ]
 }
@@ -586,13 +508,13 @@ fn cache_op() -> impl Strategy<Value = CacheOp> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The cache never exceeds capacity and, while capacity is not
+    /// The store never exceeds capacity and, while capacity is not
     /// exceeded, agrees with an exact reference set of chunks.
     #[test]
     fn cache_matches_reference(ops in proptest::collection::vec(cache_op(), 1..60)) {
         const CHUNK: u64 = 4096;
         const CAP: u64 = 64 * CHUNK;
-        let mut cache = PageCache::new(CAP, CHUNK);
+        let mut cache = BlockStore::new(CAP, CHUNK);
         let mut reference: BTreeSet<(u64, u64)> = BTreeSet::new();
         let mut overflowed = false;
 
@@ -614,7 +536,10 @@ proptest! {
                     }
                 }
                 CacheOp::Query { obj, off, len } => {
-                    let covered = cache.probe(ObjectId::from_raw(obj), off, len);
+                    // Read on a clone: a lookup never evicts, but it
+                    // counts and touches.
+                    let look = cache.clone().lookup(ObjectId::from_raw(obj), off, len);
+                    let covered = look.miss_bytes == 0;
                     if !overflowed {
                         let expect = chunks(off, len).all(|c| reference.contains(&(obj, c)));
                         prop_assert_eq!(covered, expect, "query divergence before overflow");
@@ -624,10 +549,6 @@ proptest! {
                             prop_assert!(reference.contains(&(obj, c)));
                         }
                     }
-                }
-                CacheOp::EvictObj { obj } => {
-                    cache.evict_object(ObjectId::from_raw(obj));
-                    reference.retain(|&(o, _)| o != obj);
                 }
                 CacheOp::Clear => {
                     cache.clear();
@@ -639,71 +560,32 @@ proptest! {
         }
     }
 
-    /// Without content bindings, the CAS store is observationally
-    /// identical to the LRU cache: same lookup outcomes, same coverage,
-    /// same residency and statistics, for any op sequence. (Bound-range
-    /// behavior is covered by the unit tests and the scenario-level
-    /// equivalence test in `vread-bench`.)
-    #[test]
-    fn unbound_cas_store_matches_lru(ops in proptest::collection::vec(cache_op(), 1..60)) {
-        const CHUNK: u64 = 4096;
-        const CAP: u64 = 64 * CHUNK;
-        let mut lru = PageCache::new(CAP, CHUNK);
-        let mut cas = CasStore::new(CAP, CHUNK);
-        for op in &ops {
-            match *op {
-                CacheOp::Insert { obj, off, len } => {
-                    let o = ObjectId::from_raw(obj);
-                    prop_assert_eq!(lru.admit(o, off, len), cas.admit(o, off, len));
-                }
-                CacheOp::Query { obj, off, len } => {
-                    let o = ObjectId::from_raw(obj);
-                    prop_assert_eq!(lru.lookup(o, off, len), cas.lookup(o, off, len));
-                    prop_assert_eq!(lru.probe(o, off, len), cas.probe(o, off, len));
-                }
-                CacheOp::EvictObj { obj } => {
-                    lru.evict_object(ObjectId::from_raw(obj));
-                    cas.evict_object(ObjectId::from_raw(obj));
-                }
-                CacheOp::Clear => {
-                    lru.clear();
-                    cas.clear();
-                }
-            }
-            prop_assert_eq!(lru.used_bytes(), cas.used_bytes());
-            prop_assert_eq!(lru.logical_bytes(), cas.logical_bytes());
-            prop_assert_eq!(lru.stats(), cas.stats());
-        }
-    }
-
-    /// Both stores agree with their tick-ordered reference model on
-    /// every lookup, admission, probe, statistic and byte count, with
-    /// capacities of 2–8 chunks so most admissions evict. Four objects
-    /// and four content ids, with ranges and content offsets near
-    /// sparse chunk indices up to 2^20, exercise the dense tables'
-    /// growth and the CAS store's content-id-to-space mapping.
+    /// The store agrees with both tick-ordered reference models on
+    /// every lookup, residency, statistic and byte count, with
+    /// capacities of 2–8 chunks so most admissions evict: with the LRU
+    /// model when no op binds (`Bind` ops skipped), with the CAS model
+    /// on every op. Four objects and four content ids, with ranges and
+    /// content offsets near sparse chunk indices up to 2^20, exercise
+    /// the dense tables' growth and the content-id-to-space mapping.
     #[test]
     fn stores_match_tick_lru_model(
         cap_chunks in 2u64..9,
         ops in proptest::collection::vec(store_op(), 1..120),
     ) {
         let cap = cap_chunks * ORACLE_CHUNK;
-        let pairs: [(Box<dyn BlockStore>, Box<dyn BlockStore>); 2] = [
-            (
-                Box::new(PageCache::new(cap, ORACLE_CHUNK)),
-                Box::new(model::PageCache::new(cap, ORACLE_CHUNK)),
-            ),
-            (
-                Box::new(CasStore::new(cap, ORACLE_CHUNK)),
-                Box::new(model::CasStore::new(cap, ORACLE_CHUNK)),
-            ),
-        ];
-        for (mut real, mut reference) in pairs {
-            for (i, op) in ops.iter().enumerate() {
-                if let Err(e) = apply_both(op, real.as_mut(), reference.as_mut()) {
-                    let store = if real.content_addressed() { "cas" } else { "lru" };
-                    prop_assert!(false, "{store} store, op {i} {op:?}: {e}");
-                }
+        let mut real = BlockStore::new(cap, ORACLE_CHUNK);
+        let mut lru = model::PageCache::new(cap, ORACLE_CHUNK);
+        let unbound = ops.iter().filter(|op| !matches!(op, StoreOp::Bind { .. }));
+        for (i, op) in unbound.enumerate() {
+            if let Err(e) = apply_both(op, &mut real, &mut lru) {
+                prop_assert!(false, "unbound store vs LRU model, op {i} {op:?}: {e}");
+            }
+        }
+        let mut real = BlockStore::new(cap, ORACLE_CHUNK);
+        let mut cas = model::CasStore::new(cap, ORACLE_CHUNK);
+        for (i, op) in ops.iter().enumerate() {
+            if let Err(e) = apply_both(op, &mut real, &mut cas) {
+                prop_assert!(false, "store vs CAS model, op {i} {op:?}: {e}");
             }
         }
     }

@@ -74,8 +74,8 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "sealed-match",
         summary: "wildcard `_` arm in a match over a load-bearing enum (Stage, \
-                  Admission, FaultKind, ReadPath, HostCacheMode); list the \
-                  variants so adding one forces every consumer to handle it.",
+                  FaultKind, ReadPath, HostCacheMode); list the variants so \
+                  adding one forces every consumer to handle it.",
     },
     RuleInfo {
         id: "timeline-confine",

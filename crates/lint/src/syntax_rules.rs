@@ -135,13 +135,7 @@ fn timeline_confine(
 /// must be a compile-time (here: lint-time) event at every consumer.
 /// `Stage` gained `Map` in PR 7 — a wildcard arm in the ledger or the
 /// Perfetto export would have silently dropped mapped bytes.
-pub const SEALED_ENUMS: &[&str] = &[
-    "Stage",
-    "Admission",
-    "FaultKind",
-    "ReadPath",
-    "HostCacheMode",
-];
+pub const SEALED_ENUMS: &[&str] = &["Stage", "FaultKind", "ReadPath", "HostCacheMode"];
 
 fn sealed_match(code: &[Tok<'_>], out: &mut Vec<Candidate>) {
     for m in syntax::parse_matches(code) {

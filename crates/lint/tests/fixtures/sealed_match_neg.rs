@@ -1,10 +1,9 @@
 // Fixture: exhaustive sealed matches and benign wildcards.
-fn admit(a: Admission) -> &'static str {
+fn mode(m: HostCacheMode) -> &'static str {
     // Fully enumerated: adding a variant breaks this at lint time.
-    match a {
-        Admission::Hit => "hit",
-        Admission::HitDedup => "dedup",
-        Admission::Miss => "miss",
+    match m {
+        HostCacheMode::Lru => "lru",
+        HostCacheMode::Cas => "cas",
     }
 }
 

@@ -19,6 +19,67 @@ impl Meter {
     }
 
     pub fn generic<T>(&self) {}
+
+    // Associated functions: `zero` is reached through `Self::` in a
+    // trait impl of the type, `one` as a path value.
+    pub fn zero() -> Self {
+        Meter
+    }
+
+    pub fn one() -> Self {
+        Meter
+    }
+}
+
+impl Default for Meter {
+    fn default() -> Self {
+        Self::zero()
+    }
+}
+
+fn ones() -> Vec<Meter> {
+    std::iter::repeat_with(Meter::one).take(2).collect()
+}
+
+// A macro-generated impl names its type through a variable, so its
+// functions are judged by name.
+macro_rules! id {
+    ($t:ident) => {
+        impl $t {
+            pub const fn from_raw(raw: u32) -> Self {
+                $t(raw)
+            }
+        }
+    };
+}
+
+pub struct Tag(u32);
+id!(Tag);
+
+// A `pub trait`'s methods, each reached by a shipped call; a method
+// without a receiver is judged by name like any other trait method.
+pub trait Store {
+    fn used(&self) -> u64;
+
+    fn kind() -> &'static str;
+}
+
+fn occupancy<S: Store>(s: &S) -> (u64, &'static str, Tag) {
+    (s.used(), S::kind(), Tag::from_raw(1))
+}
+
+// A function returning `impl Trait` is not an impl block: `Self::`
+// inside it resolves to the enclosing impl.
+pub struct Ring;
+
+impl Ring {
+    pub fn slots() -> u32 {
+        4
+    }
+
+    pub fn iter(&self) -> impl Iterator<Item = u32> {
+        0..Self::slots()
+    }
 }
 
 pub fn listed() -> Vec<&'static str> {

@@ -15,6 +15,45 @@ impl Meter {
     }
 
     pub fn generic<T>(&self) {} //~ test-only-pub
+
+    // An associated function counts only by `Meter::zero` or
+    // `Self::zero`: a shipped call of `Gauge::zero` does not reach it.
+    pub fn zero() -> Self { //~ test-only-pub
+        Meter
+    }
+}
+
+pub struct Gauge;
+
+impl Gauge {
+    pub fn zero() -> Self {
+        Gauge
+    }
+
+    pub fn reset(&self) -> Self {
+        Gauge
+    }
+}
+
+fn gauges() -> Gauge {
+    Gauge::zero().reset()
+}
+
+// Methods declared in a `pub trait` count as `pub fn`s, default
+// bodies or not; a shipped call of `used` keeps only `used`.
+pub trait Store {
+    fn used(&self) -> u64;
+
+    fn probe(&self) -> bool; //~ test-only-pub
+
+    fn evict(&mut self) { //~ test-only-pub
+        fn nested() {}
+        nested()
+    }
+}
+
+fn occupancy(s: &dyn Store) -> u64 {
+    s.used()
 }
 
 // Comments and strings do not count: only_tests_call_me(), Meter::unread.

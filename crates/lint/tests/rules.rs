@@ -160,11 +160,18 @@ fn fixture_tree(test: &str, name: &str) -> (std::path::PathBuf, Vec<std::path::P
         (
             "crates/fx/tests/calls.rs",
             "#[test]\nfn calls() {\n    fx::only_tests_call_me();\n    fx::const_too();\n    \
-             fx::Meter.unread();\n    fx::Meter.generic::<u8>();\n    fx::rng();\n    fx::kept();\n}\n"
+             fx::Meter.unread();\n    fx::Meter.generic::<u8>();\n    fx::Meter::zero();\n    \
+             fx::rng();\n    fx::kept();\n}\n"
                 .to_owned(),
         ),
-        ("examples/demo.rs", "fn main() {\n    fx::listed();\n}\n".to_owned()),
-        ("benchmark/src/main.rs", "fn main() {\n    fx::bench_only();\n}\n".to_owned()),
+        (
+            "examples/demo.rs",
+            "fn main() {\n    fx::listed();\n}\n".to_owned(),
+        ),
+        (
+            "benchmark/src/main.rs",
+            "fn main() {\n    fx::bench_only();\n}\n".to_owned(),
+        ),
     ];
     for (rel, src) in &files {
         let path = root.join(rel);

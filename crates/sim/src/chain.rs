@@ -108,11 +108,6 @@ impl Stage {
         Stage::Disk { dev, bytes }
     }
 
-    /// Convenience constructor for a delay stage.
-    pub fn delay(dur: SimDuration) -> Stage {
-        Stage::Delay { dur }
-    }
-
     /// Convenience constructor for a data-copy stage.
     pub fn copy(thread: ThreadId, cycles: u64, cat: CpuCategory, bytes: u64) -> Stage {
         Stage::Copy {
@@ -346,7 +341,9 @@ mod tests {
             }
         );
         assert_eq!(
-            Stage::delay(SimDuration::from_nanos(3)),
+            Stage::Delay {
+                dur: SimDuration::from_nanos(3)
+            },
             Stage::Delay {
                 dur: SimDuration::from_nanos(3)
             }
@@ -358,13 +355,17 @@ mod tests {
         let mut l = StageList::new();
         assert!(l.is_empty());
         for i in 0..INLINE_STAGES + 3 {
-            l.push(Stage::delay(SimDuration::from_nanos(i as u64)));
+            l.push(Stage::Delay {
+                dur: SimDuration::from_nanos(i as u64),
+            });
         }
         assert_eq!(l.remaining(), INLINE_STAGES + 3);
         for i in 0..INLINE_STAGES + 3 {
             assert_eq!(
                 l.pop_front(),
-                Some(Stage::delay(SimDuration::from_nanos(i as u64))),
+                Some(Stage::Delay {
+                    dur: SimDuration::from_nanos(i as u64)
+                }),
                 "stage {i}"
             );
         }
@@ -379,19 +380,31 @@ mod tests {
         assert_eq!(single.remaining(), 1);
 
         let arr: StageList = [
-            Stage::delay(SimDuration::from_nanos(1)),
-            Stage::delay(SimDuration::from_nanos(2)),
+            Stage::Delay {
+                dur: SimDuration::from_nanos(1),
+            },
+            Stage::Delay {
+                dur: SimDuration::from_nanos(2),
+            },
         ]
         .into();
         assert_eq!(arr.remaining(), 2);
 
-        let vec: StageList = vec![Stage::delay(SimDuration::ZERO); 12].into();
+        let vec: StageList = vec![
+            Stage::Delay {
+                dur: SimDuration::ZERO
+            };
+            12
+        ]
+        .into();
         assert_eq!(vec.remaining(), 12);
     }
 
     #[test]
     fn stage_list_extends_and_iterates_in_order() {
-        let d = |n| Stage::delay(SimDuration::from_nanos(n));
+        let d = |n| Stage::Delay {
+            dur: SimDuration::from_nanos(n),
+        };
         let mut a: StageList = [d(0), d(1)].into();
         let mut b = StageList::new();
         b.extend((2..INLINE_STAGES as u64 + 4).map(d));

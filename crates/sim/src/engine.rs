@@ -834,7 +834,9 @@ mod tests {
         w.start_chain(
             vec![
                 Stage::cpu(t1, 1_000_000, CpuCategory::Other), // 1ms
-                Stage::delay(SimDuration::from_millis(2)),
+                Stage::Delay {
+                    dur: SimDuration::from_millis(2),
+                },
                 Stage::cpu(t2, 3_000_000, CpuCategory::Other), // 3ms
             ],
             a,

@@ -103,7 +103,9 @@ fn zero_cycle_stages_complete_instantly() {
     w.start_chain(
         vec![
             Stage::cpu(t, 0, CpuCategory::Other),
-            Stage::delay(SimDuration::ZERO),
+            Stage::Delay {
+                dur: SimDuration::ZERO,
+            },
             Stage::cpu(t, 0, CpuCategory::Other),
         ],
         s,
