@@ -44,9 +44,9 @@ impl Default for DfsioConfig {
 
 /// The TestDFSIO driver actor.
 ///
-/// Metrics: `dfsio_bytes` (payload moved) and `dfsio_files` (completed
-/// map tasks). Start and completion instants are recorded only in the
-/// job table, on the job bound with [`TestDfsio::with_job`].
+/// Metrics: none. Start, payload bytes, buffers moved and completion are
+/// recorded only in the job table, on the job bound with
+/// [`TestDfsio::with_job`].
 pub struct TestDfsio {
     client: ActorId,
     vm: VmId,
@@ -58,7 +58,6 @@ pub struct TestDfsio {
     offset: u64,
     req: u64,
     job: Option<JobHandle>,
-    m_bytes: LazyCounter,
 }
 
 struct TaskReady;
@@ -89,12 +88,11 @@ impl TestDfsio {
             offset: 0,
             req: 0,
             job: None,
-            m_bytes: LazyCounter::new("dfsio_bytes"),
         }
     }
 
     /// Binds a completion token: the driver signals start, per-buffer
-    /// progress and completion on `job` in addition to its metrics.
+    /// progress and completion on `job`.
     pub fn with_job(mut self, job: JobHandle) -> Self {
         self.job = Some(job);
         self
@@ -199,14 +197,12 @@ impl Actor for TestDfsio {
             Err(m) => m,
         };
         if let Ok(d) = downcast::<MrDone>(msg) {
-            self.m_bytes.add(ctx.metrics(), d.bytes as f64);
             if let Some(j) = self.job {
                 ctx.job_progress(j, d.bytes, 1);
             }
             if self.mode == DfsioMode::Read && self.offset < self.file_bytes && d.bytes > 0 {
                 self.issue(ctx);
             } else {
-                ctx.metrics().incr("dfsio_files");
                 self.cur_file += 1;
                 self.start_task(ctx);
             }
@@ -255,8 +251,9 @@ mod tests {
         w.send_now(a, Start);
         w.run();
         assert!(w.jobs.completed_at(job).is_some());
-        assert_eq!(w.metrics.counter("dfsio_files"), 3.0);
-        assert_eq!(w.metrics.counter("dfsio_bytes"), (12 << 20) as f64);
+        // three 4 MB files in 1 MB buffers
+        assert_eq!(w.jobs.ops(job), 12);
+        assert_eq!(w.jobs.bytes(job), 12 << 20);
     }
 
     #[test]
@@ -283,6 +280,9 @@ mod tests {
         w.send_now(a, Start);
         w.run();
         assert!(w.jobs.completed_at(job).is_some());
+        // one output stream per file
+        assert_eq!(w.jobs.ops(job), 2);
+        assert_eq!(w.jobs.bytes(job), 4 << 20);
         let meta = w.ext.get::<vread_hdfs::HdfsMeta>().unwrap();
         assert_eq!(meta.file("/out/0").unwrap().size(), 2 << 20);
         assert_eq!(meta.file("/out/1").unwrap().size(), 2 << 20);

@@ -3,16 +3,19 @@
 //! Scenarios with background load (lookbusy) never run out of events, so
 //! harnesses can't just `run()` the world dry. The drive layer is
 //! event-driven: workloads signal a [`JobHandle`] when they finish and
-//! [`run_jobs`] — the one driver every experiment, scenario and test
-//! uses — advances the world until every registered job completes (or a
-//! simulated-time cap fires), stopping exactly at the completing event.
-//! Free-running background actors therefore accrue busy time up to that
-//! event and no further.
+//! [`run_jobs`] advances the world until every registered job completes
+//! (or a simulated-time cap fires), stopping exactly at the completing
+//! event. Free-running background actors therefore accrue busy time up
+//! to that event and no further.
 //!
 //! [`run_job`] is how a harness times one job: it registers the job,
-//! starts the actor bound to it, drives with [`run_jobs`] and returns the
-//! job's elapsed time from the job table. Only a launch of several jobs
-//! at different delays (the scenario runner) calls [`run_jobs`] itself.
+//! starts the actor bound to it, drives with [`run_jobs`] and hands back
+//! the finished job, whose elapsed time and progress totals the caller
+//! reads from the job table. Only a launch of several jobs at different
+//! delays (the scenario runner) calls [`run_jobs`] itself. A
+//! fixed-window measurement (Figure 3's netperf rate) drives with
+//! `World::run_until` instead, and unit tests that can run a world dry
+//! use `World::run`.
 
 use vread_sim::prelude::*;
 
@@ -25,22 +28,19 @@ pub fn run_jobs(w: &mut World, cap: SimDuration) -> bool {
 
 /// Times one job: registers `label`, lets `make` add the actor bound to
 /// the job (and anything it needs), sends that actor [`Start`] now and
-/// drives with [`run_jobs`]. Returns the job's start-to-completion time,
-/// or `None` when `cap` fired first. Metrics are not reset.
+/// drives with [`run_jobs`]. Returns the job once it has completed, or
+/// `None` when `cap` fired first; its elapsed time and progress totals
+/// are in `w.jobs`. Metrics are not reset.
 pub fn run_job(
     w: &mut World,
     label: &str,
     cap: SimDuration,
     make: impl FnOnce(&mut World, JobHandle) -> ActorId,
-) -> Option<SimDuration> {
+) -> Option<JobHandle> {
     let job = w.register_job(label);
     let a = make(w, job);
     w.send_now(a, Start);
-    if run_jobs(w, cap) {
-        w.jobs.elapsed(job)
-    } else {
-        None
-    }
+    run_jobs(w, cap).then_some(job)
 }
 
 /// Completes `job` after `delay` of simulated time — for
@@ -112,11 +112,12 @@ mod tests {
     #[test]
     fn run_job_returns_elapsed_or_none_at_the_cap() {
         let mut w = World::new(1);
-        let elapsed = run_job(&mut w, "t", SimDuration::from_secs(1), |w, job| {
+        let job = run_job(&mut w, "t", SimDuration::from_secs(1), |w, job| {
             w.add_actor("t", JobTicker { job, ticks: 7 })
-        });
+        })
+        .expect("the job finishes within the cap");
         assert_eq!(w.now(), SimTime::from_nanos(6_000_000));
-        assert_eq!(elapsed, Some(SimDuration::from_millis(6)));
+        assert_eq!(w.jobs.elapsed(job), Some(SimDuration::from_millis(6)));
         let capped = run_job(&mut w, "t", SimDuration::from_millis(3), |w, job| {
             w.add_actor("t", JobTicker { job, ticks: 7 })
         });

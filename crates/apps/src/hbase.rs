@@ -46,8 +46,8 @@ const ROWS_PER_GET: u64 = ROWS_PER_BLOCK / 4;
 
 /// The PerformanceEvaluation client actor.
 ///
-/// Metrics: `hbase_rows` and `hbase_bytes`. Start and completion
-/// instants are recorded only in the job table, on the job bound with
+/// Metrics: none. Start, row bytes, rows and completion are recorded
+/// only in the job table, on the job bound with
 /// [`HbaseClient::with_job`].
 pub struct HbaseClient {
     client: ActorId,
@@ -92,7 +92,7 @@ impl HbaseClient {
     }
 
     /// Binds a completion token: the client signals start, per-batch
-    /// progress and completion on `job` in addition to its metrics.
+    /// progress and completion on `job`.
     pub fn with_job(mut self, job: JobHandle) -> Self {
         self.job = Some(job);
         self
@@ -210,9 +210,6 @@ impl Actor for HbaseClient {
         };
         if let Ok(rc) = downcast::<RowsCpuDone>(msg) {
             self.rows_done += rc.rows;
-            ctx.metrics().add("hbase_rows", rc.rows as f64);
-            ctx.metrics()
-                .add("hbase_bytes", (rc.rows * ROW_BYTES) as f64);
             if let Some(j) = self.job {
                 ctx.job_progress(j, rc.rows * ROW_BYTES, rc.rows);
             }
@@ -255,9 +252,9 @@ mod tests {
         let a = w.add_actor("hbase", hb);
         w.send_now(a, Start);
         w.run();
-        assert_eq!(w.metrics.counter("hbase_rows"), 20_000.0);
+        assert_eq!(w.jobs.ops(job), 20_000);
         let secs = w.jobs.elapsed(job).expect("hbase job ran").as_secs_f64();
-        let mbps = w.metrics.counter("hbase_bytes") / 1e6 / secs;
+        let mbps = w.jobs.bytes(job) as f64 / 1e6 / secs;
         (secs, mbps)
     }
 

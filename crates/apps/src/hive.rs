@@ -20,7 +20,7 @@ pub const SETUP_CYCLES: u64 = 400_000_000;
 
 /// A Hive select-scan query actor.
 ///
-/// Metrics: `hive_rows`. Start and completion instants are recorded
+/// Metrics: none. Start, bytes scanned, rows and completion are recorded
 /// only in the job table, on the job bound with [`HiveQuery::with_job`].
 pub struct HiveQuery {
     client: ActorId,
@@ -55,7 +55,7 @@ impl HiveQuery {
     }
 
     /// Binds a completion token: the query signals start, per-buffer
-    /// progress and completion on `job` in addition to its metrics.
+    /// progress and completion on `job`.
     pub fn with_job(mut self, job: JobHandle) -> Self {
         self.job = Some(job);
         self
@@ -137,7 +137,6 @@ impl Actor for HiveQuery {
             Err(m) => m,
         };
         if let Ok(f) = downcast::<FilterDone>(msg) {
-            ctx.metrics().add("hive_rows", f.rows as f64);
             if let Some(j) = self.job {
                 ctx.job_progress(j, f.bytes, f.rows);
             }
@@ -176,7 +175,7 @@ mod tests {
         let a = w.add_actor("hive", q);
         w.send_now(a, Start);
         w.run();
-        assert_eq!(w.metrics.counter("hive_rows"), rows as f64);
+        assert_eq!(w.jobs.ops(job), rows);
         assert!(w.jobs.elapsed(job).expect("hive job ran") > SimDuration::ZERO);
     }
 }

@@ -32,9 +32,9 @@ pub enum ReaderMode {
 
 /// Sequential reader with per-request delay sampling.
 ///
-/// Metrics: `reader_delay_ms` (one sample per request) and `reader_bytes`
-/// (payload read). Start and completion instants are recorded only in
-/// the job table, on the job bound with [`JavaReader::with_job`].
+/// Metrics: `reader_delay_ms` (one sample per request). Start, bytes,
+/// requests and completion are recorded only in the job table, on the
+/// job bound with [`JavaReader::with_job`].
 pub struct JavaReader {
     vm: VmId,
     mode: ReaderMode,
@@ -45,7 +45,6 @@ pub struct JavaReader {
     next_req: u64,
     job: Option<JobHandle>,
     m_delay_ms: LazySamples,
-    m_bytes: LazyCounter,
 }
 
 struct LocalReadDone {
@@ -67,12 +66,11 @@ impl JavaReader {
             next_req: 0,
             job: None,
             m_delay_ms: LazySamples::new("reader_delay_ms"),
-            m_bytes: LazyCounter::new("reader_bytes"),
         }
     }
 
     /// Binds a completion token: the reader signals start, per-request
-    /// progress and completion on `job` in addition to its metrics.
+    /// progress and completion on `job`.
     pub fn with_job(mut self, job: JobHandle) -> Self {
         self.job = Some(job);
         self
@@ -149,7 +147,6 @@ impl JavaReader {
     fn record(&self, ctx: &mut Ctx<'_>, bytes: u64) {
         let ms = ctx.now().since(self.issued_at).as_millis_f64();
         self.m_delay_ms.record(ctx.metrics(), ms);
-        self.m_bytes.add(ctx.metrics(), bytes as f64);
         if let Some(j) = self.job {
             ctx.job_progress(j, bytes, 1);
         }
@@ -207,7 +204,7 @@ mod tests {
         let a = w.add_actor("reader", rdr);
         w.send_now(a, Start);
         w.run();
-        assert_eq!(w.metrics.counter("reader_bytes"), (8 << 20) as f64);
+        assert_eq!(w.jobs.bytes(job), 8 << 20);
         assert!(w.jobs.completed_at(job).is_some());
         assert!(w.jobs.elapsed(job).expect("job ran") > SimDuration::ZERO);
         let s = w.metrics.samples("reader_delay_ms").unwrap();

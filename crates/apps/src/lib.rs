@@ -36,6 +36,6 @@ pub use hbase::{HbaseClient, HbaseOp};
 pub use hive::HiveQuery;
 pub use java_reader::{JavaReader, ReaderMode};
 pub use lookbusy::Lookbusy;
-pub use netperf::{deploy_netperf, deploy_netperf_with_job, NetperfClient, NetperfServer};
+pub use netperf::{deploy_netperf, NetperfClient, NetperfServer};
 pub use sqoop::{deploy_sqoop_with_job, MysqlServer, SqoopExport};
 pub use wordcount::WordCount;

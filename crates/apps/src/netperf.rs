@@ -53,9 +53,11 @@ impl Actor for NetperfServer {
 
 /// The requesting half.
 ///
-/// Metrics: `netperf_txns` (transactions completed after
-/// `measure_from`). The client's start is recorded only in the job
-/// table, on the job bound with [`NetperfClient::with_job`].
+/// Metrics: none. Its start and one op per transaction completed after
+/// `measure_from` are recorded only in the job table, on the job given
+/// to [`NetperfClient::new`]. netperf runs for a fixed window and never
+/// completes its job on its own: bound it with `complete_job_after` or
+/// run the world for the window.
 pub struct NetperfClient {
     vm: VmId,
     conn: Option<ActorId>,
@@ -65,14 +67,19 @@ pub struct NetperfClient {
     seq: u64,
     /// Transactions are only counted after this time (warm-up).
     pub measure_from: SimTime,
-    job: Option<JobHandle>,
-    m_txns: LazyCounter,
+    job: JobHandle,
 }
 
 impl NetperfClient {
     /// Creates a client in `vm` issuing `request_bytes` requests to
-    /// `server` (in `server_vm`).
-    pub fn new(vm: VmId, server: ActorId, server_vm: VmId, request_bytes: u64) -> Self {
+    /// `server` (in `server_vm`), reporting on `job`.
+    pub fn new(
+        vm: VmId,
+        server: ActorId,
+        server_vm: VmId,
+        request_bytes: u64,
+        job: JobHandle,
+    ) -> Self {
         NetperfClient {
             vm,
             conn: None,
@@ -81,18 +88,8 @@ impl NetperfClient {
             request_bytes,
             seq: 0,
             measure_from: SimTime::ZERO,
-            job: None,
-            m_txns: LazyCounter::new("netperf_txns"),
+            job,
         }
-    }
-
-    /// Binds a completion token: the client signals start and one op of
-    /// progress per counted transaction. netperf runs for a fixed window
-    /// and never completes on its own — bound it with
-    /// `complete_job_after`.
-    pub fn with_job(mut self, job: JobHandle) -> Self {
-        self.job = Some(job);
-        self
     }
 
     fn fire(&mut self, ctx: &mut Ctx<'_>) {
@@ -138,51 +135,33 @@ impl NetperfClient {
 impl Actor for NetperfClient {
     fn handle(&mut self, msg: BoxMsg, ctx: &mut Ctx<'_>) {
         if msg.is::<Start>() {
-            if let Some(j) = self.job {
-                ctx.job_started(j);
-            }
+            ctx.job_started(self.job);
             self.fire(ctx);
             return;
         }
         if let Ok(r) = downcast::<ConnRecv>(msg) {
             debug_assert_eq!(r.tag, self.seq);
             if ctx.now() >= self.measure_from {
-                self.m_txns.incr(ctx.metrics());
-                if let Some(j) = self.job {
-                    ctx.job_progress(j, 0, 1);
-                }
+                ctx.job_progress(self.job, 0, 1);
             }
             self.fire(ctx);
         }
     }
 }
 
-/// Builds a netperf pair between two VMs; returns the client actor (send
-/// it [`Start`] to begin).
+/// Builds a netperf pair between two VMs whose client reports on `job`;
+/// returns the client actor (send it [`Start`] to begin).
 pub fn deploy_netperf(
     w: &mut World,
     client_vm: VmId,
     server_vm: VmId,
     request_bytes: u64,
     measure_from: SimTime,
-) -> ActorId {
-    deploy_netperf_with_job(w, client_vm, server_vm, request_bytes, measure_from, None)
-}
-
-/// [`deploy_netperf`] with an optional completion token bound to the
-/// client.
-pub fn deploy_netperf_with_job(
-    w: &mut World,
-    client_vm: VmId,
-    server_vm: VmId,
-    request_bytes: u64,
-    measure_from: SimTime,
-    job: Option<JobHandle>,
+    job: JobHandle,
 ) -> ActorId {
     let server = w.add_actor("netperf-server", NetperfServer::new(server_vm, 128));
-    let mut client = NetperfClient::new(client_vm, server, server_vm, request_bytes);
+    let mut client = NetperfClient::new(client_vm, server, server_vm, request_bytes, job);
     client.measure_from = measure_from;
-    client.job = job;
     w.add_actor("netperf-client", client)
 }
 
@@ -211,36 +190,32 @@ mod tests {
         w.ext.get::<Cluster>().unwrap().vm(vm).vcpu
     }
 
-    fn rate(w: &mut World, client: ActorId) -> f64 {
+    /// Transactions between `a` and `b` in the 1 s after a 100 ms
+    /// warm-up, read from the netperf job.
+    fn rate(w: &mut World, a: VmId, b: VmId, request_bytes: u64) -> f64 {
+        let job = w.register_job("netperf");
+        let warmup = SimTime::from_nanos(100_000_000);
+        let client = deploy_netperf(w, a, b, request_bytes, warmup, job);
         w.send_now(client, Start);
         w.run_until(SimTime::from_nanos(1_100_000_000));
-        w.metrics.counter("netperf_txns") // over exactly 1s
+        w.jobs.ops(job) as f64 // over exactly 1s
     }
 
     #[test]
     fn transaction_rate_reasonable_and_size_sensitive() {
         let (mut w, a, b, _) = world_with_vms(0);
-        let c = deploy_netperf(&mut w, a, b, 32 * 1024, SimTime::from_nanos(100_000_000));
-        let r32 = rate(&mut w, c);
+        let r32 = rate(&mut w, a, b, 32 * 1024);
         assert!(r32 > 3_000.0 && r32 < 40_000.0, "32KB rate {r32}/s");
 
         let (mut w2, a2, b2, _) = world_with_vms(0);
-        let c2 = deploy_netperf(
-            &mut w2,
-            a2,
-            b2,
-            128 * 1024,
-            SimTime::from_nanos(100_000_000),
-        );
-        let r128 = rate(&mut w2, c2);
+        let r128 = rate(&mut w2, a2, b2, 128 * 1024);
         assert!(r128 < r32, "128KB rate ({r128}) below 32KB rate ({r32})");
     }
 
     #[test]
     fn lookbusy_contention_drops_rate() {
         let (mut w, a, b, _) = world_with_vms(0);
-        let c = deploy_netperf(&mut w, a, b, 32 * 1024, SimTime::from_nanos(100_000_000));
-        let quiet = rate(&mut w, c);
+        let quiet = rate(&mut w, a, b, 32 * 1024);
 
         let (mut w2, a2, b2, extra) = world_with_vms(2);
         let n = extra.len();
@@ -252,8 +227,7 @@ mod tests {
         }
         let host = w2.thread_host(a2_vcpu(&w2, a2));
         w2.set_cache_pressure(host, crate::lookbusy::llc_pressure(n));
-        let c2 = deploy_netperf(&mut w2, a2, b2, 32 * 1024, SimTime::from_nanos(100_000_000));
-        let busy = rate(&mut w2, c2);
+        let busy = rate(&mut w2, a2, b2, 32 * 1024);
         let drop = 1.0 - busy / quiet;
         assert!(
             drop > 0.05 && drop < 0.6,

@@ -78,8 +78,8 @@ impl Actor for MysqlServer {
 
 /// The Sqoop export job actor.
 ///
-/// Metrics: `sqoop_rows`. Start and completion instants are recorded
-/// only in the job table, on the job bound with
+/// Metrics: none. Start, acknowledged row bytes, rows and completion are
+/// recorded only in the job table, on the job bound with
 /// [`SqoopExport::with_job`].
 pub struct SqoopExport {
     client: ActorId,
@@ -119,7 +119,7 @@ impl SqoopExport {
     }
 
     /// Binds a completion token: the export signals start, per-batch
-    /// progress and completion on `job` in addition to its metrics.
+    /// progress and completion on `job`.
     pub fn with_job(mut self, job: JobHandle) -> Self {
         self.job = Some(job);
         self
@@ -218,7 +218,6 @@ impl Actor for SqoopExport {
             // MySQL ack: the tag is the row count of the acked batch
             self.batches_inflight -= 1;
             self.rows_acked += r.tag;
-            ctx.metrics().add("sqoop_rows", r.tag as f64);
             if let Some(j) = self.job {
                 ctx.job_progress(j, r.tag * ROW_BYTES, r.tag);
             }
@@ -228,8 +227,8 @@ impl Actor for SqoopExport {
 }
 
 /// Deploys a MySQL server on `db_host` and a Sqoop export job in
-/// `client_vm` shipping to it, with an optional completion token bound
-/// to the export job. Returns the export actor (send [`Start`]).
+/// `client_vm` shipping to it, bound to `job`. Returns the export actor
+/// (send [`Start`]).
 pub fn deploy_sqoop_with_job(
     w: &mut World,
     client_vm: VmId,
@@ -237,16 +236,14 @@ pub fn deploy_sqoop_with_job(
     dfs_client: ActorId,
     table: String,
     rows: u64,
-    job: Option<JobHandle>,
+    job: JobHandle,
 ) -> ActorId {
     let host_id = w.ext.get::<Cluster>().expect("cluster").hosts[db_host.0].host;
     let thread = w.add_thread(host_id, "mysqld");
     let mysql = w.add_actor("mysql", MysqlServer::new(thread));
     // The export actor is created first so the conn can point at it.
-    let mut export = SqoopExport::new(dfs_client, client_vm, table, rows, ActorId::from_raw(0));
-    if let Some(j) = job {
-        export = export.with_job(j);
-    }
+    let export =
+        SqoopExport::new(dfs_client, client_vm, table, rows, ActorId::from_raw(0)).with_job(job);
     let export_slot = w.add_actor("sqoop", export);
     let conn = with_cluster(w, |cl, w| {
         add_conn(
@@ -301,11 +298,11 @@ mod tests {
         populate_file(&mut w, "/t", rows * ROW_BYTES, &Placement::One(dns[0]));
         let client = add_client(&mut w, cvm, Box::new(VanillaPath::new()));
         let job = w.register_job("sqoop");
-        let export = deploy_sqoop_with_job(&mut w, cvm, h2, client, "/t".into(), rows, Some(job));
+        let export = deploy_sqoop_with_job(&mut w, cvm, h2, client, "/t".into(), rows, job);
         w.send_now(export, Start);
         w.run();
         assert!(w.jobs.completed_at(job).is_some());
-        assert_eq!(w.metrics.counter("sqoop_rows"), rows as f64);
+        assert_eq!(w.jobs.ops(job), rows);
         // MySQL burned insert CPU
         let mysql_cycles: f64 = (0..w.acct.len())
             .map(|t| w.acct.cycles(t, CpuCategory::Mysql))

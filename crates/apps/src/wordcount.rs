@@ -44,8 +44,8 @@ struct PhaseCpuDone;
 
 /// The WordCount driver actor.
 ///
-/// Metrics: `wc_input_bytes` and the phase mark `wc_map_done_at_s` (when
-/// the map phase ended, seconds). Start and completion instants are
+/// Metrics: the phase mark `wc_map_done_at_s` (when the map phase
+/// ended, seconds). Start, input bytes, map reads and completion are
 /// recorded only in the job table, on the job bound with
 /// [`WordCount::with_job`].
 pub struct WordCount {
@@ -186,7 +186,6 @@ impl Actor for WordCount {
         };
         let msg = match downcast::<MapCpuDone>(msg) {
             Ok(mc) => {
-                ctx.metrics().add("wc_input_bytes", mc.bytes as f64);
                 if let Some(j) = self.job {
                     ctx.job_progress(j, mc.bytes, 1);
                 }
@@ -244,7 +243,7 @@ mod tests {
     fn job_runs_all_phases_and_writes_output() {
         let (w, job) = run_job();
         assert!(w.jobs.completed_at(job).is_some());
-        assert_eq!(w.metrics.counter("wc_input_bytes"), (32 << 20) as f64);
+        assert_eq!(w.jobs.bytes(job), 32 << 20);
         // output written back to HDFS
         let meta = w.ext.get::<vread_hdfs::HdfsMeta>().unwrap();
         let out = meta.file("/input.out").expect("output file");

@@ -10,9 +10,10 @@
 //!
 //! 1. **build** — hosts, VMs, cache pressure, HDFS (when there are
 //!    datanodes) and file population, in spec order;
-//! 2. **clients** — [`Deployment::make_client`] deploys the read path
-//!    under test and a `DfsClient` on a client VM (callers control when,
-//!    because actor creation order is part of a run's identity);
+//! 2. **clients** — [`Deployment::add_client_on`] creates a `DfsClient`
+//!    on a client VM, deploying the read path under test with the first
+//!    one (callers control when, because actor creation order is part
+//!    of a run's identity);
 //! 3. **background + faults** — [`Deployment::start_background`] spawns
 //!    the lookbusy load and [`Deployment::arm_faults`] schedules the
 //!    fault plan, again at the caller's chosen point in the wiring
@@ -25,14 +26,14 @@ use crate::scenarios::ReadPath;
 use crate::spec::{deploy_costs, FileSpec, HostCacheSpec, HostSpec, SpecError, VmRole, VmSpec};
 
 use vread_apps::lookbusy::{llc_pressure, Lookbusy};
-use vread_core::daemon::{deploy_vread, RemoteTransport};
+use vread_core::daemon::{deploy_vread, RemoteTransport, VreadRegistry};
 use vread_core::VreadPath;
-use vread_hdfs::client::{add_client, BlockReadPath, VanillaPath};
+use vread_hdfs::client::{add_client, VanillaPath};
 use vread_hdfs::populate::{populate_file, Placement};
 use vread_hdfs::{deploy_hdfs, DatanodeIx};
 use vread_host::cluster::{Cluster, HostIx, VmId};
 use vread_host::costs::Costs;
-use vread_sim::fault::{schedule_faults, FaultTrace};
+use vread_sim::fault::schedule_faults;
 use vread_sim::prelude::*;
 
 /// A topology: what to deploy, before any world exists. Names are
@@ -135,7 +136,7 @@ impl DeployPlan {
 pub struct Deployment {
     /// The running world.
     pub w: World,
-    /// Read path [`Deployment::make_client`] deploys.
+    /// Read path [`Deployment::add_client_on`] creates clients on.
     pub path: ReadPath,
     /// Host name → index.
     pub host_ix: HashMap<String, HostIx>,
@@ -151,27 +152,23 @@ pub struct Deployment {
     /// Lookbusy (thread, duty-cycle) pairs, pending until
     /// [`Deployment::start_background`].
     lookbusy: Vec<(ThreadId, f64)>,
-    /// Whether [`Deployment::add_client_on`] has deployed the vRead
-    /// daemons yet (they are per-host singletons).
-    path_deployed: bool,
 }
 
-/// Deploys the read path under test (vRead daemons when needed) and a
-/// `DfsClient` in `vm`. The single home of read-path construction — the
-/// testbed, scenarios and the `benchmark/` crate all route through here.
+/// Creates a `DfsClient` in `vm` on the read path under test, first
+/// deploying the vRead daemons when the path needs them and the world
+/// has none yet (they are per-host singletons; clients are per-VM). The
+/// single home of read-path construction: the testbed, scenarios and
+/// the `benchmark/` crate all route through here.
 pub fn make_read_client(w: &mut World, path: ReadPath, vm: VmId) -> ActorId {
-    let p: Box<dyn BlockReadPath> = match path {
-        ReadPath::Vanilla => Box::new(VanillaPath::new()),
-        ReadPath::VreadRdma => {
-            deploy_vread(w, RemoteTransport::Rdma);
-            Box::new(VreadPath::new())
-        }
-        ReadPath::VreadTcp => {
-            deploy_vread(w, RemoteTransport::Tcp);
-            Box::new(VreadPath::new())
-        }
+    let transport = match path {
+        ReadPath::Vanilla => return add_client(w, vm, Box::new(VanillaPath::new())),
+        ReadPath::VreadRdma => RemoteTransport::Rdma,
+        ReadPath::VreadTcp => RemoteTransport::Tcp,
     };
-    add_client(w, vm, p)
+    if w.ext.get::<VreadRegistry>().is_none() {
+        deploy_vread(w, transport);
+    }
+    add_client(w, vm, Box::new(VreadPath::new()))
 }
 
 impl Deployment {
@@ -330,7 +327,6 @@ impl Deployment {
             datanode_vms,
             dn_ixs,
             lookbusy,
-            path_deployed: false,
         })
     }
 
@@ -371,27 +367,11 @@ impl Deployment {
         }
     }
 
-    /// Deploys the read path and a `DfsClient` in `vm` (see
+    /// Creates a `DfsClient` in `vm` on the plan's read path (see
     /// [`make_read_client`]). Call after population so initial mounts
     /// see the data.
-    pub fn make_client(&mut self, vm: VmId) -> ActorId {
-        self.path_deployed = true;
-        make_read_client(&mut self.w, self.path, vm)
-    }
-
-    /// Like [`Deployment::make_client`], but deploys the vRead daemons
-    /// at most once across calls — the shape multi-client deployments
-    /// need (daemons are per-host singletons; clients are per-VM).
     pub fn add_client_on(&mut self, vm: VmId) -> ActorId {
-        if self.path_deployed {
-            let p: Box<dyn BlockReadPath> = match self.path {
-                ReadPath::Vanilla => Box::new(VanillaPath::new()),
-                ReadPath::VreadRdma | ReadPath::VreadTcp => Box::new(VreadPath::new()),
-            };
-            add_client(&mut self.w, vm, p)
-        } else {
-            self.make_client(vm)
-        }
+        make_read_client(&mut self.w, self.path, vm)
     }
 
     /// Spawns the plan's lookbusy generators (each an actor with an
@@ -405,12 +385,10 @@ impl Deployment {
         }
     }
 
-    /// Resolves and schedules a fault plan, and widens the trace window
-    /// past the restores so throughput-during-fault integrates over the
-    /// whole outage. The widened window replaces the one
-    /// `schedule_faults` installed before the run starts, so the DFS
-    /// client's window byte counter and the report read the same window.
-    /// No-op for an empty plan.
+    /// Resolves and schedules a fault plan with its window from
+    /// `plan_window`, which reaches past the restores so
+    /// throughput-during-fault integrates over the whole outage. No-op
+    /// for an empty plan.
     ///
     /// # Errors
     ///
@@ -429,12 +407,7 @@ impl Deployment {
             datanodes: &datanode_set,
         };
         let plan = build_fault_actions(faults, &self.w, &targets)?;
-        schedule_faults(&mut self.w, plan);
-        let (window_start, window_end) = plan_window(faults);
-        self.w.ext.insert(FaultTrace {
-            window_start,
-            window_end,
-        });
+        schedule_faults(&mut self.w, plan, plan_window(faults));
         Ok(())
     }
 }
@@ -472,12 +445,23 @@ mod tests {
         let meta = d.w.ext.get::<HdfsMeta>().unwrap();
         assert_eq!(meta.file("/d").unwrap().size(), 8 << 20);
         let client_vm = d.first_client().unwrap();
-        let _client = d.make_client(client_vm);
+        let _client = d.add_client_on(client_vm);
         d.start_background();
         assert!(
-            d.w.ext.get::<vread_core::VreadRegistry>().is_some(),
+            d.w.ext.get::<VreadRegistry>().is_some(),
             "vread path deployed daemons"
         );
+    }
+
+    #[test]
+    fn clients_share_one_daemon_per_host() {
+        let mut d = Deployment::build(two_host_plan()).unwrap();
+        let vm = d.first_client().unwrap();
+        d.add_client_on(vm);
+        make_read_client(&mut d.w, d.path, vm);
+        // every daemon joins the namenode's observer list
+        let daemons = d.w.ext.get::<HdfsMeta>().unwrap().observers.len();
+        assert_eq!(daemons, d.host_ix.len());
     }
 
     #[test]

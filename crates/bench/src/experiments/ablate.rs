@@ -174,7 +174,7 @@ pub fn run_cas() -> Vec<Table> {
         let mut d = Deployment::build(plan).expect("cas ablation deploys");
         let vm1 = d.client_vm(Some("client")).expect("client VM");
         let vm2 = d.client_vm(Some("client2")).expect("client2 VM");
-        let client1 = d.make_client(vm1);
+        let client1 = d.add_client_on(vm1);
         let client2 = d.add_client_on(vm2);
         let cold = read_mbps(&mut d.w, vm1, client1);
         // Isolate tenant 2 in the flight recorder, then send every

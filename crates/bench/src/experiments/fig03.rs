@@ -23,10 +23,12 @@ fn rate(request: u64, background: usize) -> f64 {
     let mut d = Deployment::build(plan).expect("netperf plan is well-formed");
     d.start_background();
     let (vma, vmb) = (d.vm_ids["netperf-client"], d.vm_ids["netperf-server"]);
-    let client = deploy_netperf(&mut d.w, vma, vmb, request, SimTime::ZERO + WARMUP);
+    let job = d.w.register_job("netperf");
+    let client = deploy_netperf(&mut d.w, vma, vmb, request, SimTime::ZERO + WARMUP, job);
     d.w.send_now(client, Start);
+    // a fixed measurement window: run to its end, not to job completion
     d.w.run_until(SimTime::ZERO + WARMUP + MEASURE);
-    d.w.metrics.counter("netperf_txns") / MEASURE.as_secs_f64()
+    d.w.jobs.ops(job) as f64 / MEASURE.as_secs_f64()
 }
 
 /// Runs Figure 3.

@@ -44,7 +44,6 @@ fn compute() -> Matrix {
                     }
                     let client = tb.make_client();
                     let mut pass = || {
-                        tb.w.metrics.reset();
                         let (w, vm) = (&mut tb.w, tb.client_vm);
                         dfsio_pass(w, vm, client, DfsioMode::Read, &files, FILE_BYTES)
                     };

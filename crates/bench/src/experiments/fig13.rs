@@ -21,7 +21,6 @@ fn write_mbps(path: ReadPath, locality: Locality) -> f64 {
     let client = tb.make_client();
     tb.configure_write_locality(locality);
     let files: Vec<String> = (0..FILES).map(|i| format!("/out/{i}")).collect();
-    tb.w.metrics.reset();
     let (w, vm) = (&mut tb.w, tb.client_vm);
     dfsio_pass(w, vm, client, DfsioMode::Write, &files, FILE_BYTES).mbps
 }

@@ -74,26 +74,28 @@ pub fn reader_pass(
     request: u64,
     total: u64,
 ) -> (f64, SimDuration) {
-    let elapsed = run_job(w, "reader", CAP, |w, job| {
+    let job = run_job(w, "reader", CAP, |w, job| {
         let reader = JavaReader::new(vm, mode, request, total).with_job(job);
         w.add_actor("reader", reader)
     })
     .expect("reader pass did not finish within the cap");
+    let elapsed = w.jobs.elapsed(job).expect("reader started");
     (w.metrics.mean("reader_delay_ms"), elapsed)
 }
 
 /// Result of one TestDFSIO pass.
 #[derive(Debug, Clone, Copy)]
 pub struct DfsioResult {
-    /// Application-level throughput in MB/s: `dfsio_bytes` since the last
-    /// metrics reset over the pass's elapsed time.
+    /// Application-level throughput in MB/s: the pass's job bytes over
+    /// its elapsed time.
     pub mbps: f64,
     /// Client-VM vCPU busy time during the pass, in ms.
     pub cpu_ms: f64,
 }
 
 /// Runs one [`TestDfsio`] pass by `client` in `vm` over `files` of
-/// `file_bytes` each, through [`run_job`]. Metrics are not reset.
+/// `file_bytes` each, through [`run_job`]. Each pass is its own job, so
+/// back-to-back passes need no metrics reset.
 ///
 /// # Panics
 ///
@@ -108,14 +110,15 @@ pub fn dfsio_pass(
 ) -> DfsioResult {
     let vcpu = w.ext.get::<Cluster>().expect("cluster").vm(vm).vcpu;
     let busy0 = w.acct.busy_ns(vcpu.index());
-    let elapsed = run_job(w, "dfsio", CAP, |w, job| {
+    let job = run_job(w, "dfsio", CAP, |w, job| {
         let cfg = DfsioConfig::default();
         let d = TestDfsio::new(client, vm, mode, files.to_vec(), file_bytes, cfg);
         w.add_actor("dfsio", d.with_job(job))
     })
     .expect("dfsio pass did not finish within the cap");
+    let elapsed = w.jobs.elapsed(job).expect("dfsio started");
     DfsioResult {
-        mbps: w.metrics.counter("dfsio_bytes") / 1e6 / elapsed.as_secs_f64().max(1e-9),
+        mbps: w.jobs.bytes(job) as f64 / 1e6 / elapsed.as_secs_f64().max(1e-9),
         cpu_ms: (w.acct.busy_ns(vcpu.index()) - busy0) as f64 / 1e6,
     }
 }

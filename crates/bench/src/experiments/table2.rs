@@ -23,12 +23,13 @@ fn mbps(path: ReadPath, op: HbaseOp) -> f64 {
     tb.populate("/hbase/t1", SCAN_ROWS * hbase::ROW_BYTES, Locality::Hybrid);
     let client = tb.make_client();
     let (vm, seed) = (tb.client_vm, tb.opts.seed);
-    let elapsed = run_job(&mut tb.w, "hbase", CAP, |w, job| {
+    let job = run_job(&mut tb.w, "hbase", CAP, |w, job| {
         let hb = HbaseClient::new(client, vm, op, "/hbase/t1".into(), rows, seed);
         w.add_actor("hbase", hb.with_job(job))
     })
     .expect("hbase run did not finish");
-    tb.w.metrics.counter("hbase_bytes") / 1e6 / elapsed.as_secs_f64().max(1e-9)
+    let elapsed = tb.w.jobs.elapsed(job).expect("hbase started");
+    tb.w.jobs.bytes(job) as f64 / 1e6 / elapsed.as_secs_f64().max(1e-9)
 }
 
 /// Runs Table 2.

@@ -19,12 +19,12 @@ fn hive_secs(path: ReadPath) -> f64 {
     tb.populate("/hive/test", ROWS * hive::ROW_BYTES, Locality::Hybrid);
     let client = tb.make_client();
     let vm = tb.client_vm;
-    let secs = run_job(&mut tb.w, "hive", CAP, |w, job| {
+    let job = run_job(&mut tb.w, "hive", CAP, |w, job| {
         let q = HiveQuery::new(client, vm, "/hive/test".into(), ROWS);
         w.add_actor("hive", q.with_job(job))
     })
-    .expect("hive query did not finish")
-    .as_secs_f64();
+    .expect("hive query did not finish");
+    let secs = tb.w.jobs.elapsed(job).expect("hive started").as_secs_f64();
     // Project to the paper's 30M rows: scan scales, plan setup does not.
     let setup_secs = hive::SETUP_CYCLES as f64 / (tb.opts.ghz * 1e9);
     setup_secs + (secs - setup_secs) * (PAPER_ROWS as f64 / ROWS as f64)
@@ -36,12 +36,12 @@ fn sqoop_secs(path: ReadPath) -> f64 {
     let client = tb.make_client();
     let db_host = tb.hosts.1; // MySQL on the other physical machine
     let vm = tb.client_vm;
-    let secs = run_job(&mut tb.w, "sqoop", CAP, |w, job| {
+    let job = run_job(&mut tb.w, "sqoop", CAP, |w, job| {
         let path = "/export/t".into();
-        deploy_sqoop_with_job(w, vm, db_host, client, path, ROWS, Some(job))
+        deploy_sqoop_with_job(w, vm, db_host, client, path, ROWS, job)
     })
-    .expect("sqoop export did not finish")
-    .as_secs_f64();
+    .expect("sqoop export did not finish");
+    let secs = tb.w.jobs.elapsed(job).expect("sqoop started").as_secs_f64();
     secs * (PAPER_ROWS as f64 / ROWS as f64)
 }
 

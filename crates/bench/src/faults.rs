@@ -24,7 +24,7 @@ use vread_core::{CrashDaemon, CrashDatanodeVm, RestartDaemon};
 use vread_host::cluster::{Cluster, HostIx, VmId};
 use vread_host::fault::DropHostCache;
 use vread_net::fault::DegradeLink;
-use vread_sim::fault::{FaultAction, SlowDisk, StallThread};
+use vread_sim::fault::{FaultAction, FaultTrace, SlowDisk, StallThread};
 use vread_sim::prelude::*;
 
 /// What breaks. Targets are symbolic scenario names, resolved when the
@@ -289,22 +289,20 @@ pub(crate) fn check_faults(faults: &[FaultSpec]) -> Result<(), SpecError> {
 /// [`FaultSpec::window_end_ms`] tail. The plan must have passed
 /// [`check_faults`].
 ///
-/// [`crate::Deployment::arm_faults`] installs this window as the run's
-/// [`FaultTrace`](vread_sim::fault::FaultTrace), replacing the narrower
-/// one `schedule_faults` stored. The DFS client's window byte counter
-/// reads it during the run and [`collect_fault_report`] divides that
-/// counter by its length, so both see the same window.
-pub(crate) fn plan_window(faults: &[FaultSpec]) -> (SimTime, SimTime) {
+/// [`crate::Deployment::arm_faults`] installs it as the run's
+/// [`FaultTrace`]: the DFS client counts the bytes it delivers inside it
+/// and [`collect_fault_report`] divides that count by its length.
+pub(crate) fn plan_window(faults: &[FaultSpec]) -> FaultTrace {
     let start_ms = faults.iter().map(|f| f.at_ms).min().unwrap_or(0);
     let end_ms = faults
         .iter()
         .map(|f| f.window_end_ms().expect("fault times checked"))
         .max()
         .unwrap_or(0);
-    (
-        SimTime::ZERO + SimDuration::from_millis(start_ms),
-        SimTime::ZERO + SimDuration::from_millis(end_ms),
-    )
+    FaultTrace {
+        window_start: SimTime::ZERO + SimDuration::from_millis(start_ms),
+        window_end: SimTime::ZERO + SimDuration::from_millis(end_ms),
+    }
 }
 
 /// How a fault run degraded and recovered.
@@ -359,7 +357,7 @@ pub fn collect_fault_report(w: &World) -> FaultReport {
         Some(ok - restart)
     })();
     let during_fault_mbs = (|| {
-        let trace = w.ext.get::<vread_sim::fault::FaultTrace>()?;
+        let trace = w.ext.get::<FaultTrace>()?;
         let (start, end) = (
             trace.window_start.as_secs_f64(),
             trace.window_end.as_secs_f64(),
@@ -420,9 +418,13 @@ mod tests {
             "duration defaults to 100 ms"
         );
         assert_eq!(faults[6].kind.kind_str(), "vm-crash");
-        let (start, end) = plan_window(&faults);
-        assert_eq!(start.as_secs_f64(), 0.05);
-        assert_eq!(end.as_secs_f64(), 2.6, "crash extends 2 s past fire");
+        let window = plan_window(&faults);
+        assert_eq!(window.window_start.as_secs_f64(), 0.05);
+        assert_eq!(
+            window.window_end.as_secs_f64(),
+            2.6,
+            "crash extends 2 s past fire"
+        );
     }
 
     #[test]

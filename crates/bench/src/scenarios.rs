@@ -207,9 +207,9 @@ impl Testbed {
         }
     }
 
-    /// Deploys the vRead daemons (when the path under test needs them)
-    /// and creates the DFS client. Call *after* [`Testbed::populate`] so
-    /// the initial mounts see the data.
+    /// Creates a DFS client in the client VM (see [`make_read_client`]).
+    /// Call *after* [`Testbed::populate`] so the initial mounts see the
+    /// data.
     pub fn make_client(&mut self) -> ActorId {
         make_read_client(&mut self.w, self.opts.path, self.client_vm)
     }

@@ -49,7 +49,7 @@ use crate::timeline::TimelineSummary;
 use vread_apps::dfsio::{DfsioConfig, DfsioMode, TestDfsio};
 use vread_apps::driver::{complete_job_after, run_jobs};
 use vread_apps::java_reader::{JavaReader, ReaderMode};
-use vread_apps::netperf::deploy_netperf_with_job;
+use vread_apps::netperf::deploy_netperf;
 use vread_hdfs::HdfsMeta;
 use vread_host::cluster::{Cluster, HostCacheMode, VmId};
 use vread_host::costs::Costs;
@@ -1022,13 +1022,13 @@ impl ScenarioSpec {
                     // netperf never finishes on its own: bound its
                     // measurement window with a completion timer
                     let window = start_delay + SimDuration::from_millis(*duration_ms);
-                    let np = deploy_netperf_with_job(
+                    let np = deploy_netperf(
                         &mut d.w,
                         *vm,
                         server_vm,
                         request_kb << 10,
                         measure_from,
-                        Some(job),
+                        job,
                     );
                     complete_job_after(&mut d.w, job, window);
                     np

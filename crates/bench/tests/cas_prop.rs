@@ -57,7 +57,7 @@ fn two_tenant_store_report(mode: HostCacheMode) -> (HostCacheReport, SpanSummary
     let mut d = Deployment::build(plan).expect("two-tenant plan deploys");
     let vm1 = d.client_vm(Some("t1")).unwrap();
     let vm2 = d.client_vm(Some("t2")).unwrap();
-    let c1 = d.make_client(vm1);
+    let c1 = d.add_client_on(vm1);
     let c2 = d.add_client_on(vm2);
     read_f(&mut d, c1, vm1);
     // Send tenant 2's reads to each block's sibling replica — the other

@@ -47,7 +47,6 @@ pub struct VreadPath {
     /// next fetch of such a block goes straight to the vanilla fallback
     /// instead of probing vread again. One-shot — later blocks re-probe.
     degraded_blocks: IdHashSet<vread_hdfs::meta::BlockId>,
-    m_vfd_hits: LazyCounter,
     m_opens: LazyCounter,
 }
 
@@ -68,7 +67,6 @@ impl VreadPath {
             fallback_tokens: IdHashSet::default(),
             attempts: IdHashMap::default(),
             degraded_blocks: IdHashSet::default(),
-            m_vfd_hits: LazyCounter::new("vread_vfd_hits"),
             m_opens: LazyCounter::new("vread_opens"),
         }
     }
@@ -212,7 +210,6 @@ impl BlockReadPath for VreadPath {
         }
         if self.vfds.get(req.block).is_some() {
             // Algorithm 1 line 15: descriptor reuse from vfd_hash.
-            self.m_vfd_hits.incr(ctx.metrics());
             self.issue_read(ctx, shared, req);
             return;
         }

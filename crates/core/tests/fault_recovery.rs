@@ -11,7 +11,7 @@ use vread_hdfs::populate::{populate_file, Placement};
 use vread_hdfs::DatanodeIx;
 use vread_host::cluster::{Cluster, HostIx, VmId};
 use vread_host::costs::Costs;
-use vread_sim::fault::{schedule_faults, FaultAction};
+use vread_sim::fault::{schedule_faults, FaultAction, FaultTrace};
 use vread_sim::prelude::*;
 
 struct Bed {
@@ -158,12 +158,17 @@ fn daemon_crash_mid_read_completes_via_fallback() {
     let clean_done = run_reads(&mut clean, vec![(0, 128 << 20)]);
 
     let mut b = bed(128 << 20);
+    let at = SimTime::ZERO + SimDuration::from_millis(100);
     schedule_faults(
         &mut b.w,
         vec![(
-            SimTime::ZERO + SimDuration::from_millis(100),
+            at,
             Box::new(CrashDaemon { host: b.h1 }) as Box<dyn FaultAction>,
         )],
+        FaultTrace {
+            window_start: at,
+            window_end: at,
+        },
     );
     let done = run_reads(&mut b, vec![(0, 128 << 20)]);
 
@@ -184,18 +189,26 @@ fn daemon_crash_mid_read_completes_via_fallback() {
 #[test]
 fn daemon_restart_restores_fast_path() {
     let mut b = bed(128 << 20);
+    let (crash_at, restart_at) = (
+        SimTime::ZERO + SimDuration::from_millis(100),
+        SimTime::ZERO + SimDuration::from_millis(600),
+    );
     schedule_faults(
         &mut b.w,
         vec![
             (
-                SimTime::ZERO + SimDuration::from_millis(100),
+                crash_at,
                 Box::new(CrashDaemon { host: b.h1 }) as Box<dyn FaultAction>,
             ),
             (
-                SimTime::ZERO + SimDuration::from_millis(600),
+                restart_at,
                 Box::new(RestartDaemon { host: b.h1 }) as Box<dyn FaultAction>,
             ),
         ],
+        FaultTrace {
+            window_start: crash_at,
+            window_end: restart_at,
+        },
     );
     // Two sequential 64MB block reads: the first rides out the crash via
     // fallback, the second lands after the restart.

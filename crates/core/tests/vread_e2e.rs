@@ -385,7 +385,6 @@ fn descriptor_reuse_within_block_scan() {
     assert_eq!(done.len(), 8);
     assert!(done.iter().all(|d| d.0 == 1 << 20));
     assert_eq!(b.w.metrics.counter("vread_opens"), 1.0);
-    assert_eq!(b.w.metrics.counter("vread_vfd_hits"), 7.0);
 }
 
 #[test]

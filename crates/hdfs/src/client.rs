@@ -422,7 +422,6 @@ pub struct DfsClient {
     /// Scratch buffer for the events a read path reports, reused so a
     /// chunk arrival allocates nothing (empty while lent out).
     events: Vec<PathEvent>,
-    m_bytes_read: LazyCounter,
     /// Bytes delivered inside the [`vread_sim::fault::FaultTrace`]
     /// window (fault runs only).
     m_fault_window_bytes: LazyCounter,
@@ -447,7 +446,6 @@ pub fn add_client(w: &mut World, vm: VmId, path_impl: Box<dyn BlockReadPath>) ->
             write_conns: IdHashMap::default(),
             dead_nodes: IdHashSet::default(),
             events: Vec::new(),
-            m_bytes_read: LazyCounter::new("hdfs_bytes_read"),
             m_fault_window_bytes: LazyCounter::new("fault_window_read_bytes"),
             m_outstanding: LazyGauge::new("hdfs.outstanding_reads"),
         },
@@ -674,7 +672,6 @@ impl DfsClient {
             ctx.world.spans.payload(r.span, r.bytes_done);
             ctx.world.spans.end(r.cur_span, now);
             ctx.world.spans.end(r.span, now);
-            self.m_bytes_read.add(ctx.metrics(), r.bytes_done as f64);
             self.m_outstanding.add(ctx.metrics(), -1.0);
             ctx.world.timeline.observe_read(r.started, now);
             ctx.send(

@@ -39,7 +39,7 @@ mod tests {
     use super::*;
     use crate::cluster::Cluster;
     use crate::costs::Costs;
-    use vread_sim::fault::schedule_faults;
+    use vread_sim::fault::{schedule_faults, FaultTrace};
     use vread_sim::time::SimTime;
 
     #[test]
@@ -52,12 +52,17 @@ mod tests {
         cl.vm_mut(vm).cache.admit(obj, 0, 1 << 20);
         cl.hosts[h.0].cache.admit(obj, 0, 1 << 20);
         w.ext.insert(cl);
+        let at = SimTime::ZERO + SimDuration::from_millis(1);
         schedule_faults(
             &mut w,
             vec![(
-                SimTime::ZERO + SimDuration::from_millis(1),
+                at,
                 Box::new(DropHostCache { host: h }) as Box<dyn FaultAction>,
             )],
+            FaultTrace {
+                window_start: at,
+                window_end: at,
+            },
         );
         w.run();
         let cl = w.ext.get::<Cluster>().unwrap();

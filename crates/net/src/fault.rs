@@ -70,7 +70,7 @@ impl FaultAction for RestoreLink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vread_sim::fault::schedule_faults;
+    use vread_sim::fault::{schedule_faults, FaultTrace};
     use vread_sim::resources::Link;
     use vread_sim::time::SimTime;
 
@@ -78,10 +78,11 @@ mod tests {
     fn degrade_then_restore() {
         let mut w = World::new(3);
         let link = w.add_link(Link::new(1.25e9, SimDuration::from_micros(30)));
+        let at = SimTime::ZERO + SimDuration::from_millis(5);
         schedule_faults(
             &mut w,
             vec![(
-                SimTime::ZERO + SimDuration::from_millis(5),
+                at,
                 Box::new(DegradeLink {
                     link,
                     factor: 100.0,
@@ -89,6 +90,10 @@ mod tests {
                     duration: SimDuration::from_millis(40),
                 }) as Box<dyn FaultAction>,
             )],
+            FaultTrace {
+                window_start: at,
+                window_end: at,
+            },
         );
         w.run_until(SimTime::ZERO + SimDuration::from_millis(10));
         assert_eq!(w.link(link).bandwidth_bps, 10.0 * 1e9 / 8.0 / 100.0);

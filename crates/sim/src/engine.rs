@@ -113,11 +113,9 @@ pub struct World {
     devs: Vec<BlockDev>,
     /// Per-thread, per-category CPU accounting.
     pub acct: CpuAccounting,
-    /// Counters and sample distributions recorded by workloads.
+    /// Counters, gauges and sample distributions (see [`crate::metrics`];
+    /// workload progress lives in [`World::jobs`]).
     pub metrics: Metrics,
-    /// Pre-interned id for the scheduler's migration counter (bumped on
-    /// every cross-core install — far too hot for a string lookup).
-    pub(crate) m_sched_migrations: crate::metrics::CounterId,
     /// The world's deterministic RNG.
     pub rng: SimRng,
     /// Typed blackboard for shared hardware/software state (page caches,
@@ -148,8 +146,6 @@ impl std::fmt::Debug for World {
 impl World {
     /// Creates an empty world seeded with `seed`.
     pub fn new(seed: u64) -> Self {
-        let mut metrics = Metrics::new();
-        let m_sched_migrations = metrics.register_counter("sched_migrations");
         World {
             now: SimTime::ZERO,
             seq: 0,
@@ -163,8 +159,7 @@ impl World {
             links: Vec::new(),
             devs: Vec::new(),
             acct: CpuAccounting::new(),
-            metrics,
-            m_sched_migrations,
+            metrics: Metrics::new(),
             rng: SimRng::new(seed),
             ext: Extensions::new(),
             spans: SpanRecorder::new(),

@@ -32,7 +32,8 @@ use crate::time::{SimDuration, SimTime};
 /// One injectable fault. Implementations mutate the world (remove an
 /// actor, degrade a resource, drop a cache …) when applied.
 pub trait FaultAction: 'static {
-    /// Short stable label for metrics/trace output (e.g. `"daemon-crash"`).
+    /// Short stable label for the span mark the scheduler leaves when the
+    /// action fires (e.g. `"fault_daemon_crash"`).
     fn label(&self) -> &'static str;
 
     /// Applies the fault at the current simulated time. Returning
@@ -46,17 +47,13 @@ pub trait FaultAction: 'static {
 /// so that no-fault runs stay byte-identical; the DFS client counts the
 /// bytes it delivers while [`FaultTrace::contains`] holds.
 ///
-/// Whoever inserts the marker last owns the window, and data-path code
-/// reads it *while the run goes*, so the final window must be in place
-/// before the run starts. [`schedule_faults`] installs the plan's fire
-/// instants; a harness that knows each fault's restore delay replaces
-/// the marker with a widened window right after arming.
+/// [`schedule_faults`] installs it once, with the window its caller
+/// passes, before the run starts.
 #[derive(Debug, Clone, Copy)]
 pub struct FaultTrace {
-    /// Earliest planned fault instant.
+    /// Start of the observation window.
     pub window_start: SimTime,
-    /// Last planned fire instant as [`schedule_faults`] stores it, or a
-    /// later instant when the harness widened the window afterwards.
+    /// End of the observation window (inclusive).
     pub window_end: SimTime,
 }
 
@@ -84,7 +81,6 @@ impl Actor for FaultScheduler {
         let msg = match downcast::<Fire>(msg) {
             Ok(f) => {
                 let action = self.slots[f.0].take().expect("fault slot fired twice");
-                ctx.metrics().incr(action.label());
                 ctx.metrics().incr("fault_events");
                 let label = action.label();
                 let now = ctx.now();
@@ -104,18 +100,15 @@ impl Actor for FaultScheduler {
 }
 
 /// Arms `plan` (pairs of *fire time* and action; times may be unsorted)
-/// and installs the [`FaultTrace`] marker spanning the first to the last
-/// fire instant. Follow-up actions (restores) are not in the plan, so
-/// their delays are not in this window; a caller that wants them counted
-/// overwrites the marker before the run starts. Times earlier than
-/// `w.now()` fire immediately. Returns the scheduler's actor id.
-pub fn schedule_faults(w: &mut World, plan: Vec<(SimTime, Box<dyn FaultAction>)>) -> ActorId {
-    let start = plan.iter().map(|(t, _)| *t).min().unwrap_or(SimTime::ZERO);
-    let end = plan.iter().map(|(t, _)| *t).max().unwrap_or(SimTime::ZERO);
-    w.ext.insert(FaultTrace {
-        window_start: start,
-        window_end: end,
-    });
+/// and installs `window` as the run's [`FaultTrace`] marker. Times
+/// earlier than `w.now()` fire immediately. Returns the scheduler's
+/// actor id.
+pub fn schedule_faults(
+    w: &mut World,
+    plan: Vec<(SimTime, Box<dyn FaultAction>)>,
+    window: FaultTrace,
+) -> ActorId {
+    w.ext.insert(window);
     let mut slots = Vec::with_capacity(plan.len());
     let mut at = Vec::with_capacity(plan.len());
     for (t, action) in plan {
@@ -266,7 +259,11 @@ mod tests {
                 }),
             ),
         ];
-        schedule_faults(&mut w, plan);
+        let window = FaultTrace {
+            window_start: SimTime::ZERO + SimDuration::from_millis(100),
+            window_end: SimTime::ZERO + SimDuration::from_millis(200),
+        };
+        schedule_faults(&mut w, plan, window);
         let trace = *w.ext.get::<FaultTrace>().unwrap();
         assert_eq!(trace.window_start.as_secs_f64(), 0.1);
         assert_eq!(trace.window_end.as_secs_f64(), 0.2);
@@ -285,16 +282,21 @@ mod tests {
             SimDuration::from_micros(80),
             300e6,
         ));
+        let at = SimTime::ZERO + SimDuration::from_millis(10);
         schedule_faults(
             &mut w,
             vec![(
-                SimTime::ZERO + SimDuration::from_millis(10),
+                at,
                 Box::new(SlowDisk {
                     dev,
                     factor: 10.0,
                     duration: SimDuration::from_millis(50),
                 }) as Box<dyn FaultAction>,
             )],
+            FaultTrace {
+                window_start: at,
+                window_end: at,
+            },
         );
         w.run_until(SimTime::ZERO + SimDuration::from_millis(20));
         assert_eq!(w.blockdev_mut(dev).bandwidth_bps, 30e6);

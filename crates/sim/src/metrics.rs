@@ -1,10 +1,14 @@
 //! Lightweight metrics: counters, gauges and sample distributions.
 //!
-//! Workload actors record observations (request delays, bytes moved,
-//! fallbacks, failovers) under string keys; experiment harnesses read
-//! them back after the run. Completion is not a metric: a job's start
-//! and end instants live only in the job table ([`crate::job::Jobs`]),
-//! and elapsed times are read from there.
+//! Metrics hold only what something reads. Workload progress is not a
+//! metric: a job's start and end instants and its byte and operation
+//! totals live only in the job table ([`crate::job::Jobs`], fed by
+//! `Ctx::job_progress`), and elapsed times and rates are read from
+//! there. What stays here are observations with no job to carry them:
+//! per-request delays, WordCount's map-phase mark, the degradation
+//! counters and recovery instants of fault runs, a few path counters
+//! that examples print or tests use as the only evidence of a
+//! behaviour, and the gauges the timeline samples.
 //!
 //! A sample set keeps every observation, so only series that something
 //! reads are sampled: per-request delays (whose exact p50/p99 the
@@ -200,12 +204,6 @@ impl Metrics {
     #[inline]
     pub fn add_to(&mut self, id: CounterId, v: f64) {
         self.counter_vals[id.0 as usize] += v;
-    }
-
-    /// Increments an interned counter by 1.
-    #[inline]
-    pub fn incr_to(&mut self, id: CounterId) {
-        self.add_to(id, 1.0);
     }
 
     /// Records a raw observation under an interned sample key (O(1)).
@@ -479,7 +477,7 @@ mod tests {
         let mut m = Metrics::new();
         let c = m.register_counter("ops");
         let s = m.register_sample("lat");
-        m.incr_to(c);
+        m.add_to(c, 1.0);
         m.add("ops", 2.0); // string API hits the same slot
         m.record_to(s, 7.0);
         assert_eq!(m.counter("ops"), 3.0);
@@ -491,14 +489,14 @@ mod tests {
     fn reset_keeps_ids_but_hides_untouched_keys() {
         let mut m = Metrics::new();
         let c = m.register_counter("ops");
-        m.incr_to(c);
+        m.add_to(c, 1.0);
         m.sample("lat", 1.0);
         assert_eq!(m.sample_keys().collect::<Vec<_>>(), vec!["lat"]);
         m.reset();
         assert_eq!(m.counter("ops"), 0.0);
         assert_eq!(m.sample_keys().count(), 0, "untouched keys hidden");
         assert!(m.samples("lat").is_none(), "empty sample set reads absent");
-        m.incr_to(c); // id survives the reset
+        m.add_to(c, 1.0); // id survives the reset
         assert_eq!(m.counter("ops"), 1.0);
     }
 

@@ -421,9 +421,6 @@ impl World {
             th.prev_core = Some(cix);
             th.vr += switch_ns;
         }
-        if migrated {
-            self.metrics.incr_to(self.m_sched_migrations);
-        }
         self.acct.add(
             traw as usize,
             CpuCategory::Other,

@@ -24,12 +24,12 @@ fn main() {
         let client = tb.make_client();
         let (vm, start) = (tb.client_vm, tb.w.now().as_secs_f64());
         let cap = SimDuration::from_secs(600);
-        let secs = run_job(&mut tb.w, "wordcount", cap, |w, job| {
+        let job = run_job(&mut tb.w, "wordcount", cap, |w, job| {
             let wc = WordCount::new(client, vm, "/corpus".into(), INPUT);
             w.add_actor("wc", wc.with_job(job))
         })
-        .expect("job ran")
-        .as_secs_f64();
+        .expect("job ran");
+        let secs = tb.w.jobs.elapsed(job).expect("job started").as_secs_f64();
         let map_done = tb.w.metrics.mean("wc_map_done_at_s");
         println!(
             "{:10} {:>12.2} {:>12.2} {:>12.1}",

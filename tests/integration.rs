@@ -2,22 +2,53 @@
 //! of the facade crate.
 
 use vread::apps::dfsio::DfsioMode;
-use vread::apps::java_reader::ReaderMode;
-use vread::bench::experiments::{dfsio_pass, reader_pass};
+use vread::apps::driver::run_job;
+use vread::apps::java_reader::{JavaReader, ReaderMode};
+use vread::bench::experiments::dfsio_pass;
 use vread::bench::scenarios::{Locality, ReadPath, Testbed, TestbedOpts};
 use vread::hdfs::client::{DfsRead, DfsReadDone};
 use vread::host::Cluster;
 use vread::sim::prelude::*;
 
 fn reader_secs(tb: &mut Testbed, client: ActorId, path: &str, req: u64, total: u64) -> f64 {
-    tb.w.metrics.reset();
     let mode = ReaderMode::Dfs {
         client,
         path: path.to_owned(),
     };
-    let (_, elapsed) = reader_pass(&mut tb.w, tb.client_vm, mode, req, total);
-    assert_eq!(tb.w.metrics.counter("reader_bytes"), total as f64);
-    elapsed.as_secs_f64()
+    let (vm, cap) = (tb.client_vm, SimDuration::from_secs(3_000));
+    let job = run_job(&mut tb.w, "reader", cap, |w, job| {
+        let reader = JavaReader::new(vm, mode, req, total).with_job(job);
+        w.add_actor("reader", reader)
+    })
+    .expect("reader pass finishes");
+    assert_eq!(tb.w.jobs.bytes(job), total);
+    tb.w.jobs
+        .elapsed(job)
+        .expect("reader started")
+        .as_secs_f64()
+}
+
+/// Back-to-back TestDFSIO passes on one world, with no metrics reset in
+/// between: each pass's MB/s counts only its own bytes.
+#[test]
+fn back_to_back_dfsio_passes_report_their_own_bytes() {
+    let mut tb = Testbed::build(TestbedOpts::new());
+    let files = vec!["/a".to_string(), "/b".to_string()];
+    for f in &files {
+        tb.populate(f, 8 << 20, Locality::CoLocated);
+    }
+    let client = tb.make_client();
+    for pass in 0..2 {
+        let t0 = tb.w.now();
+        let (w, vm) = (&mut tb.w, tb.client_vm);
+        let r = dfsio_pass(w, vm, client, DfsioMode::Read, &files, 8 << 20);
+        let expected = (16 << 20) as f64 / 1e6 / tb.w.now().since(t0).as_secs_f64();
+        assert!(
+            (r.mbps - expected).abs() < expected * 1e-9,
+            "pass {pass}: {} MB/s, its own bytes give {expected}",
+            r.mbps
+        );
+    }
 }
 
 /// The headline claim, end-to-end through every layer: vRead beats
