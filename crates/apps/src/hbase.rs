@@ -47,8 +47,7 @@ const ROWS_PER_GET: u64 = ROWS_PER_BLOCK / 4;
 /// The PerformanceEvaluation client actor.
 ///
 /// Metrics: none. Start, row bytes, rows and completion are recorded
-/// only in the job table, on the job bound with
-/// [`HbaseClient::with_job`].
+/// only in the job table, on the job given to [`HbaseClient::new`].
 pub struct HbaseClient {
     client: ActorId,
     vm: VmId,
@@ -59,7 +58,7 @@ pub struct HbaseClient {
     cached_block: Option<u64>,
     rng: SimRng,
     req: u64,
-    job: Option<JobHandle>,
+    job: JobHandle,
 }
 
 struct RowsCpuDone {
@@ -68,7 +67,8 @@ struct RowsCpuDone {
 
 impl HbaseClient {
     /// Creates a PerformanceEvaluation client running `op` over `rows`
-    /// rows of `table` (an HDFS file holding the region's HFile).
+    /// rows of `table` (an HDFS file holding the region's HFile),
+    /// reporting on `job`.
     pub fn new(
         client: ActorId,
         vm: VmId,
@@ -76,6 +76,7 @@ impl HbaseClient {
         table: String,
         rows: u64,
         seed: u64,
+        job: JobHandle,
     ) -> Self {
         HbaseClient {
             client,
@@ -87,15 +88,8 @@ impl HbaseClient {
             cached_block: None,
             rng: SimRng::new(seed),
             req: 0,
-            job: None,
+            job,
         }
-    }
-
-    /// Binds a completion token: the client signals start, per-batch
-    /// progress and completion on `job`.
-    pub fn with_job(mut self, job: JobHandle) -> Self {
-        self.job = Some(job);
-        self
     }
 
     fn vcpu(&self, ctx: &Ctx<'_>) -> ThreadId {
@@ -113,9 +107,7 @@ impl HbaseClient {
 
     fn step(&mut self, ctx: &mut Ctx<'_>) {
         if self.rows_done >= self.rows {
-            if let Some(j) = self.job {
-                ctx.job_completed(j);
-            }
+            ctx.job_completed(self.job);
             return;
         }
         let me = ctx.me();
@@ -152,7 +144,7 @@ impl HbaseClient {
                 let block = Self::block_of_row(row);
                 let hit = self.cached_block == Some(block) || self.rng.chance(RANDOM_CACHE_HIT);
                 if hit {
-                    self.charge_rows(ctx, 1, 0);
+                    self.charge_rows(ctx, 1);
                 } else {
                     self.cached_block = Some(block);
                     self.req += 1;
@@ -172,7 +164,7 @@ impl HbaseClient {
         }
     }
 
-    fn charge_rows(&mut self, ctx: &mut Ctx<'_>, rows: u64, _bytes_from_hdfs: u64) {
+    fn charge_rows(&mut self, ctx: &mut Ctx<'_>, rows: u64) {
         let per_row = match self.op {
             HbaseOp::Scan => SCAN_ROW_CYCLES,
             HbaseOp::SequentialRead | HbaseOp::RandomRead => GET_ROW_CYCLES,
@@ -190,29 +182,22 @@ impl HbaseClient {
 impl Actor for HbaseClient {
     fn handle(&mut self, msg: BoxMsg, ctx: &mut Ctx<'_>) {
         if msg.is::<Start>() {
-            if let Some(j) = self.job {
-                ctx.job_started(j);
-            }
+            ctx.job_started(self.job);
             self.step(ctx);
             return;
         }
-        let msg = match downcast::<DfsReadDone>(msg) {
-            Ok(d) => {
-                let rows = match self.op {
-                    HbaseOp::Scan => ROWS_PER_BLOCK.min(self.rows - self.rows_done),
-                    HbaseOp::SequentialRead => ROWS_PER_GET.min(self.rows - self.rows_done),
-                    HbaseOp::RandomRead => 1,
-                };
-                self.charge_rows(ctx, rows, d.bytes);
-                return;
-            }
-            Err(m) => m,
-        };
+        if msg.is::<DfsReadDone>() {
+            let rows = match self.op {
+                HbaseOp::Scan => ROWS_PER_BLOCK.min(self.rows - self.rows_done),
+                HbaseOp::SequentialRead => ROWS_PER_GET.min(self.rows - self.rows_done),
+                HbaseOp::RandomRead => 1,
+            };
+            self.charge_rows(ctx, rows);
+            return;
+        }
         if let Ok(rc) = downcast::<RowsCpuDone>(msg) {
             self.rows_done += rc.rows;
-            if let Some(j) = self.job {
-                ctx.job_progress(j, rc.rows * ROW_BYTES, rc.rows);
-            }
+            ctx.job_progress(self.job, rc.rows * ROW_BYTES, rc.rows);
             self.step(ctx);
         }
     }
@@ -248,7 +233,7 @@ mod tests {
     fn run_op(op: HbaseOp) -> (f64, f64) {
         let (mut w, client, cvm) = bed();
         let job = w.register_job("hbase");
-        let hb = HbaseClient::new(client, cvm, op, "/hbase/t1".into(), 20_000, 3).with_job(job);
+        let hb = HbaseClient::new(client, cvm, op, "/hbase/t1".into(), 20_000, 3, job);
         let a = w.add_actor("hbase", hb);
         w.send_now(a, Start);
         w.run();

@@ -21,7 +21,7 @@ pub const SETUP_CYCLES: u64 = 400_000_000;
 /// A Hive select-scan query actor.
 ///
 /// Metrics: none. Start, bytes scanned, rows and completion are recorded
-/// only in the job table, on the job bound with [`HiveQuery::with_job`].
+/// only in the job table, on the job given to [`HiveQuery::new`].
 pub struct HiveQuery {
     client: ActorId,
     vm: VmId,
@@ -30,7 +30,7 @@ pub struct HiveQuery {
     offset: u64,
     bytes_seen: u64,
     req: u64,
-    job: Option<JobHandle>,
+    job: JobHandle,
 }
 
 struct SetupDone;
@@ -40,8 +40,9 @@ struct FilterDone {
 }
 
 impl HiveQuery {
-    /// Creates a query scanning `rows` rows of `table`.
-    pub fn new(client: ActorId, vm: VmId, table: String, rows: u64) -> Self {
+    /// Creates a query scanning `rows` rows of `table`, reporting on
+    /// `job`.
+    pub fn new(client: ActorId, vm: VmId, table: String, rows: u64, job: JobHandle) -> Self {
         HiveQuery {
             client,
             vm,
@@ -50,15 +51,8 @@ impl HiveQuery {
             offset: 0,
             bytes_seen: 0,
             req: 0,
-            job: None,
+            job,
         }
-    }
-
-    /// Binds a completion token: the query signals start, per-buffer
-    /// progress and completion on `job`.
-    pub fn with_job(mut self, job: JobHandle) -> Self {
-        self.job = Some(job);
-        self
     }
 
     fn vcpu(&self, ctx: &Ctx<'_>) -> ThreadId {
@@ -73,9 +67,7 @@ impl HiveQuery {
     fn issue(&mut self, ctx: &mut Ctx<'_>) {
         let total = self.rows * ROW_BYTES;
         if self.offset >= total {
-            if let Some(j) = self.job {
-                ctx.job_completed(j);
-            }
+            ctx.job_completed(self.job);
             return;
         }
         let len = BUFFER_BYTES.min(total - self.offset);
@@ -99,9 +91,7 @@ impl HiveQuery {
 impl Actor for HiveQuery {
     fn handle(&mut self, msg: BoxMsg, ctx: &mut Ctx<'_>) {
         if msg.is::<Start>() {
-            if let Some(j) = self.job {
-                ctx.job_started(j);
-            }
+            ctx.job_started(self.job);
             let vcpu = self.vcpu(ctx);
             let me = ctx.me();
             ctx.chain(
@@ -137,9 +127,7 @@ impl Actor for HiveQuery {
             Err(m) => m,
         };
         if let Ok(f) = downcast::<FilterDone>(msg) {
-            if let Some(j) = self.job {
-                ctx.job_progress(j, f.bytes, f.rows);
-            }
+            ctx.job_progress(self.job, f.bytes, f.rows);
             self.issue(ctx);
         }
     }
@@ -171,7 +159,7 @@ mod tests {
         );
         let client = add_client(&mut w, cvm, Box::new(VanillaPath::new()));
         let job = w.register_job("hive");
-        let q = HiveQuery::new(client, cvm, "/hive/test".into(), rows).with_job(job);
+        let q = HiveQuery::new(client, cvm, "/hive/test".into(), rows, job);
         let a = w.add_actor("hive", q);
         w.send_now(a, Start);
         w.run();

@@ -79,8 +79,8 @@ impl Actor for MysqlServer {
 /// The Sqoop export job actor.
 ///
 /// Metrics: none. Start, acknowledged row bytes, rows and completion are
-/// recorded only in the job table, on the job bound with
-/// [`SqoopExport::with_job`].
+/// recorded only in the job table, on the job given to
+/// [`SqoopExport::new`].
 pub struct SqoopExport {
     client: ActorId,
     vm: VmId,
@@ -92,7 +92,7 @@ pub struct SqoopExport {
     batches_inflight: usize,
     pending_read: bool,
     req: u64,
-    job: Option<JobHandle>,
+    job: JobHandle,
 }
 
 struct SerializeDone {
@@ -100,9 +100,16 @@ struct SerializeDone {
 }
 
 impl SqoopExport {
-    /// Creates the export job; `mysql_conn` is the connection to the
-    /// MySQL server (see [`deploy_sqoop_with_job`]).
-    pub fn new(client: ActorId, vm: VmId, table: String, rows: u64, mysql_conn: ActorId) -> Self {
+    /// Creates the export job, reporting on `job`; `mysql_conn` is the
+    /// connection to the MySQL server (see [`deploy_sqoop_with_job`]).
+    pub fn new(
+        client: ActorId,
+        vm: VmId,
+        table: String,
+        rows: u64,
+        mysql_conn: ActorId,
+        job: JobHandle,
+    ) -> Self {
         SqoopExport {
             client,
             vm,
@@ -114,15 +121,8 @@ impl SqoopExport {
             batches_inflight: 0,
             pending_read: false,
             req: 0,
-            job: None,
+            job,
         }
-    }
-
-    /// Binds a completion token: the export signals start, per-batch
-    /// progress and completion on `job`.
-    pub fn with_job(mut self, job: JobHandle) -> Self {
-        self.job = Some(job);
-        self
     }
 
     fn vcpu(&self, ctx: &Ctx<'_>) -> ThreadId {
@@ -137,9 +137,7 @@ impl SqoopExport {
     fn pump(&mut self, ctx: &mut Ctx<'_>) {
         let total = self.rows * ROW_BYTES;
         if self.rows_acked >= self.rows {
-            if let Some(j) = self.job {
-                ctx.job_completed(j);
-            }
+            ctx.job_completed(self.job);
             return;
         }
         if self.pending_read || self.batches_inflight >= WINDOW || self.read_offset >= total {
@@ -168,9 +166,7 @@ impl SqoopExport {
 impl Actor for SqoopExport {
     fn handle(&mut self, msg: BoxMsg, ctx: &mut Ctx<'_>) {
         if msg.is::<Start>() {
-            if let Some(j) = self.job {
-                ctx.job_started(j);
-            }
+            ctx.job_started(self.job);
             self.pump(ctx);
             return;
         }
@@ -218,9 +214,7 @@ impl Actor for SqoopExport {
             // MySQL ack: the tag is the row count of the acked batch
             self.batches_inflight -= 1;
             self.rows_acked += r.tag;
-            if let Some(j) = self.job {
-                ctx.job_progress(j, r.tag * ROW_BYTES, r.tag);
-            }
+            ctx.job_progress(self.job, r.tag * ROW_BYTES, r.tag);
             self.pump(ctx);
         }
     }
@@ -242,8 +236,14 @@ pub fn deploy_sqoop_with_job(
     let thread = w.add_thread(host_id, "mysqld");
     let mysql = w.add_actor("mysql", MysqlServer::new(thread));
     // The export actor is created first so the conn can point at it.
-    let export =
-        SqoopExport::new(dfs_client, client_vm, table, rows, ActorId::from_raw(0)).with_job(job);
+    let export = SqoopExport::new(
+        dfs_client,
+        client_vm,
+        table,
+        rows,
+        ActorId::from_raw(0),
+        job,
+    );
     let export_slot = w.add_actor("sqoop", export);
     let conn = with_cluster(w, |cl, w| {
         add_conn(

@@ -46,8 +46,8 @@ struct PhaseCpuDone;
 ///
 /// Metrics: the phase mark `wc_map_done_at_s` (when the map phase
 /// ended, seconds). Start, input bytes, map reads and completion are
-/// recorded only in the job table, on the job bound with
-/// [`WordCount::with_job`].
+/// recorded only in the job table, on the job given to
+/// [`WordCount::new`].
 pub struct WordCount {
     client: ActorId,
     vm: VmId,
@@ -56,13 +56,13 @@ pub struct WordCount {
     phase: Phase,
     offset: u64,
     req: u64,
-    job: Option<JobHandle>,
+    job: JobHandle,
 }
 
 impl WordCount {
     /// Creates a job over `input` (`input_bytes` long, already in HDFS)
-    /// through `client`.
-    pub fn new(client: ActorId, vm: VmId, input: String, input_bytes: u64) -> Self {
+    /// through `client`, reporting on `job`.
+    pub fn new(client: ActorId, vm: VmId, input: String, input_bytes: u64, job: JobHandle) -> Self {
         WordCount {
             client,
             vm,
@@ -71,15 +71,8 @@ impl WordCount {
             phase: Phase::Map,
             offset: 0,
             req: 0,
-            job: None,
+            job,
         }
-    }
-
-    /// Binds a completion token: the job signals start, map-side
-    /// progress and completion on `job` in addition to its metrics.
-    pub fn with_job(mut self, job: JobHandle) -> Self {
-        self.job = Some(job);
-        self
     }
 
     fn vcpu(&self, ctx: &Ctx<'_>) -> ThreadId {
@@ -163,9 +156,7 @@ impl WordCount {
 impl Actor for WordCount {
     fn handle(&mut self, msg: BoxMsg, ctx: &mut Ctx<'_>) {
         if msg.is::<Start>() {
-            if let Some(j) = self.job {
-                ctx.job_started(j);
-            }
+            ctx.job_started(self.job);
             self.next_read(ctx);
             return;
         }
@@ -186,9 +177,7 @@ impl Actor for WordCount {
         };
         let msg = match downcast::<MapCpuDone>(msg) {
             Ok(mc) => {
-                if let Some(j) = self.job {
-                    ctx.job_progress(j, mc.bytes, 1);
-                }
+                ctx.job_progress(self.job, mc.bytes, 1);
                 self.next_read(ctx);
                 return;
             }
@@ -206,9 +195,7 @@ impl Actor for WordCount {
             Err(m) => m,
         };
         if msg.is::<DfsWriteDone>() {
-            if let Some(j) = self.job {
-                ctx.job_completed(j);
-            }
+            ctx.job_completed(self.job);
         }
     }
 }
@@ -232,7 +219,7 @@ mod tests {
         populate_file(&mut w, "/input", 32 << 20, &Placement::One(dns[0]));
         let client = add_client(&mut w, cvm, Box::new(VanillaPath::new()));
         let job = w.register_job("wc");
-        let wc = WordCount::new(client, cvm, "/input".into(), 32 << 20).with_job(job);
+        let wc = WordCount::new(client, cvm, "/input".into(), 32 << 20, job);
         let a = w.add_actor("wc", wc);
         w.send_now(a, Start);
         w.run();

@@ -24,8 +24,8 @@ fn mbps(path: ReadPath, op: HbaseOp) -> f64 {
     let client = tb.make_client();
     let (vm, seed) = (tb.client_vm, tb.opts.seed);
     let job = run_job(&mut tb.w, "hbase", CAP, |w, job| {
-        let hb = HbaseClient::new(client, vm, op, "/hbase/t1".into(), rows, seed);
-        w.add_actor("hbase", hb.with_job(job))
+        let hb = HbaseClient::new(client, vm, op, "/hbase/t1".into(), rows, seed, job);
+        w.add_actor("hbase", hb)
     })
     .expect("hbase run did not finish");
     let elapsed = tb.w.jobs.elapsed(job).expect("hbase started");

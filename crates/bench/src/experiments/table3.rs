@@ -20,8 +20,10 @@ fn hive_secs(path: ReadPath) -> f64 {
     let client = tb.make_client();
     let vm = tb.client_vm;
     let job = run_job(&mut tb.w, "hive", CAP, |w, job| {
-        let q = HiveQuery::new(client, vm, "/hive/test".into(), ROWS);
-        w.add_actor("hive", q.with_job(job))
+        w.add_actor(
+            "hive",
+            HiveQuery::new(client, vm, "/hive/test".into(), ROWS, job),
+        )
     })
     .expect("hive query did not finish");
     let secs = tb.w.jobs.elapsed(job).expect("hive started").as_secs_f64();

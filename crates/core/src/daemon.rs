@@ -627,6 +627,117 @@ impl VreadDaemon {
 
 impl Actor for VreadDaemon {
     fn handle(&mut self, msg: BoxMsg, ctx: &mut Ctx<'_>) {
+        // ---- per-chunk traffic, tried first -----------------------------------
+        // Every ring chunk and every remote chunk is one of these four, and
+        // each failed downcast costs a virtual `type_id` call. Exactly one
+        // arm matches a message, so the order changes no output.
+        // A ring chunk landed in the guest:
+        let msg = match downcast::<RingChunkDone>(msg) {
+            Ok(done) => {
+                ctx.world
+                    .metrics
+                    .gauge_add_to(self.ring_gauge, -(done.bytes as f64));
+                let Some(r) = self.reads.get_mut(&done.read) else {
+                    return;
+                };
+                r.undelivered -= done.bytes;
+                let from_image = match &mut r.src {
+                    Source::Image(image) => {
+                        image.inflight -= 1;
+                        true
+                    }
+                    Source::Peer(_) => false,
+                };
+                let (reply_to, token) = (r.reply_to, r.token);
+                ctx.send(
+                    reply_to,
+                    VreadChunk {
+                        token,
+                        bytes: done.bytes,
+                    },
+                );
+                if r.undelivered == 0 {
+                    self.reads.remove(&done.read);
+                    ctx.send(reply_to, VreadReadDone { token });
+                } else if from_image {
+                    self.pump_ring(ctx, done.read);
+                }
+                return;
+            }
+            Err(m) => m,
+        };
+        // Remote data arriving at the requesting daemon:
+        let msg = match downcast::<ConnRecv>(msg) {
+            Ok(r) => {
+                // The tag is the read id; data on another connection
+                // with the same tag is not ours.
+                let read = r.tag;
+                let Some(rr) = self
+                    .reads
+                    .get(&read)
+                    .filter(|rr| matches!(rr.src, Source::Peer(conn) if conn == r.conn))
+                else {
+                    return;
+                };
+                let (client_vm, span) = (rr.client_vm, rr.span);
+                let me = ctx.me();
+                let stages = {
+                    let cl = ctx.world.ext.get::<Cluster>().expect("cluster");
+                    let ring = RingSpec::from_costs(&cl.costs);
+                    let vcpu = cl.vm(client_vm).vcpu;
+                    let mut stages = ring.daemon_push_stages(&cl.costs, self.thread, r.bytes);
+                    stages.extend(ring.guest_pop_stages(&cl.costs, vcpu, r.bytes));
+                    stages
+                };
+                ctx.world
+                    .metrics
+                    .gauge_add_to(self.ring_gauge, r.bytes as f64);
+                let done = RingChunkDone {
+                    read,
+                    bytes: r.bytes,
+                };
+                ctx.chain_on(stages, me, done, span);
+                return;
+            }
+            Err(m) => m,
+        };
+        // The serving daemon: a chunk was read from the image, then sent:
+        let msg = match downcast::<ServeChunkReady>(msg) {
+            Ok(sr) => {
+                let Some(s) = self.serves.get(&sr.key) else {
+                    return;
+                };
+                ctx.send(
+                    s.conn,
+                    ConnSend {
+                        dir: Side::B,
+                        bytes: sr.bytes,
+                        tag: s.tag,
+                        notify: true,
+                        span: s.span,
+                    },
+                );
+                return;
+            }
+            Err(m) => m,
+        };
+        let msg = match downcast::<ConnSent>(msg) {
+            Ok(sent) => {
+                let key = (sent.conn.raw(), sent.tag);
+                let Some(s) = self.serves.get_mut(&key) else {
+                    return;
+                };
+                s.image.inflight -= 1;
+                if s.image.remaining == 0 && s.image.inflight == 0 {
+                    self.serves.remove(&key);
+                } else {
+                    self.pump_serve(ctx, key);
+                }
+                return;
+            }
+            Err(m) => m,
+        };
+
         // ---- vRead_open --------------------------------------------------
         let msg = match downcast::<VreadOpenReq>(msg) {
             Ok(req) => {
@@ -752,42 +863,6 @@ impl Actor for VreadDaemon {
             Err(m) => m,
         };
 
-        // ---- a ring chunk landed in the guest ----------------------------------
-        let msg = match downcast::<RingChunkDone>(msg) {
-            Ok(done) => {
-                ctx.world
-                    .metrics
-                    .gauge_add_to(self.ring_gauge, -(done.bytes as f64));
-                let Some(r) = self.reads.get_mut(&done.read) else {
-                    return;
-                };
-                r.undelivered -= done.bytes;
-                let from_image = match &mut r.src {
-                    Source::Image(image) => {
-                        image.inflight -= 1;
-                        true
-                    }
-                    Source::Peer(_) => false,
-                };
-                let (reply_to, token) = (r.reply_to, r.token);
-                ctx.send(
-                    reply_to,
-                    VreadChunk {
-                        token,
-                        bytes: done.bytes,
-                    },
-                );
-                if r.undelivered == 0 {
-                    self.reads.remove(&done.read);
-                    ctx.send(reply_to, VreadReadDone { token });
-                } else if from_image {
-                    self.pump_ring(ctx, done.read);
-                }
-                return;
-            }
-            Err(m) => m,
-        };
-
         // ---- remote protocol: control ------------------------------------------
         let msg = match downcast::<ROpen>(msg) {
             Ok(op) => {
@@ -902,77 +977,6 @@ impl Actor for VreadDaemon {
                         |_, st| !matches!(st, VfdState::Local { dn_vm, .. } if *dn_vm == mig.vm),
                     );
                 }
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match downcast::<ServeChunkReady>(msg) {
-            Ok(sr) => {
-                let Some(s) = self.serves.get(&sr.key) else {
-                    return;
-                };
-                ctx.send(
-                    s.conn,
-                    ConnSend {
-                        dir: Side::B,
-                        bytes: sr.bytes,
-                        tag: s.tag,
-                        notify: true,
-                        span: s.span,
-                    },
-                );
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match downcast::<ConnSent>(msg) {
-            Ok(sent) => {
-                let key = (sent.conn.raw(), sent.tag);
-                let Some(s) = self.serves.get_mut(&key) else {
-                    return;
-                };
-                s.image.inflight -= 1;
-                if s.image.remaining == 0 && s.image.inflight == 0 {
-                    self.serves.remove(&key);
-                } else {
-                    self.pump_serve(ctx, key);
-                }
-                return;
-            }
-            Err(m) => m,
-        };
-
-        // ---- remote data arriving at the requesting daemon -----------------------
-        let msg = match downcast::<ConnRecv>(msg) {
-            Ok(r) => {
-                // The tag is the read id; data on another connection
-                // with the same tag is not ours.
-                let read = r.tag;
-                let Some(rr) = self
-                    .reads
-                    .get(&read)
-                    .filter(|rr| matches!(rr.src, Source::Peer(conn) if conn == r.conn))
-                else {
-                    return;
-                };
-                let (client_vm, span) = (rr.client_vm, rr.span);
-                let me = ctx.me();
-                let stages = {
-                    let cl = ctx.world.ext.get::<Cluster>().expect("cluster");
-                    let ring = RingSpec::from_costs(&cl.costs);
-                    let vcpu = cl.vm(client_vm).vcpu;
-                    let mut stages = ring.daemon_push_stages(&cl.costs, self.thread, r.bytes);
-                    stages.extend(ring.guest_pop_stages(&cl.costs, vcpu, r.bytes));
-                    stages
-                };
-                ctx.world
-                    .metrics
-                    .gauge_add_to(self.ring_gauge, r.bytes as f64);
-                let done = RingChunkDone {
-                    read,
-                    bytes: r.bytes,
-                };
-                ctx.chain_on(stages, me, done, span);
                 return;
             }
             Err(m) => m,

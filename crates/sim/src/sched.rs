@@ -56,15 +56,22 @@ const MIGRATION_CYCLES: u64 = 26_000;
 /// rounding up: the value of `(cycles / ghz).ceil().max(0.0) as u64`.
 ///
 /// Baseline x86-64 has no SSE4.1 rounding instruction, so `f64::ceil`
-/// is a libm call; this runs on every core-timer reprogram. The
-/// saturating `as u64` cast truncates instead (NaN and negatives to 0,
-/// 2^64 and up to `u64::MAX`), and one comparison adds the missing unit
-/// when a fraction was cut off. Every `f64` from 2^53 up is an integer,
-/// so the comparison only ever fires below that, where `t as f64` is
-/// exact.
+/// is a libm call; this runs on every core-timer reprogram. A cast
+/// truncates instead, and one comparison adds the missing unit when a
+/// fraction was cut off. Every `f64` from 2^53 up is an integer, so the
+/// comparison only ever fires below that, where `t as f64` is exact.
+/// Quotients in `[0, 2^62)` take signed casts, one instruction each way,
+/// and the sum cannot overflow; everything else takes the saturating
+/// `as u64` cast (NaN and negatives to 0, 2^64 and up to `u64::MAX`),
+/// whose unsigned conversions baseline x86-64 emulates with branches.
 #[inline]
 pub(crate) fn cycles_to_ns(cycles: f64, ghz: f64) -> u64 {
+    const TWO_62: f64 = (1u64 << 62) as f64;
     let ns = cycles / ghz;
+    if (0.0..TWO_62).contains(&ns) {
+        let t = ns as i64;
+        return (t + i64::from((t as f64) < ns)) as u64;
+    }
     let t = ns as u64;
     t.saturating_add(u64::from((t as f64) < ns))
 }
@@ -210,6 +217,9 @@ pub(crate) struct HostSched {
     pub cache_pressure: f64,
     /// Index of this host's first core in the world's timer table.
     pub core_base: usize,
+    /// Context-switch time in ns, without and with the migration cost
+    /// (indexed by "migrated"): `ghz` never changes after `add_host`.
+    pub switch_ns: [u64; 2],
 }
 
 impl HostSched {
@@ -243,6 +253,10 @@ impl Sched {
             min_vr: 0,
             cache_pressure: 1.0,
             core_base,
+            switch_ns: [
+                cycles_to_ns(CTX_SWITCH_CYCLES as f64, ghz),
+                cycles_to_ns((CTX_SWITCH_CYCLES + MIGRATION_CYCLES) as f64, ghz),
+            ],
         });
         id
     }
@@ -405,16 +419,15 @@ impl World {
             return;
         };
         let now = self.now();
-        let (quantum, ghz) = {
-            let h = &mut self.sched.hosts[hix];
-            h.min_vr = h.min_vr.max(vr);
-            (h.quantum(), h.ghz)
-        };
         // Direct context-switch cost, plus the cache-refill cost when the
         // thread migrated off its previous core.
         let migrated = matches!(self.sched.threads[traw as usize].prev_core, Some(p) if p != cix);
         let total_cycles = CTX_SWITCH_CYCLES + if migrated { MIGRATION_CYCLES } else { 0 };
-        let switch_ns = cycles_to_ns(total_cycles as f64, ghz);
+        let (quantum, switch_ns) = {
+            let h = &mut self.sched.hosts[hix];
+            h.min_vr = h.min_vr.max(vr);
+            (h.quantum(), h.switch_ns[usize::from(migrated)])
+        };
         {
             let th = &mut self.sched.threads[traw as usize];
             th.state = TState::Running { core: cix };
@@ -640,6 +653,7 @@ mod tests {
     #[test]
     fn cycles_to_ns_matches_ceil_on_edge_cases() {
         let two53 = 9_007_199_254_740_992.0_f64; // 2^53
+        let two62 = 4_611_686_018_427_387_904.0_f64; // 2^62
         let two64 = 18_446_744_073_709_551_616.0_f64; // 2^64
         let cases = [
             0.0,
@@ -661,7 +675,10 @@ mod tests {
             two53 - 1.0,
             two53 - 0.5,
             two53,
-            two53 + 2.0, // 2^53 + 1 is not an f64; its neighbours are
+            two53 + 2.0,   // 2^53 + 1 is not an f64; its neighbours are
+            two62 - 512.0, // the largest f64 the signed fast path takes
+            two62,
+            two62 + 1024.0,
             two64 - 2048.0,
             two64,
             two64 * 2.0,
@@ -674,7 +691,12 @@ mod tests {
         }
         // 2^53 - 1 and 2^53 + 1 as integer cycle counts, as the callers
         // pass them (`u64 as f64` rounds 2^53 + 1 to 2^53).
-        for c in [(1u64 << 53) - 1, (1u64 << 53) + 1, u64::MAX] {
+        for c in [
+            (1u64 << 53) - 1,
+            (1u64 << 53) + 1,
+            (1u64 << 62) - 1,
+            u64::MAX,
+        ] {
             assert_eq!(cycles_to_ns(c as f64, 1.0), ceil_ns(c as f64, 1.0), "{c}");
         }
         assert_eq!(cycles_to_ns(two64, 1.0), u64::MAX);
@@ -688,13 +710,35 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Arbitrary cycle counts and clock rates round like `ceil`.
+        /// Arbitrary cycle counts and clock rates round like `ceil`, and
+        /// so do quotients within 2^20 ulps either side of 2^62, where
+        /// the signed fast path hands over to the saturating one.
         #[test]
-        fn cycles_to_ns_matches_ceil(cycles in 0u64..u64::MAX, scale in 0u32..64, ghz_milli in 1u64..8_000) {
+        fn cycles_to_ns_matches_ceil(cycles in 0u64..u64::MAX, scale in 0u32..64, ghz_milli in 1u64..8_000, ulps in 0u64..(1 << 21)) {
             let c = (cycles >> scale) as f64 + (cycles & 0xff) as f64 / 256.0;
             let ghz = ghz_milli as f64 / 1000.0;
             prop_assert_eq!(cycles_to_ns(c, ghz), ceil_ns(c, ghz));
+            let near = f64::from_bits(((1u64 << 62) as f64).to_bits() - (1 << 20) + ulps);
+            let c = near * ghz;
+            prop_assert_eq!(cycles_to_ns(c, ghz), ceil_ns(c, ghz));
         }
+    }
+
+    #[test]
+    fn cached_switch_times_are_the_two_costs_converted() {
+        let mut sched = Sched::default();
+        for (i, ghz) in [0.3, 1.0, 2.4, 3.0, 7.777].into_iter().enumerate() {
+            let h = sched.add_host("h", 1, ghz, i);
+            assert_eq!(
+                sched.hosts[h.index()].switch_ns,
+                [
+                    cycles_to_ns(CTX_SWITCH_CYCLES as f64, ghz),
+                    cycles_to_ns((CTX_SWITCH_CYCLES + MIGRATION_CYCLES) as f64, ghz),
+                ],
+                "{ghz} GHz"
+            );
+        }
+        assert_eq!(sched.hosts[3].switch_ns, [1_000, 29_000 / 3 + 1]);
     }
 
     #[test]

@@ -25,8 +25,8 @@ fn main() {
         let (vm, start) = (tb.client_vm, tb.w.now().as_secs_f64());
         let cap = SimDuration::from_secs(600);
         let job = run_job(&mut tb.w, "wordcount", cap, |w, job| {
-            let wc = WordCount::new(client, vm, "/corpus".into(), INPUT);
-            w.add_actor("wc", wc.with_job(job))
+            let wc = WordCount::new(client, vm, "/corpus".into(), INPUT, job);
+            w.add_actor("wc", wc)
         })
         .expect("job ran");
         let secs = tb.w.jobs.elapsed(job).expect("job started").as_secs_f64();
